@@ -26,7 +26,7 @@ cyl = catalog.product_cylinder()
 pg = point_geometry(cyl, (0.4, 1.3))
 print("product cylinder:")
 print(f"  shape operator:\n{pg.A}")
-print(f"  K = {pg.K:.2e}, det A = {pg.detA:.6f}, quartic = {pg.quartic:.6f}")
+print(f"  K = {pg.K:.2e}, det A = {pg.detA:.6f}, quartic = {2 * pg.detA:.6f}")
 print("  second form is indefinite, so no curvature of II here\n")
 
 par = catalog.paraboloid_graph()

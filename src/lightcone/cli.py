@@ -88,8 +88,14 @@ class Manifest:
         self._t0 = time.time()
 
     def add(self, name, residual=None, tolerance=None, status=None, detail=""):
+        """Record a check; without an explicit status, the residual decides.
+
+        A residual passes when it is finite and within the tolerance in
+        absolute value, so NaN and inf always fail.
+        """
         if status is None:
-            status = "PASS" if abs(residual) <= tolerance else "FAIL"
+            ok = np.isfinite(residual) and abs(residual) <= tolerance
+            status = "PASS" if ok else "FAIL"
         self.checks.append(
             {
                 "name": name,
@@ -120,7 +126,8 @@ class Manifest:
         out.update(self.extra)
         return out
 
-    def print_summary(self, stream=sys.stdout):
+    def print_summary(self, stream=None):
+        stream = sys.stdout if stream is None else stream
         width = max((len(c["name"]) for c in self.checks), default=10) + 2
         for c in self.checks:
             res = "" if c["residual"] is None else f"{c['residual']:.3e}"
@@ -137,10 +144,24 @@ class Manifest:
 
 def _parse_grid(text):
     try:
-        nt, np_ = text.lower().split("x")
-        return int(nt), int(np_)
-    except Exception:
-        raise argparse.ArgumentTypeError(f"grid must look like 64x128, got {text!r}")
+        nt, np_ = (int(n) for n in text.lower().split("x"))
+        if nt >= 1 and np_ >= 1:
+            return nt, np_
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"grid must look like 64x128, with both sizes at least 1, got {text!r}"
+    )
+
+
+def _worst(*parts):
+    """Largest of several residual parts; NaN when any part is NaN."""
+    return np.max(parts)
+
+
+def _excess(x):
+    """Positive part of a one-sided residual; NaN stays NaN and so fails."""
+    return 0.0 if x <= 0.0 else x
 
 
 def _tol_item(item):
@@ -216,7 +237,7 @@ def cmd_verify(args):
     manifest.add("on_cone", cone, tols["on_cone"])
 
     eta, psi = frame.eta, frame.psi
-    nc = max(
+    nc = _worst(
         np.max(np.abs(eta.dot(eta).value)),
         np.max(np.abs(eta.dot(psi).value - 1.0)),
         np.max(np.abs(eta.dot(frame.psi_u).value)),
@@ -255,7 +276,7 @@ def cmd_verify(args):
     k_br = curvature.gauss_curvature_brioschi(frame)
     manifest.add(
         "curvature_trace",
-        max(np.max(np.abs(k_br - frame.K_val)), np.max(np.abs(frame.H2_val - frame.K_val))),
+        _worst(np.max(np.abs(k_br - frame.K_val)), np.max(np.abs(frame.H2_val - frame.K_val))),
         tols["curvature_trace"],
     )
     manifest.add(
@@ -265,7 +286,7 @@ def cmd_verify(args):
     )
     manifest.add(
         "gap_floor",
-        max(0.0, -min(np.min(frame.gap_low), np.min(frame.gap_high))),
+        _excess(_worst(-np.min(frame.gap_low), -np.min(frame.gap_high))),
         tols["gap_floor"],
     )
     manifest.add(
@@ -298,7 +319,7 @@ def cmd_verify(args):
             tols["trace_gradient"],
         )
         lt = curvature.difference_tensor(None, frame=frame)
-        sym = max(
+        sym = _worst(
             np.max(np.abs(lt.lowered - np.swapaxes(lt.lowered, -3, -2))),
             np.max(np.abs(lt.lowered - np.swapaxes(lt.lowered, -2, -1))),
         )
@@ -355,7 +376,7 @@ def cmd_verify(args):
 
     gf_t = frame.psi_val / frame.psi0_val[..., None]
     gp_t = frame.eta_val / frame.eta_val[..., 0:1]
-    gm = max(
+    gm = _worst(
         np.max(np.abs(np.linalg.norm(gf_t[..., 1:], axis=-1) - 1.0)),
         np.max(np.abs(np.linalg.norm(gp_t[..., 1:], axis=-1) - 1.0)),
     )
@@ -363,7 +384,7 @@ def cmd_verify(args):
 
     if patch.closed:
         _, _, glow, ghigh = umbilic_point_search(patch, coarse=(32, 64))
-        manifest.add("umbilic_point", max(glow, ghigh), tols["umbilic_point"])
+        manifest.add("umbilic_point", _worst(glow, ghigh), tols["umbilic_point"])
     else:
         manifest.skip("umbilic_point", "not a closed surface")
 
@@ -398,18 +419,20 @@ def cmd_global(args):
         grid = SphereGrid(patch, *args.grid)
         if np.any(grid.table["detA"] <= 0.0):
             raise DegeneracyViolation("det A <= 0 at a grid node")
+        gb = grid.gauss_bonnet()
+        gb2 = grid.gauss_bonnet_second_form()
+        ii_area = grid.second_form_area(check=False)
+        floor = grid.second_curvature_floor(tol=tols["curvature_floor"])
+        lam = lambda1_estimate(grid)
     except (LightconeError, OSError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    gb = grid.gauss_bonnet()
     manifest.add("gauss_bonnet_induced", gb - 4.0 * np.pi, tols["gauss_bonnet_induced"])
-    gb2 = grid.gauss_bonnet_second_form()
     manifest.add("gauss_bonnet_second", gb2 - 4.0 * np.pi, tols["gauss_bonnet_second"])
-    ii_area = grid.second_form_area(check=False)
     manifest.add(
         "second_form_area_bound",
-        max(0.0, ii_area - 2.0 * np.pi),
+        _excess(ii_area - 2.0 * np.pi),
         tols["second_form_area"],
         detail=f"area {ii_area:.9f} vs 2 pi (equality iff umbilical)",
     )
@@ -419,7 +442,6 @@ def cmd_global(args):
             ii_area - 2.0 * np.pi,
             tols["round_second_form_area"],
         )
-    floor = grid.second_curvature_floor(tol=tols["curvature_floor"])
     manifest.add(
         "curvature_floor",
         min(floor["keta_slack"], floor["floor_slack"]),
@@ -427,12 +449,10 @@ def cmd_global(args):
         status="PASS" if floor["passes"] else "FAIL",
         detail=f"ratio {floor['ratio']:.6f} at theta={floor['point'][0]:.3f}",
     )
-    lam = lambda1_estimate(grid)
-    slack = tols["lambda1_slack"]
     manifest.add(
         "eigenvalue_bound",
-        max(0.0, (lam.value - lam.reilly_rhs) / lam.reilly_rhs),
-        slack,
+        _excess((lam.value - lam.reilly_rhs) / lam.reilly_rhs),
+        tols["lambda1_slack"],
         detail=f"lambda1 {lam.value:.6f} vs bound {lam.reilly_rhs:.6f}",
     )
     if args.surface == "round-sphere":

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
 from .jets import Jet2
-from .surfaces import JetFrame
+from .surfaces import JetFrame, _det2
 
 
 @dataclass
@@ -34,9 +34,6 @@ class MetricField:
 
     def det(self):
         return self.E * self.G - self.F * self.F
-
-    def riemannian_at_base(self):
-        return bool(np.all(self.E.value > 0.0) and np.all(self.det().value > 0.0))
 
     def require_nondegenerate(self):
         if np.any(self.det().value == 0.0):
@@ -54,12 +51,17 @@ def second_form_metric_field(frame):
     return MetricField(II[0][0], F, II[1][1])
 
 
-def christoffels(m):
-    """Levi-Civita symbols Gamma[c][a][b] of a metric field, as jets."""
-    m.require_nondegenerate()
-    det = m.det()
+def christoffels(m, gi=None):
+    """Levi-Civita symbols Gamma[c][a][b] of a metric field, as jets.
+
+    ``gi`` is the inverse metric as nested jet pairs; a caller that already
+    holds it passes it in, otherwise it is formed from the adjugate.
+    """
+    if gi is None:
+        m.require_nondegenerate()
+        det = m.det()
+        gi = ((m.G / det, -m.F / det), (-m.F / det, m.E / det))
     g = ((m.E, m.F), (m.F, m.G))
-    gi = ((m.G / det, -m.F / det), (-m.F / det, m.E / det))
     dg = [[[g[a][b].d(ax) for b in range(2)] for a in range(2)] for ax in ("u", "v")]
     out = [[[None, None], [None, None]], [[None, None], [None, None]]]
     for c in range(2):
@@ -183,27 +185,22 @@ def difference_tensor(patch, p=None, frame=None, floor=1e-10):
             f"{frame.patch.name}: |det A| fell below {floor:.1e} "
             f"(min {np.min(np.abs(detA)):.3e})"
         )
-    A = frame.A_val
-    inv = np.empty_like(A)
-    inv[..., 0, 0] = A[..., 1, 1]
-    inv[..., 1, 1] = A[..., 0, 0]
-    inv[..., 0, 1] = -A[..., 0, 1]
-    inv[..., 1, 0] = -A[..., 1, 0]
-    inv = inv / detA[..., None, None]
+    inv = _inv2(frame.A_val, detA)
     na = shape_operator_covariant_derivative(frame)
     L = 0.5 * np.einsum("...cd,...adb->...abc", inv, na)
     lowered = np.einsum("...abc,...cd->...abd", L, frame.II_val)
     return DifferenceTensor(L=L, lowered=lowered)
 
 
-def _ii_inverse(frame):
-    II = frame.II_val
-    det = II[..., 0, 0] * II[..., 1, 1] - II[..., 0, 1] * II[..., 1, 0]
-    inv = np.empty_like(II)
-    inv[..., 0, 0] = II[..., 1, 1]
-    inv[..., 1, 1] = II[..., 0, 0]
-    inv[..., 0, 1] = -II[..., 0, 1]
-    inv[..., 1, 0] = -II[..., 1, 0]
+def _inv2(m, det=None):
+    """Inverse of a stack of 2x2 matrices: the adjugate over the determinant."""
+    if det is None:
+        det = _det2(m)
+    inv = np.empty_like(m)
+    inv[..., 0, 0] = m[..., 1, 1]
+    inv[..., 1, 1] = m[..., 0, 0]
+    inv[..., 0, 1] = -m[..., 0, 1]
+    inv[..., 1, 0] = -m[..., 1, 0]
     return inv / det[..., None, None]
 
 
@@ -216,7 +213,7 @@ def trace_gradient_residual(patch, p=None, frame=None):
     if frame is None:
         frame = JetFrame(patch, *p)
     lt = difference_tensor(None, frame=frame)
-    ii_inv = _ii_inverse(frame)
+    ii_inv = _inv2(frame.II_val)
     tr_l = np.einsum("...ab,...abc->...c", ii_inv, lt.L)
     d_det = np.stack(
         [frame.detA.partial(1, 0), frame.detA.partial(0, 1)], axis=-1
@@ -243,7 +240,7 @@ def curvature_relation(patch, p=None, frame=None):
         raise DegeneracyViolation("det A vanishes on the evaluation set")
     lt = difference_tensor(None, frame=frame)
     ii = frame.II_val
-    ii_inv = _ii_inverse(frame)
+    ii_inv = _inv2(frame.II_val)
 
     ii_LL = np.einsum(
         "...ac,...bd,...abe,...cdf,...ef->...",

@@ -11,8 +11,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, DegeneracyViolation
-from .surfaces import JetFrame
+from .surfaces import JetFrame, _det2
 from .util import chunked_map
+
+
+def sphere_quadrature(n_theta, n_phi):
+    """Flat nodes and weights of the sphere quadrature.
+
+    Gauss-Legendre in cos(theta), with theta ascending, crossed with n_phi
+    uniform phi nodes.  Returns theta, phi and each node's weight against
+    d(cos theta) dphi, so an area element sqrt(det g) dtheta dphi enters as
+    weight * sqrt(det g) / sin(theta).
+    """
+    t, wt = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    TH, PH = np.meshgrid(np.arccos(t[::-1]), phi, indexing="ij")
+    weights = np.repeat(wt[::-1], n_phi) * (2.0 * np.pi / n_phi)
+    return TH.ravel(), PH.ravel(), weights
 
 
 def geometry_table(patch, u, v, want_second_curv=True, workers=None, chunk=2048):
@@ -41,10 +56,7 @@ def geometry_table(patch, u, v, want_second_curv=True, workers=None, chunk=2048)
         if want_second_curv:
             from .curvature import brioschi_curvature, second_form_metric_field
 
-            detII = frame.II_val[..., 0, 0] * frame.II_val[..., 1, 1] - (
-                frame.II_val[..., 0, 1] * frame.II_val[..., 1, 0]
-            )
-            if np.any(detII == 0.0):
+            if np.any(_det2(frame.II_val) == 0.0):
                 out["K_eta"] = np.full(e - s, np.nan)
             else:
                 out["K_eta"] = brioschi_curvature(second_form_metric_field(frame))
@@ -66,19 +78,10 @@ class SphereGrid:
         self.patch = patch
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
-        t, wt = np.polynomial.legendre.leggauss(self.n_theta)
-        theta = np.arccos(t[::-1])
-        self.theta = theta
-        self.t_weights = wt[::-1]
-        self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-        TH, PH = np.meshgrid(self.theta, self.phi, indexing="ij")
-        self.TH = TH.ravel()
-        self.PH = PH.ravel()
+        self.TH, self.PH, w2 = sphere_quadrature(self.n_theta, self.n_phi)
         self.table = geometry_table(
             patch, self.TH, self.PH, want_second_curv=want_second_curv, workers=workers
         )
-        # d(area) = sqrt(det g) dtheta dphi = (sqrt(det g)/sin theta) dt dphi
-        w2 = np.repeat(self.t_weights, self.n_phi) * (2.0 * np.pi / self.n_phi)
         self.weights = w2 * self.table["sqrt_detg"] / np.sin(self.TH)
 
     @property

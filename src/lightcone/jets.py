@@ -112,15 +112,6 @@ class Jet2:
             raise ValueError("axis must be 'u' or 'v'")
         return cls(c)
 
-    @classmethod
-    def from_table(cls, table, valid=ORDER):
-        """Build from a (..., 5, 5) table of coefficients indexed [i, j]."""
-        table = np.asarray(table, dtype=float)
-        c = np.zeros(table.shape[:-2] + (N_COEFF,))
-        for k, (i, j) in enumerate(MONOMIALS):
-            c[..., k] = table[..., i, j]
-        return cls(c, valid)
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -22,6 +22,8 @@ from scipy.optimize import minimize
 
 from .catalog import HarmonicSpec, perturbed_sphere
 from .errors import LightconeError
+from .harmonics import L_MAX
+from .integrals import sphere_quadrature
 from .surfaces import JetFrame
 
 _WALL = 1e6  # objective value returned when a surface cannot be evaluated
@@ -49,12 +51,20 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Each test is written so that NaN fails it.
         for name in (
             "amplitude_bound", "var_tol", "umbilic_tol", "candidate_gap",
             "barrier_floor", "barrier_weight", "radius",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("n_theta", "n_phi", "n_starts", "max_iter"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not self.n_restarts >= 0:
+            raise ValueError("n_restarts must be at least 0")
+        if not self.degree_max <= L_MAX:
+            raise ValueError(f"degree_max must be at most {L_MAX}")
 
     def free_pairs(self):
         lo = 2 if self.freeze_degree1 else 1
@@ -87,13 +97,7 @@ class VarianceObjective:
         self.pairs = config.free_pairs()
         nt = n_theta or config.n_theta
         nph = n_phi or config.n_phi
-        t, wt = np.polynomial.legendre.leggauss(nt)
-        self.theta = np.arccos(t[::-1])
-        self.wt = wt[::-1]
-        self.phi = 2.0 * np.pi * np.arange(nph) / nph
-        TH, PH = np.meshgrid(self.theta, self.phi, indexing="ij")
-        self.TH, self.PH = TH.ravel(), PH.ravel()
-        self.w_nodes = np.repeat(self.wt, nph) * (2.0 * np.pi / nph)
+        self.TH, self.PH, self.w_nodes = sphere_quadrature(nt, nph)
         self.sin_th = np.sin(self.TH)
 
     def spec(self, x):
@@ -349,14 +353,10 @@ def rotation_block(l, R, n_theta=24, n_phi=48):
     """
     from .harmonics import real_harmonic
 
-    t, wt = np.polynomial.legendre.leggauss(n_theta)
-    th = np.arccos(t)
-    ph = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
-    w = np.repeat(wt, n_phi) * (2.0 * np.pi / n_phi)
-    x = (np.sin(TH) * np.cos(PH)).ravel()
-    y = (np.sin(TH) * np.sin(PH)).ravel()
-    z = np.cos(TH).ravel()
+    TH, PH, w = sphere_quadrature(n_theta, n_phi)
+    x = np.sin(TH) * np.cos(PH)
+    y = np.sin(TH) * np.sin(PH)
+    z = np.cos(TH)
     pts = np.stack([x, y, z], axis=0)
     rpts = np.asarray(R, dtype=float) @ pts
     ms = range(-l, l + 1)

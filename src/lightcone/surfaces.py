@@ -160,19 +160,9 @@ class JetFrame:
     @cached_property
     def gamma(self):
         """Christoffel symbols of the induced metric, as jets."""
-        g = self.g
-        dg = [[[g[a][b].d(ax) for b in range(2)] for a in range(2)] for ax in ("u", "v")]
-        gamma = [[[None, None], [None, None]], [[None, None], [None, None]]]
-        for c in range(2):
-            for a in range(2):
-                for b in range(2):
-                    acc = None
-                    for d_ in range(2):
-                        term = dg[a][d_][b] + dg[b][d_][a] - dg[d_][a][b]
-                        term = self.gi[c][d_] * term
-                        acc = term if acc is None else acc + term
-                    gamma[c][a][b] = acc * 0.5
-        return tuple(tuple(tuple(row) for row in plane) for plane in gamma)
+        from .curvature import MetricField, christoffels
+
+        return christoffels(MetricField(self.E, self.F, self.G), self.gi)
 
     @cached_property
     def iivec(self):
@@ -261,8 +251,7 @@ class JetFrame:
     @cached_property
     def ii_positive(self):
         II = self.II_val
-        det = II[..., 0, 0] * II[..., 1, 1] - II[..., 0, 1] * II[..., 1, 0]
-        return (II[..., 0, 0] > 0.0) & (det > 0.0)
+        return (II[..., 0, 0] > 0.0) & (_det2(II) > 0.0)
 
     # -- secondary computations ---------------------------------------------
 
@@ -345,6 +334,11 @@ def _mat2(entries):
     )
 
 
+def _det2(m):
+    """Determinants of a stack of 2x2 matrices."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 # -- public pointwise operations --------------------------------------------
 
 
@@ -359,37 +353,10 @@ class PointGeometry:
     II: np.ndarray
     K: float
     detA: float
-    quartic: float
     H: np.ndarray
     gap_low: float
     gap_high: float
     K_eta: Optional[float] = None
-
-
-def first_fundamental_form(patch, p):
-    """Induced metric matrix at a point."""
-    frame = JetFrame(patch, *p)
-    return frame.g_val
-
-
-def lightlike_normal(patch, p):
-    """The normal with <eta,eta> = 0, <psi,eta> = 1, as a differentiable jet."""
-    return JetFrame(patch, *p).eta
-
-
-def weingarten_eta(patch, p, method="projection"):
-    """Shape operator of the lightlike normal in the chart basis."""
-    frame = JetFrame(patch, *p)
-    if method == "projection":
-        return frame.A_val
-    if method == "closed_form":
-        return _mat2(frame.weingarten_closed_form())
-    raise ValueError(f"unknown method {method!r}")
-
-
-def verify_position_weingarten(patch, p):
-    """Residual of the identity 'shape operator of the position = -I'."""
-    return float(np.max(JetFrame(patch, *p).position_weingarten_residual()))
 
 
 def point_geometry(patch, p, second_form_curvature=True):
@@ -413,7 +380,6 @@ def point_geometry(patch, p, second_form_curvature=True):
         II=frame.II_val,
         K=frame.K_val,
         detA=frame.detA_val,
-        quartic=2.0 * frame.detA_val,
         H=frame.H_val,
         gap_low=frame.gap_low,
         gap_high=frame.gap_high,

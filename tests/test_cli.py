@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
+from lightcone import cli
 from lightcone.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -12,6 +16,8 @@ from lightcone.cli import (
     EXIT_OK,
     main,
 )
+from lightcone.integrals import SphereGrid
+from lightcone.surfaces import JetFrame
 
 try:
     from importlib.resources import files as _files
@@ -83,6 +89,26 @@ def test_verify_tolerance_override_can_fail(tmp_path):
     assert names["codazzi"]["tolerance"] == 1e-30
 
 
+def test_verify_nonfinite_gap_fails(tmp_path, monkeypatch):
+    # gap_floor clamps its one-sided residual at zero; the clamp must keep
+    # NaN, so that the check fails.
+    nan_gap = property(lambda self: np.full(np.shape(self.detA_val), np.nan))
+    monkeypatch.setattr(JetFrame, "gap_low", nan_gap)
+    out = tmp_path / "m.json"
+    rc = main(["verify", "paraboloid", "--grid", "4x4", "--out", str(out)])
+    assert rc == EXIT_CHECK_FAILED
+    names = {c["name"]: c for c in _load_manifest(out)["checks"]}
+    assert names["gap_floor"]["status"] == "FAIL"
+
+
+def test_verify_summary_follows_redirected_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["verify", "paraboloid", "--grid", "4x4"])
+    assert rc == EXIT_OK
+    assert "=> PASS" in buf.getvalue()
+
+
 def test_verify_unknown_tolerance_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "round-sphere", "--tol", "bogus=1"])
@@ -98,6 +124,26 @@ def test_global_round_sphere(tmp_path):
     assert abs(rep["lambda1"] - 0.5) < 0.5 * 2e-2
     assert abs(rep["gauss_bonnet"] - 4 * np.pi) < 1e-6
     assert rep["bound_rhs"] >= rep["lambda1"]
+
+
+def test_global_nonfinite_residuals_fail(tmp_path, monkeypatch):
+    nan = float("nan")
+    monkeypatch.setattr(
+        cli, "lambda1_estimate",
+        lambda grid: SimpleNamespace(value=nan, reilly_rhs=1.0, refinement_gap=nan),
+    )
+    monkeypatch.setattr(SphereGrid, "second_form_area", lambda self, check=True, tol=0: nan)
+    out = tmp_path / "g.json"
+    rc = main(["global", "round-sphere", "--grid", "8x16", "--out", str(out)])
+    assert rc == EXIT_CHECK_FAILED
+    names = {c["name"]: c for c in _load_manifest(out)["checks"]}
+    assert names["eigenvalue_bound"]["status"] == "FAIL"
+    assert names["second_form_area_bound"]["status"] == "FAIL"
+
+
+@pytest.mark.parametrize("grid", ["1x1", "2x2"])
+def test_global_grid_too_small_for_spectrum(grid):
+    assert main(["global", "round-sphere", "--grid", grid]) == EXIT_DEGENERATE
 
 
 def test_global_rejects_noncompact():
@@ -143,9 +189,22 @@ def test_search_malformed_config(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
-def test_search_unknown_key_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"nope": 1}',
+        '{"n_starts": 0}',
+        '{"degree_max": 5}',
+        '{"n_theta": 0}',
+        '{"amplitude_bound": NaN}',
+        '{"amplitude_bound": Infinity}',
+    ],
+    ids=["unknown_key", "n_starts_0", "degree_max_5", "n_theta_0", "amplitude_nan",
+         "amplitude_inf"],
+)
+def test_search_unknown_key_rejected(tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"nope": 1}')
+    bad.write_text(text)
     assert main(["search", "--config", str(bad)]) == EXIT_BAD_CONFIG
 
 
@@ -173,6 +232,8 @@ def test_export_header_contract_for_plane_charts(tmp_path):
     assert len(rows) == 1 + 6 * 12
 
 
-def test_grid_parser_rejects_garbage():
+@pytest.mark.parametrize("grid", ["64by128", "0x0", "0x5", "-1x8"])
+def test_grid_parser_rejects_garbage(grid):
     with pytest.raises(SystemExit):
-        main(["verify", "round-sphere", "--grid", "64by128"])
+        # "--grid=" keeps argparse from reading "-1x8" as an option
+        main(["verify", "round-sphere", f"--grid={grid}"])

@@ -9,20 +9,17 @@ from lightcone.minkowski import inner
 from lightcone.surfaces import (
     JetFrame,
     SurfacePatch,
-    first_fundamental_form,
+    _mat2,
     gauss_maps,
     is_nondegenerate,
-    lightlike_normal,
     point_geometry,
     pole_map_jacobian_rank,
     umbilic_point_search,
-    verify_position_weingarten,
-    weingarten_eta,
 )
 
 
 def test_round_sphere_metric_at_equator(unit_sphere):
-    g = first_fundamental_form(unit_sphere, (np.pi / 2, 0.0))
+    g = JetFrame(unit_sphere, np.pi / 2, 0.0).g_val
     assert np.allclose(g, np.eye(2), atol=1e-14)
 
 
@@ -51,7 +48,7 @@ def test_round_sphere_normal_closed_form():
 
 def test_cylinder_normal_closed_form(cylinder):
     x, y = 0.4, 1.3
-    eta = lightlike_normal(cylinder, (x, y)).values
+    eta = JetFrame(cylinder, x, y).eta.values
     expected = 0.5 * np.array([-np.cosh(x), -np.sinh(x), np.cos(y), np.sin(y)])
     assert np.allclose(eta, expected, atol=1e-13)
 
@@ -76,19 +73,20 @@ def test_normal_defining_constraints_random_surface(bumpy_sphere):
 def test_weingarten_round_sphere_both_methods():
     for r in (0.5, 1.0, 2.0):
         patch = catalog.round_sphere(r=r)
-        p = (1.1, 2.2)
+        f = JetFrame(patch, 1.1, 2.2)
         expected = -np.eye(2) / (2 * r * r)
-        assert np.allclose(weingarten_eta(patch, p, "projection"), expected, atol=1e-12)
-        assert np.allclose(weingarten_eta(patch, p, "closed_form"), expected, atol=1e-12)
+        assert np.allclose(f.A_val, expected, atol=1e-12)
+        assert np.allclose(_mat2(f.weingarten_closed_form()), expected, atol=1e-12)
 
 
 def test_weingarten_cylinder_eigenstructure(cylinder):
     # Both computation routes give +1/2 along the hyperbola direction and
     # -1/2 along the circle direction; determinant and trace match the
     # catalog values either way.
-    A = weingarten_eta(cylinder, (0.3, 0.9), "projection")
+    f = JetFrame(cylinder, 0.3, 0.9)
+    A = f.A_val
     assert np.allclose(A, np.diag([0.5, -0.5]), atol=1e-12)
-    A2 = weingarten_eta(cylinder, (0.3, 0.9), "closed_form")
+    A2 = _mat2(f.weingarten_closed_form())
     assert np.allclose(A2, np.diag([0.5, -0.5]), atol=1e-12)
     assert sorted(np.linalg.eigvals(A)) == pytest.approx([-0.5, 0.5], abs=1e-12)
 
@@ -106,16 +104,12 @@ def test_two_method_agreement_random_spheres():
         patch, _ = random_perturbed_sphere(rng)
         u, v = patch.sample_points(200, rng, margin=0.05)
         f = JetFrame(patch, u, v)
-        from lightcone.surfaces import _mat2
-
         closed = _mat2(f.weingarten_closed_form())
         assert np.max(np.abs(closed - f.A_val)) < 1e-8
 
 
 def test_two_method_agreement_noncompact(cylinder, paraboloid, unit_sphere):
     rng = np.random.default_rng(12)
-    from lightcone.surfaces import _mat2
-
     for patch in (cylinder, paraboloid, unit_sphere):
         u, v = patch.sample_points(200, rng, margin=0.03)
         f = JetFrame(patch, u, v)
@@ -124,8 +118,8 @@ def test_two_method_agreement_noncompact(cylinder, paraboloid, unit_sphere):
 
 
 def test_position_weingarten_identity(unit_sphere, paraboloid, bumpy_sphere):
-    assert verify_position_weingarten(unit_sphere, (0.8, 0.3)) < 1e-10
-    assert verify_position_weingarten(paraboloid, (0.5, -1.0)) < 1e-12
+    assert np.max(JetFrame(unit_sphere, 0.8, 0.3).position_weingarten_residual()) < 1e-10
+    assert np.max(JetFrame(paraboloid, 0.5, -1.0).position_weingarten_residual()) < 1e-12
     rng = np.random.default_rng(6)
     u, v = bumpy_sphere.sample_points(100, rng, margin=0.05)
     f = JetFrame(bumpy_sphere, u, v)
@@ -136,7 +130,6 @@ def test_point_geometry_round_sphere(unit_sphere):
     pg = point_geometry(unit_sphere, (1.0, 0.5))
     assert pg.K == pytest.approx(1.0, abs=1e-12)
     assert pg.detA == pytest.approx(0.25, abs=1e-12)
-    assert pg.quartic == pytest.approx(0.5, abs=1e-12)
     assert pg.gap_low == pytest.approx(0.0, abs=1e-12)
     assert pg.gap_high == pytest.approx(0.0, abs=1e-12)
     assert pg.K_eta == pytest.approx(2.0, abs=1e-10)
