@@ -43,8 +43,8 @@ def round_sphere(u=None, r=1.0):
     The chart is (theta, phi) -> B (r, r w(theta, phi)) with B the boost
     taking (-1, 0, 0, 0) to u, so <u, psi> = r holds identically.
     """
-    if r <= 0.0:
-        raise NonpositiveRadius(f"radius must be positive, got {r}")
+    if not 0.0 < r < np.inf:
+        raise NonpositiveRadius(f"radius must be positive and finite, got {r}")
     u = vec(-1.0, 0.0, 0.0, 0.0) if u is None else np.asarray(u, dtype=float)
     B = boost_to(u)
 

@@ -17,16 +17,11 @@ import time
 import numpy as np
 
 from . import __version__, catalog, curvature, transforms
-from .errors import (
-    DegeneracyViolation,
-    LightconeError,
-    NotOnLightcone,
-    NotSpacelike,
-)
+from .errors import DegeneracyViolation, LightconeError
 from .integrals import SphereGrid, geometry_table
 from .search import SearchConfig, search as run_search
 from .spectrum import lambda1_estimate
-from .surfaces import JetFrame, umbilic_point_search
+from .surfaces import JetFrame, _mat2, umbilic_point_search
 from .util import worker_count
 
 EXIT_OK = 0
@@ -176,13 +171,36 @@ def _tol_item(item):
         raise argparse.ArgumentTypeError(f"tolerance {name!r} needs a number, got {value!r}")
 
 
-def _parse_tols(items):
+def _surface_manifest(command, args):
+    """Manifest echoing the surface arguments; returns it with the tolerances."""
     tols = dict(DEFAULT_TOLS)
-    tols.update(items or [])
-    return tols
+    tols.update(args.tol or [])
+    config = {
+        "surface": args.surface,
+        "r": args.r,
+        "u": args.u,
+        "spec": args.spec,
+        "grid": list(args.grid),
+        "tolerances": tols,
+        "workers": worker_count(),
+    }
+    return Manifest(command, config, seed=args.seed), tols
+
+
+def _finish(manifest, heading, path):
+    """Print the heading and the summary, write the manifest, return the exit code."""
+    print(heading)
+    manifest.print_summary()
+    manifest.write(path)
+    return EXIT_OK if manifest.passed else EXIT_CHECK_FAILED
 
 
 def _build_surface(args):
+    """The catalog surface that the arguments select.
+
+    Every input problem, including an unreadable or malformed spec file,
+    raises LightconeError.
+    """
     sel = args.surface
     if sel == "round-sphere":
         u = None if args.u is None else np.asarray(args.u, dtype=float)
@@ -194,13 +212,19 @@ def _build_surface(args):
     if sel == "perturbed":
         if not args.spec:
             raise LightconeError("perturbed surface needs --spec FILE")
-        with open(args.spec) as fh:
-            spec = catalog.HarmonicSpec.from_json(fh.read())
+        try:
+            with open(args.spec) as fh:
+                spec = catalog.HarmonicSpec.from_json(fh.read())
+        except (OSError, ValueError, TypeError) as exc:
+            raise LightconeError(f"bad spec {args.spec}: {exc}") from exc
         return catalog.perturbed_sphere(spec, r=args.r)
     raise LightconeError(f"unknown surface selector {sel!r}")
 
 
 # -- verify ------------------------------------------------------------------
+#
+# Checks that share a gate form a group: a tuple of check names (each also
+# a tolerance key) and one function returning the residuals in that order.
 
 
 def _verify_points(patch, grid, seed):
@@ -210,169 +234,144 @@ def _verify_points(patch, grid, seed):
     return np.concatenate([u, ur]), np.concatenate([v, vr])
 
 
-def cmd_verify(args):
-    tols = _parse_tols(args.tol)
-    manifest = Manifest(
-        "verify",
-        {
-            "surface": args.surface,
-            "r": args.r,
-            "u": args.u,
-            "spec": args.spec,
-            "grid": list(args.grid),
-            "tolerances": tols,
-            "workers": worker_count(),
-        },
-        seed=args.seed,
+def _check_group(manifest, tols, names, residuals, skip_reason=None):
+    """Add one check per name from residuals(), or skip them all with the reason."""
+    if skip_reason:
+        for name in names:
+            manifest.skip(name, skip_reason)
+        return
+    for name, res in zip(names, residuals(), strict=True):
+        manifest.add(name, res, tols[name])
+
+
+FRAME_CHECKS = (
+    "on_cone", "normal_constraints", "position_weingarten", "weingarten_agreement",
+    "normal_parallel", "second_form_symmetry", "shape_self_adjoint", "curvature_trace",
+    "second_form_inner", "gap_floor", "gap_match", "codazzi",
+)
+
+
+def _frame_residuals(frame):
+    eta, psi = frame.eta, frame.psi
+    II = frame.II_val
+    gA = np.einsum("...ac,...cb->...ab", frame.g_val, frame.A_val)
+    k_br = curvature.gauss_curvature_brioschi(frame)
+    return (
+        np.max(np.abs(psi.dot(psi).value)),
+        _worst(
+            np.max(np.abs(eta.dot(eta).value)),
+            np.max(np.abs(eta.dot(psi).value - 1.0)),
+            np.max(np.abs(eta.dot(frame.psi_u).value)),
+            np.max(np.abs(eta.dot(frame.psi_v).value)),
+        ),
+        np.max(frame.position_weingarten_residual()),
+        np.max(np.abs(_mat2(frame.weingarten_closed_form()) - frame.A_val)),
+        np.max(frame.normal_parallel_residual()),
+        np.max(np.abs(II[..., 0, 1] - II[..., 1, 0])),
+        np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])),
+        _worst(np.max(np.abs(k_br - frame.K_val)), np.max(np.abs(frame.H2_val - frame.K_val))),
+        np.max(frame.second_form_inner_residual()),
+        _excess(_worst(-np.min(frame.gap_low), -np.min(frame.gap_high))),
+        np.max(np.abs(frame.gap_low - frame.gap_high)),
+        np.max(curvature.codazzi_residual(None, frame=frame)),
     )
+
+
+DEFINITE_CHECKS = ("curvature_relation", "trace_gradient", "lowered_symmetry")
+
+
+def _definite_residuals(frame):
+    rel = curvature.curvature_relation(None, frame=frame)
+    grad = curvature.trace_gradient_residual(None, frame=frame)
+    low = curvature.difference_tensor(None, frame=frame).lowered
+    return (
+        np.max(rel["residual"]),
+        np.max(grad),
+        _worst(
+            np.max(np.abs(low - np.swapaxes(low, -3, -2))),
+            np.max(np.abs(low - np.swapaxes(low, -2, -1))),
+        ),
+    )
+
+
+CONJUGATE_CHECKS = (
+    "conjugate_weingarten", "conjugate_second_form", "conjugate_curvature", "third_form",
+    "double_conjugate",
+)
+
+
+def _conjugate_residuals(patch, grid):
+    dual = transforms.verify_conjugate_duality(patch, grid=grid)
+    return (
+        dual["weingarten_inverse"],
+        dual["second_form_match"],
+        dual["curvature_ratio"],
+        dual["third_form_match"],
+        transforms.double_conjugate_residual(patch, grid=grid),
+    )
+
+
+#: Check name -> key of the law in transforms.verify_expansion_laws.
+EXPANSION_LAWS = {
+    "expansion_weingarten": "weingarten",
+    "expansion_second_form": "second_form",
+    "expansion_curvature": "curvature",
+    "expansion_trace": "trace_consistency",
+    "expansion_normal": "normal",
+    "expansion_pairing": "pairing",
+    "expansion_metric": "metric",
+}
+
+
+def _expansion_residuals(patch, seed):
+    sigma = catalog.HarmonicSpec(terms=((1, 1, 0.02), (2, -1, 0.015))).chart_field()
+    rng = np.random.default_rng(seed)
+    pts = patch.sample_points(100, rng, margin=0.05)
+    laws = transforms.verify_expansion_laws(patch, sigma, pts)
+    return [laws[key] for key in EXPANSION_LAWS.values()]
+
+
+def cmd_verify(args):
+    manifest, tols = _surface_manifest("verify", args)
     try:
         patch = _build_surface(args)
         u, v = _verify_points(patch, args.grid, args.seed)
         frame = JetFrame(patch, u, v)
-    except (NotOnLightcone, NotSpacelike, LightconeError) as exc:
+    except LightconeError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    cone = np.max(np.abs(frame.psi.dot(frame.psi).value))
-    manifest.add("on_cone", cone, tols["on_cone"])
-
-    eta, psi = frame.eta, frame.psi
-    nc = _worst(
-        np.max(np.abs(eta.dot(eta).value)),
-        np.max(np.abs(eta.dot(psi).value - 1.0)),
-        np.max(np.abs(eta.dot(frame.psi_u).value)),
-        np.max(np.abs(eta.dot(frame.psi_v).value)),
-    )
-    manifest.add("normal_constraints", nc, tols["normal_constraints"])
-    manifest.add(
-        "position_weingarten",
-        np.max(frame.position_weingarten_residual()),
-        tols["position_weingarten"],
-    )
-
-    from .surfaces import _mat2
-
-    closed_form = _mat2(frame.weingarten_closed_form())
-    manifest.add(
-        "weingarten_agreement",
-        np.max(np.abs(closed_form - frame.A_val)),
-        tols["weingarten_agreement"],
-    )
-    manifest.add(
-        "normal_parallel", np.max(frame.normal_parallel_residual()), tols["normal_parallel"]
-    )
-    II = frame.II_val
-    manifest.add(
-        "second_form_symmetry",
-        np.max(np.abs(II[..., 0, 1] - II[..., 1, 0])),
-        tols["second_form_symmetry"],
-    )
-    gA = np.einsum("...ac,...cb->...ab", frame.g_val, frame.A_val)
-    manifest.add(
-        "shape_self_adjoint",
-        np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])),
-        tols["shape_self_adjoint"],
-    )
-    k_br = curvature.gauss_curvature_brioschi(frame)
-    manifest.add(
-        "curvature_trace",
-        _worst(np.max(np.abs(k_br - frame.K_val)), np.max(np.abs(frame.H2_val - frame.K_val))),
-        tols["curvature_trace"],
-    )
-    manifest.add(
-        "second_form_inner",
-        np.max(frame.second_form_inner_residual()),
-        tols["second_form_inner"],
-    )
-    manifest.add(
-        "gap_floor",
-        _excess(_worst(-np.min(frame.gap_low), -np.min(frame.gap_high))),
-        tols["gap_floor"],
-    )
-    manifest.add(
-        "gap_match", np.max(np.abs(frame.gap_low - frame.gap_high)), tols["gap_match"]
-    )
-    manifest.add(
-        "codazzi", np.max(curvature.codazzi_residual(None, frame=frame)), tols["codazzi"]
-    )
+    _check_group(manifest, tols, FRAME_CHECKS, lambda: _frame_residuals(frame))
 
     min_abs_d = float(np.min(np.abs(frame.detA_val)))
     nondegenerate = min_abs_d > tols["degeneracy_floor"]
-    ii_definite = bool(np.all(frame.ii_positive))
+    why_degenerate = None if nondegenerate else "degenerate shape operator"
+    why_not_definite = why_degenerate or (
+        None if np.all(frame.ii_positive) else "second form not definite"
+    )
     manifest.add(
         "nondegeneracy",
         status="PASS" if nondegenerate else "SKIP",
         residual=min_abs_d,
         tolerance=tols["degeneracy_floor"],
-        detail="nondegenerate" if nondegenerate else "degenerate shape operator",
+        detail=why_degenerate or "nondegenerate",
     )
 
+    _check_group(
+        manifest, tols, DEFINITE_CHECKS, lambda: _definite_residuals(frame), why_not_definite
+    )
+    if why_not_definite is None and args.surface == "round-sphere":
+        keta = curvature.second_form_curvature(frame)
+        manifest.add("round_keta", np.max(np.abs(keta - 2.0)), tols["round_keta"])
+
     sub = (max(4, args.grid[0] // 4), max(8, args.grid[1] // 4))
-    if nondegenerate and ii_definite:
-        rel = curvature.curvature_relation(None, frame=frame)
-        manifest.add(
-            "curvature_relation", np.max(rel["residual"]), tols["curvature_relation"]
-        )
-        manifest.add(
-            "trace_gradient",
-            np.max(curvature.trace_gradient_residual(None, frame=frame)),
-            tols["trace_gradient"],
-        )
-        lt = curvature.difference_tensor(None, frame=frame)
-        sym = _worst(
-            np.max(np.abs(lt.lowered - np.swapaxes(lt.lowered, -3, -2))),
-            np.max(np.abs(lt.lowered - np.swapaxes(lt.lowered, -2, -1))),
-        )
-        manifest.add("lowered_symmetry", sym, tols["lowered_symmetry"])
-        if args.surface == "round-sphere":
-            keta = curvature.second_form_curvature(frame)
-            manifest.add("round_keta", np.max(np.abs(keta - 2.0)), tols["round_keta"])
-    else:
-        why = "degenerate shape operator" if not nondegenerate else "second form not definite"
-        for name in ("curvature_relation", "trace_gradient", "lowered_symmetry"):
-            manifest.skip(name, why)
-
-    if nondegenerate:
-        dual = transforms.verify_conjugate_duality(patch, grid=sub)
-        manifest.add(
-            "conjugate_weingarten", dual["weingarten_inverse"], tols["conjugate_weingarten"]
-        )
-        manifest.add(
-            "conjugate_second_form", dual["second_form_match"], tols["conjugate_second_form"]
-        )
-        manifest.add(
-            "conjugate_curvature", dual["curvature_ratio"], tols["conjugate_curvature"]
-        )
-        manifest.add("third_form", dual["third_form_match"], tols["third_form"])
-        manifest.add(
-            "double_conjugate",
-            transforms.double_conjugate_residual(patch, grid=sub),
-            tols["double_conjugate"],
-        )
-    else:
-        for name in (
-            "conjugate_weingarten",
-            "conjugate_second_form",
-            "conjugate_curvature",
-            "third_form",
-            "double_conjugate",
-        ):
-            manifest.skip(name, "degenerate shape operator")
-
-    sigma = catalog.HarmonicSpec(terms=((1, 1, 0.02), (2, -1, 0.015))).chart_field()
-    rng = np.random.default_rng(args.seed)
-    pts = patch.sample_points(100, rng, margin=0.05)
-    laws = transforms.verify_expansion_laws(patch, sigma, pts)
-    for key, tol_name in (
-        ("weingarten", "expansion_weingarten"),
-        ("second_form", "expansion_second_form"),
-        ("curvature", "expansion_curvature"),
-        ("trace_consistency", "expansion_trace"),
-        ("normal", "expansion_normal"),
-        ("pairing", "expansion_pairing"),
-        ("metric", "expansion_metric"),
-    ):
-        manifest.add(tol_name, laws[key], tols[tol_name])
+    _check_group(
+        manifest, tols, CONJUGATE_CHECKS, lambda: _conjugate_residuals(patch, sub),
+        why_degenerate,
+    )
+    _check_group(
+        manifest, tols, EXPANSION_LAWS, lambda: _expansion_residuals(patch, args.seed)
+    )
 
     gf_t = frame.psi_val / frame.psi0_val[..., None]
     gp_t = frame.eta_val / frame.eta_val[..., 0:1]
@@ -388,30 +387,18 @@ def cmd_verify(args):
     else:
         manifest.skip("umbilic_point", "not a closed surface")
 
-    print(f"verify {patch.name} on {args.grid[0]}x{args.grid[1]} + 200 random points")
-    manifest.print_summary()
-    manifest.write(args.out)
-    return EXIT_OK if manifest.passed else EXIT_CHECK_FAILED
+    return _finish(
+        manifest,
+        f"verify {patch.name} on {args.grid[0]}x{args.grid[1]} + 200 random points",
+        args.out,
+    )
 
 
 # -- global ------------------------------------------------------------------
 
 
 def cmd_global(args):
-    tols = _parse_tols(args.tol)
-    manifest = Manifest(
-        "global",
-        {
-            "surface": args.surface,
-            "r": args.r,
-            "u": args.u,
-            "spec": args.spec,
-            "grid": list(args.grid),
-            "tolerances": tols,
-            "workers": worker_count(),
-        },
-        seed=args.seed,
-    )
+    manifest, tols = _surface_manifest("global", args)
     try:
         patch = _build_surface(args)
         if not patch.closed:
@@ -424,7 +411,7 @@ def cmd_global(args):
         ii_area = grid.second_form_area(check=False)
         floor = grid.second_curvature_floor(tol=tols["curvature_floor"])
         lam = lambda1_estimate(grid)
-    except (LightconeError, OSError) as exc:
+    except LightconeError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
@@ -479,10 +466,7 @@ def cmd_global(args):
             "bound_minus_lambda1": lam.reilly_rhs - lam.value,
         },
     }
-    print(f"global {patch.name} on {grid.n_theta}x{grid.n_phi}")
-    manifest.print_summary()
-    manifest.write(args.out)
-    return EXIT_OK if manifest.passed else EXIT_CHECK_FAILED
+    return _finish(manifest, f"global {patch.name} on {grid.n_theta}x{grid.n_phi}", args.out)
 
 
 # -- search ------------------------------------------------------------------
@@ -530,10 +514,7 @@ def cmd_search(args):
     trace_path = args.trace or (out_base.rsplit(".", 1)[0] + "_trace.csv")
     with open(trace_path, "w") as fh:
         fh.write(report.trace_csv())
-    print(f"search: report -> {out_base}, trace -> {trace_path}")
-    manifest.print_summary()
-    manifest.write(args.manifest)
-    return EXIT_OK
+    return _finish(manifest, f"search: report -> {out_base}, trace -> {trace_path}", args.manifest)
 
 
 # -- export ------------------------------------------------------------------

@@ -124,11 +124,6 @@ def second_form_curvature(frame):
     return brioschi_curvature(second_form_metric_field(frame))
 
 
-def k_eta(patch, p):
-    """Curvature of II at a point of a patch."""
-    return second_form_curvature(JetFrame(patch, *p))
-
-
 def shape_operator_covariant_derivative(frame):
     """(nabla_a A)^c_b as a value array of shape (..., 2, 2, 2) = [a, c, b]."""
     A = frame.A

@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize
@@ -27,6 +28,9 @@ from .integrals import sphere_quadrature
 from .surfaces import JetFrame
 
 _WALL = 1e6  # objective value returned when a surface cannot be evaluated
+
+# Accepted values per annotated field type; bool is never accepted as a number.
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass
@@ -51,6 +55,12 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _KINDS[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
         # Each test is written so that NaN fails it.
         for name in (
             "amplitude_bound", "var_tol", "umbilic_tol", "candidate_gap",
@@ -63,8 +73,15 @@ class SearchConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not self.n_restarts >= 0:
             raise ValueError("n_restarts must be at least 0")
+        if not self.seed >= 0:
+            raise ValueError("seed must be at least 0")
         if not self.degree_max <= L_MAX:
             raise ValueError(f"degree_max must be at most {L_MAX}")
+        if not self.free_pairs():
+            raise ValueError(
+                f"degree_max {self.degree_max} leaves no coefficient free "
+                "beside the frozen degrees"
+            )
 
     def free_pairs(self):
         lo = 2 if self.freeze_degree1 else 1
@@ -75,10 +92,6 @@ class SearchConfig:
             for l in range(lo, self.degree_max + 1)
             for m in range(-l, l + 1)
         ]
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
     def to_dict(self):
         return asdict(self)
@@ -190,17 +203,6 @@ class SearchReport:
         for row in self.trace_rows:
             w.writerow(row)
         return buf.getvalue()
-
-
-def keta_variance(spec_or_x, config=None, grid=None):
-    """Objective value for a harmonic spec (convenience wrapper)."""
-    config = config or SearchConfig()
-    obj = grid or VarianceObjective(config)
-    if isinstance(spec_or_x, HarmonicSpec):
-        x = spec_or_x.pack(obj.pairs)
-    else:
-        x = np.asarray(spec_or_x, dtype=float)
-    return obj(x)
 
 
 def _minimize_one(obj, x0, config):

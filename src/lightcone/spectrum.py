@@ -108,9 +108,12 @@ def _lambda1_raw(grid, k=6):
     W, mass = _cotangent_system(verts, tris)
     M = sp.diags(mass)
     scale = float(W.diagonal().sum() / mass.sum())
+    # A fixed start vector makes the result repeat exactly.  It must not be
+    # the constant vector, which spans the null space.
+    v0 = np.random.default_rng(0).standard_normal(W.shape[0])
     try:
         vals = spla.eigsh(
-            W, k=k, M=M, sigma=-0.01 * scale, which="LM", return_eigenvectors=False
+            W, k=k, M=M, sigma=-0.01 * scale, which="LM", v0=v0, return_eigenvectors=False
         )
     except Exception as exc:  # arpack failures become our error type
         raise EigenSolverFailure(str(exc)) from exc

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+from importlib.resources import files
 from types import SimpleNamespace
 
 import jsonschema
@@ -19,21 +20,13 @@ from lightcone.cli import (
 from lightcone.integrals import SphereGrid
 from lightcone.surfaces import JetFrame
 
-try:
-    from importlib.resources import files as _files
-
-    SCHEMA = json.loads(
-        (_files("lightcone") / "manifest_schema.json").read_text()
-    )
-except Exception:  # pragma: no cover
-    SCHEMA = None
+SCHEMA = json.loads((files("lightcone") / "manifest_schema.json").read_text())
 
 
 def _load_manifest(path):
     with open(path) as fh:
         data = json.load(fh)
-    if SCHEMA is not None:
-        jsonschema.validate(data, SCHEMA)
+    jsonschema.validate(data, SCHEMA)
     return data
 
 
@@ -107,6 +100,29 @@ def test_verify_summary_follows_redirected_stdout():
         rc = main(["verify", "paraboloid", "--grid", "4x4"])
     assert rc == EXIT_OK
     assert "=> PASS" in buf.getvalue()
+
+
+@pytest.mark.parametrize("command", ["verify", "global", "export"])
+@pytest.mark.parametrize(
+    "text",
+    [None, '[[2, 0, "x"]]', "[[2, 0]]", '{"a": 1}', "[[9, 0, 0.1]]", "[[2, 0, 0.1]", "5"],
+    ids=["missing", "amplitude_str", "short_term", "object", "degree_9", "truncated",
+         "number"],
+)
+def test_bad_spec_rejected(tmp_path, capsys, command, text):
+    spec = tmp_path / "spec.json"
+    if text is not None:
+        spec.write_text(text)
+    argv = [command, "perturbed", "--spec", str(spec), "--grid", "4x8",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_DEGENERATE
+    assert "bad spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_nonfinite_radius_rejected(capsys, r):
+    assert main(["verify", "round-sphere", "--r", r, "--grid", "4x8"]) == EXIT_DEGENERATE
+    assert "radius must be positive and finite" in capsys.readouterr().err
 
 
 def test_verify_unknown_tolerance_rejected():
@@ -198,9 +214,15 @@ def test_search_malformed_config(tmp_path, capsys):
         '{"n_theta": 0}',
         '{"amplitude_bound": NaN}',
         '{"amplitude_bound": Infinity}',
+        '{"degree_max": 1}',
+        '{"n_theta": 2.5}',
+        '{"seed": -3}',
+        '{"n_starts": true}',
+        '{"freeze_degree0": "no"}',
     ],
     ids=["unknown_key", "n_starts_0", "degree_max_5", "n_theta_0", "amplitude_nan",
-         "amplitude_inf"],
+         "amplitude_inf", "no_free_pairs", "n_theta_float", "seed_negative", "n_starts_bool",
+         "freeze_str"],
 )
 def test_search_unknown_key_rejected(tmp_path, text):
     bad = tmp_path / "bad.json"

@@ -11,7 +11,6 @@ from lightcone.curvature import (
     curvature_relation,
     difference_tensor,
     gauss_curvature_brioschi,
-    k_eta,
     second_form_curvature,
     trace_gradient_residual,
 )
@@ -158,12 +157,13 @@ def test_curvature_relation_random_spheres():
 def test_k_eta_round_spheres_all_radii():
     for r in (0.5, 1.0, 2.0):
         patch = catalog.round_sphere(r=r)
-        assert k_eta(patch, (0.8, 0.8)) == pytest.approx(2.0, abs=1e-10)
+        keta = second_form_curvature(JetFrame(patch, 0.8, 0.8))
+        assert keta == pytest.approx(2.0, abs=1e-10)
 
 
 def test_k_eta_requires_definite_second_form(cylinder):
     with pytest.raises(NotRiemannianII):
-        k_eta(cylinder, (0.4, 1.0))
+        second_form_curvature(JetFrame(cylinder, 0.4, 1.0))
 
 
 def test_k_eta_positive_curvature_when_definite(bumpy_sphere):

@@ -100,6 +100,13 @@ def test_lambda1_monotone_refinement(unit_sphere):
     assert gap1 / gap2 >= 2.0
 
 
+def test_lambda1_repeats_exactly(unit_sphere):
+    from lightcone.spectrum import _lambda1_raw
+
+    grid = SphereGrid(unit_sphere, 16, 32, want_second_curv=False)
+    assert _lambda1_raw(grid) == _lambda1_raw(grid)
+
+
 def test_eigenvalue_bound_round_equality(unit_grid):
     res = lambda1_estimate(unit_grid)
     rhs = res.reilly_rhs

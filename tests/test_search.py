@@ -5,7 +5,6 @@ from lightcone.catalog import HarmonicSpec
 from lightcone.search import (
     SearchConfig,
     VarianceObjective,
-    keta_variance,
     rotation_block,
     search,
 )
@@ -25,7 +24,7 @@ def test_round_sphere_is_global_minimum():
 def test_zonal_bump_has_positive_variance():
     cfg = SearchConfig(**FAST)
     obj = VarianceObjective(cfg)
-    val = keta_variance(HarmonicSpec(terms=((2, 0, 0.05),)), cfg, obj)
+    val = obj(HarmonicSpec(terms=((2, 0, 0.05),)).pack(obj.pairs))
     assert val > 1e-6
     # regression band for the frozen configuration
     assert val == pytest.approx(9.11e-5, rel=0.05)
