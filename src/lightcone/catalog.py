@@ -116,8 +116,15 @@ class HarmonicSpec:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        return cls(terms=tuple((int(l), int(m), float(a)) for l, m, a in data))
+        """Parse a spec; degrees and orders must be integral, and no entry a boolean."""
+        terms = []
+        for l, m, a in json.loads(text):
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (l, m, a)):
+                raise ValueError(f"term {[l, m, a]} must hold three numbers")
+            if not all(isinstance(x, int) or x.is_integer() for x in (l, m)):
+                raise ValueError(f"harmonic index ({l}, {m}) must be integral")
+            terms.append((int(l), int(m), float(a)))
+        return cls(terms=tuple(terms))
 
     def to_json(self):
         return json.dumps([[l, m, a] for l, m, a in self.terms])

@@ -215,7 +215,7 @@ def _build_surface(args):
         try:
             with open(args.spec) as fh:
                 spec = catalog.HarmonicSpec.from_json(fh.read())
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError, OverflowError) as exc:
             raise LightconeError(f"bad spec {args.spec}: {exc}") from exc
         return catalog.perturbed_sphere(spec, r=args.r)
     raise LightconeError(f"unknown surface selector {sel!r}")

@@ -8,13 +8,30 @@ curvature of the second fundamental form needs second derivatives of
 quantities that are themselves second order in the chart, and anything
 higher is wasted work.
 
-Storage is a flat vector over the 15 monomials u^i v^j with i + j <= 4 in
-graded order, ``coeff[..., k]`` = (d^{i+j} f / du^i dv^j) / (i! j!);
-leading axes carry an arbitrary batch of base points, so a whole quadrature
-grid flows through one call.  Truncated arithmetic is graded, so
-coefficients above a jet's ``valid`` order never contaminate those below
-it; ``valid`` drops by one per derivative and binary operations take the
-minimum.
+Storage is coefficient-major.  A jet holds one array of shape
+``(N_COEFF,) + batch_shape``: row ``k`` is the Taylor coefficient
+(d^{i+j} f / du^i dv^j) / (i! j!) of the k-th of the 15 monomials u^i v^j,
+i + j <= 4, in graded order, across a whole batch of base points, so a
+quadrature grid flows through one call and every coefficient is one
+contiguous row.  ``Jet2.c`` shows the same numbers as a view of shape
+``batch_shape + (N_COEFF,)``.
+
+Truncation.  Arithmetic is graded, so coefficients above a jet's ``valid``
+order never contaminate those below it; ``valid`` drops by one per
+derivative and binary operations take the minimum.  Products, quotients,
+compositions and derivatives compute only the coefficients within the
+result's ``valid`` order and leave the higher ones zero: a product of order
+v = 0..4 multiplies only the 1, 5, 15, 35 or 70 coefficient pairs whose
+degrees add up to at most v (truncated Taylor arithmetic; Griewank &
+Walther, *Evaluating Derivatives*, ch. 13).
+
+Fixed-order reduction.  A product gathers its coefficient pairs, multiplies
+them, and adds the pairs of each output monomial one after another in a
+fixed order, with elementwise adds only.  No BLAS call takes part, so each
+base point's coefficients come out bit for bit the same in any batch.  The
+batch is swept in blocks of at most ``_BLOCK`` columns, so the pair
+products of a block stay in cache and no temporary is much larger than the
+product itself.
 """
 
 from __future__ import annotations
@@ -40,30 +57,59 @@ MONOMIALS = tuple(_graded_monomials())
 N_COEFF = len(MONOMIALS)
 _INDEX = {mono: k for k, mono in enumerate(MONOMIALS)}
 _FACT = tuple(math.factorial(k) for k in range(ORDER + 1))
+_DEGREE = tuple(i + j for i, j in MONOMIALS)
+# Monomials of total degree <= v are the first _N_UPTO[v] rows.
+_N_UPTO = tuple(sum(d <= v for d in _DEGREE) for v in range(ORDER + 1))
 
-# Truncated multiplication as a sparse pair list: only coefficient pairs
-# whose total degree stays within the order contribute.  A product is two
-# gathers, one elementwise multiply, and one small matmul.
-_pairs = [
-    (a, b, _INDEX[(ia + ib, ja + jb)])
-    for a, (ia, ja) in enumerate(MONOMIALS)
-    for b, (ib, jb) in enumerate(MONOMIALS)
-    if ia + ib + ja + jb <= ORDER
-]
-_PAIR_A = np.array([p[0] for p in _pairs])
-_PAIR_B = np.array([p[1] for p in _pairs])
-_REDUCE = np.zeros((len(_pairs), N_COEFF))
-for _row, (_, _, _k) in enumerate(_pairs):
-    _REDUCE[_row, _k] = 1.0
+# Columns per block of a product sweep: the pair products of one block, at
+# most 70 x 512 doubles, stay in cache.
+_BLOCK = 512
 
-# Derivative operators as small matrices acting on coefficient vectors.
-_DU = np.zeros((N_COEFF, N_COEFF))
-_DV = np.zeros((N_COEFF, N_COEFF))
-for _k, (_i, _j) in enumerate(MONOMIALS):
-    if _i + 1 + _j <= ORDER:
-        _DU[_INDEX[(_i + 1, _j)], _k] = _i + 1.0
-    if _i + _j + 1 <= ORDER:
-        _DV[_INDEX[(_i, _j + 1)], _k] = _j + 1.0
+
+def _product_plan(valid):
+    """Gather indices and add layers of a product truncated at ``valid``.
+
+    Output monomial k sums its pairs (a, b) in ascending (a, b) order.  The
+    pairs are laid out layer by layer: layer r holds the r-th pair of every
+    output that has more than r pairs, with the outputs sorted by pair
+    count, most first, so each layer adds one contiguous slab of pair
+    products onto a prefix of the accumulator (the first layer).  ``unsort``
+    puts the accumulator rows back in graded order.
+    """
+    n = _N_UPTO[valid]
+    pairs = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if _DEGREE[a] + _DEGREE[b] <= valid:
+                (ia, ja), (ib, jb) = MONOMIALS[a], MONOMIALS[b]
+                pairs[_INDEX[(ia + ib, ja + jb)]].append((a, b))
+    order = sorted(range(n), key=lambda k: -len(pairs[k]))
+    gather_a, gather_b, layers = [], [], []
+    for r in range(len(pairs[order[0]])):
+        rows = [k for k in order if len(pairs[k]) > r]
+        start = len(gather_a)
+        layers.append((slice(0, len(rows)), slice(start, start + len(rows))))
+        gather_a += [pairs[k][r][0] for k in rows]
+        gather_b += [pairs[k][r][1] for k in rows]
+    return np.array(gather_a), np.array(gather_b), layers[0][1], tuple(layers[1:]), np.argsort(order)
+
+
+_PRODUCT_PLANS = tuple(_product_plan(v) for v in range(ORDER + 1))
+
+
+def _derivative_plan(axis, valid):
+    """Source rows and factors of d/du or d/dv for result rows 0..n, n = _N_UPTO[valid]."""
+    src, fac = [], []
+    for i, j in MONOMIALS[: _N_UPTO[valid]]:
+        i1, j1 = (i + 1, j) if axis == "u" else (i, j + 1)
+        src.append(_INDEX[(i1, j1)])
+        fac.append(float(i1 if axis == "u" else j1))
+    return np.array(src), np.array(fac)
+
+
+_DERIVATIVE_PLANS = {
+    axis: tuple(_derivative_plan(axis, v) for v in range(ORDER)) for axis in ("u", "v")
+}
 
 # Graded division plan: for each output monomial, the denominator terms
 # (beyond the constant) that multiply already-computed outputs.
@@ -78,71 +124,127 @@ for _k, (_i, _j) in enumerate(MONOMIALS):
 _DIV_PLAN = tuple(_DIV_PLAN)
 
 
+def _lift(c, ndim, lead=1):
+    """Array with the axes after its ``lead`` leading ones padded on the left to ``ndim``.
+
+    Broadcasting aligns trailing axes, so a coefficient-major operand must
+    be padded before it meets a longer batch, or its coefficient axis would
+    pair with a batch axis.
+    """
+    pad = ndim - (c.ndim - lead)
+    return c.reshape(c.shape[:lead] + (1,) * pad + c.shape[lead:]) if pad > 0 else c
+
+
+def _columns(c, shape):
+    """The coefficients as (N_COEFF, size) columns, or one column if unbatched."""
+    if c[0].size == 1:
+        return c.reshape(N_COEFF, 1)
+    return np.broadcast_to(_lift(c, len(shape)), (N_COEFF,) + shape).reshape(N_COEFF, -1)
+
+
+def _product(a, b, valid):
+    """Coefficient-major product of two coefficient arrays, truncated at ``valid``."""
+    gather_a, gather_b, first, layers, unsort = _PRODUCT_PLANS[valid]
+    shape = a.shape[1:]
+    if b.shape[1:] == shape:
+        a, b = a.reshape(N_COEFF, -1), b.reshape(N_COEFF, -1)
+    else:
+        shape = np.broadcast_shapes(shape, b.shape[1:])
+        a, b = _columns(a, shape), _columns(b, shape)
+        if a.shape[1] != math.prod(shape):
+            # Gather the full-width operand first, so the product can go in place.
+            a, b, gather_a, gather_b = b, a, gather_b, gather_a
+    size = a.shape[1]
+    n = unsort.size
+    out = np.empty((N_COEFF, size))
+    if n < N_COEFF:
+        out[n:] = 0.0
+    width = -(-size // -(-size // _BLOCK)) if size > _BLOCK else max(size, 1)
+    for start in range(0, size, width):
+        cols = slice(start, start + width)
+        prods = a[gather_a, cols]
+        prods *= b[gather_b, cols] if b.shape[1] > 1 else b[gather_b]
+        acc = prods[first]
+        for dst, src in layers:
+            acc[dst] += prods[src]
+        acc.take(unsort, axis=0, out=out[:n, cols], mode="clip")
+    return out.reshape((N_COEFF,) + shape)
+
+
 class Jet2:
     """Truncated bivariate Taylor expansion at a (possibly batched) base point."""
 
-    __slots__ = ("c", "valid")
+    __slots__ = ("_c", "valid")
 
     def __init__(self, coeff, valid=ORDER):
-        self.c = np.asarray(coeff, dtype=float)
-        if self.c.shape[-1] != N_COEFF:
+        coeff = np.asarray(coeff, dtype=float)
+        if coeff.ndim == 0 or coeff.shape[-1] != N_COEFF:
             raise ValueError(f"coefficient array must end in ({N_COEFF},)")
+        self._c = np.ascontiguousarray(np.moveaxis(coeff, -1, 0))
         self.valid = int(valid)
+
+    @classmethod
+    def _wrap(cls, c, valid):
+        """Jet on a coefficient-major array, without a copy."""
+        out = cls.__new__(cls)
+        out._c = c
+        out.valid = valid
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value):
         value = np.asarray(value, dtype=float)
-        c = np.zeros(value.shape + (N_COEFF,))
-        c[..., 0] = value
-        return cls(c)
+        c = np.zeros((N_COEFF,) + value.shape)
+        c[0] = value
+        return cls._wrap(c, ORDER)
 
     @classmethod
     def variable(cls, axis, value):
         """Jet of the coordinate function u or v at the given base value(s)."""
-        value = np.asarray(value, dtype=float)
-        c = np.zeros(value.shape + (N_COEFF,))
-        c[..., 0] = value
-        if axis == "u":
-            c[..., _INDEX[(1, 0)]] = 1.0
-        elif axis == "v":
-            c[..., _INDEX[(0, 1)]] = 1.0
-        else:
+        if axis not in ("u", "v"):
             raise ValueError("axis must be 'u' or 'v'")
-        return cls(c)
+        out = cls.constant(value)
+        out._c[_INDEX[(1, 0) if axis == "u" else (0, 1)]] = 1.0
+        return out
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def c(self):
+        """Coefficients as ``batch_shape + (N_COEFF,)``, a view of the store."""
+        return self._c.transpose(tuple(range(1, self._c.ndim)) + (0,))
+
+    @property
     def value(self):
-        return self.c[..., 0]
+        return self._c[0]
 
     @property
     def batch_shape(self):
-        return self.c.shape[:-1]
+        return self._c.shape[1:]
 
     def coeff(self, i, j):
         """Raw Taylor coefficient of u^i v^j."""
-        return self.c[..., _INDEX[(i, j)]]
+        return self._c[_INDEX[(i, j)]]
 
     def partial(self, i, j):
         """Mixed partial derivative value d^{i+j}/du^i dv^j."""
         if i < 0 or j < 0 or i + j > self.valid:
             raise OrderExceeded(f"partial ({i},{j}) exceeds valid order {self.valid}")
-        return _FACT[i] * _FACT[j] * self.c[..., _INDEX[(i, j)]]
+        return _FACT[i] * _FACT[j] * self._c[_INDEX[(i, j)]]
 
     def d(self, axis):
         """Partial-derivative jet; one order of validity is consumed."""
         if self.valid <= 0:
             raise OrderExceeded("jet has no derivative information left")
-        if axis == "u":
-            op = _DU
-        elif axis == "v":
-            op = _DV
-        else:
-            raise ValueError("axis must be 'u' or 'v'")
-        return Jet2(self.c @ op, self.valid - 1)
+        try:
+            src, fac = _DERIVATIVE_PLANS[axis][self.valid - 1]
+        except KeyError:
+            raise ValueError("axis must be 'u' or 'v'") from None
+        out = np.zeros_like(self._c)
+        out[: src.size] = self._c[src] * _lift(fac, self._c.ndim - 1)
+        return Jet2._wrap(out, self.valid - 1)
 
     def evaluate(self, du, dv):
         """Evaluate the truncated polynomial at an offset from the base point."""
@@ -152,27 +254,32 @@ class Jet2:
         for k, (i, j) in enumerate(MONOMIALS):
             if i + j > self.valid:
                 continue
-            total = total + self.c[..., k] * du**i * dv**j
+            total = total + self._c[k] * du**i * dv**j
         return total
 
     # -- arithmetic --------------------------------------------------------
 
     def _scale(self, s):
         s = np.asarray(s, dtype=float)
-        return Jet2(self.c * s[..., None], self.valid)
+        return Jet2._wrap(_lift(self._c, s.ndim) * s, self.valid)
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.c + other.c, min(self.valid, other.valid))
+            ndim = max(self._c.ndim, other._c.ndim) - 1
+            return Jet2._wrap(
+                _lift(self._c, ndim) + _lift(other._c, ndim), min(self.valid, other.valid)
+            )
         other = np.asarray(other, dtype=float)
-        out = np.broadcast_arrays(self.c, np.zeros(other.shape + (1,)))[0].copy()
-        out[..., 0] += other
-        return Jet2(out, self.valid)
+        shape = np.broadcast_shapes(self.batch_shape, other.shape)
+        out = np.empty((N_COEFF,) + shape)
+        out[...] = _lift(self._c, len(shape))
+        out[0] += other
+        return Jet2._wrap(out, self.valid)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.c, self.valid)
+        return Jet2._wrap(-self._c, self.valid)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet2) else -np.asarray(other, dtype=float))
@@ -183,11 +290,8 @@ class Jet2:
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             return self._scale(other)
-        shape = np.broadcast_shapes(self.batch_shape, other.batch_shape)
-        a = np.broadcast_to(self.c, shape + (N_COEFF,))
-        b = np.broadcast_to(other.c, shape + (N_COEFF,))
-        prods = a[..., _PAIR_A] * b[..., _PAIR_B]
-        return Jet2(prods @ _REDUCE, min(self.valid, other.valid))
+        valid = min(self.valid, other.valid)
+        return Jet2._wrap(_product(self._c, other._c, valid), valid)
 
     __rmul__ = __mul__
 
@@ -210,35 +314,40 @@ class Jet2:
 
 
 def _divide(num, den):
-    b = den.c
-    b00 = b[..., 0]
+    b00 = den._c[0]
     if not np.all(np.isfinite(b00)) or np.any(b00 == 0.0):
         raise DivisionByZeroJet("denominator jet has a vanishing constant term")
+    valid = min(num.valid, den.valid)
     shape = np.broadcast_shapes(num.batch_shape, den.batch_shape)
-    a = np.broadcast_to(num.c, shape + (N_COEFF,))
-    out = np.zeros(shape + (N_COEFF,))
-    for k, terms in _DIV_PLAN:
-        acc = a[..., k]
+    a, b = _lift(num._c, len(shape)), _lift(den._c, len(shape))
+    b00 = b[0]
+    out = np.zeros((N_COEFF,) + shape)
+    for k, terms in _DIV_PLAN[: _N_UPTO[valid]]:
+        acc = a[k]
         for bi, oi in terms:
-            acc = acc - b[..., bi] * out[..., oi]
-        out[..., k] = acc / b00
-    return Jet2(out, min(num.valid, den.valid))
+            acc = acc - b[bi] * out[oi]
+        out[k] = acc / b00
+    return Jet2._wrap(out, valid)
 
 
 # -- analytic functions ----------------------------------------------------
 
 
 def _compose(x, derivs):
-    """Taylor composition f(x) from the derivatives of f at x's constant term."""
-    tilde = Jet2(x.c.copy(), x.valid)
-    tilde.c[..., 0] = 0.0
-    out = Jet2.constant(derivs[0])
+    """Taylor composition f(x) from the derivatives of f at x's constant term.
+
+    Powers of x minus its constant start at degree k, so those beyond
+    x.valid vanish after truncation and are skipped.
+    """
+    tilde = Jet2._wrap(x._c.copy(), x.valid)
+    tilde._c[0] = 0.0
+    out = np.zeros_like(x._c)
+    out[0] = derivs[0]
     power = None
-    for k in range(1, ORDER + 1):
+    for k in range(1, x.valid + 1):
         power = tilde if power is None else power * tilde
-        out = out + power._scale(derivs[k] / _FACT[k])
-    out.valid = x.valid
-    return out
+        out += power._c * (derivs[k] / _FACT[k])
+    return Jet2._wrap(out, x.valid)
 
 
 def exp(x):
@@ -321,14 +430,13 @@ def apply_analytic(name, x):
 # -- Minkowski-valued jets ---------------------------------------------------
 
 
-_MINK_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
-
-
 class JetVec4:
     """Four jet components forming a Minkowski-vector-valued map.
 
-    Internally one jet whose batch shape carries a trailing component axis,
-    so vector operations cost a single (larger) jet operation.
+    Internally one jet whose batch shape leads with the component axis,
+    ``(4,) + batch_shape``: a vector operation costs a single (larger) jet
+    operation, a component is one contiguous slab, and a scalar jet of the
+    base batch broadcasts across the components.
     """
 
     __slots__ = ("j",)
@@ -338,9 +446,10 @@ class JetVec4:
         valid = min(p.valid for p in comps)
         shape = np.broadcast_shapes(*(p.batch_shape for p in comps))
         stacked = np.stack(
-            [np.broadcast_to(p.c, shape + (N_COEFF,)) for p in comps], axis=-2
+            [np.broadcast_to(_lift(p._c, len(shape)), (N_COEFF,) + shape) for p in comps],
+            axis=1,
         )
-        self.j = Jet2(stacked, valid)
+        self.j = Jet2._wrap(stacked, valid)
 
     @classmethod
     def _wrap(cls, jet):
@@ -351,44 +460,57 @@ class JetVec4:
     @classmethod
     def constant(cls, v):
         v = np.asarray(v, dtype=float)
-        return cls._wrap(Jet2.constant(v))
+        return cls._wrap(Jet2.constant(np.moveaxis(v, -1, 0)))
 
     def __getitem__(self, k):
-        return Jet2(self.j.c[..., k, :], self.j.valid)
+        return Jet2._wrap(self.j._c[:, k], self.j.valid)
+
+    def _padded(self, ndim):
+        """The stacked jet with its base batch padded on the left to ``ndim`` axes."""
+        return Jet2._wrap(_lift(self.j._c, ndim, lead=2), self.j.valid)
+
+    def _pair(self, other):
+        ndim = max(self.j._c.ndim, other.j._c.ndim) - 2
+        return self._padded(ndim), other._padded(ndim)
 
     def __add__(self, other):
-        return JetVec4._wrap(self.j + other.j)
+        a, b = self._pair(other)
+        return JetVec4._wrap(a + b)
 
     def __sub__(self, other):
-        return JetVec4._wrap(self.j - other.j)
+        a, b = self._pair(other)
+        return JetVec4._wrap(a - b)
 
     def __neg__(self):
         return JetVec4._wrap(-self.j)
 
     def scale(self, s):
         """Multiply every component by a jet or scalar."""
-        if isinstance(s, Jet2):
-            s = Jet2(s.c[..., None, :], s.valid)
-        else:
-            s = np.asarray(s, dtype=float)[..., None]
-        return JetVec4._wrap(self.j * s)
+        ndim = len(s.batch_shape) if isinstance(s, Jet2) else np.ndim(s)
+        return JetVec4._wrap(self._padded(ndim) * s)
 
     def dot(self, other):
-        """Minkowski inner product as a jet."""
-        prod = self.j * other.j
-        return Jet2(
-            np.einsum("...kc,k->...c", prod.c, _MINK_DIAG), prod.valid
-        )
+        """Minkowski inner product as a jet, summed in component order."""
+        a, b = self._pair(other)
+        prod = a * b
+        p = prod._c
+        out = p[:, 1] - p[:, 0]
+        out += p[:, 2]
+        out += p[:, 3]
+        return Jet2._wrap(out, prod.valid)
 
     def d(self, axis):
         return JetVec4._wrap(self.j.d(axis))
 
     def linear_map(self, M):
-        """Apply a constant 4x4 matrix componentwise."""
+        """Apply a constant 4x4 matrix componentwise, summed in component order."""
         M = np.asarray(M, dtype=float)
-        return JetVec4._wrap(
-            Jet2(np.einsum("kl,...lc->...kc", M, self.j.c), self.j.valid)
-        )
+        c = self.j._c
+        out = np.zeros_like(c)
+        for k in range(4):
+            for l in range(4):
+                out[:, k] += M[k, l] * c[:, l]
+        return JetVec4._wrap(Jet2._wrap(out, self.j.valid))
 
     @property
     def valid(self):
@@ -396,4 +518,4 @@ class JetVec4:
 
     @property
     def values(self):
-        return self.j.c[..., 0]
+        return np.moveaxis(self.j._c[0], 0, -1)

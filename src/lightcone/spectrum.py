@@ -104,6 +104,12 @@ class Lambda1Result:
 
 
 def _lambda1_raw(grid, k=6):
+    n_verts = grid.n_theta * grid.n_phi + 2
+    if n_verts <= k:
+        raise EigenSolverFailure(
+            f"{grid.n_theta}x{grid.n_phi} grid is too small for the spectrum: "
+            f"{n_verts} mesh vertices, more than {k} needed"
+        )
     verts, tris = _mesh(grid)
     W, mass = _cotangent_system(verts, tris)
     M = sp.diags(mass)

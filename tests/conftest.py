@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lightcone import catalog
+
+# Property tests draw the same examples on every run, and a bounded number
+# of them, so the suite stays deterministic and its time steady.
+settings.register_profile("tier1", derandomize=True, max_examples=60, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 # -- finite differences ------------------------------------------------------

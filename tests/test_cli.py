@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 from importlib.resources import files
 from types import SimpleNamespace
 
@@ -105,9 +106,12 @@ def test_verify_summary_follows_redirected_stdout():
 @pytest.mark.parametrize("command", ["verify", "global", "export"])
 @pytest.mark.parametrize(
     "text",
-    [None, '[[2, 0, "x"]]', "[[2, 0]]", '{"a": 1}', "[[9, 0, 0.1]]", "[[2, 0, 0.1]", "5"],
+    [None, '[[2, 0, "x"]]', "[[2, 0]]", '{"a": 1}', "[[9, 0, 0.1]]", "[[2, 0, 0.1]", "5",
+     "[[2.7, 0, 0.05]]", "[[2, 0.5, 0.05]]", "[[2, 0, true]]", "[[true, 0, 0.05]]",
+     '[["2", 0, 0.05]]', "[[Infinity, 0, 0.05]]", "[[2, 0, 1" + "0" * 400 + "]]"],
     ids=["missing", "amplitude_str", "short_term", "object", "degree_9", "truncated",
-         "number"],
+         "number", "degree_fraction", "order_fraction", "amplitude_bool", "degree_bool",
+         "degree_str", "degree_inf", "amplitude_huge"],
 )
 def test_bad_spec_rejected(tmp_path, capsys, command, text):
     spec = tmp_path / "spec.json"
@@ -157,9 +161,22 @@ def test_global_nonfinite_residuals_fail(tmp_path, monkeypatch):
     assert names["second_form_area_bound"]["status"] == "FAIL"
 
 
-@pytest.mark.parametrize("grid", ["1x1", "2x2"])
-def test_global_grid_too_small_for_spectrum(grid):
-    assert main(["global", "round-sphere", "--grid", grid]) == EXIT_DEGENERATE
+@pytest.mark.parametrize("grid", ["1x1", "2x2", "1x4"])
+def test_global_grid_too_small_for_spectrum(capsys, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["global", "round-sphere", "--grid", grid]) == EXIT_DEGENERATE
+    assert "too small for the spectrum" in capsys.readouterr().err
+
+
+def test_global_perturbed_floor_passes_off_the_grid_node(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[[2, 0, 0.02], [2, 1, -0.01], [2, -2, 0.005]]")
+    out = tmp_path / "g.json"
+    argv = ["global", "perturbed", "--spec", str(spec), "--grid", "64x128", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    names = {c["name"]: c for c in _load_manifest(out)["checks"]}
+    assert names["curvature_floor"]["status"] == "PASS"
 
 
 def test_global_rejects_noncompact():

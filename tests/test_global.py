@@ -71,6 +71,24 @@ def test_curvature_floor_round(unit_grid):
     out = unit_grid.second_curvature_floor()
     assert out["passes"]
     assert out["ratio"] == pytest.approx(4.0, abs=1e-9)
+    # det A is constant on a round sphere: the grid node is not moved
+    k = int(np.argmax(unit_grid.table["detA"]))
+    assert out["point"] == (float(unit_grid.TH[k]), float(unit_grid.PH[k]))
+
+
+def test_curvature_floor_refines_the_maximizer():
+    # At the grid node of largest det A this surface has 2 K_eta below
+    # K^2 / det A by 1.4e-6; at the refined maximizer the gradient term of
+    # the curvature relation vanishes and the inequality holds.
+    spec = catalog.HarmonicSpec(terms=((2, 0, 0.02), (2, 1, -0.01), (2, -2, 0.005)))
+    grid = SphereGrid(catalog.perturbed_sphere(spec), 64, 128)
+    k = int(np.argmax(grid.table["detA"]))
+    node_slack = 2.0 * grid.table["K_eta"][k] - grid.table["K"][k] ** 2 / grid.table["detA"][k]
+    assert node_slack < -1e-6
+    out = grid.second_curvature_floor()
+    assert out["passes"]
+    assert out["keta_slack"] > -1e-12
+    assert out["point"] != (float(grid.TH[k]), float(grid.PH[k]))
 
 
 def test_curvature_floor_perturbed(bumpy_grid):
@@ -134,6 +152,14 @@ def test_geometry_table_workers_agree(bumpy_sphere):
     u, v = bumpy_sphere.grid_points((16, 32))
     t1 = geometry_table(bumpy_sphere, u, v, workers=1, chunk=64)
     t2 = geometry_table(bumpy_sphere, u, v, workers=3, chunk=64)
+    for key in t1:
+        assert np.array_equal(t1[key], t2[key]), key
+
+
+def test_geometry_table_chunk_size_is_bitwise(bumpy_sphere):
+    u, v = bumpy_sphere.grid_points((40, 80))
+    t1 = geometry_table(bumpy_sphere, u, v, chunk=512)
+    t2 = geometry_table(bumpy_sphere, u, v, chunk=2048)
     for key in t1:
         assert np.array_equal(t1[key], t2[key]), key
 

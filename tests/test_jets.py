@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import mixed_partial_fd
+from conftest import fd_weights, mixed_partial_fd
 from lightcone import jets
+from lightcone.curvature import brioschi_curvature, second_form_metric_field
 from lightcone.errors import DivisionByZeroJet, DomainError, OrderExceeded
-from lightcone.jets import MONOMIALS, Jet2, JetVec4, apply_analytic
+from lightcone.jets import MONOMIALS, N_COEFF, ORDER, Jet2, JetVec4, apply_analytic
+from lightcone.surfaces import JetFrame
 
 
 def random_jet(rng, positive=False, shape=()):
@@ -267,3 +272,113 @@ def test_jetvec_derivative_components():
     assert d[2].value == pytest.approx(0.0)
     assert d[3].value == pytest.approx(1.0)
     assert d.valid == 3
+
+
+# -- properties of the jet algebra -------------------------------------------
+
+_coeffs = arrays(np.float64, N_COEFF, elements=st.floats(-2.0, 2.0))
+_valid = st.integers(0, ORDER)
+
+
+def _n_upto(v):
+    return sum(i + j <= v for i, j in MONOMIALS)
+
+
+@given(_coeffs, _coeffs, st.sampled_from("uv"))
+def test_product_rule(ca, cb, axis):
+    a, b = Jet2(ca), Jet2(cb)
+    lhs = (a * b).d(axis)
+    rhs = a.d(axis) * b + a * b.d(axis)
+    assert lhs.valid == rhs.valid == ORDER - 1
+    n = _n_upto(lhs.valid)
+    assert np.allclose(lhs.c[:n], rhs.c[:n], rtol=0.0, atol=1e-12)
+
+
+@given(_coeffs, st.floats(0.5, 2.0), st.booleans())
+def test_times_reciprocal_is_one(c, a0, negative):
+    c = c.copy()
+    c[0] = -a0 if negative else a0
+    a = Jet2(c)
+    one = a * (1.0 / a)
+    assert np.allclose(one.c, Jet2.constant(1.0).c, rtol=0.0, atol=1e-10)
+
+
+@given(
+    arrays(np.float64, N_COEFF, elements=st.floats(-1.0, 1.0)),
+    st.floats(0.5, 2.0),
+    st.sampled_from(sorted(jets.ANALYTIC)),
+)
+def test_composition_matches_finite_differences(c, a0, name):
+    c = c.copy()
+    c[0] = a0
+    x = Jet2(c)
+    out = apply_analytic(name, x)
+    h = 0.02
+    offsets, _ = fd_weights(0, 11)
+    # f(x) on the whole stencil grid at once; rows step u, columns step v
+    values = getattr(np, name)(x.evaluate(offsets[:, None] * h, offsets[None, :] * h))
+    for i, j in MONOMIALS:
+        fd = fd_weights(i, 11)[1] @ values @ fd_weights(j, 11)[1] / h ** (i + j)
+        exact = out.partial(i, j)
+        assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact)), (name, i, j, fd, exact)
+
+
+@given(_coeffs, _coeffs, _valid)
+def test_truncated_product_is_a_prefix_of_the_full_product(ca, cb, v):
+    full = Jet2(ca) * Jet2(cb)
+    low = Jet2(ca, valid=v) * Jet2(cb)
+    n = _n_upto(v)
+    assert low.valid == v
+    assert np.array_equal(low.c[:n], full.c[:n])
+    assert not np.any(low.c[n:])
+
+
+@given(_coeffs, st.integers(1, 20), st.integers(0, 2**32 - 1))
+@example(np.linspace(-1.0, 1.0, N_COEFF), N_COEFF, 0)
+def test_scalar_times_batched_jet(cs, width, seed):
+    # A batch of width N_COEFF is the case that broadcasts along the wrong
+    # axis if the coefficient axis is not kept apart from the batch axes.
+    batch = Jet2(np.random.default_rng(seed).uniform(-2.0, 2.0, size=(width, N_COEFF)))
+    s = Jet2(cs)
+    left, right = s * batch, batch * s
+    assert left.batch_shape == right.batch_shape == (width,)
+    for k in range(width):
+        one = Jet2(batch.c[k])
+        assert np.array_equal(left.c[k], (s * one).c)
+        assert np.array_equal(right.c[k], (one * s).c)
+    assert np.array_equal((batch + s).c, batch.c + cs)
+
+
+# -- bitwise batch invariance ------------------------------------------------
+
+_FRAME_FIELDS = ("gap_low", "K_val", "detA_val", "sqrt_detg_val", "H_val", "eta_val")
+
+
+def _frame_fields(patch, u, v):
+    frame = JetFrame(patch, u, v)
+    out = {name: getattr(frame, name) for name in _FRAME_FIELDS}
+    out["K_eta"] = brioschi_curvature(second_form_metric_field(frame))
+    return out
+
+
+@pytest.fixture(scope="module")
+def wide_batch(bumpy_sphere):
+    u, v = bumpy_sphere.sample_points(3200, np.random.default_rng(11), margin=0.03)
+    return u, v, _frame_fields(bumpy_sphere, u, v)
+
+
+@pytest.mark.parametrize("width", [1, 3, N_COEFF, 64, 257])
+def test_frame_values_are_batch_invariant(bumpy_sphere, wide_batch, width):
+    u, v, full = wide_batch
+    for start in (0, 1234, u.size - width):
+        cols = slice(start, start + width)
+        part = _frame_fields(bumpy_sphere, u[cols], v[cols])
+        for name, values in part.items():
+            assert np.array_equal(values, full[name][cols]), (name, start)
+
+
+def test_frame_values_at_one_unbatched_point(bumpy_sphere, wide_batch):
+    u, v, full = wide_batch
+    point = _frame_fields(bumpy_sphere, u[7], v[7])
+    for name, value in point.items():
+        assert np.array_equal(value, full[name][7]), name
