@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, catalog, curvature, transforms
 from .errors import DegeneracyViolation, LightconeError
 from .integrals import SphereGrid, geometry_table
-from .search import SearchConfig, search as run_search
+from .search import ORACLE_TOL, SearchConfig, search as run_search, umbilical_offset
 from .spectrum import lambda1_estimate
 from .surfaces import JetFrame, _mat2, umbilic_point_search
 from .util import worker_count
@@ -505,6 +505,22 @@ def cmd_search(args):
             f"{len(report.candidates)} candidates"
         ),
     )
+    manifest.add(
+        "closed_form_oracle",
+        max(r.oracle_diff for r in report.results),
+        ORACLE_TOL,
+        detail="closed-form objective against the JetFrame route at each minimizer",
+    )
+    offset = umbilical_offset(report, config)
+    if offset is None:
+        manifest.skip("umbilical_at_two", "no converged start has sup gap below var_tol")
+    else:
+        manifest.add(
+            "umbilical_at_two",
+            offset,
+            10.0 * config.var_tol,
+            detail="|mean K_eta - 2| over converged starts with sup gap below var_tol",
+        )
     manifest.extra["all_umbilical"] = report.all_umbilical
     manifest.extra["candidates"] = report.candidates
 

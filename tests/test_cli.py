@@ -19,6 +19,7 @@ from lightcone.cli import (
     main,
 )
 from lightcone.integrals import SphereGrid
+from lightcone.search import VarianceObjective
 from lightcone.surfaces import JetFrame
 
 SCHEMA = json.loads((files("lightcone") / "manifest_schema.json").read_text())
@@ -211,6 +212,39 @@ def test_search_roundtrip_and_determinism(tmp_path):
     rep = json.loads(out1.read_text())
     assert rep["config"]["seed"] == 7
     assert rep["results"][0]["classification"] in ("umbilical", "inconclusive")
+
+
+def _shift_mean(method, delta):
+    def shifted(self, *args):
+        d = method(self, *args)
+        return dict(d, mean_keta=d["mean_keta"] + delta) if d["ok"] else d
+
+    return shifted
+
+
+@pytest.mark.parametrize(
+    "method, check",
+    [("frame_diagnostics", "closed_form_oracle"), ("_reduce", "umbilical_at_two")],
+    ids=["oracle_disagrees", "both_routes_off_two"],
+)
+def test_search_check_failure_exits_2(tmp_path, capsys, monkeypatch, method, check):
+    # Shifting the oracle alone splits the two routes; shifting the shared
+    # reduction moves both off curvature two while they still agree.
+    monkeypatch.setattr(
+        VarianceObjective, method, _shift_mean(getattr(VarianceObjective, method), 1e-3)
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16,
+                               "max_iter": 150}))
+    out = tmp_path / "m.json"
+    rc = main(["search", "--config", str(cfg), "--seed", "3",
+               "--out", str(tmp_path / "r.json"), "--manifest", str(out)])
+    assert rc == EXIT_CHECK_FAILED
+    names = {c["name"]: c for c in _load_manifest(out)["checks"]}
+    assert names[check]["status"] == "FAIL"
+    if check == "umbilical_at_two":
+        assert names["closed_form_oracle"]["status"] == "PASS"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_search_malformed_config(tmp_path, capsys):

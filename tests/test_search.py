@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lightcone.catalog import HarmonicSpec
 from lightcone.search import (
+    ORACLE_TOL,
     SearchConfig,
     VarianceObjective,
     rotation_block,
@@ -81,6 +84,54 @@ def test_degree1_rotation_gauge_invariance():
     assert abs(v1 - v2) < 1e-8
 
 
+# Relative tolerances, against max(1, |oracle|), of the closed-form fields;
+# the largest differences seen are about 1e-12 on K_eta and 3e-14 elsewhere.
+ORACLE_RTOL = {"keta": 1e-10, "detA": 1e-12, "K": 1e-12, "gap_low": 1e-12, "weight": 1e-14}
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
+@pytest.mark.parametrize("degree_max, amplitude", [(1, 0.3), (3, 0.05), (4, 0.025)])
+def test_closed_form_matches_jetframe_oracle(radius, degree_max, amplitude):
+    cfg = SearchConfig(
+        degree_max=degree_max, n_theta=10, n_phi=20, radius=radius,
+        freeze_degree0=False, freeze_degree1=False,
+    )
+    obj = VarianceObjective(cfg)
+    rng = np.random.default_rng(degree_max * 100 + int(10 * radius))
+    walls = 0
+    for _ in range(20):
+        x = rng.uniform(-amplitude, amplitude, len(obj.pairs))
+        fast, oracle = obj._closed_form_fields(x), obj._frame_fields(x)
+        for name in ("detA", "K", "gap_low", "weight"):
+            a, b = getattr(fast, name), getattr(oracle, name)
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < ORACLE_RTOL[name], name
+        np.testing.assert_array_equal(fast.ii_positive, oracle.ii_positive)
+        d, od = obj.diagnostics(x), obj.frame_diagnostics(x)
+        assert d["ok"] == od["ok"]
+        walls += not od["ok"]
+        if od["ok"]:
+            a, b = fast.keta(), oracle.keta()
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < ORACLE_RTOL["keta"]
+    if (radius, degree_max) == (0.5, 4):
+        assert walls > 0
+
+
+def test_objective_grows_along_a_ray_out_of_the_box():
+    # Past |x| of about 300, e^{2 sigma} overflows and the surface cannot be
+    # evaluated; every path still adds the amplitude-box penalty.
+    obj = VarianceObjective(SearchConfig(**FAST))
+    for route in (obj.diagnostics, obj.frame_diagnostics):
+        values = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (2.0, 10.0, 300.0, 1e6):
+                d = route(np.full(len(obj.pairs), s))
+                assert not d["ok"]
+                values.append(d["objective"])
+        assert np.all(np.isfinite(values))
+        assert np.all(np.diff(values) > 0), values
+
+
 def test_search_zero_start_stays_round():
     cfg = SearchConfig(**FAST, n_starts=1, seed=123)
     obj = VarianceObjective(cfg)
@@ -99,6 +150,10 @@ def test_mini_search_all_umbilical():
         assert abs(r.mean_keta - 2.0) < 1e-3
     assert report.all_umbilical
     assert report.candidates == []
+    for r in report.results:
+        rows = sum(1 for row in report.trace_rows if row[0] == r.start_index)
+        assert r.evaluations == rows >= r.iterations
+        assert r.oracle_diff <= ORACLE_TOL
 
 
 def test_search_deterministic_per_seed():
