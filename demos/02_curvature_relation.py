@@ -12,6 +12,7 @@ import numpy as np
 
 from lightcone import catalog
 from lightcone.curvature import curvature_relation, trace_gradient_residual
+from lightcone.surfaces import JetFrame
 
 rng = np.random.default_rng(42)
 
@@ -19,7 +20,8 @@ spec = catalog.HarmonicSpec(terms=((2, 0, 0.05), (3, 1, 0.02), (1, -1, 0.02)))
 patch = catalog.perturbed_sphere(spec)
 u, v = patch.sample_points(5, rng, margin=0.1)
 
-out = curvature_relation(patch, (u, v))
+frame = JetFrame(patch, u, v)
+out = curvature_relation(frame)
 print(f"surface: {patch.name}")
 print(f"{'2*Keta':>12} {'K^2/detA':>12} {'II(L,L)':>12} {'grad term':>12} {'residual':>10}")
 for k in range(5):
@@ -31,10 +33,10 @@ for k in range(5):
 
 print("\nauxiliary identities at the same points:")
 print(f"  II-trace of Ricci vs K^2/detA : {np.max(out['ric_residual']):.2e}")
-print(f"  trace of L vs grad log detA   : {np.max(trace_gradient_residual(patch, (u, v))):.2e}")
+print(f"  trace of L vs grad log detA   : {np.max(trace_gradient_residual(frame)):.2e}")
 
 print("\nhow the relation collapses on a round sphere (every term but K^2/d dies):")
-out = curvature_relation(catalog.round_sphere(r=1.3), (0.9, 2.0))
+out = curvature_relation(JetFrame(catalog.round_sphere(r=1.3), 0.9, 2.0))
 print(
     f"  2*Keta = {2 * out['k_eta']:.12f}, K^2/detA = {out['k2_over_d']:.12f}, "
     f"II(L,L) = {out['ii_LL']:.2e}, grad term = {out['grad_term']:.2e}"

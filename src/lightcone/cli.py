@@ -2,8 +2,8 @@
 
 Every run writes a JSON manifest echoing the configuration, the residual of
 each check with its tolerance, and the wall time.  Exit codes: 0 all checks
-pass, 2 a check failed, 3 degenerate or invalid surface input, 4 malformed
-search configuration.
+pass, 2 a check failed, 3 degenerate or invalid surface input or an
+unwritable output path, 4 malformed search configuration.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .integrals import SphereGrid, geometry_table
 from .search import ORACLE_TOL, SearchConfig, search as run_search, umbilical_offset
 from .spectrum import lambda1_estimate
 from .surfaces import JetFrame, _mat2, umbilic_point_search
-from .util import worker_count
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -182,16 +181,23 @@ def _surface_manifest(command, args):
         "spec": args.spec,
         "grid": list(args.grid),
         "tolerances": tols,
-        "workers": worker_count(),
     }
     return Manifest(command, config, seed=args.seed), tols
+
+
+def _cannot_write(path, exc):
+    print(f"cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_DEGENERATE
 
 
 def _finish(manifest, heading, path):
     """Print the heading and the summary, write the manifest, return the exit code."""
     print(heading)
     manifest.print_summary()
-    manifest.write(path)
+    try:
+        manifest.write(path)
+    except OSError as exc:
+        return _cannot_write(path, exc)
     return EXIT_OK if manifest.passed else EXIT_CHECK_FAILED
 
 
@@ -273,7 +279,7 @@ def _frame_residuals(frame):
         np.max(frame.second_form_inner_residual()),
         _excess(_worst(-np.min(frame.gap_low), -np.min(frame.gap_high))),
         np.max(np.abs(frame.gap_low - frame.gap_high)),
-        np.max(curvature.codazzi_residual(None, frame=frame)),
+        np.max(curvature.codazzi_residual(frame)),
     )
 
 
@@ -281,9 +287,9 @@ DEFINITE_CHECKS = ("curvature_relation", "trace_gradient", "lowered_symmetry")
 
 
 def _definite_residuals(frame):
-    rel = curvature.curvature_relation(None, frame=frame)
-    grad = curvature.trace_gradient_residual(None, frame=frame)
-    low = curvature.difference_tensor(None, frame=frame).lowered
+    rel = curvature.curvature_relation(frame)
+    grad = curvature.trace_gradient_residual(frame)
+    low = curvature.difference_tensor(frame).lowered
     return (
         np.max(rel["residual"]),
         np.max(grad),
@@ -525,11 +531,13 @@ def cmd_search(args):
     manifest.extra["candidates"] = report.candidates
 
     out_base = args.out or "search_report.json"
-    with open(out_base, "w") as fh:
-        fh.write(report.to_json())
     trace_path = args.trace or (out_base.rsplit(".", 1)[0] + "_trace.csv")
-    with open(trace_path, "w") as fh:
-        fh.write(report.trace_csv())
+    for path, text in ((out_base, report.to_json()), (trace_path, report.trace_csv())):
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _cannot_write(path, exc)
     return _finish(manifest, f"search: report -> {out_base}, trace -> {trace_path}", args.manifest)
 
 
@@ -570,8 +578,7 @@ def cmd_export(args):
                     ]
                 )
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _cannot_write(args.out, exc)
     print(f"export: {th.size} rows -> {args.out}")
     return EXIT_OK
 

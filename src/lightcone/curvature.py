@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
 from .jets import Jet2
-from .surfaces import JetFrame, _det2
+from .surfaces import _det2
 
 
 @dataclass
@@ -38,10 +38,6 @@ class MetricField:
     def require_nondegenerate(self):
         if np.any(self.det().value == 0.0):
             raise DegenerateMetric("metric determinant vanishes at the base point")
-
-
-def induced_metric_field(frame):
-    return MetricField(frame.E, frame.F, frame.G)
 
 
 def second_form_metric_field(frame):
@@ -108,7 +104,7 @@ def _det3(a, b, c, d, e, f, g, h, i):
 
 def gauss_curvature_brioschi(frame):
     """Independent intrinsic route to the induced Gauss curvature."""
-    return brioschi_curvature(induced_metric_field(frame))
+    return brioschi_curvature(MetricField(frame.E, frame.F, frame.G))
 
 
 def _require_riemannian_ii(frame):
@@ -143,14 +139,12 @@ def shape_operator_covariant_derivative(frame):
     return out
 
 
-def codazzi_residual(patch, p=None, frame=None):
+def codazzi_residual(frame):
     """Metric norm of (nabla_X A)Y - (nabla_Y A)X over the chart basis.
 
     The lightlike normal is parallel in the normal bundle, so the Codazzi
     equation forces this antisymmetric part to vanish identically.
     """
-    if frame is None:
-        frame = JetFrame(patch, *p)
     na = shape_operator_covariant_derivative(frame)
     w = na[..., 0, :, 1] - na[..., 1, :, 0]
     g = frame.g_val
@@ -170,10 +164,8 @@ class DifferenceTensor:
     lowered: np.ndarray
 
 
-def difference_tensor(patch, p=None, frame=None, floor=1e-10):
+def difference_tensor(frame, floor=1e-10):
     """L = (1/2) A^{-1} (nabla A), the connection difference tensor."""
-    if frame is None:
-        frame = JetFrame(patch, *p)
     detA = frame.detA_val
     if np.any(np.abs(detA) < floor):
         raise DegeneracyViolation(
@@ -199,15 +191,13 @@ def _inv2(m, det=None):
     return inv / det[..., None, None]
 
 
-def trace_gradient_residual(patch, p=None, frame=None):
+def trace_gradient_residual(frame):
     """Residual of the identity tying the II-trace of L to grad(log det A).
 
     Returned as the sup of the components of the II-lowered difference
     between the contracted tensor and grad(det A) / (2 det A).
     """
-    if frame is None:
-        frame = JetFrame(patch, *p)
-    lt = difference_tensor(None, frame=frame)
+    lt = difference_tensor(frame)
     ii_inv = _inv2(frame.II_val)
     tr_l = np.einsum("...ab,...abc->...c", ii_inv, lt.L)
     d_det = np.stack(
@@ -219,21 +209,19 @@ def trace_gradient_residual(patch, p=None, frame=None):
     return np.max(np.abs(w), axis=-1)
 
 
-def curvature_relation(patch, p=None, frame=None):
+def curvature_relation(frame):
     """Both sides of the central curvature relation, plus diagnostics.
 
     Returns a dict with the residual, the Brioschi curvature of II, the
     three right-hand-side pieces, and the residual of the auxiliary trace
     identity tr_II(Ric) = K^2 / det A.
     """
-    if frame is None:
-        frame = JetFrame(patch, *p)
     _require_riemannian_ii(frame)
     keta = second_form_curvature(frame)
     detA = frame.detA_val
     if np.any(np.abs(detA) < 1e-10):
         raise DegeneracyViolation("det A vanishes on the evaluation set")
-    lt = difference_tensor(None, frame=frame)
+    lt = difference_tensor(frame)
     ii = frame.II_val
     ii_inv = _inv2(frame.II_val)
 

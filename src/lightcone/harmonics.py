@@ -64,9 +64,3 @@ def real_harmonic(l, m, x, y, z):
         ) from None
     return f(x, y, z)
 
-
-def degrees_and_orders(l_max):
-    """All (l, m) pairs through the given degree."""
-    if l_max > L_MAX:
-        raise ValueError(f"harmonics available only through degree {L_MAX}")
-    return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]

@@ -13,7 +13,6 @@ import numpy as np
 from .curvature import brioschi_curvature, second_form_metric_field
 from .errors import ConsistencyError, DegeneracyViolation
 from .surfaces import JetFrame, _det2
-from .util import chunked_map
 
 
 def sphere_quadrature(n_theta, n_phi):
@@ -43,47 +42,50 @@ def _det_a_derivatives(frame):
     return grad, hess
 
 
-def geometry_table(patch, u, v, want_second_curv=True, workers=None, chunk=2048):
+def geometry_table(patch, u, v, want_second_curv=True, chunk=2048):
     """Value-level dashboard arrays at arbitrary chart points.
 
     Returns a dict of flat arrays: position, psi0, sqrt_detg, K, detA and its
     chart gradient and Hessian, gap_low, gap_high, H2, ii_positive and
-    (optionally) K_eta.  Chunked so grid sweeps bound memory and can fan out
-    over worker threads.
+    (optionally) K_eta.  Points are swept in chunks that bound memory and
+    concatenated in order, so the result is the same for any chunk size.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
+    parts = [
+        _table_chunk(patch, u[s : s + chunk], v[s : s + chunk], want_second_curv)
+        for s in range(0, u.size, chunk)
+    ]
+    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
-    def block(s, e):
-        frame = JetFrame(patch, u[s:e], v[s:e])
-        out = {
-            "pos": frame.psi_val,
-            "psi0": frame.psi0_val,
-            "sqrt_detg": frame.sqrt_detg_val,
-            "K": frame.K_val,
-            "detA": frame.detA_val,
-            "gap_low": frame.gap_low,
-            "gap_high": frame.gap_high,
-            "H2": frame.H2_val,
-            "ii_positive": frame.ii_positive,
-        }
-        out["detA_grad"], out["detA_hess"] = _det_a_derivatives(frame)
-        if want_second_curv:
-            if np.any(_det2(frame.II_val) == 0.0):
-                out["K_eta"] = np.full(e - s, np.nan)
-            else:
-                out["K_eta"] = brioschi_curvature(second_form_metric_field(frame))
-        for k in out:
-            out[k] = np.atleast_1d(out[k])
-        return out
 
-    return chunked_map(block, u.size, chunk=chunk, workers=workers)
+def _table_chunk(patch, u, v, want_second_curv):
+    """The table entries of one chunk; its frame is freed on return."""
+    frame = JetFrame(patch, u, v)
+    out = {
+        "pos": frame.psi_val,
+        "psi0": frame.psi0_val,
+        "sqrt_detg": frame.sqrt_detg_val,
+        "K": frame.K_val,
+        "detA": frame.detA_val,
+        "gap_low": frame.gap_low,
+        "gap_high": frame.gap_high,
+        "H2": frame.H2_val,
+        "ii_positive": frame.ii_positive,
+    }
+    out["detA_grad"], out["detA_hess"] = _det_a_derivatives(frame)
+    if want_second_curv:
+        if np.any(_det2(frame.II_val) == 0.0):
+            out["K_eta"] = np.full(u.size, np.nan)
+        else:
+            out["K_eta"] = brioschi_curvature(second_form_metric_field(frame))
+    return {k: np.atleast_1d(a) for k, a in out.items()}
 
 
 class SphereGrid:
     """Quadrature grid with cached pointwise geometry over a closed chart."""
 
-    def __init__(self, patch, n_theta=64, n_phi=128, want_second_curv=True, workers=None):
+    def __init__(self, patch, n_theta=64, n_phi=128, want_second_curv=True):
         if not patch.closed:
             raise DegeneracyViolation(
                 f"{patch.name}: quadrature grids need a closed spherical chart"
@@ -92,9 +94,7 @@ class SphereGrid:
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         self.TH, self.PH, w2 = sphere_quadrature(self.n_theta, self.n_phi)
-        self.table = geometry_table(
-            patch, self.TH, self.PH, want_second_curv=want_second_curv, workers=workers
-        )
+        self.table = geometry_table(patch, self.TH, self.PH, want_second_curv=want_second_curv)
         self.weights = w2 * self.table["sqrt_detg"] / np.sin(self.TH)
 
     @property
@@ -214,9 +214,3 @@ class SphereGrid:
                 break
         return frame
 
-
-def grid_convergence(patch, n_theta=32, n_phi=64):
-    """Change of the total-curvature quadrature under grid doubling."""
-    g1 = SphereGrid(patch, n_theta, n_phi, want_second_curv=False)
-    g2 = SphereGrid(patch, 2 * n_theta, 2 * n_phi, want_second_curv=False)
-    return abs(g1.gauss_bonnet() - g2.gauss_bonnet())

@@ -303,15 +303,6 @@ class Jet2:
     def __rtruediv__(self, other):
         return _divide(Jet2.constant(other), self)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("jet powers must be nonnegative integers")
-        out = Jet2.constant(np.ones(self.batch_shape))
-        out.valid = self.valid
-        for _ in range(n):
-            out = out * self
-        return out
-
 
 def _divide(num, den):
     b00 = den._c[0]
@@ -416,15 +407,6 @@ ANALYTIC = {
     "sinh": sinh,
     "cosh": cosh,
 }
-
-
-def apply_analytic(name, x):
-    """Apply one of the supported analytic functions by name."""
-    try:
-        f = ANALYTIC[name]
-    except KeyError:
-        raise DomainError(f"unsupported analytic function {name!r}") from None
-    return f(x)
 
 
 # -- Minkowski-valued jets ---------------------------------------------------

@@ -36,6 +36,7 @@ from .surfaces import JetFrame
 # scores 2 _WALL, so at one amplitude-box penalty, every gated surface scores
 # above every admissible one and below every unevaluable one.
 _WALL = 1e6
+_BOX_MAX = float(np.finfo(float).max)
 
 # Accepted values per annotated field type; bool is never accepted as a number.
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
@@ -96,6 +97,13 @@ class SearchConfig:
         for name in ("n_theta", "n_phi", "n_starts", "max_iter"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
+        # The closed form scales by r^2 and r^4; both must be nonzero floats.
+        try:
+            r4 = float(self.radius) ** 4
+        except OverflowError:
+            r4 = np.inf
+        if not 0.0 < r4 < np.inf:
+            raise ValueError("radius**4 must be a positive finite float")
         if not self.n_restarts >= 0:
             raise ValueError("n_restarts must be at least 0")
         if not self.seed >= 0:
@@ -216,7 +224,10 @@ class VarianceObjective:
         """Objective and report fields; ``None`` or non-finite fields hit the wall."""
         cfg = self.config
         over = np.maximum(0.0, np.abs(np.asarray(x)) - cfg.amplitude_bound)
-        box = cfg.barrier_weight * float(np.sum(over**2))
+        # Saturates at the largest float, so the objective stays finite and
+        # does not decrease along a ray out of the box.
+        with np.errstate(over="ignore"):
+            box = min(cfg.barrier_weight * float(np.sum(over**2)), _BOX_MAX)
         if fields is None or not all(
             np.all(np.isfinite(a)) for a in (fields.detA, fields.weight, fields.gap_low)
         ):

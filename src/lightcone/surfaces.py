@@ -404,41 +404,6 @@ def gauss_maps(patch, p, tol=1e-14):
     return gf, gp
 
 
-def pole_map_jacobian_rank(patch, p, threshold=1e-8):
-    """Rank of the spatial Jacobian of the normal-direction Gauss map.
-
-    Diagnostic only: degeneracy of the normal shows up as rank loss here,
-    but nothing downstream relies on the equivalence.
-    """
-    frame = JetFrame(patch, *p)
-    gp = frame.eta.scale(1.0 / frame.eta[0])
-    J = np.stack(
-        [np.stack([gp[k].d(ax).value for ax in ("u", "v")], axis=-1) for k in (1, 2, 3)],
-        axis=-2,
-    )
-    s = np.linalg.svd(J, compute_uv=False)
-    return int(np.count_nonzero(s > threshold * max(1.0, float(s.max()))))
-
-
-@dataclass
-class NondegeneracyReport:
-    nondegenerate: bool
-    min_abs_detA: float
-    ii_positive_everywhere: bool
-
-
-def is_nondegenerate(patch, grid=(32, 64), threshold=1e-8):
-    """Sweep a grid for |det A| and the definiteness of II."""
-    u, v = patch.grid_points(grid)
-    frame = JetFrame(patch, u, v)
-    min_abs = float(np.min(np.abs(frame.detA_val)))
-    return NondegeneracyReport(
-        nondegenerate=min_abs > threshold,
-        min_abs_detA=min_abs,
-        ii_positive_everywhere=bool(np.all(frame.ii_positive)),
-    )
-
-
 def umbilic_point_search(patch, coarse=(48, 96), refine_iters=200, n_starts=4):
     """Locate a point where both curvature-inequality gaps (nearly) vanish.
 

@@ -71,10 +71,8 @@ def conjugate(patch, check_grid=(24, 48), floor=1e-8, _validate=True):
     )
 
 
-def third_fundamental_form(patch, p=None, frame=None):
+def third_fundamental_form(frame):
     """<A^2 u, v> in the chart basis; the induced metric of the conjugate."""
-    if frame is None:
-        frame = JetFrame(patch, *p)
     A = frame.A_val
     A2 = np.einsum("...cd,...da->...ca", A, A)
     return np.einsum("...ca,...cb->...ab", A2, frame.g_val)
@@ -98,7 +96,7 @@ def verify_conjugate_duality(patch, grid=(24, 48)):
     r1 = float(np.max(np.abs(prod - eye)))
     r2 = float(np.max(np.abs(fc.II_val - f.II_val)))
     r3 = float(np.max(np.abs(fc.K_val - f.K_val / f.detA_val)))
-    third = third_fundamental_form(None, frame=f)
+    third = third_fundamental_form(f)
     r4 = float(np.max(np.abs(fc.g_val - third)))
     return {
         "weingarten_inverse": r1,

@@ -101,7 +101,7 @@ def test_criterion_3_curvature_relation():
         amp = rng.uniform(0.02, 0.05)
         patch, _ = random_perturbed_sphere(rng, l_max=3, total_amplitude=amp)
         u, v = patch.sample_points(100, rng, margin=0.04)
-        out = curvature_relation(patch, (u, v))
+        out = curvature_relation(JetFrame(patch, u, v))
         worst = max(worst, float(np.max(out["residual"])))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6

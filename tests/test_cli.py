@@ -214,6 +214,29 @@ def test_search_roundtrip_and_determinism(tmp_path):
     assert rep["results"][0]["classification"] in ("umbilical", "inconclusive")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "round-sphere", "--grid", "4x8", "--out", "{bad}"],
+        ["global", "round-sphere", "--grid", "4x8", "--out", "{bad}"],
+        ["search", "--config", "{cfg}", "--out", "{bad}"],
+        ["search", "--config", "{cfg}", "--out", "{tmp}/r.json", "--trace", "{bad}"],
+        ["search", "--config", "{cfg}", "--out", "{tmp}/r.json", "--manifest", "{bad}"],
+    ],
+    ids=["verify_out", "global_out", "search_out", "search_trace", "search_manifest"],
+)
+def test_unwritable_output_exits_3(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16,
+                               "max_iter": 20}))
+    bad = tmp_path / "missing" / "out.json"
+    fill = dict(bad=bad, cfg=cfg, tmp=tmp_path)
+    assert main([a.format(**fill) for a in argv]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert f"cannot write {bad}" in err
+    assert "Traceback" not in err
+
+
 def _shift_mean(method, delta):
     def shifted(self, *args):
         d = method(self, *args)
@@ -270,10 +293,12 @@ def test_search_malformed_config(tmp_path, capsys):
         '{"seed": -3}',
         '{"n_starts": true}',
         '{"freeze_degree0": "no"}',
+        '{"radius": 1e308}',
+        '{"radius": 1e-100}',
     ],
     ids=["unknown_key", "n_starts_0", "degree_max_5", "n_theta_0", "amplitude_nan",
          "amplitude_inf", "no_free_pairs", "n_theta_float", "seed_negative", "n_starts_bool",
-         "freeze_str"],
+         "freeze_str", "radius_r4_overflows", "radius_r4_underflows"],
 )
 def test_search_unknown_key_rejected(tmp_path, text):
     bad = tmp_path / "bad.json"

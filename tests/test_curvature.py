@@ -88,26 +88,26 @@ def test_gauss_curvature_three_routes_agree(bumpy_sphere):
 
 
 def test_codazzi_residual_catalog(unit_sphere, cylinder):
-    assert codazzi_residual(unit_sphere, (0.9, 1.4)) < 1e-9
-    assert codazzi_residual(cylinder, (0.4, 2.2)) < 1e-9
+    assert codazzi_residual(JetFrame(unit_sphere, 0.9, 1.4)) < 1e-9
+    assert codazzi_residual(JetFrame(cylinder, 0.4, 2.2)) < 1e-9
 
 
 def test_codazzi_residual_random_spheres():
     rng = np.random.default_rng(1)
     patch, _ = random_perturbed_sphere(rng)
     u, v = patch.sample_points(100, rng, margin=0.05)
-    assert np.max(codazzi_residual(patch, (u, v))) < 1e-7
+    assert np.max(codazzi_residual(JetFrame(patch, u, v))) < 1e-7
 
 
 def test_difference_tensor_round_sphere_zero(unit_sphere):
-    lt = difference_tensor(unit_sphere, (1.0, 0.8))
+    lt = difference_tensor(JetFrame(unit_sphere, 1.0, 0.8))
     assert np.max(np.abs(lt.L)) < 1e-12
 
 
 def test_difference_tensor_total_symmetry(bumpy_sphere):
     rng = np.random.default_rng(2)
     u, v = bumpy_sphere.sample_points(100, rng, margin=0.05)
-    lt = difference_tensor(bumpy_sphere, (u, v))
+    lt = difference_tensor(JetFrame(bumpy_sphere, u, v))
     low = lt.lowered
     assert np.max(np.abs(low - np.swapaxes(low, -3, -2))) < 1e-8
     assert np.max(np.abs(low - np.swapaxes(low, -2, -1))) < 1e-8
@@ -117,17 +117,17 @@ def test_difference_tensor_total_symmetry(bumpy_sphere):
 
 def test_difference_tensor_degenerate_raises(paraboloid):
     with pytest.raises(DegeneracyViolation):
-        difference_tensor(paraboloid, (0.3, 0.3))
+        difference_tensor(JetFrame(paraboloid, 0.3, 0.3))
 
 
 def test_trace_gradient_identity(bumpy_sphere):
     rng = np.random.default_rng(3)
     u, v = bumpy_sphere.sample_points(100, rng, margin=0.05)
-    assert np.max(trace_gradient_residual(bumpy_sphere, (u, v))) < 1e-7
+    assert np.max(trace_gradient_residual(JetFrame(bumpy_sphere, u, v))) < 1e-7
 
 
 def test_curvature_relation_round_sphere(unit_sphere):
-    out = curvature_relation(unit_sphere, (1.1, 0.4))
+    out = curvature_relation(JetFrame(unit_sphere, 1.1, 0.4))
     assert out["residual"] < 1e-8
     assert out["k_eta"] == pytest.approx(2.0, abs=1e-10)
     assert out["k2_over_d"] == pytest.approx(4.0, abs=1e-10)
@@ -137,7 +137,7 @@ def test_curvature_relation_round_sphere(unit_sphere):
 
 def test_curvature_relation_scaled_sphere():
     patch = catalog.round_sphere(r=2.0)
-    out = curvature_relation(patch, (0.7, 5.0))
+    out = curvature_relation(JetFrame(patch, 0.7, 5.0))
     # K = 1/4 and det A = 1/64, so the ratio is 4 and the curvature stays 2
     assert out["k_eta"] == pytest.approx(2.0, abs=1e-10)
     assert out["k2_over_d"] == pytest.approx(4.0, abs=1e-10)
@@ -149,7 +149,7 @@ def test_curvature_relation_random_spheres():
     for _ in range(3):
         patch, _ = random_perturbed_sphere(rng)
         u, v = patch.sample_points(100, rng, margin=0.05)
-        out = curvature_relation(patch, (u, v))
+        out = curvature_relation(JetFrame(patch, u, v))
         assert np.max(out["residual"]) < 1e-6
         assert np.max(out["ric_residual"]) < 1e-8
 

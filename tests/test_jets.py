@@ -10,7 +10,7 @@ from conftest import fd_weights, mixed_partial_fd
 from lightcone import jets
 from lightcone.curvature import brioschi_curvature, second_form_metric_field
 from lightcone.errors import DivisionByZeroJet, DomainError, OrderExceeded
-from lightcone.jets import MONOMIALS, N_COEFF, ORDER, Jet2, JetVec4, apply_analytic
+from lightcone.jets import ANALYTIC, MONOMIALS, N_COEFF, ORDER, Jet2, JetVec4
 from lightcone.surfaces import JetFrame
 
 
@@ -175,8 +175,8 @@ def test_analytic_functions_match_univariate_recurrences(name):
             series[0] = rng.uniform(0.5, 3.0)
         jet = Jet2.constant(series[0])
         for k in range(1, 5):
-            jet = jet + Jet2.variable("u", 0.0) ** k * series[k]
-        out = apply_analytic(name, jet)
+            jet = jet + math.prod([Jet2.variable("u", 0.0)] * k, start=1.0) * series[k]
+        out = ANALYTIC[name](jet)
         expected = _univariate_series_oracle(name, list(series))
         got = [out.coeff(k, 0) for k in range(5)]
         scale = max(1.0, max(abs(e) for e in expected))
@@ -189,8 +189,6 @@ def test_analytic_domain_errors():
         jets.log(bad)
     with pytest.raises(DomainError):
         jets.sqrt(bad)
-    with pytest.raises(DomainError):
-        apply_analytic("nope", bad)
 
 
 def test_polynomial_chain_rule_exact():
@@ -204,7 +202,7 @@ def test_polynomial_chain_rule_exact():
         uj, vj = Jet2.variable("u", u0), Jet2.variable("v", v0)
         value = Jet2.constant(0.0)
         for (i, j), c in coeffs.items():
-            value = value + uj**i * vj**j * c
+            value = value + math.prod([uj] * i + [vj] * j, start=1.0) * c
         # binomial-shift oracle for the Taylor coefficients at (u0, v0)
         for i, j in MONOMIALS:
             expected = 0.0
@@ -312,7 +310,7 @@ def test_composition_matches_finite_differences(c, a0, name):
     c = c.copy()
     c[0] = a0
     x = Jet2(c)
-    out = apply_analytic(name, x)
+    out = ANALYTIC[name](x)
     h = 0.02
     offsets, _ = fd_weights(0, 11)
     # f(x) on the whole stencil grid at once; rows step u, columns step v

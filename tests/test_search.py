@@ -124,7 +124,7 @@ def test_objective_grows_along_a_ray_out_of_the_box():
         values = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for s in (2.0, 10.0, 300.0, 1e6):
+            for s in (2.0, 10.0, 300.0, 1e6, 1e200):
                 d = route(np.full(len(obj.pairs), s))
                 assert not d["ok"]
                 values.append(d["objective"])

@@ -11,9 +11,7 @@ from lightcone.surfaces import (
     SurfacePatch,
     _mat2,
     gauss_maps,
-    is_nondegenerate,
     point_geometry,
-    pole_map_jacobian_rank,
     umbilic_point_search,
 )
 
@@ -216,25 +214,41 @@ def test_gauss_maps_round_sphere(unit_sphere):
     assert np.linalg.norm(gp[1:]) == pytest.approx(1.0, abs=1e-13)
 
 
+def _normal_map_rank(frame, threshold=1e-8):
+    """Rank of the spatial Jacobian of the normal-direction Gauss map."""
+    gp = frame.eta.scale(1.0 / frame.eta[0])
+    J = np.stack(
+        [np.stack([gp[k].d(ax).value for ax in ("u", "v")], axis=-1) for k in (1, 2, 3)],
+        axis=-2,
+    )
+    s = np.linalg.svd(J, compute_uv=False)
+    return int(np.count_nonzero(s > threshold * max(1.0, float(s.max()))))
+
+
 def test_gauss_maps_paraboloid_degenerate(paraboloid):
     gf, gp = gauss_maps(paraboloid, (0.3, 0.8))
     assert np.allclose(gp, [1, 1, 0, 0], atol=1e-13)
-    assert pole_map_jacobian_rank(paraboloid, (0.3, 0.8)) == 0
+    assert _normal_map_rank(JetFrame(paraboloid, 0.3, 0.8)) == 0
 
 
 def test_gauss_map_rank_full_on_spheres(unit_sphere):
-    assert pole_map_jacobian_rank(unit_sphere, (1.0, 1.0)) == 2
+    assert _normal_map_rank(JetFrame(unit_sphere, 1.0, 1.0)) == 2
 
 
 def test_is_nondegenerate_catalog(unit_sphere, cylinder, paraboloid):
-    rep = is_nondegenerate(unit_sphere)
-    assert rep.nondegenerate and rep.ii_positive_everywhere
-    assert rep.min_abs_detA == pytest.approx(0.25, abs=1e-12)
-    rep = is_nondegenerate(paraboloid)
-    assert not rep.nondegenerate
-    rep = is_nondegenerate(cylinder)
-    assert rep.nondegenerate and not rep.ii_positive_everywhere
-    assert rep.min_abs_detA == pytest.approx(0.25, abs=1e-12)
+    # the sweep cmd_verify makes: min |det A| and definiteness of II on a grid
+    def sweep(patch):
+        frame = JetFrame(patch, *patch.grid_points((32, 64)))
+        return float(np.min(np.abs(frame.detA_val))), bool(np.all(frame.ii_positive))
+
+    min_abs, definite = sweep(unit_sphere)
+    assert min_abs > 1e-8 and definite
+    assert min_abs == pytest.approx(0.25, abs=1e-12)
+    min_abs, definite = sweep(paraboloid)
+    assert not min_abs > 1e-8
+    min_abs, definite = sweep(cylinder)
+    assert min_abs > 1e-8 and not definite
+    assert min_abs == pytest.approx(0.25, abs=1e-12)
 
 
 def test_off_cone_chart_rejected():

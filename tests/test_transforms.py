@@ -46,13 +46,13 @@ def test_double_conjugation_recovers_surface(unit_sphere, bumpy_sphere, cylinder
 
 
 def test_third_form_round_sphere(unit_sphere):
-    III = third_fundamental_form(unit_sphere, (0.9, 0.9))
+    III = third_fundamental_form(JetFrame(unit_sphere, 0.9, 0.9))
     g = JetFrame(unit_sphere, 0.9, 0.9).g_val
     assert np.allclose(III, 0.25 * g, atol=1e-12)
 
 
 def test_third_form_paraboloid_zero(paraboloid):
-    III = third_fundamental_form(paraboloid, (0.4, -0.2))
+    III = third_fundamental_form(JetFrame(paraboloid, 0.4, -0.2))
     assert np.max(np.abs(III)) < 1e-12
 
 
