@@ -9,7 +9,7 @@ paraboloid graph has no shape at all in the lightlike normal direction.
 import numpy as np
 
 from lightcone import catalog, point_geometry
-from lightcone.surfaces import gauss_maps
+from lightcone.surfaces import JetFrame, gauss_maps
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -36,5 +36,5 @@ print(f"  normal eta = {pg.eta} (constant over the whole plane)")
 print(f"  shape operator vanishes: max |A| = {np.max(np.abs(pg.A)):.2e}")
 print(f"  mean curvature vector H = {pg.H} is lightlike: <H,H> = {pg.K:.2e}")
 
-gf, gp = gauss_maps(par, (0.7, -0.3))
+gf, gp = gauss_maps(JetFrame(par, 0.7, -0.3))
 print(f"  sphere-valued Gauss maps: position {gf}, normal {gp} (frozen)")

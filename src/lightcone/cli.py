@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -21,7 +22,7 @@ from .errors import DegeneracyViolation, LightconeError
 from .integrals import SphereGrid, geometry_table
 from .search import ORACLE_TOL, SearchConfig, search as run_search, umbilical_offset
 from .spectrum import lambda1_estimate
-from .surfaces import JetFrame, _mat2, umbilic_point_search
+from .surfaces import JetFrame, _mat2, gauss_maps, umbilic_point_search
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -190,6 +191,22 @@ def _cannot_write(path, exc):
     return EXIT_DEGENERATE
 
 
+def _unwritable(paths):
+    """Exit code for the first output path that cannot be written, else None.
+
+    Probing appends nothing to an existing file and removes a file it created.
+    """
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            return _cannot_write(path, exc)
+        if not existed:
+            os.remove(path)
+    return None
+
+
 def _finish(manifest, heading, path):
     """Print the heading and the summary, write the manifest, return the exit code."""
     print(heading)
@@ -343,6 +360,7 @@ def cmd_verify(args):
         patch = _build_surface(args)
         u, v = _verify_points(patch, args.grid, args.seed)
         frame = JetFrame(patch, u, v)
+        gf, gp = gauss_maps(frame)
     except LightconeError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -379,16 +397,14 @@ def cmd_verify(args):
         manifest, tols, EXPANSION_LAWS, lambda: _expansion_residuals(patch, args.seed)
     )
 
-    gf_t = frame.psi_val / frame.psi0_val[..., None]
-    gp_t = frame.eta_val / frame.eta_val[..., 0:1]
     gm = _worst(
-        np.max(np.abs(np.linalg.norm(gf_t[..., 1:], axis=-1) - 1.0)),
-        np.max(np.abs(np.linalg.norm(gp_t[..., 1:], axis=-1) - 1.0)),
+        np.max(np.abs(np.linalg.norm(gf[..., 1:], axis=-1) - 1.0)),
+        np.max(np.abs(np.linalg.norm(gp[..., 1:], axis=-1) - 1.0)),
     )
     manifest.add("gauss_maps", gm, tols["gauss_maps"])
 
     if patch.closed:
-        _, _, glow, ghigh = umbilic_point_search(patch, coarse=(32, 64))
+        _, _, glow, ghigh = umbilic_point_search(patch)
         manifest.add("umbilic_point", _worst(glow, ghigh), tols["umbilic_point"])
     else:
         manifest.skip("umbilic_point", "not a closed surface")
@@ -530,15 +546,13 @@ def cmd_search(args):
     manifest.extra["all_umbilical"] = report.all_umbilical
     manifest.extra["candidates"] = report.candidates
 
-    out_base = args.out or "search_report.json"
-    trace_path = args.trace or (out_base.rsplit(".", 1)[0] + "_trace.csv")
-    for path, text in ((out_base, report.to_json()), (trace_path, report.trace_csv())):
+    for path, text in ((args.out, report.to_json()), (args.trace, report.trace_csv())):
         try:
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             return _cannot_write(path, exc)
-    return _finish(manifest, f"search: report -> {out_base}, trace -> {trace_path}", args.manifest)
+    return _finish(manifest, f"search: report -> {args.out}, trace -> {args.trace}", args.manifest)
 
 
 # -- export ------------------------------------------------------------------
@@ -637,8 +651,10 @@ def build_parser():
     p_search = sub.add_parser("search", help="constant-curvature variance search", **fmt)
     p_search.add_argument("--config", required=True, help="SearchConfig JSON file")
     p_search.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_search.add_argument("--out", default=None, help="report JSON path")
-    p_search.add_argument("--trace", default=None, help="trace CSV path")
+    p_search.add_argument("--out", default="search_report.json", help="report JSON path")
+    p_search.add_argument(
+        "--trace", default=None, help="trace CSV path; by default beside the report"
+    )
     p_search.add_argument("--manifest", default=None, help="manifest JSON path")
     p_search.set_defaults(fn=cmd_search)
 
@@ -655,7 +671,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    if args.command == "search" and args.trace is None:
+        args.trace = args.out.rsplit(".", 1)[0] + "_trace.csv"
+    code = _unwritable(getattr(args, name, None) for name in ("out", "trace", "manifest"))
+    return args.fn(args) if code is None else code
 
 
 if __name__ == "__main__":

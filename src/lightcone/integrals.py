@@ -12,7 +12,7 @@ import numpy as np
 
 from .curvature import brioschi_curvature, second_form_metric_field
 from .errors import ConsistencyError, DegeneracyViolation
-from .surfaces import JetFrame, _det2
+from .surfaces import JetFrame, _det2, newton_extremum
 
 
 def sphere_quadrature(n_theta, n_phi):
@@ -30,25 +30,13 @@ def sphere_quadrature(n_theta, n_phi):
     return TH.ravel(), PH.ravel(), weights
 
 
-def _det_a_derivatives(frame):
-    """Gradient (..., 2) and Hessian (..., 2, 2) of det A in chart coordinates."""
-    dA = frame.detA
-    d_uv = dA.partial(1, 1)
-    grad = np.stack([dA.partial(1, 0), dA.partial(0, 1)], axis=-1)
-    hess = np.stack(
-        [np.stack([dA.partial(2, 0), d_uv], axis=-1), np.stack([d_uv, dA.partial(0, 2)], axis=-1)],
-        axis=-2,
-    )
-    return grad, hess
-
-
 def geometry_table(patch, u, v, want_second_curv=True, chunk=2048):
     """Value-level dashboard arrays at arbitrary chart points.
 
-    Returns a dict of flat arrays: position, psi0, sqrt_detg, K, detA and its
-    chart gradient and Hessian, gap_low, gap_high, H2, ii_positive and
-    (optionally) K_eta.  Points are swept in chunks that bound memory and
-    concatenated in order, so the result is the same for any chunk size.
+    Returns a dict of flat arrays: position, psi0, sqrt_detg, K, detA,
+    gap_low, gap_high, H2, ii_positive and (optionally) K_eta.  Points are
+    swept in chunks that bound memory and concatenated in order, so the
+    result is the same for any chunk size.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -73,7 +61,6 @@ def _table_chunk(patch, u, v, want_second_curv):
         "H2": frame.H2_val,
         "ii_positive": frame.ii_positive,
     }
-    out["detA_grad"], out["detA_hess"] = _det_a_derivatives(frame)
     if want_second_curv:
         if np.any(_det2(frame.II_val) == 0.0):
             out["K_eta"] = np.full(u.size, np.nan)
@@ -156,9 +143,9 @@ class SphereGrid:
         At the true maximizer the gradient term of the curvature relation
         drops, forcing 2 K_eta >= K^2/det A there; combined with the gap
         inequality the ratio is at least 4.  The grid node of largest det A
-        is refined first (see ``_refine_maximizer``), because at the node
-        itself the gradient term is O(h^2), not zero.  Returns the point,
-        the ratio and the slack of each inequality.
+        is refined first by ``newton_extremum``, because at the node itself
+        the gradient term is O(h^2), not zero.  Returns the point, the ratio
+        and the slack of each inequality.
         """
         d = self.table["detA"]
         if np.any(d <= 0.0) or not np.all(self.table["ii_positive"]):
@@ -166,51 +153,18 @@ class SphereGrid:
                 f"{self.patch.name}: floor check needs det A > 0 and definite II"
             )
         k = int(np.argmax(d))
-        point = (self.TH[k], self.PH[k])
-        ratio = self.table["K"][k] ** 2 / d[k]
-        keta = self.table["K_eta"][k]
-        frame = self._refine_maximizer(k)
-        if frame is not None:
-            point = (frame.u, frame.v % (2.0 * np.pi))
-            ratio = frame.K_val**2 / frame.detA_val
-            keta = brioschi_curvature(second_form_metric_field(frame))
+        u, v, _ = newton_extremum(
+            self.patch, self.TH[k], self.PH[k], lambda f: (f.detA, np.abs(f.detA_val)),
+            maximize=True,
+        )
+        frame = JetFrame(self.patch, u, v)
+        ratio = frame.K_val[0] ** 2 / frame.detA_val[0]
+        keta = brioschi_curvature(second_form_metric_field(frame))[0]
         return {
-            "point": (float(point[0]), float(point[1])),
+            "point": (float(u[0]), float(v[0] % (2.0 * np.pi))),
             "ratio": float(ratio),
             "k_eta": float(keta),
             "keta_slack": float(2.0 * keta - ratio),
             "floor_slack": float(ratio - 4.0),
             "passes": bool(2.0 * keta >= ratio - tol and ratio >= 4.0 - tol),
         }
-
-    def _refine_maximizer(self, k, max_steps=8):
-        """Frame at the maximizer of det A reached by Newton steps from node k.
-
-        Each step reads the gradient and Hessian of det A (its jet has valid
-        order 2), from the table at the node and from the frame afterwards.
-        A step is taken only while the Hessian is negative definite beyond
-        rounding noise (1e-8 |det A|; a round sphere, where det A is
-        constant, shows about 1e-15), and kept only if it stays inside the
-        chart and does not lower det A.  Returns None when the node is not
-        moved.
-        """
-        theta, phi = self.TH[k], self.PH[k]
-        value = self.table["detA"][k]
-        grad, hess = self.table["detA_grad"][k], self.table["detA_hess"][k]
-        frame = None
-        for _ in range(max_steps):
-            if np.max(np.linalg.eigvalsh(hess)) >= -1e-8 * abs(value):
-                break
-            step = np.linalg.solve(hess, grad)
-            theta, phi = theta - step[0], phi - step[1]
-            if not 0.0 < theta < np.pi:
-                break
-            trial = JetFrame(self.patch, theta, phi)
-            if trial.detA_val < value:
-                break
-            frame = trial
-            value, (grad, hess) = frame.detA_val, _det_a_derivatives(frame)
-            if np.hypot(*step) < 1e-12:
-                break
-        return frame
-

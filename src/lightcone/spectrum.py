@@ -97,10 +97,8 @@ def _cotangent_system(verts, tris):
 @dataclass
 class Lambda1Result:
     value: float
-    coarse_value: float
     refinement_gap: float
     reilly_rhs: float
-    mesh_vertices: int
 
 
 def _lambda1_raw(grid, k=6):
@@ -128,7 +126,7 @@ def _lambda1_raw(grid, k=6):
         raise EigenSolverFailure(
             f"constant mode not resolved (lambda0 = {vals[0]:.3e})"
         )
-    return float(vals[1]), verts.shape[0]
+    return float(vals[1])
 
 
 def reilly_bound_rhs(grid):
@@ -136,7 +134,7 @@ def reilly_bound_rhs(grid):
     return 2.0 * grid.mean_curvature_energy() / grid.area()
 
 
-def lambda1_estimate(grid, coarse_grid=None):
+def lambda1_estimate(grid):
     """First nonzero Laplace eigenvalue with an a-posteriori refinement gap.
 
     The refinement gap is the change against a half-resolution grid and is
@@ -145,19 +143,12 @@ def lambda1_estimate(grid, coarse_grid=None):
     """
     from .integrals import SphereGrid
 
-    value, nverts = _lambda1_raw(grid)
-    if coarse_grid is None:
-        coarse_grid = SphereGrid(
-            grid.patch,
-            max(8, grid.n_theta // 2),
-            max(16, grid.n_phi // 2),
-            want_second_curv=False,
-        )
-    coarse, _ = _lambda1_raw(coarse_grid)
+    value = _lambda1_raw(grid)
+    coarse = SphereGrid(
+        grid.patch, max(8, grid.n_theta // 2), max(16, grid.n_phi // 2), want_second_curv=False
+    )
     return Lambda1Result(
         value=value,
-        coarse_value=coarse,
-        refinement_gap=abs(value - coarse),
+        refinement_gap=abs(value - _lambda1_raw(coarse)),
         reilly_rhs=reilly_bound_rhs(grid),
-        mesh_vertices=nverts,
     )

@@ -387,14 +387,13 @@ def point_geometry(patch, p, second_form_curvature=True):
     )
 
 
-def gauss_maps(patch, p, tol=1e-14):
+def gauss_maps(frame, tol=1e-14):
     """The two sphere-valued Gauss maps, normalized to unit time component.
 
     The first is the direction of the position, the second the direction of
     the lightlike normal; both are future null directions scaled so the time
     coordinate equals one.
     """
-    frame = JetFrame(patch, *p)
     psi = frame.psi_val
     eta = frame.eta_val
     gf = psi / psi[..., 0:1]
@@ -404,63 +403,95 @@ def gauss_maps(patch, p, tol=1e-14):
     return gf, gp
 
 
-def umbilic_point_search(patch, coarse=(48, 96), refine_iters=200, n_starts=4):
+# -- extremal points ----------------------------------------------------------
+
+
+def newton_extremum(patch, u, v, field, maximize=False):
+    """Refine start points on a closed (theta, phi) chart toward local extrema.
+
+    ``field(frame)`` returns the field as a jet of valid order 2 or more and
+    the scale of its rounding noise per point.  Each step builds one JetFrame
+    over the starts still moving.  A start steps only while its Hessian is
+    definite with the sign of the extremum beyond 1e-8 of the scale (on round
+    spheres both callers' fields are constant and it is noise below 1e-10),
+    and keeps a step only if theta stays in (0, pi) and the value does not get
+    worse; phi is periodic and left unwrapped.  A start stops at a step below
+    1e-12 or after 8 steps.  Returns the refined u, v and the value there.
+    """
+    sign = -1.0 if maximize else 1.0
+    u = np.array(u, dtype=float).ravel()
+    v = np.array(v, dtype=float).ravel()
+    value, grad, hess, scale = _field_derivatives(field, JetFrame(patch, u, v))
+    found = value.copy()
+    live = np.arange(u.size)
+    for _ in range(8):
+        ok = np.min(sign * np.linalg.eigvalsh(hess), axis=-1) > 1e-8 * scale
+        step = np.linalg.solve(hess[ok], grad[ok][..., None])[..., 0]
+        live, value = live[ok], value[ok]
+        tu, tv = u[live] - step[:, 0], v[live] - step[:, 1]
+        ok = (0.0 < tu) & (tu < np.pi)
+        if not np.any(ok):
+            break
+        live, value, step, tu, tv = live[ok], value[ok], step[ok], tu[ok], tv[ok]
+        trial, grad, hess, scale = _field_derivatives(field, JetFrame(patch, tu, tv))
+        kept = sign * trial <= sign * value
+        u[live[kept]], v[live[kept]], found[live[kept]] = tu[kept], tv[kept], trial[kept]
+        ok = kept & (np.hypot(step[:, 0], step[:, 1]) >= 1e-12)
+        live, value, grad, hess, scale = live[ok], trial[ok], grad[ok], hess[ok], scale[ok]
+    return u, v, found
+
+
+def _field_derivatives(field, frame):
+    """Value, gradient (n, 2), Hessian (n, 2, 2) and scale of a field jet."""
+    jet, scale = field(frame)
+    d_uu, d_uv, d_vv = jet.partial(2, 0), jet.partial(1, 1), jet.partial(0, 2)
+    grad = np.stack([jet.partial(1, 0), jet.partial(0, 1)], axis=-1)
+    hess = np.stack([np.stack([d_uu, d_uv], axis=-1), np.stack([d_uv, d_vv], axis=-1)], axis=-2)
+    return jet.value, grad, hess, scale
+
+
+#: Coarse grid and number of separated starts of the umbilic search.
+UMBILIC_GRID = (32, 64)
+UMBILIC_STARTS = 4
+
+
+def umbilic_point_search(patch):
     """Locate a point where both curvature-inequality gaps (nearly) vanish.
 
     On a closed surface an umbilic point must exist, but a fixed grid only
     gets within O(h^2) of it, and the gap field can carry shallow secondary
-    minima; a simplex descent is therefore started from several separated
-    low-gap grid nodes.  An umbilic sitting at a coordinate pole is
-    invisible to the main chart, so a pole-rotated twin chart is searched
-    too and the better find wins.  Returns (u, v, gap_low, gap_high) in the
-    coordinates of the winning chart.
+    minima; Newton steps on the gap jet K^2 - 4 det A therefore start from
+    several separated low-gap grid nodes.  An umbilic sitting at a
+    coordinate pole is invisible to the main chart, so the pole-rotated twin
+    chart is searched too and the better find wins.  The winner is
+    re-evaluated with a fresh single-point JetFrame.  Returns (u, v,
+    gap_low, gap_high) in the coordinates of the winning chart.
     """
-    best = _umbilic_search_one(patch, coarse, refine_iters, n_starts)
-    if patch.rotated is not None:
-        alt = _umbilic_search_one(patch.rotated, coarse, refine_iters, n_starts)
-        if alt[2] < best[2]:
-            best = alt
-    return best
-
-
-def _umbilic_search_one(patch, coarse, refine_iters, n_starts):
-    from scipy.optimize import minimize
-
-    u, v = patch.grid_points(coarse)
-    frame = JetFrame(patch, u, v)
-    (u0b, u1b), (v0b, v1b) = patch.domain
-    span_u, span_v = u1b - u0b, v1b - v0b
-
-    # lowest-gap nodes, kept mutually separated so distinct basins are hit
-    order = np.argsort(frame.gap_low)
-    starts = []
-    for k in order:
-        if len(starts) >= n_starts:
-            break
-        if all(
-            max(abs(u[k] - su) / span_u, abs(v[k] - sv) / span_v) > 0.08
-            for su, sv in starts
-        ) or not starts:
-            starts.append((u[k], v[k]))
-
-    def gap(x):
-        uu = float(np.clip(x[0], u0b + 1e-6, u1b - 1e-6))
-        vv = float(np.clip(x[1], v0b + 1e-6, v1b - 1e-6))
-        return float(JetFrame(patch, uu, vv).gap_low)
-
     best = None
-    for su, sv in starts:
-        res = minimize(
-            gap,
-            np.array([su, sv]),
-            method="Nelder-Mead",
-            options={"maxiter": refine_iters, "xatol": 1e-10, "fatol": 1e-14},
+    for chart in filter(None, (patch, patch.rotated)):
+        u, v, gap = newton_extremum(
+            chart, *_umbilic_starts(chart), lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2)
         )
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.fun < 1e-14:
-            break
-    uu = float(np.clip(best.x[0], u0b + 1e-6, u1b - 1e-6))
-    vv = float(np.clip(best.x[1], v0b + 1e-6, v1b - 1e-6))
-    f = JetFrame(patch, uu, vv)
-    return uu, vv, float(f.gap_low), float(f.gap_high)
+        k = int(np.argmin(gap))
+        if best is None or gap[k] < best[0]:
+            best = (gap[k], chart, float(u[k]), float(v[k] % (2.0 * np.pi)))
+    _, chart, u, v = best
+    f = JetFrame(chart, u, v)
+    return u, v, float(f.gap_low), float(f.gap_high)
+
+
+def _umbilic_starts(patch):
+    """Lowest-gap nodes of the coarse grid, kept apart so distinct basins are hit."""
+    u, v = patch.grid_points(UMBILIC_GRID)
+    gap = JetFrame(patch, u, v).gap_low
+    (u0, u1), (v0, v1) = patch.domain
+    starts = []
+    for k in np.argsort(gap):
+        if all(
+            max(abs(u[k] - u[j]) / (u1 - u0), abs(v[k] - v[j]) / (v1 - v0)) > 0.08
+            for j in starts
+        ):
+            starts.append(k)
+            if len(starts) == UMBILIC_STARTS:
+                break
+    return u[starts], v[starts]

@@ -18,6 +18,7 @@ from lightcone.cli import (
     EXIT_OK,
     main,
 )
+from lightcone.errors import GaussMapUndefined
 from lightcone.integrals import SphereGrid
 from lightcone.search import VarianceObjective
 from lightcone.surfaces import JetFrame
@@ -222,10 +223,19 @@ def test_search_roundtrip_and_determinism(tmp_path):
         ["search", "--config", "{cfg}", "--out", "{bad}"],
         ["search", "--config", "{cfg}", "--out", "{tmp}/r.json", "--trace", "{bad}"],
         ["search", "--config", "{cfg}", "--out", "{tmp}/r.json", "--manifest", "{bad}"],
+        ["export", "round-sphere", "--grid", "4x8", "--out", "{bad}"],
     ],
-    ids=["verify_out", "global_out", "search_out", "search_trace", "search_manifest"],
+    ids=["verify_out", "global_out", "search_out", "search_trace", "search_manifest",
+         "export_out"],
 )
-def test_unwritable_output_exits_3(tmp_path, capsys, argv):
+def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, argv):
+    # every output path is checked before any work: the surface is never
+    # built and the search never runs
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_build_surface", never)
+    monkeypatch.setattr(cli, "run_search", never)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16,
                                "max_iter": 20}))
@@ -234,6 +244,19 @@ def test_unwritable_output_exits_3(tmp_path, capsys, argv):
     assert main([a.format(**fill) for a in argv]) == EXIT_DEGENERATE
     err = capsys.readouterr().err
     assert f"cannot write {bad}" in err
+    assert "Traceback" not in err
+    # the probe of the writable paths leaves no file behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_undefined_gauss_map_exits_3(capsys, monkeypatch):
+    def undefined(frame):
+        raise GaussMapUndefined("normal has zero time component")
+
+    monkeypatch.setattr(cli, "gauss_maps", undefined)
+    assert main(["verify", "round-sphere", "--grid", "4x8"]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert "degenerate input: normal has zero time component" in err
     assert "Traceback" not in err
 
 

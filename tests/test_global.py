@@ -112,7 +112,7 @@ def test_lambda1_monotone_refinement(unit_sphere):
     from lightcone.spectrum import _lambda1_raw
 
     vals = [
-        _lambda1_raw(SphereGrid(unit_sphere, n, 2 * n, want_second_curv=False))[0]
+        _lambda1_raw(SphereGrid(unit_sphere, n, 2 * n, want_second_curv=False))
         for n in (32, 48, 64)
     ]
     gap1 = abs(vals[1] - vals[0])
