@@ -20,9 +20,10 @@ import numpy as np
 from . import __version__, catalog, curvature, transforms
 from .errors import DegeneracyViolation, LightconeError
 from .integrals import SphereGrid, geometry_table
+from .minkowski import inner
 from .search import ORACLE_TOL, SearchConfig, search as run_search, umbilical_offset
 from .spectrum import lambda1_estimate
-from .surfaces import JetFrame, _mat2, gauss_maps, umbilic_point_search
+from .surfaces import JetFrame, gauss_maps, umbilic_point_search
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -275,20 +276,20 @@ FRAME_CHECKS = (
 
 
 def _frame_residuals(frame):
-    eta, psi = frame.eta, frame.psi
+    eta, psi = frame.eta_val, frame.psi_val
     II = frame.II_val
     gA = np.einsum("...ac,...cb->...ab", frame.g_val, frame.A_val)
     k_br = curvature.gauss_curvature_brioschi(frame)
     return (
-        np.max(np.abs(psi.dot(psi).value)),
+        np.max(np.abs(inner(psi, psi))),
         _worst(
-            np.max(np.abs(eta.dot(eta).value)),
-            np.max(np.abs(eta.dot(psi).value - 1.0)),
-            np.max(np.abs(eta.dot(frame.psi_u).value)),
-            np.max(np.abs(eta.dot(frame.psi_v).value)),
+            np.max(np.abs(inner(eta, eta))),
+            np.max(np.abs(inner(eta, psi) - 1.0)),
+            np.max(np.abs(inner(eta, frame.psi_u.values))),
+            np.max(np.abs(inner(eta, frame.psi_v.values))),
         ),
         np.max(frame.position_weingarten_residual()),
-        np.max(np.abs(_mat2(frame.weingarten_closed_form()) - frame.A_val)),
+        np.max(np.abs(frame.weingarten_closed_form() - frame.A_val)),
         np.max(frame.normal_parallel_residual()),
         np.max(np.abs(II[..., 0, 1] - II[..., 1, 0])),
         np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])),
@@ -571,9 +572,6 @@ def cmd_export(args):
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    keta = table.get("K_eta")
-    if keta is None:
-        keta = np.full(th.size, np.nan)
     try:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -584,7 +582,7 @@ def cmd_export(args):
                         repr(float(th[k])),
                         repr(float(ph[k])),
                         repr(float(table["K"][k])),
-                        repr(float(keta[k])),
+                        repr(float(table["K_eta"][k])),
                         repr(float(table["detA"][k])),
                         repr(float(table["gap_low"][k])),
                         repr(float(table["gap_high"][k])),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
 from .jets import Jet2
-from .surfaces import _det2
+from .surfaces import _det2, _stack2
 
 
 @dataclass
@@ -32,11 +32,12 @@ class MetricField:
     F: Jet2
     G: Jet2
 
-    def det(self):
-        return self.E * self.G - self.F * self.F
+    def det_val(self):
+        e, f, g = self.E.value, self.F.value, self.G.value
+        return e * g - f * f
 
     def require_nondegenerate(self):
-        if np.any(self.det().value == 0.0):
+        if np.any(self.det_val() == 0.0):
             raise DegenerateMetric("metric determinant vanishes at the base point")
 
 
@@ -48,27 +49,26 @@ def second_form_metric_field(frame):
 
 
 def christoffels(m, gi=None):
-    """Levi-Civita symbols Gamma[c][a][b] of a metric field, as jets.
+    """Levi-Civita symbols of a metric field, as an array indexed [..., c, a, b].
 
-    ``gi`` is the inverse metric as nested jet pairs; a caller that already
-    holds it passes it in, otherwise it is formed from the adjugate.
+    Built from the first partials of E, F, G and the inverse-metric values
+    ``gi`` (an array [..., a, b]); a caller that already holds them passes
+    them in, otherwise they are formed from the adjugate.
     """
     if gi is None:
         m.require_nondegenerate()
-        det = m.det()
-        gi = ((m.G / det, -m.F / det), (-m.F / det, m.E / det))
-    g = ((m.E, m.F), (m.F, m.G))
-    dg = [[[g[a][b].d(ax) for b in range(2)] for a in range(2)] for ax in ("u", "v")]
-    out = [[[None, None], [None, None]], [[None, None], [None, None]]]
-    for c in range(2):
-        for a in range(2):
-            for b in range(2):
-                acc = None
-                for d in range(2):
-                    t = gi[c][d] * (dg[a][d][b] + dg[b][d][a] - dg[d][a][b])
-                    acc = t if acc is None else acc + t
-                out[c][a][b] = acc * 0.5
-    return tuple(tuple(tuple(r) for r in p) for p in out)
+        e, f, g, det = m.E.value, m.F.value, m.G.value, m.det_val()
+        gi = _stack2(g / det, -f / det, -f / det, e / det)
+    # dg[..., p, a, b] = d_p g_ab, symmetric in (a, b).
+    dg = np.stack(
+        [_stack2(m.E.partial(*p), m.F.partial(*p), m.F.partial(*p), m.G.partial(*p))
+         for p in ((1, 0), (0, 1))],
+        axis=-3,
+    )
+    # t[..., d, a, b] = d_a g_db + d_b g_da - d_d g_ab
+    t = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+    return (gi[..., :, 0, None, None] * t[..., None, 0, :, :]
+            + gi[..., :, 1, None, None] * t[..., None, 1, :, :]) * 0.5
 
 
 def brioschi_curvature(m):
@@ -123,19 +123,14 @@ def second_form_curvature(frame):
 def shape_operator_covariant_derivative(frame):
     """(nabla_a A)^c_b as a value array of shape (..., 2, 2, 2) = [a, c, b]."""
     A = frame.A
-    gam = frame.gamma
-    axes = ("u", "v")
     dA = np.empty(frame.A_val.shape[:-2] + (2, 2, 2))
-    gam_v = np.empty_like(dA)
-    for a in range(2):
-        for c in range(2):
-            for b in range(2):
-                dA[..., a, c, b] = A[c][b].d(axes[a]).value
-                gam_v[..., a, c, b] = gam[c][a][b].value
+    for a, c, b in np.ndindex(2, 2, 2):
+        dA[..., a, c, b] = A[c][b].partial(1 - a, a)
+    gam = np.swapaxes(frame.gamma, -3, -2)  # [a, c, b]
     A_v = frame.A_val
     out = dA.copy()
-    out += np.einsum("...acd,...db->...acb", gam_v, A_v)
-    out -= np.einsum("...adb,...cd->...acb", gam_v, A_v)
+    out += np.einsum("...acd,...db->...acb", gam, A_v)
+    out -= np.einsum("...adb,...cd->...acb", gam, A_v)
     return out
 
 

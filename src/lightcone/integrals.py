@@ -30,28 +30,27 @@ def sphere_quadrature(n_theta, n_phi):
     return TH.ravel(), PH.ravel(), weights
 
 
-def geometry_table(patch, u, v, want_second_curv=True, chunk=2048):
+def geometry_table(patch, u, v, chunk=2048):
     """Value-level dashboard arrays at arbitrary chart points.
 
-    Returns a dict of flat arrays: position, psi0, sqrt_detg, K, detA,
-    gap_low, gap_high, H2, ii_positive and (optionally) K_eta.  Points are
+    Returns a dict of flat arrays: psi0, sqrt_detg, K, detA, gap_low,
+    gap_high, H2, ii_positive and K_eta (NaN where II is singular).  Points are
     swept in chunks that bound memory and concatenated in order, so the
     result is the same for any chunk size.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     parts = [
-        _table_chunk(patch, u[s : s + chunk], v[s : s + chunk], want_second_curv)
+        _table_chunk(patch, u[s : s + chunk], v[s : s + chunk])
         for s in range(0, u.size, chunk)
     ]
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
-def _table_chunk(patch, u, v, want_second_curv):
+def _table_chunk(patch, u, v):
     """The table entries of one chunk; its frame is freed on return."""
     frame = JetFrame(patch, u, v)
     out = {
-        "pos": frame.psi_val,
         "psi0": frame.psi0_val,
         "sqrt_detg": frame.sqrt_detg_val,
         "K": frame.K_val,
@@ -61,18 +60,17 @@ def _table_chunk(patch, u, v, want_second_curv):
         "H2": frame.H2_val,
         "ii_positive": frame.ii_positive,
     }
-    if want_second_curv:
-        if np.any(_det2(frame.II_val) == 0.0):
-            out["K_eta"] = np.full(u.size, np.nan)
-        else:
-            out["K_eta"] = brioschi_curvature(second_form_metric_field(frame))
+    if np.any(_det2(frame.II_val) == 0.0):
+        out["K_eta"] = np.full(u.size, np.nan)
+    else:
+        out["K_eta"] = brioschi_curvature(second_form_metric_field(frame))
     return {k: np.atleast_1d(a) for k, a in out.items()}
 
 
 class SphereGrid:
     """Quadrature grid with cached pointwise geometry over a closed chart."""
 
-    def __init__(self, patch, n_theta=64, n_phi=128, want_second_curv=True):
+    def __init__(self, patch, n_theta=64, n_phi=128):
         if not patch.closed:
             raise DegeneracyViolation(
                 f"{patch.name}: quadrature grids need a closed spherical chart"
@@ -81,7 +79,7 @@ class SphereGrid:
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         self.TH, self.PH, w2 = sphere_quadrature(self.n_theta, self.n_phi)
-        self.table = geometry_table(patch, self.TH, self.PH, want_second_curv=want_second_curv)
+        self.table = geometry_table(patch, self.TH, self.PH)
         self.weights = w2 * self.table["sqrt_detg"] / np.sin(self.TH)
 
     @property
@@ -115,7 +113,7 @@ class SphereGrid:
 
     def gauss_bonnet_second_form(self):
         """Total curvature of II against its own area element; also 4 pi."""
-        if "K_eta" not in self.table or np.any(~np.isfinite(self.table["K_eta"])):
+        if np.any(~np.isfinite(self.table["K_eta"])):
             raise DegeneracyViolation("second-form curvature unavailable on the grid")
         return self.integrate(self.table["K_eta"], measure="second_form")
 

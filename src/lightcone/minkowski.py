@@ -69,7 +69,7 @@ def boost_to(u, tol=1e-10):
     u = np.asarray(u, dtype=float)
     if u.shape != (4,):
         raise NotUnitTimelike(f"expected a 4-vector, got shape {u.shape}")
-    if abs(float(inner(u, u)) + 1.0) > tol or u[0] >= 0.0:
+    if not (abs(float(inner(u, u)) + 1.0) <= tol and u[0] < 0.0):
         raise NotUnitTimelike(
             f"u must satisfy <u,u> = -1 with u0 < 0, "
             f"got <u,u> = {float(inner(u, u)):g}, u0 = {float(u[0]):g}"

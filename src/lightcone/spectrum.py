@@ -16,18 +16,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverFailure
+from .integrals import sphere_quadrature
 from .minkowski import inner
 
 
-def _mesh(grid):
-    """Vertices (Minkowski positions) and triangles covering the sphere."""
-    nt, np_ = grid.n_theta, grid.n_phi
+def _mesh(patch, nt, np_):
+    """Vertices (chart positions at the quadrature nodes and poles) and triangles."""
     verts = np.empty((nt * np_ + 2, 4))
-    verts[:-2] = grid.table["pos"]
+    th, ph, _ = sphere_quadrature(nt, np_)
+    verts[:-2] = patch.position(th, ph)
     north = nt * np_
     south = north + 1
-    verts[north] = grid.patch.position(0.0, 0.0)
-    verts[south] = grid.patch.position(np.pi, 0.0)
+    verts[north] = patch.position(0.0, 0.0)
+    verts[south] = patch.position(np.pi, 0.0)
 
     def node(i, j):
         return i * np_ + j % np_
@@ -101,14 +102,15 @@ class Lambda1Result:
     reilly_rhs: float
 
 
-def _lambda1_raw(grid, k=6):
-    n_verts = grid.n_theta * grid.n_phi + 2
+def _lambda1_raw(patch, n_theta, n_phi, k=6):
+    """First nonzero eigenvalue of the cotangent Laplacian on the n_theta x n_phi mesh."""
+    n_verts = n_theta * n_phi + 2
     if n_verts <= k:
         raise EigenSolverFailure(
-            f"{grid.n_theta}x{grid.n_phi} grid is too small for the spectrum: "
+            f"{n_theta}x{n_phi} grid is too small for the spectrum: "
             f"{n_verts} mesh vertices, more than {k} needed"
         )
-    verts, tris = _mesh(grid)
+    verts, tris = _mesh(patch, n_theta, n_phi)
     W, mass = _cotangent_system(verts, tris)
     M = sp.diags(mass)
     scale = float(W.diagonal().sum() / mass.sum())
@@ -141,14 +143,10 @@ def lambda1_estimate(grid):
     the honest accuracy indicator; discrete spectra converge at O(h^2), far
     slower than the quadrature used elsewhere.
     """
-    from .integrals import SphereGrid
-
-    value = _lambda1_raw(grid)
-    coarse = SphereGrid(
-        grid.patch, max(8, grid.n_theta // 2), max(16, grid.n_phi // 2), want_second_curv=False
-    )
+    value = _lambda1_raw(grid.patch, grid.n_theta, grid.n_phi)
+    coarse = _lambda1_raw(grid.patch, max(8, grid.n_theta // 2), max(16, grid.n_phi // 2))
     return Lambda1Result(
         value=value,
-        refinement_gap=abs(value - _lambda1_raw(coarse)),
+        refinement_gap=abs(value - coarse),
         reilly_rhs=reilly_bound_rhs(grid),
     )

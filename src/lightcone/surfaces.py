@@ -3,8 +3,10 @@
 A chart maps lifted coordinate jets to a jet-valued Minkowski vector; from
 that single evaluation the frame below derives the induced metric, the
 canonical lightlike normal, both Weingarten routes, the second fundamental
-form, curvatures and inequality gaps -- all as jets, so second-level
-quantities stay differentiable for the curvature calculus.
+form, curvatures and inequality gaps.  A quantity stays a jet only when
+some caller reads its derivatives (the metric, the normal, the shape
+operator, II and the curvatures feed the curvature calculus); everything
+read only as a value is computed from value arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     ConsistencyError,
 )
 from .jets import Jet2, JetVec4
+from .minkowski import inner
 
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -69,13 +72,14 @@ class SurfacePatch:
 
 
 class JetFrame:
-    """Every jet-level geometric quantity of a patch at one or many points.
+    """Every geometric quantity of a patch at one or many points.
 
     The frame is the single evaluation pass everything else reads from:
     metric and inverse, Christoffel symbols, the lightlike normal with
     <eta,eta> = 0 and <psi,eta> = 1, the shape operator by tangential
     projection, the eta-second fundamental form, mean curvature vector and
-    the determinant/trace curvatures.
+    the determinant/trace curvatures.  Only what the curvature calculus
+    differentiates is a jet; the guards are written so that NaN fails them.
     """
 
     def __init__(self, patch, u, v, on_cone_tol=1e-9, check=True):
@@ -94,8 +98,8 @@ class JetFrame:
         self.psi_vv = self.psi_v.d("v")
 
         if check:
-            cone = psi.dot(psi).value
-            if np.max(np.abs(cone)) > on_cone_tol or np.any(psi[0].value <= 0.0):
+            cone = inner(self.psi_val, self.psi_val)
+            if not (np.all(np.abs(cone) <= on_cone_tol) and np.all(self.psi0_val > 0.0)):
                 raise NotOnLightcone(
                     f"{patch.name}: max |<psi,psi>| = {np.max(np.abs(cone)):.3e}, "
                     f"min psi0 = {np.min(psi[0].value):.3e}"
@@ -105,7 +109,7 @@ class JetFrame:
         F = self.psi_u.dot(self.psi_v)
         G = self.psi_v.dot(self.psi_v)
         detg = E * G - F * F
-        if check and (np.any(E.value <= 0.0) or np.any(detg.value <= 0.0)):
+        if check and not (np.all(E.value > 0.0) and np.all(detg.value > 0.0)):
             raise NotSpacelike(
                 f"{patch.name}: induced metric not positive definite "
                 f"(min E = {np.min(E.value):.3e}, min det g = {np.min(detg.value):.3e})"
@@ -159,34 +163,19 @@ class JetFrame:
 
     @cached_property
     def gamma(self):
-        """Christoffel symbols of the induced metric, as jets."""
+        """Christoffel symbols of the induced metric, indexed [..., c, a, b]."""
         from .curvature import MetricField, christoffels
 
-        return christoffels(MetricField(self.E, self.F, self.G), self.gi)
+        return christoffels(MetricField(self.E, self.F, self.G), self.gi_val)
 
     @cached_property
     def iivec(self):
-        """Vector-valued second fundamental form in the chart basis."""
-        dd = ((self.psi_uu, self.psi_uv), (self.psi_uv, self.psi_vv))
-        tangents = (self.psi_u, self.psi_v)
-        out = [[None, None], [None, None]]
-        for a in range(2):
-            for b in range(2):
-                w = dd[a][b]
-                for c in range(2):
-                    w = w - tangents[c].scale(self.gamma[c][a][b])
-                out[a][b] = w
-        return out
-
-    @cached_property
-    def Hvec(self):
-        """Mean curvature vector, half the metric trace of the vector form."""
-        h = None
-        for a in range(2):
-            for b in range(2):
-                term = self.iivec[a][b].scale(self.gi[a][b])
-                h = term if h is None else h + term
-        return h.scale(0.5)
+        """Vector-valued second fundamental form, indexed [..., a, b, 4]."""
+        uu, uv, vv = self.psi_uu.values, self.psi_uv.values, self.psi_vv.values
+        dd = np.stack([np.stack([uu, uv], axis=-2), np.stack([uv, vv], axis=-2)], axis=-3)
+        gam = self.gamma[..., None]
+        return (dd - self.psi_u.values[..., None, None, :] * gam[..., 0, :, :, :]
+                - self.psi_v.values[..., None, None, :] * gam[..., 1, :, :, :])
 
     # -- value-level views --------------------------------------------------
 
@@ -238,11 +227,14 @@ class JetFrame:
 
     @cached_property
     def H_val(self):
-        return self.Hvec.values
+        """Mean curvature vector, half the metric trace of the vector form."""
+        ii, gi = self.iivec, self.gi_val[..., None]
+        return 0.5 * (ii[..., 0, 0, :] * gi[..., 0, 0, :] + ii[..., 0, 1, :] * gi[..., 0, 1, :]
+                      + ii[..., 1, 0, :] * gi[..., 1, 0, :] + ii[..., 1, 1, :] * gi[..., 1, 1, :])
 
     @cached_property
     def H2_val(self):
-        return self.Hvec.dot(self.Hvec).value
+        return inner(self.H_val, self.H_val)
 
     @cached_property
     def sqrt_detg_val(self):
@@ -255,42 +247,34 @@ class JetFrame:
 
     # -- secondary computations ---------------------------------------------
 
+    def covariant_hessian(self, f):
+        """Gradient [..., a] and Christoffel-corrected Hessian [..., a, b] of a scalar jet."""
+        df = np.stack([f.partial(1, 0), f.partial(0, 1)], axis=-1)
+        ddf = _stack2(f.partial(2, 0), f.partial(1, 1), f.partial(1, 1), f.partial(0, 2))
+        gam = self.gamma
+        return df, (ddf - gam[..., 0, :, :] * df[..., 0, None, None]
+                    - gam[..., 1, :, :] * df[..., 1, None, None])
+
     def weingarten_closed_form(self):
         """Shape operator from the height function psi0 and its metric Hessian.
 
         Independent of the projection route: uses only psi0, the gradient
-        norm and the Christoffel-corrected Hessian, as jets.
+        norm and the Christoffel-corrected Hessian.
         """
-        p0 = self.psi[0]
-        dp = (p0.d("u"), p0.d("v"))
-        up = tuple(self.gi[a][0] * dp[0] + self.gi[a][1] * dp[1] for a in range(2))
-        grad2 = dp[0] * up[0] + dp[1] * up[1]
-        hess = [[None, None], [None, None]]
-        ddp = ((p0.d("u").d("u"), p0.d("u").d("v")), (p0.d("u").d("v"), p0.d("v").d("v")))
-        for a in range(2):
-            for b in range(2):
-                h = ddp[a][b]
-                for c in range(2):
-                    h = h - self.gamma[c][a][b] * dp[c]
-                hess[a][b] = h
-        lam = (grad2 + 1.0) / (self.psi[0] * self.psi[0] * 2.0)
-        out = [[None, None], [None, None]]
-        for c in range(2):
-            for a in range(2):
-                hop = self.gi[c][0] * hess[0][a] + self.gi[c][1] * hess[1][a]
-                term = hop / p0
-                if c == a:
-                    term = term - lam
-                out[c][a] = term
-        return tuple(tuple(row) for row in out)
+        p0 = self.psi0_val
+        gi = self.gi_val
+        dp, hess = self.covariant_hessian(self.psi[0])
+        up = gi[..., 0] * dp[..., 0, None] + gi[..., 1] * dp[..., 1, None]
+        grad2 = dp[..., 0] * up[..., 0] + dp[..., 1] * up[..., 1]
+        lam = (grad2 + 1.0) / (p0 * p0 * 2.0)
+        hop = (gi[..., :, 0, None] * hess[..., None, 0, :]
+               + gi[..., :, 1, None] * hess[..., None, 1, :])
+        return hop / p0[..., None, None] - lam[..., None, None] * np.eye(2)
 
     def position_weingarten_residual(self):
         """Sup-norm of A_psi + I, with A_psi obtained by projection."""
-        m = np.empty(self.g_val.shape)
-        tangents = (self.psi_u, self.psi_v)
-        for b in range(2):
-            for a in range(2):
-                m[..., b, a] = tangents[a].dot(tangents[b]).value
+        t = np.stack([self.psi_u.values, self.psi_v.values], axis=-2)
+        m = inner(t[..., None, :, :], t[..., :, None, :])  # m[b, a] = <t_a, t_b>
         a_psi = -np.einsum("...cb,...ba->...ca", self.gi_val, m)
         eye = np.eye(2)
         return np.max(np.abs(a_psi + eye), axis=(-2, -1))
@@ -301,37 +285,36 @@ class JetFrame:
         The lightlike normal is parallel along the surface, so its derivative
         must be purely tangential.
         """
+        gi = self.gi_val
+        pu, pv = self.psi_u.values, self.psi_v.values
         out = []
-        for deta in (self.eta_u, self.eta_v):
-            su = deta.dot(self.psi_u)
-            sv = deta.dot(self.psi_v)
-            tu = self.gi[0][0] * su + self.gi[0][1] * sv
-            tv = self.gi[1][0] * su + self.gi[1][1] * sv
-            rem = deta - self.psi_u.scale(tu) - self.psi_v.scale(tv)
-            out.append(np.linalg.norm(rem.values, axis=-1))
+        for deta in (self.eta_u.values, self.eta_v.values):
+            su = inner(deta, pu)[..., None]
+            sv = inner(deta, pv)[..., None]
+            tu = gi[..., 0, 0, None] * su + gi[..., 0, 1, None] * sv
+            tv = gi[..., 1, 0, None] * su + gi[..., 1, 1, None] * sv
+            out.append(np.linalg.norm(deta - pu * tu - pv * tv, axis=-1))
         return np.maximum(out[0], out[1])
 
     def second_form_inner_residual(self):
         """|<II, II> - 2 K| from the vector-valued second fundamental form."""
-        gi = self.gi_val
+        gi, ii = self.gi_val, self.iivec
+        ip = inner(ii[..., :, :, None, None, :], ii[..., None, None, :, :, :])
         val = 0.0
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    for d_ in range(2):
-                        ip = self.iivec[a][b].dot(self.iivec[c][d_]).value
-                        val = val + gi[..., a, c] * gi[..., b, d_] * ip
+        for a, b, c, d in np.ndindex(2, 2, 2, 2):
+            val = val + gi[..., a, c] * gi[..., b, d] * ip[..., a, b, c, d]
         return np.abs(val - 2.0 * self.K_val)
 
 
+def _stack2(m00, m01, m10, m11):
+    """A stack of 2x2 matrices from its four (broadcast) entries."""
+    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
+    return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
+
+
 def _mat2(entries):
-    rows = []
-    for a in range(2):
-        rows.append([entries[a][b].value for b in range(2)])
-    r0 = np.broadcast_arrays(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
-    return np.stack(
-        [np.stack([r0[0], r0[1]], axis=-1), np.stack([r0[2], r0[3]], axis=-1)], axis=-2
-    )
+    """Value array of a nested 2x2 tuple of jets."""
+    return _stack2(*(entries[a][b].value for a in range(2) for b in range(2)))
 
 
 def _det2(m):

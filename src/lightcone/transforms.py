@@ -107,10 +107,14 @@ def verify_conjugate_duality(patch, grid=(24, 48)):
 
 
 def double_conjugate_residual(patch, grid=(16, 32)):
-    """Sup distance between the original chart and its double conjugate."""
-    conj2 = conjugate(conjugate(patch, check_grid=grid), check_grid=grid)
+    """Sup distance between the original chart and its double conjugate.
+
+    The double conjugate is traced by minus the normal of the conjugate, so
+    its position is read off one frame of the conjugate.
+    """
     u, v = patch.grid_points(grid)
-    return float(np.max(np.abs(conj2.position(u, v) - patch.position(u, v))))
+    conj = JetFrame(conjugate(patch, check_grid=grid), u, v)
+    return float(np.max(np.abs(-conj.eta_val - patch.position(u, v))))
 
 
 def expand(patch, sigma):
@@ -131,18 +135,10 @@ def expand(patch, sigma):
 def _sigma_calculus(frame, sigma):
     """Jet of sigma plus its gradient, Hessian and Laplacian on the frame."""
     s = sigma(Jet2.variable("u", frame.u), Jet2.variable("v", frame.v))
-    ds = np.stack([s.partial(1, 0), s.partial(0, 1)], axis=-1)
+    ds, hess = frame.covariant_hessian(s)
     gi = frame.gi_val
     grad = np.einsum("...ab,...b->...a", gi, ds)
     grad2 = np.einsum("...a,...a->...", ds, grad)
-    hess = np.empty(ds.shape[:-1] + (2, 2))
-    axes = ("u", "v")
-    for a in range(2):
-        for b in range(2):
-            val = s.d(axes[a]).d(axes[b]).value
-            for c in range(2):
-                val = val - frame.gamma[c][a][b].value * ds[..., c]
-            hess[..., a, b] = val
     lap = np.einsum("...ab,...ab->...", gi, hess)
     return s, ds, grad, grad2, hess, lap
 

@@ -209,7 +209,7 @@ def test_criterion_7_eigenvalue_bound():
     t0 = time.perf_counter()
     worst_round = 0.0
     for r in (0.5, 1.0, 2.0):
-        grid = SphereGrid(catalog.round_sphere(r=r), 64, 128, want_second_curv=False)
+        grid = SphereGrid(catalog.round_sphere(r=r), 64, 128)
         res = lambda1_estimate(grid)
         expected = 2.0 / r**2
         worst_round = max(worst_round, abs(res.value - expected) / expected)
@@ -222,7 +222,7 @@ def test_criterion_7_eigenvalue_bound():
     equality_flags = []
     for eps in (0.0, 0.02, 0.05):
         spec = catalog.HarmonicSpec(terms=((2, 0, eps),)) if eps else catalog.HarmonicSpec()
-        grid = SphereGrid(catalog.perturbed_sphere(spec), 64, 128, want_second_curv=False)
+        grid = SphereGrid(catalog.perturbed_sphere(spec), 64, 128)
         res = lambda1_estimate(grid)
         bound_ok = bound_ok and res.value <= res.reilly_rhs * (1.0 + 5e-2)
         rel_gap = (res.reilly_rhs - res.value) / res.reilly_rhs

@@ -131,6 +131,12 @@ def test_nonfinite_radius_rejected(capsys, r):
     assert "radius must be positive and finite" in capsys.readouterr().err
 
 
+def test_nan_observer_rejected(capsys):
+    argv = ["verify", "round-sphere", "--u", "nan", "nan", "nan", "nan", "--grid", "4x8"]
+    assert main(argv) == EXIT_DEGENERATE
+    assert "u must satisfy <u,u> = -1" in capsys.readouterr().err
+
+
 def test_verify_unknown_tolerance_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "round-sphere", "--tol", "bogus=1"])

@@ -49,17 +49,15 @@ def test_brioschi_degenerate_metric_raises():
 def test_christoffels_constant_metric_zero():
     m = MetricField(E=Jet2.constant(2.0), F=Jet2.constant(0.5), G=Jet2.constant(3.0))
     gam = christoffels(m)
-    for c in range(2):
-        for a in range(2):
-            for b in range(2):
-                assert np.max(np.abs(gam[c][a][b].c)) < 1e-15
+    assert gam.shape == (2, 2, 2)
+    assert np.max(np.abs(gam)) < 1e-15
 
 
 def test_christoffels_round_metric_value():
     gam = christoffels(_round_metric_field(1.0, 0.9))
     # polar angle symbol for the azimuthal pair
     expected = -np.sin(0.9) * np.cos(0.9)
-    assert gam[0][1][1].value == pytest.approx(expected, abs=1e-13)
+    assert gam[0, 1, 1] == pytest.approx(expected, abs=1e-13)
 
 
 def test_christoffels_metric_compatibility():
@@ -73,8 +71,8 @@ def test_christoffels_metric_compatibility():
             for b in range(2):
                 resid = g[a][b].d(axes[c]).value
                 for d in range(2):
-                    resid = resid - gam[d][c][a].value * g[d][b].value
-                    resid = resid - gam[d][c][b].value * g[a][d].value
+                    resid = resid - gam[d, c, a] * g[d][b].value
+                    resid = resid - gam[d, c, b] * g[a][d].value
                 assert abs(resid) < 1e-10
 
 

@@ -35,8 +35,8 @@ def test_gauss_bonnet_second_form(unit_grid, bumpy_grid):
 
 
 def test_quadrature_convergence_under_doubling(bumpy_sphere):
-    coarse = SphereGrid(bumpy_sphere, 24, 48, want_second_curv=False)
-    fine = SphereGrid(bumpy_sphere, 48, 96, want_second_curv=False)
+    coarse = SphereGrid(bumpy_sphere, 24, 48)
+    fine = SphereGrid(bumpy_sphere, 48, 96)
     assert abs(coarse.gauss_bonnet() - fine.gauss_bonnet()) < 1e-9
 
 
@@ -101,7 +101,7 @@ def test_curvature_floor_perturbed(bumpy_grid):
 
 def test_lambda1_round_sphere_all_radii():
     for r in (0.5, 1.0, 2.0):
-        grid = SphereGrid(catalog.round_sphere(r=r), 48, 96, want_second_curv=False)
+        grid = SphereGrid(catalog.round_sphere(r=r), 48, 96)
         res = lambda1_estimate(grid)
         expected = 2.0 / r**2
         assert abs(res.value - expected) / expected < 1e-2
@@ -111,10 +111,7 @@ def test_lambda1_round_sphere_all_radii():
 def test_lambda1_monotone_refinement(unit_sphere):
     from lightcone.spectrum import _lambda1_raw
 
-    vals = [
-        _lambda1_raw(SphereGrid(unit_sphere, n, 2 * n, want_second_curv=False))
-        for n in (32, 48, 64)
-    ]
+    vals = [_lambda1_raw(unit_sphere, n, 2 * n) for n in (32, 48, 64)]
     gap1 = abs(vals[1] - vals[0])
     gap2 = abs(vals[2] - vals[1])
     assert gap1 / gap2 >= 2.0
@@ -123,8 +120,7 @@ def test_lambda1_monotone_refinement(unit_sphere):
 def test_lambda1_repeats_exactly(unit_sphere):
     from lightcone.spectrum import _lambda1_raw
 
-    grid = SphereGrid(unit_sphere, 16, 32, want_second_curv=False)
-    assert _lambda1_raw(grid) == _lambda1_raw(grid)
+    assert _lambda1_raw(unit_sphere, 16, 32) == _lambda1_raw(unit_sphere, 16, 32)
 
 
 def test_eigenvalue_bound_round_equality(unit_grid):

@@ -349,12 +349,15 @@ def test_scalar_times_batched_jet(cs, width, seed):
 
 # -- bitwise batch invariance ------------------------------------------------
 
-_FRAME_FIELDS = ("gap_low", "K_val", "detA_val", "sqrt_detg_val", "H_val", "eta_val")
+_FRAME_FIELDS = (
+    "gap_low", "K_val", "detA_val", "sqrt_detg_val", "H_val", "H2_val", "eta_val", "gamma",
+)
 
 
 def _frame_fields(patch, u, v):
     frame = JetFrame(patch, u, v)
     out = {name: getattr(frame, name) for name in _FRAME_FIELDS}
+    out["weingarten_closed_form"] = frame.weingarten_closed_form()
     out["K_eta"] = brioschi_curvature(second_form_metric_field(frame))
     return out
 

@@ -99,3 +99,8 @@ def test_boost_rejects_bad_observers():
         boost_to(vec(-2, 0, 0, 0))  # not unit
     with pytest.raises(NotUnitTimelike):
         boost_to(vec(0, 1, 0, 0))  # spacelike
+
+
+def test_boost_rejects_nan_observer():
+    with pytest.raises(NotUnitTimelike):
+        boost_to(vec(np.nan, np.nan, np.nan, np.nan))

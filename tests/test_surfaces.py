@@ -10,7 +10,6 @@ from lightcone.surfaces import (
     UMBILIC_GRID,
     JetFrame,
     SurfacePatch,
-    _mat2,
     gauss_maps,
     point_geometry,
     umbilic_point_search,
@@ -75,7 +74,7 @@ def test_weingarten_round_sphere_both_methods():
         f = JetFrame(patch, 1.1, 2.2)
         expected = -np.eye(2) / (2 * r * r)
         assert np.allclose(f.A_val, expected, atol=1e-12)
-        assert np.allclose(_mat2(f.weingarten_closed_form()), expected, atol=1e-12)
+        assert np.allclose(f.weingarten_closed_form(), expected, atol=1e-12)
 
 
 def test_weingarten_cylinder_eigenstructure(cylinder):
@@ -85,7 +84,7 @@ def test_weingarten_cylinder_eigenstructure(cylinder):
     f = JetFrame(cylinder, 0.3, 0.9)
     A = f.A_val
     assert np.allclose(A, np.diag([0.5, -0.5]), atol=1e-12)
-    A2 = _mat2(f.weingarten_closed_form())
+    A2 = f.weingarten_closed_form()
     assert np.allclose(A2, np.diag([0.5, -0.5]), atol=1e-12)
     assert sorted(np.linalg.eigvals(A)) == pytest.approx([-0.5, 0.5], abs=1e-12)
 
@@ -103,7 +102,7 @@ def test_two_method_agreement_random_spheres():
         patch, _ = random_perturbed_sphere(rng)
         u, v = patch.sample_points(200, rng, margin=0.05)
         f = JetFrame(patch, u, v)
-        closed = _mat2(f.weingarten_closed_form())
+        closed = f.weingarten_closed_form()
         assert np.max(np.abs(closed - f.A_val)) < 1e-8
 
 
@@ -112,7 +111,7 @@ def test_two_method_agreement_noncompact(cylinder, paraboloid, unit_sphere):
     for patch in (cylinder, paraboloid, unit_sphere):
         u, v = patch.sample_points(200, rng, margin=0.03)
         f = JetFrame(patch, u, v)
-        closed = _mat2(f.weingarten_closed_form())
+        closed = f.weingarten_closed_form()
         assert np.max(np.abs(closed - f.A_val)) < 1e-8, patch.name
 
 
@@ -160,6 +159,41 @@ def test_mean_curvature_vector_null_decomposition(bumpy_sphere):
     expected = -0.5 * f.K_val[..., None] * f.psi_val - f.eta_val
     assert np.max(np.abs(f.H_val - expected)) < 1e-10
     assert np.max(np.abs(f.H2_val - f.K_val)) < 1e-10
+
+
+def test_value_arrays_equal_the_jet_route(bumpy_sphere):
+    # The Christoffel symbols, vector second form and mean curvature vector
+    # are value arrays; the same arithmetic on jets has the same constant terms.
+    u, v = bumpy_sphere.sample_points(40, np.random.default_rng(13), margin=0.05)
+    f = JetFrame(bumpy_sphere, u, v)
+    g, gi = ((f.E, f.F), (f.F, f.G)), f.gi
+    dg = [[[g[a][b].d(ax) for b in range(2)] for a in range(2)] for ax in ("u", "v")]
+    gam = [
+        [
+            [
+                (gi[c][0] * (dg[a][0][b] + dg[b][0][a] - dg[0][a][b])
+                 + gi[c][1] * (dg[a][1][b] + dg[b][1][a] - dg[1][a][b])) * 0.5
+                for b in range(2)
+            ]
+            for a in range(2)
+        ]
+        for c in range(2)
+    ]
+    dd = ((f.psi_uu, f.psi_uv), (f.psi_uv, f.psi_vv))
+    ii = [
+        [dd[a][b] - f.psi_u.scale(gam[0][a][b]) - f.psi_v.scale(gam[1][a][b]) for b in range(2)]
+        for a in range(2)
+    ]
+    h = (
+        ii[0][0].scale(gi[0][0]) + ii[0][1].scale(gi[0][1])
+        + ii[1][0].scale(gi[1][0]) + ii[1][1].scale(gi[1][1])
+    ).scale(0.5)
+    for c, a, b in np.ndindex(2, 2, 2):
+        assert np.array_equal(f.gamma[..., c, a, b], gam[c][a][b].value)
+    for a, b in np.ndindex(2, 2):
+        assert np.array_equal(f.iivec[..., a, b, :], ii[a][b].values)
+    assert np.array_equal(f.H_val, h.values)
+    assert np.array_equal(f.H2_val, h.dot(h).value)
 
 
 def test_second_form_inner_product_identity(bumpy_sphere, cylinder):
@@ -280,6 +314,13 @@ def test_off_cone_chart_rejected():
     bad = SurfacePatch("off-cone", chart, ((0.2, 0.8), (0.2, 0.8)))
     with pytest.raises(NotOnLightcone):
         JetFrame(bad, 0.5, 0.5)
+
+
+def test_overflowing_chart_rejected_as_off_cone():
+    # <psi, psi> overflows to inf - inf = NaN, which must fail the cone guard.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotOnLightcone):
+            JetFrame(catalog.round_sphere(r=1e200), 0.5, 0.5)
 
 
 def test_degenerate_chart_rejected():
