@@ -9,17 +9,17 @@ constant-curvature search.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
 from .errors import NonpositiveRadialFunction, NonpositiveRadius
 from .harmonics import L_MAX, real_harmonic
-from .jets import Jet2, JetVec4
+from .jets import JetVec4
 from .minkowski import boost_to, vec
 from .surfaces import SurfacePatch
-from .transforms import ScalarField, expand
+from .transforms import ScalarField
 
 _SPHERE_DOMAIN = ((0.0, np.pi), (0.0, 2.0 * np.pi))
 
@@ -37,34 +37,47 @@ def _direction_jets(tj, pj, rotation=None):
     return w
 
 
+def _sphere_patch(name, embed):
+    """A closed (theta, phi) chart psi = embed(w) over the sphere of directions w.
+
+    ``embed`` maps the three direction-cosine jets to a JetVec4.  The twin
+    for checks near the coordinate poles embeds the pole-swapped directions,
+    so it covers the same surface with its poles on the main chart's equator.
+    """
+
+    def make_chart(rotation):
+        return lambda tj, pj: embed(*_direction_jets(tj, pj, rotation))
+
+    rotated = SurfacePatch(
+        name=name + "/rotated", chart=make_chart(_POLE_SWAP), domain=_SPHERE_DOMAIN, closed=True
+    )
+    return SurfacePatch(
+        name=name, chart=make_chart(None), domain=_SPHERE_DOMAIN, closed=True, rotated=rotated
+    )
+
+
+def _round_embedding(r, u=None):
+    """w -> B (r, r w), B the boost taking (-1, 0, 0, 0) to u; r * r must be finite."""
+    r = float(r)
+    if not (r > 0.0 and np.isfinite(r * r)):
+        raise NonpositiveRadius(
+            f"radius must be positive and finite, with a finite square; got {r}"
+        )
+    B = boost_to(vec(-1.0, 0.0, 0.0, 0.0) if u is None else np.asarray(u, dtype=float))
+
+    def embed(x, y, z):
+        return JetVec4(r, x * r, y * r, z * r).linear_map(B)
+
+    return embed
+
+
 def round_sphere(u=None, r=1.0):
     """The round sphere cut out by an observer u at radius r.
 
     The chart is (theta, phi) -> B (r, r w(theta, phi)) with B the boost
     taking (-1, 0, 0, 0) to u, so <u, psi> = r holds identically.
     """
-    if not 0.0 < r < np.inf:
-        raise NonpositiveRadius(f"radius must be positive and finite, got {r}")
-    u = vec(-1.0, 0.0, 0.0, 0.0) if u is None else np.asarray(u, dtype=float)
-    B = boost_to(u)
-
-    def make_chart(rotation):
-        def chart(tj, pj):
-            w = _direction_jets(tj, pj, rotation)
-            base = JetVec4(Jet2.constant(r), w[0] * r, w[1] * r, w[2] * r)
-            return base.linear_map(B)
-
-        return chart
-
-    name = f"round-sphere(r={r:g})"
-    rotated = SurfacePatch(
-        name=name + "/rotated", chart=make_chart(_POLE_SWAP),
-        domain=_SPHERE_DOMAIN, closed=True,
-    )
-    return SurfacePatch(
-        name=name, chart=make_chart(None), domain=_SPHERE_DOMAIN,
-        closed=True, rotated=rotated,
-    )
+    return _sphere_patch(f"round-sphere(r={r:g})", _round_embedding(r, u))
 
 
 def product_cylinder(x_extent=1.5):
@@ -136,17 +149,9 @@ class HarmonicSpec:
             total = real_harmonic(l, m, x, y, z) * a + total
         return total
 
-    def chart_field(self, rotation=None):
-        """The expansion as a ScalarField on a (theta, phi) sphere chart."""
-
-        def fn(tj, pj):
-            w = _direction_jets(tj, pj, rotation)
-            out = self.cartesian(*w)
-            if not isinstance(out, Jet2):
-                out = Jet2.constant(np.zeros(np.broadcast_shapes(tj.batch_shape, pj.batch_shape)))
-            return out
-
-        return ScalarField(fn)
+    def chart_field(self):
+        """The expansion as a ScalarField on the (theta, phi) sphere chart."""
+        return ScalarField(lambda tj, pj: self.cartesian(*_direction_jets(tj, pj)))
 
     def pack(self, pairs):
         """Coefficient vector in the order of ``pairs`` (absent terms are 0)."""
@@ -165,29 +170,11 @@ def graph_over_sphere(f_cart, name="radial-graph", check_grid=(24, 48)):
     smooth metric on the sphere can be realized this way.
     """
 
-    def make_chart(rotation):
-        def chart(tj, pj):
-            w = _direction_jets(tj, pj, rotation)
-            f = f_cart(*w)
-            if not isinstance(f, Jet2):
-                f = Jet2.constant(
-                    np.broadcast_to(np.asarray(f, float),
-                                    np.broadcast_shapes(tj.batch_shape, pj.batch_shape)).copy()
-                )
-            return JetVec4(f, f * w[0], f * w[1], f * w[2])
+    def embed(x, y, z):
+        f = f_cart(x, y, z)
+        return JetVec4(f, f * x, f * y, f * z)
 
-        return chart
-
-    patch = SurfacePatch(
-        name=name,
-        chart=make_chart(None),
-        domain=_SPHERE_DOMAIN,
-        closed=True,
-        rotated=SurfacePatch(
-            name=name + "/rotated", chart=make_chart(_POLE_SWAP),
-            domain=_SPHERE_DOMAIN, closed=True,
-        ),
-    )
+    patch = _sphere_patch(name, embed)
     u, v = patch.grid_points(check_grid)
     vals = patch.position(u, v)[..., 0]
     if np.any(vals <= 0.0):
@@ -198,14 +185,10 @@ def graph_over_sphere(f_cart, name="radial-graph", check_grid=(24, 48)):
 
 
 def perturbed_sphere(spec, r=1.0):
-    """Expansion of the trivial round sphere by a harmonic log-radius bump."""
-    base = round_sphere(r=r)
-    main = expand(base, spec.chart_field())
-    label = f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)"
-    rotated = SurfacePatch(
-        name=label + "/rotated",
-        chart=expand(base.rotated, spec.chart_field(rotation=_POLE_SWAP)).chart,
-        domain=_SPHERE_DOMAIN,
-        closed=True,
-    )
-    return replace(main, name=label, rotated=rotated)
+    """The round sphere of radius r expanded to psi_round(w) exp(sigma(w)) by the spec."""
+    round_embed = _round_embedding(r)
+
+    def embed(x, y, z):
+        return round_embed(x, y, z).scale(jets.exp(spec.cartesian(x, y, z)))
+
+    return _sphere_patch(f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)", embed)

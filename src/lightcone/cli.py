@@ -307,7 +307,7 @@ DEFINITE_CHECKS = ("curvature_relation", "trace_gradient", "lowered_symmetry")
 def _definite_residuals(frame):
     rel = curvature.curvature_relation(frame)
     grad = curvature.trace_gradient_residual(frame)
-    low = curvature.difference_tensor(frame).lowered
+    low = frame.difference.lowered
     return (
         np.max(rel["residual"]),
         np.max(grad),
@@ -386,8 +386,7 @@ def cmd_verify(args):
         manifest, tols, DEFINITE_CHECKS, lambda: _definite_residuals(frame), why_not_definite
     )
     if why_not_definite is None and args.surface == "round-sphere":
-        keta = curvature.second_form_curvature(frame)
-        manifest.add("round_keta", np.max(np.abs(keta - 2.0)), tols["round_keta"])
+        manifest.add("round_keta", np.max(np.abs(frame.K_eta - 2.0)), tols["round_keta"])
 
     sub = (max(4, args.grid[0] // 4), max(8, args.grid[1] // 4))
     _check_group(

@@ -23,6 +23,9 @@ from .errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
 from .jets import Jet2
 from .surfaces import _det2, _stack2
 
+#: Smallest |det A| at which the difference tensor is built.
+_DEGENERACY_FLOOR = 1e-10
+
 
 @dataclass
 class MetricField:
@@ -39,13 +42,6 @@ class MetricField:
     def require_nondegenerate(self):
         if np.any(self.det_val() == 0.0):
             raise DegenerateMetric("metric determinant vanishes at the base point")
-
-
-def second_form_metric_field(frame):
-    II = frame.II
-    # Off-diagonal entries agree analytically; averaging symmetrizes rounding.
-    F = (II[0][1] + II[1][0]) * 0.5
-    return MetricField(II[0][0], F, II[1][1])
 
 
 def christoffels(m, gi=None):
@@ -107,31 +103,13 @@ def gauss_curvature_brioschi(frame):
     return brioschi_curvature(MetricField(frame.E, frame.F, frame.G))
 
 
-def _require_riemannian_ii(frame):
+def second_form_curvature(frame):
+    """Gauss curvature of the eta-second fundamental form, once II is definite."""
     if not np.all(frame.ii_positive):
         raise NotRiemannianII(
             f"{frame.patch.name}: second fundamental form is not positive definite"
         )
-
-
-def second_form_curvature(frame):
-    """Gauss curvature of the eta-second fundamental form (Brioschi route)."""
-    _require_riemannian_ii(frame)
-    return brioschi_curvature(second_form_metric_field(frame))
-
-
-def shape_operator_covariant_derivative(frame):
-    """(nabla_a A)^c_b as a value array of shape (..., 2, 2, 2) = [a, c, b]."""
-    A = frame.A
-    dA = np.empty(frame.A_val.shape[:-2] + (2, 2, 2))
-    for a, c, b in np.ndindex(2, 2, 2):
-        dA[..., a, c, b] = A[c][b].partial(1 - a, a)
-    gam = np.swapaxes(frame.gamma, -3, -2)  # [a, c, b]
-    A_v = frame.A_val
-    out = dA.copy()
-    out += np.einsum("...acd,...db->...acb", gam, A_v)
-    out -= np.einsum("...adb,...cd->...acb", gam, A_v)
-    return out
+    return frame.K_eta
 
 
 def codazzi_residual(frame):
@@ -140,7 +118,7 @@ def codazzi_residual(frame):
     The lightlike normal is parallel in the normal bundle, so the Codazzi
     equation forces this antisymmetric part to vanish identically.
     """
-    na = shape_operator_covariant_derivative(frame)
+    na = frame.nabla_A
     w = na[..., 0, :, 1] - na[..., 1, :, 0]
     g = frame.g_val
     return np.sqrt(np.einsum("...c,...cd,...d->...", w, g, w))
@@ -159,17 +137,16 @@ class DifferenceTensor:
     lowered: np.ndarray
 
 
-def difference_tensor(frame, floor=1e-10):
-    """L = (1/2) A^{-1} (nabla A), the connection difference tensor."""
+def difference_tensor(frame):
+    """L = (1/2) A^{-1} (nabla A), the connection difference tensor; read ``frame.difference``."""
     detA = frame.detA_val
-    if np.any(np.abs(detA) < floor):
+    if np.any(np.abs(detA) < _DEGENERACY_FLOOR):
         raise DegeneracyViolation(
-            f"{frame.patch.name}: |det A| fell below {floor:.1e} "
+            f"{frame.patch.name}: |det A| fell below {_DEGENERACY_FLOOR:.1e} "
             f"(min {np.min(np.abs(detA)):.3e})"
         )
     inv = _inv2(frame.A_val, detA)
-    na = shape_operator_covariant_derivative(frame)
-    L = 0.5 * np.einsum("...cd,...adb->...abc", inv, na)
+    L = 0.5 * np.einsum("...cd,...adb->...abc", inv, frame.nabla_A)
     lowered = np.einsum("...abc,...cd->...abd", L, frame.II_val)
     return DifferenceTensor(L=L, lowered=lowered)
 
@@ -192,7 +169,7 @@ def trace_gradient_residual(frame):
     Returned as the sup of the components of the II-lowered difference
     between the contracted tensor and grad(det A) / (2 det A).
     """
-    lt = difference_tensor(frame)
+    lt = frame.difference
     ii_inv = _inv2(frame.II_val)
     tr_l = np.einsum("...ab,...abc->...c", ii_inv, lt.L)
     d_det = np.stack(
@@ -211,12 +188,9 @@ def curvature_relation(frame):
     three right-hand-side pieces, and the residual of the auxiliary trace
     identity tr_II(Ric) = K^2 / det A.
     """
-    _require_riemannian_ii(frame)
     keta = second_form_curvature(frame)
     detA = frame.detA_val
-    if np.any(np.abs(detA) < 1e-10):
-        raise DegeneracyViolation("det A vanishes on the evaluation set")
-    lt = difference_tensor(frame)
+    lt = frame.difference
     ii = frame.II_val
     ii_inv = _inv2(frame.II_val)
 

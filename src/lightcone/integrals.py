@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import brioschi_curvature, second_form_metric_field
 from .errors import ConsistencyError, DegeneracyViolation
 from .surfaces import JetFrame, _det2, newton_extremum
+
+#: How far the II-area may exceed 2 pi before ``second_form_area`` raises.
+_AREA_TOL = 1e-6
 
 
 def sphere_quadrature(n_theta, n_phi):
@@ -63,7 +65,7 @@ def _table_chunk(patch, u, v):
     if np.any(_det2(frame.II_val) == 0.0):
         out["K_eta"] = np.full(u.size, np.nan)
     else:
-        out["K_eta"] = brioschi_curvature(second_form_metric_field(frame))
+        out["K_eta"] = frame.K_eta
     return {k: np.atleast_1d(a) for k, a in out.items()}
 
 
@@ -117,7 +119,7 @@ class SphereGrid:
             raise DegeneracyViolation("second-form curvature unavailable on the grid")
         return self.integrate(self.table["K_eta"], measure="second_form")
 
-    def second_form_area(self, check=True, tol=1e-6):
+    def second_form_area(self, check=True):
         """Area of the surface in the II metric.
 
         Bounded above by 2 pi for every compact nondegenerate surface, with
@@ -125,9 +127,9 @@ class SphereGrid:
         violation can only mean a broken pipeline.
         """
         val = self.area(measure="second_form")
-        if check and val > 2.0 * np.pi + tol:
+        if check and val > 2.0 * np.pi + _AREA_TOL:
             raise ConsistencyError(
-                f"II-area {val:.9f} exceeds 2 pi beyond tolerance {tol:g}"
+                f"II-area {val:.9f} exceeds 2 pi beyond tolerance {_AREA_TOL:g}"
             )
         return val
 
@@ -157,7 +159,7 @@ class SphereGrid:
         )
         frame = JetFrame(self.patch, u, v)
         ratio = frame.K_val[0] ** 2 / frame.detA_val[0]
-        keta = brioschi_curvature(second_form_metric_field(frame))[0]
+        keta = frame.K_eta[0]
         return {
             "point": (float(u[0]), float(v[0] % (2.0 * np.pi))),
             "ratio": float(ratio),

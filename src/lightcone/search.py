@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 
 from . import jets
 from .catalog import HarmonicSpec, _direction_jets, perturbed_sphere
-from .curvature import MetricField, brioschi_curvature, second_form_metric_field
+from .curvature import MetricField, brioschi_curvature
 from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .integrals import sphere_quadrature
@@ -215,7 +215,7 @@ class VarianceObjective:
                     ii_positive=frame.ii_positive,
                     weight=self.w_nodes * frame.sqrt_detg_val / self.sin_th,
                     gap_low=frame.gap_low,
-                    keta=lambda: brioschi_curvature(second_form_metric_field(frame)),
+                    keta=lambda: frame.K_eta,
                 )
         except LightconeError:
             return None

@@ -28,6 +28,10 @@ from .jets import Jet2, JetVec4
 from .minkowski import inner
 
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])
+#: Largest |<psi, psi>| a chart point may have and still count as on the cone.
+_ON_CONE_TOL = 1e-9
+#: Smallest |eta_0| for which the normal's Gauss map is defined.
+_GAUSS_MAP_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +84,10 @@ class JetFrame:
     projection, the eta-second fundamental form, mean curvature vector and
     the determinant/trace curvatures.  Only what the curvature calculus
     differentiates is a jet; the guards are written so that NaN fails them.
+    ``K_eta``, ``nabla_A`` and ``difference`` are built once, on first read.
     """
 
-    def __init__(self, patch, u, v, on_cone_tol=1e-9, check=True):
+    def __init__(self, patch, u, v, check=True):
         self.patch = patch
         self.u = np.asarray(u, dtype=float)
         self.v = np.asarray(v, dtype=float)
@@ -99,7 +104,7 @@ class JetFrame:
 
         if check:
             cone = inner(self.psi_val, self.psi_val)
-            if not (np.all(np.abs(cone) <= on_cone_tol) and np.all(self.psi0_val > 0.0)):
+            if not (np.all(np.abs(cone) <= _ON_CONE_TOL) and np.all(self.psi0_val > 0.0)):
                 raise NotOnLightcone(
                     f"{patch.name}: max |<psi,psi>| = {np.max(np.abs(cone)):.3e}, "
                     f"min psi0 = {np.min(psi[0].value):.3e}"
@@ -176,6 +181,34 @@ class JetFrame:
         gam = self.gamma[..., None]
         return (dd - self.psi_u.values[..., None, None, :] * gam[..., 0, :, :, :]
                 - self.psi_v.values[..., None, None, :] * gam[..., 1, :, :, :])
+
+    @cached_property
+    def K_eta(self):
+        """Brioschi curvature of the eta-second fundamental form, ungated."""
+        from .curvature import MetricField, brioschi_curvature
+
+        II = self.II
+        # Off-diagonal entries agree analytically; averaging symmetrizes rounding.
+        return brioschi_curvature(MetricField(II[0][0], (II[0][1] + II[1][0]) * 0.5, II[1][1]))
+
+    @cached_property
+    def nabla_A(self):
+        """(nabla_a A)^c_b as a value array of shape (..., 2, 2, 2) = [a, c, b]."""
+        A = self.A
+        out = np.empty(self.A_val.shape[:-2] + (2, 2, 2))
+        for a, c, b in np.ndindex(2, 2, 2):
+            out[..., a, c, b] = A[c][b].partial(1 - a, a)
+        gam = np.swapaxes(self.gamma, -3, -2)  # [a, c, b]
+        out += np.einsum("...acd,...db->...acb", gam, self.A_val)
+        out -= np.einsum("...adb,...cd->...acb", gam, self.A_val)
+        return out
+
+    @cached_property
+    def difference(self):
+        """The connection difference tensor (``curvature.difference_tensor``)."""
+        from .curvature import difference_tensor
+
+        return difference_tensor(self)
 
     # -- value-level views --------------------------------------------------
 
@@ -272,12 +305,10 @@ class JetFrame:
         return hop / p0[..., None, None] - lam[..., None, None] * np.eye(2)
 
     def position_weingarten_residual(self):
-        """Sup-norm of A_psi + I, with A_psi obtained by projection."""
+        """Sup of |<psi_a, psi>| and |<psi_a, eta>|: A_psi = -I says d psi has no normal part."""
         t = np.stack([self.psi_u.values, self.psi_v.values], axis=-2)
-        m = inner(t[..., None, :, :], t[..., :, None, :])  # m[b, a] = <t_a, t_b>
-        a_psi = -np.einsum("...cb,...ba->...ca", self.gi_val, m)
-        eye = np.eye(2)
-        return np.max(np.abs(a_psi + eye), axis=(-2, -1))
+        n = np.stack([self.psi_val, self.eta_val], axis=-2)
+        return np.max(np.abs(inner(t[..., :, None, :], n[..., None, :, :])), axis=(-2, -1))
 
     def normal_parallel_residual(self):
         """Euclidean size of the normal component of each eta derivative.
@@ -352,9 +383,7 @@ def point_geometry(patch, p, second_form_curvature=True):
         )
     k_eta = None
     if second_form_curvature and bool(np.all(frame.ii_positive)):
-        from .curvature import second_form_curvature as _sfc
-
-        k_eta = _sfc(frame)
+        k_eta = frame.K_eta
     return PointGeometry(
         g=frame.g_val,
         g_inv=frame.gi_val,
@@ -370,7 +399,7 @@ def point_geometry(patch, p, second_form_curvature=True):
     )
 
 
-def gauss_maps(frame, tol=1e-14):
+def gauss_maps(frame):
     """The two sphere-valued Gauss maps, normalized to unit time component.
 
     The first is the direction of the position, the second the direction of
@@ -380,7 +409,7 @@ def gauss_maps(frame, tol=1e-14):
     psi = frame.psi_val
     eta = frame.eta_val
     gf = psi / psi[..., 0:1]
-    if np.any(np.abs(eta[..., 0]) < tol):
+    if np.any(np.abs(eta[..., 0]) < _GAUSS_MAP_TOL):
         raise GaussMapUndefined("normal has zero time component")
     gp = eta / eta[..., 0:1]
     return gf, gp

@@ -18,6 +18,9 @@ from .jets import Jet2
 from .minkowski import inner as mink_inner
 from .surfaces import JetFrame, SurfacePatch
 
+#: Smallest |det A| on the check grid for which the conjugate is an immersion.
+_CONJUGATE_FLOOR = 1e-8
+
 
 class ScalarField:
     """A smooth scalar on a chart domain, evaluable on coordinate jets."""
@@ -36,7 +39,7 @@ class ScalarField:
         return cls(lambda uj, vj: Jet2.constant(np.full(np.broadcast_shapes(uj.batch_shape, vj.batch_shape), float(c))))
 
 
-def conjugate(patch, check_grid=(24, 48), floor=1e-8, _validate=True):
+def conjugate(patch, check_grid=(24, 48), _validate=True):
     """The surface traced by minus the lightlike normal of ``patch``.
 
     Inherits the parametrization of the original chart.  Raises
@@ -47,11 +50,11 @@ def conjugate(patch, check_grid=(24, 48), floor=1e-8, _validate=True):
     if _validate:
         u, v = patch.grid_points(check_grid)
         frame = JetFrame(patch, u, v)
-        bad = np.abs(frame.detA_val) <= floor
+        bad = np.abs(frame.detA_val) <= _CONJUGATE_FLOOR
         if np.any(bad):
             k = int(np.argmax(bad))
             raise DegeneracyViolation(
-                f"{patch.name}: conjugate undefined, |det A| <= {floor:.1e} "
+                f"{patch.name}: conjugate undefined, |det A| <= {_CONJUGATE_FLOOR:.1e} "
                 f"at (u, v) = ({u[k]:.6g}, {v[k]:.6g})"
             )
 

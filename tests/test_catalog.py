@@ -62,6 +62,11 @@ def test_round_sphere_rigidity_trio(unit_sphere):
 def test_round_sphere_bad_arguments():
     with pytest.raises(NonpositiveRadius):
         catalog.round_sphere(r=0.0)
+    # a radius whose square overflows, for the round and the perturbed sphere
+    with pytest.raises(NonpositiveRadius, match="finite square"):
+        catalog.round_sphere(r=1e200)
+    with pytest.raises(NonpositiveRadius, match="finite square"):
+        catalog.perturbed_sphere(catalog.HarmonicSpec(), r=1e200)
     with pytest.raises(NotUnitTimelike):
         catalog.round_sphere(u=vec(1, 0, 0, 0))
 
@@ -197,10 +202,21 @@ def test_graph_over_sphere_rejects_nonpositive_radius():
         catalog.graph_over_sphere(lambda x, y, z: z * 1.0)
 
 
-def test_rotated_chart_same_surface(bumpy_sphere):
+ROTATED_CASES = {
+    "bumpy-sphere": lambda request: request.getfixturevalue("bumpy_sphere"),
+    "radial-graph": lambda request: catalog.graph_over_sphere(
+        lambda x, y, z: jets.exp(x * z * 0.3 + y * 0.2)
+    ),
+    "round-sphere-r1.7": lambda request: catalog.round_sphere(r=1.7),
+}
+
+
+@pytest.mark.parametrize("case", ROTATED_CASES)
+def test_rotated_chart_same_surface(request, case):
     # the rotated twin parametrizes the same point set: compare the
     # determinant curvature at matched directions near the main chart pole
-    rot = bumpy_sphere.rotated
+    patch = ROTATED_CASES[case](request)
+    rot = patch.rotated
     assert rot is not None
     # direction w(theta', phi') in the rotated chart equals R w; pick the
     # rotated-chart point whose image direction is near the main pole
@@ -211,7 +227,22 @@ def test_rotated_chart_same_surface(bumpy_sphere):
     r3 = np.linalg.norm(pos[1:])
     th = float(np.arccos(pos[3] / r3))
     ph = float(np.arctan2(pos[2], pos[1]) % (2 * np.pi))
-    f_main = JetFrame(bumpy_sphere, th, ph)
+    f_main = JetFrame(patch, th, ph)
     assert np.max(np.abs(f_main.psi_val - pos)) < 1e-10
     assert abs(f_main.detA_val - f_rot.detA_val) < 1e-10
     assert abs(f_main.K_val - f_rot.K_val) < 1e-10
+
+
+def test_closed_charts_build_directions_once(bumpy_sphere, monkeypatch):
+    calls = []
+    direction_jets = catalog._direction_jets
+
+    def counted(*args):
+        calls.append(args)
+        return direction_jets(*args)
+
+    monkeypatch.setattr(catalog, "_direction_jets", counted)
+    for patch in (bumpy_sphere, bumpy_sphere.rotated):
+        calls.clear()
+        patch.position(0.4, 1.1)
+        assert len(calls) == 1, patch.name

@@ -131,6 +131,17 @@ def test_nonfinite_radius_rejected(capsys, r):
     assert "radius must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_radius_with_overflowing_square_rejected(tmp_path, capsys, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[[2, 0, 0.01]]")
+    surface = ["round-sphere"] if command == "verify" else ["perturbed", "--spec", str(spec)]
+    argv = [command, *surface, "--r", "1e200", "--grid", "4x8", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_DEGENERATE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "with a finite square" in lines[0], lines
+
+
 def test_nan_observer_rejected(capsys):
     argv = ["verify", "round-sphere", "--u", "nan", "nan", "nan", "nan", "--grid", "4x8"]
     assert main(argv) == EXIT_DEGENERATE

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_perturbed_sphere
-from lightcone import catalog, jets
+from lightcone import catalog, curvature, jets
 from lightcone.curvature import (
     MetricField,
     brioschi_curvature,
@@ -192,3 +192,20 @@ def test_keta_floor_at_detA_maximizer():
     keta = second_form_curvature(f)[k]
     assert ratio >= 4.0 - 1e-6
     assert 2.0 * keta >= ratio - 1e-6
+
+
+def test_difference_tensor_built_once_per_frame(bumpy_sphere, monkeypatch):
+    calls = []
+    build = curvature.difference_tensor
+
+    def counted(frame):
+        calls.append(frame)
+        return build(frame)
+
+    monkeypatch.setattr(curvature, "difference_tensor", counted)
+    u, v = bumpy_sphere.sample_points(20, np.random.default_rng(3), margin=0.05)
+    frame = JetFrame(bumpy_sphere, u, v)
+    curvature_relation(frame)
+    trace_gradient_residual(frame)
+    assert frame.difference.L.shape == (20, 2, 2, 2)
+    assert len(calls) == 1

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import fd_weights, mixed_partial_fd
 from lightcone import jets
-from lightcone.curvature import brioschi_curvature, second_form_metric_field
 from lightcone.errors import DivisionByZeroJet, DomainError, OrderExceeded
 from lightcone.jets import ANALYTIC, MONOMIALS, N_COEFF, ORDER, Jet2, JetVec4
 from lightcone.surfaces import JetFrame
@@ -358,7 +357,7 @@ def _frame_fields(patch, u, v):
     frame = JetFrame(patch, u, v)
     out = {name: getattr(frame, name) for name in _FRAME_FIELDS}
     out["weingarten_closed_form"] = frame.weingarten_closed_form()
-    out["K_eta"] = brioschi_curvature(second_form_metric_field(frame))
+    out["K_eta"] = frame.K_eta
     return out
 
 

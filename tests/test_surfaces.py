@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_perturbed_sphere
-from lightcone import catalog
+from lightcone import catalog, jets
 from lightcone.errors import NotOnLightcone, NotSpacelike
 from lightcone.jets import Jet2, JetVec4
 from lightcone.minkowski import inner
@@ -122,6 +122,21 @@ def test_position_weingarten_identity(unit_sphere, paraboloid, bumpy_sphere):
     u, v = bumpy_sphere.sample_points(100, rng, margin=0.05)
     f = JetFrame(bumpy_sphere, u, v)
     assert np.max(f.position_weingarten_residual()) < 1e-9
+
+
+def test_position_weingarten_sees_normal_part_of_dpsi(unit_sphere):
+    # A 1e-10 ripple in psi0 keeps the chart on the cone to about 2e-10, but
+    # its theta derivative (about 1e-7) is normal to the surface, which
+    # A_psi = -I forbids.
+    def chart(tj, pj):
+        psi = unit_sphere.chart(tj, pj)
+        return JetVec4(psi[0] + jets.sin(tj * 997.0) * 1e-10, psi[1], psi[2], psi[3])
+
+    rippled = SurfacePatch("rippled-sphere", chart, unit_sphere.domain, closed=True)
+    th = np.linspace(0.3, 2.8, 40)
+    frame = JetFrame(rippled, th, np.full_like(th, 0.7))
+    assert np.max(np.abs(inner(frame.psi_val, frame.psi_val))) < 1e-9
+    assert np.max(frame.position_weingarten_residual()) > 1e-8
 
 
 def test_point_geometry_round_sphere(unit_sphere):
@@ -316,16 +331,17 @@ def test_off_cone_chart_rejected():
         JetFrame(bad, 0.5, 0.5)
 
 
-def test_overflowing_chart_rejected_as_off_cone():
+def test_overflowing_chart_rejected_as_off_cone(unit_sphere):
     # <psi, psi> overflows to inf - inf = NaN, which must fail the cone guard.
+    huge = SurfacePatch(
+        "huge-sphere", lambda tj, pj: unit_sphere.chart(tj, pj).scale(1e200), unit_sphere.domain
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NotOnLightcone):
-            JetFrame(catalog.round_sphere(r=1e200), 0.5, 0.5)
+            JetFrame(huge, 0.5, 0.5)
 
 
 def test_degenerate_chart_rejected():
-    from lightcone import jets
-
     def chart(uj, vj):
         # on the cone, but u runs along a null ray: the induced metric dies
         f = jets.exp(uj + vj * 0.0)
