@@ -22,7 +22,7 @@ from .errors import DegeneracyViolation, LightconeError
 from .integrals import SphereGrid, geometry_table
 from .minkowski import inner
 from .search import ORACLE_TOL, SearchConfig, search as run_search, umbilical_offset
-from .spectrum import lambda1_estimate
+from .spectrum import LAMBDA1_ORACLE_TOL, ORACLE_GRIDS, lambda1_estimate
 from .surfaces import JetFrame, gauss_maps, umbilic_point_search
 
 EXIT_OK = 0
@@ -279,7 +279,6 @@ def _frame_residuals(frame):
     eta, psi = frame.eta_val, frame.psi_val
     II = frame.II_val
     gA = np.einsum("...ac,...cb->...ab", frame.g_val, frame.A_val)
-    k_br = curvature.gauss_curvature_brioschi(frame)
     return (
         np.max(np.abs(inner(psi, psi))),
         _worst(
@@ -293,7 +292,10 @@ def _frame_residuals(frame):
         np.max(frame.normal_parallel_residual()),
         np.max(np.abs(II[..., 0, 1] - II[..., 1, 0])),
         np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])),
-        _worst(np.max(np.abs(k_br - frame.K_val)), np.max(np.abs(frame.H2_val - frame.K_val))),
+        _worst(
+            np.max(np.abs(frame.K_brioschi - frame.K_val)),
+            np.max(np.abs(frame.H2_val - frame.K_val)),
+        ),
         np.max(frame.second_form_inner_residual()),
         _excess(_worst(-np.min(frame.gap_low), -np.min(frame.gap_high))),
         np.max(np.abs(frame.gap_low - frame.gap_high)),
@@ -358,13 +360,27 @@ def _expansion_residuals(patch, seed):
 def cmd_verify(args):
     manifest, tols = _surface_manifest("verify", args)
     try:
-        patch = _build_surface(args)
-        u, v = _verify_points(patch, args.grid, args.seed)
-        frame = JetFrame(patch, u, v)
-        gf, gp = gauss_maps(frame)
+        patch = _verify_checks(manifest, tols, args)
     except LightconeError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    return _finish(
+        manifest,
+        f"verify {patch.name} on {args.grid[0]}x{args.grid[1]} + 200 random points",
+        args.out,
+    )
+
+
+def _verify_checks(manifest, tols, args):
+    """Add every verify check to the manifest and return the surface.
+
+    Any check group may meet a degenerate surface (a nested conjugate frame
+    off the cone, say) and raise LightconeError.
+    """
+    patch = _build_surface(args)
+    u, v = _verify_points(patch, args.grid, args.seed)
+    frame = JetFrame(patch, u, v)
+    gf, gp = gauss_maps(frame)
 
     _check_group(manifest, tols, FRAME_CHECKS, lambda: _frame_residuals(frame))
 
@@ -408,12 +424,7 @@ def cmd_verify(args):
         manifest.add("umbilic_point", _worst(glow, ghigh), tols["umbilic_point"])
     else:
         manifest.skip("umbilic_point", "not a closed surface")
-
-    return _finish(
-        manifest,
-        f"verify {patch.name} on {args.grid[0]}x{args.grid[1]} + 200 random points",
-        args.out,
-    )
+    return patch
 
 
 # -- global ------------------------------------------------------------------
@@ -464,6 +475,17 @@ def cmd_global(args):
         tols["lambda1_slack"],
         detail=f"lambda1 {lam.value:.6f} vs bound {lam.reilly_rhs:.6f}",
     )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        oracle_ratio = np.float64(abs(lam.value - lam.oracle)) / lam.oracle_gap
+    manifest.add(
+        "lambda1_oracle",
+        oracle_ratio,
+        LAMBDA1_ORACLE_TOL,
+        detail=(
+            f"|lambda1 - cotangent {ORACLE_GRIDS[0][0]}x{ORACLE_GRIDS[0][1]} "
+            f"{lam.oracle:.6f}| in units of its refinement gap {lam.oracle_gap:.3e}"
+        ),
+    )
     if args.surface == "round-sphere":
         expected = 2.0 / args.r**2
         manifest.add(
@@ -481,6 +503,8 @@ def cmd_global(args):
         "ii_eta_area": ii_area,
         "lambda1": lam.value,
         "lambda1_refinement_gap": lam.refinement_gap,
+        "lambda1_oracle": lam.oracle,
+        "lambda1_oracle_gap": lam.oracle_gap,
         "bound_rhs": lam.reilly_rhs,
         "margins": {
             "gauss_bonnet": gb - 4.0 * np.pi,

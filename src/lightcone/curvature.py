@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
 from .jets import Jet2
-from .surfaces import _det2, _stack2
+from .surfaces import _inv2, _stack2
 
 #: Smallest |det A| at which the difference tensor is built.
 _DEGENERACY_FLOOR = 1e-10
@@ -98,11 +98,6 @@ def _det3(a, b, c, d, e, f, g, h, i):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def gauss_curvature_brioschi(frame):
-    """Independent intrinsic route to the induced Gauss curvature."""
-    return brioschi_curvature(MetricField(frame.E, frame.F, frame.G))
-
-
 def second_form_curvature(frame):
     """Gauss curvature of the eta-second fundamental form, once II is definite."""
     if not np.all(frame.ii_positive):
@@ -151,18 +146,6 @@ def difference_tensor(frame):
     return DifferenceTensor(L=L, lowered=lowered)
 
 
-def _inv2(m, det=None):
-    """Inverse of a stack of 2x2 matrices: the adjugate over the determinant."""
-    if det is None:
-        det = _det2(m)
-    inv = np.empty_like(m)
-    inv[..., 0, 0] = m[..., 1, 1]
-    inv[..., 1, 1] = m[..., 0, 0]
-    inv[..., 0, 1] = -m[..., 0, 1]
-    inv[..., 1, 0] = -m[..., 1, 0]
-    return inv / det[..., None, None]
-
-
 def trace_gradient_residual(frame):
     """Residual of the identity tying the II-trace of L to grad(log det A).
 
@@ -170,12 +153,9 @@ def trace_gradient_residual(frame):
     between the contracted tensor and grad(det A) / (2 det A).
     """
     lt = frame.difference
-    ii_inv = _inv2(frame.II_val)
+    ii_inv = frame.II_inv_val
     tr_l = np.einsum("...ab,...abc->...c", ii_inv, lt.L)
-    d_det = np.stack(
-        [frame.detA.partial(1, 0), frame.detA.partial(0, 1)], axis=-1
-    )
-    grad = np.einsum("...cd,...d->...c", ii_inv, d_det)
+    grad = np.einsum("...cd,...d->...c", ii_inv, frame.detA_grad)
     v = tr_l - grad / (2.0 * frame.detA_val[..., None])
     w = np.einsum("...bc,...c->...b", frame.II_val, v)
     return np.max(np.abs(w), axis=-1)
@@ -192,13 +172,13 @@ def curvature_relation(frame):
     detA = frame.detA_val
     lt = frame.difference
     ii = frame.II_val
-    ii_inv = _inv2(frame.II_val)
+    ii_inv = frame.II_inv_val
 
     ii_LL = np.einsum(
         "...ac,...bd,...abe,...cdf,...ef->...",
         ii_inv, ii_inv, lt.L, lt.L, ii,
     )
-    d_det = np.stack([frame.detA.partial(1, 0), frame.detA.partial(0, 1)], axis=-1)
+    d_det = frame.detA_grad
     grad_sq = np.einsum("...ab,...a,...b->...", ii_inv, d_det, d_det)
     k2_over_d = frame.K_val**2 / detA
     rhs = k2_over_d + ii_LL - grad_sq / (4.0 * detA**2)
@@ -206,7 +186,7 @@ def curvature_relation(frame):
 
     # Auxiliary identity: the II-trace of the Ricci form of the induced
     # metric equals K^2/det A.  Uses the Brioschi K for independence.
-    k_br = gauss_curvature_brioschi(frame)
+    k_br = frame.K_brioschi
     ric_tr = k_br * np.einsum("...ab,...ba->...", ii_inv, frame.g_val)
     ric_residual = np.abs(ric_tr - k_br**2 / detA)
 

@@ -35,10 +35,10 @@ def sphere_quadrature(n_theta, n_phi):
 def geometry_table(patch, u, v, chunk=2048):
     """Value-level dashboard arrays at arbitrary chart points.
 
-    Returns a dict of flat arrays: psi0, sqrt_detg, K, detA, gap_low,
-    gap_high, H2, ii_positive and K_eta (NaN where II is singular).  Points are
-    swept in chunks that bound memory and concatenated in order, so the
-    result is the same for any chunk size.
+    Returns a dict of flat arrays: the metric values E, F, G, psi0,
+    sqrt_detg, K, detA, gap_low, gap_high, H2, ii_positive and K_eta (NaN
+    where II is singular).  Points are swept in chunks that bound memory and
+    concatenated in order, so the result is the same for any chunk size.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
@@ -53,6 +53,9 @@ def _table_chunk(patch, u, v):
     """The table entries of one chunk; its frame is freed on return."""
     frame = JetFrame(patch, u, v)
     out = {
+        "E": frame.E.value,
+        "F": frame.F.value,
+        "G": frame.G.value,
         "psi0": frame.psi0_val,
         "sqrt_detg": frame.sqrt_detg_val,
         "K": frame.K_val,

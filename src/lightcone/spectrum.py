@@ -1,10 +1,23 @@
 """First Laplace eigenvalue of the induced metric on a closed surface.
 
-Cotangent-weight discretization on the triangulated quadrature grid closed
-by two pole fans.  The poles are coordinate singularities only, so the pole
-vertices take their positions straight from the chart; edge lengths are
-Minkowski chords, which agree with intrinsic distances to second order on a
-spacelike surface.
+Spectral route.  Every closed chart is psi = rho B(1, w), with B a boost and
+w the unit direction at (theta, phi), so the induced metric is conformal to
+the unit sphere: g = rho^2 g_S2.  The Dirichlet energy is conformally
+invariant in two dimensions, so -Delta_g u = lambda u becomes
+-Delta_S2 u = lambda rho^2 u.  Its Galerkin projection onto the real
+harmonics of degree <= L has the stiffness matrix diag(l (l + 1)), exactly,
+and the mass matrix Y^T diag(w rho^2) Y, summed with the grid's own
+quadrature weights.  By min-max the second generalized eigenvalue bounds
+lambda_1 from above and converges spectrally in L.  A chart whose metric is
+not rho^2 g_S2 in (theta, phi) is rejected.
+
+Cotangent route, the independent oracle.  Cotangent-weight discretization
+on the triangulated quadrature grid closed by two pole fans.  The poles are
+coordinate singularities only, so the pole vertices take their positions
+straight from the chart; edge lengths are Minkowski chords, which agree with
+intrinsic distances to second order on a spacelike surface.  It converges at
+O(h^2) only, so it runs on two fixed meshes and its own refinement gap
+measures how far the spectral value may sit from it.
 """
 
 from __future__ import annotations
@@ -12,12 +25,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverFailure
+from .harmonics import harmonic_basis
 from .integrals import sphere_quadrature
 from .minkowski import inner
+
+#: Largest max(|F|, |G - sin^2(theta) E|) / E of a chart the spectral route accepts.
+CONFORMAL_TOL = 1e-12
+#: Node block of the mass-matrix sum, the chunk of ``geometry_table``.
+_BLOCK = 2048
+#: Fine and coarse mesh of the cotangent oracle.
+ORACLE_GRIDS = ((32, 64), (16, 32))
+#: Largest |lambda1 - oracle| in units of the oracle's refinement gap.
+LAMBDA1_ORACLE_TOL = 1.0
 
 
 def _mesh(patch, nt, np_):
@@ -100,6 +124,8 @@ class Lambda1Result:
     value: float
     refinement_gap: float
     reilly_rhs: float
+    oracle: float
+    oracle_gap: float
 
 
 def _lambda1_raw(patch, n_theta, n_phi, k=6):
@@ -136,17 +162,73 @@ def reilly_bound_rhs(grid):
     return 2.0 * grid.mean_curvature_energy() / grid.area()
 
 
-def lambda1_estimate(grid):
-    """First nonzero Laplace eigenvalue with an a-posteriori refinement gap.
+def _conformal_defect(grid):
+    """Largest relative departure of the chart metric from rho^2 g_S2 on the grid."""
+    E, F, G = grid.table["E"], grid.table["F"], grid.table["G"]
+    return float(np.max(np.maximum(np.abs(F), np.abs(G - np.sin(grid.TH) ** 2 * E)) / E))
 
-    The refinement gap is the change against a half-resolution grid and is
-    the honest accuracy indicator; discrete spectra converge at O(h^2), far
-    slower than the quadrature used elsewhere.
+
+def _mass_matrix(grid, l_max):
+    """Y^T diag(grid.weights) Y over the harmonics of degree <= l_max.
+
+    ``grid.weights`` is the quadrature weight times sqrt(det g) / sin(theta),
+    which is w rho^2 > 0 on a conformal chart.  Summed over node blocks, so
+    no temporary grows with the grid; each block is Z^T Z with
+    Z = sqrt(w) Y, which BLAS forms as a symmetric rank-k update.
     """
-    value = _lambda1_raw(grid.patch, grid.n_theta, grid.n_phi)
-    coarse = _lambda1_raw(grid.patch, max(8, grid.n_theta // 2), max(16, grid.n_phi // 2))
+    n = (l_max + 1) ** 2
+    mass = np.zeros((n, n))
+    root_w = np.sqrt(grid.weights)
+    for s in range(0, grid.n_nodes, _BLOCK):
+        Y = harmonic_basis(l_max, grid.TH[s : s + _BLOCK], grid.PH[s : s + _BLOCK])
+        Z = Y * root_w[s : s + _BLOCK, None]
+        mass += Z.T @ Z
+    return mass
+
+
+def _second_eigenvalue(stiffness, mass):
+    """Second eigenvalue of diag(stiffness) c = lambda mass c."""
+    try:
+        vals = scipy.linalg.eigh(
+            np.diag(stiffness), mass, eigvals_only=True, subset_by_index=[0, 1]
+        )
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise EigenSolverFailure(f"Galerkin eigenproblem failed: {exc}") from exc
+    return float(vals[1])
+
+
+def lambda1_estimate(grid):
+    """First nonzero Laplace eigenvalue, its refinement gap and the cotangent oracle.
+
+    The Galerkin degree L = min(16, n_theta // 4, n_phi // 8) is 16 on a
+    64x128 grid; the refinement gap is the change against degree L // 2,
+    whose problem is the leading block of the same two matrices.
+    ``oracle`` is the cotangent value on the finer of ``ORACLE_GRIDS`` and
+    ``oracle_gap`` its change against the coarser one.
+    """
+    l_max = min(16, grid.n_theta // 4, grid.n_phi // 8)
+    if l_max < 2:
+        raise EigenSolverFailure(
+            f"{grid.n_theta}x{grid.n_phi} grid is too small for the spectrum: "
+            "the harmonic basis needs n_theta >= 8 and n_phi >= 16"
+        )
+    defect = _conformal_defect(grid)
+    if not defect <= CONFORMAL_TOL:
+        raise EigenSolverFailure(
+            f"{grid.patch.name}: metric is not conformal to the round sphere in "
+            f"(theta, phi): defect {defect:.3e} above {CONFORMAL_TOL:g}"
+        )
+    stiffness = np.concatenate([np.full(2 * l + 1, l * (l + 1.0)) for l in range(l_max + 1)])
+    mass = _mass_matrix(grid, l_max)
+    value = _second_eigenvalue(stiffness, mass)
+    n = (l_max // 2 + 1) ** 2
+    coarse = _second_eigenvalue(stiffness[:n], mass[:n, :n])
+    oracle = _lambda1_raw(grid.patch, *ORACLE_GRIDS[0])
+    oracle_coarse = _lambda1_raw(grid.patch, *ORACLE_GRIDS[1])
     return Lambda1Result(
         value=value,
         refinement_gap=abs(value - coarse),
         reilly_rhs=reilly_bound_rhs(grid),
+        oracle=oracle,
+        oracle_gap=abs(oracle - oracle_coarse),
     )

@@ -84,7 +84,8 @@ class JetFrame:
     projection, the eta-second fundamental form, mean curvature vector and
     the determinant/trace curvatures.  Only what the curvature calculus
     differentiates is a jet; the guards are written so that NaN fails them.
-    ``K_eta``, ``nabla_A`` and ``difference`` are built once, on first read.
+    ``K_eta``, ``K_brioschi``, ``nabla_A`` and ``difference`` are built
+    once, on first read.
     """
 
     def __init__(self, patch, u, v, check=True):
@@ -192,6 +193,13 @@ class JetFrame:
         return brioschi_curvature(MetricField(II[0][0], (II[0][1] + II[1][0]) * 0.5, II[1][1]))
 
     @cached_property
+    def K_brioschi(self):
+        """Brioschi curvature of the induced metric: the intrinsic route to K."""
+        from .curvature import MetricField, brioschi_curvature
+
+        return brioschi_curvature(MetricField(self.E, self.F, self.G))
+
+    @cached_property
     def nabla_A(self):
         """(nabla_a A)^c_b as a value array of shape (..., 2, 2, 2) = [a, c, b]."""
         A = self.A
@@ -227,6 +235,15 @@ class JetFrame:
     @cached_property
     def II_val(self):
         return _mat2(self.II)
+
+    @cached_property
+    def II_inv_val(self):
+        return _inv2(self.II_val)
+
+    @cached_property
+    def detA_grad(self):
+        """Chart gradient of det A, indexed [..., a]."""
+        return np.stack([self.detA.partial(1, 0), self.detA.partial(0, 1)], axis=-1)
 
     @cached_property
     def K_val(self):
@@ -351,6 +368,18 @@ def _mat2(entries):
 def _det2(m):
     """Determinants of a stack of 2x2 matrices."""
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _inv2(m, det=None):
+    """Inverse of a stack of 2x2 matrices: the adjugate over the determinant."""
+    if det is None:
+        det = _det2(m)
+    inv = np.empty_like(m)
+    inv[..., 0, 0] = m[..., 1, 1]
+    inv[..., 1, 1] = m[..., 0, 0]
+    inv[..., 0, 1] = -m[..., 0, 1]
+    inv[..., 1, 0] = -m[..., 1, 0]
+    return inv / det[..., None, None]
 
 
 # -- public pointwise operations --------------------------------------------

@@ -214,10 +214,10 @@ def test_criterion_7_eigenvalue_bound():
         expected = 2.0 / r**2
         worst_round = max(worst_round, abs(res.value - expected) / expected)
 
-    # equality margin: three times the worst measured round-sphere
-    # discretization error at this resolution, far below the smallest
-    # non-umbilical gap in the sweep
-    margin = 5e-3
+    # equality margin: far above the rounding of the spectral value on the
+    # round sphere (1e-14) and far below the smallest non-umbilical gap in
+    # the sweep (1e-2 at eps = 0.02)
+    margin = 1e-8
     bound_ok = True
     equality_flags = []
     for eps in (0.0, 0.02, 0.05):

@@ -10,7 +10,8 @@ from lightcone.errors import (
     NonpositiveRadius,
     NotUnitTimelike,
 )
-from lightcone.harmonics import real_harmonic
+from lightcone.harmonics import basis_index, harmonic_basis, real_harmonic
+from lightcone.integrals import sphere_quadrature
 from lightcone.jets import Jet2
 from lightcone.minkowski import inner, vec
 from lightcone.surfaces import JetFrame
@@ -91,6 +92,16 @@ def test_paraboloid_reference_values(paraboloid):
     assert np.max(np.abs(f.A_val)) < 1e-12
 
 
+def _scipy_real_harmonic(l, m, th, ph):
+    """Real Y_lm from scipy's complex harmonics, without the Condon-Shortley phase."""
+    ylm = sph_harm_y(l, abs(m), th, ph)
+    if m > 0:
+        return np.sqrt(2.0) * (-1.0) ** m * ylm.real
+    if m < 0:
+        return np.sqrt(2.0) * (-1.0) ** m * ylm.imag
+    return ylm.real
+
+
 def test_harmonics_match_scipy():
     rng = np.random.default_rng(4)
     th = rng.uniform(0.2, np.pi - 0.2, size=40)
@@ -100,14 +111,7 @@ def test_harmonics_match_scipy():
     z = np.cos(th)
     for l, m in DEGREES_AND_ORDERS:
         ours = real_harmonic(l, m, x, y, z)
-        ylm = sph_harm_y(l, abs(m), th, ph)
-        if m > 0:
-            ref = np.sqrt(2.0) * (-1.0) ** m * ylm.real
-        elif m < 0:
-            ref = np.sqrt(2.0) * (-1.0) ** m * ylm.imag
-        else:
-            ref = ylm.real
-        assert np.max(np.abs(ours - ref)) < 1e-12, (l, m)
+        assert np.max(np.abs(ours - _scipy_real_harmonic(l, m, th, ph))) < 1e-12, (l, m)
 
 
 def test_harmonics_orthonormal_under_quadrature():
@@ -123,6 +127,38 @@ def test_harmonics_orthonormal_under_quadrature():
     vals = np.stack([real_harmonic(l, m, x, y, z) for l, m in pairs])
     gram = (vals * w) @ vals.T
     assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-12
+
+
+def test_harmonic_basis_matches_scipy_through_degree_16():
+    rng = np.random.default_rng(6)
+    th = np.concatenate([[0.0, 1e-3, np.pi / 2, np.pi], rng.uniform(0.0, np.pi, size=60)])
+    ph = rng.uniform(0.0, 2 * np.pi, size=th.size)
+    basis = harmonic_basis(16, th, ph)
+    assert basis.shape == (th.size, 17**2)
+    for l in range(17):
+        for m in range(-l, l + 1):
+            ref = _scipy_real_harmonic(l, m, th, ph)
+            assert np.max(np.abs(basis[:, basis_index(l, m)] - ref)) < 1e-12, (l, m)
+
+
+def test_harmonic_basis_matches_the_table():
+    rng = np.random.default_rng(7)
+    th = rng.uniform(0.0, np.pi, size=50)
+    ph = rng.uniform(0.0, 2 * np.pi, size=50)
+    x, y, z = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+    basis = harmonic_basis(4, th, ph)
+    for l, m in DEGREES_AND_ORDERS:
+        ours = basis[:, basis_index(l, m)]
+        assert np.max(np.abs(ours - real_harmonic(l, m, x, y, z))) < 1e-13, (l, m)
+
+
+def test_harmonic_basis_orthonormal_through_degree_16():
+    th, ph, w = sphere_quadrature(24, 48)
+    basis = harmonic_basis(16, th, ph)
+    gram = basis.T @ (w[:, None] * basis)
+    assert np.max(np.abs(gram - np.eye(17**2))) < 1e-12
+    # a lower degree is the leading block of the same columns
+    assert np.array_equal(harmonic_basis(8, th, ph), basis[:, : 9**2])
 
 
 def test_harmonics_reject_high_degree():

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lightcone import cli
+from lightcone import cli, curvature
 from lightcone.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -85,6 +85,21 @@ def test_verify_tolerance_override_can_fail(tmp_path):
     assert names["codazzi"]["tolerance"] == 1e-30
 
 
+def test_verify_builds_each_brioschi_curvature_once(bumpy_sphere, monkeypatch):
+    calls = []
+    original = curvature.brioschi_curvature
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(curvature, "brioschi_curvature", counted)
+    frame = JetFrame(bumpy_sphere, *bumpy_sphere.grid_points((6, 12)))
+    cli._frame_residuals(frame)
+    cli._definite_residuals(frame)
+    assert len(calls) == 2  # the induced metric and II, one each
+
+
 def test_verify_nonfinite_gap_fails(tmp_path, monkeypatch):
     # gap_floor clamps its one-sided residual at zero; the clamp must keep
     # NaN, so that the check fails.
@@ -131,6 +146,15 @@ def test_nonfinite_radius_rejected(capsys, r):
     assert "radius must be positive and finite" in capsys.readouterr().err
 
 
+def test_verify_tiny_radius_conjugate_off_cone_rejected(capsys):
+    # The conjugate chart of a round sphere of radius 1e-4 has psi0 = 5000,
+    # so its <psi, psi> rounds to 7e-9, above the on-cone tolerance.
+    argv = ["verify", "round-sphere", "--r", "1e-4", "--grid", "4x8"]
+    assert main(argv) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate input: conjugate(round-sphere") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "export"])
 def test_radius_with_overflowing_square_rejected(tmp_path, capsys, command):
     spec = tmp_path / "spec.json"
@@ -163,13 +187,18 @@ def test_global_round_sphere(tmp_path):
     assert abs(rep["lambda1"] - 0.5) < 0.5 * 2e-2
     assert abs(rep["gauss_bonnet"] - 4 * np.pi) < 1e-6
     assert rep["bound_rhs"] >= rep["lambda1"]
+    names = {c["name"]: c for c in data["checks"]}
+    assert names["lambda1_oracle"]["status"] == "PASS"
+    assert abs(rep["lambda1"] - rep["lambda1_oracle"]) <= rep["lambda1_oracle_gap"]
 
 
 def test_global_nonfinite_residuals_fail(tmp_path, monkeypatch):
     nan = float("nan")
     monkeypatch.setattr(
         cli, "lambda1_estimate",
-        lambda grid: SimpleNamespace(value=nan, reilly_rhs=1.0, refinement_gap=nan),
+        lambda grid: SimpleNamespace(
+            value=nan, reilly_rhs=1.0, refinement_gap=nan, oracle=nan, oracle_gap=nan
+        ),
     )
     monkeypatch.setattr(SphereGrid, "second_form_area", lambda self, check=True, tol=0: nan)
     out = tmp_path / "g.json"
@@ -177,15 +206,25 @@ def test_global_nonfinite_residuals_fail(tmp_path, monkeypatch):
     assert rc == EXIT_CHECK_FAILED
     names = {c["name"]: c for c in _load_manifest(out)["checks"]}
     assert names["eigenvalue_bound"]["status"] == "FAIL"
+    assert names["lambda1_oracle"]["status"] == "FAIL"
     assert names["second_form_area_bound"]["status"] == "FAIL"
 
 
-@pytest.mark.parametrize("grid", ["1x1", "2x2", "1x4"])
+@pytest.mark.parametrize("grid", ["1x1", "2x2", "1x4", "4x8", "7x16", "8x15"])
 def test_global_grid_too_small_for_spectrum(capsys, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["global", "round-sphere", "--grid", grid]) == EXIT_DEGENERATE
     assert "too small for the spectrum" in capsys.readouterr().err
+
+
+def test_global_smallest_spectrum_grid_accepted(tmp_path):
+    out = tmp_path / "g.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["global", "round-sphere", "--grid", "8x16", "--out", str(out)]) == EXIT_OK
+    rep = _load_manifest(out)["report"]
+    assert rep["lambda1"] == pytest.approx(2.0, rel=1e-10)
 
 
 def test_global_perturbed_floor_passes_off_the_grid_node(tmp_path):

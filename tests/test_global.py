@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from lightcone import catalog
-from lightcone.errors import ConsistencyError, DegeneracyViolation
+from lightcone.errors import ConsistencyError, DegeneracyViolation, EigenSolverFailure
 from lightcone.integrals import SphereGrid, geometry_table
-from lightcone.spectrum import lambda1_estimate, reilly_bound_rhs
+from lightcone.spectrum import ORACLE_GRIDS, _lambda1_raw, lambda1_estimate, reilly_bound_rhs
+
+
+#: Past unit timelike observer at rapidity 0.8, the benchmark's largest.
+BOOSTED_OBSERVER = np.array([-np.cosh(0.8), 0.6 * np.sinh(0.8), 0.0, 0.8 * np.sinh(0.8)])
 
 
 @pytest.fixture(scope="module")
@@ -100,36 +104,57 @@ def test_curvature_floor_perturbed(bumpy_grid):
 
 
 def test_lambda1_round_sphere_all_radii():
-    for r in (0.5, 1.0, 2.0):
-        grid = SphereGrid(catalog.round_sphere(r=r), 48, 96)
-        res = lambda1_estimate(grid)
-        expected = 2.0 / r**2
-        assert abs(res.value - expected) / expected < 1e-2
-        assert res.refinement_gap < 0.02 * expected
+    for r, shape in ((0.5, (32, 64)), (1.0, (48, 96)), (2.0, (64, 128))):
+        for u in (None, BOOSTED_OBSERVER):
+            res = lambda1_estimate(SphereGrid(catalog.round_sphere(r=r, u=u), *shape))
+            expected = 2.0 / r**2
+            assert abs(res.value - expected) / expected < 1e-10
+            assert res.refinement_gap < 1e-10 * expected
 
 
 def test_lambda1_monotone_refinement(unit_sphere):
-    from lightcone.spectrum import _lambda1_raw
-
     vals = [_lambda1_raw(unit_sphere, n, 2 * n) for n in (32, 48, 64)]
     gap1 = abs(vals[1] - vals[0])
     gap2 = abs(vals[2] - vals[1])
     assert gap1 / gap2 >= 2.0
 
 
-def test_lambda1_repeats_exactly(unit_sphere):
-    from lightcone.spectrum import _lambda1_raw
-
+def test_lambda1_repeats_exactly(unit_sphere, bumpy_grid):
     assert _lambda1_raw(unit_sphere, 16, 32) == _lambda1_raw(unit_sphere, 16, 32)
+    assert lambda1_estimate(bumpy_grid) == lambda1_estimate(bumpy_grid)
+
+
+def test_spectral_route_agrees_with_cotangent_oracle(bumpy_grid):
+    # The cotangent mesh converges at O(h^2), so the spectral value should
+    # sit a third of the oracle's refinement gap beyond its finer mesh, as
+    # Richardson extrapolation from the two meshes predicts.
+    spec = catalog.HarmonicSpec(terms=((2, 0, 0.02), (2, 1, -0.01), (2, -2, 0.005)))
+    for grid in (bumpy_grid, SphereGrid(catalog.perturbed_sphere(spec), 48, 96)):
+        res = lambda1_estimate(grid)
+        assert res.oracle == _lambda1_raw(grid.patch, *ORACLE_GRIDS[0])
+        assert res.oracle_gap == abs(res.oracle - _lambda1_raw(grid.patch, *ORACLE_GRIDS[1]))
+        assert abs(abs(res.value - res.oracle) / res.oracle_gap - 1.0 / 3.0) < 0.05
+        assert res.refinement_gap < 1e-6 * res.value
+
+
+def test_lambda1_rejects_a_chart_not_conformal_to_the_sphere():
+    grid = SphereGrid(catalog.round_sphere(r=1.0), 16, 32)
+    lambda1_estimate(grid)
+    grid.table["F"] = grid.table["F"] + 1e-9 * grid.table["E"]
+    with pytest.raises(EigenSolverFailure, match="not conformal"):
+        lambda1_estimate(grid)
+    grid.table["F"] = np.full(grid.n_nodes, np.nan)
+    with pytest.raises(EigenSolverFailure, match="not conformal"):
+        lambda1_estimate(grid)
 
 
 def test_eigenvalue_bound_round_equality(unit_grid):
     res = lambda1_estimate(unit_grid)
     rhs = res.reilly_rhs
     assert rhs == pytest.approx(2.0, abs=1e-9)  # 2 * total <H,H> / area = 2 K
-    # bound with equality up to discretization on the round sphere
+    # bound with equality up to rounding on the round sphere
     assert res.value <= rhs * (1.0 + 5e-2)
-    assert abs(res.value - rhs) / rhs < 5e-3
+    assert abs(res.value - rhs) / rhs < 1e-10
 
 
 def test_eigenvalue_bound_strict_when_bumpy(bumpy_grid):
