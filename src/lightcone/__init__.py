@@ -3,11 +3,14 @@
 Pointwise curvature identities, conjugate duality, conformal expansions,
 global integrals and spectra, and a numerical search for non-round surfaces
 with constant second-form curvature.
+
+``search`` and ``spectrum`` are imported by name (``from lightcone.search
+import SearchConfig``); the package itself loads numpy and no scipy.
 """
 
 __version__ = "0.1.0"
 
-from . import catalog, curvature, integrals, jets, minkowski, search, spectrum, surfaces, transforms
+from . import catalog, curvature, integrals, jets, minkowski, surfaces, transforms
 from .catalog import (
     HarmonicSpec,
     graph_over_sphere,
@@ -18,6 +21,5 @@ from .catalog import (
 )
 from .integrals import SphereGrid, geometry_table
 from .jets import Jet2, JetVec4
-from .search import SearchConfig, SearchReport
 from .surfaces import JetFrame, PointGeometry, SurfacePatch, point_geometry
 from .transforms import ScalarField, conjugate, expand

@@ -9,12 +9,13 @@ constant-curvature search.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
-from .errors import NonpositiveRadialFunction, NonpositiveRadius
+from .errors import CoordinateOverflow, NonpositiveRadialFunction, NonpositiveRadius
 from .harmonics import L_MAX, real_harmonic
 from .jets import JetVec4
 from .minkowski import boost_to, vec
@@ -185,8 +186,22 @@ def graph_over_sphere(f_cart, name="radial-graph", check_grid=(24, 48)):
 
 
 def perturbed_sphere(spec, r=1.0):
-    """The round sphere of radius r expanded to psi_round(w) exp(sigma(w)) by the spec."""
+    """The round sphere of radius r expanded to psi_round(w) exp(sigma(w)) by the spec.
+
+    By the addition theorem, sum_m Y_lm^2 = (2l + 1) / (4 pi), so sigma is
+    at most sum |a| sqrt((2l + 1) / (4 pi)).  As for the radius, the spec is
+    rejected unless (r e^sigma)^2 is finite at that bound.
+    """
     round_embed = _round_embedding(r)
+    sigma = sum(abs(a) * math.sqrt((2 * l + 1) / (4 * math.pi)) for l, _, a in spec.terms)
+    try:
+        scale = (float(r) * math.exp(sigma)) ** 2
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise CoordinateOverflow(
+            f"spec amplitudes allow sigma up to {sigma:g}; (r e^sigma)^2 must be finite"
+        )
 
     def embed(x, y, z):
         return round_embed(x, y, z).scale(jets.exp(spec.cartesian(x, y, z)))

@@ -21,8 +21,6 @@ from . import __version__, catalog, curvature, transforms
 from .errors import DegeneracyViolation, LightconeError
 from .integrals import SphereGrid, geometry_table
 from .minkowski import inner
-from .search import ORACLE_TOL, SearchConfig, search as run_search, umbilical_offset
-from .spectrum import LAMBDA1_ORACLE_TOL, ORACLE_GRIDS, lambda1_estimate
 from .surfaces import JetFrame, gauss_maps, umbilic_point_search
 
 EXIT_OK = 0
@@ -167,9 +165,16 @@ def _tol_item(item):
     if name not in DEFAULT_TOLS:
         raise argparse.ArgumentTypeError(f"unknown tolerance {name!r}")
     try:
-        return name, float(value)
+        tol = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance {name!r} needs a number, got {value!r}")
+    # Written so that NaN fails.  An infinite tolerance (1e400 parses as
+    # one) passes any finite residual; one at or below zero fails all but 0.
+    if not 0.0 < tol < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {name!r} must be positive and finite, got {value!r}"
+        )
+    return name, tol
 
 
 def _surface_manifest(command, args):
@@ -431,6 +436,8 @@ def _verify_checks(manifest, tols, args):
 
 
 def cmd_global(args):
+    from . import spectrum
+
     manifest, tols = _surface_manifest("global", args)
     try:
         patch = _build_surface(args)
@@ -443,7 +450,7 @@ def cmd_global(args):
         gb2 = grid.gauss_bonnet_second_form()
         ii_area = grid.second_form_area(check=False)
         floor = grid.second_curvature_floor(tol=tols["curvature_floor"])
-        lam = lambda1_estimate(grid)
+        lam = spectrum.lambda1_estimate(grid)
     except LightconeError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -477,12 +484,13 @@ def cmd_global(args):
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         oracle_ratio = np.float64(abs(lam.value - lam.oracle)) / lam.oracle_gap
+    nt, np_ = spectrum.ORACLE_GRIDS[0]
     manifest.add(
         "lambda1_oracle",
         oracle_ratio,
-        LAMBDA1_ORACLE_TOL,
+        spectrum.LAMBDA1_ORACLE_TOL,
         detail=(
-            f"|lambda1 - cotangent {ORACLE_GRIDS[0][0]}x{ORACLE_GRIDS[0][1]} "
+            f"|lambda1 - cotangent {nt}x{np_} "
             f"{lam.oracle:.6f}| in units of its refinement gap {lam.oracle_gap:.3e}"
         ),
     )
@@ -519,6 +527,8 @@ def cmd_global(args):
 
 
 def cmd_search(args):
+    from . import search
+
     try:
         with open(args.config) as fh:
             text = fh.read()
@@ -535,13 +545,13 @@ def cmd_search(args):
     try:
         if args.seed is not None:
             data["seed"] = args.seed
-        config = SearchConfig(**data)
+        config = search.SearchConfig(**data)
     except (TypeError, ValueError) as exc:
         print(f"bad config value: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
     manifest = Manifest("search", config.to_dict(), seed=config.seed)
-    report = run_search(config)
+    report = search.search(config)
     n_umb = sum(1 for r in report.results if r.classification == "umbilical")
     manifest.add(
         "search_completed",
@@ -554,10 +564,10 @@ def cmd_search(args):
     manifest.add(
         "closed_form_oracle",
         max(r.oracle_diff for r in report.results),
-        ORACLE_TOL,
+        search.ORACLE_TOL,
         detail="closed-form objective against the JetFrame route at each minimizer",
     )
-    offset = umbilical_offset(report, config)
+    offset = search.umbilical_offset(report, config)
     if offset is None:
         manifest.skip("umbilical_at_two", "no converged start has sup gap below var_tol")
     else:

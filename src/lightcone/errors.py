@@ -57,6 +57,10 @@ class NonpositiveRadius(LightconeError):
     """Sphere radius must be strictly positive."""
 
 
+class CoordinateOverflow(LightconeError):
+    """Chart coordinates whose squares could overflow a float."""
+
+
 class NonpositiveRadialFunction(LightconeError):
     """Radial graph function must be strictly positive on the sphere."""
 

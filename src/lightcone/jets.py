@@ -201,12 +201,17 @@ class Jet2:
         return cls._wrap(c, ORDER)
 
     @classmethod
-    def variable(cls, axis, value):
-        """Jet of the coordinate function u or v at the given base value(s)."""
+    def variable(cls, axis, value, valid=ORDER):
+        """Jet of the coordinate function u or v at the given base value(s).
+
+        With ``valid=0`` every product, quotient and analytic function of
+        the jet computes its value row only.
+        """
         if axis not in ("u", "v"):
             raise ValueError("axis must be 'u' or 'v'")
         out = cls.constant(value)
         out._c[_INDEX[(1, 0) if axis == "u" else (0, 1)]] = 1.0
+        out.valid = valid
         return out
 
     # -- basic queries -----------------------------------------------------

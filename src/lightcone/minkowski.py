@@ -34,29 +34,6 @@ def inner(a, b):
     )
 
 
-def causal_character(v, tol=1e-10):
-    """Classify a single vector as 'zero', 'timelike', 'spacelike' or 'lightlike'.
-
-    The zero vector is reported separately so the three causal classes are
-    exhaustive and mutually exclusive on nonzero vectors.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.all(v == 0.0):
-        return "zero"
-    q = float(inner(v, v))
-    if q < -tol:
-        return "timelike"
-    if q > tol:
-        return "spacelike"
-    return "lightlike"
-
-
-def in_future_lightcone(v, tol=1e-10):
-    """True iff v is (numerically) null and future pointing."""
-    v = np.asarray(v, dtype=float)
-    return bool(abs(float(inner(v, v))) <= tol and v[..., 0] > 0.0)
-
-
 def boost_to(u, tol=1e-10):
     """Lorentz transform B with B(-1,0,0,0) = u and B^T G B = G.
 

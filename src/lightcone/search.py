@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import jets
 from .catalog import HarmonicSpec, _direction_jets, perturbed_sphere
@@ -205,9 +204,9 @@ class VarianceObjective:
             )
 
     def _frame_fields(self, x):
-        patch = perturbed_sphere(self.spec(x), r=self.config.radius)
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                patch = perturbed_sphere(self.spec(x), r=self.config.radius)
                 frame = JetFrame(patch, self.TH, self.PH)
                 return _Fields(
                     detA=frame.detA_val,
@@ -312,6 +311,64 @@ class SearchReport:
         return buf.getvalue()
 
 
+def _nelder_mead(f, simplex, max_iter, xatol, fatol):
+    """Nelder-Mead simplex descent from an (N + 1, N) simplex; returns (x, iterations).
+
+    Nelder & Mead, Comput. J. 7 (1965) 308, with reflection 1, expansion 2,
+    contraction 1/2 and shrink 1/2.  The steps, the sorts and the stopping
+    test are written as in scipy's ``minimize(method="Nelder-Mead")``
+    without bounds or adaptive coefficients, so the vertices come out bit
+    for bit the same, and ``f`` likewise receives a copy of each vertex.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = f(np.copy(sim[k]))
+    # Two sorts here, then one per iteration: on tied values each sort may
+    # reorder the tie, so the sequence of sorts fixes which vertex leads.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < max_iter:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - 1 * sim[-1]
+        fxr = f(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                x_in = 1.5 * xbar - 0.5 * sim[-1]
+                f_in = f(np.copy(x_in))
+                accept = f_in <= fxr
+            else:
+                x_in = 0.5 * xbar + 0.5 * sim[-1]
+                f_in = f(np.copy(x_in))
+                accept = f_in < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = x_in, f_in
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(np.copy(sim[j]))
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], iterations
+
+
 def _minimize_one(obj, x0, config):
     """Simplex descent with restarts; returns (x, per-evaluation trace, iterations)."""
     trace = []
@@ -334,20 +391,8 @@ def _minimize_one(obj, x0, config):
     total_iters = 0
     for _ in range(config.n_restarts + 1):
         simplex = np.vstack([x] + [x + step * e for e in np.eye(x.size)])
-        res = minimize(
-            wrapped,
-            x,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "maxiter": config.max_iter,
-                "xatol": 1e-6,
-                "fatol": 1e-12,
-                "adaptive": False,
-            },
-        )
-        x = res.x
-        total_iters += res.nit
+        x, iters = _nelder_mead(wrapped, simplex, config.max_iter, xatol=1e-6, fatol=1e-12)
+        total_iters += iters
         step *= 0.1
     return x, trace, total_iters
 
@@ -471,28 +516,3 @@ def umbilical_offset(report, config):
         if r.converged_variance and r.sup_gap_low < config.var_tol
     ]
     return max(offsets) if offsets else None
-
-
-def rotation_block(l, R, n_theta=24, n_phi=48):
-    """Orthogonal action of a rotation on the degree-l coefficient block.
-
-    Built by quadrature of Y_l(R w) against Y_l(w); exact for polynomial
-    harmonics at this node count.  Used to check the gauge invariance of
-    the objective.
-    """
-    from .harmonics import real_harmonic
-
-    TH, PH, w = sphere_quadrature(n_theta, n_phi)
-    x = np.sin(TH) * np.cos(PH)
-    y = np.sin(TH) * np.sin(PH)
-    z = np.cos(TH)
-    pts = np.stack([x, y, z], axis=0)
-    rpts = np.asarray(R, dtype=float) @ pts
-    ms = range(-l, l + 1)
-    D = np.empty((len(ms), len(ms)))
-    for i, mi in enumerate(ms):
-        yi = real_harmonic(l, mi, rpts[0], rpts[1], rpts[2])
-        for j, mj in enumerate(ms):
-            yj = real_harmonic(l, mj, x, y, z)
-            D[i, j] = float(np.sum(w * yi * yj))
-    return D

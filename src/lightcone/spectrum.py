@@ -54,22 +54,21 @@ def _mesh(patch, nt, np_):
     verts[north] = patch.position(0.0, 0.0)
     verts[south] = patch.position(np.pi, 0.0)
 
-    def node(i, j):
-        return i * np_ + j % np_
-
-    quads = []
-    for i in range(nt - 1):
-        for j in range(np_):
-            a, b = node(i, j), node(i, j + 1)
-            c, d = node(i + 1, j), node(i + 1, j + 1)
-            quads.append((a, b, c))
-            quads.append((b, d, c))
-    fans = []
-    for j in range(np_):
-        fans.append((north, node(0, j), node(0, j + 1)))
-        fans.append((south, node(nt - 1, j + 1), node(nt - 1, j)))
-    tris = np.array(quads + fans, dtype=np.int64)
-    return verts, tris
+    # Node (i, j) is i * np_ + j, with j wrapping around the ring.  Each
+    # quad (a b / c d) of rings i and i + 1 gives (a, b, c) then (b, d, c);
+    # then, per j, the north fan triangle and the south one.
+    ring = np.arange(np_, dtype=np.int64)
+    ahead = (ring + 1) % np_
+    offset = np_ * np.arange(nt - 1, dtype=np.int64)[:, None]
+    a, b = offset + ring, offset + ahead
+    c, d = a + np_, b + np_
+    quads = np.stack([a, b, c, b, d, c], axis=-1).reshape(-1, 3)
+    last = (nt - 1) * np_
+    pole = np.ones(np_, dtype=np.int64)
+    fans = np.stack(
+        [north * pole, ring, ahead, south * pole, last + ahead, last + ring], axis=-1
+    ).reshape(-1, 3)
+    return verts, np.concatenate([quads, fans])
 
 
 def _cotangent_system(verts, tris):

@@ -69,9 +69,9 @@ class SurfacePatch:
         return U.ravel(), V.ravel()
 
     def position(self, u, v):
-        """Chart value(s) as plain Minkowski coordinates."""
-        psi = self.chart(Jet2.variable("u", np.asarray(u, float)),
-                         Jet2.variable("v", np.asarray(v, float)))
+        """Chart value(s) as plain Minkowski coordinates, from order-zero jets."""
+        psi = self.chart(Jet2.variable("u", np.asarray(u, float), valid=0),
+                         Jet2.variable("v", np.asarray(v, float), valid=0))
         return psi.values
 
 

@@ -2,15 +2,19 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib.resources import files
+from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from lightcone import cli, curvature
+from lightcone import cli, curvature, search, spectrum
 from lightcone.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -177,6 +181,29 @@ def test_verify_unknown_tolerance_rejected():
         main(["verify", "round-sphere", "--tol", "bogus=1"])
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1", "0"])
+def test_verify_meaningless_tolerance_rejected(capsys, value):
+    # inf and 1e400 would pass the check vacuously; nan, -1 and 0 would fail it
+    with pytest.raises(SystemExit):
+        main(["verify", "round-sphere", "--grid", "4x8", "--tol", f"codazzi={value}"])
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "global", "export"])
+@pytest.mark.parametrize("amplitude", ["700", "1e300"])
+def test_overflowing_spec_amplitude_rejected(tmp_path, capsys, command, amplitude):
+    # Rejected before any jet is built: no overflow warning reaches stderr.
+    spec = tmp_path / "spec.json"
+    spec.write_text(f"[[2, 0, {amplitude}]]")
+    argv = [command, "perturbed", "--spec", str(spec), "--grid", "8x16",
+            "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DEGENERATE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "(r e^sigma)^2 must be finite" in lines[0], lines
+
+
 def test_global_round_sphere(tmp_path):
     out = tmp_path / "g.json"
     rc = main(["global", "round-sphere", "--r", "2", "--grid", "32x64", "--out", str(out)])
@@ -195,7 +222,7 @@ def test_global_round_sphere(tmp_path):
 def test_global_nonfinite_residuals_fail(tmp_path, monkeypatch):
     nan = float("nan")
     monkeypatch.setattr(
-        cli, "lambda1_estimate",
+        spectrum, "lambda1_estimate",
         lambda grid: SimpleNamespace(
             value=nan, reilly_rhs=1.0, refinement_gap=nan, oracle=nan, oracle_gap=nan
         ),
@@ -291,7 +318,7 @@ def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, argv):
         raise AssertionError("work started before the output paths were checked")
 
     monkeypatch.setattr(cli, "_build_surface", never)
-    monkeypatch.setattr(cli, "run_search", never)
+    monkeypatch.setattr(search, "search", never)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16,
                                "max_iter": 20}))
@@ -414,3 +441,60 @@ def test_grid_parser_rejects_garbage(grid):
     with pytest.raises(SystemExit):
         # "--grid=" keeps argparse from reading "-1x8" as an option
         main(["verify", "round-sphere", f"--grid={grid}"])
+
+
+# -- start-up cost -------------------------------------------------------------
+#
+# Only `global` needs scipy (its eigensolvers); the other commands, and the
+# import of the command line itself, must not load any of it.
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _scipy_modules_after(code, cwd):
+    """The scipy modules a fresh interpreter has loaded after running ``code``."""
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after("import lightcone.cli", tmp_path) == []
+
+
+def test_verify_and_export_load_no_scipy(tmp_path):
+    code = (
+        "from lightcone.cli import main\n"
+        "assert main(['verify', 'round-sphere', '--grid', '8x16']) == 0\n"
+        "assert main(['export', 'round-sphere', '--grid', '8x16', '--out', 't.csv']) == 0"
+    )
+    assert _scipy_modules_after(code, tmp_path) == []
+
+
+def test_search_loads_no_scipy(tmp_path):
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16, "max_iter": 20})
+    )
+    code = (
+        "from lightcone.cli import main\n"
+        "assert main(['search', '--config', 'cfg.json', '--out', 'r.json']) == 0"
+    )
+    assert _scipy_modules_after(code, tmp_path) == []
+
+
+def test_global_loads_no_scipy_optimize(tmp_path):
+    code = (
+        "from lightcone.cli import main\n"
+        "assert main(['global', 'round-sphere', '--grid', '8x16']) == 0"
+    )
+    loaded = _scipy_modules_after(code, tmp_path)
+    assert "scipy.linalg" in loaded and "scipy.sparse.linalg" in loaded
+    assert not any(m.startswith("scipy.optimize") for m in loaded), loaded

@@ -4,7 +4,13 @@ import pytest
 from lightcone import catalog
 from lightcone.errors import ConsistencyError, DegeneracyViolation, EigenSolverFailure
 from lightcone.integrals import SphereGrid, geometry_table
-from lightcone.spectrum import ORACLE_GRIDS, _lambda1_raw, lambda1_estimate, reilly_bound_rhs
+from lightcone.spectrum import (
+    ORACLE_GRIDS,
+    _lambda1_raw,
+    _mesh,
+    lambda1_estimate,
+    reilly_bound_rhs,
+)
 
 
 #: Past unit timelike observer at rapidity 0.8, the benchmark's largest.
@@ -178,3 +184,30 @@ def test_geometry_table_chunk_size_is_bitwise(bumpy_sphere):
         t = geometry_table(bumpy_sphere, u, v, chunk=chunk)
         for key in ref:
             assert np.array_equal(t[key], ref[key]), (chunk, key)
+
+
+def _loop_triangles(nt, np_):
+    """The oracle mesh's triangles, one quad and one fan triangle at a time."""
+
+    def node(i, j):
+        return i * np_ + j % np_
+
+    north, south = nt * np_, nt * np_ + 1
+    tris = []
+    for i in range(nt - 1):
+        for j in range(np_):
+            a, b = node(i, j), node(i, j + 1)
+            c, d = node(i + 1, j), node(i + 1, j + 1)
+            tris += [(a, b, c), (b, d, c)]
+    for j in range(np_):
+        tris += [(north, node(0, j), node(0, j + 1)), (south, node(nt - 1, j + 1), node(nt - 1, j))]
+    return np.array(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 5), (16, 32), (32, 64)])
+def test_mesh_triangles_match_loop_reference(unit_sphere, shape):
+    verts, tris = _mesh(unit_sphere, *shape)
+    ref = _loop_triangles(*shape)
+    assert tris.dtype == ref.dtype and tris.shape == ref.shape
+    assert np.array_equal(tris, ref)
+    assert verts.shape == (shape[0] * shape[1] + 2, 4)

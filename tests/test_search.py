@@ -2,17 +2,38 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize, rosen
 
 from lightcone.catalog import HarmonicSpec
+from lightcone.harmonics import real_harmonic
+from lightcone.integrals import sphere_quadrature
 from lightcone.search import (
     ORACLE_TOL,
     SearchConfig,
     VarianceObjective,
-    rotation_block,
+    _nelder_mead,
     search,
 )
 
 FAST = dict(degree_max=2, n_theta=10, n_phi=20, max_iter=150)
+
+
+def rotation_block(l, R, n_theta=24, n_phi=48):
+    """Orthogonal action of a rotation on the degree-l coefficient block.
+
+    Built by quadrature of Y_l(R w) against Y_l(w); exact for polynomial
+    harmonics at this node count.
+    """
+    TH, PH, w = sphere_quadrature(n_theta, n_phi)
+    pts = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)])
+    rpts = np.asarray(R, dtype=float) @ pts
+    ms = range(-l, l + 1)
+    D = np.empty((len(ms), len(ms)))
+    for i, mi in enumerate(ms):
+        yi = real_harmonic(l, mi, *rpts)
+        for j, mj in enumerate(ms):
+            D[i, j] = float(np.sum(w * yi * real_harmonic(l, mj, *pts)))
+    return D
 
 
 def test_round_sphere_is_global_minimum():
@@ -207,3 +228,87 @@ def test_config_free_pairs_freezing():
     assert (1, 0) in cfg.free_pairs()
     cfg = SearchConfig(degree_max=1, freeze_degree0=False, freeze_degree1=False)
     assert (0, 0) in cfg.free_pairs()
+
+
+# -- the simplex against scipy's ---------------------------------------------
+
+
+def _simplex(x0, step):
+    x0 = np.asarray(x0, dtype=float)
+    return np.vstack([x0] + [x0 + step * e for e in np.eye(x0.size)])
+
+
+def _logged(f):
+    """f, recording a copy of every point it is called on, and the record."""
+    points = []
+
+    def logged(x):
+        points.append(x.copy())
+        return f(x)
+
+    return logged, points
+
+
+def _assert_same_run(f, simplex, max_iter):
+    """Our simplex visits scipy's points bit for bit; returns the iteration count."""
+    ref_f, ref_points = _logged(f)
+    res = minimize(
+        ref_f, simplex[0], method="Nelder-Mead",
+        options={"initial_simplex": simplex, "maxiter": max_iter, "xatol": 1e-6,
+                 "fatol": 1e-12, "adaptive": False},
+    )
+    our_f, points = _logged(f)
+    x, iterations = _nelder_mead(our_f, simplex, max_iter, xatol=1e-6, fatol=1e-12)
+    assert iterations == res.nit
+    assert len(points) == len(ref_points)
+    assert np.array(points).tobytes() == np.array(ref_points).tobytes()
+    assert x.tobytes() == res.x.tobytes()
+    return iterations
+
+
+@pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.5, -0.3, 1.1, 0.8]], ids=["dim2", "dim4"])
+def test_nelder_mead_matches_scipy_on_rosenbrock(x0):
+    assert _assert_same_run(rosen, _simplex(x0, 0.05), 400) > 50
+
+
+def test_nelder_mead_matches_scipy_on_ties():
+    # Two plateaus, like the objective's two walls: every point beyond
+    # radius 1 scores 1e6 and beyond radius 2 scores 2e6.  The sorts meet
+    # ties from the first one on (numpy's argsort is not stable, and which
+    # tied vertex counts as the worst steers the descent), and trial points
+    # tie with the vertices they are compared against.
+    rng = np.random.default_rng(5)
+    centre = rng.uniform(-0.3, 0.3, 8)
+
+    def walled(x):
+        q = x @ x
+        return 2e6 if q > 4.0 else 1e6 if q > 1.0 else float((x - centre) @ (x - centre))
+
+    simplex = _simplex(rng.uniform(-0.5, 0.5, 8), 1.5)
+    assert {walled(v) for v in simplex} == {1e6, 2e6}
+    assert _assert_same_run(walled, simplex, 200) > 100
+
+
+@pytest.mark.parametrize(
+    "degree_max, freeze_degree1, amplitude, n_vertices",
+    [(2, True, 0.3, 6), (3, False, 0.1, 16)],
+    ids=["degree2", "degree3"],
+)
+def test_nelder_mead_matches_scipy_on_variance_objective(
+    degree_max, freeze_degree1, amplitude, n_vertices
+):
+    cfg = SearchConfig(degree_max=degree_max, freeze_degree1=freeze_degree1, n_theta=8, n_phi=16)
+    obj = VarianceObjective(cfg)
+    x0 = np.random.default_rng(2).uniform(-amplitude, amplitude, len(obj.pairs))
+    simplex = _simplex(x0, 0.02)
+    assert simplex.shape[0] == n_vertices
+    walls = []
+
+    def objective(x):
+        d = obj.diagnostics(x)
+        walls.append(not d["ok"])
+        return d["objective"]
+
+    _assert_same_run(objective, simplex, 150)
+    # the descent starts on the wall and leaves it
+    assert walls[0] and not all(walls)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_perturbed_sphere
-from lightcone import catalog, jets
+from lightcone import catalog, jets, transforms
 from lightcone.errors import NotOnLightcone, NotSpacelike
 from lightcone.jets import Jet2, JetVec4
 from lightcone.minkowski import inner
@@ -350,3 +350,21 @@ def test_degenerate_chart_rejected():
     ray = SurfacePatch("null-ray", chart, ((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(NotSpacelike):
         JetFrame(ray, 0.5, 0.5)
+
+
+def test_position_equals_frame_positions_bit_for_bit(unit_sphere, cylinder, paraboloid,
+                                                     bumpy_sphere):
+    # position evaluates the chart on order-zero jets; the value rows must
+    # be the full-order frame's, bit for bit
+    boosted = catalog.round_sphere(u=[-np.cosh(0.8), 0.0, np.sinh(0.8), 0.0], r=1.3)
+    graph = catalog.graph_over_sphere(lambda x, y, z: jets.exp(0.1 * x * z) * 0.7)
+    patches = [unit_sphere, boosted, cylinder, paraboloid, bumpy_sphere, graph,
+               transforms.conjugate(bumpy_sphere), bumpy_sphere.rotated,
+               transforms.expand(unit_sphere, catalog.HarmonicSpec(((2, 1, 0.05),)).chart_field())]
+    rng = np.random.default_rng(0)
+    for patch in patches:
+        u, v = patch.grid_points((9, 14))
+        ur, vr = patch.sample_points(50, rng)
+        u, v = np.concatenate([u, ur]), np.concatenate([v, vr])
+        ref = JetFrame(patch, u, v, check=False).psi_val
+        assert patch.position(u, v).tobytes() == ref.tobytes(), patch.name
