@@ -11,7 +11,7 @@ import numpy as np
 
 from lightcone import catalog, conjugate
 from lightcone.surfaces import JetFrame
-from lightcone.transforms import double_conjugate_residual, verify_conjugate_duality
+from lightcone.transforms import verify_conjugate_duality
 
 sphere = catalog.round_sphere(r=2.0)
 conj = conjugate(sphere)
@@ -29,10 +29,9 @@ print("\nbumpy sphere, sup residuals over a 20x40 grid:")
 patch = catalog.perturbed_sphere(
     catalog.HarmonicSpec(terms=((2, 2, 0.04), (3, 0, 0.02)))
 )
-res = verify_conjugate_duality(patch, grid=(20, 40))
+res = verify_conjugate_duality(JetFrame(patch, *patch.grid_points((20, 40))))
 for name, val in res.items():
     print(f"  {name:<22} {val:.2e}")
-print(f"  {'double conjugation':<22} {double_conjugate_residual(patch, grid=(10, 20)):.2e}")
 
 print("\nthe flat paraboloid graph has no conjugate (its normal is constant):")
 try:

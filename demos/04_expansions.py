@@ -9,6 +9,7 @@ second-form laws against a direct recomputation on the expanded surface.
 import numpy as np
 
 from lightcone import catalog
+from lightcone.surfaces import JetFrame
 from lightcone.transforms import ScalarField, expand, verify_expansion_laws
 
 rng = np.random.default_rng(7)
@@ -22,13 +23,13 @@ print("\nrandom degree-3 bump, residuals of each law at 60 random points:")
 sigma = catalog.HarmonicSpec(
     terms=((1, 1, 0.03), (2, 0, 0.02), (3, -2, 0.015))
 ).chart_field()
-laws = verify_expansion_laws(base, sigma, base.sample_points(60, rng))
+laws = verify_expansion_laws(JetFrame(base, *base.sample_points(60, rng)), sigma)
 for name, val in laws.items():
     print(f"  {name:<18} {val:.2e}")
 
 print("\nexpansion of the flat cylinder by a chart-level sigma works the same:")
 cyl = catalog.product_cylinder()
 sigma = ScalarField(lambda uj, vj: (uj * uj) * 0.02 + vj * 0.01)
-laws = verify_expansion_laws(cyl, sigma, cyl.sample_points(60, rng))
+laws = verify_expansion_laws(JetFrame(cyl, *cyl.sample_points(60, rng)), sigma)
 for name in ("weingarten", "second_form", "curvature"):
     print(f"  {name:<18} {laws[name]:.2e}")

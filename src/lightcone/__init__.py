@@ -21,5 +21,5 @@ from .catalog import (
 )
 from .integrals import SphereGrid, geometry_table
 from .jets import Jet2, JetVec4
-from .surfaces import JetFrame, PointGeometry, SurfacePatch, point_geometry
+from .surfaces import JetFrame, SurfacePatch
 from .transforms import ScalarField, conjugate, expand

@@ -23,6 +23,8 @@ from .surfaces import SurfacePatch
 from .transforms import ScalarField
 
 _SPHERE_DOMAIN = ((0.0, np.pi), (0.0, 2.0 * np.pi))
+#: Grid on which ``graph_over_sphere`` checks that the radial function is positive.
+_GRAPH_CHECK_GRID = (24, 48)
 
 #: Quarter turn about the y axis; sends the chart poles to equatorial points.
 _POLE_SWAP = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -164,7 +166,7 @@ class HarmonicSpec:
         return cls(terms=tuple((l, m, float(a)) for (l, m), a in zip(pairs, values)))
 
 
-def graph_over_sphere(f_cart, name="radial-graph", check_grid=(24, 48)):
+def graph_over_sphere(f_cart, name="radial-graph"):
     """Radial graph psi = f(w) (1, w) over the unit sphere.
 
     ``f_cart`` maps direction cosines (as jets) to a positive jet; any
@@ -176,7 +178,7 @@ def graph_over_sphere(f_cart, name="radial-graph", check_grid=(24, 48)):
         return JetVec4(f, f * x, f * y, f * z)
 
     patch = _sphere_patch(name, embed)
-    u, v = patch.grid_points(check_grid)
+    u, v = patch.grid_points(_GRAPH_CHECK_GRID)
     vals = patch.position(u, v)[..., 0]
     if np.any(vals <= 0.0):
         raise NonpositiveRadialFunction(

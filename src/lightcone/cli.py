@@ -2,8 +2,9 @@
 
 Every run writes a JSON manifest echoing the configuration, the residual of
 each check with its tolerance, and the wall time.  Exit codes: 0 all checks
-pass, 2 a check failed, 3 degenerate or invalid surface input or an
-unwritable output path, 4 malformed search configuration.
+pass, 2 a check failed, 3 degenerate or invalid surface input, an
+unwritable output path or a usage error, 4 malformed search configuration
+or a usage error of ``search``.
 """
 
 from __future__ import annotations
@@ -325,21 +326,19 @@ def _definite_residuals(frame):
     )
 
 
-CONJUGATE_CHECKS = (
-    "conjugate_weingarten", "conjugate_second_form", "conjugate_curvature", "third_form",
-    "double_conjugate",
-)
+#: Check name -> key of the identity in transforms.verify_conjugate_duality.
+CONJUGATE_CHECKS = {
+    "conjugate_weingarten": "weingarten_inverse",
+    "conjugate_second_form": "second_form_match",
+    "conjugate_curvature": "curvature_ratio",
+    "third_form": "third_form_match",
+    "double_conjugate": "double_conjugate",
+}
 
 
 def _conjugate_residuals(patch, grid):
-    dual = transforms.verify_conjugate_duality(patch, grid=grid)
-    return (
-        dual["weingarten_inverse"],
-        dual["second_form_match"],
-        dual["curvature_ratio"],
-        dual["third_form_match"],
-        transforms.double_conjugate_residual(patch, grid=grid),
-    )
+    dual = transforms.verify_conjugate_duality(JetFrame(patch, *patch.grid_points(grid)))
+    return [dual[key] for key in CONJUGATE_CHECKS.values()]
 
 
 #: Check name -> key of the law in transforms.verify_expansion_laws.
@@ -357,8 +356,8 @@ EXPANSION_LAWS = {
 def _expansion_residuals(patch, seed):
     sigma = catalog.HarmonicSpec(terms=((1, 1, 0.02), (2, -1, 0.015))).chart_field()
     rng = np.random.default_rng(seed)
-    pts = patch.sample_points(100, rng, margin=0.05)
-    laws = transforms.verify_expansion_laws(patch, sigma, pts)
+    frame = JetFrame(patch, *patch.sample_points(100, rng, margin=0.05))
+    laws = transforms.verify_expansion_laws(frame, sigma)
     return [laws[key] for key in EXPANSION_LAWS.values()]
 
 
@@ -631,8 +630,23 @@ def cmd_export(args):
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``usage_exit``.
+
+    argparse's own code, 2, would read as a failed check.
+    """
+
+    def __init__(self, *args, usage_exit=EXIT_DEGENERATE, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.usage_exit = usage_exit
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(self.usage_exit, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lightcone",
         description=__doc__,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
@@ -671,15 +685,17 @@ def build_parser():
         **fmt,
     )
     add_surface_args(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=cmd_verify, parser=p_verify)
 
     p_global = sub.add_parser(
         "global", help="integrals, area bound and eigenvalue bound", **fmt
     )
     add_surface_args(p_global)
-    p_global.set_defaults(fn=cmd_global)
+    p_global.set_defaults(fn=cmd_global, parser=p_global)
 
-    p_search = sub.add_parser("search", help="constant-curvature variance search", **fmt)
+    p_search = sub.add_parser(
+        "search", help="constant-curvature variance search", usage_exit=EXIT_BAD_CONFIG, **fmt
+    )
     p_search.add_argument("--config", required=True, help="SearchConfig JSON file")
     p_search.add_argument("--seed", type=int, default=None, help="override config seed")
     p_search.add_argument("--out", default="search_report.json", help="report JSON path")
@@ -687,11 +703,11 @@ def build_parser():
         "--trace", default=None, help="trace CSV path; by default beside the report"
     )
     p_search.add_argument("--manifest", default=None, help="manifest JSON path")
-    p_search.set_defaults(fn=cmd_search)
+    p_search.set_defaults(fn=cmd_search, parser=p_search)
 
     p_export = sub.add_parser("export", help="dump per-node curvature table as CSV", **fmt)
     add_surface_args(p_export)
-    p_export.set_defaults(fn=cmd_export)
+    p_export.set_defaults(fn=cmd_export, parser=p_export)
     # export writes the table, not a manifest
     for action in p_export._actions:
         if action.dest == "out":
@@ -701,7 +717,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # What the command's parser left over is its usage error.
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "search" and args.trace is None:
         args.trace = args.out.rsplit(".", 1)[0] + "_trace.csv"
     code = _unwritable(getattr(args, name, None) for name in ("out", "trace", "manifest"))

@@ -40,6 +40,8 @@ CONFORMAL_TOL = 1e-12
 _BLOCK = 2048
 #: Fine and coarse mesh of the cotangent oracle.
 ORACLE_GRIDS = ((32, 64), (16, 32))
+#: Eigenpairs the cotangent oracle asks ARPACK for.
+_ORACLE_K = 6
 #: Largest |lambda1 - oracle| in units of the oracle's refinement gap.
 LAMBDA1_ORACLE_TOL = 1.0
 
@@ -127,13 +129,13 @@ class Lambda1Result:
     oracle_gap: float
 
 
-def _lambda1_raw(patch, n_theta, n_phi, k=6):
+def _lambda1_raw(patch, n_theta, n_phi):
     """First nonzero eigenvalue of the cotangent Laplacian on the n_theta x n_phi mesh."""
     n_verts = n_theta * n_phi + 2
-    if n_verts <= k:
+    if n_verts <= _ORACLE_K:
         raise EigenSolverFailure(
             f"{n_theta}x{n_phi} grid is too small for the spectrum: "
-            f"{n_verts} mesh vertices, more than {k} needed"
+            f"{n_verts} mesh vertices, more than {_ORACLE_K} needed"
         )
     verts, tris = _mesh(patch, n_theta, n_phi)
     W, mass = _cotangent_system(verts, tris)
@@ -144,7 +146,7 @@ def _lambda1_raw(patch, n_theta, n_phi, k=6):
     v0 = np.random.default_rng(0).standard_normal(W.shape[0])
     try:
         vals = spla.eigsh(
-            W, k=k, M=M, sigma=-0.01 * scale, which="LM", v0=v0, return_eigenvectors=False
+            W, k=_ORACLE_K, M=M, sigma=-0.01 * scale, which="LM", v0=v0, return_eigenvectors=False
         )
     except Exception as exc:  # arpack failures become our error type
         raise EigenSolverFailure(str(exc)) from exc

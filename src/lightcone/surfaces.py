@@ -17,13 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateNormalFrame,
-    GaussMapUndefined,
-    NotOnLightcone,
-    NotSpacelike,
-    ConsistencyError,
-)
+from .errors import DegenerateNormalFrame, GaussMapUndefined, NotOnLightcone, NotSpacelike
 from .jets import Jet2, JetVec4
 from .minkowski import inner
 
@@ -380,52 +374,6 @@ def _inv2(m, det=None):
     inv[..., 0, 1] = -m[..., 0, 1]
     inv[..., 1, 0] = -m[..., 1, 0]
     return inv / det[..., None, None]
-
-
-# -- public pointwise operations --------------------------------------------
-
-
-@dataclass
-class PointGeometry:
-    """The pointwise dashboard: metric, normal, shape data and curvatures."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    eta: np.ndarray
-    A: np.ndarray
-    II: np.ndarray
-    K: float
-    detA: float
-    H: np.ndarray
-    gap_low: float
-    gap_high: float
-    K_eta: Optional[float] = None
-
-
-def point_geometry(patch, p, second_form_curvature=True):
-    """Full pointwise dashboard; optionally includes the curvature of II."""
-    frame = JetFrame(patch, *p)
-    resid = frame.second_form_inner_residual()
-    if np.max(resid) > 1e-9:
-        raise ConsistencyError(
-            f"<II,II> = 2K failed by {np.max(resid):.3e} at {patch.name}"
-        )
-    k_eta = None
-    if second_form_curvature and bool(np.all(frame.ii_positive)):
-        k_eta = frame.K_eta
-    return PointGeometry(
-        g=frame.g_val,
-        g_inv=frame.gi_val,
-        eta=frame.eta_val,
-        A=frame.A_val,
-        II=frame.II_val,
-        K=frame.K_val,
-        detA=frame.detA_val,
-        H=frame.H_val,
-        gap_low=frame.gap_low,
-        gap_high=frame.gap_high,
-        K_eta=k_eta,
-    )
 
 
 def gauss_maps(frame):

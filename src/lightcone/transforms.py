@@ -20,6 +20,8 @@ from .surfaces import JetFrame, SurfacePatch
 
 #: Smallest |det A| on the check grid for which the conjugate is an immersion.
 _CONJUGATE_FLOOR = 1e-8
+#: Grid on which ``conjugate`` checks that floor.
+_CONJUGATE_CHECK_GRID = (24, 48)
 
 
 class ScalarField:
@@ -39,38 +41,43 @@ class ScalarField:
         return cls(lambda uj, vj: Jet2.constant(np.full(np.broadcast_shapes(uj.batch_shape, vj.batch_shape), float(c))))
 
 
-def conjugate(patch, check_grid=(24, 48), _validate=True):
+def conjugate(patch):
     """The surface traced by minus the lightlike normal of ``patch``.
 
     Inherits the parametrization of the original chart.  Raises
     DegeneracyViolation (with the offending point) when the shape operator
-    degenerates anywhere on the check grid, since the map then fails to be
-    an immersion.
+    degenerates anywhere on a 24x48 check grid, since the map then fails to
+    be an immersion.
     """
-    if _validate:
-        u, v = patch.grid_points(check_grid)
-        frame = JetFrame(patch, u, v)
-        bad = np.abs(frame.detA_val) <= _CONJUGATE_FLOOR
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise DegeneracyViolation(
-                f"{patch.name}: conjugate undefined, |det A| <= {_CONJUGATE_FLOOR:.1e} "
-                f"at (u, v) = ({u[k]:.6g}, {v[k]:.6g})"
-            )
+    _require_immersion(JetFrame(patch, *patch.grid_points(_CONJUGATE_CHECK_GRID)))
+    return _conjugate_patch(patch)
+
+
+def _require_immersion(frame):
+    """Raise DegeneracyViolation where |det A| on the frame is at the floor."""
+    bad = np.abs(frame.detA_val) <= _CONJUGATE_FLOOR
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        u, v = np.broadcast_arrays(frame.u, frame.v)
+        raise DegeneracyViolation(
+            f"{frame.patch.name}: conjugate undefined, |det A| <= {_CONJUGATE_FLOOR:.1e} "
+            f"at (u, v) = ({u.flat[k]:.6g}, {v.flat[k]:.6g})"
+        )
+
+
+def _conjugate_patch(patch):
+    """The conjugate chart of ``patch`` and of its rotated twin, unchecked."""
 
     def chart(uj, vj):
         inner = JetFrame(patch, uj.value, vj.value, check=False)
         return -inner.eta
 
-    rotated = None
-    if patch.rotated is not None:
-        rotated = conjugate(patch.rotated, _validate=False)
     return SurfacePatch(
         name=f"conjugate({patch.name})",
         chart=chart,
         domain=patch.domain,
         closed=patch.closed,
-        rotated=rotated,
+        rotated=None if patch.rotated is None else _conjugate_patch(patch.rotated),
     )
 
 
@@ -81,43 +88,37 @@ def third_fundamental_form(frame):
     return np.einsum("...ca,...cb->...ab", A2, frame.g_val)
 
 
-def verify_conjugate_duality(patch, grid=(24, 48)):
-    """Sup residuals of the conjugate-duality identities over a grid.
+def verify_conjugate_duality(frame):
+    """Sup residuals of the conjugate-duality identities at the frame's points.
 
+    Raises DegeneracyViolation where the frame's shape operator degenerates.
     Returns a dict with:
       * ``weingarten_inverse``: sup || A~ . A - I ||
       * ``second_form_match``:  sup || II~ - II ||
       * ``curvature_ratio``:    sup | K~ - K / det A |
       * ``third_form_match``:   sup || first form of conjugate - <A^2 ., .> ||
+      * ``double_conjugate``:   ``double_conjugate_residual`` of the two frames
     """
-    conj = conjugate(patch, check_grid=grid)
-    u, v = patch.grid_points(grid)
-    f = JetFrame(patch, u, v)
-    fc = JetFrame(conj, u, v)
-    prod = np.einsum("...cd,...da->...ca", fc.A_val, f.A_val)
-    eye = np.eye(2)
-    r1 = float(np.max(np.abs(prod - eye)))
-    r2 = float(np.max(np.abs(fc.II_val - f.II_val)))
-    r3 = float(np.max(np.abs(fc.K_val - f.K_val / f.detA_val)))
-    third = third_fundamental_form(f)
-    r4 = float(np.max(np.abs(fc.g_val - third)))
+    _require_immersion(frame)
+    conj = JetFrame(_conjugate_patch(frame.patch), frame.u, frame.v)
+    prod = np.einsum("...cd,...da->...ca", conj.A_val, frame.A_val)
     return {
-        "weingarten_inverse": r1,
-        "second_form_match": r2,
-        "curvature_ratio": r3,
-        "third_form_match": r4,
+        "weingarten_inverse": float(np.max(np.abs(prod - np.eye(2)))),
+        "second_form_match": float(np.max(np.abs(conj.II_val - frame.II_val))),
+        "curvature_ratio": float(np.max(np.abs(conj.K_val - frame.K_val / frame.detA_val))),
+        "third_form_match": float(np.max(np.abs(conj.g_val - third_fundamental_form(frame)))),
+        "double_conjugate": double_conjugate_residual(frame, conj),
     }
 
 
-def double_conjugate_residual(patch, grid=(16, 32)):
-    """Sup distance between the original chart and its double conjugate.
+def double_conjugate_residual(frame, conj):
+    """Sup distance between a surface and its double conjugate.
 
     The double conjugate is traced by minus the normal of the conjugate, so
-    its position is read off one frame of the conjugate.
+    its position is read off ``conj``, the conjugate's frame at the points
+    of ``frame``.
     """
-    u, v = patch.grid_points(grid)
-    conj = JetFrame(conjugate(patch, check_grid=grid), u, v)
-    return float(np.max(np.abs(-conj.eta_val - patch.position(u, v))))
+    return float(np.max(np.abs(-conj.eta_val - frame.psi_val)))
 
 
 def expand(patch, sigma):
@@ -146,8 +147,8 @@ def _sigma_calculus(frame, sigma):
     return s, ds, grad, grad2, hess, lap
 
 
-def verify_expansion_laws(patch, sigma, points):
-    """Residuals of the conformal transformation laws at sample points.
+def verify_expansion_laws(frame, sigma):
+    """Residuals of the conformal transformation laws at the frame's points.
 
     Compares the directly computed geometry of the expanded surface with
     the predicted shape operator, second form, curvature and normal:
@@ -158,10 +159,9 @@ def verify_expansion_laws(patch, sigma, points):
       * eta' = e^{-s} eta, so <psi', eta'> = 1 pairs the expanded chart
         with the rescaled normal.
     """
-    u, v = points
-    f = JetFrame(patch, u, v)
+    f = frame
     s, ds, grad, grad2, hess, lap = _sigma_calculus(f, sigma)
-    fe = JetFrame(expand(patch, sigma), u, v)
+    fe = JetFrame(expand(f.patch, sigma), f.u, f.v)
 
     sv = s.value
     e2 = np.exp(-2.0 * sv)

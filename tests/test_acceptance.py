@@ -16,11 +16,7 @@ from lightcone.minkowski import vec
 from lightcone.search import SearchConfig, search
 from lightcone.spectrum import lambda1_estimate
 from lightcone.surfaces import JetFrame, umbilic_point_search
-from lightcone.transforms import (
-    double_conjugate_residual,
-    verify_conjugate_duality,
-    verify_expansion_laws,
-)
+from lightcone.transforms import verify_conjugate_duality, verify_expansion_laws
 
 
 def _report(idx, ok, detail, budget, elapsed):
@@ -116,11 +112,12 @@ def test_criterion_4_conjugate_duality():
     worst_r1 = worst_r2 = worst_ratio = worst_double = 0.0
     for _ in range(3):
         patch, _ = random_perturbed_sphere(rng, total_amplitude=0.04)
-        res = verify_conjugate_duality(patch, grid=(20, 40))
+        res = verify_conjugate_duality(JetFrame(patch, *patch.grid_points((20, 40))))
         worst_r1 = max(worst_r1, res["weingarten_inverse"])
         worst_r2 = max(worst_r2, res["second_form_match"])
         worst_ratio = max(worst_ratio, res["curvature_ratio"])
-        worst_double = max(worst_double, double_conjugate_residual(patch, grid=(10, 20)))
+        coarse = JetFrame(patch, *patch.grid_points((10, 20)))
+        worst_double = max(worst_double, verify_conjugate_duality(coarse)["double_conjugate"])
     elapsed = time.perf_counter() - t0
     ok = worst_r1 < 1e-7 and worst_r2 < 1e-7 and worst_ratio < 1e-7 and worst_double < 1e-9
     _report(
@@ -147,7 +144,7 @@ def test_criterion_5_expansion_laws():
         sigma = random_spec(rng, l_max=3, total_amplitude=0.04).chart_field()
         patch = base if k % 2 == 0 else bumpy
         pts = patch.sample_points(60, rng, margin=0.04)
-        laws = verify_expansion_laws(patch, sigma, pts)
+        laws = verify_expansion_laws(JetFrame(patch, *pts), sigma)
         worst = max(worst, laws["weingarten"], laws["second_form"], laws["curvature"])
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-7

@@ -194,7 +194,7 @@ def test_perturbed_sphere_curvature_matches_conformal_law(unit_sphere):
     patch = catalog.perturbed_sphere(spec)
     rng = np.random.default_rng(6)
     pts = unit_sphere.sample_points(80, rng)
-    laws = verify_expansion_laws(unit_sphere, spec.chart_field(), pts)
+    laws = verify_expansion_laws(JetFrame(unit_sphere, *pts), spec.chart_field())
     assert laws["curvature"] < 1e-7
     # and the patch itself realizes that predicted curvature
     th, ph = pts

@@ -60,6 +60,21 @@ def test_verify_paraboloid_skips_conjugate_checks(tmp_path):
         assert names[check]["status"] == "SKIP"
 
 
+def test_conjugate_group_builds_three_frames(monkeypatch, bumpy_sphere):
+    # The surface on the subgrid, its conjugate, and the surface frame nested
+    # in the conjugate chart: the identities read these and build no more.
+    init, calls = JetFrame.__init__, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0].name)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetFrame, "__init__", counting)
+    residuals = cli._conjugate_residuals(bumpy_sphere, (16, 32))
+    assert len(calls) == 3, calls
+    assert len(residuals) == len(cli.CONJUGATE_CHECKS)
+
+
 def test_verify_perturbed_spec_file(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps([[2, 0, 0.04], [3, 1, 0.02]]))
@@ -177,15 +192,17 @@ def test_nan_observer_rejected(capsys):
 
 
 def test_verify_unknown_tolerance_rejected():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "round-sphere", "--tol", "bogus=1"])
+    assert exc.value.code == EXIT_DEGENERATE
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1", "0"])
 def test_verify_meaningless_tolerance_rejected(capsys, value):
     # inf and 1e400 would pass the check vacuously; nan, -1 and 0 would fail it
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "round-sphere", "--grid", "4x8", "--tol", f"codazzi={value}"])
+    assert exc.value.code == EXIT_DEGENERATE
     assert "must be positive and finite" in capsys.readouterr().err
 
 
@@ -438,9 +455,40 @@ def test_export_header_contract_for_plane_charts(tmp_path):
 
 @pytest.mark.parametrize("grid", ["64by128", "0x0", "0x5", "-1x8"])
 def test_grid_parser_rejects_garbage(grid):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         # "--grid=" keeps argparse from reading "-1x8" as an option
         main(["verify", "round-sphere", f"--grid={grid}"])
+    assert exc.value.code == EXIT_DEGENERATE
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "round-sphere", "--bogus"], EXIT_DEGENERATE),
+        (["--bogus", "export", "cylinder", "--out", "t.csv"], EXIT_DEGENERATE),
+        (["global", "round-sphere", "extra"], EXIT_DEGENERATE),
+        (["bogus"], EXIT_DEGENERATE),
+        ([], EXIT_DEGENERATE),
+        (["search"], EXIT_BAD_CONFIG),
+        (["search", "--config", "c.json", "--bogus"], EXIT_BAD_CONFIG),
+        (["search", "--config", "c.json", "--seed", "abc"], EXIT_BAD_CONFIG),
+    ],
+)
+def test_usage_errors_exit_apart_from_failed_checks(capsys, argv, code):
+    # Code 2 is a failed check; a usage error is bad input: 3, or 4 for search.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["search", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out
 
 
 # -- start-up cost -------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_perturbed_sphere
 from lightcone import catalog, jets, transforms
-from lightcone.errors import NotOnLightcone, NotSpacelike
+from lightcone.curvature import second_form_curvature
+from lightcone.errors import NotOnLightcone, NotRiemannianII, NotSpacelike
 from lightcone.jets import Jet2, JetVec4
 from lightcone.minkowski import inner
 from lightcone.surfaces import (
@@ -11,7 +12,6 @@ from lightcone.surfaces import (
     JetFrame,
     SurfacePatch,
     gauss_maps,
-    point_geometry,
     umbilic_point_search,
 )
 
@@ -140,29 +140,30 @@ def test_position_weingarten_sees_normal_part_of_dpsi(unit_sphere):
 
 
 def test_point_geometry_round_sphere(unit_sphere):
-    pg = point_geometry(unit_sphere, (1.0, 0.5))
-    assert pg.K == pytest.approx(1.0, abs=1e-12)
-    assert pg.detA == pytest.approx(0.25, abs=1e-12)
-    assert pg.gap_low == pytest.approx(0.0, abs=1e-12)
-    assert pg.gap_high == pytest.approx(0.0, abs=1e-12)
-    assert pg.K_eta == pytest.approx(2.0, abs=1e-10)
+    f = JetFrame(unit_sphere, 1.0, 0.5)
+    assert f.K_val == pytest.approx(1.0, abs=1e-12)
+    assert f.detA_val == pytest.approx(0.25, abs=1e-12)
+    assert f.gap_low == pytest.approx(0.0, abs=1e-12)
+    assert f.gap_high == pytest.approx(0.0, abs=1e-12)
+    assert second_form_curvature(f) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_point_geometry_cylinder(cylinder):
-    pg = point_geometry(cylinder, (0.7, 2.0))
-    assert pg.K == pytest.approx(0.0, abs=1e-13)
-    assert pg.detA == pytest.approx(-0.25, abs=1e-13)
-    A = pg.A
+    f = JetFrame(cylinder, 0.7, 2.0)
+    assert f.K_val == pytest.approx(0.0, abs=1e-13)
+    assert f.detA_val == pytest.approx(-0.25, abs=1e-13)
+    A = f.A_val
     assert 2.0 * np.trace(A @ A) == pytest.approx(1.0, abs=1e-12)
-    assert pg.K_eta is None  # second form indefinite
+    with pytest.raises(NotRiemannianII):  # second form indefinite
+        second_form_curvature(f)
 
 
 def test_point_geometry_paraboloid_null_mean_curvature(paraboloid):
-    pg = point_geometry(paraboloid, (0.2, 0.4))
-    assert pg.K == pytest.approx(0.0, abs=1e-13)
-    assert pg.detA == pytest.approx(0.0, abs=1e-13)
-    assert inner(pg.H, pg.H) == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(pg.H, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+    f = JetFrame(paraboloid, 0.2, 0.4)
+    assert f.K_val == pytest.approx(0.0, abs=1e-13)
+    assert f.detA_val == pytest.approx(0.0, abs=1e-13)
+    assert inner(f.H_val, f.H_val) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(f.H_val, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_mean_curvature_vector_null_decomposition(bumpy_sphere):

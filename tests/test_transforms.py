@@ -40,9 +40,20 @@ def test_conjugate_rejects_degenerate(paraboloid):
         conjugate(paraboloid)
 
 
+def _grid_frame(patch, grid):
+    return JetFrame(patch, *patch.grid_points(grid))
+
+
+def test_conjugate_duality_rejects_degenerate_frame(paraboloid):
+    with pytest.raises(DegeneracyViolation, match="conjugate undefined"):
+        verify_conjugate_duality(_grid_frame(paraboloid, (8, 8)))
+
+
 def test_double_conjugation_recovers_surface(unit_sphere, bumpy_sphere, cylinder):
     for patch in (unit_sphere, bumpy_sphere, cylinder):
-        assert double_conjugate_residual(patch, grid=(12, 24)) < 1e-9
+        frame = _grid_frame(patch, (12, 24))
+        conj = JetFrame(conjugate(patch), frame.u, frame.v)
+        assert double_conjugate_residual(frame, conj) < 1e-9
 
 
 def test_third_form_round_sphere(unit_sphere):
@@ -57,12 +68,12 @@ def test_third_form_paraboloid_zero(paraboloid):
 
 
 def test_third_form_matches_conjugate_metric(bumpy_sphere):
-    res = verify_conjugate_duality(bumpy_sphere, grid=(16, 32))
+    res = verify_conjugate_duality(_grid_frame(bumpy_sphere, (16, 32)))
     assert res["third_form_match"] < 1e-8
 
 
 def test_conjugate_duality_identities(unit_sphere):
-    res = verify_conjugate_duality(unit_sphere, grid=(12, 24))
+    res = verify_conjugate_duality(_grid_frame(unit_sphere, (12, 24)))
     assert res["weingarten_inverse"] < 1e-9
     assert res["second_form_match"] < 1e-9
     assert res["curvature_ratio"] < 1e-9
@@ -71,7 +82,7 @@ def test_conjugate_duality_identities(unit_sphere):
 def test_conjugate_duality_perturbed():
     rng = np.random.default_rng(1)
     patch, _ = random_perturbed_sphere(rng, total_amplitude=0.03)
-    res = verify_conjugate_duality(patch, grid=(16, 32))
+    res = verify_conjugate_duality(_grid_frame(patch, (16, 32)))
     assert res["weingarten_inverse"] < 1e-7
     assert res["second_form_match"] < 1e-7
     assert res["curvature_ratio"] < 1e-7
@@ -79,7 +90,7 @@ def test_conjugate_duality_perturbed():
 
 def test_conjugate_duality_cylinder(cylinder):
     # duality needs only nondegeneracy, not a definite second form
-    res = verify_conjugate_duality(cylinder, grid=(12, 24))
+    res = verify_conjugate_duality(_grid_frame(cylinder, (12, 24)))
     assert res["weingarten_inverse"] < 1e-9
     assert res["second_form_match"] < 1e-9
 
@@ -117,7 +128,7 @@ def test_expand_zero_is_identity(bumpy_sphere):
 def test_expansion_laws_constant_sigma(unit_sphere):
     rng = np.random.default_rng(4)
     pts = unit_sphere.sample_points(50, rng)
-    laws = verify_expansion_laws(unit_sphere, ScalarField.constant(0.3), pts)
+    laws = verify_expansion_laws(JetFrame(unit_sphere, *pts), ScalarField.constant(0.3))
     # constant log-factor: second form unchanged, operator rescaled
     assert laws["second_form"] < 1e-12
     assert laws["weingarten"] < 1e-12
@@ -130,7 +141,7 @@ def test_expansion_laws_random_harmonic_sigma(unit_sphere, bumpy_sphere):
         for _ in range(3):
             sigma = random_spec(rng, l_max=3, total_amplitude=0.04).chart_field()
             pts = patch.sample_points(60, rng, margin=0.05)
-            laws = verify_expansion_laws(patch, sigma, pts)
+            laws = verify_expansion_laws(JetFrame(patch, *pts), sigma)
             assert laws["weingarten"] < 1e-7
             assert laws["second_form"] < 1e-7
             assert laws["curvature"] < 1e-7
@@ -145,7 +156,7 @@ def test_expansion_curvature_law_on_cylinder(cylinder):
     rng = np.random.default_rng(6)
     sigma = ScalarField(lambda uj, vj: (uj * uj) * 0.01 + vj * 0.02)
     pts = cylinder.sample_points(50, rng)
-    laws = verify_expansion_laws(cylinder, sigma, pts)
+    laws = verify_expansion_laws(JetFrame(cylinder, *pts), sigma)
     assert laws["weingarten"] < 1e-8
     assert laws["second_form"] < 1e-8
     assert laws["curvature"] < 1e-8
@@ -157,8 +168,8 @@ def test_expansion_then_conjugation_consistency():
     base = catalog.round_sphere(r=1.0)
     sigma = random_spec(rng, l_max=2, total_amplitude=0.04).chart_field()
     patch = expand(base, sigma)
-    res = verify_conjugate_duality(patch, grid=(16, 32))
+    res = verify_conjugate_duality(_grid_frame(patch, (16, 32)))
     assert res["weingarten_inverse"] < 1e-6
     assert res["second_form_match"] < 1e-6
     assert res["curvature_ratio"] < 1e-6
-    assert double_conjugate_residual(patch, grid=(10, 20)) < 1e-9
+    assert verify_conjugate_duality(_grid_frame(patch, (10, 20)))["double_conjugate"] < 1e-9
