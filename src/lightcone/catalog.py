@@ -25,6 +25,9 @@ from .transforms import ScalarField
 _SPHERE_DOMAIN = ((0.0, np.pi), (0.0, 2.0 * np.pi))
 #: Grid on which ``graph_over_sphere`` checks that the radial function is positive.
 _GRAPH_CHECK_GRID = (24, 48)
+#: Half-widths of the chart rectangles of the two flat surfaces.
+_CYLINDER_EXTENT = 1.5
+_PARABOLOID_EXTENT = 2.0
 
 #: Quarter turn about the y axis; sends the chart poles to equatorial points.
 _POLE_SWAP = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -83,7 +86,7 @@ def round_sphere(u=None, r=1.0):
     return _sphere_patch(f"round-sphere(r={r:g})", _round_embedding(r, u))
 
 
-def product_cylinder(x_extent=1.5):
+def product_cylinder():
     """Flat complete surface (cosh x, sinh x, cos y, sin y) on a rectangle.
 
     The canonical example with indefinite second fundamental form: the
@@ -96,11 +99,11 @@ def product_cylinder(x_extent=1.5):
     return SurfacePatch(
         name="product-cylinder",
         chart=chart,
-        domain=((-x_extent, x_extent), (0.0, 2.0 * np.pi)),
+        domain=((-_CYLINDER_EXTENT, _CYLINDER_EXTENT), (0.0, 2.0 * np.pi)),
     )
 
 
-def paraboloid_graph(extent=2.0):
+def paraboloid_graph():
     """Flat isometric graph with identically vanishing shape operator."""
 
     def chart(uj, vj):
@@ -110,7 +113,7 @@ def paraboloid_graph(extent=2.0):
     return SurfacePatch(
         name="paraboloid-graph",
         chart=chart,
-        domain=((-extent, extent), (-extent, extent)),
+        domain=((-_PARABOLOID_EXTENT, _PARABOLOID_EXTENT),) * 2,
     )
 
 
@@ -166,7 +169,7 @@ class HarmonicSpec:
         return cls(terms=tuple((l, m, float(a)) for (l, m), a in zip(pairs, values)))
 
 
-def graph_over_sphere(f_cart, name="radial-graph"):
+def graph_over_sphere(f_cart):
     """Radial graph psi = f(w) (1, w) over the unit sphere.
 
     ``f_cart`` maps direction cosines (as jets) to a positive jet; any
@@ -177,7 +180,7 @@ def graph_over_sphere(f_cart, name="radial-graph"):
         f = f_cart(x, y, z)
         return JetVec4(f, f * x, f * y, f * z)
 
-    patch = _sphere_patch(name, embed)
+    patch = _sphere_patch("radial-graph", embed)
     u, v = patch.grid_points(_GRAPH_CHECK_GRID)
     vals = patch.position(u, v)[..., 0]
     if np.any(vals <= 0.0):

@@ -44,17 +44,12 @@ class MetricField:
             raise DegenerateMetric("metric determinant vanishes at the base point")
 
 
-def christoffels(m, gi=None):
+def christoffels(m, gi):
     """Levi-Civita symbols of a metric field, as an array indexed [..., c, a, b].
 
     Built from the first partials of E, F, G and the inverse-metric values
-    ``gi`` (an array [..., a, b]); a caller that already holds them passes
-    them in, otherwise they are formed from the adjugate.
+    ``gi`` (an array [..., a, b]) that the caller already holds.
     """
-    if gi is None:
-        m.require_nondegenerate()
-        e, f, g, det = m.E.value, m.F.value, m.G.value, m.det_val()
-        gi = _stack2(g / det, -f / det, -f / det, e / det)
     # dg[..., p, a, b] = d_p g_ab, symmetric in (a, b).
     dg = np.stack(
         [_stack2(m.E.partial(*p), m.F.partial(*p), m.F.partial(*p), m.G.partial(*p))

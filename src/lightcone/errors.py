@@ -67,7 +67,3 @@ class NonpositiveRadialFunction(LightconeError):
 
 class EigenSolverFailure(LightconeError):
     """Sparse eigenvalue solve failed to converge or mesh was invalid."""
-
-
-class ConsistencyError(LightconeError):
-    """A mathematically guaranteed identity failed beyond tolerance."""

@@ -8,13 +8,15 @@ against the cos(theta) measure.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .errors import ConsistencyError, DegeneracyViolation
+from .errors import DegeneracyViolation
 from .surfaces import JetFrame, _det2, newton_extremum
 
-#: How far the II-area may exceed 2 pi before ``second_form_area`` raises.
-_AREA_TOL = 1e-6
+#: Nodes per ``JetFrame`` in the ``geometry_table`` sweep.
+_CHUNK = 2048
 
 
 def sphere_quadrature(n_theta, n_phi):
@@ -32,19 +34,20 @@ def sphere_quadrature(n_theta, n_phi):
     return TH.ravel(), PH.ravel(), weights
 
 
-def geometry_table(patch, u, v, chunk=2048):
-    """Value-level dashboard arrays at arbitrary chart points.
+def geometry_table(patch, u, v):
+    """Value-level arrays at arbitrary chart points.
 
     Returns a dict of flat arrays: the metric values E, F, G, psi0,
     sqrt_detg, K, detA, gap_low, gap_high, H2, ii_positive and K_eta (NaN
-    where II is singular).  Points are swept in chunks that bound memory and
-    concatenated in order, so the result is the same for any chunk size.
+    where II is singular).  Points are swept in chunks of ``_CHUNK`` that
+    bound memory and concatenated in order, so the result is the same for
+    any chunk size.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     parts = [
-        _table_chunk(patch, u[s : s + chunk], v[s : s + chunk])
-        for s in range(0, u.size, chunk)
+        _table_chunk(patch, u[s : s + _CHUNK], v[s : s + _CHUNK])
+        for s in range(0, u.size, _CHUNK)
     ]
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
@@ -73,7 +76,10 @@ def _table_chunk(patch, u, v):
 
 
 class SphereGrid:
-    """Quadrature grid with cached pointwise geometry over a closed chart."""
+    """Quadrature grid with cached pointwise geometry over a closed chart.
+
+    ``weights`` is the induced area measure and ``ii_weights`` that of II.
+    """
 
     def __init__(self, patch, n_theta=64, n_phi=128):
         if not patch.closed:
@@ -91,26 +97,27 @@ class SphereGrid:
     def n_nodes(self):
         return self.TH.size
 
-    def _second_form_weights(self):
-        d = self.table["detA"]
-        if np.any(d <= 0.0):
+    @cached_property
+    def ii_weights(self):
+        """II area weights, sqrt(det A) times the induced ones.
+
+        The one test of the non-degeneracy hypothesis: raises unless det A > 0
+        and II is definite at every node, where det II > 0 keeps K_eta finite.
+        """
+        t = self.table
+        if np.any(t["detA"] <= 0.0) or not np.all(t["ii_positive"]):
             raise DegeneracyViolation(
-                f"{self.patch.name}: det A <= 0 on the grid "
-                f"(min {np.min(d):.3e}); the II area element is undefined"
+                f"{self.patch.name}: II area element needs det A > 0 and definite II "
+                f"at every grid node (min det A {np.min(t['detA']):.3e})"
             )
-        return self.weights * np.sqrt(d)
+        return self.weights * np.sqrt(t["detA"])
 
-    def integrate(self, field, measure="induced"):
-        """Quadrature of a per-node scalar against the chosen area element."""
-        field = np.asarray(field, dtype=float)
-        if measure == "induced":
-            return float(np.sum(field * self.weights))
-        if measure == "second_form":
-            return float(np.sum(field * self._second_form_weights()))
-        raise ValueError(f"unknown measure {measure!r}")
+    def integrate(self, field):
+        """Quadrature of a per-node scalar against the induced area element."""
+        return float(np.sum(np.asarray(field, dtype=float) * self.weights))
 
-    def area(self, measure="induced"):
-        return self.integrate(np.ones(self.n_nodes), measure=measure)
+    def area(self):
+        return self.integrate(np.ones(self.n_nodes))
 
     def gauss_bonnet(self):
         """Total curvature of the induced metric; 4 pi on any sphere."""
@@ -118,27 +125,16 @@ class SphereGrid:
 
     def gauss_bonnet_second_form(self):
         """Total curvature of II against its own area element; also 4 pi."""
-        if np.any(~np.isfinite(self.table["K_eta"])):
-            raise DegeneracyViolation("second-form curvature unavailable on the grid")
-        return self.integrate(self.table["K_eta"], measure="second_form")
+        return float(np.sum(self.table["K_eta"] * self.ii_weights))
 
-    def second_form_area(self, check=True):
+    def second_form_area(self):
         """Area of the surface in the II metric.
 
-        Bounded above by 2 pi for every compact nondegenerate surface, with
-        equality exactly on round spheres; the bound is asserted because a
-        violation can only mean a broken pipeline.
+        At most 2 pi for every compact nondegenerate surface, with equality
+        exactly on round spheres; ``global``'s ``second_form_area_bound``
+        check judges it.
         """
-        val = self.area(measure="second_form")
-        if check and val > 2.0 * np.pi + _AREA_TOL:
-            raise ConsistencyError(
-                f"II-area {val:.9f} exceeds 2 pi beyond tolerance {_AREA_TOL:g}"
-            )
-        return val
-
-    def mean_curvature_energy(self):
-        """Integral of <H, H> against the induced area element."""
-        return self.integrate(self.table["H2"])
+        return float(np.sum(self.ii_weights))
 
     def second_curvature_floor(self, tol=1e-6):
         """Inequality chain at the maximizer of det A.
@@ -150,12 +146,8 @@ class SphereGrid:
         the gradient term is O(h^2), not zero.  Returns the point, the ratio
         and the slack of each inequality.
         """
-        d = self.table["detA"]
-        if np.any(d <= 0.0) or not np.all(self.table["ii_positive"]):
-            raise DegeneracyViolation(
-                f"{self.patch.name}: floor check needs det A > 0 and definite II"
-            )
-        k = int(np.argmax(d))
+        self.ii_weights  # the non-degeneracy gate
+        k = int(np.argmax(self.table["detA"]))
         u, v, _ = newton_extremum(
             self.patch, self.TH[k], self.PH[k], lambda f: (f.detA, np.abs(f.detA_val)),
             maximize=True,

@@ -16,6 +16,9 @@ SIGNATURE = np.array([-1.0, 1.0, 1.0, 1.0])
 #: Metric tensor as a matrix.
 G = np.diag(SIGNATURE)
 
+#: Tolerance of ``boost_to`` on <u, u> = -1 and on each frame vector's norm.
+_BOOST_TOL = 1e-10
+
 
 def vec(x0, x1, x2, x3):
     """Build a Minkowski vector from its four components."""
@@ -34,7 +37,7 @@ def inner(a, b):
     )
 
 
-def boost_to(u, tol=1e-10):
+def boost_to(u):
     """Lorentz transform B with B(-1,0,0,0) = u and B^T G B = G.
 
     ``u`` must be past-pointing unit timelike (inner(u,u) = -1, u0 < 0);
@@ -46,7 +49,7 @@ def boost_to(u, tol=1e-10):
     u = np.asarray(u, dtype=float)
     if u.shape != (4,):
         raise NotUnitTimelike(f"expected a 4-vector, got shape {u.shape}")
-    if not (abs(float(inner(u, u)) + 1.0) <= tol and u[0] < 0.0):
+    if not (abs(float(inner(u, u)) + 1.0) <= _BOOST_TOL and u[0] < 0.0):
         raise NotUnitTimelike(
             f"u must satisfy <u,u> = -1 with u0 < 0, "
             f"got <u,u> = {float(inner(u, u)):g}, u0 = {float(u[0]):g}"
@@ -63,7 +66,7 @@ def boost_to(u, tol=1e-10):
             residuals.append(r)
         norms = [float(inner(r, r)) for r in residuals]
         k = int(np.argmax(norms))
-        if norms[k] <= tol:
+        if norms[k] <= _BOOST_TOL:
             raise NotUnitTimelike("could not complete an orthonormal frame")
         basis.append(residuals[k] / np.sqrt(norms[k]))
         seeds.pop(k)

@@ -26,9 +26,8 @@ from .catalog import HarmonicSpec, _direction_jets, perturbed_sphere
 from .curvature import MetricField, brioschi_curvature
 from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
-from .integrals import sphere_quadrature
+from .integrals import SphereGrid, sphere_quadrature
 from .jets import Jet2
-from .surfaces import JetFrame
 
 # Objective floor of a surface that fails the det A / definiteness gate.  Its
 # det A barrier is capped at _WALL and a surface that cannot be evaluated
@@ -138,18 +137,17 @@ class VarianceObjective:
     nodes, one jet per free harmonic and the sphere jets are built once;
     ``diagnostics`` then needs one harmonic sum, a few jet products and the
     Brioschi formula per call.  ``frame_diagnostics`` reads the same fields
-    from a full ``JetFrame`` of the perturbed sphere and is the independent
-    oracle.  Both are pure deterministic functions of the coefficients and
-    share one reduction.
+    from the ``SphereGrid`` table of the perturbed sphere, a full ``JetFrame``
+    route, and is the independent oracle.  Both are pure deterministic
+    functions of the coefficients and share one reduction.
     """
 
     def __init__(self, config, n_theta=None, n_phi=None):
         self.config = config
         self.pairs = config.free_pairs()
-        nt = n_theta or config.n_theta
-        nph = n_phi or config.n_phi
-        self.TH, self.PH, self.w_nodes = sphere_quadrature(nt, nph)
-        self.sin_th = np.sin(self.TH)
+        self.n_theta = n_theta or config.n_theta
+        self.n_phi = n_phi or config.n_phi
+        self.TH, self.PH, self.w_nodes = sphere_quadrature(self.n_theta, self.n_phi)
         tj = Jet2.variable("u", self.TH)
         w = _direction_jets(tj, Jet2.variable("v", self.PH))
         self._harmonics = [real_harmonic(l, m, *w) for l, m in self.pairs]
@@ -167,7 +165,7 @@ class VarianceObjective:
         return self._reduce(x, self._closed_form_fields(x))
 
     def frame_diagnostics(self, x):
-        """The same dict as ``diagnostics``, read from a ``JetFrame`` (the oracle)."""
+        """The same dict as ``diagnostics``, read from a ``SphereGrid`` (the oracle)."""
         return self._reduce(x, self._frame_fields(x))
 
     def _closed_form_fields(self, x):
@@ -207,17 +205,18 @@ class VarianceObjective:
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 patch = perturbed_sphere(self.spec(x), r=self.config.radius)
-                frame = JetFrame(patch, self.TH, self.PH)
-                return _Fields(
-                    detA=frame.detA_val,
-                    K=frame.K_val,
-                    ii_positive=frame.ii_positive,
-                    weight=self.w_nodes * frame.sqrt_detg_val / self.sin_th,
-                    gap_low=frame.gap_low,
-                    keta=lambda: frame.K_eta,
-                )
+                grid = SphereGrid(patch, self.n_theta, self.n_phi)
         except LightconeError:
             return None
+        t = grid.table
+        return _Fields(
+            detA=t["detA"],
+            K=t["K"],
+            ii_positive=t["ii_positive"],
+            weight=grid.weights,
+            gap_low=t["gap_low"],
+            keta=lambda: t["K_eta"],
+        )
 
     def _reduce(self, x, fields):
         """Objective and report fields; ``None`` or non-finite fields hit the wall."""
@@ -397,7 +396,7 @@ def _minimize_one(obj, x0, config):
     return x, trace, total_iters
 
 
-def search(config=None):
+def search(config):
     """Multi-start variance minimization over the perturbation family.
 
     Start points are drawn from a seeded generator, so the whole run
@@ -410,7 +409,6 @@ def search(config=None):
     a candidate and must survive re-verification on a doubled grid or it is
     demoted with the reason recorded.
     """
-    config = config or SearchConfig()
     obj = VarianceObjective(config)
     rng = np.random.default_rng(config.seed)
     dim = len(obj.pairs)

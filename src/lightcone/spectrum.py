@@ -160,7 +160,7 @@ def _lambda1_raw(patch, n_theta, n_phi):
 
 def reilly_bound_rhs(grid):
     """Right side of the eigenvalue bound: 2 * integral<H,H> / area."""
-    return 2.0 * grid.mean_curvature_energy() / grid.area()
+    return 2.0 * grid.integrate(grid.table["H2"]) / grid.area()
 
 
 def _conformal_defect(grid):

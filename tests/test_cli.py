@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lightcone import cli, curvature, search, spectrum
+from lightcone import cli, curvature, integrals, search, spectrum
 from lightcone.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -244,7 +244,7 @@ def test_global_nonfinite_residuals_fail(tmp_path, monkeypatch):
             value=nan, reilly_rhs=1.0, refinement_gap=nan, oracle=nan, oracle_gap=nan
         ),
     )
-    monkeypatch.setattr(SphereGrid, "second_form_area", lambda self, check=True, tol=0: nan)
+    monkeypatch.setattr(SphereGrid, "second_form_area", lambda self: nan)
     out = tmp_path / "g.json"
     rc = main(["global", "round-sphere", "--grid", "8x16", "--out", str(out)])
     assert rc == EXIT_CHECK_FAILED
@@ -287,6 +287,35 @@ def test_global_rejects_noncompact():
 
 def test_global_rejects_degenerate():
     assert main(["global", "paraboloid", "--grid", "8x16"]) == EXIT_DEGENERATE
+
+
+def test_global_rejects_closed_surface_with_det_a_below_zero(tmp_path, capsys):
+    # A closed surface that reaches the non-degeneracy gate and fails it.
+    spec = tmp_path / "spec.json"
+    spec.write_text("[[2, 0, 0.4]]")
+    argv = ["global", "perturbed", "--spec", str(spec), "--grid", "16x32"]
+    assert main(argv) == EXIT_DEGENERATE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rejected:") and "det A" in lines[0], lines
+
+
+def test_global_ii_area_over_two_pi_fails(tmp_path, monkeypatch):
+    # Quadrupling det A doubles the II area element: the area reads 4 pi,
+    # finite and 2 pi beyond the bound, and the manifest check must say so.
+    table = integrals.geometry_table
+
+    def inflated(patch, u, v):
+        t = table(patch, u, v)
+        t["detA"] = t["detA"] * 4.0
+        return t
+
+    monkeypatch.setattr(integrals, "geometry_table", inflated)
+    out = tmp_path / "g.json"
+    argv = ["global", "round-sphere", "--grid", "8x16", "--out", str(out)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    bound = {c["name"]: c for c in _load_manifest(out)["checks"]}["second_form_area_bound"]
+    assert bound["status"] == "FAIL"
+    assert bound["residual"] == pytest.approx(2 * np.pi, rel=1e-9)
 
 
 def test_search_roundtrip_and_determinism(tmp_path):
@@ -472,6 +501,7 @@ def test_grid_parser_rejects_garbage(grid):
         (["search"], EXIT_BAD_CONFIG),
         (["search", "--config", "c.json", "--bogus"], EXIT_BAD_CONFIG),
         (["search", "--config", "c.json", "--seed", "abc"], EXIT_BAD_CONFIG),
+        (["verify", "round-sphere", "--grid", "4x8", "--seed", "-1"], EXIT_DEGENERATE),
     ],
 )
 def test_usage_errors_exit_apart_from_failed_checks(capsys, argv, code):

@@ -15,7 +15,7 @@ from lightcone.curvature import (
 )
 from lightcone.errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
 from lightcone.jets import Jet2
-from lightcone.surfaces import JetFrame
+from lightcone.surfaces import JetFrame, _inv2, _stack2
 
 
 def _round_metric_field(r, theta0):
@@ -26,6 +26,10 @@ def _round_metric_field(r, theta0):
     st = jets.sin(th)
     G = st * st * (r * r)
     return MetricField(E=E, F=F, G=G)
+
+
+def _inverse_metric(m):
+    return _inv2(_stack2(m.E.value, m.F.value, m.F.value, m.G.value))
 
 
 def test_brioschi_flat_metric_zero():
@@ -47,13 +51,14 @@ def test_brioschi_degenerate_metric_raises():
 
 def test_christoffels_constant_metric_zero():
     m = MetricField(E=Jet2.constant(2.0), F=Jet2.constant(0.5), G=Jet2.constant(3.0))
-    gam = christoffels(m)
+    gam = christoffels(m, _inverse_metric(m))
     assert gam.shape == (2, 2, 2)
     assert np.max(np.abs(gam)) < 1e-15
 
 
 def test_christoffels_round_metric_value():
-    gam = christoffels(_round_metric_field(1.0, 0.9))
+    m = _round_metric_field(1.0, 0.9)
+    gam = christoffels(m, _inverse_metric(m))
     # polar angle symbol for the azimuthal pair
     expected = -np.sin(0.9) * np.cos(0.9)
     assert gam[0, 1, 1] == pytest.approx(expected, abs=1e-13)
@@ -62,7 +67,7 @@ def test_christoffels_round_metric_value():
 def test_christoffels_metric_compatibility():
     # nabla g = 0 componentwise: dg(c,ab) = g(d,b) Gamma^d_{ca} + g(a,d) Gamma^d_{cb}
     m = _round_metric_field(1.3, 0.7)
-    gam = christoffels(m)
+    gam = christoffels(m, _inverse_metric(m))
     g = ((m.E, m.F), (m.F, m.G))
     axes = ("u", "v")
     for c in range(2):
