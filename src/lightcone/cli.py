@@ -29,7 +29,8 @@ EXIT_CHECK_FAILED = 2
 EXIT_DEGENERATE = 3
 EXIT_BAD_CONFIG = 4
 
-DEFAULT_TOLS = {
+#: Tolerance of each check, pinned; every manifest entry records its own.
+TOLS = {
     "on_cone": 1e-9,
     "normal_constraints": 1e-10,
     "position_weingarten": 1e-10,
@@ -42,7 +43,6 @@ DEFAULT_TOLS = {
     "gap_floor": 1e-9,
     "gap_match": 1e-8,
     "codazzi": 1e-7,
-    "degeneracy_floor": 1e-8,
     "curvature_relation": 1e-6,
     "trace_gradient": 1e-7,
     "lowered_symmetry": 1e-8,
@@ -80,7 +80,7 @@ class Manifest:
         self.seed = seed
         self.checks = []
         self.extra = {}
-        self._t0 = time.time()
+        self._t0 = time.perf_counter()
 
     def add(self, name, residual=None, tolerance=None, status=None, detail=""):
         """Record a check; without an explicit status, the residual decides.
@@ -114,7 +114,7 @@ class Manifest:
             "command": self.command,
             "config": self.config,
             "seed": self.seed,
-            "wall_time_s": time.time() - self._t0,
+            "wall_time_s": time.perf_counter() - self._t0,
             "checks": self.checks,
             "passed": self.passed,
         }
@@ -168,38 +168,16 @@ def _excess(x):
     return 0.0 if x <= 0.0 else x
 
 
-def _tol_item(item):
-    if "=" not in item:
-        raise argparse.ArgumentTypeError(f"tolerance override needs NAME=VALUE, got {item!r}")
-    name, value = item.split("=", 1)
-    if name not in DEFAULT_TOLS:
-        raise argparse.ArgumentTypeError(f"unknown tolerance {name!r}")
-    try:
-        tol = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance {name!r} needs a number, got {value!r}")
-    # Written so that NaN fails.  An infinite tolerance (1e400 parses as
-    # one) passes any finite residual; one at or below zero fails all but 0.
-    if not 0.0 < tol < np.inf:
-        raise argparse.ArgumentTypeError(
-            f"tolerance {name!r} must be positive and finite, got {value!r}"
-        )
-    return name, tol
-
-
 def _surface_manifest(command, args):
-    """Manifest echoing the surface arguments; returns it with the tolerances."""
-    tols = dict(DEFAULT_TOLS)
-    tols.update(args.tol or [])
+    """Manifest echoing the surface arguments."""
     config = {
         "surface": args.surface,
         "r": args.r,
         "u": args.u,
         "spec": args.spec,
         "grid": list(args.grid),
-        "tolerances": tols,
     }
-    return Manifest(command, config, seed=args.seed), tols
+    return Manifest(command, config, seed=args.seed)
 
 
 def _cannot_write(path, exc):
@@ -273,14 +251,14 @@ def _verify_points(patch, grid, seed):
     return np.concatenate([u, ur]), np.concatenate([v, vr])
 
 
-def _check_group(manifest, tols, names, residuals, skip_reason=None):
+def _check_group(manifest, names, residuals, skip_reason=None):
     """Add one check per name from residuals(), or skip them all with the reason."""
     if skip_reason:
         for name in names:
             manifest.skip(name, skip_reason)
         return
     for name, res in zip(names, residuals(), strict=True):
-        manifest.add(name, res, tols[name])
+        manifest.add(name, res, TOLS[name])
 
 
 FRAME_CHECKS = (
@@ -324,7 +302,7 @@ DEFINITE_CHECKS = ("curvature_relation", "trace_gradient", "lowered_symmetry")
 def _definite_residuals(frame):
     rel = curvature.curvature_relation(frame)
     grad = curvature.trace_gradient_residual(frame)
-    low = frame.difference.lowered
+    low = np.einsum("...abc,...cd->...abd", frame.difference, frame.II_val)
     return (
         np.max(rel["residual"]),
         np.max(grad),
@@ -371,9 +349,9 @@ def _expansion_residuals(patch, seed):
 
 
 def cmd_verify(args):
-    manifest, tols = _surface_manifest("verify", args)
+    manifest = _surface_manifest("verify", args)
     try:
-        patch = _verify_checks(manifest, tols, args)
+        patch = _verify_checks(manifest, args)
     except LightconeError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -384,7 +362,7 @@ def cmd_verify(args):
     )
 
 
-def _verify_checks(manifest, tols, args):
+def _verify_checks(manifest, args):
     """Add every verify check to the manifest and return the surface.
 
     Any check group may meet a degenerate surface (a nested conjugate frame
@@ -395,10 +373,10 @@ def _verify_checks(manifest, tols, args):
     frame = JetFrame(patch, u, v)
     gf, gp = gauss_maps(frame)
 
-    _check_group(manifest, tols, FRAME_CHECKS, lambda: _frame_residuals(frame))
+    _check_group(manifest, FRAME_CHECKS, lambda: _frame_residuals(frame))
 
     min_abs_d = float(np.min(np.abs(frame.detA_val)))
-    nondegenerate = min_abs_d > tols["degeneracy_floor"]
+    nondegenerate = min_abs_d > curvature.DEGENERACY_FLOOR
     why_degenerate = None if nondegenerate else "degenerate shape operator"
     why_not_definite = why_degenerate or (
         None if np.all(frame.ii_positive) else "second form not definite"
@@ -407,34 +385,34 @@ def _verify_checks(manifest, tols, args):
         "nondegeneracy",
         status="PASS" if nondegenerate else "SKIP",
         residual=min_abs_d,
-        tolerance=tols["degeneracy_floor"],
+        tolerance=curvature.DEGENERACY_FLOOR,
         detail=why_degenerate or "nondegenerate",
     )
 
     _check_group(
-        manifest, tols, DEFINITE_CHECKS, lambda: _definite_residuals(frame), why_not_definite
+        manifest, DEFINITE_CHECKS, lambda: _definite_residuals(frame), why_not_definite
     )
     if why_not_definite is None and args.surface == "round-sphere":
-        manifest.add("round_keta", np.max(np.abs(frame.K_eta - 2.0)), tols["round_keta"])
+        manifest.add("round_keta", np.max(np.abs(frame.K_eta - 2.0)), TOLS["round_keta"])
 
     sub = (max(4, args.grid[0] // 4), max(8, args.grid[1] // 4))
     _check_group(
-        manifest, tols, CONJUGATE_CHECKS, lambda: _conjugate_residuals(patch, sub),
+        manifest, CONJUGATE_CHECKS, lambda: _conjugate_residuals(patch, sub),
         why_degenerate,
     )
     _check_group(
-        manifest, tols, EXPANSION_LAWS, lambda: _expansion_residuals(patch, args.seed)
+        manifest, EXPANSION_LAWS, lambda: _expansion_residuals(patch, args.seed)
     )
 
     gm = _worst(
         np.max(np.abs(np.linalg.norm(gf[..., 1:], axis=-1) - 1.0)),
         np.max(np.abs(np.linalg.norm(gp[..., 1:], axis=-1) - 1.0)),
     )
-    manifest.add("gauss_maps", gm, tols["gauss_maps"])
+    manifest.add("gauss_maps", gm, TOLS["gauss_maps"])
 
     if patch.closed:
         _, _, glow, ghigh = umbilic_point_search(patch)
-        manifest.add("umbilic_point", _worst(glow, ghigh), tols["umbilic_point"])
+        manifest.add("umbilic_point", _worst(glow, ghigh), TOLS["umbilic_point"])
     else:
         manifest.skip("umbilic_point", "not a closed surface")
     return patch
@@ -446,44 +424,44 @@ def _verify_checks(manifest, tols, args):
 def cmd_global(args):
     from . import spectrum
 
-    manifest, tols = _surface_manifest("global", args)
+    manifest = _surface_manifest("global", args)
     try:
         patch = _build_surface(args)
         grid = SphereGrid(patch, *args.grid)
         gb = grid.gauss_bonnet()
         gb2 = grid.gauss_bonnet_second_form()
         ii_area = grid.second_form_area()
-        floor = grid.second_curvature_floor(tol=tols["curvature_floor"])
+        floor = grid.second_curvature_floor(tol=TOLS["curvature_floor"])
         lam = spectrum.lambda1_estimate(grid)
     except LightconeError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    manifest.add("gauss_bonnet_induced", gb - 4.0 * np.pi, tols["gauss_bonnet_induced"])
-    manifest.add("gauss_bonnet_second", gb2 - 4.0 * np.pi, tols["gauss_bonnet_second"])
+    manifest.add("gauss_bonnet_induced", gb - 4.0 * np.pi, TOLS["gauss_bonnet_induced"])
+    manifest.add("gauss_bonnet_second", gb2 - 4.0 * np.pi, TOLS["gauss_bonnet_second"])
     manifest.add(
         "second_form_area_bound",
         _excess(ii_area - 2.0 * np.pi),
-        tols["second_form_area"],
+        TOLS["second_form_area"],
         detail=f"area {ii_area:.9f} vs 2 pi (equality iff umbilical)",
     )
     if args.surface == "round-sphere":
         manifest.add(
             "round_second_form_area",
             ii_area - 2.0 * np.pi,
-            tols["round_second_form_area"],
+            TOLS["round_second_form_area"],
         )
     manifest.add(
         "curvature_floor",
         min(floor["keta_slack"], floor["floor_slack"]),
-        -tols["curvature_floor"],
+        -TOLS["curvature_floor"],
         status="PASS" if floor["passes"] else "FAIL",
         detail=f"ratio {floor['ratio']:.6f} at theta={floor['point'][0]:.3f}",
     )
     manifest.add(
         "eigenvalue_bound",
         _excess((lam.value - lam.reilly_rhs) / lam.reilly_rhs),
-        tols["lambda1_slack"],
+        TOLS["lambda1_slack"],
         detail=f"lambda1 {lam.value:.6f} vs bound {lam.reilly_rhs:.6f}",
     )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -503,7 +481,7 @@ def cmd_global(args):
         manifest.add(
             "round_lambda1",
             abs(lam.value - expected) / expected,
-            tols["round_lambda1"],
+            TOLS["round_lambda1"],
         )
     manifest.extra["report"] = {
         "surface": patch.name,
@@ -673,10 +651,6 @@ def build_parser():
         p.add_argument("--spec", default=None, help="harmonic spec JSON file")
         p.add_argument(
             "--grid", type=_parse_grid, default=(64, 128), help="grid as NTHETAxNPHI"
-        )
-        p.add_argument(
-            "--tol", action="append", metavar="NAME=VALUE", type=_tol_item,
-            help="tolerance override (repeatable)",
         )
         p.add_argument("--seed", type=_parse_seed, default=0, help="random-point seed")
         p.add_argument("--out", default=None, help="manifest JSON path")

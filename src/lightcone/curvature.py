@@ -15,44 +15,30 @@ determinant of the shape operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
-from .jets import Jet2
-from .surfaces import _inv2, _stack2
 
-#: Smallest |det A| at which the difference tensor is built.
-_DEGENERACY_FLOOR = 1e-10
-
-
-@dataclass
-class MetricField:
-    """Symmetric 2x2 metric in chart coordinates with jet-valued entries."""
-
-    E: Jet2
-    F: Jet2
-    G: Jet2
-
-    def det_val(self):
-        e, f, g = self.E.value, self.F.value, self.G.value
-        return e * g - f * f
-
-    def require_nondegenerate(self):
-        if np.any(self.det_val() == 0.0):
-            raise DegenerateMetric("metric determinant vanishes at the base point")
+#: The paper's standing hypothesis fails where |det A| <= DEGENERACY_FLOOR:
+#: verify's nondegeneracy gate, the conjugate and the difference tensor all
+#: read this one value.
+DEGENERACY_FLOOR = 1e-8
 
 
-def christoffels(m, gi):
-    """Levi-Civita symbols of a metric field, as an array indexed [..., c, a, b].
+def degenerate(detA):
+    """Where |det A| is at or below the floor; written so that NaN is degenerate."""
+    return ~(np.abs(detA) > DEGENERACY_FLOOR)
 
-    Built from the first partials of E, F, G and the inverse-metric values
-    ``gi`` (an array [..., a, b]) that the caller already holds.
+
+def christoffels(E, F, G, gi):
+    """Levi-Civita symbols of the metric (E, F, G), as an array indexed [..., c, a, b].
+
+    Built from the first partials of the jets E, F, G and the inverse-metric
+    values ``gi`` (an array [..., a, b]) that the caller already holds.
     """
     # dg[..., p, a, b] = d_p g_ab, symmetric in (a, b).
     dg = np.stack(
-        [_stack2(m.E.partial(*p), m.F.partial(*p), m.F.partial(*p), m.G.partial(*p))
+        [_stack2(E.partial(*p), F.partial(*p), F.partial(*p), G.partial(*p))
          for p in ((1, 0), (0, 1))],
         axis=-3,
     )
@@ -62,17 +48,18 @@ def christoffels(m, gi):
             + gi[..., :, 1, None, None] * t[..., None, 1, :, :]) * 0.5
 
 
-def brioschi_curvature(m):
-    """Gauss curvature of a metric field from E, F, G and two derivative levels."""
-    m.require_nondegenerate()
-    E, F, G = m.E, m.F, m.G
+def brioschi_curvature(E, F, G):
+    """Gauss curvature of the metric (E, F, G) from the jets' two derivative levels."""
+    e, f, g = E.value, F.value, G.value
+    det = e * g - f * f
+    if np.any(det == 0.0):
+        raise DegenerateMetric("metric determinant vanishes at the base point")
     Eu, Ev = E.partial(1, 0), E.partial(0, 1)
     Gu, Gv = G.partial(1, 0), G.partial(0, 1)
     Fu, Fv = F.partial(1, 0), F.partial(0, 1)
     Evv = E.partial(0, 2)
     Guu = G.partial(2, 0)
     Fuv = F.partial(1, 1)
-    e, f, g = E.value, F.value, G.value
 
     a11 = -0.5 * Evv + Fuv - 0.5 * Guu
     m1 = _det3(
@@ -85,12 +72,34 @@ def brioschi_curvature(m):
         0.5 * Ev, e, f,
         0.5 * Gu, f, g,
     )
-    det = e * g - f * f
     return (m1 - m2) / det**2
 
 
 def _det3(a, b, c, d, e, f, g, h, i):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _stack2(m00, m01, m10, m11):
+    """A stack of 2x2 matrices from its four (broadcast) entries."""
+    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
+    return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
+
+
+def _det2(m):
+    """Determinants of a stack of 2x2 matrices."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _inv2(m, det=None):
+    """Inverse of a stack of 2x2 matrices: the adjugate over the determinant."""
+    if det is None:
+        det = _det2(m)
+    inv = np.empty_like(m)
+    inv[..., 0, 0] = m[..., 1, 1]
+    inv[..., 1, 1] = m[..., 0, 0]
+    inv[..., 0, 1] = -m[..., 0, 1]
+    inv[..., 1, 0] = -m[..., 1, 0]
+    return inv / det[..., None, None]
 
 
 def second_form_curvature(frame):
@@ -114,31 +123,22 @@ def codazzi_residual(frame):
     return np.sqrt(np.einsum("...c,...cd,...d->...", w, g, w))
 
 
-@dataclass
-class DifferenceTensor:
-    """Difference of the II and induced Levi-Civita connections.
+def difference_tensor(frame):
+    """L = (1/2) A^{-1} (nabla A), the connection difference tensor; read ``frame.difference``.
 
-    ``L[..., a, b, c]`` is the output component c of L(e_a, e_b); the tensor
-    is symmetric in (a, b), and lowering the output index with II makes it
+    ``L[..., a, b, c]`` is the output component c of L(e_a, e_b), the
+    difference of the II and induced Levi-Civita connections.  It is
+    symmetric in (a, b), and lowering the output index with II makes it
     totally symmetric.
     """
-
-    L: np.ndarray
-    lowered: np.ndarray
-
-
-def difference_tensor(frame):
-    """L = (1/2) A^{-1} (nabla A), the connection difference tensor; read ``frame.difference``."""
     detA = frame.detA_val
-    if np.any(np.abs(detA) < _DEGENERACY_FLOOR):
+    if np.any(degenerate(detA)):
         raise DegeneracyViolation(
-            f"{frame.patch.name}: |det A| fell below {_DEGENERACY_FLOOR:.1e} "
+            f"{frame.patch.name}: |det A| <= {DEGENERACY_FLOOR:.1e} "
             f"(min {np.min(np.abs(detA)):.3e})"
         )
     inv = _inv2(frame.A_val, detA)
-    L = 0.5 * np.einsum("...cd,...adb->...abc", inv, frame.nabla_A)
-    lowered = np.einsum("...abc,...cd->...abd", L, frame.II_val)
-    return DifferenceTensor(L=L, lowered=lowered)
+    return 0.5 * np.einsum("...cd,...adb->...abc", inv, frame.nabla_A)
 
 
 def trace_gradient_residual(frame):
@@ -147,9 +147,8 @@ def trace_gradient_residual(frame):
     Returned as the sup of the components of the II-lowered difference
     between the contracted tensor and grad(det A) / (2 det A).
     """
-    lt = frame.difference
     ii_inv = frame.II_inv_val
-    tr_l = np.einsum("...ab,...abc->...c", ii_inv, lt.L)
+    tr_l = np.einsum("...ab,...abc->...c", ii_inv, frame.difference)
     grad = np.einsum("...cd,...d->...c", ii_inv, frame.detA_grad)
     v = tr_l - grad / (2.0 * frame.detA_val[..., None])
     w = np.einsum("...bc,...c->...b", frame.II_val, v)
@@ -165,13 +164,13 @@ def curvature_relation(frame):
     """
     keta = second_form_curvature(frame)
     detA = frame.detA_val
-    lt = frame.difference
+    L = frame.difference
     ii = frame.II_val
     ii_inv = frame.II_inv_val
 
     ii_LL = np.einsum(
         "...ac,...bd,...abe,...cdf,...ef->...",
-        ii_inv, ii_inv, lt.L, lt.L, ii,
+        ii_inv, ii_inv, L, L, ii,
     )
     d_det = frame.detA_grad
     grad_sq = np.einsum("...ab,...a,...b->...", ii_inv, d_det, d_det)

@@ -12,8 +12,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .curvature import _det2
 from .errors import DegeneracyViolation
-from .surfaces import JetFrame, _det2, newton_extremum
+from .surfaces import JetFrame, newton_extremum
 
 #: Nodes per ``JetFrame`` in the ``geometry_table`` sweep.
 _CHUNK = 2048

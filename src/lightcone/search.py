@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .catalog import HarmonicSpec, _direction_jets, perturbed_sphere
-from .curvature import MetricField, brioschi_curvature
+from .curvature import brioschi_curvature
 from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .integrals import SphereGrid, sphere_quadrature
@@ -198,7 +198,7 @@ class VarianceObjective:
                 ii_positive=(E.value > 0.0) & (det_ii > 0.0),
                 weight=self.w_nodes * e2 * r2,
                 gap_low=K * K - 4.0 * detA,
-                keta=lambda: brioschi_curvature(MetricField(E, F, G)),
+                keta=lambda: brioschi_curvature(E, F, G),
             )
 
     def _frame_fields(self, x):

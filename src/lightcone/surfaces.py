@@ -17,6 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import curvature
+from .curvature import _det2, _inv2, _stack2
 from .errors import DegenerateNormalFrame, GaussMapUndefined, NotOnLightcone, NotSpacelike
 from .jets import Jet2, JetVec4
 from .minkowski import inner
@@ -82,7 +84,7 @@ class JetFrame:
     once, on first read.
     """
 
-    def __init__(self, patch, u, v, check=True):
+    def __init__(self, patch, u, v):
         self.patch = patch
         self.u = np.asarray(u, dtype=float)
         self.v = np.asarray(v, dtype=float)
@@ -97,19 +99,18 @@ class JetFrame:
         self.psi_uv = self.psi_u.d("v")
         self.psi_vv = self.psi_v.d("v")
 
-        if check:
-            cone = inner(self.psi_val, self.psi_val)
-            if not (np.all(np.abs(cone) <= _ON_CONE_TOL) and np.all(self.psi0_val > 0.0)):
-                raise NotOnLightcone(
-                    f"{patch.name}: max |<psi,psi>| = {np.max(np.abs(cone)):.3e}, "
-                    f"min psi0 = {np.min(psi[0].value):.3e}"
-                )
+        cone = inner(self.psi_val, self.psi_val)
+        if not (np.all(np.abs(cone) <= _ON_CONE_TOL) and np.all(self.psi0_val > 0.0)):
+            raise NotOnLightcone(
+                f"{patch.name}: max |<psi,psi>| = {np.max(np.abs(cone)):.3e}, "
+                f"min psi0 = {np.min(psi[0].value):.3e}"
+            )
 
         E = self.psi_u.dot(self.psi_u)
         F = self.psi_u.dot(self.psi_v)
         G = self.psi_v.dot(self.psi_v)
         detg = E * G - F * F
-        if check and not (np.all(E.value > 0.0) and np.all(detg.value > 0.0)):
+        if not (np.all(E.value > 0.0) and np.all(detg.value > 0.0)):
             raise NotSpacelike(
                 f"{patch.name}: induced metric not positive definite "
                 f"(min E = {np.min(E.value):.3e}, min det g = {np.min(detg.value):.3e})"
@@ -164,9 +165,7 @@ class JetFrame:
     @cached_property
     def gamma(self):
         """Christoffel symbols of the induced metric, indexed [..., c, a, b]."""
-        from .curvature import MetricField, christoffels
-
-        return christoffels(MetricField(self.E, self.F, self.G), self.gi_val)
+        return curvature.christoffels(self.E, self.F, self.G, self.gi_val)
 
     @cached_property
     def iivec(self):
@@ -180,18 +179,14 @@ class JetFrame:
     @cached_property
     def K_eta(self):
         """Brioschi curvature of the eta-second fundamental form, ungated."""
-        from .curvature import MetricField, brioschi_curvature
-
         II = self.II
         # Off-diagonal entries agree analytically; averaging symmetrizes rounding.
-        return brioschi_curvature(MetricField(II[0][0], (II[0][1] + II[1][0]) * 0.5, II[1][1]))
+        return curvature.brioschi_curvature(II[0][0], (II[0][1] + II[1][0]) * 0.5, II[1][1])
 
     @cached_property
     def K_brioschi(self):
         """Brioschi curvature of the induced metric: the intrinsic route to K."""
-        from .curvature import MetricField, brioschi_curvature
-
-        return brioschi_curvature(MetricField(self.E, self.F, self.G))
+        return curvature.brioschi_curvature(self.E, self.F, self.G)
 
     @cached_property
     def nabla_A(self):
@@ -207,10 +202,8 @@ class JetFrame:
 
     @cached_property
     def difference(self):
-        """The connection difference tensor (``curvature.difference_tensor``)."""
-        from .curvature import difference_tensor
-
-        return difference_tensor(self)
+        """The connection difference tensor L[..., a, b, c] (``curvature.difference_tensor``)."""
+        return curvature.difference_tensor(self)
 
     # -- value-level views --------------------------------------------------
 
@@ -348,32 +341,9 @@ class JetFrame:
         return np.abs(val - 2.0 * self.K_val)
 
 
-def _stack2(m00, m01, m10, m11):
-    """A stack of 2x2 matrices from its four (broadcast) entries."""
-    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
-    return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
-
-
 def _mat2(entries):
     """Value array of a nested 2x2 tuple of jets."""
     return _stack2(*(entries[a][b].value for a in range(2) for b in range(2)))
-
-
-def _det2(m):
-    """Determinants of a stack of 2x2 matrices."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-def _inv2(m, det=None):
-    """Inverse of a stack of 2x2 matrices: the adjugate over the determinant."""
-    if det is None:
-        det = _det2(m)
-    inv = np.empty_like(m)
-    inv[..., 0, 0] = m[..., 1, 1]
-    inv[..., 1, 1] = m[..., 0, 0]
-    inv[..., 0, 1] = -m[..., 0, 1]
-    inv[..., 1, 0] = -m[..., 1, 0]
-    return inv / det[..., None, None]
 
 
 def gauss_maps(frame):

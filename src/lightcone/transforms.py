@@ -13,14 +13,13 @@ from typing import Callable
 import numpy as np
 
 from . import jets
+from .curvature import DEGENERACY_FLOOR, degenerate
 from .errors import DegeneracyViolation
 from .jets import Jet2
 from .minkowski import inner as mink_inner
 from .surfaces import JetFrame, SurfacePatch
 
-#: Smallest |det A| on the check grid for which the conjugate is an immersion.
-_CONJUGATE_FLOOR = 1e-8
-#: Grid on which ``conjugate`` checks that floor.
+#: Grid on which ``conjugate`` checks the degeneracy floor.
 _CONJUGATE_CHECK_GRID = (24, 48)
 
 
@@ -55,22 +54,25 @@ def conjugate(patch):
 
 def _require_immersion(frame):
     """Raise DegeneracyViolation where |det A| on the frame is at the floor."""
-    bad = np.abs(frame.detA_val) <= _CONJUGATE_FLOOR
+    bad = degenerate(frame.detA_val)
     if np.any(bad):
         k = int(np.argmax(bad))
         u, v = np.broadcast_arrays(frame.u, frame.v)
         raise DegeneracyViolation(
-            f"{frame.patch.name}: conjugate undefined, |det A| <= {_CONJUGATE_FLOOR:.1e} "
+            f"{frame.patch.name}: conjugate undefined, |det A| <= {DEGENERACY_FLOOR:.1e} "
             f"at (u, v) = ({u.flat[k]:.6g}, {v.flat[k]:.6g})"
         )
 
 
 def _conjugate_patch(patch):
-    """The conjugate chart of ``patch`` and of its rotated twin, unchecked."""
+    """The conjugate chart of ``patch`` and of its rotated twin.
+
+    Unlike ``conjugate``, no det A floor is tested here; the chart reads the
+    normal of a ``patch`` frame, which is guarded like every frame.
+    """
 
     def chart(uj, vj):
-        inner = JetFrame(patch, uj.value, vj.value, check=False)
-        return -inner.eta
+        return -JetFrame(patch, uj.value, vj.value).eta
 
     return SurfacePatch(
         name=f"conjugate({patch.name})",

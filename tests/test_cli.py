@@ -3,8 +3,10 @@ import csv
 import io
 import json
 import os
+import itertools
 import subprocess
 import sys
+import time
 import warnings
 from importlib.resources import files
 from pathlib import Path
@@ -89,14 +91,10 @@ def test_verify_perturbed_spec_file(tmp_path):
     assert names["curvature_relation"]["residual"] < 1e-6
 
 
-def test_verify_tolerance_override_can_fail(tmp_path):
+def test_verify_tolerance_override_can_fail(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli.TOLS, "codazzi", 1e-30)
     out = tmp_path / "m.json"
-    rc = main(
-        [
-            "verify", "round-sphere", "--grid", "8x16",
-            "--tol", "codazzi=1e-30", "--out", str(out),
-        ]
-    )
+    rc = main(["verify", "round-sphere", "--grid", "8x16", "--out", str(out)])
     assert rc == EXIT_CHECK_FAILED
     data = _load_manifest(out)
     names = {c["name"]: c for c in data["checks"]}
@@ -108,9 +106,9 @@ def test_verify_builds_each_brioschi_curvature_once(bumpy_sphere, monkeypatch):
     calls = []
     original = curvature.brioschi_curvature
 
-    def counted(m):
-        calls.append(m)
-        return original(m)
+    def counted(*metric):
+        calls.append(metric)
+        return original(*metric)
 
     monkeypatch.setattr(curvature, "brioschi_curvature", counted)
     frame = JetFrame(bumpy_sphere, *bumpy_sphere.grid_points((6, 12)))
@@ -129,6 +127,16 @@ def test_verify_nonfinite_gap_fails(tmp_path, monkeypatch):
     assert rc == EXIT_CHECK_FAILED
     names = {c["name"]: c for c in _load_manifest(out)["checks"]}
     assert names["gap_floor"]["status"] == "FAIL"
+
+
+def test_wall_time_survives_a_wall_clock_stepping_back(tmp_path, monkeypatch):
+    # The wall clock may be set back during a run; the manifest's wall time
+    # must still be the non-negative duration the schema asks for.
+    clock = itertools.count(1e9, -60.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    out = tmp_path / "m.json"
+    assert main(["verify", "paraboloid", "--grid", "4x4", "--out", str(out)]) == EXIT_OK
+    assert _load_manifest(out)["wall_time_s"] >= 0.0
 
 
 def test_verify_summary_follows_redirected_stdout():
@@ -189,21 +197,6 @@ def test_nan_observer_rejected(capsys):
     argv = ["verify", "round-sphere", "--u", "nan", "nan", "nan", "nan", "--grid", "4x8"]
     assert main(argv) == EXIT_DEGENERATE
     assert "u must satisfy <u,u> = -1" in capsys.readouterr().err
-
-
-def test_verify_unknown_tolerance_rejected():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "round-sphere", "--tol", "bogus=1"])
-    assert exc.value.code == EXIT_DEGENERATE
-
-
-@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1", "0"])
-def test_verify_meaningless_tolerance_rejected(capsys, value):
-    # inf and 1e400 would pass the check vacuously; nan, -1 and 0 would fail it
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "round-sphere", "--grid", "4x8", "--tol", f"codazzi={value}"])
-    assert exc.value.code == EXIT_DEGENERATE
-    assert "must be positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "global", "export"])
@@ -502,6 +495,8 @@ def test_grid_parser_rejects_garbage(grid):
         (["search", "--config", "c.json", "--bogus"], EXIT_BAD_CONFIG),
         (["search", "--config", "c.json", "--seed", "abc"], EXIT_BAD_CONFIG),
         (["verify", "round-sphere", "--grid", "4x8", "--seed", "-1"], EXIT_DEGENERATE),
+        # tolerances are pinned: there is no option to loosen one
+        (["verify", "round-sphere", "--grid", "4x8", "--tol", "codazzi=1e-30"], EXIT_DEGENERATE),
     ],
 )
 def test_usage_errors_exit_apart_from_failed_checks(capsys, argv, code):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_perturbed_sphere
-from lightcone import catalog, curvature, jets
+from lightcone import catalog, curvature, jets, transforms
 from lightcone.curvature import (
-    MetricField,
+    _inv2,
+    _stack2,
     brioschi_curvature,
     christoffels,
     codazzi_residual,
@@ -15,50 +16,50 @@ from lightcone.curvature import (
 )
 from lightcone.errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
 from lightcone.jets import Jet2
-from lightcone.surfaces import JetFrame, _inv2, _stack2
+from lightcone.surfaces import JetFrame
 
 
 def _round_metric_field(r, theta0):
-    """Analytic round metric of radius r in polar coordinates, as jets."""
+    """Analytic round metric (E, F, G) of radius r in polar coordinates, as jets."""
     th = Jet2.variable("u", theta0)
     E = Jet2.constant(r * r) + th * 0.0
     F = Jet2.constant(0.0)
     st = jets.sin(th)
     G = st * st * (r * r)
-    return MetricField(E=E, F=F, G=G)
+    return E, F, G
 
 
-def _inverse_metric(m):
-    return _inv2(_stack2(m.E.value, m.F.value, m.F.value, m.G.value))
+def _inverse_metric(E, F, G):
+    return _inv2(_stack2(E.value, F.value, F.value, G.value))
 
 
 def test_brioschi_flat_metric_zero():
-    m = MetricField(E=Jet2.constant(1.0), F=Jet2.constant(0.0), G=Jet2.constant(1.0))
-    assert brioschi_curvature(m) == pytest.approx(0.0, abs=1e-15)
+    m = (Jet2.constant(1.0), Jet2.constant(0.0), Jet2.constant(1.0))
+    assert brioschi_curvature(*m) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
 def test_brioschi_round_metric(r):
     m = _round_metric_field(r, 0.9)
-    assert brioschi_curvature(m) == pytest.approx(1.0 / r**2, abs=1e-12)
+    assert brioschi_curvature(*m) == pytest.approx(1.0 / r**2, abs=1e-12)
 
 
 def test_brioschi_degenerate_metric_raises():
-    m = MetricField(E=Jet2.constant(1.0), F=Jet2.constant(1.0), G=Jet2.constant(1.0))
+    m = (Jet2.constant(1.0), Jet2.constant(1.0), Jet2.constant(1.0))
     with pytest.raises(DegenerateMetric):
-        brioschi_curvature(m)
+        brioschi_curvature(*m)
 
 
 def test_christoffels_constant_metric_zero():
-    m = MetricField(E=Jet2.constant(2.0), F=Jet2.constant(0.5), G=Jet2.constant(3.0))
-    gam = christoffels(m, _inverse_metric(m))
+    m = (Jet2.constant(2.0), Jet2.constant(0.5), Jet2.constant(3.0))
+    gam = christoffels(*m, _inverse_metric(*m))
     assert gam.shape == (2, 2, 2)
     assert np.max(np.abs(gam)) < 1e-15
 
 
 def test_christoffels_round_metric_value():
     m = _round_metric_field(1.0, 0.9)
-    gam = christoffels(m, _inverse_metric(m))
+    gam = christoffels(*m, _inverse_metric(*m))
     # polar angle symbol for the azimuthal pair
     expected = -np.sin(0.9) * np.cos(0.9)
     assert gam[0, 1, 1] == pytest.approx(expected, abs=1e-13)
@@ -66,9 +67,9 @@ def test_christoffels_round_metric_value():
 
 def test_christoffels_metric_compatibility():
     # nabla g = 0 componentwise: dg(c,ab) = g(d,b) Gamma^d_{ca} + g(a,d) Gamma^d_{cb}
-    m = _round_metric_field(1.3, 0.7)
-    gam = christoffels(m, _inverse_metric(m))
-    g = ((m.E, m.F), (m.F, m.G))
+    E, F, G = _round_metric_field(1.3, 0.7)
+    gam = christoffels(E, F, G, _inverse_metric(E, F, G))
+    g = ((E, F), (F, G))
     axes = ("u", "v")
     for c in range(2):
         for a in range(2):
@@ -102,24 +103,39 @@ def test_codazzi_residual_random_spheres():
 
 
 def test_difference_tensor_round_sphere_zero(unit_sphere):
-    lt = difference_tensor(JetFrame(unit_sphere, 1.0, 0.8))
-    assert np.max(np.abs(lt.L)) < 1e-12
+    L = difference_tensor(JetFrame(unit_sphere, 1.0, 0.8))
+    assert np.max(np.abs(L)) < 1e-12
 
 
 def test_difference_tensor_total_symmetry(bumpy_sphere):
     rng = np.random.default_rng(2)
     u, v = bumpy_sphere.sample_points(100, rng, margin=0.05)
-    lt = difference_tensor(JetFrame(bumpy_sphere, u, v))
-    low = lt.lowered
+    f = JetFrame(bumpy_sphere, u, v)
+    L = difference_tensor(f)
+    low = np.einsum("...abc,...cd->...abd", L, f.II_val)
     assert np.max(np.abs(low - np.swapaxes(low, -3, -2))) < 1e-8
     assert np.max(np.abs(low - np.swapaxes(low, -2, -1))) < 1e-8
     # the tensor vanishes only on the round family; a bump wakes it up
-    assert np.max(np.abs(lt.L)) > 1e-4
+    assert np.max(np.abs(L)) > 1e-4
 
 
 def test_difference_tensor_degenerate_raises(paraboloid):
     with pytest.raises(DegeneracyViolation):
         difference_tensor(JetFrame(paraboloid, 0.3, 0.3))
+
+
+def test_one_degeneracy_floor(bumpy_sphere):
+    # |det A| = 5e-9 sits under the one floor, 1e-8: the difference tensor
+    # and the conjugate both refuse the frame, as verify's gate does.
+    frame = JetFrame(bumpy_sphere, *bumpy_sphere.grid_points((4, 8)))
+    detA = frame.detA_val.copy()
+    detA[5] = 5e-9
+    frame.detA_val = detA
+    with pytest.raises(DegeneracyViolation):
+        difference_tensor(frame)
+    with pytest.raises(DegeneracyViolation, match="conjugate undefined"):
+        transforms._require_immersion(frame)
+    assert curvature.DEGENERACY_FLOOR == 1e-8
 
 
 def test_trace_gradient_identity(bumpy_sphere):
@@ -211,5 +227,5 @@ def test_difference_tensor_built_once_per_frame(bumpy_sphere, monkeypatch):
     frame = JetFrame(bumpy_sphere, u, v)
     curvature_relation(frame)
     trace_gradient_residual(frame)
-    assert frame.difference.L.shape == (20, 2, 2, 2)
+    assert frame.difference.shape == (20, 2, 2, 2)
     assert len(calls) == 1

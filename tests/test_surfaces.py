@@ -367,5 +367,5 @@ def test_position_equals_frame_positions_bit_for_bit(unit_sphere, cylinder, para
         u, v = patch.grid_points((9, 14))
         ur, vr = patch.sample_points(50, rng)
         u, v = np.concatenate([u, ur]), np.concatenate([v, vr])
-        ref = JetFrame(patch, u, v, check=False).psi_val
+        ref = JetFrame(patch, u, v).psi_val
         assert patch.position(u, v).tobytes() == ref.tobytes(), patch.name
