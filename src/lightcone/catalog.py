@@ -19,7 +19,7 @@ from .errors import CoordinateOverflow, NonpositiveRadialFunction, NonpositiveRa
 from .harmonics import L_MAX, real_harmonic
 from .jets import JetVec4
 from .minkowski import boost_to, vec
-from .surfaces import SurfacePatch
+from .surfaces import Geometry, SurfacePatch
 from .transforms import ScalarField
 
 _SPHERE_DOMAIN = ((0.0, np.pi), (0.0, 2.0 * np.pi))
@@ -43,7 +43,7 @@ def _direction_jets(tj, pj, rotation=None):
     return w
 
 
-def _sphere_patch(name, embed):
+def _sphere_patch(name, embed, expansion=None):
     """A closed (theta, phi) chart psi = embed(w) over the sphere of directions w.
 
     ``embed`` maps the three direction-cosine jets to a JetVec4.  The twin
@@ -58,7 +58,8 @@ def _sphere_patch(name, embed):
         name=name + "/rotated", chart=make_chart(_POLE_SWAP), domain=_SPHERE_DOMAIN, closed=True
     )
     return SurfacePatch(
-        name=name, chart=make_chart(None), domain=_SPHERE_DOMAIN, closed=True, rotated=rotated
+        name=name, chart=make_chart(None), domain=_SPHERE_DOMAIN, closed=True, rotated=rotated,
+        expansion=expansion,
     )
 
 
@@ -84,6 +85,28 @@ def round_sphere(u=None, r=1.0):
     taking (-1, 0, 0, 0) to u, so <u, psi> = r holds identically.
     """
     return _sphere_patch(f"round-sphere(r={r:g})", _round_embedding(r, u))
+
+
+def round_geometry(tj, r):
+    """The ``surfaces.Geometry`` of the round sphere of radius r at colatitude jets ``tj``.
+
+    g = r^2 (dtheta^2 + sin^2 dphi^2), II = g / (2 r^2), A = -I / (2 r^2)
+    and K = 1 / r^2; the Christoffel symbols that do not vanish are
+    Gamma^theta_phiphi = -sin cos and Gamma^phi_thetaphi = cot.
+    """
+    r2 = float(r) ** 2
+    st, ct = jets.sin(tj), jets.cos(tj)
+    sin2 = st * st
+    cot = ct / st
+    return Geometry(
+        g=((r2, 0.0), (0.0, sin2 * r2)),
+        gi=((1.0 / r2, 0.0), (0.0, 1.0 / (sin2 * r2))),
+        II=((0.5, 0.0), (0.0, sin2 * 0.5)),
+        A=((-0.5 / r2, 0.0), (0.0, -0.5 / r2)),
+        K=1.0 / r2,
+        gamma=(((0.0, 0.0), (0.0, -(st * ct))), ((0.0, cot), (cot, 0.0))),
+        jets=True,
+    )
 
 
 def product_cylinder():
@@ -211,4 +234,6 @@ def perturbed_sphere(spec, r=1.0):
     def embed(x, y, z):
         return round_embed(x, y, z).scale(jets.exp(spec.cartesian(x, y, z)))
 
-    return _sphere_patch(f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)", embed)
+    return _sphere_patch(
+        f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)", embed, expansion=(spec, float(r))
+    )

@@ -10,7 +10,6 @@ or a usage error of ``search``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__, catalog, curvature, transforms
 from .errors import LightconeError
-from .integrals import SphereGrid, geometry_table
+from .integrals import TABLE_ORACLE_GRID, SphereGrid, geometry_table, table_oracle
 from .minkowski import inner
 from .surfaces import JetFrame, gauss_maps, umbilic_point_search
 
@@ -68,7 +67,10 @@ TOLS = {
     "lambda1_slack": 5e-2,
     "round_lambda1": 2e-2,
     "curvature_floor": 1e-6,
+    "table_oracle": 1e-9,
 }
+#: What the ``table_oracle`` check of ``global`` and ``export`` compares.
+_ORACLE_DETAIL = "expansion-law table against geometry_table on {}x{}".format(*TABLE_ORACLE_GRID)
 
 
 class Manifest:
@@ -428,6 +430,7 @@ def cmd_global(args):
     try:
         patch = _build_surface(args)
         grid = SphereGrid(patch, *args.grid)
+        oracle_gap = table_oracle(patch) if grid.route == "sigma" else None
         gb = grid.gauss_bonnet()
         gb2 = grid.gauss_bonnet_second_form()
         ii_area = grid.second_form_area()
@@ -437,6 +440,8 @@ def cmd_global(args):
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
+    if oracle_gap is not None:
+        manifest.add("table_oracle", oracle_gap, TOLS["table_oracle"], detail=_ORACLE_DETAIL)
     manifest.add("gauss_bonnet_induced", gb - 4.0 * np.pi, TOLS["gauss_bonnet_induced"])
     manifest.add("gauss_bonnet_second", gb2 - 4.0 * np.pi, TOLS["gauss_bonnet_second"])
     manifest.add(
@@ -487,6 +492,8 @@ def cmd_global(args):
         "surface": patch.name,
         "n_theta": grid.n_theta,
         "n_phi": grid.n_phi,
+        "table_route": grid.route,
+        "table_oracle_gap": oracle_gap,
         "area": grid.area(),
         "gauss_bonnet": gb,
         "gauss_bonnet_second_form": gb2,
@@ -574,36 +581,38 @@ def cmd_search(args):
 # -- export ------------------------------------------------------------------
 
 
+_EXPORT_HEADER = "theta,phi,K,Keta,d,gap_low,gap_high,psi0\n"
+
+
 def cmd_export(args):
     try:
         patch = _build_surface(args)
         if patch.closed:
             grid = SphereGrid(patch, *args.grid)
             th, ph, table = grid.TH, grid.PH, grid.table
+            gap = table_oracle(patch) if grid.route == "sigma" else None
         else:
             th, ph = patch.grid_points(args.grid)
             table = geometry_table(patch, th, ph)
+            gap = None
     except LightconeError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    if gap is not None and not gap <= TOLS["table_oracle"]:
+        print(
+            f"table_oracle FAIL: gap {gap:.3e} above {TOLS['table_oracle']:.1e} "
+            f"({_ORACLE_DETAIL}); no table written",
+            file=sys.stderr,
+        )
+        return EXIT_CHECK_FAILED
 
+    cols = np.column_stack(
+        [th, ph] + [table[k] for k in ("K", "K_eta", "detA", "gap_low", "gap_high", "psi0")]
+    )
+    text = _EXPORT_HEADER + "".join(",".join(map(repr, row)) + "\n" for row in cols.tolist())
     try:
         with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["theta", "phi", "K", "Keta", "d", "gap_low", "gap_high", "psi0"])
-            for k in range(th.size):
-                w.writerow(
-                    [
-                        repr(float(th[k])),
-                        repr(float(ph[k])),
-                        repr(float(table["K"][k])),
-                        repr(float(table["K_eta"][k])),
-                        repr(float(table["detA"][k])),
-                        repr(float(table["gap_low"][k])),
-                        repr(float(table["gap_high"][k])),
-                        repr(float(table["psi0"][k])),
-                    ]
-                )
+            fh.write(text)
     except OSError as exc:
         return _cannot_write(args.out, exc)
     print(f"export: {th.size} rows -> {args.out}")
@@ -613,15 +622,30 @@ def cmd_export(args):
 # -- parser ------------------------------------------------------------------
 
 
+class _NegativeFloat:
+    """Matches a negative number in any notation ``float`` reads, such as -7.5e-1."""
+
+    @staticmethod
+    def match(text):
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return text.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with ``usage_exit``.
 
-    argparse's own code, 2, would read as a failed check.
+    argparse's own code, 2, would read as a failed check.  Any negative
+    float literal is a value, not an option; argparse's own rule takes
+    -1.25e0 for an option.
     """
 
     def __init__(self, *args, usage_exit=EXIT_DEGENERATE, **kwargs):
         super().__init__(*args, **kwargs)
         self.usage_exit = usage_exit
+        self._negative_number_matcher = _NegativeFloat
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -12,12 +12,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import _det2
+from . import transforms
+from .catalog import round_geometry
+from .curvature import _det2, brioschi_curvature
 from .errors import DegeneracyViolation
+from .jets import Jet2
 from .surfaces import JetFrame, newton_extremum
 
 #: Nodes per ``JetFrame`` in the ``geometry_table`` sweep.
 _CHUNK = 2048
+#: Grid of the ``table_oracle`` check.
+TABLE_ORACLE_GRID = (16, 32)
 
 
 def sphere_quadrature(n_theta, n_phi):
@@ -76,10 +81,83 @@ def _table_chunk(patch, u, v):
     return {k: np.atleast_1d(a) for k, a in out.items()}
 
 
+def expansion_table(patch, n_theta, n_phi):
+    """The ``geometry_table`` entries of an expanded round sphere by the expansion law.
+
+    ``patch.expansion`` is (spec, r): the surface is e^sigma times the round
+    sphere of radius r.  The law runs on a column of theta jets against a
+    row of phi jets, and the entries are flattened theta-major, in the
+    order of ``sphere_quadrature``'s nodes; jet arithmetic is pointwise, so
+    they are bit for bit those at the flat nodes.  H2 is K, the identity
+    <H, H> = K of every surface on the cone.
+    """
+    TH, PH, _ = sphere_quadrature(n_theta, n_phi)
+    tj = Jet2.variable("u", TH.reshape(n_theta, n_phi)[:, :1])
+    pj = Jet2.variable("v", PH[None, :n_phi])
+    entries = _expansion_entries(patch, tj, pj)
+    return {k: np.broadcast_to(a, (n_theta, n_phi)).ravel() for k, a in entries.items()}
+
+
+def _expansion_entries(patch, tj, pj):
+    """The table entries by the expansion law at the points of the (broadcast) jets.
+
+    A spec so large that e^{4 sigma} overflows leaves inf or NaN entries,
+    without a warning; the non-degeneracy gate ``ii_weights`` rejects them.
+    """
+    spec, r = patch.expansion
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = spec.chart_field()(tj, pj)
+        law = transforms.expansion_law(round_geometry(tj, r), s)
+        (E, F), (_, G) = law.g
+        (a00, a01), (a10, a11) = law.A
+        II, K, detA, det_ii = law.II, law.K, law.detA, law.detII
+        return {
+            "E": E,
+            "F": F,
+            "G": G,
+            "psi0": r * np.exp(s.value),
+            "sqrt_detg": np.sqrt(E * G - F * F),
+            "K": K,
+            "detA": detA,
+            "gap_low": K**2 - 4.0 * detA,
+            "gap_high": 2.0 * (a00 * a00 + a01 * a10 + a10 * a01 + a11 * a11) - K**2,
+            "H2": K,
+            "ii_positive": (II[0][0].value > 0.0) & (det_ii > 0.0),
+            "K_eta": (
+                np.nan if np.any(det_ii == 0.0)
+                else brioschi_curvature(II[0][0], II[0][1], II[1][1])
+            ),
+        }
+
+
+def table_oracle(patch):
+    """Largest gap between the expansion-law table and ``geometry_table`` on the oracle grid.
+
+    Each entry is compared relative to max(1, |geometry_table entry|), and
+    a NaN in both tables agrees; ``ii_positive`` must be equal, or the gap
+    is inf.  A NaN in one table alone makes the gap NaN.
+    """
+    TH, PH, _ = sphere_quadrature(*TABLE_ORACLE_GRID)
+    fast, oracle = expansion_table(patch, *TABLE_ORACLE_GRID), geometry_table(patch, TH, PH)
+    if not np.array_equal(fast["ii_positive"], oracle["ii_positive"]):
+        return np.inf
+    gaps = [0.0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for key, b in oracle.items():
+            if key != "ii_positive":
+                a = fast[key]
+                gap = np.abs(a - b) / np.maximum(1.0, np.abs(b))
+                gaps.append(np.max(np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, gap)))
+    return float(np.max(gaps))
+
+
 class SphereGrid:
     """Quadrature grid with cached pointwise geometry over a closed chart.
 
     ``weights`` is the induced area measure and ``ii_weights`` that of II.
+    ``route`` says how the table was built: ``"sigma"`` by
+    ``expansion_table`` on a patch with an ``expansion``, ``"jetframe"``
+    by ``geometry_table`` otherwise.
     """
 
     def __init__(self, patch, n_theta=64, n_phi=128):
@@ -91,7 +169,12 @@ class SphereGrid:
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         self.TH, self.PH, w2 = sphere_quadrature(self.n_theta, self.n_phi)
-        self.table = geometry_table(patch, self.TH, self.PH)
+        if patch.expansion is None:
+            self.route = "jetframe"
+            self.table = geometry_table(patch, self.TH, self.PH)
+        else:
+            self.route = "sigma"
+            self.table = expansion_table(patch, self.n_theta, self.n_phi)
         self.weights = w2 * self.table["sqrt_detg"] / np.sin(self.TH)
 
     @property
@@ -102,13 +185,14 @@ class SphereGrid:
     def ii_weights(self):
         """II area weights, sqrt(det A) times the induced ones.
 
-        The one test of the non-degeneracy hypothesis: raises unless det A > 0
-        and II is definite at every node, where det II > 0 keeps K_eta finite.
+        The one test of the non-degeneracy hypothesis: raises unless det A is
+        finite and positive and II is definite at every node, where det II > 0
+        keeps K_eta finite.
         """
         t = self.table
-        if np.any(t["detA"] <= 0.0) or not np.all(t["ii_positive"]):
+        if not (np.all((t["detA"] > 0.0) & (t["detA"] < np.inf)) and np.all(t["ii_positive"])):
             raise DegeneracyViolation(
-                f"{self.patch.name}: II area element needs det A > 0 and definite II "
+                f"{self.patch.name}: II area element needs finite det A > 0 and definite II "
                 f"at every grid node (min det A {np.min(t['detA']):.3e})"
             )
         return self.weights * np.sqrt(t["detA"])

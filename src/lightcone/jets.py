@@ -247,9 +247,18 @@ class Jet2:
             src, fac = _DERIVATIVE_PLANS[axis][self.valid - 1]
         except KeyError:
             raise ValueError("axis must be 'u' or 'v'") from None
-        out = np.zeros_like(self._c)
-        out[: src.size] = self._c[src] * _lift(fac, self._c.ndim - 1)
+        out = np.empty_like(self._c)
+        np.multiply(self._c.take(src, axis=0), _lift(fac, self._c.ndim - 1), out=out[: src.size])
+        out[src.size :] = 0.0
         return Jet2._wrap(out, self.valid - 1)
+
+    def truncated(self, valid):
+        """The jet valid only through order ``valid``; the higher coefficients are zeroed."""
+        n = _N_UPTO[valid]
+        c = np.empty_like(self._c)
+        c[:n] = self._c[:n]
+        c[n:] = 0.0
+        return Jet2._wrap(c, min(self.valid, valid))
 
     def evaluate(self, du, dv):
         """Evaluate the truncated polynomial at an offset from the base point."""
@@ -287,7 +296,12 @@ class Jet2:
         return Jet2._wrap(-self._c, self.valid)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet2) else -np.asarray(other, dtype=float))
+        if isinstance(other, Jet2):
+            ndim = max(self._c.ndim, other._c.ndim) - 1
+            return Jet2._wrap(
+                _lift(self._c, ndim) - _lift(other._c, ndim), min(self.valid, other.valid)
+            )
+        return self + -np.asarray(other, dtype=float)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -307,6 +321,24 @@ class Jet2:
 
     def __rtruediv__(self, other):
         return _divide(Jet2.constant(other), self)
+
+
+def weighted_sum(terms, weights):
+    """The jet sum of terms[k] * weights[k] over k, added in order onto 0.0.
+
+    Bit for bit the running sum ``total = term * weight + total`` from
+    ``total = 0.0``, with one array operation per step instead of a jet
+    each.  The terms share one batch shape.
+    """
+    total, valid = None, ORDER
+    for term, weight in zip(terms, weights):
+        step = term._c * float(weight)
+        if total is None:
+            step[0] += 0.0
+        else:
+            step += total
+        total, valid = step, min(valid, term.valid)
+    return Jet2._wrap(total, valid)
 
 
 def _divide(num, den):

@@ -12,8 +12,6 @@ machinery is the deliverable here, not the mathematical outcome.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
@@ -21,12 +19,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import jets
-from .catalog import HarmonicSpec, _direction_jets, perturbed_sphere
+from . import integrals, jets, transforms
+from .catalog import HarmonicSpec, _direction_jets, perturbed_sphere, round_geometry
 from .curvature import brioschi_curvature
 from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
-from .integrals import SphereGrid, sphere_quadrature
 from .jets import Jet2
 
 # Objective floor of a surface that fails the det A / definiteness gate.  Its
@@ -132,14 +129,14 @@ class VarianceObjective:
     """Area-weighted variance of the II curvature plus a degeneracy barrier.
 
     Every surface of the family is ``e^sigma psi_round`` with
-    ``sigma = sum_k x_k Y_k``, so the fields the objective reads have closed
-    forms in the jet of sigma on the unit sphere (the expansion law).  The
-    nodes, one jet per free harmonic and the sphere jets are built once;
-    ``diagnostics`` then needs one harmonic sum, a few jet products and the
-    Brioschi formula per call.  ``frame_diagnostics`` reads the same fields
-    from the ``SphereGrid`` table of the perturbed sphere, a full ``JetFrame``
-    route, and is the independent oracle.  Both are pure deterministic
-    functions of the coefficients and share one reduction.
+    ``sigma = sum_k x_k Y_k``, so the fields the objective reads follow from
+    the jet of sigma by ``transforms.expansion_law`` on the round sphere.
+    The nodes, one jet per free harmonic and the round sphere's geometry are
+    built once; ``diagnostics`` then needs one harmonic sum, the law and
+    the Brioschi formula per call.  ``frame_diagnostics`` reads the same
+    fields from a ``geometry_table`` sweep of the perturbed sphere, a full
+    ``JetFrame`` route, and is the independent oracle.  Both are pure
+    deterministic functions of the coefficients and share one reduction.
     """
 
     def __init__(self, config, n_theta=None, n_phi=None):
@@ -147,73 +144,52 @@ class VarianceObjective:
         self.pairs = config.free_pairs()
         self.n_theta = n_theta or config.n_theta
         self.n_phi = n_phi or config.n_phi
-        self.TH, self.PH, self.w_nodes = sphere_quadrature(self.n_theta, self.n_phi)
+        self.TH, self.PH, self.w_nodes = integrals.sphere_quadrature(self.n_theta, self.n_phi)
+        self._sin = np.sin(self.TH)
         tj = Jet2.variable("u", self.TH)
         w = _direction_jets(tj, Jet2.variable("v", self.PH))
         self._harmonics = [real_harmonic(l, m, *w) for l, m in self.pairs]
-        sin, cos = jets.sin(tj), jets.cos(tj)
-        self._cot = cos / sin
-        self._sin_cos = sin * cos
-        self._sin2 = sin * sin
-        self._inv_sin2 = 1.0 / self._sin2
+        self._round = round_geometry(tj, config.radius)
 
     def spec(self, x):
         return HarmonicSpec.unpack(self.pairs, x)
 
     def diagnostics(self, x):
         """Variance, mean, sup deviation, min det A and sup gap for a vector."""
-        return self._reduce(x, self._closed_form_fields(x))
+        return self._reduce(x, self._sigma_fields(x))
 
     def frame_diagnostics(self, x):
-        """The same dict as ``diagnostics``, read from a ``SphereGrid`` (the oracle)."""
+        """The same dict as ``diagnostics``, read from a ``geometry_table`` (the oracle)."""
         return self._reduce(x, self._frame_fields(x))
 
-    def _closed_form_fields(self, x):
-        """Fields of e^sigma psi_round from the sigma jet on the unit sphere.
-
-        II' = 1/2 g + dsigma dsigma - 1/2 |grad sigma|^2 g - Hess sigma in the
-        unit-sphere metric g, whatever the radius; det A' = det II' / det g'
-        with g' = e^{2 sigma} r^2 g, and K' = (1 - Lap sigma) e^{-2 sigma} / r^2.
-        """
-        r2 = self.config.radius**2
+    def _sigma_fields(self, x):
+        """Fields of e^sigma psi_round by the expansion law from the round sphere."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sigma = 0.0
-            for y, a in zip(self._harmonics, x):
-                sigma = y * float(a) + sigma
-            s_t, s_p = sigma.d("u"), sigma.d("v")
-            s_tt, s_tp, s_pp = s_t.d("u"), s_t.d("v"), s_p.d("v")
-            sq_t, sq_p = s_t * s_t, s_p * s_p
-            rest = (1.0 - (sq_t + sq_p * self._inv_sin2)) * 0.5
-            E = rest + sq_t - s_tt
-            F = s_t * s_p - (s_tp - self._cot * s_p)
-            G = self._sin2 * rest + sq_p - (s_pp + self._sin_cos * s_t)
-            det_ii = E.value * G.value - F.value * F.value
-            lap = s_tt.value + self._cot.value * s_t.value + s_pp.value * self._inv_sin2.value
-            e2 = np.exp(2.0 * sigma.value)
-            detA = det_ii / (e2 * e2 * (r2 * r2) * self._sin2.value)
-            K = (1.0 - lap) / (e2 * r2)
+            sigma = jets.weighted_sum(self._harmonics, x)
+            law = transforms.expansion_law(self._round, sigma, shape_operator=False)
+            II, ((E, F), (_, G)) = law.II, law.g
             return _Fields(
-                detA=detA,
-                K=K,
-                ii_positive=(E.value > 0.0) & (det_ii > 0.0),
-                weight=self.w_nodes * e2 * r2,
-                gap_low=K * K - 4.0 * detA,
-                keta=lambda: brioschi_curvature(E, F, G),
+                detA=law.detA,
+                K=law.K,
+                ii_positive=(II[0][0].value > 0.0) & (law.detII > 0.0),
+                weight=self.w_nodes * np.sqrt(E * G - F * F) / self._sin,
+                gap_low=law.K**2 - 4.0 * law.detA,
+                keta=lambda: brioschi_curvature(II[0][0], II[0][1], II[1][1]),
             )
 
     def _frame_fields(self, x):
+        """The fields from a ``JetFrame`` sweep of the same nodes; ``None`` if it fails."""
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 patch = perturbed_sphere(self.spec(x), r=self.config.radius)
-                grid = SphereGrid(patch, self.n_theta, self.n_phi)
+                t = integrals.geometry_table(patch, self.TH, self.PH)
         except LightconeError:
             return None
-        t = grid.table
         return _Fields(
             detA=t["detA"],
             K=t["K"],
             ii_positive=t["ii_positive"],
-            weight=grid.weights,
+            weight=self.w_nodes * t["sqrt_detg"] / self._sin,
             gap_low=t["gap_low"],
             keta=lambda: t["K_eta"],
         )
@@ -227,12 +203,12 @@ class VarianceObjective:
         with np.errstate(over="ignore"):
             box = min(cfg.barrier_weight * float(np.sum(over**2)), _BOX_MAX)
         if fields is None or not all(
-            np.all(np.isfinite(a)) for a in (fields.detA, fields.weight, fields.gap_low)
+            np.isfinite(a).all() for a in (fields.detA, fields.weight, fields.gap_low)
         ):
             return {"ok": False, "objective": 2.0 * _WALL + box, "variance": np.inf}
-        min_d = float(np.min(fields.detA))
+        min_d = float(fields.detA.min())
         excess = max(0.0, cfg.barrier_floor - min_d)
-        if min_d <= 1e-6 or not np.all(fields.ii_positive):
+        if min_d <= 1e-6 or not fields.ii_positive.all():
             # The product form overflows to inf, where ``** 2`` would raise.
             barrier = min(cfg.barrier_weight * (excess * excess), _WALL)
             return {
@@ -244,16 +220,16 @@ class VarianceObjective:
         barrier = cfg.barrier_weight * excess**2 + box
         keta = fields.keta()
         w = fields.weight
-        area = float(np.sum(w))
-        mean = float(np.sum(w * keta)) / area
-        var = float(np.sum(w * (keta - mean) ** 2)) / area
+        area = float(w.sum())
+        mean = float((w * keta).sum()) / area
+        var = float((w * (keta - mean) ** 2).sum()) / area
         return {
             "ok": True,
             "objective": var + barrier,
             "variance": var,
             "mean_keta": mean,
-            "sup_dev": float(np.max(np.abs(keta - mean))),
-            "sup_gap_low": float(np.max(fields.gap_low)),
+            "sup_dev": float(np.abs(keta - mean).max()),
+            "sup_gap_low": float(fields.gap_low.max()),
             "min_detA": min_d,
         }
 
@@ -300,14 +276,8 @@ class SearchReport:
         return json.dumps(payload, indent=2)
 
     def trace_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            ["start", "eval", "objective", "variance", "mean_keta", "min_detA"]
-        )
-        for row in self.trace_rows:
-            w.writerow(row)
-        return buf.getvalue()
+        rows = [("start", "eval", "objective", "variance", "mean_keta", "min_detA")]
+        return "".join(",".join(map(str, row)) + "\n" for row in rows + self.trace_rows)
 
 
 def _nelder_mead(f, simplex, max_iter, xatol, fatol):

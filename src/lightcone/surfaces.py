@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +30,24 @@ _ON_CONE_TOL = 1e-9
 _GAUSS_MAP_TOL = 1e-14
 
 
+class Geometry(NamedTuple):
+    """A surface's geometry at some points, the base of ``transforms.expansion_law``.
+
+    ``g``, ``gi``, ``II`` and ``A`` are nested 2x2 tuples, ``gamma[c][a][b]``
+    the Christoffel symbols and ``K`` the curvature.  On a ``jets`` base, g,
+    g^-1, II and gamma are jets, or floats; otherwise every entry is a value
+    array.  ``JetFrame.geometry`` gives the values of a frame.
+    """
+
+    g: tuple
+    gi: tuple
+    II: tuple
+    A: tuple
+    K: object
+    gamma: tuple
+    jets: bool = False
+
+
 @dataclass(frozen=True, eq=False)
 class SurfacePatch:
     """A chart (u, v) -> psi(u, v) into the future lightcone.
@@ -38,6 +56,9 @@ class SurfacePatch:
     returns a JetVec4.  ``closed`` marks spherical (theta, phi) charts whose
     domain covers a closed surface; those get quadrature grids and a
     ``rotated`` twin chart for checks near the coordinate poles.
+    ``expansion`` is (spec, r) when the chart is e^sigma times the round
+    sphere of radius r, sigma the spec's harmonic sum; ``SphereGrid`` then
+    builds its table by the expansion law.
     """
 
     name: str
@@ -45,6 +66,7 @@ class SurfacePatch:
     domain: tuple
     closed: bool = False
     rotated: Optional["SurfacePatch"] = None
+    expansion: Optional[tuple] = None
 
     def sample_points(self, n, rng, margin=0.05):
         """Uniform random interior points of the chart domain."""
@@ -206,6 +228,16 @@ class JetFrame:
         return curvature.difference_tensor(self)
 
     # -- value-level views --------------------------------------------------
+
+    @cached_property
+    def geometry(self):
+        """The value ``Geometry`` of the frame."""
+        def entries(m):
+            return ((m[..., 0, 0], m[..., 0, 1]), (m[..., 1, 0], m[..., 1, 1]))
+
+        gam = self.gamma
+        return Geometry(*map(entries, (self.g_val, self.gi_val, self.II_val, self.A_val)),
+                        self.K_val, (entries(gam[..., 0, :, :]), entries(gam[..., 1, :, :])))
 
     @cached_property
     def g_val(self):

@@ -8,12 +8,13 @@ e^sigma, deforming the induced metric conformally.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
 
 from . import jets
-from .curvature import DEGENERACY_FLOOR, degenerate
+from .curvature import DEGENERACY_FLOOR, _stack2, degenerate
 from .errors import DegeneracyViolation
 from .jets import Jet2
 from .minkowski import inner as mink_inner
@@ -138,83 +139,106 @@ def expand(patch, sigma):
     )
 
 
-def _sigma_calculus(frame, sigma):
-    """Jet of sigma plus its gradient, Hessian and Laplacian on the frame."""
-    s = sigma(Jet2.variable("u", frame.u), Jet2.variable("v", frame.v))
-    ds, hess = frame.covariant_hessian(s)
-    gi = frame.gi_val
-    grad = np.einsum("...ab,...b->...a", gi, ds)
-    grad2 = np.einsum("...a,...a->...", ds, grad)
-    lap = np.einsum("...ab,...ab->...", gi, hess)
-    return s, ds, grad, grad2, hess, lap
+#: What ``expansion_law`` predicts for e^s psi: nested 2x2 lists ``g``, ``II``
+#: (jets valid through order two on a jet base) and ``A``; ``K``, ``detII``,
+#: ``detA`` = det II' / det g', and the gradient of s, ``grad``, with squared
+#: norm ``grad2``.  All but II are values, or floats where the base makes
+#: them constant.
+Expanded = namedtuple("Expanded", "g II A K detII detA grad grad2")
+
+
+def expansion_law(base, s, shape_operator=True):
+    """The geometry of e^s psi from the ``surfaces.Geometry`` of psi and the jet of s.
+
+      * g' = e^{2s} g
+      * II' = II + ds (x) ds - |grad s|^2/2 g - Hess s
+      * A' = e^{-2s} (A + Hess-op + |grad s|^2/2 I - ds (.) grad s), left
+        out (None) unless ``shape_operator``
+      * K' = (K - Lap s) e^{-2s}, Lap s the trace of Hess-op.
+
+    II' and its terms are formed entry by entry (a symmetric one indexed by
+    a + b), as jets on a jet base truncated at order two, all that Brioschi's
+    formula reads; a float 0.0 entry of the base drops the terms it enters.
+    """
+    if base.jets:
+        su, sv = s.d("u"), s.d("v")
+        ds = (su.truncated(2), sv.truncated(2))
+        dd = (su.d("u"), su.d("v"), sv.d("v"))
+    else:
+        ds = (s.partial(1, 0), s.partial(0, 1))
+        dd = (s.partial(2, 0), s.partial(1, 1), s.partial(0, 2))
+    gam, g = base.gamma, base.g
+    hess = [_sub(_sub(dd[a + b], _mul(gam[0][a][b], ds[0])), _mul(gam[1][a][b], ds[1]))
+            for a, b in ((0, 0), (0, 1), (1, 1))]
+    grad = [_add(_mul(base.gi[a][0], ds[0]), _mul(base.gi[a][1], ds[1])) for a in (0, 1)]
+    grad2 = _add(_mul(ds[0], grad[0]), _mul(ds[1], grad[1]))
+    half = 0.5 * grad2
+    dsds = (ds[0] * ds[0], ds[0] * ds[1], ds[1] * ds[1])
+    II = [[_sub(_sub(_add(base.II[a][b], dsds[a + b]), _mul(half, g[a][b])), hess[a + b])
+           for b in (0, 1)] for a in (0, 1)]
+
+    e2, conformal = np.exp(-2.0 * s.value), np.exp(2.0 * s.value)
+    gi, h, ds, grad, half, grad2 = map(_values, (base.gi, hess, ds, grad, half, grad2))
+    hop = [[gi[c][0] * h[a] + gi[c][1] * h[1 + a] for a in (0, 1)] for c in (0, 1)]
+    A = [
+        [e2 * (base.A[c][a] + hop[c][a] + half * float(c == a) - ds[a] * grad[c]) for a in (0, 1)]
+        for c in (0, 1)
+    ] if shape_operator else None
+    g = [[conformal * x for x in row] for row in _values(g)]
+    (i00, i01), (i10, i11) = _values(II)
+    det_ii = i00 * i11 - i01 * i10
+    return Expanded(g, II, A, (base.K - (hop[0][0] + hop[1][1])) * e2, det_ii,
+                    det_ii / (g[0][0] * g[1][1] - g[0][1] * g[1][0]), grad, grad2)
+
+
+def _values(m):
+    """The values of a jet, or of the entries of a (nested) list or tuple."""
+    if isinstance(m, (list, tuple)):
+        return [_values(x) for x in m]
+    return m.value if isinstance(m, Jet2) else m
+
+
+def _stack(m):
+    """The values of a nested 2x2 list, stacked [..., a, b]."""
+    return _stack2(*(x for row in _values(m) for x in row))
+
+
+def _mul(a, b):
+    """a * b, where a float 0.0 is an exact zero (as in ``_add`` and ``_sub``)."""
+    return 0.0 if (type(a) is float and a == 0.0) or (type(b) is float and b == 0.0) else a * b
+
+
+def _add(a, b):
+    return a if type(b) is float and b == 0.0 else b if type(a) is float and a == 0.0 else a + b
+
+
+def _sub(a, b):
+    return a if type(b) is float and b == 0.0 else -b if type(a) is float and a == 0.0 else a - b
 
 
 def verify_expansion_laws(frame, sigma):
     """Residuals of the conformal transformation laws at the frame's points.
 
     Compares the directly computed geometry of the expanded surface with
-    the predicted shape operator, second form, curvature and normal:
-
-      * A' = e^{-2s} (A + Hess-op + |grad s|^2/2 I - ds (.) grad s)
-      * II' = II + ds (x) ds - |grad s|^2/2 g - Hess s
-      * K' = (K - Lap s) e^{-2s}
-      * eta' = e^{-s} eta, so <psi', eta'> = 1 pairs the expanded chart
-        with the rescaled normal.
+    the prediction of ``expansion_law`` from the frame's own geometry, and
+    the expanded normal with eta' = e^{-s} (eta - |grad s|^2/2 psi - grad s),
+    whose pairing with the expanded chart, <psi', e^{-s} eta>, is one; and
+    minus the trace of the predicted A' with the predicted K'.
     """
     f = frame
-    s, ds, grad, grad2, hess, lap = _sigma_calculus(f, sigma)
+    s = sigma(Jet2.variable("u", f.u), Jet2.variable("v", f.v))
+    law = expansion_law(f.geometry, s)
     fe = JetFrame(expand(f.patch, sigma), f.u, f.v)
-
-    sv = s.value
-    e2 = np.exp(-2.0 * sv)
-    hess_op = np.einsum("...cb,...ba->...ca", f.gi_val, hess)
-    eye = np.eye(2)
-    pred_A = e2[..., None, None] * (
-        f.A_val
-        + hess_op
-        + 0.5 * grad2[..., None, None] * eye
-        - np.einsum("...a,...c->...ca", ds, grad)
-    )
-    res_A = np.max(np.abs(fe.A_val - pred_A), axis=(-2, -1))
-
-    pred_II = (
-        f.II_val
-        + np.einsum("...a,...b->...ab", ds, ds)
-        - 0.5 * grad2[..., None, None] * f.g_val
-        - hess
-    )
-    res_II = np.max(np.abs(fe.II_val - pred_II), axis=(-2, -1))
-
-    pred_K = (f.K_val - lap) * e2
-    res_K = np.abs(fe.K_val - pred_K)
-
-    # Trace consistency: minus the trace of the predicted operator must
-    # reproduce the curvature law on its own.
-    res_trace = np.abs(-np.einsum("...aa->...", pred_A) - pred_K)
-
-    # The rescaled normal needs position and tangential corrections to stay
-    # normal once sigma varies; the pairing with the expanded chart is
-    # nevertheless exactly one for the plain rescaling.
-    tang = (
-        grad[..., 0:1] * f.psi_u.values + grad[..., 1:2] * f.psi_v.values
-    )
-    pred_eta = np.exp(-sv)[..., None] * (
-        f.eta_val - 0.5 * grad2[..., None] * f.psi_val - tang
-    )
-    res_eta = np.max(np.abs(fe.eta_val - pred_eta), axis=-1)
-    res_pair = np.abs(
-        mink_inner(fe.psi_val, np.exp(-sv)[..., None] * f.eta_val) - 1.0
-    )
-    res_metric = np.max(
-        np.abs(fe.g_val - np.exp(2.0 * sv)[..., None, None] * f.g_val), axis=(-2, -1)
-    )
-
+    pred_A = _stack(law.A)
+    grad, e1 = law.grad, np.exp(-s.value)[..., None]
+    tang = grad[0][..., None] * f.psi_u.values + grad[1][..., None] * f.psi_v.values
+    pred_eta = e1 * (f.eta_val - 0.5 * law.grad2[..., None] * f.psi_val - tang)
     return {
-        "weingarten": float(np.max(res_A)),
-        "second_form": float(np.max(res_II)),
-        "curvature": float(np.max(res_K)),
-        "trace_consistency": float(np.max(res_trace)),
-        "normal": float(np.max(res_eta)),
-        "pairing": float(np.max(res_pair)),
-        "metric": float(np.max(res_metric)),
+        "weingarten": float(np.max(np.abs(fe.A_val - pred_A))),
+        "second_form": float(np.max(np.abs(fe.II_val - _stack(law.II)))),
+        "curvature": float(np.max(np.abs(fe.K_val - law.K))),
+        "trace_consistency": float(np.max(np.abs(-np.einsum("...aa->...", pred_A) - law.K))),
+        "normal": float(np.max(np.abs(fe.eta_val - pred_eta))),
+        "pairing": float(np.max(np.abs(mink_inner(fe.psi_val, e1 * f.eta_val) - 1.0))),
+        "metric": float(np.max(np.abs(fe.g_val - _stack(law.g)))),
     }

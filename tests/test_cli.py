@@ -16,7 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lightcone import cli, curvature, integrals, search, spectrum
+from lightcone import cli, curvature, integrals, search, spectrum, transforms
 from lightcone.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -274,6 +274,103 @@ def test_global_perturbed_floor_passes_off_the_grid_node(tmp_path):
     assert names["curvature_floor"]["status"] == "PASS"
 
 
+def test_global_perturbed_reports_the_sigma_route(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[[2, 0, 0.02], [3, 1, -0.01], [1, -1, 0.015]]")
+    out = tmp_path / "g.json"
+    argv = ["global", "perturbed", "--spec", str(spec), "--r", "1.3", "--grid", "32x64",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    data = _load_manifest(out)
+    rep = data["report"]
+    assert rep["table_route"] == "sigma"
+    assert 0.0 <= rep["table_oracle_gap"] <= 1e-9
+    check = {c["name"]: c for c in data["checks"]}["table_oracle"]
+    assert check["status"] == "PASS" and check["tolerance"] == 1e-9
+    assert check["residual"] == rep["table_oracle_gap"]
+
+
+def test_global_round_sphere_reports_the_jetframe_route(tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["global", "round-sphere", "--grid", "8x16", "--out", str(out)]) == EXIT_OK
+    data = _load_manifest(out)
+    assert data["report"]["table_route"] == "jetframe"
+    assert data["report"]["table_oracle_gap"] is None
+    assert "table_oracle" not in {c["name"] for c in data["checks"]}
+
+
+def test_global_manifest_without_the_route_fields_is_invalid(tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["global", "round-sphere", "--grid", "8x16", "--out", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())
+    del data["report"]["table_route"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, SCHEMA)
+
+
+def _shift_sigma_curvature(monkeypatch, delta=1e-8):
+    """Moves the curvature that the expansion law predicts by ``delta``."""
+    law = transforms.expansion_law
+
+    def shifted(base, s, **kwargs):
+        out = law(base, s, **kwargs)
+        return out._replace(K=out.K + delta)
+
+    monkeypatch.setattr(transforms, "expansion_law", shifted)
+
+
+def test_sigma_route_off_by_1e8_fails_both_oracles(tmp_path, capsys, monkeypatch):
+    _shift_sigma_curvature(monkeypatch)
+    spec = tmp_path / "spec.json"
+    spec.write_text("[[2, 0, 0.02], [2, 1, -0.01]]")
+    out = tmp_path / "g.json"
+    argv = ["global", "perturbed", "--spec", str(spec), "--grid", "16x32", "--out", str(out)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    names = {c["name"]: c for c in _load_manifest(out)["checks"]}
+    assert names["table_oracle"]["status"] == "FAIL"
+    assert names["table_oracle"]["residual"] > 1e-9
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16,
+                               "max_iter": 60}))
+    manifest = tmp_path / "m.json"
+    rc = main(["search", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+               "--manifest", str(manifest)])
+    assert rc == EXIT_CHECK_FAILED
+    names = {c["name"]: c for c in _load_manifest(manifest)["checks"]}
+    assert names["closed_form_oracle"]["status"] == "FAIL"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_export_with_the_sigma_route_off_writes_nothing(tmp_path, capsys, monkeypatch):
+    _shift_sigma_curvature(monkeypatch)
+    spec = tmp_path / "spec.json"
+    spec.write_text("[[2, 0, 0.02], [2, 1, -0.01]]")
+    out = tmp_path / "nodes.csv"
+    argv = ["export", "perturbed", "--spec", str(spec), "--grid", "16x32", "--out", str(out)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert not out.exists()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("table_oracle FAIL"), lines
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["global", "export"])
+def test_spec_overflowing_e4sigma_exits_3_without_warning(tmp_path, capsys, command):
+    # (r e^sigma)^2 is finite, so the spec is accepted, but e^{4 sigma}
+    # overflows in det g of the expansion law.
+    spec = tmp_path / "spec.json"
+    spec.write_text("[[2, 0, 300]]")
+    argv = [command, "perturbed", "--spec", str(spec), "--grid", "8x16",
+            "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DEGENERATE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rejected:"), lines
+
+
 def test_global_rejects_noncompact():
     assert main(["global", "cylinder"]) == EXIT_DEGENERATE
 
@@ -465,6 +562,37 @@ def test_export_round_sphere(tmp_path):
         assert float(row[4]) == pytest.approx(0.25, abs=1e-12)
 
 
+def _csv_writer_table(th, ph, table):
+    """The export table as the csv module writes it, row by row."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["theta", "phi", "K", "Keta", "d", "gap_low", "gap_high", "psi0"])
+    for k in range(th.size):
+        w.writerow([repr(float(x[k])) for x in (
+            th, ph, table["K"], table["K_eta"], table["detA"], table["gap_low"],
+            table["gap_high"], table["psi0"])])
+    return buf.getvalue()
+
+
+def test_export_matches_the_csv_module_on_a_round_sphere(tmp_path):
+    out = tmp_path / "nodes.csv"
+    argv = ["export", "round-sphere", "--r", "1.3", "--grid", "8x16", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    grid = SphereGrid(cli.catalog.round_sphere(r=1.3), 8, 16)
+    assert out.read_bytes() == _csv_writer_table(grid.TH, grid.PH, grid.table).encode()
+
+
+def test_export_matches_the_csv_module_where_keta_is_nan(tmp_path):
+    # The paraboloid's II vanishes, so every K_eta is NaN.
+    out = tmp_path / "nodes.csv"
+    assert main(["export", "paraboloid", "--grid", "4x6", "--out", str(out)]) == EXIT_OK
+    patch = cli.catalog.paraboloid_graph()
+    u, v = patch.grid_points((4, 6))
+    table = integrals.geometry_table(patch, u, v)
+    assert np.all(np.isnan(table["K_eta"]))
+    assert out.read_bytes() == _csv_writer_table(u, v, table).encode()
+
+
 def test_export_header_contract_for_plane_charts(tmp_path):
     out = tmp_path / "cyl.csv"
     rc = main(["export", "cylinder", "--grid", "6x12", "--out", str(out)])
@@ -506,6 +634,18 @@ def test_usage_errors_exit_apart_from_failed_checks(capsys, argv, code):
     assert exc.value.code == code
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "u", [["-1.25e0", "0", "0", "0.75"], ["-1.25", "0", "0", "-7.5e-1"]],
+    ids=["first_exponent", "last_exponent"],
+)
+def test_observer_in_exponent_notation(tmp_path, u):
+    # argparse alone takes a negative number in exponent notation for an option.
+    out = tmp_path / "m.json"
+    argv = ["verify", "round-sphere", "--grid", "4x8", "--u", *u, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert _load_manifest(out)["config"]["u"] == [float(x) for x in u]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["search", "--help"]])

@@ -204,3 +204,73 @@ def test_mesh_triangles_match_loop_reference(unit_sphere, shape):
     assert tris.dtype == ref.dtype and tris.shape == ref.shape
     assert np.array_equal(tris, ref)
     assert verts.shape == (shape[0] * shape[1] + 2, 4)
+
+
+def _perturbed(terms, r=1.0):
+    return catalog.perturbed_sphere(catalog.HarmonicSpec(terms=terms), r=r)
+
+
+def test_table_route_follows_the_patch(unit_sphere, bumpy_sphere):
+    from lightcone.transforms import ScalarField, expand
+
+    assert SphereGrid(unit_sphere, 8, 16).route == "jetframe"
+    assert SphereGrid(bumpy_sphere, 8, 16).route == "sigma"
+    # An expansion built by hand carries no spec, so it keeps the JetFrame table.
+    same = expand(unit_sphere, ScalarField.constant(0.1))
+    assert SphereGrid(same, 8, 16).route == "jetframe"
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (64, 128)])
+def test_tensor_product_sigma_table_equals_flat_nodes(bumpy_sphere, shape):
+    from lightcone.jets import Jet2
+
+    ref = integrals.expansion_table(bumpy_sphere, *shape)
+    TH, PH, _ = integrals.sphere_quadrature(*shape)
+    flat = integrals._expansion_entries(
+        bumpy_sphere, Jet2.variable("u", TH), Jet2.variable("v", PH)
+    )
+    for key in ref:
+        assert np.array_equal(ref[key], np.broadcast_to(flat[key], TH.shape)), key
+
+
+@pytest.mark.parametrize("r", [0.5, 1.7])
+@pytest.mark.parametrize(
+    "terms",
+    [((2, 0, 0.03), (2, -2, 0.02)), ((3, 1, 0.02), (3, -3, -0.01), (1, 0, 0.01)),
+     ((4, 2, 0.01), (4, -1, -0.008), (2, 1, 0.01))],
+    ids=["degree2", "degree3", "degree4"],
+)
+def test_table_oracle_passes(r, terms):
+    gap = integrals.table_oracle(_perturbed(terms, r))
+    assert 0.0 <= gap <= 1e-9
+
+
+def test_table_oracle_sees_a_broken_entry(bumpy_sphere, monkeypatch):
+    table = integrals.expansion_table
+
+    def broken(patch, n_theta, n_phi):
+        t = table(patch, n_theta, n_phi)
+        t["K_eta"] = t["K_eta"] * (1.0 + 1e-8)
+        return t
+
+    monkeypatch.setattr(integrals, "expansion_table", broken)
+    assert integrals.table_oracle(bumpy_sphere) > 1e-9
+
+
+def test_sigma_table_of_an_overflowing_spec_fails_the_gate():
+    # e^{4 sigma} overflows at these amplitudes; the entries become inf or
+    # NaN without a warning, and the non-degeneracy gate rejects them.
+    for a in (300.0, -500.0):
+        grid = SphereGrid(_perturbed(((2, 0, a),)), 8, 16)
+        assert grid.route == "sigma"
+        with pytest.raises(DegeneracyViolation):
+            grid.ii_weights
+
+
+def test_ii_weights_gate_rejects_nonfinite_det_a(unit_sphere):
+    grid = SphereGrid(unit_sphere, 8, 16)
+    for bad in (np.inf, np.nan):
+        grid.table["detA"] = np.full(grid.n_nodes, bad)
+        grid.__dict__.pop("ii_weights", None)
+        with pytest.raises(DegeneracyViolation):
+            grid.ii_weights

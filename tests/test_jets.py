@@ -382,3 +382,33 @@ def test_frame_values_at_one_unbatched_point(bumpy_sphere, wide_batch):
     point = _frame_fields(bumpy_sphere, u[7], v[7])
     for name, value in point.items():
         assert np.array_equal(value, full[name][7]), name
+
+
+def test_truncated_keeps_the_low_coefficients():
+    rng = np.random.default_rng(5)
+    u = Jet2.variable("u", rng.uniform(0.2, 2.0, 30))
+    v = Jet2.variable("v", rng.uniform(0.2, 2.0, 30))
+    f, g = jets.sin(u * v), jets.exp(u - v)
+    for valid in range(ORDER + 1):
+        n = sum(1 for i, j in MONOMIALS if i + j <= valid)
+        t = f.truncated(valid)
+        assert t.valid == valid
+        assert np.array_equal(t.c[..., :n], f.c[..., :n])
+        assert not np.any(t.c[..., n:])
+        # A product of truncated jets has the bits of the full product below the cut.
+        assert np.array_equal((t * g.truncated(valid)).c[..., :n], (f * g).c[..., :n])
+
+
+def test_weighted_sum_is_the_running_sum_bit_for_bit():
+    rng = np.random.default_rng(9)
+    u = Jet2.variable("u", rng.uniform(0.2, 2.0, 40))
+    v = Jet2.variable("v", rng.uniform(0.2, 2.0, 40))
+    terms = [jets.sin(u * v), jets.exp(u - v), (u * u - v).truncated(3), -(u * 0.0)]
+    weights = rng.normal(size=len(terms))
+    ref = 0.0
+    for t, w in zip(terms, weights):
+        ref = t * float(w) + ref
+    out = jets.weighted_sum(terms, weights)
+    assert out.valid == ref.valid == 3
+    assert np.array_equal(out.c, ref.c)
+    assert np.array_equal(np.signbit(out.c), np.signbit(ref.c))

@@ -122,7 +122,7 @@ def test_closed_form_matches_jetframe_oracle(radius, degree_max, amplitude):
     walls = 0
     for _ in range(20):
         x = rng.uniform(-amplitude, amplitude, len(obj.pairs))
-        fast, oracle = obj._closed_form_fields(x), obj._frame_fields(x)
+        fast, oracle = obj._sigma_fields(x), obj._frame_fields(x)
         for name in ("detA", "K", "gap_low", "weight"):
             a, b = getattr(fast, name), getattr(oracle, name)
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < ORACLE_RTOL[name], name
@@ -312,3 +312,22 @@ def test_nelder_mead_matches_scipy_on_variance_objective(
     _assert_same_run(objective, simplex, 150)
     # the descent starts on the wall and leaves it
     assert walls[0] and not all(walls)
+
+
+def test_oracle_reads_no_expansion_law(monkeypatch):
+    # frame_diagnostics, and with it the doubled-grid re-check, must build
+    # its fields by JetFrame, or closed_form_oracle would compare the
+    # expansion law with itself.
+    from lightcone import transforms
+
+    obj = VarianceObjective(SearchConfig(**FAST))
+    x = HarmonicSpec(terms=((2, 0, 0.03),)).pack(obj.pairs)
+    ref = obj.frame_diagnostics(x)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called the expansion law")
+
+    monkeypatch.setattr(transforms, "expansion_law", forbidden)
+    assert obj.frame_diagnostics(x) == ref
+    with pytest.raises(AssertionError):
+        obj.diagnostics(x)

@@ -173,3 +173,25 @@ def test_expansion_then_conjugation_consistency():
     assert res["second_form_match"] < 1e-6
     assert res["curvature_ratio"] < 1e-6
     assert verify_conjugate_duality(_grid_frame(patch, (10, 20)))["double_conjugate"] < 1e-9
+
+
+def test_expansion_law_round_base_matches_the_frame_base():
+    # The analytic round geometry and the JetFrame of the round sphere give
+    # the same prediction for e^sigma psi_round.
+    from lightcone.jets import Jet2
+    from lightcone.transforms import expansion_law
+
+    r = 1.4
+    patch = catalog.round_sphere(r=r)
+    u, v = patch.grid_points((12, 24))
+    tj, vj = Jet2.variable("u", u), Jet2.variable("v", v)
+    s = catalog.HarmonicSpec(((2, 1, 0.03), (3, -2, 0.02))).chart_field()(tj, vj)
+    fast = expansion_law(catalog.round_geometry(tj, r), s)
+    ref = expansion_law(JetFrame(patch, u, v).geometry, s)
+    for a in range(2):
+        for b in range(2):
+            assert np.allclose(fast.II[a][b].value, ref.II[a][b], rtol=0, atol=1e-13)
+            assert np.allclose(fast.A[a][b], ref.A[a][b], rtol=0, atol=1e-13)
+            assert np.allclose(fast.g[a][b], ref.g[a][b], rtol=0, atol=1e-13)
+    assert np.allclose(fast.K, ref.K, rtol=0, atol=1e-13)
+    assert np.allclose(fast.detA, ref.detA, rtol=0, atol=1e-13)
