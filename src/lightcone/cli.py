@@ -552,7 +552,7 @@ def cmd_search(args):
     )
     manifest.add(
         "closed_form_oracle",
-        max(r.oracle_diff for r in report.results),
+        _worst([r.oracle_diff for r in report.results]),
         search.ORACLE_TOL,
         detail="closed-form objective against the JetFrame route at each minimizer",
     )

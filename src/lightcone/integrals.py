@@ -88,26 +88,30 @@ def expansion_table(patch, n_theta, n_phi):
     sphere of radius r.  The law runs on a column of theta jets against a
     row of phi jets, and the entries are flattened theta-major, in the
     order of ``sphere_quadrature``'s nodes; jet arithmetic is pointwise, so
-    they are bit for bit those at the flat nodes.  H2 is K, the identity
-    <H, H> = K of every surface on the cone.
+    they are bit for bit those at the flat nodes.
     """
+    spec, r = patch.expansion
     TH, PH, _ = sphere_quadrature(n_theta, n_phi)
     tj = Jet2.variable("u", TH.reshape(n_theta, n_phi)[:, :1])
     pj = Jet2.variable("v", PH[None, :n_phi])
-    entries = _expansion_entries(patch, tj, pj)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = spec.chart_field()(tj, pj)
+        entries = expansion_entries(round_geometry(tj, r), s, r)
     return {k: np.broadcast_to(a, (n_theta, n_phi)).ravel() for k, a in entries.items()}
 
 
-def _expansion_entries(patch, tj, pj):
-    """The table entries by the expansion law at the points of the (broadcast) jets.
+def expansion_entries(base, s, r):
+    """The ``geometry_table`` entries of e^s times the round sphere of radius r.
 
-    A spec so large that e^{4 sigma} overflows leaves inf or NaN entries,
+    ``base`` is the round sphere's ``surfaces.Geometry`` on jets (from
+    ``catalog.round_geometry``) and ``s`` the jet of sigma at the same
+    (broadcast) points; ``transforms.expansion_law`` carries one to the
+    other.  H2 is K, the identity <H, H> = K of every surface on the cone.
+    A sigma so large that e^{4 sigma} overflows leaves inf or NaN entries,
     without a warning; the non-degeneracy gate ``ii_weights`` rejects them.
     """
-    spec, r = patch.expansion
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = spec.chart_field()(tj, pj)
-        law = transforms.expansion_law(round_geometry(tj, r), s)
+        law = transforms.expansion_law(base, s)
         (E, F), (_, G) = law.g
         (a00, a01), (a10, a11) = law.A
         II, K, detA, det_ii = law.II, law.K, law.detA, law.detII
@@ -130,25 +134,39 @@ def _expansion_entries(patch, tj, pj):
         }
 
 
-def table_oracle(patch):
-    """Largest gap between the expansion-law table and ``geometry_table`` on the oracle grid.
+def induced_weights(weights, sin_theta, table):
+    """Induced area weights at a table's nodes from their ``sphere_quadrature`` weights."""
+    return weights * table["sqrt_detg"] / sin_theta
 
-    Each entry is compared relative to max(1, |geometry_table entry|), and
-    a NaN in both tables agrees; ``ii_positive`` must be equal, or the gap
-    is inf.  A NaN in one table alone makes the gap NaN.
+
+def worst_relative_gap(pairs, alike):
+    """Largest |a - b| / max(1, |b|) over the entries of the (a, b) pairs.
+
+    Equal entries, or NaN on both sides, agree; NaN on one side only makes
+    the gap NaN.  ``alike`` false (the two routes gate apart) gives inf.
     """
-    TH, PH, _ = sphere_quadrature(*TABLE_ORACLE_GRID)
-    fast, oracle = expansion_table(patch, *TABLE_ORACLE_GRID), geometry_table(patch, TH, PH)
-    if not np.array_equal(fast["ii_positive"], oracle["ii_positive"]):
+    if not alike:
         return np.inf
     gaps = [0.0]
     with np.errstate(invalid="ignore", over="ignore"):
-        for key, b in oracle.items():
-            if key != "ii_positive":
-                a = fast[key]
-                gap = np.abs(a - b) / np.maximum(1.0, np.abs(b))
-                gaps.append(np.max(np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, gap)))
+        for a, b in pairs:
+            gap = np.abs(a - b) / np.maximum(1.0, np.abs(b))
+            gaps.append(np.max(np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, gap)))
     return float(np.max(gaps))
+
+
+def table_oracle(patch):
+    """Largest gap between the expansion-law table and ``geometry_table`` on the oracle grid.
+
+    Each float entry is compared by ``worst_relative_gap`` against the
+    ``geometry_table`` entry; ``ii_positive`` must be equal, or the gap is inf.
+    """
+    TH, PH, _ = sphere_quadrature(*TABLE_ORACLE_GRID)
+    fast, oracle = expansion_table(patch, *TABLE_ORACLE_GRID), geometry_table(patch, TH, PH)
+    return worst_relative_gap(
+        ((fast[k], b) for k, b in oracle.items() if k != "ii_positive"),
+        np.array_equal(fast["ii_positive"], oracle["ii_positive"]),
+    )
 
 
 class SphereGrid:
@@ -175,7 +193,7 @@ class SphereGrid:
         else:
             self.route = "sigma"
             self.table = expansion_table(patch, self.n_theta, self.n_phi)
-        self.weights = w2 * self.table["sqrt_detg"] / np.sin(self.TH)
+        self.weights = induced_weights(w2, np.sin(self.TH), self.table)
 
     @property
     def n_nodes(self):

@@ -15,13 +15,11 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import integrals, jets, transforms
+from . import integrals, jets
 from .catalog import HarmonicSpec, _direction_jets, perturbed_sphere, round_geometry
-from .curvature import brioschi_curvature
 from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .jets import Jet2
@@ -41,17 +39,6 @@ _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 ORACLE_TOL = 1e-9
 #: Diagnostics that the closed form and the JetFrame oracle must agree on.
 _ORACLE_FIELDS = ("variance", "mean_keta", "sup_gap_low", "min_detA")
-
-
-class _Fields(NamedTuple):
-    """Per-node values the objective reduces; ``keta`` runs only past the gate."""
-
-    detA: np.ndarray
-    K: np.ndarray
-    ii_positive: np.ndarray
-    weight: np.ndarray
-    gap_low: np.ndarray
-    keta: Callable[[], np.ndarray]
 
 
 @dataclass
@@ -129,13 +116,13 @@ class VarianceObjective:
     """Area-weighted variance of the II curvature plus a degeneracy barrier.
 
     Every surface of the family is ``e^sigma psi_round`` with
-    ``sigma = sum_k x_k Y_k``, so the fields the objective reads follow from
-    the jet of sigma by ``transforms.expansion_law`` on the round sphere.
-    The nodes, one jet per free harmonic and the round sphere's geometry are
-    built once; ``diagnostics`` then needs one harmonic sum, the law and
-    the Brioschi formula per call.  ``frame_diagnostics`` reads the same
-    fields from a ``geometry_table`` sweep of the perturbed sphere, a full
-    ``JetFrame`` route, and is the independent oracle.  Both are pure
+    ``sigma = sum_k x_k Y_k``, so its table follows from the jet of sigma by
+    ``integrals.expansion_entries``, the step ``SphereGrid`` takes for a
+    perturbed sphere.  The nodes, one jet per free harmonic and the round
+    sphere's geometry are built once; ``diagnostics`` then needs one
+    harmonic sum and that step per call.  ``frame_diagnostics`` reads the
+    same entries from a ``geometry_table`` sweep of the perturbed sphere, a
+    full ``JetFrame`` route, and is the independent oracle.  Both are pure
     deterministic functions of the coefficients and share one reduction.
     """
 
@@ -156,59 +143,36 @@ class VarianceObjective:
 
     def diagnostics(self, x):
         """Variance, mean, sup deviation, min det A and sup gap for a vector."""
-        return self._reduce(x, self._sigma_fields(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = jets.weighted_sum(self._harmonics, x)
+        return self._reduce(x, integrals.expansion_entries(self._round, sigma, self.config.radius))
 
     def frame_diagnostics(self, x):
         """The same dict as ``diagnostics``, read from a ``geometry_table`` (the oracle)."""
-        return self._reduce(x, self._frame_fields(x))
-
-    def _sigma_fields(self, x):
-        """Fields of e^sigma psi_round by the expansion law from the round sphere."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sigma = jets.weighted_sum(self._harmonics, x)
-            law = transforms.expansion_law(self._round, sigma, shape_operator=False)
-            II, ((E, F), (_, G)) = law.II, law.g
-            return _Fields(
-                detA=law.detA,
-                K=law.K,
-                ii_positive=(II[0][0].value > 0.0) & (law.detII > 0.0),
-                weight=self.w_nodes * np.sqrt(E * G - F * F) / self._sin,
-                gap_low=law.K**2 - 4.0 * law.detA,
-                keta=lambda: brioschi_curvature(II[0][0], II[0][1], II[1][1]),
-            )
-
-    def _frame_fields(self, x):
-        """The fields from a ``JetFrame`` sweep of the same nodes; ``None`` if it fails."""
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 patch = perturbed_sphere(self.spec(x), r=self.config.radius)
-                t = integrals.geometry_table(patch, self.TH, self.PH)
+                table = integrals.geometry_table(patch, self.TH, self.PH)
         except LightconeError:
-            return None
-        return _Fields(
-            detA=t["detA"],
-            K=t["K"],
-            ii_positive=t["ii_positive"],
-            weight=self.w_nodes * t["sqrt_detg"] / self._sin,
-            gap_low=t["gap_low"],
-            keta=lambda: t["K_eta"],
-        )
+            table = None
+        return self._reduce(x, table)
 
-    def _reduce(self, x, fields):
-        """Objective and report fields; ``None`` or non-finite fields hit the wall."""
+    def _reduce(self, x, table):
+        """Objective and report fields; no table or non-finite entries hit the wall."""
         cfg = self.config
         over = np.maximum(0.0, np.abs(np.asarray(x)) - cfg.amplitude_bound)
         # Saturates at the largest float, so the objective stays finite and
         # does not decrease along a ray out of the box.
         with np.errstate(over="ignore"):
             box = min(cfg.barrier_weight * float(np.sum(over**2)), _BOX_MAX)
-        if fields is None or not all(
-            np.isfinite(a).all() for a in (fields.detA, fields.weight, fields.gap_low)
+        w = None if table is None else integrals.induced_weights(self.w_nodes, self._sin, table)
+        if w is None or not all(
+            np.isfinite(a).all() for a in (table["detA"], w, table["gap_low"])
         ):
             return {"ok": False, "objective": 2.0 * _WALL + box, "variance": np.inf}
-        min_d = float(fields.detA.min())
+        min_d = float(table["detA"].min())
         excess = max(0.0, cfg.barrier_floor - min_d)
-        if min_d <= 1e-6 or not fields.ii_positive.all():
+        if min_d <= 1e-6 or not table["ii_positive"].all():
             # The product form overflows to inf, where ``** 2`` would raise.
             barrier = min(cfg.barrier_weight * (excess * excess), _WALL)
             return {
@@ -218,8 +182,7 @@ class VarianceObjective:
                 "min_detA": min_d,
             }
         barrier = cfg.barrier_weight * excess**2 + box
-        keta = fields.keta()
-        w = fields.weight
+        keta = table["K_eta"]
         area = float(w.sum())
         mean = float((w * keta).sum()) / area
         var = float((w * (keta - mean) ** 2).sum()) / area
@@ -229,7 +192,7 @@ class VarianceObjective:
             "variance": var,
             "mean_keta": mean,
             "sup_dev": float(np.abs(keta - mean).max()),
-            "sup_gap_low": float(fields.gap_low.max()),
+            "sup_gap_low": float(table["gap_low"].max()),
             "min_detA": min_d,
         }
 
@@ -456,20 +419,16 @@ def search(config):
 
 
 def _oracle_difference(fast, oracle):
-    """Largest relative difference of the compared fields; inf when ``ok`` differs.
+    """``integrals.worst_relative_gap`` of the compared fields; inf when ``ok`` differs.
 
-    Each field is compared relative to max(1, |oracle value|).  A field that
-    both routes leave out, or hold at the same value (an infinite variance on
-    the wall), agrees; one left out by a single route gives NaN.
+    A field that both routes leave out, or hold at the same value (an
+    infinite variance on the wall), agrees; one left out by a single route
+    gives NaN.
     """
-    if fast["ok"] != oracle["ok"]:
-        return np.inf
-    diffs = [0.0]
-    for key in _ORACLE_FIELDS:
-        a, b = fast.get(key, np.nan), oracle.get(key, np.nan)
-        if not (a == b or (np.isnan(a) and np.isnan(b))):
-            diffs.append(abs(a - b) / max(1.0, abs(b)))
-    return float(np.max(diffs))
+    return integrals.worst_relative_gap(
+        ((fast.get(k, np.nan), oracle.get(k, np.nan)) for k in _ORACLE_FIELDS),
+        fast["ok"] == oracle["ok"],
+    )
 
 
 def umbilical_offset(report, config):

@@ -147,13 +147,12 @@ def expand(patch, sigma):
 Expanded = namedtuple("Expanded", "g II A K detII detA grad grad2")
 
 
-def expansion_law(base, s, shape_operator=True):
+def expansion_law(base, s):
     """The geometry of e^s psi from the ``surfaces.Geometry`` of psi and the jet of s.
 
       * g' = e^{2s} g
       * II' = II + ds (x) ds - |grad s|^2/2 g - Hess s
-      * A' = e^{-2s} (A + Hess-op + |grad s|^2/2 I - ds (.) grad s), left
-        out (None) unless ``shape_operator``
+      * A' = e^{-2s} (A + Hess-op + |grad s|^2/2 I - ds (.) grad s)
       * K' = (K - Lap s) e^{-2s}, Lap s the trace of Hess-op.
 
     II' and its terms are formed entry by entry (a symmetric one indexed by
@@ -183,7 +182,7 @@ def expansion_law(base, s, shape_operator=True):
     A = [
         [e2 * (base.A[c][a] + hop[c][a] + half * float(c == a) - ds[a] * grad[c]) for a in (0, 1)]
         for c in (0, 1)
-    ] if shape_operator else None
+    ]
     g = [[conformal * x for x in row] for row in _values(g)]
     (i00, i01), (i10, i11) = _values(II)
     det_ii = i00 * i11 - i01 * i10

@@ -512,6 +512,23 @@ def test_search_check_failure_exits_2(tmp_path, capsys, monkeypatch, method, che
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_search_nan_oracle_diff_on_a_later_start_fails(tmp_path, capsys, monkeypatch):
+    # Python's max drops a NaN that does not come first; the check must not.
+    diffs = iter([0.0, np.nan])
+    monkeypatch.setattr(search, "_oracle_difference", lambda fast, oracle: next(diffs))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 2, "n_theta": 8, "n_phi": 16,
+                               "max_iter": 60}))
+    out = tmp_path / "m.json"
+    rc = main(["search", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+               "--manifest", str(out)])
+    assert rc == EXIT_CHECK_FAILED
+    names = {c["name"]: c for c in _load_manifest(out)["checks"]}
+    assert names["closed_form_oracle"]["status"] == "FAIL"
+    assert np.isnan(names["closed_form_oracle"]["residual"])
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_search_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"degree_max": 2,,}')

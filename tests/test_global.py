@@ -226,8 +226,10 @@ def test_tensor_product_sigma_table_equals_flat_nodes(bumpy_sphere, shape):
 
     ref = integrals.expansion_table(bumpy_sphere, *shape)
     TH, PH, _ = integrals.sphere_quadrature(*shape)
-    flat = integrals._expansion_entries(
-        bumpy_sphere, Jet2.variable("u", TH), Jet2.variable("v", PH)
+    spec, r = bumpy_sphere.expansion
+    tj, pj = Jet2.variable("u", TH), Jet2.variable("v", PH)
+    flat = integrals.expansion_entries(
+        catalog.round_geometry(tj, r), spec.chart_field()(tj, pj), r
     )
     for key in ref:
         assert np.array_equal(ref[key], np.broadcast_to(flat[key], TH.shape)), key
@@ -255,6 +257,18 @@ def test_table_oracle_sees_a_broken_entry(bumpy_sphere, monkeypatch):
 
     monkeypatch.setattr(integrals, "expansion_table", broken)
     assert integrals.table_oracle(bumpy_sphere) > 1e-9
+
+
+def test_worst_relative_gap_rule():
+    # The one rule of table_oracle and the search's closed_form_oracle.
+    gap = integrals.worst_relative_gap
+    same = np.array([3.0, np.nan, np.inf, -0.0])
+    assert gap([(same, same.copy())], True) == 0.0
+    assert gap([(np.array([2.5, 0.5]), np.array([2.0, 0.0])), (1.0, 1.0)], True) == 0.5
+    assert np.isnan(gap([(2.0, 2.0), (np.nan, 1.0)], True))
+    assert np.isnan(gap([(np.array([1.0, 1.0]), np.array([1.0, np.nan]))], True))
+    assert gap([(1.0, 1.0)], False) == np.inf
+    assert gap([], True) == 0.0
 
 
 def test_sigma_table_of_an_overflowing_spec_fails_the_gate():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, rosen
 
+from lightcone import integrals
 from lightcone.catalog import HarmonicSpec
 from lightcone.harmonics import real_harmonic
-from lightcone.integrals import sphere_quadrature
+from lightcone.integrals import SphereGrid, sphere_quadrature
 from lightcone.search import (
     ORACLE_TOL,
     SearchConfig,
@@ -105,34 +106,52 @@ def test_degree1_rotation_gauge_invariance():
     assert abs(v1 - v2) < 1e-8
 
 
-# Relative tolerances, against max(1, |oracle|), of the closed-form fields;
+# Relative tolerances, against max(1, |oracle|), of the closed-form entries;
 # the largest differences seen are about 1e-12 on K_eta and 3e-14 elsewhere.
-ORACLE_RTOL = {"keta": 1e-10, "detA": 1e-12, "K": 1e-12, "gap_low": 1e-12, "weight": 1e-14}
+ORACLE_RTOL = {"K_eta": 1e-10, "detA": 1e-12, "K": 1e-12, "gap_low": 1e-12, "weight": 1e-14}
+
+
+def _record_tables(monkeypatch):
+    """Keeps the last table that ``expansion_entries`` and ``geometry_table`` return, by name."""
+    tables = {}
+    for name in ("expansion_entries", "geometry_table"):
+
+        def record(*args, _name=name, _route=getattr(integrals, name)):
+            tables[_name] = _route(*args)
+            return tables[_name]
+
+        monkeypatch.setattr(integrals, name, record)
+    return tables
 
 
 @pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
 @pytest.mark.parametrize("degree_max, amplitude", [(1, 0.3), (3, 0.05), (4, 0.025)])
-def test_closed_form_matches_jetframe_oracle(radius, degree_max, amplitude):
+def test_closed_form_matches_jetframe_oracle(monkeypatch, radius, degree_max, amplitude):
     cfg = SearchConfig(
         degree_max=degree_max, n_theta=10, n_phi=20, radius=radius,
         freeze_degree0=False, freeze_degree1=False,
     )
     obj = VarianceObjective(cfg)
     rng = np.random.default_rng(degree_max * 100 + int(10 * radius))
+    tables = _record_tables(monkeypatch)
     walls = 0
     for _ in range(20):
         x = rng.uniform(-amplitude, amplitude, len(obj.pairs))
-        fast, oracle = obj._sigma_fields(x), obj._frame_fields(x)
-        for name in ("detA", "K", "gap_low", "weight"):
-            a, b = getattr(fast, name), getattr(oracle, name)
-            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < ORACLE_RTOL[name], name
-        np.testing.assert_array_equal(fast.ii_positive, oracle.ii_positive)
+        tables.clear()
         d, od = obj.diagnostics(x), obj.frame_diagnostics(x)
+        fast, oracle = (
+            dict(t, weight=integrals.induced_weights(obj.w_nodes, np.sin(obj.TH), t))
+            for t in (tables["expansion_entries"], tables["geometry_table"])
+        )
+        for name in ("detA", "K", "gap_low", "weight"):
+            a, b = fast[name], oracle[name]
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < ORACLE_RTOL[name], name
+        np.testing.assert_array_equal(fast["ii_positive"], oracle["ii_positive"])
         assert d["ok"] == od["ok"]
         walls += not od["ok"]
         if od["ok"]:
-            a, b = fast.keta(), oracle.keta()
-            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < ORACLE_RTOL["keta"]
+            a, b = fast["K_eta"], oracle["K_eta"]
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < ORACLE_RTOL["K_eta"]
     if (radius, degree_max) == (0.5, 4):
         assert walls > 0
 
@@ -314,9 +333,9 @@ def test_nelder_mead_matches_scipy_on_variance_objective(
     assert walls[0] and not all(walls)
 
 
-def test_oracle_reads_no_expansion_law(monkeypatch):
+def test_oracle_reads_no_expansion_law(monkeypatch, bumpy_sphere):
     # frame_diagnostics, and with it the doubled-grid re-check, must build
-    # its fields by JetFrame, or closed_form_oracle would compare the
+    # its table by JetFrame, or closed_form_oracle would compare the
     # expansion law with itself.
     from lightcone import transforms
 
@@ -331,3 +350,18 @@ def test_oracle_reads_no_expansion_law(monkeypatch):
     assert obj.frame_diagnostics(x) == ref
     with pytest.raises(AssertionError):
         obj.diagnostics(x)
+    monkeypatch.undo()
+
+    # The objective and SphereGrid share one law-to-table step, so a second
+    # copy of it in either would leave this patch unseen.
+    def no_entries(*args, **kwargs):
+        raise AssertionError("the table came from expansion_entries")
+
+    monkeypatch.setattr(integrals, "expansion_entries", no_entries)
+    with pytest.raises(AssertionError, match="expansion_entries"):
+        obj.diagnostics(x)
+    with pytest.raises(AssertionError, match="expansion_entries"):
+        SphereGrid(bumpy_sphere, 8, 16)
+    assert obj.frame_diagnostics(x) == ref
+    TH, PH, _ = sphere_quadrature(8, 16)
+    assert integrals.geometry_table(bumpy_sphere, TH, PH)["K_eta"].shape == TH.shape
