@@ -168,9 +168,6 @@ class HarmonicSpec:
             terms.append((int(l), int(m), float(a)))
         return cls(terms=tuple(terms))
 
-    def to_json(self):
-        return json.dumps([[l, m, a] for l, m, a in self.terms])
-
     def cartesian(self, x, y, z):
         """Evaluate the expansion at direction cosines (numbers or jets)."""
         total = 0.0

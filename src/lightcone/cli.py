@@ -725,7 +725,7 @@ def main(argv=None):
         # What the command's parser left over is its usage error.
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "search" and args.trace is None:
-        args.trace = args.out.rsplit(".", 1)[0] + "_trace.csv"
+        args.trace = os.path.splitext(args.out)[0] + "_trace.csv"
     code = _unwritable(getattr(args, name, None) for name in ("out", "trace", "manifest"))
     return args.fn(args) if code is None else code
 

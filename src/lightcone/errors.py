@@ -17,10 +17,6 @@ class DivisionByZeroJet(LightconeError):
     """
 
 
-class DomainError(LightconeError):
-    """Analytic function applied outside its domain (log/sqrt of <= 0)."""
-
-
 class OrderExceeded(LightconeError):
     """A derivative beyond the valid truncation order was requested."""
 

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import DivisionByZeroJet, DomainError, OrderExceeded
+from .errors import DivisionByZeroJet, OrderExceeded
 
 ORDER = 4
 
@@ -385,28 +385,6 @@ def exp(x):
     return _compose(x, [e, e, e, e, e])
 
 
-def log(x):
-    if not isinstance(x, Jet2):
-        return np.log(x)
-    a = x.value
-    if np.any(a <= 0.0):
-        raise DomainError("log of a jet with nonpositive constant term")
-    return _compose(x, [np.log(a), 1.0 / a, -1.0 / a**2, 2.0 / a**3, -6.0 / a**4])
-
-
-def sqrt(x):
-    if not isinstance(x, Jet2):
-        return np.sqrt(x)
-    a = x.value
-    if np.any(a <= 0.0):
-        raise DomainError("sqrt of a jet with nonpositive constant term")
-    s = np.sqrt(a)
-    return _compose(
-        x,
-        [s, 0.5 / s, -0.25 / (s * a), 0.375 / (s * a**2), -0.9375 / (s * a**3)],
-    )
-
-
 def sin(x):
     if not isinstance(x, Jet2):
         return np.sin(x)
@@ -437,8 +415,6 @@ def cosh(x):
 
 ANALYTIC = {
     "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
     "sin": sin,
     "cos": cos,
     "sinh": sinh,

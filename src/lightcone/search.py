@@ -30,9 +30,24 @@ from .jets import Jet2
 # above every admissible one and below every unevaluable one.
 _WALL = 1e6
 _BOX_MAX = float(np.finfo(float).max)
+# Below this min det A the det A barrier rises, with this weight; the same
+# weight scales the amplitude-box penalty.
+_BARRIER_FLOOR = 0.05
+_BARRIER_WEIGHT = 1e6
+# A converged minimizer is umbilical when its sup gap is below _UMBILIC_TOL
+# and a candidate (re-checked on a doubled grid) when it is at least
+# _CANDIDATE_GAP.
+_UMBILIC_TOL = 1e-5
+_CANDIDATE_GAP = 1e-3
+# II and K_II do not change under psi -> c psi, so the variance does not
+# depend on the radius and the search runs on the unit sphere.  A degree-0
+# term is that dilation and a degree-1 term, to first order, a boost of the
+# round sphere, so both stay frozen and the free degrees start at 2.
+_RADIUS = 1.0
+_LOWEST_FREE_DEGREE = 2
 
 # Accepted values per annotated field type; bool is never accepted as a number.
-_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+_KINDS = {"int": numbers.Integral, "float": numbers.Real}
 
 
 #: Tolerance of the ``closed_form_oracle`` check on ``StartResult.oracle_diff``.
@@ -53,39 +68,20 @@ class SearchConfig:
     max_iter: int = 400
     n_restarts: int = 1
     var_tol: float = 1e-8
-    umbilic_tol: float = 1e-5
-    candidate_gap: float = 1e-3
-    barrier_floor: float = 0.05
-    barrier_weight: float = 1e6
-    freeze_degree0: bool = True
-    freeze_degree1: bool = True
-    radius: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, _KINDS[f.type]) or (
-                isinstance(value, bool) and f.type != "bool"
-            ):
+            if isinstance(value, bool) or not isinstance(value, _KINDS[f.type]):
                 raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
         # Each test is written so that NaN fails it.
-        for name in (
-            "amplitude_bound", "var_tol", "umbilic_tol", "candidate_gap",
-            "barrier_floor", "barrier_weight", "radius",
-        ):
+        for name in ("amplitude_bound", "var_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("n_theta", "n_phi", "n_starts", "max_iter"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
-        # The closed form scales by r^2 and r^4; both must be nonzero floats.
-        try:
-            r4 = float(self.radius) ** 4
-        except OverflowError:
-            r4 = np.inf
-        if not 0.0 < r4 < np.inf:
-            raise ValueError("radius**4 must be a positive finite float")
         if not self.n_restarts >= 0:
             raise ValueError("n_restarts must be at least 0")
         if not self.seed >= 0:
@@ -99,12 +95,9 @@ class SearchConfig:
             )
 
     def free_pairs(self):
-        lo = 2 if self.freeze_degree1 else 1
-        if not self.freeze_degree0:
-            lo = 0
         return [
             (l, m)
-            for l in range(lo, self.degree_max + 1)
+            for l in range(_LOWEST_FREE_DEGREE, self.degree_max + 1)
             for m in range(-l, l + 1)
         ]
 
@@ -136,7 +129,7 @@ class VarianceObjective:
         tj = Jet2.variable("u", self.TH)
         w = _direction_jets(tj, Jet2.variable("v", self.PH))
         self._harmonics = [real_harmonic(l, m, *w) for l, m in self.pairs]
-        self._round = round_geometry(tj, config.radius)
+        self._round = round_geometry(tj, _RADIUS)
 
     def spec(self, x):
         return HarmonicSpec.unpack(self.pairs, x)
@@ -145,13 +138,13 @@ class VarianceObjective:
         """Variance, mean, sup deviation, min det A and sup gap for a vector."""
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = jets.weighted_sum(self._harmonics, x)
-        return self._reduce(x, integrals.expansion_entries(self._round, sigma, self.config.radius))
+        return self._reduce(x, integrals.expansion_entries(self._round, sigma, _RADIUS))
 
     def frame_diagnostics(self, x):
         """The same dict as ``diagnostics``, read from a ``geometry_table`` (the oracle)."""
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                patch = perturbed_sphere(self.spec(x), r=self.config.radius)
+                patch = perturbed_sphere(self.spec(x), r=_RADIUS)
                 table = integrals.geometry_table(patch, self.TH, self.PH)
         except LightconeError:
             table = None
@@ -159,29 +152,28 @@ class VarianceObjective:
 
     def _reduce(self, x, table):
         """Objective and report fields; no table or non-finite entries hit the wall."""
-        cfg = self.config
-        over = np.maximum(0.0, np.abs(np.asarray(x)) - cfg.amplitude_bound)
+        over = np.maximum(0.0, np.abs(np.asarray(x)) - self.config.amplitude_bound)
         # Saturates at the largest float, so the objective stays finite and
         # does not decrease along a ray out of the box.
         with np.errstate(over="ignore"):
-            box = min(cfg.barrier_weight * float(np.sum(over**2)), _BOX_MAX)
+            box = min(_BARRIER_WEIGHT * float(np.sum(over**2)), _BOX_MAX)
         w = None if table is None else integrals.induced_weights(self.w_nodes, self._sin, table)
         if w is None or not all(
             np.isfinite(a).all() for a in (table["detA"], w, table["gap_low"])
         ):
             return {"ok": False, "objective": 2.0 * _WALL + box, "variance": np.inf}
         min_d = float(table["detA"].min())
-        excess = max(0.0, cfg.barrier_floor - min_d)
+        excess = max(0.0, _BARRIER_FLOOR - min_d)
         if min_d <= 1e-6 or not table["ii_positive"].all():
             # The product form overflows to inf, where ``** 2`` would raise.
-            barrier = min(cfg.barrier_weight * (excess * excess), _WALL)
+            barrier = min(_BARRIER_WEIGHT * (excess * excess), _WALL)
             return {
                 "ok": False,
                 "objective": _WALL + (barrier + box),
                 "variance": np.inf,
                 "min_detA": min_d,
             }
-        barrier = cfg.barrier_weight * excess**2 + box
+        barrier = _BARRIER_WEIGHT * excess**2 + box
         keta = table["K_eta"]
         area = float(w.sum())
         mean = float((w * keta).sum()) / area
@@ -362,9 +354,9 @@ def search(config):
         classification = "unconverged"
         reason = ""
         if converged:
-            if d["sup_gap_low"] < config.umbilic_tol:
+            if d["sup_gap_low"] < _UMBILIC_TOL:
                 classification = "umbilical"
-            elif d["sup_gap_low"] >= config.candidate_gap:
+            elif d["sup_gap_low"] >= _CANDIDATE_GAP:
                 fine = VarianceObjective(
                     config, n_theta=2 * config.n_theta, n_phi=2 * config.n_phi
                 )
@@ -372,7 +364,7 @@ def search(config):
                 if (
                     fd["ok"]
                     and fd["variance"] < config.var_tol
-                    and fd["sup_gap_low"] >= config.candidate_gap
+                    and fd["sup_gap_low"] >= _CANDIDATE_GAP
                 ):
                     classification = "candidate"
                     candidates.append(s)

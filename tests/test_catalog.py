@@ -168,10 +168,8 @@ def test_harmonics_reject_high_degree():
 
 def test_harmonic_spec_json_roundtrip():
     spec = catalog.HarmonicSpec(terms=((2, 0, 0.05), (3, -1, -0.01)))
-    text = spec.to_json()
-    assert json.loads(text) == [[2, 0, 0.05], [3, -1, -0.01]]
-    again = catalog.HarmonicSpec.from_json(text)
-    assert again == spec
+    text = json.dumps([[l, m, a] for l, m, a in spec.terms])
+    assert catalog.HarmonicSpec.from_json(text) == spec
 
 
 def test_harmonic_spec_validation():

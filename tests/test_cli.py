@@ -435,6 +435,25 @@ def test_search_roundtrip_and_determinism(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "out, trace",
+    [("run.v2/report", "run.v2/report_trace.csv"), ("./report", "report_trace.csv"),
+     ("report.json", "report_trace.csv")],
+    ids=["dotted_dir", "dot_slash", "json_ext"],
+)
+def test_search_default_trace_beside_report(tmp_path, monkeypatch, out, trace):
+    # Only the report's own extension is replaced; a dot in a directory
+    # name or a leading "./" must not move the trace out of its directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16,
+                               "max_iter": 5}))
+    assert main(["search", "--config", str(cfg), "--out", out]) == EXIT_OK
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {"cfg.json", os.path.normpath(out), trace}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "round-sphere", "--grid", "4x8", "--out", "{bad}"],
@@ -554,15 +573,29 @@ def test_search_malformed_config(tmp_path, capsys):
         '{"freeze_degree0": "no"}',
         '{"radius": 1e308}',
         '{"radius": 1e-100}',
+        # Scale, gauge and thresholds are constants; setting one, even to
+        # its value, is an unknown key.
+        '{"radius": 1.0}',
+        '{"freeze_degree0": true}',
+        '{"freeze_degree1": true}',
+        '{"umbilic_tol": 1e-5}',
+        '{"candidate_gap": 1e-3}',
+        '{"barrier_floor": 0.05}',
+        '{"barrier_weight": 1e6}',
     ],
     ids=["unknown_key", "n_starts_0", "degree_max_5", "n_theta_0", "amplitude_nan",
          "amplitude_inf", "no_free_pairs", "n_theta_float", "seed_negative", "n_starts_bool",
-         "freeze_str", "radius_r4_overflows", "radius_r4_underflows"],
+         "freeze_str", "radius_r4_overflows", "radius_r4_underflows", "removed_radius",
+         "removed_freeze_degree0", "removed_freeze_degree1", "removed_umbilic_tol",
+         "removed_candidate_gap", "removed_barrier_floor", "removed_barrier_weight"],
 )
-def test_search_unknown_key_rejected(tmp_path, text):
+def test_search_unknown_key_rejected(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     assert main(["search", "--config", str(bad)]) == EXIT_BAD_CONFIG
+    (key,) = json.loads(text)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and key in err[0], err
 
 
 def test_export_round_sphere(tmp_path):

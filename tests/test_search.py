@@ -1,11 +1,12 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize, rosen
 
 from lightcone import integrals
-from lightcone.catalog import HarmonicSpec
+from lightcone.catalog import HarmonicSpec, perturbed_sphere
 from lightcone.harmonics import real_harmonic
 from lightcone.integrals import SphereGrid, sphere_quadrature
 from lightcone.search import (
@@ -55,14 +56,31 @@ def test_zonal_bump_has_positive_variance():
     assert val == pytest.approx(9.11e-5, rel=0.05)
 
 
-def test_barrier_activates_on_near_degenerate_surface():
-    cfg = SearchConfig(**FAST, barrier_floor=0.3, barrier_weight=1e6)
-    obj = VarianceObjective(cfg)
+def test_barrier_activates_on_near_degenerate_surface(monkeypatch):
+    monkeypatch.setattr("lightcone.search._BARRIER_FLOOR", 0.3)
+    monkeypatch.setattr("lightcone.search._BARRIER_WEIGHT", 1e6)
+    obj = VarianceObjective(SearchConfig(**FAST))
     # a strong bump drags min det A below the floor
     x = HarmonicSpec(terms=((2, 0, 0.12),)).pack(obj.pairs)
     d = obj.diagnostics(x)
     assert d["min_detA"] < 0.3
     assert d["objective"] > 1e2 * d["variance"]
+
+
+def test_variance_does_not_depend_on_radius():
+    # II and K_II are invariant under psi -> c psi, which is why the search
+    # runs on the unit sphere: at radius r only det A and the gap scale, by
+    # r^-4, and the objective's barrier with them.
+    obj = VarianceObjective(SearchConfig(**FAST))
+    x = HarmonicSpec(terms=((2, 0, 0.05), (2, 1, -0.02))).pack(obj.pairs)
+    ref = obj.frame_diagnostics(x)
+    for r in (0.5, 1.7):
+        table = integrals.geometry_table(perturbed_sphere(obj.spec(x), r=r), obj.TH, obj.PH)
+        d = obj._reduce(x, table)
+        assert d["variance"] == pytest.approx(ref["variance"], rel=1e-12)
+        assert d["mean_keta"] == pytest.approx(ref["mean_keta"], rel=1e-14)
+        for name in ("min_detA", "sup_gap_low"):
+            assert d[name] * r**4 == pytest.approx(ref[name], rel=1e-12), name
 
 
 def test_amplitude_box_penalized():
@@ -89,23 +107,6 @@ def test_objective_rotation_gauge_invariance():
     assert abs(v1 - v2) < 1e-8
 
 
-def test_degree1_rotation_gauge_invariance():
-    rng = np.random.default_rng(4)
-    A = rng.normal(size=(3, 3))
-    Q, _ = np.linalg.qr(A)
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] *= -1.0
-    D1 = rotation_block(1, Q)
-    assert np.max(np.abs(D1 @ D1.T - np.eye(3))) < 1e-12
-    cfg = SearchConfig(degree_max=1, freeze_degree1=False, n_theta=16, n_phi=32)
-    obj = VarianceObjective(cfg)
-    assert obj.pairs == [(1, -1), (1, 0), (1, 1)]
-    x = np.array([0.02, -0.01, 0.03])
-    v1 = obj.diagnostics(x)["variance"]
-    v2 = obj.diagnostics(D1 @ x)["variance"]
-    assert abs(v1 - v2) < 1e-8
-
-
 # Relative tolerances, against max(1, |oracle|), of the closed-form entries;
 # the largest differences seen are about 1e-12 on K_eta and 3e-14 elsewhere.
 ORACLE_RTOL = {"K_eta": 1e-10, "detA": 1e-12, "K": 1e-12, "gap_low": 1e-12, "weight": 1e-14}
@@ -124,15 +125,10 @@ def _record_tables(monkeypatch):
     return tables
 
 
-@pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
-@pytest.mark.parametrize("degree_max, amplitude", [(1, 0.3), (3, 0.05), (4, 0.025)])
-def test_closed_form_matches_jetframe_oracle(monkeypatch, radius, degree_max, amplitude):
-    cfg = SearchConfig(
-        degree_max=degree_max, n_theta=10, n_phi=20, radius=radius,
-        freeze_degree0=False, freeze_degree1=False,
-    )
-    obj = VarianceObjective(cfg)
-    rng = np.random.default_rng(degree_max * 100 + int(10 * radius))
+@pytest.mark.parametrize("degree_max, amplitude", [(2, 0.1), (3, 0.05), (4, 0.025)])
+def test_closed_form_matches_jetframe_oracle(monkeypatch, degree_max, amplitude):
+    obj = VarianceObjective(SearchConfig(degree_max=degree_max, n_theta=10, n_phi=20))
+    rng = np.random.default_rng(degree_max * 100)
     tables = _record_tables(monkeypatch)
     walls = 0
     for _ in range(20):
@@ -152,7 +148,7 @@ def test_closed_form_matches_jetframe_oracle(monkeypatch, radius, degree_max, am
         if od["ok"]:
             a, b = fast["K_eta"], oracle["K_eta"]
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < ORACLE_RTOL["K_eta"]
-    if (radius, degree_max) == (0.5, 4):
+    if degree_max == 4:
         assert walls > 0
 
 
@@ -212,14 +208,13 @@ def test_search_different_seeds_differ():
     assert a.results[0].x0 != b.results[0].x0
 
 
-def test_candidate_reverification_flow():
+def test_candidate_reverification_flow(monkeypatch):
     # Absurdly small thresholds turn the round minimizer itself into a
     # "candidate", which must then survive the doubled-grid re-check and be
     # reported through the candidate path.
-    cfg = SearchConfig(
-        **FAST, n_starts=1, seed=11, umbilic_tol=1e-30, candidate_gap=1e-30
-    )
-    report = search(cfg)
+    monkeypatch.setattr("lightcone.search._UMBILIC_TOL", 1e-30)
+    monkeypatch.setattr("lightcone.search._CANDIDATE_GAP", 1e-30)
+    report = search(SearchConfig(**FAST, n_starts=1, seed=11))
     assert report.results[0].classification == "candidate"
     assert report.candidates == [0]
 
@@ -241,12 +236,22 @@ def test_config_validation():
 
 
 def test_config_free_pairs_freezing():
+    # Degrees 0 and 1 (the dilation and, to first order, a boost) are frozen.
     cfg = SearchConfig(degree_max=2)
     assert cfg.free_pairs() == [(2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]
-    cfg = SearchConfig(degree_max=2, freeze_degree1=False)
-    assert (1, 0) in cfg.free_pairs()
-    cfg = SearchConfig(degree_max=1, freeze_degree0=False, freeze_degree1=False)
-    assert (0, 0) in cfg.free_pairs()
+    cfg = SearchConfig(degree_max=4)
+    assert min(l for l, _ in cfg.free_pairs()) == 2
+    assert len(cfg.free_pairs()) == 5 + 7 + 9
+    with pytest.raises(ValueError, match="no coefficient free"):
+        SearchConfig(degree_max=1)
+
+
+def test_config_fields_are_the_nine_settable_values():
+    # Scale, gauge and thresholds are module constants, not settings.
+    assert [f.name for f in fields(SearchConfig)] == [
+        "degree_max", "amplitude_bound", "n_theta", "n_phi", "n_starts",
+        "max_iter", "n_restarts", "var_tol", "seed",
+    ]
 
 
 # -- the simplex against scipy's ---------------------------------------------
@@ -309,14 +314,12 @@ def test_nelder_mead_matches_scipy_on_ties():
 
 
 @pytest.mark.parametrize(
-    "degree_max, freeze_degree1, amplitude, n_vertices",
-    [(2, True, 0.3, 6), (3, False, 0.1, 16)],
+    "degree_max, amplitude, n_vertices",
+    [(2, 0.3, 6), (3, 0.1, 13)],
     ids=["degree2", "degree3"],
 )
-def test_nelder_mead_matches_scipy_on_variance_objective(
-    degree_max, freeze_degree1, amplitude, n_vertices
-):
-    cfg = SearchConfig(degree_max=degree_max, freeze_degree1=freeze_degree1, n_theta=8, n_phi=16)
+def test_nelder_mead_matches_scipy_on_variance_objective(degree_max, amplitude, n_vertices):
+    cfg = SearchConfig(degree_max=degree_max, n_theta=8, n_phi=16)
     obj = VarianceObjective(cfg)
     x0 = np.random.default_rng(2).uniform(-amplitude, amplitude, len(obj.pairs))
     simplex = _simplex(x0, 0.02)
