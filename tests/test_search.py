@@ -125,10 +125,15 @@ def _record_tables(monkeypatch):
     return tables
 
 
-@pytest.mark.parametrize("degree_max, amplitude", [(2, 0.1), (3, 0.05), (4, 0.025)])
-def test_closed_form_matches_jetframe_oracle(monkeypatch, degree_max, amplitude):
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.7])
+@pytest.mark.parametrize("degree_max, amplitude", [(1, 0.3), (3, 0.05), (4, 0.025)])
+def test_closed_form_matches_jetframe_oracle(monkeypatch, radius, degree_max, amplitude):
+    # The search fixes the unit sphere and freezes degrees 0 and 1; the two
+    # routes must agree at any radius and with a dilation or boost term too.
+    monkeypatch.setattr("lightcone.search._RADIUS", radius)
+    monkeypatch.setattr("lightcone.search._LOWEST_FREE_DEGREE", 0)
     obj = VarianceObjective(SearchConfig(degree_max=degree_max, n_theta=10, n_phi=20))
-    rng = np.random.default_rng(degree_max * 100)
+    rng = np.random.default_rng(degree_max * 100 + int(10 * radius))
     tables = _record_tables(monkeypatch)
     walls = 0
     for _ in range(20):
@@ -148,7 +153,7 @@ def test_closed_form_matches_jetframe_oracle(monkeypatch, degree_max, amplitude)
         if od["ok"]:
             a, b = fast["K_eta"], oracle["K_eta"]
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < ORACLE_RTOL["K_eta"]
-    if degree_max == 4:
+    if (radius, degree_max) == (0.5, 4):
         assert walls > 0
 
 
