@@ -434,7 +434,7 @@ def cmd_global(args):
         gb = grid.gauss_bonnet()
         gb2 = grid.gauss_bonnet_second_form()
         ii_area = grid.second_form_area()
-        floor = grid.second_curvature_floor(tol=TOLS["curvature_floor"])
+        floor = grid.second_curvature_floor()
         lam = spectrum.lambda1_estimate(grid)
     except LightconeError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
@@ -456,12 +456,13 @@ def cmd_global(args):
             ii_area - 2.0 * np.pi,
             TOLS["round_second_form_area"],
         )
+    slack = np.min((floor["keta_slack"], floor["floor_slack"]))  # NaN stays NaN
     manifest.add(
         "curvature_floor",
-        min(floor["keta_slack"], floor["floor_slack"]),
+        slack,
         -TOLS["curvature_floor"],
-        status="PASS" if floor["passes"] else "FAIL",
-        detail=f"ratio {floor['ratio']:.6f} at theta={floor['point'][0]:.3f}",
+        status="PASS" if slack >= -TOLS["curvature_floor"] else "FAIL",
+        detail=f"ratio {floor['ratio']:.6f} at theta={floor['point'][0]:.3f} on {floor['chart']}",
     )
     manifest.add(
         "eigenvalue_bound",
@@ -530,6 +531,12 @@ def cmd_search(args):
             f"malformed config {args.config}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+        return EXIT_BAD_CONFIG
+    if not isinstance(data, dict):
+        print(f"bad config {args.config}: must be a JSON object of settings", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    if unknown := [k for k in data if k not in search.SearchConfig.__dataclass_fields__]:
+        print(f"unknown config keys: {', '.join(unknown)}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
         if args.seed is not None:

@@ -17,12 +17,14 @@ from .catalog import round_geometry
 from .curvature import _det2, brioschi_curvature
 from .errors import DegeneracyViolation
 from .jets import Jet2
-from .surfaces import JetFrame, newton_extremum
+from .surfaces import JetFrame, closed_extremum
 
 #: Nodes per ``JetFrame`` in the ``geometry_table`` sweep.
 _CHUNK = 2048
 #: Grid of the ``table_oracle`` check.
 TABLE_ORACLE_GRID = (16, 32)
+#: Scan grid of the search for the maximizer of det A in ``second_curvature_floor``.
+FLOOR_GRID = (16, 32)
 
 
 def sphere_quadrature(n_theta, n_phi):
@@ -239,30 +241,26 @@ class SphereGrid:
         """
         return float(np.sum(self.ii_weights))
 
-    def second_curvature_floor(self, tol=1e-6):
+    def second_curvature_floor(self):
         """Inequality chain at the maximizer of det A.
 
         At the true maximizer the gradient term of the curvature relation
         drops, forcing 2 K_eta >= K^2/det A there; combined with the gap
-        inequality the ratio is at least 4.  The grid node of largest det A
-        is refined first by ``newton_extremum``, because at the node itself
-        the gradient term is O(h^2), not zero.  Returns the point, the ratio
-        and the slack of each inequality.
+        inequality the ratio is at least 4.  At a grid node the gradient
+        term is O(h^2), not zero, so ``closed_extremum`` refines the
+        largest det A of a ``FLOOR_GRID`` scan on both charts.  Returns the
+        winning chart's name, the point in its coordinates, the ratio and
+        the slack of each inequality.
         """
         self.ii_weights  # the non-degeneracy gate
-        k = int(np.argmax(self.table["detA"]))
-        u, v, _ = newton_extremum(
-            self.patch, self.TH[k], self.PH[k], lambda f: (f.detA, np.abs(f.detA_val)),
-            maximize=True,
+        frame = closed_extremum(
+            self.patch, lambda f: (f.detA, np.abs(f.detA_val)), FLOOR_GRID, maximize=True
         )
-        frame = JetFrame(self.patch, u, v)
-        ratio = frame.K_val[0] ** 2 / frame.detA_val[0]
-        keta = frame.K_eta[0]
+        ratio = float(frame.K_val**2 / frame.detA_val)
         return {
-            "point": (float(u[0]), float(v[0] % (2.0 * np.pi))),
-            "ratio": float(ratio),
-            "k_eta": float(keta),
-            "keta_slack": float(2.0 * keta - ratio),
-            "floor_slack": float(ratio - 4.0),
-            "passes": bool(2.0 * keta >= ratio - tol and ratio >= 4.0 - tol),
+            "chart": frame.patch.name,
+            "point": (float(frame.u), float(frame.v)),
+            "ratio": ratio,
+            "keta_slack": 2.0 * float(frame.K_eta) - ratio,
+            "floor_slack": ratio - 4.0,
         }

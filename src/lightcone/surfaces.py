@@ -396,40 +396,56 @@ def gauss_maps(frame):
 
 # -- extremal points ----------------------------------------------------------
 
+#: Scan grid of the umbilic search.
+UMBILIC_GRID = (32, 64)
 
-def newton_extremum(patch, u, v, field, maximize=False):
-    """Refine start points on a closed (theta, phi) chart toward local extrema.
+
+def closed_extremum(patch, field, grid, maximize=False):
+    """Single-point JetFrame at the least (or greatest) point of a field on a closed surface.
 
     ``field(frame)`` returns the field as a jet of valid order 2 or more and
-    the scale of its rounding noise per point.  Each step builds one JetFrame
-    over the starts still moving.  A start steps only while its Hessian is
-    definite with the sign of the extremum beyond 1e-8 of the scale (on round
-    spheres both callers' fields are constant and it is noise below 1e-10),
-    and keeps a step only if theta stays in (0, pi) and the value does not get
-    worse; phi is periodic and left unwrapped.  A start stops at a step below
-    1e-12 or after 8 steps.  Returns the refined u, v and the value there.
+    the scale of its rounding noise per point.  The chart and its
+    pole-rotated twin are both searched, since a point at a coordinate pole
+    is invisible to the chart.  On each, one JetFrame over the ``grid``
+    nodes gives the field's value, gradient and Hessian, and Newton starts
+    from the ``_extreme_nodes`` with those.  A step goes only along the
+    Hessian eigendirections whose eigenvalue has the sign of the extremum
+    beyond 1e-8 of the scale (on round spheres both callers' fields are
+    constant and it is noise below 1e-10), and is kept only if theta stays
+    in (0, pi) and the value does not get worse.  A start stops with no such
+    direction, at a step below 1e-12 or after 8 steps.  The best find wins,
+    in the coordinates of its chart with phi wrapped to [0, 2 pi).
     """
     sign = -1.0 if maximize else 1.0
-    u = np.array(u, dtype=float).ravel()
-    v = np.array(v, dtype=float).ravel()
-    value, grad, hess, scale = _field_derivatives(field, JetFrame(patch, u, v))
-    found = value.copy()
-    live = np.arange(u.size)
-    for _ in range(8):
-        ok = np.min(sign * np.linalg.eigvalsh(hess), axis=-1) > 1e-8 * scale
-        step = np.linalg.solve(hess[ok], grad[ok][..., None])[..., 0]
-        live, value = live[ok], value[ok]
-        tu, tv = u[live] - step[:, 0], v[live] - step[:, 1]
-        ok = (0.0 < tu) & (tu < np.pi)
-        if not np.any(ok):
-            break
-        live, value, step, tu, tv = live[ok], value[ok], step[ok], tu[ok], tv[ok]
-        trial, grad, hess, scale = _field_derivatives(field, JetFrame(patch, tu, tv))
-        kept = sign * trial <= sign * value
-        u[live[kept]], v[live[kept]], found[live[kept]] = tu[kept], tv[kept], trial[kept]
-        ok = kept & (np.hypot(step[:, 0], step[:, 1]) >= 1e-12)
-        live, value, grad, hess, scale = live[ok], trial[ok], grad[ok], hess[ok], scale[ok]
-    return u, v, found
+    best = None
+    for chart in filter(None, (patch, patch.rotated)):
+        u, v = chart.grid_points(grid)
+        scan = _field_derivatives(field, JetFrame(chart, u, v))
+        k = _extreme_nodes(chart, u, v, sign * scan[0])
+        value, grad, hess, scale = (a[k] for a in scan)
+        u, v, found, live = u[k], v[k], value, np.arange(k.size)
+        for _ in range(8):
+            lam, vec = np.linalg.eigh(hess)
+            ok = sign * lam > 1e-8 * scale[:, None]
+            lam = np.where(ok, lam, np.inf)  # no step along the other directions
+            step = np.einsum("nab,nb->na", vec, np.einsum("nab,na->nb", vec, grad) / lam)
+            ok = np.any(ok, axis=-1)
+            live, value, step = live[ok], value[ok], step[ok]
+            tu, tv = u[live] - step[:, 0], v[live] - step[:, 1]
+            ok = (0.0 < tu) & (tu < np.pi)
+            if not np.any(ok):
+                break
+            live, value, step, tu, tv = live[ok], value[ok], step[ok], tu[ok], tv[ok]
+            trial, grad, hess, scale = _field_derivatives(field, JetFrame(chart, tu, tv))
+            kept = sign * trial <= sign * value
+            u[live[kept]], v[live[kept]], found[live[kept]] = tu[kept], tv[kept], trial[kept]
+            ok = kept & (np.hypot(step[:, 0], step[:, 1]) >= 1e-12)
+            live, value, grad, hess, scale = live[ok], trial[ok], grad[ok], hess[ok], scale[ok]
+        j = int(np.argmin(sign * found))
+        if best is None or sign * found[j] < best[0]:
+            best = (sign * found[j], chart, float(u[j]), float(v[j] % (2.0 * np.pi)))
+    _, chart, u, v = best
+    return JetFrame(chart, u, v)
 
 
 def _field_derivatives(field, frame):
@@ -441,48 +457,27 @@ def _field_derivatives(field, frame):
     return jet.value, grad, hess, scale
 
 
-#: Coarse grid and number of separated starts of the umbilic search.
-UMBILIC_GRID = (32, 64)
-UMBILIC_STARTS = 4
-
-
-def umbilic_point_search(patch):
-    """Locate a point where both curvature-inequality gaps (nearly) vanish.
-
-    On a closed surface an umbilic point must exist, but a fixed grid only
-    gets within O(h^2) of it, and the gap field can carry shallow secondary
-    minima; Newton steps on the gap jet K^2 - 4 det A therefore start from
-    several separated low-gap grid nodes.  An umbilic sitting at a
-    coordinate pole is invisible to the main chart, so the pole-rotated twin
-    chart is searched too and the better find wins.  The winner is
-    re-evaluated with a fresh single-point JetFrame.  Returns (u, v,
-    gap_low, gap_high) in the coordinates of the winning chart.
-    """
-    best = None
-    for chart in filter(None, (patch, patch.rotated)):
-        u, v, gap = newton_extremum(
-            chart, *_umbilic_starts(chart), lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2)
-        )
-        k = int(np.argmin(gap))
-        if best is None or gap[k] < best[0]:
-            best = (gap[k], chart, float(u[k]), float(v[k] % (2.0 * np.pi)))
-    _, chart, u, v = best
-    f = JetFrame(chart, u, v)
-    return u, v, float(f.gap_low), float(f.gap_high)
-
-
-def _umbilic_starts(patch):
-    """Lowest-gap nodes of the coarse grid, kept apart so distinct basins are hit."""
-    u, v = patch.grid_points(UMBILIC_GRID)
-    gap = JetFrame(patch, u, v).gap_low
+def _extreme_nodes(patch, u, v, value):
+    """Indices of up to 4 least-value nodes kept apart, so distinct basins are hit."""
     (u0, u1), (v0, v1) = patch.domain
     starts = []
-    for k in np.argsort(gap):
+    for k in np.argsort(value):
         if all(
             max(abs(u[k] - u[j]) / (u1 - u0), abs(v[k] - v[j]) / (v1 - v0)) > 0.08
             for j in starts
         ):
             starts.append(k)
-            if len(starts) == UMBILIC_STARTS:
+            if len(starts) == 4:
                 break
-    return u[starts], v[starts]
+    return np.array(starts)
+
+
+def umbilic_point_search(patch):
+    """Locate a point where both curvature-inequality gaps (nearly) vanish.
+
+    On a closed surface an umbilic point must exist; ``closed_extremum``
+    minimizes the gap jet K^2 - 4 det A from a ``UMBILIC_GRID`` scan.
+    Returns (u, v, gap_low, gap_high) in the coordinates of the winning chart.
+    """
+    f = closed_extremum(patch, lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2), UMBILIC_GRID)
+    return float(f.u), float(f.v), float(f.gap_low), float(f.gap_high)

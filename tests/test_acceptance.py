@@ -264,7 +264,7 @@ def test_criterion_8_inequality_suite():
         _, _, glow, ghigh = umbilic_point_search(patch)
         umbilic_ok = umbilic_ok and glow < 1e-6 and ghigh < 1e-6
         grid = SphereGrid(patch, 48, 96)
-        floor = grid.second_curvature_floor(tol=1e-6)
+        floor = grid.second_curvature_floor()
         ratio_ok = ratio_ok and floor["ratio"] >= 4.0 - 1e-6
     elapsed = time.perf_counter() - t0
     ok = floor_ok and umbilic_ok and ratio_ok

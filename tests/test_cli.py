@@ -274,6 +274,40 @@ def test_global_perturbed_floor_passes_off_the_grid_node(tmp_path):
     assert names["curvature_floor"]["status"] == "PASS"
 
 
+@pytest.mark.parametrize(
+    "terms",
+    ["[[2, 0, 0.05]]", "[[3, 0, 0.04]]", "[[4, 0, 0.03]]", "[[2, 0, 0.1]]", "[[2, 0, -0.05]]"],
+    ids=["l2", "l3", "l4", "l2_large", "l2_ring"],
+)
+def test_global_floor_passes_on_axisymmetric_spheres(tmp_path, terms):
+    # the maximizer of det A sits at a coordinate pole (or on a ring of
+    # maxima for the negative amplitude); a search on one chart with
+    # definite-only Newton steps stopped at a node with slack below -2e-5
+    spec = tmp_path / "spec.json"
+    spec.write_text(terms)
+    out = tmp_path / "g.json"
+    argv = ["global", "perturbed", "--spec", str(spec), "--grid", "64x128", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    check = {c["name"]: c for c in _load_manifest(out)["checks"]}["curvature_floor"]
+    assert check["status"] == "PASS" and check["residual"] >= -1e-6
+    assert check["tolerance"] == -1e-6
+
+
+@pytest.mark.parametrize("key", ["keta_slack", "floor_slack"])
+def test_global_nan_floor_slack_fails(tmp_path, monkeypatch, key):
+    floor = SphereGrid.second_curvature_floor
+
+    def nan_floor(self):
+        return dict(floor(self), **{key: float("nan")})
+
+    monkeypatch.setattr(SphereGrid, "second_curvature_floor", nan_floor)
+    out = tmp_path / "g.json"
+    argv = ["global", "round-sphere", "--grid", "8x16", "--out", str(out)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["curvature_floor"]
+    assert check["status"] == "FAIL"
+
+
 def test_global_perturbed_reports_the_sigma_route(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text("[[2, 0, 0.02], [3, 1, -0.01], [1, -1, 0.015]]")
@@ -596,6 +630,24 @@ def test_search_unknown_key_rejected(tmp_path, capsys, text):
     (key,) = json.loads(text)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and key in err[0], err
+
+
+def test_search_config_names_every_unknown_key(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"radius": 1.0, "n_starts": 2, "freeze_degree1": true}')
+    assert main(["search", "--config", str(bad)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["unknown config keys: radius, freeze_degree1"]
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["no_seed", "seed"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"settings"', "null"], ids=["array", "string", "null"])
+def test_search_config_must_be_an_object(tmp_path, capsys, text, seed):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["search", "--config", str(bad), *seed]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "must be a JSON object" in err[0], err
 
 
 def test_export_round_sphere(tmp_path):

@@ -7,10 +7,13 @@ from lightcone.curvature import second_form_curvature
 from lightcone.errors import NotOnLightcone, NotRiemannianII, NotSpacelike
 from lightcone.jets import Jet2, JetVec4
 from lightcone.minkowski import inner
+from lightcone.integrals import FLOOR_GRID
 from lightcone.surfaces import (
     UMBILIC_GRID,
     JetFrame,
     SurfacePatch,
+    _extreme_nodes,
+    _field_derivatives,
     gauss_maps,
     umbilic_point_search,
 )
@@ -273,6 +276,28 @@ def test_umbilic_point_search_keeps_round_sphere_nodes():
         u, v, glow, ghigh = umbilic_point_search(patch)
         assert (u, v) in nodes
         assert abs(glow) < 1e-12 and abs(ghigh) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "field, grid, sign",
+    [
+        (lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2), UMBILIC_GRID, 1.0),
+        (lambda f: (f.detA, np.abs(f.detA_val)), FLOOR_GRID, -1.0),
+    ],
+    ids=["gap_min", "detA_max"],
+)
+def test_scan_frame_derivatives_equal_a_start_frame(bumpy_sphere, field, grid, sign):
+    # closed_extremum starts Newton from the scan frame's value, gradient,
+    # Hessian and scale; they are bit for bit those of a frame at the
+    # start nodes alone
+    for chart in (bumpy_sphere, bumpy_sphere.rotated):
+        u, v = chart.grid_points(grid)
+        scan = _field_derivatives(field, JetFrame(chart, u, v))
+        k = _extreme_nodes(chart, u, v, sign * scan[0])
+        assert k.size == 4
+        alone = _field_derivatives(field, JetFrame(chart, u[k], v[k]))
+        for a, b in zip(scan, alone, strict=True):
+            assert np.array_equal(a[k], b)
 
 
 def test_gauss_maps_round_sphere(unit_sphere):
