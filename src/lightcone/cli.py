@@ -273,7 +273,8 @@ FRAME_CHECKS = (
 def _frame_residuals(frame):
     eta, psi = frame.eta_val, frame.psi_val
     II = frame.II_val
-    gA = np.einsum("...ac,...cb->...ab", frame.g_val, frame.A_val)
+    g, A = frame.g_val, frame.A_val
+    gA = sum(g[..., :, c, None] * A[..., None, c, :] for c in range(2))
     return (
         np.max(np.abs(inner(psi, psi))),
         _worst(
@@ -304,7 +305,7 @@ DEFINITE_CHECKS = ("curvature_relation", "trace_gradient", "lowered_symmetry")
 def _definite_residuals(frame):
     rel = curvature.curvature_relation(frame)
     grad = curvature.trace_gradient_residual(frame)
-    low = np.einsum("...abc,...cd->...abd", frame.difference, frame.II_val)
+    low = curvature.lowered_difference(frame)
     return (
         np.max(rel["residual"]),
         np.max(grad),

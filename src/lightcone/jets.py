@@ -25,13 +25,25 @@ v = 0..4 multiplies only the 1, 5, 15, 35 or 70 coefficient pairs whose
 degrees add up to at most v (truncated Taylor arithmetic; Griewank &
 Walther, *Evaluating Derivatives*, ch. 13).
 
-Fixed-order reduction.  A product gathers its coefficient pairs, multiplies
-them, and adds the pairs of each output monomial one after another in a
-fixed order, with elementwise adds only.  No BLAS call takes part, so each
-base point's coefficients come out bit for bit the same in any batch.  The
-batch is swept in blocks of at most ``_BLOCK`` columns, so the pair
-products of a block stay in cache and no temporary is much larger than the
-product itself.
+Fixed-order reduction.  Output monomial k of a product sums its
+coefficient pairs (a, b) in ascending (a, b) order, one elementwise add
+after another.  No BLAS call takes part, so each base point's coefficients
+come out bit for bit the same in any batch.  For a given output, each a has
+at most one partner b, so ascending (a, b) is ascending a.  Two kernels
+keep that order, and the size of the result picks one:
+
+- Up to ``_WIDE`` result columns, the gather kernel gathers all pairs,
+  multiplies them in one call and adds them layer by layer.  It makes few
+  numpy calls, which small batches need, and its pair products (at most
+  70 x 512 doubles) stay in cache.
+- Above ``_WIDE``, the row kernel takes the rows a of the left operand in
+  ascending order.  Row a of degree d meets the prefix of the right operand
+  up to degree valid - d in one broadcast multiply; its pairs with the
+  partners of degree e land on contiguous output rows, one slice add each.
+  It makes no gather and no broadcast copy of an operand.
+
+Both kernels start each output from its pair with the constant row a = 0
+and add the others in ascending a, so their bits agree.
 """
 
 from __future__ import annotations
@@ -61,9 +73,11 @@ _DEGREE = tuple(i + j for i, j in MONOMIALS)
 # Monomials of total degree <= v are the first _N_UPTO[v] rows.
 _N_UPTO = tuple(sum(d <= v for d in _DEGREE) for v in range(ORDER + 1))
 
-# Columns per block of a product sweep: the pair products of one block, at
-# most 70 x 512 doubles, stay in cache.
-_BLOCK = 512
+# Monomials of degree d are rows _START[d] .. _START[d] + d, (0, d) first.
+_START = (0,) + _N_UPTO[:-1]
+
+# Products with more result columns than this run the row kernel.
+_WIDE = 512
 
 
 def _product_plan(valid):
@@ -95,6 +109,29 @@ def _product_plan(valid):
 
 
 _PRODUCT_PLANS = tuple(_product_plan(v) for v in range(ORDER + 1))
+
+
+def _row_plan(valid):
+    """Rows a >= 1 of a product truncated at ``valid``, with their partners and landing rows.
+
+    Row a = (p, q) of degree d meets the first ``partners`` rows of the
+    right operand, those of degree at most valid - d.  Its pairs with the
+    partners of degree e, rows ``src``, land on the output rows ``dst`` of
+    degree d + e, from position p on.
+    """
+    plan = []
+    for a in range(1, _N_UPTO[valid]):
+        d = _DEGREE[a]
+        p = a - _START[d]
+        adds = tuple(
+            (slice(_START[d + e] + p, _START[d + e] + p + e + 1), slice(_START[e], _START[e] + e + 1))
+            for e in range(valid - d + 1)
+        )
+        plan.append((a, _N_UPTO[valid - d], adds))
+    return tuple(plan)
+
+
+_ROW_PLANS = tuple(_row_plan(v) for v in range(ORDER + 1))
 
 
 def _derivative_plan(axis, valid):
@@ -144,31 +181,48 @@ def _columns(c, shape):
 
 def _product(a, b, valid):
     """Coefficient-major product of two coefficient arrays, truncated at ``valid``."""
-    gather_a, gather_b, first, layers, unsort = _PRODUCT_PLANS[valid]
     shape = a.shape[1:]
     if b.shape[1:] == shape:
-        a, b = a.reshape(N_COEFF, -1), b.reshape(N_COEFF, -1)
-    else:
-        shape = np.broadcast_shapes(shape, b.shape[1:])
-        a, b = _columns(a, shape), _columns(b, shape)
-        if a.shape[1] != math.prod(shape):
-            # Gather the full-width operand first, so the product can go in place.
-            a, b, gather_a, gather_b = b, a, gather_b, gather_a
-    size = a.shape[1]
+        if a.size > N_COEFF * _WIDE:
+            return _row_product(a, b, valid, shape)
+        return _gather_product(a.reshape(N_COEFF, -1), b.reshape(N_COEFF, -1), valid, shape)
+    shape = np.broadcast_shapes(shape, b.shape[1:])
+    if math.prod(shape) > _WIDE:
+        return _row_product(a, b, valid, shape)
+    return _gather_product(_columns(a, shape), _columns(b, shape), valid, shape)
+
+
+def _gather_product(a, b, valid, shape):
+    """The product of (N_COEFF, columns) operands by one gather of all pairs."""
+    gather_a, gather_b, first, layers, unsort = _PRODUCT_PLANS[valid]
+    if a.shape[1] < b.shape[1]:
+        # Gather the full-width operand first, so the product can go in place.
+        a, b, gather_a, gather_b = b, a, gather_b, gather_a
     n = unsort.size
-    out = np.empty((N_COEFF, size))
+    out = np.empty((N_COEFF, a.shape[1]))
     if n < N_COEFF:
         out[n:] = 0.0
-    width = -(-size // -(-size // _BLOCK)) if size > _BLOCK else max(size, 1)
-    for start in range(0, size, width):
-        cols = slice(start, start + width)
-        prods = a[gather_a, cols]
-        prods *= b[gather_b, cols] if b.shape[1] > 1 else b[gather_b]
-        acc = prods[first]
-        for dst, src in layers:
-            acc[dst] += prods[src]
-        acc.take(unsort, axis=0, out=out[:n, cols], mode="clip")
+    prods = a[gather_a]
+    prods *= b[gather_b]
+    acc = prods[first]
+    for dst, src in layers:
+        acc[dst] += prods[src]
+    acc.take(unsort, axis=0, out=out[:n], mode="clip")
     return out.reshape((N_COEFF,) + shape)
+
+
+def _row_product(a, b, valid, shape):
+    """The product by rows of ``a``: one broadcast multiply per row, one slice add per degree."""
+    a, b = _lift(a, len(shape)), _lift(b, len(shape))
+    n = _N_UPTO[valid]
+    out = np.empty((N_COEFF,) + shape)
+    out[n:] = 0.0
+    np.multiply(a[0], b[:n], out=out[:n])
+    for row, partners, adds in _ROW_PLANS[valid]:
+        prods = a[row] * b[:partners]
+        for dst, src in adds:
+            out[dst] += prods[src]
+    return out
 
 
 class Jet2:

@@ -147,10 +147,12 @@ class JetFrame:
         # Normal-plane basis {psi, n}: project the time axis off the tangent
         # plane.  On the cone <e0, psi> = -psi0 < 0, so this seed never
         # degenerates and the combination below is the unique normal with
-        # <eta,eta> = 0 and <psi,eta> = 1.
+        # <eta,eta> = 0 and <psi,eta> = 1.  <e0, X> = -X0 is read off the time
+        # component as 0 - X0, so that zero coefficients are +0.0.
         e0 = JetVec4.constant(_E0)
-        s_u = e0.dot(self.psi_u)
-        s_v = e0.dot(self.psi_v)
+        zero = Jet2.constant(0.0)
+        s_u = zero - self.psi_u[0]
+        s_v = zero - self.psi_v[0]
         t_u = iE * s_u + iF * s_v
         t_v = iF * s_u + iG * s_v
         n = e0 - self.psi_u.scale(t_u) - self.psi_v.scale(t_v)
@@ -218,8 +220,9 @@ class JetFrame:
         for a, c, b in np.ndindex(2, 2, 2):
             out[..., a, c, b] = A[c][b].partial(1 - a, a)
         gam = np.swapaxes(self.gamma, -3, -2)  # [a, c, b]
-        out += np.einsum("...acd,...db->...acb", gam, self.A_val)
-        out -= np.einsum("...adb,...cd->...acb", gam, self.A_val)
+        Av = self.A_val
+        out += sum(gam[..., :, :, d, None] * Av[..., None, None, d, :] for d in range(2))
+        out -= sum(gam[..., :, None, d, :] * Av[..., None, :, d, None] for d in range(2))
         return out
 
     @cached_property

@@ -7,7 +7,7 @@ renamed entry point would otherwise surface only in a traced benchmark pass.
 import importlib.util
 from pathlib import Path
 
-from lightcone import integrals, surfaces, transforms
+from lightcone import integrals, jets, surfaces, transforms
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -20,7 +20,8 @@ def _tracing_module():
 
 
 def _entry_points():
-    return (surfaces.JetFrame.__dict__["__init__"], surfaces.umbilic_point_search,
+    return (jets.Jet2.__dict__["__mul__"], surfaces.JetFrame.__dict__["__init__"],
+            surfaces.umbilic_point_search,
             transforms.verify_conjugate_duality, transforms.double_conjugate_residual,
             transforms.verify_expansion_laws, integrals.geometry_table)
 

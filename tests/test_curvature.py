@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_perturbed_sphere
-from lightcone import catalog, curvature, jets, transforms
+from lightcone import catalog, cli, curvature, jets, transforms
 from lightcone.curvature import (
     _inv2,
     _stack2,
@@ -112,7 +112,7 @@ def test_difference_tensor_total_symmetry(bumpy_sphere):
     u, v = bumpy_sphere.sample_points(100, rng, margin=0.05)
     f = JetFrame(bumpy_sphere, u, v)
     L = difference_tensor(f)
-    low = np.einsum("...abc,...cd->...abd", L, f.II_val)
+    low = curvature.lowered_difference(f)
     assert np.max(np.abs(low - np.swapaxes(low, -3, -2))) < 1e-8
     assert np.max(np.abs(low - np.swapaxes(low, -2, -1))) < 1e-8
     # the tensor vanishes only on the round family; a bump wakes it up
@@ -229,3 +229,71 @@ def test_difference_tensor_built_once_per_frame(bumpy_sphere, monkeypatch):
     trace_gradient_residual(frame)
     assert frame.difference.shape == (20, 2, 2, 2)
     assert len(calls) == 1
+
+
+# -- contractions against np.einsum ---------------------------------------------
+
+
+def _same_bits(x, y):
+    """Equal values with equal sign bits, zeros included."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.fixture(scope="module", params=["bumpy", "round"])
+def contraction_frame(request, bumpy_sphere, unit_sphere):
+    patch = bumpy_sphere if request.param == "bumpy" else unit_sphere
+    return JetFrame(patch, *patch.grid_points((24, 48)))
+
+
+def test_nabla_A_contractions_repeat_einsum(contraction_frame):
+    f = contraction_frame
+    ref = np.empty(f.nabla_A.shape)
+    for a, c, b in np.ndindex(2, 2, 2):
+        ref[..., a, c, b] = f.A[c][b].partial(1 - a, a)
+    gam = np.swapaxes(f.gamma, -3, -2)
+    ref += np.einsum("...acd,...db->...acb", gam, f.A_val)
+    ref -= np.einsum("...adb,...cd->...acb", gam, f.A_val)
+    assert _same_bits(f.nabla_A, ref)
+
+
+def test_difference_and_lowered_tensor_repeat_einsum(contraction_frame):
+    f = contraction_frame
+    inv = curvature._inv2(f.A_val, f.detA_val)
+    L = 0.5 * np.einsum("...cd,...adb->...abc", inv, f.nabla_A)
+    assert _same_bits(f.difference, L)
+    assert _same_bits(curvature.lowered_difference(f),
+                      np.einsum("...abc,...cd->...abd", f.difference, f.II_val))
+
+
+def test_codazzi_and_trace_gradient_repeat_einsum(contraction_frame):
+    f = contraction_frame
+    na = f.nabla_A
+    w = na[..., 0, :, 1] - na[..., 1, :, 0]
+    assert _same_bits(codazzi_residual(f), np.sqrt(np.einsum("...c,...cd,...d->...", w, f.g_val, w)))
+    ii_inv = f.II_inv_val
+    tr_l = np.einsum("...ab,...abc->...c", ii_inv, f.difference)
+    grad = np.einsum("...cd,...d->...c", ii_inv, f.detA_grad)
+    v = tr_l - grad / (2.0 * f.detA_val[..., None])
+    ref = np.max(np.abs(np.einsum("...bc,...c->...b", f.II_val, v)), axis=-1)
+    assert _same_bits(trace_gradient_residual(f), ref)
+
+
+def test_curvature_relation_repeats_einsum(contraction_frame):
+    f = contraction_frame
+    out = curvature_relation(f)
+    ii_inv, L, d_det = f.II_inv_val, f.difference, f.detA_grad
+    grad_sq = np.einsum("...ab,...a,...b->...", ii_inv, d_det, d_det)
+    assert _same_bits(out["grad_term"], grad_sq / (4.0 * f.detA_val**2))
+    ric_tr = f.K_brioschi * np.einsum("...ab,...ba->...", ii_inv, f.g_val)
+    assert _same_bits(out["ric_residual"], np.abs(ric_tr - f.K_brioschi**2 / f.detA_val))
+    # II(L, L) is summed in stages, so only its rounding may differ.
+    ii_LL = np.einsum("...ac,...bd,...abe,...cdf,...ef->...", ii_inv, ii_inv, L, L, f.II_val)
+    np.testing.assert_allclose(out["ii_LL"], ii_LL, rtol=1e-12, atol=1e-12 * np.max(np.abs(ii_LL)))
+
+
+def test_shape_self_adjoint_residual_repeats_einsum(contraction_frame):
+    f = contraction_frame
+    gA = np.einsum("...ac,...cb->...ab", f.g_val, f.A_val)
+    residual = cli._frame_residuals(f)[cli.FRAME_CHECKS.index("shape_self_adjoint")]
+    assert _same_bits(residual, np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])))

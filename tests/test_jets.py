@@ -308,6 +308,33 @@ def test_scalar_times_batched_jet(cs, width, seed):
     assert np.array_equal((batch + s).c, batch.c + cs)
 
 
+# -- the two product kernels -----------------------------------------------------
+
+# Result widths on both sides of jets._WIDE, and one broadcast of two batches.
+_KERNEL_SHAPES = [
+    (sa, sb)
+    for n in (100, 600)
+    for sa, sb in (((n,), (n,)), ((4, n), (n,)), ((4, 1), (4, n)), ((), (n,)))
+] + [((64, 1), (1, 128))]
+
+
+@pytest.mark.parametrize("valid", range(ORDER + 1))
+@pytest.mark.parametrize("sa, sb", _KERNEL_SHAPES)
+def test_row_and_gather_kernels_agree_bit_for_bit(sa, sb, valid):
+    rng = np.random.default_rng(valid)
+    a, b = rng.normal(size=(N_COEFF,) + sa), rng.normal(size=(N_COEFF,) + sb)
+    # Signed zeros too: a sum of zero products keeps its sign only if every term has it.
+    for c in (a, b):
+        c[rng.random(c.shape) < 0.2] = 0.0
+        c[rng.random(c.shape) < 0.2] = -0.0
+    shape = np.broadcast_shapes(sa, sb)
+    row = jets._row_product(a, b, valid, shape)
+    gather = jets._gather_product(jets._columns(a, shape), jets._columns(b, shape), valid, shape)
+    assert row.shape == gather.shape == (N_COEFF,) + shape
+    assert row.tobytes() == gather.tobytes()
+    assert jets._product(a, b, valid).tobytes() == row.tobytes()
+
+
 # -- bitwise batch invariance ------------------------------------------------
 
 _FRAME_FIELDS = (
@@ -329,7 +356,7 @@ def wide_batch(bumpy_sphere):
     return u, v, _frame_fields(bumpy_sphere, u, v)
 
 
-@pytest.mark.parametrize("width", [1, 3, N_COEFF, 64, 257])
+@pytest.mark.parametrize("width", [1, 3, N_COEFF, 64, 257, 513])
 def test_frame_values_are_batch_invariant(bumpy_sphere, wide_batch, width):
     u, v, full = wide_batch
     for start in (0, 1234, u.size - width):
