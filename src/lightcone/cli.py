@@ -735,7 +735,14 @@ def main(argv=None):
     if args.command == "search" and args.trace is None:
         args.trace = os.path.splitext(args.out)[0] + "_trace.csv"
     code = _unwritable(getattr(args, name, None) for name in ("out", "trace", "manifest"))
-    return args.fn(args) if code is None else code
+    if code is not None:
+        return code
+    try:
+        return args.fn(args)
+    except MemoryError as exc:
+        # A grid or config too large for memory is bad input, not a crash.
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return args.parser.usage_exit
 
 
 if __name__ == "__main__":

@@ -109,30 +109,37 @@ def expansion_entries(base, s, r):
     ``catalog.round_geometry``) and ``s`` the jet of sigma at the same
     (broadcast) points; ``transforms.expansion_law`` carries one to the
     other.  H2 is K, the identity <H, H> = K of every surface on the cone.
+    A base whose ``A`` is None gives only the entries the search objective
+    reads: sqrt_detg, K, detA, gap_low, ii_positive and K_eta.
     A sigma so large that e^{4 sigma} overflows leaves inf or NaN entries,
     without a warning; the non-degeneracy gate ``ii_weights`` rejects them.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         law = transforms.expansion_law(base, s)
         (E, F), (_, G) = law.g
-        (a00, a01), (a10, a11) = law.A
         II, K, detA, det_ii = law.II, law.K, law.detA, law.detII
-        return {
-            "E": E,
-            "F": F,
-            "G": G,
-            "psi0": r * np.exp(s.value),
+        entries = {
             "sqrt_detg": np.sqrt(E * G - F * F),
             "K": K,
             "detA": detA,
             "gap_low": K**2 - 4.0 * detA,
-            "gap_high": 2.0 * (a00 * a00 + a01 * a10 + a10 * a01 + a11 * a11) - K**2,
-            "H2": K,
             "ii_positive": (II[0][0].value > 0.0) & (det_ii > 0.0),
             "K_eta": (
                 np.nan if np.any(det_ii == 0.0)
                 else brioschi_curvature(II[0][0], II[0][1], II[1][1])
             ),
+        }
+        if law.A is None:
+            return entries
+        (a00, a01), (a10, a11) = law.A
+        return {
+            "E": E,
+            "F": F,
+            "G": G,
+            "psi0": r * np.exp(s.value),
+            **entries,
+            "gap_high": 2.0 * (a00 * a00 + a01 * a10 + a10 * a01 + a11 * a11) - K**2,
+            "H2": K,
         }
 
 

@@ -19,6 +19,9 @@ G = np.diag(SIGNATURE)
 #: Tolerance of ``boost_to`` on <u, u> = -1 and on each frame vector's norm.
 _BOOST_TOL = 1e-10
 
+#: Largest observer component ``boost_to`` squares; four squares of it stay finite.
+_COMPONENT_MAX = 1e150
+
 
 def vec(x0, x1, x2, x3):
     """Build a Minkowski vector from its four components."""
@@ -49,6 +52,13 @@ def boost_to(u):
     u = np.asarray(u, dtype=float)
     if u.shape != (4,):
         raise NotUnitTimelike(f"expected a 4-vector, got shape {u.shape}")
+    # Rejected before <u, u> is formed, which would overflow; NaN passes
+    # here and fails the test below.
+    if np.any(np.abs(u) > _COMPONENT_MAX):
+        raise NotUnitTimelike(
+            f"u must satisfy <u,u> = -1 with u0 < 0, "
+            f"got a component beyond {_COMPONENT_MAX:g} in {u.tolist()}"
+        )
     if not (abs(float(inner(u, u)) + 1.0) <= _BOOST_TOL and u[0] < 0.0):
         raise NotUnitTimelike(
             f"u must satisfy <u,u> = -1 with u0 < 0, "

@@ -3,8 +3,9 @@
 Every known compact nondegenerate example with constant curvature of the
 second fundamental form is a round sphere (curvature exactly two); whether
 any other exists is open.  This module minimizes the area-weighted variance
-of that curvature over the harmonic-perturbation family from many random
-starts.  A minimizer that is genuinely non-umbilical yet has (numerically)
+of that curvature, a sum of squares of one residual per node, over the
+harmonic-perturbation family from many random starts by Levenberg-Marquardt.
+A minimizer that is genuinely non-umbilical yet has (numerically)
 constant curvature would be a counterexample candidate; everything found is
 re-verified at doubled grid resolution before being reported.  The
 machinery is the deliverable here, not the mathematical outcome.
@@ -24,16 +25,16 @@ from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .jets import Jet2
 
-# Objective floor of a surface that fails the det A / definiteness gate.  Its
-# det A barrier is capped at _WALL and a surface that cannot be evaluated
-# scores 2 _WALL, so at one amplitude-box penalty, every gated surface scores
-# above every admissible one and below every unevaluable one.
+# Trace objective of an evaluation that is not ``ok``: finite, so every trace
+# row holds a number, and above every variance the search meets.
 _WALL = 1e6
-_BOX_MAX = float(np.finfo(float).max)
-# Below this min det A the det A barrier rises, with this weight; the same
-# weight scales the amplitude-box penalty.
-_BARRIER_FLOOR = 0.05
-_BARRIER_WEIGHT = 1e6
+# Levenberg-Marquardt: forward-difference step of the Jacobian, first
+# damping, and the stop thresholds on the variance, the step and the damping.
+_FD_STEP = 1e-6
+_MU_START = 1e-3
+_VAR_FLOOR = 1e-24
+_STEP_FLOOR = 1e-10
+_MU_MAX = 1e12
 # A converged minimizer is umbilical when its sup gap is below _UMBILIC_TOL
 # and a candidate (re-checked on a doubled grid) when it is at least
 # _CANDIDATE_GAP.
@@ -106,17 +107,21 @@ class SearchConfig:
 
 
 class VarianceObjective:
-    """Area-weighted variance of the II curvature plus a degeneracy barrier.
+    """Area-weighted variance of the II curvature, a sum of squares.
 
     Every surface of the family is ``e^sigma psi_round`` with
     ``sigma = sum_k x_k Y_k``, so its table follows from the jet of sigma by
     ``integrals.expansion_entries``, the step ``SphereGrid`` takes for a
     perturbed sphere.  The nodes, one jet per free harmonic and the round
     sphere's geometry are built once; ``diagnostics`` then needs one
-    harmonic sum and that step per call.  ``frame_diagnostics`` reads the
-    same entries from a ``geometry_table`` sweep of the perturbed sphere, a
-    full ``JetFrame`` route, and is the independent oracle.  Both are pure
-    deterministic functions of the coefficients and share one reduction.
+    harmonic sum and that step per call.  The round base carries no shape
+    operator, so the step builds only the entries the objective reads.
+    ``frame_diagnostics`` reads the same entries from a ``geometry_table``
+    sweep of the perturbed sphere, a full ``JetFrame`` route, and is the
+    independent oracle.  Both are pure deterministic functions of the
+    coefficients and share one reduction, which leaves the residual vector
+    sqrt(w / area) (K_eta - mean), whose squares sum to the variance, in
+    ``residual`` (None when the evaluation is not ``ok``).
     """
 
     def __init__(self, config, n_theta=None, n_phi=None):
@@ -129,7 +134,8 @@ class VarianceObjective:
         tj = Jet2.variable("u", self.TH)
         w = _direction_jets(tj, Jet2.variable("v", self.PH))
         self._harmonics = [real_harmonic(l, m, *w) for l, m in self.pairs]
-        self._round = round_geometry(tj, _RADIUS)
+        self._round = round_geometry(tj, _RADIUS)._replace(A=None)
+        self.residual = None
 
     def spec(self, x):
         return HarmonicSpec.unpack(self.pairs, x)
@@ -138,7 +144,7 @@ class VarianceObjective:
         """Variance, mean, sup deviation, min det A and sup gap for a vector."""
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = jets.weighted_sum(self._harmonics, x)
-        return self._reduce(x, integrals.expansion_entries(self._round, sigma, _RADIUS))
+        return self._reduce(integrals.expansion_entries(self._round, sigma, _RADIUS))
 
     def frame_diagnostics(self, x):
         """The same dict as ``diagnostics``, read from a ``geometry_table`` (the oracle)."""
@@ -148,39 +154,31 @@ class VarianceObjective:
                 table = integrals.geometry_table(patch, self.TH, self.PH)
         except LightconeError:
             table = None
-        return self._reduce(x, table)
+        return self._reduce(table)
 
-    def _reduce(self, x, table):
-        """Objective and report fields; no table or non-finite entries hit the wall."""
-        over = np.maximum(0.0, np.abs(np.asarray(x)) - self.config.amplitude_bound)
-        # Saturates at the largest float, so the objective stays finite and
-        # does not decrease along a ray out of the box.
-        with np.errstate(over="ignore"):
-            box = min(_BARRIER_WEIGHT * float(np.sum(over**2)), _BOX_MAX)
+    def _reduce(self, table):
+        """Report fields of a table; a missing, non-finite or gated one is not ``ok``.
+
+        An ``ok`` table passes the det A > 1e-6 / definite-II gate and its
+        objective is the variance; any other scores ``_WALL``.
+        """
+        self.residual = None
         w = None if table is None else integrals.induced_weights(self.w_nodes, self._sin, table)
         if w is None or not all(
             np.isfinite(a).all() for a in (table["detA"], w, table["gap_low"])
         ):
-            return {"ok": False, "objective": 2.0 * _WALL + box, "variance": np.inf}
+            return {"ok": False, "objective": _WALL, "variance": np.inf}
         min_d = float(table["detA"].min())
-        excess = max(0.0, _BARRIER_FLOOR - min_d)
         if min_d <= 1e-6 or not table["ii_positive"].all():
-            # The product form overflows to inf, where ``** 2`` would raise.
-            barrier = min(_BARRIER_WEIGHT * (excess * excess), _WALL)
-            return {
-                "ok": False,
-                "objective": _WALL + (barrier + box),
-                "variance": np.inf,
-                "min_detA": min_d,
-            }
-        barrier = _BARRIER_WEIGHT * excess**2 + box
+            return {"ok": False, "objective": _WALL, "variance": np.inf, "min_detA": min_d}
         keta = table["K_eta"]
         area = float(w.sum())
         mean = float((w * keta).sum()) / area
-        var = float((w * (keta - mean) ** 2).sum()) / area
+        self.residual = np.sqrt(w / area) * (keta - mean)
+        var = float(self.residual @ self.residual)
         return {
             "ok": True,
-            "objective": var + barrier,
+            "objective": var,
             "variance": var,
             "mean_keta": mean,
             "sup_dev": float(np.abs(keta - mean).max()),
@@ -205,6 +203,7 @@ class StartResult:
     min_detA: float
     iterations: int
     evaluations: int
+    start_halvings: int
     converged_variance: bool
     classification: str
     oracle_diff: float
@@ -235,90 +234,76 @@ class SearchReport:
         return "".join(",".join(map(str, row)) + "\n" for row in rows + self.trace_rows)
 
 
-def _nelder_mead(f, simplex, max_iter, xatol, fatol):
-    """Nelder-Mead simplex descent from an (N + 1, N) simplex; returns (x, iterations).
+def _levenberg_marquardt(residual, x, r, max_iter, bound, var_tol):
+    """Levenberg-Marquardt descent of |residual|^2 from x, whose residual is r.
 
-    Nelder & Mead, Comput. J. 7 (1965) 308, with reflection 1, expansion 2,
-    contraction 1/2 and shrink 1/2.  The steps, the sorts and the stopping
-    test are written as in scipy's ``minimize(method="Nelder-Mead")``
-    without bounds or adaptive coefficients, so the vertices come out bit
-    for bit the same, and ``f`` likewise receives a copy of each vertex.
+    Nocedal & Wright, *Numerical Optimization*, ch. 10.  ``residual(x)``
+    returns a vector, or None where x cannot be evaluated.  Each step
+    solves (J^T J + mu D) d = -J^T r in the least-squares sense, with
+    Marquardt's scaling D = diag(J^T J) and the forward-difference Jacobian
+    J, rebuilt after every accepted step.  A step is accepted only if its
+    point evaluates, stays in the box |x_k| <= bound and lowers |r|^2; then
+    mu falls tenfold, and otherwise it grows tenfold.  The descent stops
+    when |r|^2 < ``_VAR_FLOOR``, a step is below ``_STEP_FLOOR`` in every
+    coordinate, mu exceeds ``_MU_MAX``, after ``max_iter`` steps, or once
+    |r|^2 < ``var_tol`` at a step that does not halve it: converged, the
+    descent has met the rounding noise of the residual.  Returns (x, r, steps).
     """
-    sim = np.array(simplex, dtype=float)
-    n = sim.shape[1]
-    fsim = np.full(n + 1, np.inf)
-    for k in range(n + 1):
-        fsim[k] = f(np.copy(sim[k]))
-    # Two sorts here, then one per iteration: on tied values each sort may
-    # reorder the tie, so the sequence of sorts fixes which vertex leads.
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    iterations = 1
-    while iterations < max_iter:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-        ):
+    mu, steps, jac = _MU_START, 0, None
+    while steps < max_iter and r @ r >= _VAR_FLOOR and mu <= _MU_MAX:
+        if jac is None:
+            # A probe that cannot be evaluated leaves its column zero.
+            probes = [residual(x + e) for e in _FD_STEP * np.eye(x.size)]
+            jac = np.stack(
+                [np.zeros_like(r) if p is None else (p - r) / _FD_STEP for p in probes], axis=1
+            )
+        steps += 1
+        damping = np.sqrt(mu * np.sum(jac * jac, axis=0))
+        d = np.linalg.lstsq(
+            np.vstack([jac, np.diag(damping)]), np.concatenate([-r, np.zeros(x.size)]),
+            rcond=None,
+        )[0]
+        if np.max(np.abs(d)) < _STEP_FLOOR:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - 1 * sim[-1]
-        fxr = f(np.copy(xr))
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(np.copy(xe))
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+        trial, before = x + d, r @ r
+        rt = residual(trial) if np.max(np.abs(trial)) <= bound else None
+        if rt is not None and rt @ rt < before:
+            x, r, mu, jac = trial, rt, mu / 10.0, None
         else:
-            if fxr < fsim[-1]:
-                x_in = 1.5 * xbar - 0.5 * sim[-1]
-                f_in = f(np.copy(x_in))
-                accept = f_in <= fxr
-            else:
-                x_in = 0.5 * xbar + 0.5 * sim[-1]
-                f_in = f(np.copy(x_in))
-                accept = f_in < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = x_in, f_in
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(np.copy(sim[j]))
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], iterations
+            mu *= 10.0
+        if before < var_tol and r @ r > 0.5 * before:
+            break
+    return x, r, steps
 
 
 def _minimize_one(obj, x0, config):
-    """Simplex descent with restarts; returns (x, per-evaluation trace, iterations)."""
+    """Levenberg-Marquardt rounds from the first admissible halving of x0.
+
+    Returns (x, per-evaluation trace, steps, halvings).  Every evaluation,
+    Jacobian probes included, goes through ``obj.diagnostics`` and leaves
+    one trace row.  Each of the ``n_restarts`` further rounds starts again
+    from the end point with a fresh Jacobian and damping.
+    """
     trace = []
 
-    def wrapped(x):
+    def residual(x):
         d = obj.diagnostics(x)
         trace.append(
-            (
-                len(trace),
-                d["objective"],
-                d.get("variance", np.inf),
-                d.get("mean_keta", np.nan),
-                d.get("min_detA", np.nan),
-            )
+            (len(trace), d["objective"], d["variance"], d.get("mean_keta", np.nan),
+             d.get("min_detA", np.nan))
         )
-        return d["objective"]
+        return obj.residual
 
-    x = np.asarray(x0, dtype=float)
-    step = 0.02
-    total_iters = 0
+    # The round sphere, x = 0, is admissible, and so is a neighbourhood of it.
+    x, halvings = np.asarray(x0, dtype=float), 0
+    while (r := residual(x)) is None:
+        x, halvings = 0.5 * x, halvings + 1
+    steps = 0
     for _ in range(config.n_restarts + 1):
-        simplex = np.vstack([x] + [x + step * e for e in np.eye(x.size)])
-        x, iters = _nelder_mead(wrapped, simplex, config.max_iter, xatol=1e-6, fatol=1e-12)
-        total_iters += iters
-        step *= 0.1
-    return x, trace, total_iters
+        x, r, k = _levenberg_marquardt(residual, x, r, config.max_iter,
+                                       config.amplitude_bound, config.var_tol)
+        steps += k
+    return x, trace, steps, halvings
 
 
 def search(config):
@@ -326,9 +311,10 @@ def search(config):
 
     Start points are drawn from a seeded generator, so the whole run
     (including the per-evaluation trace) is reproducible bit for bit.
-    The simplex steers by the closed-form objective; each start's reported
-    fields and every candidate re-check come from the ``JetFrame`` oracle,
-    and ``oracle_diff`` records how far the two routes part at the minimizer.
+    Levenberg-Marquardt steers by the closed-form objective; each start's
+    reported fields and every candidate re-check come from the ``JetFrame``
+    oracle, and ``oracle_diff`` records how far the two routes part at the
+    minimizer.
     Converged minimizers are classified as umbilical when the low gap is
     tiny; a small-variance minimizer with a decisively non-umbilical gap is
     a candidate and must survive re-verification on a doubled grid or it is
@@ -346,7 +332,7 @@ def search(config):
     trace_rows = []
     candidates = []
     for s in range(config.n_starts):
-        x, trace, iters = _minimize_one(obj, starts[s], config)
+        x, trace, iters, halvings = _minimize_one(obj, starts[s], config)
         for row in trace:
             trace_rows.append((s,) + row)
         d = obj.frame_diagnostics(x)
@@ -389,6 +375,7 @@ def search(config):
                 min_detA=float(d.get("min_detA", np.nan)),
                 iterations=iters,
                 evaluations=len(trace),
+                start_halvings=halvings,
                 converged_variance=bool(converged),
                 classification=classification,
                 oracle_diff=_oracle_difference(obj.diagnostics(x), d),

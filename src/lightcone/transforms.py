@@ -143,7 +143,7 @@ def expand(patch, sigma):
 #: (jets valid through order two on a jet base) and ``A``; ``K``, ``detII``,
 #: ``detA`` = det II' / det g', and the gradient of s, ``grad``, with squared
 #: norm ``grad2``.  All but II are values, or floats where the base makes
-#: them constant.
+#: them constant.  ``A`` is None when the base carries no shape operator.
 Expanded = namedtuple("Expanded", "g II A K detII detA grad grad2")
 
 
@@ -154,6 +154,8 @@ def expansion_law(base, s):
       * II' = II + ds (x) ds - |grad s|^2/2 g - Hess s
       * A' = e^{-2s} (A + Hess-op + |grad s|^2/2 I - ds (.) grad s)
       * K' = (K - Lap s) e^{-2s}, Lap s the trace of Hess-op.
+
+    A base whose ``A`` is None yields no A'.
 
     II' and its terms are formed entry by entry (a symmetric one indexed by
     a + b), as jets on a jet base truncated at order two, all that Brioschi's
@@ -179,7 +181,7 @@ def expansion_law(base, s):
     e2, conformal = np.exp(-2.0 * s.value), np.exp(2.0 * s.value)
     gi, h, ds, grad, half, grad2 = map(_values, (base.gi, hess, ds, grad, half, grad2))
     hop = [[gi[c][0] * h[a] + gi[c][1] * h[1 + a] for a in (0, 1)] for c in (0, 1)]
-    A = [
+    A = None if base.A is None else [
         [e2 * (base.A[c][a] + hop[c][a] + half * float(c == a) - ds[a] * grad[c]) for a in (0, 1)]
         for c in (0, 1)
     ]

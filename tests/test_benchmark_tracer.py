@@ -7,7 +7,7 @@ renamed entry point would otherwise surface only in a traced benchmark pass.
 import importlib.util
 from pathlib import Path
 
-from lightcone import integrals, jets, surfaces, transforms
+from lightcone import integrals, jets, search, surfaces, transforms
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -23,7 +23,8 @@ def _entry_points():
     return (jets.Jet2.__dict__["__mul__"], surfaces.JetFrame.__dict__["__init__"],
             surfaces.umbilic_point_search,
             transforms.verify_conjugate_duality, transforms.double_conjugate_residual,
-            transforms.verify_expansion_laws, integrals.geometry_table)
+            transforms.verify_expansion_laws, integrals.geometry_table,
+            search.VarianceObjective.__dict__["diagnostics"])
 
 
 def test_tracer_installs_and_uninstalls():

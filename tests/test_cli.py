@@ -193,6 +193,41 @@ def test_radius_with_overflowing_square_rejected(tmp_path, capsys, command):
     assert len(lines) == 1 and "with a finite square" in lines[0], lines
 
 
+@pytest.mark.parametrize("u0", ["-1e200", "-inf", "1e300"])
+def test_huge_observer_rejected_without_a_warning(capsys, u0):
+    # <u, u> would overflow; the observer is rejected before it is formed.
+    argv = ["verify", "round-sphere", "--u", u0, "0", "0", "0", "--grid", "4x8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and "u must satisfy <u,u> = -1" in lines[0], lines
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify", "round-sphere", "--grid", "100000x100000"], EXIT_DEGENERATE),
+     (["search", "--config", "{cfg}"], EXIT_BAD_CONFIG)],
+    ids=["verify_grid", "search_config"],
+)
+def test_out_of_memory_is_bad_input(tmp_path, capsys, monkeypatch, argv, code):
+    # No real allocation: the command itself raises what numpy raises for
+    # an array too large for memory.
+    def too_large(args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+    monkeypatch.setattr(cli, "cmd_verify", too_large)
+    monkeypatch.setattr(cli, "cmd_search", too_large)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    assert main([a.format(cfg=cfg) for a in argv]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("out of memory: Unable to allocate"), lines
+
+
 def test_nan_observer_rejected(capsys):
     argv = ["verify", "round-sphere", "--u", "nan", "nan", "nan", "nan", "--grid", "4x8"]
     assert main(argv) == EXIT_DEGENERATE
