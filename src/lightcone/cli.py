@@ -28,46 +28,61 @@ EXIT_CHECK_FAILED = 2
 EXIT_DEGENERATE = 3
 EXIT_BAD_CONFIG = 4
 
-#: Tolerance of each check, pinned; every manifest entry records its own.
-TOLS = {
-    "on_cone": 1e-9,
-    "normal_constraints": 1e-10,
-    "position_weingarten": 1e-10,
-    "weingarten_agreement": 1e-8,
-    "normal_parallel": 1e-9,
-    "second_form_symmetry": 1e-12,
-    "shape_self_adjoint": 1e-10,
-    "curvature_trace": 1e-8,
-    "second_form_inner": 1e-9,
-    "gap_floor": 1e-9,
-    "gap_match": 1e-8,
-    "codazzi": 1e-7,
-    "curvature_relation": 1e-6,
-    "trace_gradient": 1e-7,
-    "lowered_symmetry": 1e-8,
-    "conjugate_weingarten": 1e-7,
-    "conjugate_second_form": 1e-7,
-    "conjugate_curvature": 1e-7,
-    "double_conjugate": 1e-9,
-    "third_form": 1e-8,
-    "expansion_weingarten": 1e-7,
-    "expansion_second_form": 1e-7,
-    "expansion_curvature": 1e-7,
-    "expansion_trace": 1e-8,
-    "expansion_normal": 1e-7,
-    "expansion_pairing": 1e-9,
-    "expansion_metric": 1e-9,
-    "gauss_maps": 1e-10,
-    "round_keta": 1e-8,
-    "umbilic_point": 1e-6,
-    "gauss_bonnet_induced": 1e-6,
-    "gauss_bonnet_second": 1e-5,
-    "second_form_area": 1e-6,
-    "round_second_form_area": 1e-6,
-    "lambda1_slack": 5e-2,
-    "round_lambda1": 2e-2,
-    "curvature_floor": 1e-6,
-    "table_oracle": 1e-9,
+#: Every ``verify`` and ``global`` check in manifest order: name -> (pinned
+#: tolerance, group).  The groups ``frame``, ``definite``, ``conjugate`` and
+#: ``expansion`` are computed by one function each; ``verify`` and ``global``
+#: rows are recorded one by one in ``_verify_checks`` and ``cmd_global``.
+CHECKS = {
+    # The structure equations through the lightcone: psi null, eta the parallel
+    # lightlike normal with <eta, psi> = 1, Weingarten, Codazzi, K = <H, H>, K^2 >= 4 det A.
+    "on_cone": (1e-9, "frame"),
+    "normal_constraints": (1e-10, "frame"),
+    "position_weingarten": (1e-10, "frame"),
+    "weingarten_agreement": (1e-8, "frame"),
+    "normal_parallel": (1e-9, "frame"),
+    "second_form_symmetry": (1e-12, "frame"),
+    "shape_self_adjoint": (1e-10, "frame"),
+    "curvature_trace": (1e-8, "frame"),
+    "second_form_inner": (1e-9, "frame"),
+    "gap_floor": (1e-9, "frame"),
+    "gap_match": (1e-8, "frame"),
+    "codazzi": (1e-7, "frame"),
+    # The standing hypothesis: the eta-shape operator is nondegenerate.
+    "nondegeneracy": (curvature.DEGENERACY_FLOOR, "verify"),
+    # The new formula relating K and K_eta, where II is definite.
+    "curvature_relation": (1e-6, "definite"),
+    "trace_gradient": (1e-7, "definite"),
+    "lowered_symmetry": (1e-8, "definite"),
+    # K_eta = 2 on round spheres, which the paper characterizes by it.
+    "round_keta": (1e-8, "verify"),
+    # The conjugate surface, traced by eta: A~ = A^-1, II~ = II, K~ = K / det A.
+    "conjugate_weingarten": (1e-7, "conjugate"),
+    "conjugate_second_form": (1e-7, "conjugate"),
+    "conjugate_curvature": (1e-7, "conjugate"),
+    "third_form": (1e-8, "conjugate"),
+    "double_conjugate": (1e-9, "conjugate"),
+    # The transformation laws of a conformal expansion e^sigma psi.
+    "expansion_weingarten": (1e-7, "expansion"),
+    "expansion_second_form": (1e-7, "expansion"),
+    "expansion_curvature": (1e-7, "expansion"),
+    "expansion_trace": (1e-8, "expansion"),
+    "expansion_normal": (1e-7, "expansion"),
+    "expansion_pairing": (1e-9, "expansion"),
+    "expansion_metric": (1e-9, "expansion"),
+    # Both Gauss maps land on the unit sphere; a closed surface has an umbilic point.
+    "gauss_maps": (1e-10, "verify"),
+    "umbilic_point": (1e-6, "verify"),
+    # Gauss-Bonnet for g and II, the II-area bound 2 pi (equality iff round),
+    # K_eta >= 2 at the maximizer of det A, and the Reilly-type bound on lambda1.
+    "table_oracle": (1e-9, "global"),
+    "gauss_bonnet_induced": (1e-6, "global"),
+    "gauss_bonnet_second": (1e-5, "global"),
+    "second_form_area_bound": (1e-6, "global"),
+    "round_second_form_area": (1e-6, "global"),
+    "curvature_floor": (1e-6, "global"),
+    "eigenvalue_bound": (5e-2, "global"),
+    "lambda1_oracle": (1.0, "global"),
+    "round_lambda1": (2e-2, "global"),
 }
 #: What the ``table_oracle`` check of ``global`` and ``export`` compares.
 _ORACLE_DETAIL = "expansion-law table against geometry_table on {}x{}".format(*TABLE_ORACLE_GRID)
@@ -87,9 +102,12 @@ class Manifest:
     def add(self, name, residual=None, tolerance=None, status=None, detail=""):
         """Record a check; without an explicit status, the residual decides.
 
-        A residual passes when it is finite and within the tolerance in
-        absolute value, so NaN and inf always fail.
+        A residual without a tolerance is judged against its row in ``CHECKS``.
+        It passes when it is finite and within the tolerance in absolute
+        value, so NaN and inf always fail.
         """
+        if residual is not None and tolerance is None:
+            tolerance = CHECKS[name][0]
         if status is None:
             ok = np.isfinite(residual) and abs(residual) <= tolerance
             status = "PASS" if ok else "FAIL"
@@ -242,8 +260,8 @@ def _build_surface(args):
 
 # -- verify ------------------------------------------------------------------
 #
-# Checks that share a gate form a group: a tuple of check names (each also
-# a tolerance key) and one function returning the residuals in that order.
+# Checks that share a gate form a group: the rows of CHECKS that name it,
+# and one function returning their residuals keyed by check name.
 
 
 def _verify_points(patch, grid, seed):
@@ -253,21 +271,15 @@ def _verify_points(patch, grid, seed):
     return np.concatenate([u, ur]), np.concatenate([v, vr])
 
 
-def _check_group(manifest, names, residuals, skip_reason=None):
-    """Add one check per name from residuals(), or skip them all with the reason."""
+def _check_group(manifest, group, residuals, skip_reason=None):
+    """Add each check of residuals(), or skip the group's checks with the reason."""
     if skip_reason:
-        for name in names:
-            manifest.skip(name, skip_reason)
+        for name, (_, in_group) in CHECKS.items():
+            if in_group == group:
+                manifest.skip(name, skip_reason)
         return
-    for name, res in zip(names, residuals(), strict=True):
-        manifest.add(name, res, TOLS[name])
-
-
-FRAME_CHECKS = (
-    "on_cone", "normal_constraints", "position_weingarten", "weingarten_agreement",
-    "normal_parallel", "second_form_symmetry", "shape_self_adjoint", "curvature_trace",
-    "second_form_inner", "gap_floor", "gap_match", "codazzi",
-)
+    for name, res in residuals().items():
+        manifest.add(name, res)
 
 
 def _frame_residuals(frame):
@@ -275,80 +287,53 @@ def _frame_residuals(frame):
     II = frame.II_val
     g, A = frame.g_val, frame.A_val
     gA = sum(g[..., :, c, None] * A[..., None, c, :] for c in range(2))
-    return (
-        np.max(np.abs(inner(psi, psi))),
-        _worst(
+    return {
+        "on_cone": np.max(np.abs(inner(psi, psi))),
+        "normal_constraints": _worst(
             np.max(np.abs(inner(eta, eta))),
             np.max(np.abs(inner(eta, psi) - 1.0)),
             np.max(np.abs(inner(eta, frame.psi_u.values))),
             np.max(np.abs(inner(eta, frame.psi_v.values))),
         ),
-        np.max(frame.position_weingarten_residual()),
-        np.max(np.abs(frame.weingarten_closed_form() - frame.A_val)),
-        np.max(frame.normal_parallel_residual()),
-        np.max(np.abs(II[..., 0, 1] - II[..., 1, 0])),
-        np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])),
-        _worst(
+        "position_weingarten": np.max(frame.position_weingarten_residual()),
+        "weingarten_agreement": np.max(np.abs(frame.weingarten_closed_form() - frame.A_val)),
+        "normal_parallel": np.max(frame.normal_parallel_residual()),
+        "second_form_symmetry": np.max(np.abs(II[..., 0, 1] - II[..., 1, 0])),
+        "shape_self_adjoint": np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])),
+        "curvature_trace": _worst(
             np.max(np.abs(frame.K_brioschi - frame.K_val)),
             np.max(np.abs(frame.H2_val - frame.K_val)),
         ),
-        np.max(frame.second_form_inner_residual()),
-        _excess(_worst(-np.min(frame.gap_low), -np.min(frame.gap_high))),
-        np.max(np.abs(frame.gap_low - frame.gap_high)),
-        np.max(curvature.codazzi_residual(frame)),
-    )
-
-
-DEFINITE_CHECKS = ("curvature_relation", "trace_gradient", "lowered_symmetry")
+        "second_form_inner": np.max(frame.second_form_inner_residual()),
+        "gap_floor": _excess(_worst(-np.min(frame.gap_low), -np.min(frame.gap_high))),
+        "gap_match": np.max(np.abs(frame.gap_low - frame.gap_high)),
+        "codazzi": np.max(curvature.codazzi_residual(frame)),
+    }
 
 
 def _definite_residuals(frame):
     rel = curvature.curvature_relation(frame)
     grad = curvature.trace_gradient_residual(frame)
     low = curvature.lowered_difference(frame)
-    return (
-        np.max(rel["residual"]),
-        np.max(grad),
-        _worst(
+    return {
+        "curvature_relation": np.max(rel["residual"]),
+        "trace_gradient": np.max(grad),
+        "lowered_symmetry": _worst(
             np.max(np.abs(low - np.swapaxes(low, -3, -2))),
             np.max(np.abs(low - np.swapaxes(low, -2, -1))),
         ),
-    )
-
-
-#: Check name -> key of the identity in transforms.verify_conjugate_duality.
-CONJUGATE_CHECKS = {
-    "conjugate_weingarten": "weingarten_inverse",
-    "conjugate_second_form": "second_form_match",
-    "conjugate_curvature": "curvature_ratio",
-    "third_form": "third_form_match",
-    "double_conjugate": "double_conjugate",
-}
+    }
 
 
 def _conjugate_residuals(patch, grid):
-    dual = transforms.verify_conjugate_duality(JetFrame(patch, *patch.grid_points(grid)))
-    return [dual[key] for key in CONJUGATE_CHECKS.values()]
-
-
-#: Check name -> key of the law in transforms.verify_expansion_laws.
-EXPANSION_LAWS = {
-    "expansion_weingarten": "weingarten",
-    "expansion_second_form": "second_form",
-    "expansion_curvature": "curvature",
-    "expansion_trace": "trace_consistency",
-    "expansion_normal": "normal",
-    "expansion_pairing": "pairing",
-    "expansion_metric": "metric",
-}
+    return transforms.verify_conjugate_duality(JetFrame(patch, *patch.grid_points(grid)))
 
 
 def _expansion_residuals(patch, seed):
     sigma = catalog.HarmonicSpec(terms=((1, 1, 0.02), (2, -1, 0.015))).chart_field()
     rng = np.random.default_rng(seed)
     frame = JetFrame(patch, *patch.sample_points(100, rng, margin=0.05))
-    laws = transforms.verify_expansion_laws(frame, sigma)
-    return [laws[key] for key in EXPANSION_LAWS.values()]
+    return transforms.verify_expansion_laws(frame, sigma)
 
 
 def cmd_verify(args):
@@ -376,7 +361,7 @@ def _verify_checks(manifest, args):
     frame = JetFrame(patch, u, v)
     gf, gp = gauss_maps(frame)
 
-    _check_group(manifest, FRAME_CHECKS, lambda: _frame_residuals(frame))
+    _check_group(manifest, "frame", lambda: _frame_residuals(frame))
 
     min_abs_d = float(np.min(np.abs(frame.detA_val)))
     nondegenerate = min_abs_d > curvature.DEGENERACY_FLOOR
@@ -386,36 +371,28 @@ def _verify_checks(manifest, args):
     )
     manifest.add(
         "nondegeneracy",
+        min_abs_d,
         status="PASS" if nondegenerate else "SKIP",
-        residual=min_abs_d,
-        tolerance=curvature.DEGENERACY_FLOOR,
         detail=why_degenerate or "nondegenerate",
     )
 
-    _check_group(
-        manifest, DEFINITE_CHECKS, lambda: _definite_residuals(frame), why_not_definite
-    )
+    _check_group(manifest, "definite", lambda: _definite_residuals(frame), why_not_definite)
     if why_not_definite is None and args.surface == "round-sphere":
-        manifest.add("round_keta", np.max(np.abs(frame.K_eta - 2.0)), TOLS["round_keta"])
+        manifest.add("round_keta", np.max(np.abs(frame.K_eta - 2.0)))
 
     sub = (max(4, args.grid[0] // 4), max(8, args.grid[1] // 4))
-    _check_group(
-        manifest, CONJUGATE_CHECKS, lambda: _conjugate_residuals(patch, sub),
-        why_degenerate,
-    )
-    _check_group(
-        manifest, EXPANSION_LAWS, lambda: _expansion_residuals(patch, args.seed)
-    )
+    _check_group(manifest, "conjugate", lambda: _conjugate_residuals(patch, sub), why_degenerate)
+    _check_group(manifest, "expansion", lambda: _expansion_residuals(patch, args.seed))
 
     gm = _worst(
         np.max(np.abs(np.linalg.norm(gf[..., 1:], axis=-1) - 1.0)),
         np.max(np.abs(np.linalg.norm(gp[..., 1:], axis=-1) - 1.0)),
     )
-    manifest.add("gauss_maps", gm, TOLS["gauss_maps"])
+    manifest.add("gauss_maps", gm)
 
     if patch.closed:
         _, _, glow, ghigh = umbilic_point_search(patch)
-        manifest.add("umbilic_point", _worst(glow, ghigh), TOLS["umbilic_point"])
+        manifest.add("umbilic_point", _worst(glow, ghigh))
     else:
         manifest.skip("umbilic_point", "not a closed surface")
     return patch
@@ -442,33 +419,28 @@ def cmd_global(args):
         return EXIT_DEGENERATE
 
     if oracle_gap is not None:
-        manifest.add("table_oracle", oracle_gap, TOLS["table_oracle"], detail=_ORACLE_DETAIL)
-    manifest.add("gauss_bonnet_induced", gb - 4.0 * np.pi, TOLS["gauss_bonnet_induced"])
-    manifest.add("gauss_bonnet_second", gb2 - 4.0 * np.pi, TOLS["gauss_bonnet_second"])
+        manifest.add("table_oracle", oracle_gap, detail=_ORACLE_DETAIL)
+    manifest.add("gauss_bonnet_induced", gb - 4.0 * np.pi)
+    manifest.add("gauss_bonnet_second", gb2 - 4.0 * np.pi)
     manifest.add(
         "second_form_area_bound",
         _excess(ii_area - 2.0 * np.pi),
-        TOLS["second_form_area"],
         detail=f"area {ii_area:.9f} vs 2 pi (equality iff umbilical)",
     )
     if args.surface == "round-sphere":
-        manifest.add(
-            "round_second_form_area",
-            ii_area - 2.0 * np.pi,
-            TOLS["round_second_form_area"],
-        )
+        manifest.add("round_second_form_area", ii_area - 2.0 * np.pi)
     slack = np.min((floor["keta_slack"], floor["floor_slack"]))  # NaN stays NaN
+    floor_tol = -CHECKS["curvature_floor"][0]
     manifest.add(
         "curvature_floor",
         slack,
-        -TOLS["curvature_floor"],
-        status="PASS" if slack >= -TOLS["curvature_floor"] else "FAIL",
+        floor_tol,
+        status="PASS" if slack >= floor_tol else "FAIL",
         detail=f"ratio {floor['ratio']:.6f} at theta={floor['point'][0]:.3f} on {floor['chart']}",
     )
     manifest.add(
         "eigenvalue_bound",
         _excess((lam.value - lam.reilly_rhs) / lam.reilly_rhs),
-        TOLS["lambda1_slack"],
         detail=f"lambda1 {lam.value:.6f} vs bound {lam.reilly_rhs:.6f}",
     )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -477,7 +449,6 @@ def cmd_global(args):
     manifest.add(
         "lambda1_oracle",
         oracle_ratio,
-        spectrum.LAMBDA1_ORACLE_TOL,
         detail=(
             f"|lambda1 - cotangent {nt}x{np_} "
             f"{lam.oracle:.6f}| in units of its refinement gap {lam.oracle_gap:.3e}"
@@ -485,11 +456,7 @@ def cmd_global(args):
     )
     if args.surface == "round-sphere":
         expected = 2.0 / args.r**2
-        manifest.add(
-            "round_lambda1",
-            abs(lam.value - expected) / expected,
-            TOLS["round_lambda1"],
-        )
+        manifest.add("round_lambda1", abs(lam.value - expected) / expected)
     manifest.extra["report"] = {
         "surface": patch.name,
         "n_theta": grid.n_theta,
@@ -606,9 +573,10 @@ def cmd_export(args):
     except LightconeError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    if gap is not None and not gap <= TOLS["table_oracle"]:
+    tol = CHECKS["table_oracle"][0]
+    if gap is not None and not gap <= tol:
         print(
-            f"table_oracle FAIL: gap {gap:.3e} above {TOLS['table_oracle']:.1e} "
+            f"table_oracle FAIL: gap {gap:.3e} above {tol:.1e} "
             f"({_ORACLE_DETAIL}); no table written",
             file=sys.stderr,
         )

@@ -42,8 +42,6 @@ _BLOCK = 2048
 ORACLE_GRIDS = ((32, 64), (16, 32))
 #: Eigenpairs the cotangent oracle asks ARPACK for.
 _ORACLE_K = 6
-#: Largest |lambda1 - oracle| in units of the oracle's refinement gap.
-LAMBDA1_ORACLE_TOL = 1.0
 
 
 def _mesh(patch, nt, np_):

@@ -95,21 +95,21 @@ def verify_conjugate_duality(frame):
     """Sup residuals of the conjugate-duality identities at the frame's points.
 
     Raises DegeneracyViolation where the frame's shape operator degenerates.
-    Returns a dict with:
-      * ``weingarten_inverse``: sup || A~ . A - I ||
-      * ``second_form_match``:  sup || II~ - II ||
-      * ``curvature_ratio``:    sup | K~ - K / det A |
-      * ``third_form_match``:   sup || first form of conjugate - <A^2 ., .> ||
-      * ``double_conjugate``:   ``double_conjugate_residual`` of the two frames
+    Returns a dict keyed by the ``verify`` check names:
+      * ``conjugate_weingarten``:  sup || A~ . A - I ||
+      * ``conjugate_second_form``: sup || II~ - II ||
+      * ``conjugate_curvature``:   sup | K~ - K / det A |
+      * ``third_form``:            sup || first form of conjugate - <A^2 ., .> ||
+      * ``double_conjugate``:      ``double_conjugate_residual`` of the two frames
     """
     _require_immersion(frame)
     conj = JetFrame(_conjugate_patch(frame.patch), frame.u, frame.v)
     prod = np.einsum("...cd,...da->...ca", conj.A_val, frame.A_val)
     return {
-        "weingarten_inverse": float(np.max(np.abs(prod - np.eye(2)))),
-        "second_form_match": float(np.max(np.abs(conj.II_val - frame.II_val))),
-        "curvature_ratio": float(np.max(np.abs(conj.K_val - frame.K_val / frame.detA_val))),
-        "third_form_match": float(np.max(np.abs(conj.g_val - third_fundamental_form(frame)))),
+        "conjugate_weingarten": float(np.max(np.abs(prod - np.eye(2)))),
+        "conjugate_second_form": float(np.max(np.abs(conj.II_val - frame.II_val))),
+        "conjugate_curvature": float(np.max(np.abs(conj.K_val - frame.K_val / frame.detA_val))),
+        "third_form": float(np.max(np.abs(conj.g_val - third_fundamental_form(frame)))),
         "double_conjugate": double_conjugate_residual(frame, conj),
     }
 
@@ -221,10 +221,15 @@ def verify_expansion_laws(frame, sigma):
     """Residuals of the conformal transformation laws at the frame's points.
 
     Compares the directly computed geometry of the expanded surface with
-    the prediction of ``expansion_law`` from the frame's own geometry, and
-    the expanded normal with eta' = e^{-s} (eta - |grad s|^2/2 psi - grad s),
-    whose pairing with the expanded chart, <psi', e^{-s} eta>, is one; and
-    minus the trace of the predicted A' with the predicted K'.
+    the prediction of ``expansion_law`` from the frame's own geometry.
+    Returns a dict keyed by the ``verify`` check names:
+      * ``expansion_weingarten``:  sup || A' - predicted A' ||
+      * ``expansion_second_form``: sup || II' - predicted II' ||
+      * ``expansion_curvature``:   sup | K' - predicted K' |
+      * ``expansion_trace``:       sup | tr(predicted A') + predicted K' |
+      * ``expansion_normal``:      sup || eta' - e^{-s} (eta - |grad s|^2/2 psi - grad s) ||
+      * ``expansion_pairing``:     sup | <psi', e^{-s} eta> - 1 |
+      * ``expansion_metric``:      sup || g' - predicted g' ||
     """
     f = frame
     s = sigma(Jet2.variable("u", f.u), Jet2.variable("v", f.v))
@@ -235,11 +240,11 @@ def verify_expansion_laws(frame, sigma):
     tang = grad[0][..., None] * f.psi_u.values + grad[1][..., None] * f.psi_v.values
     pred_eta = e1 * (f.eta_val - 0.5 * law.grad2[..., None] * f.psi_val - tang)
     return {
-        "weingarten": float(np.max(np.abs(fe.A_val - pred_A))),
-        "second_form": float(np.max(np.abs(fe.II_val - _stack(law.II)))),
-        "curvature": float(np.max(np.abs(fe.K_val - law.K))),
-        "trace_consistency": float(np.max(np.abs(-np.einsum("...aa->...", pred_A) - law.K))),
-        "normal": float(np.max(np.abs(fe.eta_val - pred_eta))),
-        "pairing": float(np.max(np.abs(mink_inner(fe.psi_val, e1 * f.eta_val) - 1.0))),
-        "metric": float(np.max(np.abs(fe.g_val - _stack(law.g)))),
+        "expansion_weingarten": float(np.max(np.abs(fe.A_val - pred_A))),
+        "expansion_second_form": float(np.max(np.abs(fe.II_val - _stack(law.II)))),
+        "expansion_curvature": float(np.max(np.abs(fe.K_val - law.K))),
+        "expansion_trace": float(np.max(np.abs(-np.einsum("...aa->...", pred_A) - law.K))),
+        "expansion_normal": float(np.max(np.abs(fe.eta_val - pred_eta))),
+        "expansion_pairing": float(np.max(np.abs(mink_inner(fe.psi_val, e1 * f.eta_val) - 1.0))),
+        "expansion_metric": float(np.max(np.abs(fe.g_val - _stack(law.g)))),
     }

@@ -113,9 +113,9 @@ def test_criterion_4_conjugate_duality():
     for _ in range(3):
         patch, _ = random_perturbed_sphere(rng, total_amplitude=0.04)
         res = verify_conjugate_duality(JetFrame(patch, *patch.grid_points((20, 40))))
-        worst_r1 = max(worst_r1, res["weingarten_inverse"])
-        worst_r2 = max(worst_r2, res["second_form_match"])
-        worst_ratio = max(worst_ratio, res["curvature_ratio"])
+        worst_r1 = max(worst_r1, res["conjugate_weingarten"])
+        worst_r2 = max(worst_r2, res["conjugate_second_form"])
+        worst_ratio = max(worst_ratio, res["conjugate_curvature"])
         coarse = JetFrame(patch, *patch.grid_points((10, 20)))
         worst_double = max(worst_double, verify_conjugate_duality(coarse)["double_conjugate"])
     elapsed = time.perf_counter() - t0
@@ -145,7 +145,7 @@ def test_criterion_5_expansion_laws():
         patch = base if k % 2 == 0 else bumpy
         pts = patch.sample_points(60, rng, margin=0.04)
         laws = verify_expansion_laws(JetFrame(patch, *pts), sigma)
-        worst = max(worst, laws["weingarten"], laws["second_form"], laws["curvature"])
+        worst = max(worst, laws["expansion_weingarten"], laws["expansion_second_form"], laws["expansion_curvature"])
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-7
     _report(5, ok, f"max expansion-law residual={worst:.1e} over 10 random sigma", 60.0, elapsed)

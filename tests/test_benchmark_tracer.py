@@ -8,6 +8,7 @@ import importlib.util
 from pathlib import Path
 
 from lightcone import integrals, jets, search, surfaces, transforms
+from lightcone.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -36,3 +37,21 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert _entry_points() == originals
+
+
+def test_tracer_reaches_every_check_layer():
+    # The check groups call curvature.* and transforms.* through the module at
+    # call time, so the tracer's wrappers see each layer that verify and
+    # global run.
+    tracer = _tracing_module().Tracer(capacity=1 << 20)
+    try:
+        tracer.install()
+        assert main(["verify", "round-sphere", "--grid", "8x16"]) == 0
+        assert main(["global", "round-sphere", "--grid", "16x32"]) == 0
+    finally:
+        tracer.uninstall()
+    layers = [name for name in tracer.names
+              if name.split(".")[0] in ("curvature", "transforms")]
+    layers += ["surfaces.umbilic_point_search", "integrals.geometry_table",
+               "spectrum.lambda1_estimate"]
+    assert [name for name in layers if tracer.calls[name] == 0] == []

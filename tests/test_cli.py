@@ -74,7 +74,7 @@ def test_conjugate_group_builds_three_frames(monkeypatch, bumpy_sphere):
     monkeypatch.setattr(JetFrame, "__init__", counting)
     residuals = cli._conjugate_residuals(bumpy_sphere, (16, 32))
     assert len(calls) == 3, calls
-    assert len(residuals) == len(cli.CONJUGATE_CHECKS)
+    assert list(residuals) == [n for n, (_, g) in cli.CHECKS.items() if g == "conjugate"]
 
 
 def test_verify_perturbed_spec_file(tmp_path):
@@ -92,7 +92,7 @@ def test_verify_perturbed_spec_file(tmp_path):
 
 
 def test_verify_tolerance_override_can_fail(tmp_path, monkeypatch):
-    monkeypatch.setitem(cli.TOLS, "codazzi", 1e-30)
+    monkeypatch.setitem(cli.CHECKS, "codazzi", (1e-30, "frame"))
     out = tmp_path / "m.json"
     rc = main(["verify", "round-sphere", "--grid", "8x16", "--out", str(out)])
     assert rc == EXIT_CHECK_FAILED
