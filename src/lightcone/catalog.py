@@ -82,9 +82,12 @@ def round_sphere(u=None, r=1.0):
     """The round sphere cut out by an observer u at radius r.
 
     The chart is (theta, phi) -> B (r, r w(theta, phi)) with B the boost
-    taking (-1, 0, 0, 0) to u, so <u, psi> = r holds identically.
+    taking (-1, 0, 0, 0) to u, so <u, psi> = r holds identically.  A
+    given observer is part of the name.
     """
-    return _sphere_patch(f"round-sphere(r={r:g})", _round_embedding(r, u))
+    embed = _round_embedding(r, u)
+    obs = "" if u is None else ", u=(" + ", ".join(f"{c:g}" for c in np.asarray(u, float)) + ")"
+    return _sphere_patch(f"round-sphere(r={r:g}{obs})", embed)
 
 
 def round_geometry(tj, r):

@@ -660,7 +660,7 @@ def build_parser():
         "verify",
         help="run the pointwise identity suite",
         description="Pointwise identity suite; nested transform checks run on "
-        "a quarter-resolution subgrid.",
+        "a quarter-resolution subgrid, the expansion-law checks on 100 random points.",
         **fmt,
     )
     add_surface_args(p_verify)

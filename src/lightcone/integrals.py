@@ -254,15 +254,13 @@ class SphereGrid:
         At the true maximizer the gradient term of the curvature relation
         drops, forcing 2 K_eta >= K^2/det A there; combined with the gap
         inequality the ratio is at least 4.  At a grid node the gradient
-        term is O(h^2), not zero, so ``closed_extremum`` refines the
-        largest det A of a ``FLOOR_GRID`` scan on both charts.  Returns the
+        term is O(h^2), not zero, so ``closed_extremum`` minimizes -det A
+        from a ``FLOOR_GRID`` scan on both charts.  Returns the
         winning chart's name, the point in its coordinates, the ratio and
         the slack of each inequality.
         """
         self.ii_weights  # the non-degeneracy gate
-        frame = closed_extremum(
-            self.patch, lambda f: (f.detA, np.abs(f.detA_val)), FLOOR_GRID, maximize=True
-        )
+        frame = closed_extremum(self.patch, lambda f: (-f.detA, np.abs(f.detA_val)), FLOOR_GRID)
         ratio = float(frame.K_val**2 / frame.detA_val)
         return {
             "chart": frame.patch.name,

@@ -186,9 +186,6 @@ class VarianceObjective:
             "min_detA": min_d,
         }
 
-    def __call__(self, x):
-        return self.diagnostics(x)["objective"]
-
 
 @dataclass
 class StartResult:

@@ -403,8 +403,8 @@ def gauss_maps(frame):
 UMBILIC_GRID = (32, 64)
 
 
-def closed_extremum(patch, field, grid, maximize=False):
-    """Single-point JetFrame at the least (or greatest) point of a field on a closed surface.
+def closed_extremum(patch, field, grid):
+    """Single-point JetFrame at the least point of a field on a closed surface.
 
     ``field(frame)`` returns the field as a jet of valid order 2 or more and
     the scale of its rounding noise per point.  The chart and its
@@ -412,41 +412,42 @@ def closed_extremum(patch, field, grid, maximize=False):
     is invisible to the chart.  On each, one JetFrame over the ``grid``
     nodes gives the field's value, gradient and Hessian, and Newton starts
     from the ``_extreme_nodes`` with those.  A step goes only along the
-    Hessian eigendirections whose eigenvalue has the sign of the extremum
-    beyond 1e-8 of the scale (on round spheres both callers' fields are
-    constant and it is noise below 1e-10), and is kept only if theta stays
-    in (0, pi) and the value does not get worse.  A start stops with no such
-    direction, at a step below 1e-12 or after 8 steps.  The best find wins,
-    in the coordinates of its chart with phi wrapped to [0, 2 pi).
+    Hessian eigendirections whose eigenvalue exceeds 1e-8 of the scale (on
+    round spheres both callers' fields are constant and it is noise below
+    1e-10), and is kept only if theta stays between the first and last
+    scanned row and the gradient norm shrinks.  Each chart is thus searched
+    only where it is regular; the band it drops around its poles lies on
+    its twin's equator.  A start stops when its step is not kept, when it
+    has no such direction, at a step below 1e-12 or after 8 steps.  The
+    least find wins, in the coordinates of its chart with phi wrapped to
+    [0, 2 pi).
     """
-    sign = -1.0 if maximize else 1.0
     best = None
     for chart in filter(None, (patch, patch.rotated)):
         u, v = chart.grid_points(grid)
+        first, last = u[0], u[-1]  # theta of the first and last scanned row
         scan = _field_derivatives(field, JetFrame(chart, u, v))
-        k = _extreme_nodes(chart, u, v, sign * scan[0])
-        value, grad, hess, scale = (a[k] for a in scan)
-        u, v, found, live = u[k], v[k], value, np.arange(k.size)
+        k = _extreme_nodes(chart, u, v, scan[0])
+        found, grad, hess, scale = (a[k] for a in scan)
+        u, v, live = u[k], v[k], np.arange(k.size)
         for _ in range(8):
             lam, vec = np.linalg.eigh(hess)
-            ok = sign * lam > 1e-8 * scale[:, None]
+            ok = lam > 1e-8 * scale[:, None]
             lam = np.where(ok, lam, np.inf)  # no step along the other directions
             step = np.einsum("nab,nb->na", vec, np.einsum("nab,na->nb", vec, grad) / lam)
-            ok = np.any(ok, axis=-1)
-            live, value, step = live[ok], value[ok], step[ok]
             tu, tv = u[live] - step[:, 0], v[live] - step[:, 1]
-            ok = (0.0 < tu) & (tu < np.pi)
+            ok = np.any(ok, axis=-1) & (first <= tu) & (tu <= last)
             if not np.any(ok):
                 break
-            live, value, step, tu, tv = live[ok], value[ok], step[ok], tu[ok], tv[ok]
-            trial, grad, hess, scale = _field_derivatives(field, JetFrame(chart, tu, tv))
-            kept = sign * trial <= sign * value
+            live, grad, step, tu, tv = live[ok], grad[ok], step[ok], tu[ok], tv[ok]
+            trial, new_grad, hess, scale = _field_derivatives(field, JetFrame(chart, tu, tv))
+            kept = np.hypot(*new_grad.T) < np.hypot(*grad.T)
             u[live[kept]], v[live[kept]], found[live[kept]] = tu[kept], tv[kept], trial[kept]
             ok = kept & (np.hypot(step[:, 0], step[:, 1]) >= 1e-12)
-            live, value, grad, hess, scale = live[ok], trial[ok], grad[ok], hess[ok], scale[ok]
-        j = int(np.argmin(sign * found))
-        if best is None or sign * found[j] < best[0]:
-            best = (sign * found[j], chart, float(u[j]), float(v[j] % (2.0 * np.pi)))
+            live, grad, hess, scale = live[ok], new_grad[ok], hess[ok], scale[ok]
+        j = int(np.argmin(found))
+        if best is None or found[j] < best[0]:
+            best = (found[j], chart, float(u[j]), float(v[j] % (2.0 * np.pi)))
     _, chart, u, v = best
     return JetFrame(chart, u, v)
 

@@ -264,6 +264,20 @@ def test_global_round_sphere(tmp_path):
     assert abs(rep["lambda1"] - rep["lambda1_oracle"]) <= rep["lambda1_oracle_gap"]
 
 
+def test_boosted_round_sphere_is_named_apart(tmp_path, capsys):
+    seen = []
+    for extra in ([], ["--u", "-1.25", "0.75", "0", "0"]):
+        out = tmp_path / "g.json"
+        argv = ["global", "round-sphere", "--grid", "8x16", "--out", str(out), *extra]
+        assert main(argv) == EXIT_OK
+        heading = capsys.readouterr().out.splitlines()[0]
+        seen.append((heading, _load_manifest(out)["report"]["surface"]))
+    (plain_heading, plain), (boosted_heading, boosted) = seen
+    assert plain == "round-sphere(r=1)" and plain_heading == f"global {plain} on 8x16"
+    assert boosted == "round-sphere(r=1, u=(-1.25, 0.75, 0, 0))"
+    assert boosted_heading == f"global {boosted} on 8x16"
+
+
 def test_global_nonfinite_residuals_fail(tmp_path, monkeypatch):
     nan = float("nan")
     monkeypatch.setattr(

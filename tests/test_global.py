@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from lightcone.spectrum import (
     lambda1_estimate,
     reilly_bound_rhs,
 )
+from lightcone.surfaces import JetFrame
 
 
 #: Past unit timelike observer at rapidity 0.8, the benchmark's largest.
@@ -98,6 +101,49 @@ def test_curvature_floor_perturbed(bumpy_grid):
     out = bumpy_grid.second_curvature_floor()
     assert out["keta_slack"] >= -1e-6
     assert out["ratio"] >= 4.0 - 1e-6
+
+
+#: A zonal bump with a ring of det A maxima, and the ``perturbed-b`` sphere
+#: that the verify-pointwise benchmark draws at seed 14: Newton once walked
+#: into a chart pole on both and read K_eta there, failing at some radii.
+FLOOR_SPECS = {
+    "l2_ring": ((2, 0, -0.05),),
+    "seed14_b": (
+        (1, 0, -0.01350427416004987),
+        (2, 0, 0.01040938978618106),
+        (3, -2, -0.008904761138454396),
+        (3, 0, 0.007181574915314681),
+    ),
+}
+
+
+@functools.cache
+def _floor(spec, r):
+    patch = catalog.perturbed_sphere(catalog.HarmonicSpec(terms=FLOOR_SPECS[spec]), r=r)
+    return SphereGrid(patch, 16, 32).second_curvature_floor()
+
+
+@pytest.mark.parametrize("r", [0.7, 1.0, 1.1, 2.0])
+@pytest.mark.parametrize("spec", list(FLOOR_SPECS))
+def test_curvature_floor_does_not_depend_on_radius(spec, r):
+    # psi -> c psi scales K by 1/c^2 and det A by 1/c^4 and leaves K_eta as
+    # it is, so neither the ratio K^2 / det A nor the slacks may move with r
+    out, unit = _floor(spec, r), _floor(spec, 1.0)
+    assert out["keta_slack"] >= -1e-6 and out["floor_slack"] >= -1e-6
+    assert out["ratio"] == pytest.approx(unit["ratio"], rel=1e-12, abs=0.0)
+    assert out["keta_slack"] == pytest.approx(unit["keta_slack"], abs=1e-9)
+
+
+def test_curvature_floor_reaches_the_gradient_floor():
+    # a Newton step is kept while |grad det A| shrinks, so the search stops
+    # at rounding, not where the change in det A drops below one ulp
+    patch = catalog.perturbed_sphere(
+        catalog.HarmonicSpec(terms=((2, -2, 0.03), (3, 1, 0.02))), r=1.1
+    )
+    out = SphereGrid(patch, 16, 32).second_curvature_floor()
+    chart = {c.name: c for c in (patch, patch.rotated)}[out["chart"]]
+    frame = JetFrame(chart, *out["point"])
+    assert np.hypot(*frame.detA_grad) < 1e-12 * abs(frame.detA_val)
 
 
 def test_lambda1_round_sphere_all_radii():

@@ -51,7 +51,7 @@ def test_round_sphere_is_global_minimum():
 def test_zonal_bump_has_positive_variance():
     cfg = SearchConfig(**FAST)
     obj = VarianceObjective(cfg)
-    val = obj(HarmonicSpec(terms=((2, 0, 0.05),)).pack(obj.pairs))
+    val = obj.diagnostics(HarmonicSpec(terms=((2, 0, 0.05),)).pack(obj.pairs))["objective"]
     assert val > 1e-6
     # regression band for the frozen configuration
     assert val == pytest.approx(9.11e-5, rel=0.05)

@@ -7,7 +7,7 @@ from lightcone.curvature import second_form_curvature
 from lightcone.errors import NotOnLightcone, NotRiemannianII, NotSpacelike
 from lightcone.jets import Jet2, JetVec4
 from lightcone.minkowski import inner
-from lightcone.integrals import FLOOR_GRID
+from lightcone.integrals import FLOOR_GRID, SphereGrid
 from lightcone.surfaces import (
     UMBILIC_GRID,
     JetFrame,
@@ -279,25 +279,48 @@ def test_umbilic_point_search_keeps_round_sphere_nodes():
 
 
 @pytest.mark.parametrize(
-    "field, grid, sign",
+    "field, grid",
     [
-        (lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2), UMBILIC_GRID, 1.0),
-        (lambda f: (f.detA, np.abs(f.detA_val)), FLOOR_GRID, -1.0),
+        (lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2), UMBILIC_GRID),
+        (lambda f: (-f.detA, np.abs(f.detA_val)), FLOOR_GRID),
     ],
     ids=["gap_min", "detA_max"],
 )
-def test_scan_frame_derivatives_equal_a_start_frame(bumpy_sphere, field, grid, sign):
+def test_scan_frame_derivatives_equal_a_start_frame(bumpy_sphere, field, grid):
     # closed_extremum starts Newton from the scan frame's value, gradient,
     # Hessian and scale; they are bit for bit those of a frame at the
     # start nodes alone
     for chart in (bumpy_sphere, bumpy_sphere.rotated):
         u, v = chart.grid_points(grid)
         scan = _field_derivatives(field, JetFrame(chart, u, v))
-        k = _extreme_nodes(chart, u, v, sign * scan[0])
+        k = _extreme_nodes(chart, u, v, scan[0])
         assert k.size == 4
         alone = _field_derivatives(field, JetFrame(chart, u[k], v[k]))
         for a, b in zip(scan, alone, strict=True):
             assert np.array_equal(a[k], b)
+
+
+def test_closed_extremum_stays_inside_the_scanned_rows(bumpy_sphere):
+    # each chart is searched only between its first and last scan row, where
+    # it is regular; the band it drops around its poles lies on its twin's
+    # equator
+    u_obs = np.array([-np.cosh(0.5), np.sinh(0.5) * 0.6, 0.0, np.sinh(0.5) * 0.8])
+    patches = [
+        bumpy_sphere,
+        catalog.round_sphere(r=0.5),
+        catalog.round_sphere(r=2.0, u=u_obs),
+        catalog.perturbed_sphere(catalog.HarmonicSpec(terms=((2, 0, 0.04),))),
+        catalog.perturbed_sphere(catalog.HarmonicSpec(terms=((2, -2, 0.03), (3, 1, 0.02)))),
+    ]
+    rng = np.random.default_rng(8)
+    patches += [random_perturbed_sphere(rng, total_amplitude=0.04)[0] for _ in range(3)]
+    for patch in patches:
+        for theta, grid in (
+            (umbilic_point_search(patch)[0], UMBILIC_GRID),
+            (SphereGrid(patch, 16, 32).second_curvature_floor()["point"][0], FLOOR_GRID),
+        ):
+            rows = patch.grid_points(grid)[0]
+            assert rows[0] <= theta <= rows[-1], patch.name
 
 
 def test_gauss_maps_round_sphere(unit_sphere):
