@@ -173,9 +173,10 @@ class HarmonicSpec:
 
     def cartesian(self, x, y, z):
         """Evaluate the expansion at direction cosines (numbers or jets)."""
+        harmonics = real_harmonic([(l, m) for l, m, _ in self.terms], x, y, z)
         total = 0.0
-        for l, m, a in self.terms:
-            total = real_harmonic(l, m, x, y, z) * a + total
+        for (_, _, a), Y in zip(self.terms, harmonics):
+            total = Y * a + total
         return total
 
     def chart_field(self):

@@ -143,12 +143,14 @@ class Manifest:
 
     def print_summary(self):
         width = max((len(c["name"]) for c in self.checks), default=10) + 2
+        lines = []
         for c in self.checks:
             res = "" if c["residual"] is None else f"{c['residual']:.3e}"
             tol = "" if c["tolerance"] is None else f"(tol {c['tolerance']:.1e})"
             detail = f"  {c['detail']}" if c["detail"] else ""
-            print(f"  {c['name']:<{width}} {c['status']:<4} {res:>10} {tol}{detail}")
-        print(f"  => {'PASS' if self.passed else 'FAIL'}")
+            lines.append(f"  {c['name']:<{width}} {c['status']:<4} {res:>10} {tol}{detail}")
+        lines.append(f"  => {'PASS' if self.passed else 'FAIL'}")
+        _print("\n".join(lines))
 
     def write(self, path):
         if path:
@@ -221,14 +223,29 @@ def _unwritable(paths):
     return None
 
 
+def _print(text):
+    """Print to stdout; a reader that has closed it (``| head -1``) is not an error.
+
+    A pipe is flushed only at exit, outside any guard, so the flush is here.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send the rest to devnull, so the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _finish(manifest, heading, path):
-    """Print the heading and the summary, write the manifest, return the exit code."""
-    print(heading)
-    manifest.print_summary()
+    """Write the manifest, print the heading and the summary, return the exit code."""
     try:
         manifest.write(path)
     except OSError as exc:
         return _cannot_write(path, exc)
+    _print(heading)
+    manifest.print_summary()
     return EXIT_OK if manifest.passed else EXIT_CHECK_FAILED
 
 
@@ -591,7 +608,7 @@ def cmd_export(args):
             fh.write(text)
     except OSError as exc:
         return _cannot_write(args.out, exc)
-    print(f"export: {th.size} rows -> {args.out}")
+    _print(f"export: {th.size} rows -> {args.out}")
     return EXIT_OK
 
 

@@ -133,7 +133,7 @@ class VarianceObjective:
         self._sin = np.sin(self.TH)
         tj = Jet2.variable("u", self.TH)
         w = _direction_jets(tj, Jet2.variable("v", self.PH))
-        self._harmonics = [real_harmonic(l, m, *w) for l, m in self.pairs]
+        self._harmonics = real_harmonic(self.pairs, *w)
         self._round = round_geometry(tj, _RADIUS)._replace(A=None)
         self.residual = None
 

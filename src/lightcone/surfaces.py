@@ -426,9 +426,7 @@ def closed_extremum(patch, field, grid):
     for chart in filter(None, (patch, patch.rotated)):
         u, v = chart.grid_points(grid)
         first, last = u[0], u[-1]  # theta of the first and last scanned row
-        scan = _field_derivatives(field, JetFrame(chart, u, v))
-        k = _extreme_nodes(chart, u, v, scan[0])
-        found, grad, hess, scale = (a[k] for a in scan)
+        k, (found, grad, hess, scale) = _scan_starts(field, chart, u, v)
         u, v, live = u[k], v[k], np.arange(k.size)
         for _ in range(8):
             lam, vec = np.linalg.eigh(hess)
@@ -461,18 +459,32 @@ def _field_derivatives(field, frame):
     return jet.value, grad, hess, scale
 
 
-def _extreme_nodes(patch, u, v, value):
-    """Indices of up to 4 least-value nodes kept apart, so distinct basins are hit."""
-    (u0, u1), (v0, v1) = patch.domain
+def _scan_starts(field, chart, u, v):
+    """The ``_extreme_nodes`` of a scan and the field derivatives there, from one JetFrame.
+
+    The scan frame is dropped on return, so it is not held while Newton runs.
+    """
+    frame = JetFrame(chart, u, v)
+    scan = _field_derivatives(field, frame)
+    psi = frame.psi_val
+    k = _extreme_nodes(psi[:, 1:] / psi[:, :1], scan[0])
+    return k, tuple(a[k] for a in scan)
+
+
+def _extreme_nodes(directions, value):
+    """Indices of up to 4 least-value nodes whose unit directions lie over 0.25 apart.
+
+    The directions psi[1:] / psi[0] do not depend on the chart, so the
+    starts are kept apart on the sphere, not in the chart domain.
+    """
+    far = np.ones(value.size, dtype=bool)  # from every start so far
     starts = []
     for k in np.argsort(value):
-        if all(
-            max(abs(u[k] - u[j]) / (u1 - u0), abs(v[k] - v[j]) / (v1 - v0)) > 0.08
-            for j in starts
-        ):
+        if far[k]:
             starts.append(k)
             if len(starts) == 4:
                 break
+            far &= np.linalg.norm(directions - directions[k], axis=-1) > 0.25
     return np.array(starts)
 
 

@@ -53,5 +53,5 @@ def test_tracer_reaches_every_check_layer():
     layers = [name for name in tracer.names
               if name.split(".")[0] in ("curvature", "transforms")]
     layers += ["surfaces.umbilic_point_search", "integrals.geometry_table",
-               "spectrum.lambda1_estimate"]
+               "spectrum.lambda1_estimate", "harmonics.real_harmonic"]
     assert [name for name in layers if tracer.calls[name] == 0] == []

@@ -109,8 +109,7 @@ def test_harmonics_match_scipy():
     x = np.sin(th) * np.cos(ph)
     y = np.sin(th) * np.sin(ph)
     z = np.cos(th)
-    for l, m in DEGREES_AND_ORDERS:
-        ours = real_harmonic(l, m, x, y, z)
+    for (l, m), ours in zip(DEGREES_AND_ORDERS, real_harmonic(DEGREES_AND_ORDERS, x, y, z)):
         assert np.max(np.abs(ours - _scipy_real_harmonic(l, m, th, ph))) < 1e-12, (l, m)
 
 
@@ -124,7 +123,7 @@ def test_harmonics_orthonormal_under_quadrature():
     y = (np.sin(TH) * np.sin(PH)).ravel()
     z = np.cos(TH).ravel()
     pairs = DEGREES_AND_ORDERS
-    vals = np.stack([real_harmonic(l, m, x, y, z) for l, m in pairs])
+    vals = np.stack(real_harmonic(pairs, x, y, z))
     gram = (vals * w) @ vals.T
     assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-12
 
@@ -141,17 +140,6 @@ def test_harmonic_basis_matches_scipy_through_degree_16():
             assert np.max(np.abs(basis[:, basis_index(l, m)] - ref)) < 1e-12, (l, m)
 
 
-def test_harmonic_basis_matches_the_table():
-    rng = np.random.default_rng(7)
-    th = rng.uniform(0.0, np.pi, size=50)
-    ph = rng.uniform(0.0, 2 * np.pi, size=50)
-    x, y, z = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
-    basis = harmonic_basis(4, th, ph)
-    for l, m in DEGREES_AND_ORDERS:
-        ours = basis[:, basis_index(l, m)]
-        assert np.max(np.abs(ours - real_harmonic(l, m, x, y, z))) < 1e-13, (l, m)
-
-
 def test_harmonic_basis_orthonormal_through_degree_16():
     th, ph, w = sphere_quadrature(24, 48)
     basis = harmonic_basis(16, th, ph)
@@ -161,9 +149,24 @@ def test_harmonic_basis_orthonormal_through_degree_16():
     assert np.array_equal(harmonic_basis(8, th, ph), basis[:, : 9**2])
 
 
-def test_harmonics_reject_high_degree():
-    with pytest.raises(ValueError):
-        real_harmonic(5, 0, 0.0, 0.0, 1.0)
+def test_harmonics_reject_bad_orders():
+    # |m| > l or l < 0; any degree l >= |m| is accepted
+    for pair in ((2, 3), (2, -3), (0, 1), (-1, 0)):
+        with pytest.raises(ValueError):
+            real_harmonic([(1, 0), pair], 0.0, 0.0, 1.0)
+    assert len(real_harmonic([(20, -20)], 0.6, 0.0, 0.8)) == 1
+
+
+@pytest.mark.parametrize("rotation", [None, catalog._POLE_SWAP], ids=["main", "rotated"])
+def test_harmonic_jets_carry_the_numeric_values(rotation):
+    # the value row of a jet evaluation is the numeric evaluation, bit for bit
+    rng = np.random.default_rng(9)
+    th, ph = rng.uniform(0.0, np.pi, size=30), rng.uniform(0.0, 2 * np.pi, size=30)
+    w = catalog._direction_jets(Jet2.variable("u", th), Jet2.variable("v", ph), rotation)
+    on_jets = real_harmonic(DEGREES_AND_ORDERS, *w)
+    on_values = real_harmonic(DEGREES_AND_ORDERS, *(c.value for c in w))
+    for pair, jet, value in zip(DEGREES_AND_ORDERS, on_jets, on_values, strict=True):
+        assert np.array_equal(jet.value, value), pair
 
 
 def test_harmonic_spec_json_roundtrip():
@@ -175,6 +178,8 @@ def test_harmonic_spec_json_roundtrip():
 def test_harmonic_spec_validation():
     with pytest.raises(ValueError):
         catalog.HarmonicSpec(terms=((9, 0, 0.1),))
+    with pytest.raises(ValueError):
+        catalog.HarmonicSpec(terms=((5, 0, 0.1),))
     with pytest.raises(ValueError):
         catalog.HarmonicSpec(terms=((2, 3, 0.1),))
 

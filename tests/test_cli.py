@@ -228,6 +228,34 @@ def test_out_of_memory_is_bad_input(tmp_path, capsys, monkeypatch, argv, code):
     assert len(lines) == 1 and lines[0].startswith("out of memory: Unable to allocate"), lines
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_closed_stdout_changes_neither_output_nor_exit_code(tmp_path, command):
+    # as in `lightcone verify ... | head -1`, the reader of stdout is gone
+    def run(name, stdout):
+        argv = [command, "round-sphere", "--grid", "8x16", "--out", str(tmp_path / name)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lightcone.cli", *argv], stdout=stdout,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)), text=True,
+            timeout=120,
+        )
+        if command == "export":
+            return proc, (tmp_path / name).read_bytes()
+        manifest = json.loads((tmp_path / name).read_text())
+        del manifest["wall_time_s"]
+        return proc, manifest
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed, output = run("closed", write_end)
+    finally:
+        os.close(write_end)
+    open_, expected = run("open", subprocess.DEVNULL)
+    assert closed.returncode == open_.returncode == EXIT_OK
+    assert closed.stderr == "", closed.stderr
+    assert output == expected
+
+
 def test_nan_observer_rejected(capsys):
     argv = ["verify", "round-sphere", "--u", "nan", "nan", "nan", "nan", "--grid", "4x8"]
     assert main(argv) == EXIT_DEGENERATE

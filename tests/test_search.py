@@ -30,12 +30,12 @@ def rotation_block(l, R, n_theta=24, n_phi=48):
     TH, PH, w = sphere_quadrature(n_theta, n_phi)
     pts = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)])
     rpts = np.asarray(R, dtype=float) @ pts
-    ms = range(-l, l + 1)
-    D = np.empty((len(ms), len(ms)))
-    for i, mi in enumerate(ms):
-        yi = real_harmonic(l, mi, *rpts)
-        for j, mj in enumerate(ms):
-            D[i, j] = float(np.sum(w * yi * real_harmonic(l, mj, *pts)))
+    pairs = [(l, m) for m in range(-l, l + 1)]
+    base = real_harmonic(pairs, *pts)
+    D = np.empty((len(pairs), len(pairs)))
+    for i, yi in enumerate(real_harmonic(pairs, *rpts)):
+        for j, yj in enumerate(base):
+            D[i, j] = float(np.sum(w * yi * yj))
     return D
 
 
