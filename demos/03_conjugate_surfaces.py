@@ -31,7 +31,7 @@ patch = catalog.perturbed_sphere(
 )
 res = verify_conjugate_duality(JetFrame(patch, *patch.grid_points((20, 40))))
 for name, val in res.items():
-    print(f"  {name:<22} {val:.2e}")
+    print(f"  {name:<22} {np.max(val):.2e}")
 
 print("\nthe flat paraboloid graph has no conjugate (its normal is constant):")
 try:

@@ -29,60 +29,66 @@ EXIT_DEGENERATE = 3
 EXIT_BAD_CONFIG = 4
 
 #: Every ``verify`` and ``global`` check in manifest order: name -> (pinned
-#: tolerance, group).  The groups ``frame``, ``definite``, ``conjugate`` and
-#: ``expansion`` are computed by one function each; ``verify`` and ``global``
-#: rows are recorded one by one in ``_verify_checks`` and ``cmd_global``.
+#: tolerance, group, rule).  The groups ``frame``, ``definite``, ``conjugate``
+#: and ``expansion`` are computed by one function each; ``verify`` and
+#: ``global`` rows are recorded one by one in ``_verify_checks`` and
+#: ``cmd_global``.  The rule turns residuals, one per node or part, into a
+#: verdict in ``_judge``; NaN decides under every rule:
+#:   * ``abs``: the largest residual; PASS when finite and |r| <= tol.
+#:   * ``excess``: the largest residual clamped at 0; PASS when r <= tol.
+#:   * ``slack``: the least residual; PASS when r >= -tol, recorded as the tolerance.
+#:   * ``floor``: the least residual; PASS when r > tol, SKIP otherwise.
 CHECKS = {
     # The structure equations through the lightcone: psi null, eta the parallel
     # lightlike normal with <eta, psi> = 1, Weingarten, Codazzi, K = <H, H>, K^2 >= 4 det A.
-    "on_cone": (1e-9, "frame"),
-    "normal_constraints": (1e-10, "frame"),
-    "position_weingarten": (1e-10, "frame"),
-    "weingarten_agreement": (1e-8, "frame"),
-    "normal_parallel": (1e-9, "frame"),
-    "second_form_symmetry": (1e-12, "frame"),
-    "shape_self_adjoint": (1e-10, "frame"),
-    "curvature_trace": (1e-8, "frame"),
-    "second_form_inner": (1e-9, "frame"),
-    "gap_floor": (1e-9, "frame"),
-    "gap_match": (1e-8, "frame"),
-    "codazzi": (1e-7, "frame"),
+    "on_cone": (1e-9, "frame", "abs"),
+    "normal_constraints": (1e-10, "frame", "abs"),
+    "position_weingarten": (1e-10, "frame", "abs"),
+    "weingarten_agreement": (1e-8, "frame", "abs"),
+    "normal_parallel": (1e-9, "frame", "abs"),
+    "second_form_symmetry": (1e-12, "frame", "abs"),
+    "shape_self_adjoint": (1e-10, "frame", "abs"),
+    "curvature_trace": (1e-8, "frame", "abs"),
+    "second_form_inner": (1e-9, "frame", "abs"),
+    "gap_floor": (1e-9, "frame", "excess"),
+    "gap_match": (1e-8, "frame", "abs"),
+    "codazzi": (1e-7, "frame", "abs"),
     # The standing hypothesis: the eta-shape operator is nondegenerate.
-    "nondegeneracy": (curvature.DEGENERACY_FLOOR, "verify"),
+    "nondegeneracy": (curvature.DEGENERACY_FLOOR, "verify", "floor"),
     # The new formula relating K and K_eta, where II is definite.
-    "curvature_relation": (1e-6, "definite"),
-    "trace_gradient": (1e-7, "definite"),
-    "lowered_symmetry": (1e-8, "definite"),
+    "curvature_relation": (1e-6, "definite", "abs"),
+    "trace_gradient": (1e-7, "definite", "abs"),
+    "lowered_symmetry": (1e-8, "definite", "abs"),
     # K_eta = 2 on round spheres, which the paper characterizes by it.
-    "round_keta": (1e-8, "verify"),
+    "round_keta": (1e-8, "verify", "abs"),
     # The conjugate surface, traced by eta: A~ = A^-1, II~ = II, K~ = K / det A.
-    "conjugate_weingarten": (1e-7, "conjugate"),
-    "conjugate_second_form": (1e-7, "conjugate"),
-    "conjugate_curvature": (1e-7, "conjugate"),
-    "third_form": (1e-8, "conjugate"),
-    "double_conjugate": (1e-9, "conjugate"),
+    "conjugate_weingarten": (1e-7, "conjugate", "abs"),
+    "conjugate_second_form": (1e-7, "conjugate", "abs"),
+    "conjugate_curvature": (1e-7, "conjugate", "abs"),
+    "third_form": (1e-8, "conjugate", "abs"),
+    "double_conjugate": (1e-9, "conjugate", "abs"),
     # The transformation laws of a conformal expansion e^sigma psi.
-    "expansion_weingarten": (1e-7, "expansion"),
-    "expansion_second_form": (1e-7, "expansion"),
-    "expansion_curvature": (1e-7, "expansion"),
-    "expansion_trace": (1e-8, "expansion"),
-    "expansion_normal": (1e-7, "expansion"),
-    "expansion_pairing": (1e-9, "expansion"),
-    "expansion_metric": (1e-9, "expansion"),
+    "expansion_weingarten": (1e-7, "expansion", "abs"),
+    "expansion_second_form": (1e-7, "expansion", "abs"),
+    "expansion_curvature": (1e-7, "expansion", "abs"),
+    "expansion_trace": (1e-8, "expansion", "abs"),
+    "expansion_normal": (1e-7, "expansion", "abs"),
+    "expansion_pairing": (1e-9, "expansion", "abs"),
+    "expansion_metric": (1e-9, "expansion", "abs"),
     # Both Gauss maps land on the unit sphere; a closed surface has an umbilic point.
-    "gauss_maps": (1e-10, "verify"),
-    "umbilic_point": (1e-6, "verify"),
+    "gauss_maps": (1e-10, "verify", "abs"),
+    "umbilic_point": (1e-6, "verify", "abs"),
     # Gauss-Bonnet for g and II, the II-area bound 2 pi (equality iff round),
     # K_eta >= 2 at the maximizer of det A, and the Reilly-type bound on lambda1.
-    "table_oracle": (1e-9, "global"),
-    "gauss_bonnet_induced": (1e-6, "global"),
-    "gauss_bonnet_second": (1e-5, "global"),
-    "second_form_area_bound": (1e-6, "global"),
-    "round_second_form_area": (1e-6, "global"),
-    "curvature_floor": (1e-6, "global"),
-    "eigenvalue_bound": (5e-2, "global"),
-    "lambda1_oracle": (1.0, "global"),
-    "round_lambda1": (2e-2, "global"),
+    "table_oracle": (1e-9, "global", "abs"),
+    "gauss_bonnet_induced": (1e-6, "global", "abs"),
+    "gauss_bonnet_second": (1e-5, "global", "abs"),
+    "second_form_area_bound": (1e-6, "global", "excess"),
+    "round_second_form_area": (1e-6, "global", "abs"),
+    "curvature_floor": (1e-6, "global", "slack"),
+    "eigenvalue_bound": (5e-2, "global", "excess"),
+    "lambda1_oracle": (1.0, "global", "abs"),
+    "round_lambda1": (2e-2, "global", "abs"),
 }
 #: What the ``table_oracle`` check of ``global`` and ``export`` compares.
 _ORACLE_DETAIL = "expansion-law table against geometry_table on {}x{}".format(*TABLE_ORACLE_GRID)
@@ -99,27 +105,22 @@ class Manifest:
         self.extra = {}
         self._t0 = time.perf_counter()
 
-    def add(self, name, residual=None, tolerance=None, status=None, detail=""):
-        """Record a check; without an explicit status, the residual decides.
+    def add(self, name, residual=None, tolerance=None, status=None, detail="", points=None):
+        """Record a check and return its entry: a status, or residuals that ``_judge`` decides.
 
-        A residual without a tolerance is judged against its row in ``CHECKS``.
-        It passes when it is finite and within the tolerance in absolute
-        value, so NaN and inf always fail.
+        ``residual`` is a number, or one residual per node or part; it is
+        judged against ``tolerance``, by default the check's ``CHECKS`` row.
+        ``points`` are the chart points (u, v) of the nodes; the entry then
+        records as ``where`` the node that sets the residual.
         """
-        if residual is not None and tolerance is None:
-            tolerance = CHECKS[name][0]
-        if status is None:
-            ok = np.isfinite(residual) and abs(residual) <= tolerance
-            status = "PASS" if ok else "FAIL"
-        self.checks.append(
-            {
-                "name": name,
-                "status": status,
-                "residual": None if residual is None else float(residual),
-                "tolerance": None if tolerance is None else float(tolerance),
-                "detail": detail,
-            }
-        )
+        if residual is not None:
+            residual, tolerance, status, k = _judge(name, residual, tolerance)
+        entry = {"name": name, "status": status, "residual": residual,
+                 "tolerance": tolerance, "detail": detail}
+        if points is not None:
+            entry["where"] = [float(points[0][k]), float(points[1][k])]
+        self.checks.append(entry)
+        return entry
 
     def skip(self, name, detail):
         self.add(name, status="SKIP", detail=detail)
@@ -180,14 +181,24 @@ def _parse_seed(text):
     raise argparse.ArgumentTypeError(f"seed must be an integer at least 0, got {text!r}")
 
 
-def _worst(*parts):
-    """Largest of several residual parts; NaN when any part is NaN."""
-    return np.max(parts)
+def _judge(name, residual, tolerance=None):
+    """Residual, recorded tolerance, status and deciding index of a check by its rule.
 
-
-def _excess(x):
-    """Positive part of a one-sided residual; NaN stays NaN and so fails."""
-    return 0.0 if x <= 0.0 else x
+    A check not in ``CHECKS`` takes the ``abs`` rule and needs a tolerance.
+    The deciding index is the first NaN if there is one: argmax and argmin
+    stop there.
+    """
+    default, _, rule = CHECKS.get(name, (tolerance, None, "abs"))
+    tol = float(default if tolerance is None else tolerance)
+    r = np.ravel(residual)
+    k = int(np.argmin(r) if rule in ("slack", "floor") else np.argmax(r))
+    x = float(r[k])
+    if rule == "slack":
+        return x, -tol, "PASS" if x >= -tol else "FAIL", k
+    if rule == "floor":
+        return x, tol, "PASS" if x > tol else "SKIP", k
+    x = 0.0 if rule == "excess" and x <= 0.0 else x
+    return x, tol, "PASS" if np.isfinite(x) and abs(x) <= tol else "FAIL", k
 
 
 def _surface_manifest(command, args):
@@ -278,7 +289,8 @@ def _build_surface(args):
 # -- verify ------------------------------------------------------------------
 #
 # Checks that share a gate form a group: the rows of CHECKS that name it,
-# and one function returning their residuals keyed by check name.
+# and one function returning their residuals, one per node of its frame and
+# keyed by check name, with the nodes' chart points (u, v).
 
 
 def _verify_points(patch, grid, seed):
@@ -289,14 +301,15 @@ def _verify_points(patch, grid, seed):
 
 
 def _check_group(manifest, group, residuals, skip_reason=None):
-    """Add each check of residuals(), or skip the group's checks with the reason."""
+    """Add each check of residuals() at its nodes, or skip the group's checks with the reason."""
     if skip_reason:
-        for name, (_, in_group) in CHECKS.items():
+        for name, (_, in_group, _) in CHECKS.items():
             if in_group == group:
                 manifest.skip(name, skip_reason)
         return
-    for name, res in residuals().items():
-        manifest.add(name, res)
+    by_name, points = residuals()
+    for name, res in by_name.items():
+        manifest.add(name, res, points=points)
 
 
 def _frame_residuals(frame):
@@ -305,52 +318,52 @@ def _frame_residuals(frame):
     g, A = frame.g_val, frame.A_val
     gA = sum(g[..., :, c, None] * A[..., None, c, :] for c in range(2))
     return {
-        "on_cone": np.max(np.abs(inner(psi, psi))),
-        "normal_constraints": _worst(
-            np.max(np.abs(inner(eta, eta))),
-            np.max(np.abs(inner(eta, psi) - 1.0)),
-            np.max(np.abs(inner(eta, frame.psi_u.values))),
-            np.max(np.abs(inner(eta, frame.psi_v.values))),
+        "on_cone": np.abs(inner(psi, psi)),
+        "normal_constraints": np.max(np.abs([
+            inner(eta, eta),
+            inner(eta, psi) - 1.0,
+            inner(eta, frame.psi_u.values),
+            inner(eta, frame.psi_v.values),
+        ]), axis=0),
+        "position_weingarten": frame.position_weingarten_residual(),
+        "weingarten_agreement": np.max(
+            np.abs(frame.weingarten_closed_form() - frame.A_val), axis=(-2, -1)
         ),
-        "position_weingarten": np.max(frame.position_weingarten_residual()),
-        "weingarten_agreement": np.max(np.abs(frame.weingarten_closed_form() - frame.A_val)),
-        "normal_parallel": np.max(frame.normal_parallel_residual()),
-        "second_form_symmetry": np.max(np.abs(II[..., 0, 1] - II[..., 1, 0])),
-        "shape_self_adjoint": np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])),
-        "curvature_trace": _worst(
-            np.max(np.abs(frame.K_brioschi - frame.K_val)),
-            np.max(np.abs(frame.H2_val - frame.K_val)),
+        "normal_parallel": frame.normal_parallel_residual(),
+        "second_form_symmetry": np.abs(II[..., 0, 1] - II[..., 1, 0]),
+        "shape_self_adjoint": np.abs(gA[..., 0, 1] - gA[..., 1, 0]),
+        "curvature_trace": np.maximum(
+            np.abs(frame.K_brioschi - frame.K_val), np.abs(frame.H2_val - frame.K_val)
         ),
-        "second_form_inner": np.max(frame.second_form_inner_residual()),
-        "gap_floor": _excess(_worst(-np.min(frame.gap_low), -np.min(frame.gap_high))),
-        "gap_match": np.max(np.abs(frame.gap_low - frame.gap_high)),
-        "codazzi": np.max(curvature.codazzi_residual(frame)),
-    }
+        "second_form_inner": frame.second_form_inner_residual(),
+        "gap_floor": np.maximum(-frame.gap_low, -frame.gap_high),
+        "gap_match": np.abs(frame.gap_low - frame.gap_high),
+        "codazzi": curvature.codazzi_residual(frame),
+    }, (frame.u, frame.v)
 
 
 def _definite_residuals(frame):
     rel = curvature.curvature_relation(frame)
-    grad = curvature.trace_gradient_residual(frame)
     low = curvature.lowered_difference(frame)
     return {
-        "curvature_relation": np.max(rel["residual"]),
-        "trace_gradient": np.max(grad),
-        "lowered_symmetry": _worst(
-            np.max(np.abs(low - np.swapaxes(low, -3, -2))),
-            np.max(np.abs(low - np.swapaxes(low, -2, -1))),
+        "curvature_relation": rel["residual"],
+        "trace_gradient": curvature.trace_gradient_residual(frame),
+        "lowered_symmetry": np.maximum(
+            np.max(np.abs(low - np.swapaxes(low, -3, -2)), axis=(-3, -2, -1)),
+            np.max(np.abs(low - np.swapaxes(low, -2, -1)), axis=(-3, -2, -1)),
         ),
-    }
+    }, (frame.u, frame.v)
 
 
 def _conjugate_residuals(patch, grid):
-    return transforms.verify_conjugate_duality(JetFrame(patch, *patch.grid_points(grid)))
+    points = patch.grid_points(grid)
+    return transforms.verify_conjugate_duality(JetFrame(patch, *points)), points
 
 
 def _expansion_residuals(patch, seed):
     sigma = catalog.HarmonicSpec(terms=((1, 1, 0.02), (2, -1, 0.015))).chart_field()
-    rng = np.random.default_rng(seed)
-    frame = JetFrame(patch, *patch.sample_points(100, rng, margin=0.05))
-    return transforms.verify_expansion_laws(frame, sigma)
+    points = patch.sample_points(100, np.random.default_rng(seed), margin=0.05)
+    return transforms.verify_expansion_laws(JetFrame(patch, *points), sigma), points
 
 
 def cmd_verify(args):
@@ -374,42 +387,33 @@ def _verify_checks(manifest, args):
     off the cone, say) and raise LightconeError.
     """
     patch = _build_surface(args)
-    u, v = _verify_points(patch, args.grid, args.seed)
-    frame = JetFrame(patch, u, v)
+    points = _verify_points(patch, args.grid, args.seed)
+    frame = JetFrame(patch, *points)
     gf, gp = gauss_maps(frame)
 
     _check_group(manifest, "frame", lambda: _frame_residuals(frame))
 
-    min_abs_d = float(np.min(np.abs(frame.detA_val)))
-    nondegenerate = min_abs_d > curvature.DEGENERACY_FLOOR
-    why_degenerate = None if nondegenerate else "degenerate shape operator"
+    check = manifest.add("nondegeneracy", np.abs(frame.detA_val), points=points)
+    why_degenerate = None if check["status"] == "PASS" else "degenerate shape operator"
+    check["detail"] = why_degenerate or "nondegenerate"
     why_not_definite = why_degenerate or (
         None if np.all(frame.ii_positive) else "second form not definite"
-    )
-    manifest.add(
-        "nondegeneracy",
-        min_abs_d,
-        status="PASS" if nondegenerate else "SKIP",
-        detail=why_degenerate or "nondegenerate",
     )
 
     _check_group(manifest, "definite", lambda: _definite_residuals(frame), why_not_definite)
     if why_not_definite is None and args.surface == "round-sphere":
-        manifest.add("round_keta", np.max(np.abs(frame.K_eta - 2.0)))
+        manifest.add("round_keta", np.abs(frame.K_eta - 2.0), points=points)
 
     sub = (max(4, args.grid[0] // 4), max(8, args.grid[1] // 4))
     _check_group(manifest, "conjugate", lambda: _conjugate_residuals(patch, sub), why_degenerate)
     _check_group(manifest, "expansion", lambda: _expansion_residuals(patch, args.seed))
 
-    gm = _worst(
-        np.max(np.abs(np.linalg.norm(gf[..., 1:], axis=-1) - 1.0)),
-        np.max(np.abs(np.linalg.norm(gp[..., 1:], axis=-1) - 1.0)),
-    )
-    manifest.add("gauss_maps", gm)
+    unit = [np.abs(np.linalg.norm(m[..., 1:], axis=-1) - 1.0) for m in (gf, gp)]
+    manifest.add("gauss_maps", np.maximum(*unit), points=points)
 
     if patch.closed:
         _, _, glow, ghigh = umbilic_point_search(patch)
-        manifest.add("umbilic_point", _worst(glow, ghigh))
+        manifest.add("umbilic_point", (glow, ghigh))
     else:
         manifest.skip("umbilic_point", "not a closed surface")
     return patch
@@ -441,23 +445,19 @@ def cmd_global(args):
     manifest.add("gauss_bonnet_second", gb2 - 4.0 * np.pi)
     manifest.add(
         "second_form_area_bound",
-        _excess(ii_area - 2.0 * np.pi),
+        ii_area - 2.0 * np.pi,
         detail=f"area {ii_area:.9f} vs 2 pi (equality iff umbilical)",
     )
     if args.surface == "round-sphere":
         manifest.add("round_second_form_area", ii_area - 2.0 * np.pi)
-    slack = np.min((floor["keta_slack"], floor["floor_slack"]))  # NaN stays NaN
-    floor_tol = -CHECKS["curvature_floor"][0]
     manifest.add(
         "curvature_floor",
-        slack,
-        floor_tol,
-        status="PASS" if slack >= floor_tol else "FAIL",
+        (floor["keta_slack"], floor["floor_slack"]),
         detail=f"ratio {floor['ratio']:.6f} at theta={floor['point'][0]:.3f} on {floor['chart']}",
     )
     manifest.add(
         "eigenvalue_bound",
-        _excess((lam.value - lam.reilly_rhs) / lam.reilly_rhs),
+        (lam.value - lam.reilly_rhs) / lam.reilly_rhs,
         detail=f"lambda1 {lam.value:.6f} vs bound {lam.reilly_rhs:.6f}",
     )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -544,7 +544,7 @@ def cmd_search(args):
     )
     manifest.add(
         "closed_form_oracle",
-        _worst([r.oracle_diff for r in report.results]),
+        [r.oracle_diff for r in report.results],
         search.ORACLE_TOL,
         detail="closed-form objective against the JetFrame route at each minimizer",
     )
@@ -590,10 +590,9 @@ def cmd_export(args):
     except LightconeError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    tol = CHECKS["table_oracle"][0]
-    if gap is not None and not gap <= tol:
+    if gap is not None and _judge("table_oracle", gap)[2] == "FAIL":
         print(
-            f"table_oracle FAIL: gap {gap:.3e} above {tol:.1e} "
+            f"table_oracle FAIL: gap {gap:.3e} above {CHECKS['table_oracle'][0]:.1e} "
             f"({_ORACLE_DETAIL}); no table written",
             file=sys.stderr,
         )

@@ -158,8 +158,8 @@ def lowered_difference(frame):
 def trace_gradient_residual(frame):
     """Residual of the identity tying the II-trace of L to grad(log det A).
 
-    Returned as the sup of the components of the II-lowered difference
-    between the contracted tensor and grad(det A) / (2 det A).
+    Returned at each point as the largest component of the II-lowered
+    difference between the contracted tensor and grad(det A) / (2 det A).
     """
     ii_inv, L, d_det = frame.II_inv_val, frame.difference, frame.detA_grad
     tr_l = sum(sum(ii_inv[..., a, b, None] * L[..., a, b, :] for b in range(2)) for a in range(2))

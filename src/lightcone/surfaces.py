@@ -344,7 +344,7 @@ class JetFrame:
         return hop / p0[..., None, None] - lam[..., None, None] * np.eye(2)
 
     def position_weingarten_residual(self):
-        """Sup of |<psi_a, psi>| and |<psi_a, eta>|: A_psi = -I says d psi has no normal part."""
+        """Largest |<psi_a, psi>|, |<psi_a, eta>| per point: d psi has no normal part."""
         t = np.stack([self.psi_u.values, self.psi_v.values], axis=-2)
         n = np.stack([self.psi_val, self.eta_val], axis=-2)
         return np.max(np.abs(inner(t[..., :, None, :], n[..., None, :, :])), axis=(-2, -1))

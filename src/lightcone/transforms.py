@@ -92,36 +92,36 @@ def third_fundamental_form(frame):
 
 
 def verify_conjugate_duality(frame):
-    """Sup residuals of the conjugate-duality identities at the frame's points.
+    """Residuals of the conjugate-duality identities, one per point of the frame.
 
     Raises DegeneracyViolation where the frame's shape operator degenerates.
-    Returns a dict keyed by the ``verify`` check names:
-      * ``conjugate_weingarten``:  sup || A~ . A - I ||
-      * ``conjugate_second_form``: sup || II~ - II ||
-      * ``conjugate_curvature``:   sup | K~ - K / det A |
-      * ``third_form``:            sup || first form of conjugate - <A^2 ., .> ||
+    Returns a dict keyed by the ``verify`` check names of per-point largest entries:
+      * ``conjugate_weingarten``:  | A~ . A - I |
+      * ``conjugate_second_form``: | II~ - II |
+      * ``conjugate_curvature``:   | K~ - K / det A |
+      * ``third_form``:            | first form of conjugate - <A^2 ., .> |
       * ``double_conjugate``:      ``double_conjugate_residual`` of the two frames
     """
     _require_immersion(frame)
     conj = JetFrame(_conjugate_patch(frame.patch), frame.u, frame.v)
     prod = np.einsum("...cd,...da->...ca", conj.A_val, frame.A_val)
     return {
-        "conjugate_weingarten": float(np.max(np.abs(prod - np.eye(2)))),
-        "conjugate_second_form": float(np.max(np.abs(conj.II_val - frame.II_val))),
-        "conjugate_curvature": float(np.max(np.abs(conj.K_val - frame.K_val / frame.detA_val))),
-        "third_form": float(np.max(np.abs(conj.g_val - third_fundamental_form(frame)))),
+        "conjugate_weingarten": np.max(np.abs(prod - np.eye(2)), axis=(-2, -1)),
+        "conjugate_second_form": np.max(np.abs(conj.II_val - frame.II_val), axis=(-2, -1)),
+        "conjugate_curvature": np.abs(conj.K_val - frame.K_val / frame.detA_val),
+        "third_form": np.max(np.abs(conj.g_val - third_fundamental_form(frame)), axis=(-2, -1)),
         "double_conjugate": double_conjugate_residual(frame, conj),
     }
 
 
 def double_conjugate_residual(frame, conj):
-    """Sup distance between a surface and its double conjugate.
+    """Per point, the largest coordinate of a surface minus its double conjugate.
 
     The double conjugate is traced by minus the normal of the conjugate, so
     its position is read off ``conj``, the conjugate's frame at the points
     of ``frame``.
     """
-    return float(np.max(np.abs(-conj.eta_val - frame.psi_val)))
+    return np.max(np.abs(-conj.eta_val - frame.psi_val), axis=-1)
 
 
 def expand(patch, sigma):
@@ -218,18 +218,18 @@ def _sub(a, b):
 
 
 def verify_expansion_laws(frame, sigma):
-    """Residuals of the conformal transformation laws at the frame's points.
+    """Residuals of the conformal transformation laws, one per point of the frame.
 
     Compares the directly computed geometry of the expanded surface with
     the prediction of ``expansion_law`` from the frame's own geometry.
-    Returns a dict keyed by the ``verify`` check names:
-      * ``expansion_weingarten``:  sup || A' - predicted A' ||
-      * ``expansion_second_form``: sup || II' - predicted II' ||
-      * ``expansion_curvature``:   sup | K' - predicted K' |
-      * ``expansion_trace``:       sup | tr(predicted A') + predicted K' |
-      * ``expansion_normal``:      sup || eta' - e^{-s} (eta - |grad s|^2/2 psi - grad s) ||
-      * ``expansion_pairing``:     sup | <psi', e^{-s} eta> - 1 |
-      * ``expansion_metric``:      sup || g' - predicted g' ||
+    Returns a dict keyed by the ``verify`` check names of per-point largest entries:
+      * ``expansion_weingarten``:  | A' - predicted A' |
+      * ``expansion_second_form``: | II' - predicted II' |
+      * ``expansion_curvature``:   | K' - predicted K' |
+      * ``expansion_trace``:       | tr(predicted A') + predicted K' |
+      * ``expansion_normal``:      | eta' - e^{-s} (eta - |grad s|^2/2 psi - grad s) |
+      * ``expansion_pairing``:     | <psi', e^{-s} eta> - 1 |
+      * ``expansion_metric``:      | g' - predicted g' |
     """
     f = frame
     s = sigma(Jet2.variable("u", f.u), Jet2.variable("v", f.v))
@@ -240,11 +240,11 @@ def verify_expansion_laws(frame, sigma):
     tang = grad[0][..., None] * f.psi_u.values + grad[1][..., None] * f.psi_v.values
     pred_eta = e1 * (f.eta_val - 0.5 * law.grad2[..., None] * f.psi_val - tang)
     return {
-        "expansion_weingarten": float(np.max(np.abs(fe.A_val - pred_A))),
-        "expansion_second_form": float(np.max(np.abs(fe.II_val - _stack(law.II)))),
-        "expansion_curvature": float(np.max(np.abs(fe.K_val - law.K))),
-        "expansion_trace": float(np.max(np.abs(-np.einsum("...aa->...", pred_A) - law.K))),
-        "expansion_normal": float(np.max(np.abs(fe.eta_val - pred_eta))),
-        "expansion_pairing": float(np.max(np.abs(mink_inner(fe.psi_val, e1 * f.eta_val) - 1.0))),
-        "expansion_metric": float(np.max(np.abs(fe.g_val - _stack(law.g)))),
+        "expansion_weingarten": np.max(np.abs(fe.A_val - pred_A), axis=(-2, -1)),
+        "expansion_second_form": np.max(np.abs(fe.II_val - _stack(law.II)), axis=(-2, -1)),
+        "expansion_curvature": np.abs(fe.K_val - law.K),
+        "expansion_trace": np.abs(-np.einsum("...aa->...", pred_A) - law.K),
+        "expansion_normal": np.max(np.abs(fe.eta_val - pred_eta), axis=-1),
+        "expansion_pairing": np.abs(mink_inner(fe.psi_val, e1 * f.eta_val) - 1.0),
+        "expansion_metric": np.max(np.abs(fe.g_val - _stack(law.g)), axis=(-2, -1)),
     }

@@ -113,11 +113,12 @@ def test_criterion_4_conjugate_duality():
     for _ in range(3):
         patch, _ = random_perturbed_sphere(rng, total_amplitude=0.04)
         res = verify_conjugate_duality(JetFrame(patch, *patch.grid_points((20, 40))))
-        worst_r1 = max(worst_r1, res["conjugate_weingarten"])
-        worst_r2 = max(worst_r2, res["conjugate_second_form"])
-        worst_ratio = max(worst_ratio, res["conjugate_curvature"])
+        worst_r1 = max(worst_r1, np.max(res["conjugate_weingarten"]))
+        worst_r2 = max(worst_r2, np.max(res["conjugate_second_form"]))
+        worst_ratio = max(worst_ratio, np.max(res["conjugate_curvature"]))
         coarse = JetFrame(patch, *patch.grid_points((10, 20)))
-        worst_double = max(worst_double, verify_conjugate_duality(coarse)["double_conjugate"])
+        double = verify_conjugate_duality(coarse)["double_conjugate"]
+        worst_double = max(worst_double, np.max(double))
     elapsed = time.perf_counter() - t0
     ok = worst_r1 < 1e-7 and worst_r2 < 1e-7 and worst_ratio < 1e-7 and worst_double < 1e-9
     _report(
@@ -145,7 +146,8 @@ def test_criterion_5_expansion_laws():
         patch = base if k % 2 == 0 else bumpy
         pts = patch.sample_points(60, rng, margin=0.04)
         laws = verify_expansion_laws(JetFrame(patch, *pts), sigma)
-        worst = max(worst, laws["expansion_weingarten"], laws["expansion_second_form"], laws["expansion_curvature"])
+        names = ("expansion_weingarten", "expansion_second_form", "expansion_curvature")
+        worst = max(worst, *(np.max(laws[name]) for name in names))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-7
     _report(5, ok, f"max expansion-law residual={worst:.1e} over 10 random sigma", 60.0, elapsed)

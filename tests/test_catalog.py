@@ -198,7 +198,7 @@ def test_perturbed_sphere_curvature_matches_conformal_law(unit_sphere):
     rng = np.random.default_rng(6)
     pts = unit_sphere.sample_points(80, rng)
     laws = verify_expansion_laws(JetFrame(unit_sphere, *pts), spec.chart_field())
-    assert laws["expansion_curvature"] < 1e-7
+    assert np.max(laws["expansion_curvature"]) < 1e-7
     # and the patch itself realizes that predicted curvature
     th, ph = pts
     f = JetFrame(patch, th, ph)

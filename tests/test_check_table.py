@@ -2,7 +2,8 @@
 
 Every defect drives its check past its tolerance on a boosted round sphere
 where the check passes without it.  A ``verify`` defect edits the cached
-fields of every frame that ``cli`` builds.  Group rows run their group
+fields of every frame that ``cli`` builds; a node defect edits one node of
+each, and its check must name that node as ``where``.  Group rows run their group
 function on 4x8 grid points; the other ``verify`` rows run
 ``_verify_checks`` on a 4x8 grid.  A ``global`` defect edits the parts that
 ``cmd_global`` reads from a 16x32 grid and the spectrum, computed once.
@@ -35,7 +36,7 @@ VERIFY_GROUPS = {
 
 
 def _rows(group):
-    return [name for name, (_, in_group) in cli.CHECKS.items() if in_group == group]
+    return [name for name, (_, in_group, _) in cli.CHECKS.items() if in_group == group]
 
 
 def _entry(shape, index, size):
@@ -169,7 +170,7 @@ def test_every_check_has_a_defect():
     assert list(DEFECTS) == list(cli.CHECKS)
 
 
-@pytest.mark.parametrize("group", sorted({group for _, group in cli.CHECKS.values()}))
+@pytest.mark.parametrize("group", sorted({group for _, group, _ in cli.CHECKS.values()}))
 def test_checks_pass_without_a_defect(group, monkeypatch, tmp_path):
     checks = _run(group, None, monkeypatch, tmp_path)
     assert [c["status"] for c in checks] == ["PASS"] * len(checks)
@@ -181,16 +182,56 @@ def test_checks_pass_without_a_defect(group, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("name", list(cli.CHECKS))
 def test_defect_fails_its_check(name, monkeypatch, tmp_path):
-    tol, group = cli.CHECKS[name]
+    tol, group, rule = cli.CHECKS[name]
     checks = _run(group, DEFECTS[name], monkeypatch, tmp_path)
     (check,) = (c for c in checks if c["name"] == name)
     assert check["status"] != "PASS", check
-    assert check["tolerance"] == (-tol if name == "curvature_floor" else tol)
+    assert check["tolerance"] == (-tol if rule == "slack" else tol)
+
+
+#: One check of each verify group, and nondegeneracy: the group that runs
+#: it, the frame field that a node defect edits and the change it makes.
+NODE_DEFECTS = {
+    "curvature_trace": ("frame", "K_brioschi", lambda x: x + 1e-7),
+    "curvature_relation": ("definite", "K_eta", lambda x: x + 1e-5),
+    "conjugate_curvature": ("conjugate", "K_val", lambda x: x + 1e-6),
+    "expansion_curvature": ("expansion", "K_val", lambda x: x + 1e-6),
+    "nondegeneracy": ("verify", "detA_val", lambda x: 0.0),
+}
+NODE = 5
+
+
+def _node_defect(field, change, nodes):
+    """Change ``field`` at node NODE of each frame that has it; list the node's (u, v)."""
+
+    def defect(f):
+        if np.size(f.u) > NODE:
+            nodes.append([float(f.u[NODE]), float(f.v[NODE])])
+            x = np.array(getattr(f, field))
+            x[NODE] = change(x[NODE])
+            vars(f)[field] = x
+
+    return defect
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["shift", "nan"])
+@pytest.mark.parametrize("name", list(NODE_DEFECTS))
+def test_node_defect_names_its_node(name, nan, monkeypatch):
+    group, field, change = NODE_DEFECTS[name]
+    nodes = []
+    defect = _node_defect(field, (lambda x: np.nan) if nan else change, nodes)
+    (check,) = (c for c in _run_verify(group, defect, monkeypatch) if c["name"] == name)
+    assert check["status"] == ("SKIP" if name == "nondegeneracy" else "FAIL"), check
+    assert check["where"] == nodes[0]  # the first frame that cli builds
 
 
 @pytest.mark.parametrize("group", list(VERIFY_GROUPS))
 def test_group_function_returns_its_rows_in_order(group):
-    assert list(VERIFY_GROUPS[group](cli._build_surface(ARGS))) == _rows(group)
+    residuals, (u, v) = VERIFY_GROUPS[group](cli._build_surface(ARGS))
+    assert list(residuals) == _rows(group)
+    assert u.shape == v.shape == (u.size,)
+    assert all(np.shape(r) == u.shape for r in residuals.values())
+    assert {rule for _, _, rule in cli.CHECKS.values()} <= {"abs", "excess", "slack", "floor"}
 
 
 @pytest.mark.parametrize("surface", ["round-sphere", "cylinder", "paraboloid", "perturbed"])
@@ -200,7 +241,7 @@ def test_verify_manifest_follows_the_table(surface, tmp_path):
     out = tmp_path / "m.json"
     cli.main(["verify", surface, "--spec", str(spec), "--grid", "4x8", "--out", str(out)])
     names = [c["name"] for c in json.loads(out.read_text())["checks"]]
-    rows = [name for name, (_, group) in cli.CHECKS.items() if group != "global"]
+    rows = [name for name, (_, group, _) in cli.CHECKS.items() if group != "global"]
     if surface != "round-sphere":
         rows.remove("round_keta")  # gated to round spheres
     assert names == rows

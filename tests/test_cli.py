@@ -72,9 +72,9 @@ def test_conjugate_group_builds_three_frames(monkeypatch, bumpy_sphere):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(JetFrame, "__init__", counting)
-    residuals = cli._conjugate_residuals(bumpy_sphere, (16, 32))
+    residuals, _ = cli._conjugate_residuals(bumpy_sphere, (16, 32))
     assert len(calls) == 3, calls
-    assert list(residuals) == [n for n, (_, g) in cli.CHECKS.items() if g == "conjugate"]
+    assert list(residuals) == [n for n, (_, g, _) in cli.CHECKS.items() if g == "conjugate"]
 
 
 def test_verify_perturbed_spec_file(tmp_path):
@@ -92,7 +92,7 @@ def test_verify_perturbed_spec_file(tmp_path):
 
 
 def test_verify_tolerance_override_can_fail(tmp_path, monkeypatch):
-    monkeypatch.setitem(cli.CHECKS, "codazzi", (1e-30, "frame"))
+    monkeypatch.setitem(cli.CHECKS, "codazzi", (1e-30, "frame", "abs"))
     out = tmp_path / "m.json"
     rc = main(["verify", "round-sphere", "--grid", "8x16", "--out", str(out)])
     assert rc == EXIT_CHECK_FAILED
@@ -415,6 +415,17 @@ def test_global_manifest_without_the_route_fields_is_invalid(tmp_path):
     assert main(["global", "round-sphere", "--grid", "8x16", "--out", str(out)]) == EXIT_OK
     data = json.loads(out.read_text())
     del data["report"]["table_route"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, SCHEMA)
+
+
+def test_check_with_a_three_point_where_is_invalid(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify", "round-sphere", "--grid", "4x8", "--out", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())
+    check = data["checks"][0]
+    assert len(check["where"]) == 2
+    check["where"].append(0.0)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(data, SCHEMA)
 

@@ -53,7 +53,7 @@ def test_double_conjugation_recovers_surface(unit_sphere, bumpy_sphere, cylinder
     for patch in (unit_sphere, bumpy_sphere, cylinder):
         frame = _grid_frame(patch, (12, 24))
         conj = JetFrame(conjugate(patch), frame.u, frame.v)
-        assert double_conjugate_residual(frame, conj) < 1e-9
+        assert np.max(double_conjugate_residual(frame, conj)) < 1e-9
 
 
 def test_third_form_round_sphere(unit_sphere):
@@ -69,30 +69,30 @@ def test_third_form_paraboloid_zero(paraboloid):
 
 def test_third_form_matches_conjugate_metric(bumpy_sphere):
     res = verify_conjugate_duality(_grid_frame(bumpy_sphere, (16, 32)))
-    assert res["third_form"] < 1e-8
+    assert np.max(res["third_form"]) < 1e-8
 
 
 def test_conjugate_duality_identities(unit_sphere):
     res = verify_conjugate_duality(_grid_frame(unit_sphere, (12, 24)))
-    assert res["conjugate_weingarten"] < 1e-9
-    assert res["conjugate_second_form"] < 1e-9
-    assert res["conjugate_curvature"] < 1e-9
+    assert np.max(res["conjugate_weingarten"]) < 1e-9
+    assert np.max(res["conjugate_second_form"]) < 1e-9
+    assert np.max(res["conjugate_curvature"]) < 1e-9
 
 
 def test_conjugate_duality_perturbed():
     rng = np.random.default_rng(1)
     patch, _ = random_perturbed_sphere(rng, total_amplitude=0.03)
     res = verify_conjugate_duality(_grid_frame(patch, (16, 32)))
-    assert res["conjugate_weingarten"] < 1e-7
-    assert res["conjugate_second_form"] < 1e-7
-    assert res["conjugate_curvature"] < 1e-7
+    assert np.max(res["conjugate_weingarten"]) < 1e-7
+    assert np.max(res["conjugate_second_form"]) < 1e-7
+    assert np.max(res["conjugate_curvature"]) < 1e-7
 
 
 def test_conjugate_duality_cylinder(cylinder):
     # duality needs only nondegeneracy, not a definite second form
     res = verify_conjugate_duality(_grid_frame(cylinder, (12, 24)))
-    assert res["conjugate_weingarten"] < 1e-9
-    assert res["conjugate_second_form"] < 1e-9
+    assert np.max(res["conjugate_weingarten"]) < 1e-9
+    assert np.max(res["conjugate_second_form"]) < 1e-9
 
 
 def test_umbilicity_invariant_under_conjugation(unit_sphere, bumpy_sphere):
@@ -130,9 +130,9 @@ def test_expansion_laws_constant_sigma(unit_sphere):
     pts = unit_sphere.sample_points(50, rng)
     laws = verify_expansion_laws(JetFrame(unit_sphere, *pts), ScalarField.constant(0.3))
     # constant log-factor: second form unchanged, operator rescaled
-    assert laws["expansion_second_form"] < 1e-12
-    assert laws["expansion_weingarten"] < 1e-12
-    assert laws["expansion_curvature"] < 1e-12
+    assert np.max(laws["expansion_second_form"]) < 1e-12
+    assert np.max(laws["expansion_weingarten"]) < 1e-12
+    assert np.max(laws["expansion_curvature"]) < 1e-12
 
 
 def test_expansion_laws_random_harmonic_sigma(unit_sphere, bumpy_sphere):
@@ -142,13 +142,13 @@ def test_expansion_laws_random_harmonic_sigma(unit_sphere, bumpy_sphere):
             sigma = random_spec(rng, l_max=3, total_amplitude=0.04).chart_field()
             pts = patch.sample_points(60, rng, margin=0.05)
             laws = verify_expansion_laws(JetFrame(patch, *pts), sigma)
-            assert laws["expansion_weingarten"] < 1e-7
-            assert laws["expansion_second_form"] < 1e-7
-            assert laws["expansion_curvature"] < 1e-7
-            assert laws["expansion_trace"] < 1e-8
-            assert laws["expansion_normal"] < 1e-7
-            assert laws["expansion_pairing"] < 1e-9
-            assert laws["expansion_metric"] < 1e-9
+            assert np.max(laws["expansion_weingarten"]) < 1e-7
+            assert np.max(laws["expansion_second_form"]) < 1e-7
+            assert np.max(laws["expansion_curvature"]) < 1e-7
+            assert np.max(laws["expansion_trace"]) < 1e-8
+            assert np.max(laws["expansion_normal"]) < 1e-7
+            assert np.max(laws["expansion_pairing"]) < 1e-9
+            assert np.max(laws["expansion_metric"]) < 1e-9
 
 
 def test_expansion_curvature_law_on_cylinder(cylinder):
@@ -157,9 +157,9 @@ def test_expansion_curvature_law_on_cylinder(cylinder):
     sigma = ScalarField(lambda uj, vj: (uj * uj) * 0.01 + vj * 0.02)
     pts = cylinder.sample_points(50, rng)
     laws = verify_expansion_laws(JetFrame(cylinder, *pts), sigma)
-    assert laws["expansion_weingarten"] < 1e-8
-    assert laws["expansion_second_form"] < 1e-8
-    assert laws["expansion_curvature"] < 1e-8
+    assert np.max(laws["expansion_weingarten"]) < 1e-8
+    assert np.max(laws["expansion_second_form"]) < 1e-8
+    assert np.max(laws["expansion_curvature"]) < 1e-8
 
 
 def test_expansion_then_conjugation_consistency():
@@ -169,10 +169,11 @@ def test_expansion_then_conjugation_consistency():
     sigma = random_spec(rng, l_max=2, total_amplitude=0.04).chart_field()
     patch = expand(base, sigma)
     res = verify_conjugate_duality(_grid_frame(patch, (16, 32)))
-    assert res["conjugate_weingarten"] < 1e-6
-    assert res["conjugate_second_form"] < 1e-6
-    assert res["conjugate_curvature"] < 1e-6
-    assert verify_conjugate_duality(_grid_frame(patch, (10, 20)))["double_conjugate"] < 1e-9
+    assert np.max(res["conjugate_weingarten"]) < 1e-6
+    assert np.max(res["conjugate_second_form"]) < 1e-6
+    assert np.max(res["conjugate_curvature"]) < 1e-6
+    double = verify_conjugate_duality(_grid_frame(patch, (10, 20)))["double_conjugate"]
+    assert np.max(double) < 1e-9
 
 
 def test_expansion_law_round_base_matches_the_frame_base():
