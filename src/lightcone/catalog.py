@@ -64,11 +64,11 @@ def _sphere_patch(name, embed, expansion=None):
 
 
 def _round_embedding(r, u=None):
-    """w -> B (r, r w), B the boost taking (-1, 0, 0, 0) to u; r * r must be finite."""
+    """w -> B (r, r w), B the boost taking (-1, 0, 0, 0) to u; 0 < r * r < inf must hold."""
     r = float(r)
-    if not (r > 0.0 and np.isfinite(r * r)):
+    if not (r > 0.0 and 0.0 < r * r < np.inf):
         raise NonpositiveRadius(
-            f"radius must be positive and finite, with a finite square; got {r}"
+            f"radius must be positive and finite, with a finite square above 0; got {r}"
         )
     B = boost_to(vec(-1.0, 0.0, 0.0, 0.0) if u is None else np.asarray(u, dtype=float))
 

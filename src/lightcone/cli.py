@@ -4,7 +4,8 @@ Every run writes a JSON manifest echoing the configuration, the residual of
 each check with its tolerance, and the wall time.  Exit codes: 0 all checks
 pass, 2 a check failed, 3 degenerate or invalid surface input, an
 unwritable output path or a usage error, 4 malformed search configuration
-or a usage error of ``search``.
+or a usage error of ``search``.  Commands raise; ``main`` alone turns an
+error into exit 3 or 4 and one stderr line.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, catalog, curvature, transforms
-from .errors import LightconeError
+from .errors import BadConfig, LightconeError
 from .integrals import TABLE_ORACLE_GRID, SphereGrid, geometry_table, table_oracle
 from .minkowski import inner
 from .surfaces import JetFrame, gauss_maps, umbilic_point_search
@@ -155,8 +156,7 @@ class Manifest:
 
     def write(self, path):
         if path:
-            with open(path, "w") as fh:
-                json.dump(self.to_dict(), fh, indent=2)
+            _write(path, json.dumps(self.to_dict(), indent=2))
 
 
 def _parse_grid(text):
@@ -213,25 +213,26 @@ def _surface_manifest(command, args):
     return Manifest(command, config, seed=args.seed)
 
 
-def _cannot_write(path, exc):
-    print(f"cannot write {path}: {exc}", file=sys.stderr)
-    return EXIT_DEGENERATE
-
-
-def _unwritable(paths):
-    """Exit code for the first output path that cannot be written, else None.
+def _probe_outputs(paths):
+    """Raise the OSError of the first output path that cannot be opened for writing.
 
     Probing appends nothing to an existing file and removes a file it created.
     """
     for path in filter(None, paths):
         existed = os.path.lexists(path)
-        try:
-            open(path, "a").close()
-        except OSError as exc:
-            return _cannot_write(path, exc)
+        open(path, "a").close()
         if not existed:
             os.remove(path)
-    return None
+
+
+def _write(path, text):
+    """Write text to path; an OSError, at open or at write, names the path as its filename."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        exc.filename = path
+        raise
 
 
 def _print(text):
@@ -251,10 +252,7 @@ def _print(text):
 
 def _finish(manifest, heading, path):
     """Write the manifest, print the heading and the summary, return the exit code."""
-    try:
-        manifest.write(path)
-    except OSError as exc:
-        return _cannot_write(path, exc)
+    manifest.write(path)
     _print(heading)
     manifest.print_summary()
     return EXIT_OK if manifest.passed else EXIT_CHECK_FAILED
@@ -280,7 +278,7 @@ def _build_surface(args):
         try:
             with open(args.spec) as fh:
                 spec = catalog.HarmonicSpec.from_json(fh.read())
-        except (OSError, ValueError, TypeError, OverflowError) as exc:
+        except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise LightconeError(f"bad spec {args.spec}: {exc}") from exc
         return catalog.perturbed_sphere(spec, r=args.r)
     raise LightconeError(f"unknown surface selector {sel!r}")
@@ -368,11 +366,7 @@ def _expansion_residuals(patch, seed):
 
 def cmd_verify(args):
     manifest = _surface_manifest("verify", args)
-    try:
-        patch = _verify_checks(manifest, args)
-    except LightconeError as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    patch = _verify_checks(manifest, args)
     return _finish(
         manifest,
         f"verify {patch.name} on {args.grid[0]}x{args.grid[1]} + 200 random points",
@@ -426,18 +420,14 @@ def cmd_global(args):
     from . import spectrum
 
     manifest = _surface_manifest("global", args)
-    try:
-        patch = _build_surface(args)
-        grid = SphereGrid(patch, *args.grid)
-        oracle_gap = table_oracle(patch) if grid.route == "sigma" else None
-        gb = grid.gauss_bonnet()
-        gb2 = grid.gauss_bonnet_second_form()
-        ii_area = grid.second_form_area()
-        floor = grid.second_curvature_floor()
-        lam = spectrum.lambda1_estimate(grid)
-    except LightconeError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    patch = _build_surface(args)
+    grid = SphereGrid(patch, *args.grid)
+    oracle_gap = table_oracle(patch) if grid.route == "sigma" else None
+    gb = grid.gauss_bonnet()
+    gb2 = grid.gauss_bonnet_second_form()
+    ii_area = grid.second_form_area()
+    floor = grid.second_curvature_floor()
+    lam = spectrum.lambda1_estimate(grid)
 
     if oracle_gap is not None:
         manifest.add("table_oracle", oracle_gap, detail=_ORACLE_DETAIL)
@@ -501,36 +491,37 @@ def cmd_global(args):
 # -- search ------------------------------------------------------------------
 
 
-def cmd_search(args):
-    from . import search
+def _search_config(args):
+    """The SearchConfig that the arguments select; every problem raises BadConfig."""
+    from .search import SearchConfig
 
     try:
         with open(args.config) as fh:
-            text = fh.read()
-        data = json.loads(text)
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+            data = json.loads(fh.read())
     except json.JSONDecodeError as exc:
-        print(
-            f"malformed config {args.config}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_CONFIG
+        raise BadConfig(
+            f"malformed config {args.config}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, or an integer past Python's digit limit;
+        # RecursionError: nested past the parser's limit.
+        raise BadConfig(f"cannot read config: {exc}") from exc
     if not isinstance(data, dict):
-        print(f"bad config {args.config}: must be a JSON object of settings", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    if unknown := [k for k in data if k not in search.SearchConfig.__dataclass_fields__]:
-        print(f"unknown config keys: {', '.join(unknown)}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise BadConfig(f"bad config {args.config}: must be a JSON object of settings")
+    if unknown := [k for k in data if k not in SearchConfig.__dataclass_fields__]:
+        raise BadConfig(f"unknown config keys: {', '.join(unknown)}")
+    if args.seed is not None:
+        data["seed"] = args.seed
     try:
-        if args.seed is not None:
-            data["seed"] = args.seed
-        config = search.SearchConfig(**data)
+        return SearchConfig(**data)
     except (TypeError, ValueError) as exc:
-        print(f"bad config value: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise BadConfig(f"bad config value: {exc}") from exc
 
+
+def cmd_search(args):
+    from . import search
+
+    config = _search_config(args)
     manifest = Manifest("search", config.to_dict(), seed=config.seed)
     report = search.search(config)
     n_umb = sum(1 for r in report.results if r.classification == "umbilical")
@@ -561,12 +552,8 @@ def cmd_search(args):
     manifest.extra["all_umbilical"] = report.all_umbilical
     manifest.extra["candidates"] = report.candidates
 
-    for path, text in ((args.out, report.to_json()), (args.trace, report.trace_csv())):
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _cannot_write(path, exc)
+    _write(args.out, report.to_json())
+    _write(args.trace, report.trace_csv())
     return _finish(manifest, f"search: report -> {args.out}, trace -> {args.trace}", args.manifest)
 
 
@@ -577,19 +564,15 @@ _EXPORT_HEADER = "theta,phi,K,Keta,d,gap_low,gap_high,psi0\n"
 
 
 def cmd_export(args):
-    try:
-        patch = _build_surface(args)
-        if patch.closed:
-            grid = SphereGrid(patch, *args.grid)
-            th, ph, table = grid.TH, grid.PH, grid.table
-            gap = table_oracle(patch) if grid.route == "sigma" else None
-        else:
-            th, ph = patch.grid_points(args.grid)
-            table = geometry_table(patch, th, ph)
-            gap = None
-    except LightconeError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    patch = _build_surface(args)
+    if patch.closed:
+        grid = SphereGrid(patch, *args.grid)
+        th, ph, table = grid.TH, grid.PH, grid.table
+        gap = table_oracle(patch) if grid.route == "sigma" else None
+    else:
+        th, ph = patch.grid_points(args.grid)
+        table = geometry_table(patch, th, ph)
+        gap = None
     if gap is not None and _judge("table_oracle", gap)[2] == "FAIL":
         print(
             f"table_oracle FAIL: gap {gap:.3e} above {CHECKS['table_oracle'][0]:.1e} "
@@ -602,11 +585,7 @@ def cmd_export(args):
         [th, ph] + [table[k] for k in ("K", "K_eta", "detA", "gap_low", "gap_high", "psi0")]
     )
     text = _EXPORT_HEADER + "".join(",".join(map(repr, row)) + "\n" for row in cols.tolist())
-    try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
+    _write(args.out, text)
     _print(f"export: {th.size} rows -> {args.out}")
     return EXIT_OK
 
@@ -718,15 +697,22 @@ def main(argv=None):
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "search" and args.trace is None:
         args.trace = os.path.splitext(args.out)[0] + "_trace.csv"
-    code = _unwritable(getattr(args, name, None) for name in ("out", "trace", "manifest"))
-    if code is not None:
-        return code
+    # The one handler of errors: inputs are read inside guards that raise
+    # LightconeError, so an OSError here comes from an output, named by its filename.
     try:
+        _probe_outputs(getattr(args, name, None) for name in ("out", "trace", "manifest"))
         return args.fn(args)
+    except BadConfig as exc:
+        line, code = str(exc), EXIT_BAD_CONFIG
+    except LightconeError as exc:
+        line, code = f"rejected: {exc}", args.parser.usage_exit
+    except OSError as exc:
+        line, code = f"cannot write {exc.filename}: {exc}", EXIT_DEGENERATE
     except MemoryError as exc:
         # A grid or config too large for memory is bad input, not a crash.
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return args.parser.usage_exit
+        line, code = f"out of memory: {exc}", args.parser.usage_exit
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
+from .jets import Jet2
 
 #: The paper's standing hypothesis fails where |det A| <= DEGENERACY_FLOOR:
 #: verify's nondegeneracy gate, the conjugate and the difference tensor all
@@ -88,6 +89,11 @@ def _stack2(m00, m01, m10, m11):
     """A stack of 2x2 matrices from its four (broadcast) entries."""
     m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
     return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
+
+
+def _mat2(m):
+    """The values of a nested 2x2 of jets or arrays, stacked [..., a, b]."""
+    return _stack2(*(x.value if isinstance(x, Jet2) else x for row in m for x in row))
 
 
 def _det2(m):

@@ -5,6 +5,10 @@ class LightconeError(Exception):
     """Base class for every library-specific error."""
 
 
+class BadConfig(LightconeError):
+    """A search configuration that cannot be read or breaks a rule; exits 4, printed as is."""
+
+
 class NotUnitTimelike(LightconeError):
     """Observer vector is not past-pointing unit timelike."""
 

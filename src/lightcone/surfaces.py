@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import curvature
-from .curvature import _det2, _inv2, _stack2
+from .curvature import _det2, _inv2, _mat2, _stack2
 from .errors import DegenerateNormalFrame, GaussMapUndefined, NotOnLightcone, NotSpacelike
 from .jets import Jet2, JetVec4
 from .minkowski import inner
@@ -374,11 +374,6 @@ class JetFrame:
         for a, b, c, d in np.ndindex(2, 2, 2, 2):
             val = val + gi[..., a, c] * gi[..., b, d] * ip[..., a, b, c, d]
         return np.abs(val - 2.0 * self.K_val)
-
-
-def _mat2(entries):
-    """Value array of a nested 2x2 tuple of jets."""
-    return _stack2(*(entries[a][b].value for a in range(2) for b in range(2)))
 
 
 def gauss_maps(frame):

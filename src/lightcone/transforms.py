@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .curvature import DEGENERACY_FLOOR, _stack2, degenerate
+from .curvature import DEGENERACY_FLOOR, _mat2, degenerate
 from .errors import DegeneracyViolation
 from .jets import Jet2
 from .minkowski import inner as mink_inner
@@ -199,11 +199,6 @@ def _values(m):
     return m.value if isinstance(m, Jet2) else m
 
 
-def _stack(m):
-    """The values of a nested 2x2 list, stacked [..., a, b]."""
-    return _stack2(*(x for row in _values(m) for x in row))
-
-
 def _mul(a, b):
     """a * b, where a float 0.0 is an exact zero (as in ``_add`` and ``_sub``)."""
     return 0.0 if (type(a) is float and a == 0.0) or (type(b) is float and b == 0.0) else a * b
@@ -235,16 +230,16 @@ def verify_expansion_laws(frame, sigma):
     s = sigma(Jet2.variable("u", f.u), Jet2.variable("v", f.v))
     law = expansion_law(f.geometry, s)
     fe = JetFrame(expand(f.patch, sigma), f.u, f.v)
-    pred_A = _stack(law.A)
+    pred_A = _mat2(law.A)
     grad, e1 = law.grad, np.exp(-s.value)[..., None]
     tang = grad[0][..., None] * f.psi_u.values + grad[1][..., None] * f.psi_v.values
     pred_eta = e1 * (f.eta_val - 0.5 * law.grad2[..., None] * f.psi_val - tang)
     return {
         "expansion_weingarten": np.max(np.abs(fe.A_val - pred_A), axis=(-2, -1)),
-        "expansion_second_form": np.max(np.abs(fe.II_val - _stack(law.II)), axis=(-2, -1)),
+        "expansion_second_form": np.max(np.abs(fe.II_val - _mat2(law.II)), axis=(-2, -1)),
         "expansion_curvature": np.abs(fe.K_val - law.K),
         "expansion_trace": np.abs(-np.einsum("...aa->...", pred_A) - law.K),
         "expansion_normal": np.max(np.abs(fe.eta_val - pred_eta), axis=-1),
         "expansion_pairing": np.abs(mink_inner(fe.psi_val, e1 * f.eta_val) - 1.0),
-        "expansion_metric": np.max(np.abs(fe.g_val - _stack(law.g)), axis=(-2, -1)),
+        "expansion_metric": np.max(np.abs(fe.g_val - _mat2(law.g)), axis=(-2, -1)),
     }

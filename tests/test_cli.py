@@ -179,7 +179,7 @@ def test_verify_tiny_radius_conjugate_off_cone_rejected(capsys):
     argv = ["verify", "round-sphere", "--r", "1e-4", "--grid", "4x8"]
     assert main(argv) == EXIT_DEGENERATE
     err = capsys.readouterr().err
-    assert err.startswith("degenerate input: conjugate(round-sphere") and "Traceback" not in err
+    assert err.startswith("rejected: conjugate(round-sphere") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["verify", "export"])
@@ -191,6 +191,19 @@ def test_radius_with_overflowing_square_rejected(tmp_path, capsys, command):
     assert main(argv) == EXIT_DEGENERATE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "with a finite square" in lines[0], lines
+
+
+@pytest.mark.parametrize("command", ["verify", "global", "export"])
+def test_radius_with_underflowing_square_rejected(tmp_path, capsys, command):
+    # (1e-163)^2 rounds to 0, which the sigma route of global and export
+    # would divide by.
+    spec = tmp_path / "spec.json"
+    spec.write_text("[[2, 0, 0.01]]")
+    argv = [command, "perturbed", "--spec", str(spec), "--r", "1e-163", "--grid", "8x16",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_DEGENERATE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rejected: radius must be positive"), lines
 
 
 @pytest.mark.parametrize("u0", ["-1e200", "-inf", "1e300"])
@@ -609,6 +622,38 @@ def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+class _FullDisk(io.StringIO):
+    """A file on a full disk: it opens, and every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "round-sphere", "--grid", "4x8", "--out", "{tmp}/m.json"],
+     ["search", "--config", "{tmp}/cfg.json", "--out", "{tmp}/r.json"],
+     ["export", "round-sphere", "--grid", "4x8", "--out", "{tmp}/t.csv"]],
+    ids=["verify_manifest", "search_report", "export_table"],
+)
+def test_failed_write_exits_3(tmp_path, capsys, monkeypatch, argv):
+    # Opening succeeds and writing fails, as on a full disk.
+    def full_disk(path, mode="r", **kwargs):
+        if "w" not in mode:
+            return open(path, mode, **kwargs)
+        open(path, mode, **kwargs).close()
+        return _FullDisk()
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16,
+                               "max_iter": 5}))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv) == EXIT_DEGENERATE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"cannot write {argv[-1]}: [Errno 28] No space left on device: '{argv[-1]}'"]
+
+
 def test_undefined_gauss_map_exits_3(capsys, monkeypatch):
     def undefined(frame):
         raise GaussMapUndefined("normal has zero time component")
@@ -616,7 +661,7 @@ def test_undefined_gauss_map_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "gauss_maps", undefined)
     assert main(["verify", "round-sphere", "--grid", "4x8"]) == EXIT_DEGENERATE
     err = capsys.readouterr().err
-    assert "degenerate input: normal has zero time component" in err
+    assert "rejected: normal has zero time component" in err
     assert "Traceback" not in err
 
 
