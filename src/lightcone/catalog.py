@@ -108,7 +108,6 @@ def round_geometry(tj, r):
         A=((-0.5 / r2, 0.0), (0.0, -0.5 / r2)),
         K=1.0 / r2,
         gamma=(((0.0, 0.0), (0.0, -(st * ct))), ((0.0, cot), (cot, 0.0))),
-        jets=True,
     )
 
 

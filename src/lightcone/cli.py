@@ -210,7 +210,7 @@ def _surface_manifest(command, args):
         "spec": args.spec,
         "grid": list(args.grid),
     }
-    return Manifest(command, config, seed=args.seed)
+    return Manifest(command, config, seed=getattr(args, "seed", None))
 
 
 def _probe_outputs(paths):
@@ -593,30 +593,34 @@ def cmd_export(args):
 # -- parser ------------------------------------------------------------------
 
 
-class _NegativeFloat:
-    """Matches a negative number in any notation ``float`` reads, such as -7.5e-1."""
+class _NegativeValue:
+    """Matches a value that starts with ``-``: a negative number ``float`` reads,
+    such as -7.5e-1, or any text of ``-`` then a digit or ``.``, such as -1x4."""
 
     @staticmethod
     def match(text):
+        if text[:1] != "-":
+            return False
         try:
             float(text)
         except ValueError:
-            return False
-        return text.startswith("-")
+            return text[1:2] in set("0123456789.")
+        return True
 
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with ``usage_exit``.
 
-    argparse's own code, 2, would read as a failed check.  Any negative
-    float literal is a value, not an option; argparse's own rule takes
-    -1.25e0 for an option.
+    argparse's own code, 2, would read as a failed check.  What
+    ``_NegativeValue`` matches is a value, not an option, so the option's
+    type states what is wrong with it; argparse's own rule takes -1.25e0
+    and -1x4 for options.
     """
 
     def __init__(self, *args, usage_exit=EXIT_DEGENERATE, **kwargs):
         super().__init__(*args, **kwargs)
         self.usage_exit = usage_exit
-        self._negative_number_matcher = _NegativeFloat
+        self._negative_number_matcher = _NegativeValue
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -647,7 +651,6 @@ def build_parser():
         p.add_argument(
             "--grid", type=_parse_grid, default=(64, 128), help="grid as NTHETAxNPHI"
         )
-        p.add_argument("--seed", type=_parse_seed, default=0, help="random-point seed")
         p.add_argument("--out", default=None, help="manifest JSON path")
 
     fmt = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -659,6 +662,7 @@ def build_parser():
         **fmt,
     )
     add_surface_args(p_verify)
+    p_verify.add_argument("--seed", type=_parse_seed, default=0, help="random-point seed")
     p_verify.set_defaults(fn=cmd_verify, parser=p_verify)
 
     p_global = sub.add_parser(

@@ -229,6 +229,9 @@ class Jet2:
     """Truncated bivariate Taylor expansion at a (possibly batched) base point."""
 
     __slots__ = ("_c", "valid")
+    # An ndarray or numpy-scalar operand defers to the reflected operator
+    # below, so ``array * jet`` is a jet, not an object array of jets.
+    __array_ufunc__ = None
 
     def __init__(self, coeff, valid=ORDER):
         coeff = np.asarray(coeff, dtype=float)

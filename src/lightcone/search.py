@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -114,28 +114,23 @@ class VarianceObjective:
     ``integrals.expansion_entries``, the step ``SphereGrid`` takes for a
     perturbed sphere.  The nodes, one jet per free harmonic and the round
     sphere's geometry are built once; ``diagnostics`` then needs one
-    harmonic sum and that step per call.  The round base carries no shape
-    operator, so the step builds only the entries the objective reads.
-    ``frame_diagnostics`` reads the same entries from a ``geometry_table``
-    sweep of the perturbed sphere, a full ``JetFrame`` route, and is the
-    independent oracle.  Both are pure deterministic functions of the
-    coefficients and share one reduction, which leaves the residual vector
-    sqrt(w / area) (K_eta - mean), whose squares sum to the variance, in
-    ``residual`` (None when the evaluation is not ``ok``).
+    harmonic sum and that step per call.  ``frame_diagnostics`` reads the
+    same entries from a ``geometry_table`` sweep of the perturbed sphere, a
+    full ``JetFrame`` route, and is the independent oracle.  Both are pure
+    deterministic functions of the coefficients and share one reduction,
+    whose ``ok`` dict holds the residual vector sqrt(w / area) (K_eta - mean);
+    its squares sum to the variance.
     """
 
-    def __init__(self, config, n_theta=None, n_phi=None):
+    def __init__(self, config):
         self.config = config
         self.pairs = config.free_pairs()
-        self.n_theta = n_theta or config.n_theta
-        self.n_phi = n_phi or config.n_phi
-        self.TH, self.PH, self.w_nodes = integrals.sphere_quadrature(self.n_theta, self.n_phi)
+        self.TH, self.PH, self.w_nodes = integrals.sphere_quadrature(config.n_theta, config.n_phi)
         self._sin = np.sin(self.TH)
         tj = Jet2.variable("u", self.TH)
         w = _direction_jets(tj, Jet2.variable("v", self.PH))
         self._harmonics = real_harmonic(self.pairs, *w)
-        self._round = round_geometry(tj, _RADIUS)._replace(A=None)
-        self.residual = None
+        self._round = round_geometry(tj, _RADIUS)
 
     def spec(self, x):
         return HarmonicSpec.unpack(self.pairs, x)
@@ -160,9 +155,9 @@ class VarianceObjective:
         """Report fields of a table; a missing, non-finite or gated one is not ``ok``.
 
         An ``ok`` table passes the det A > 1e-6 / definite-II gate and its
-        objective is the variance; any other scores ``_WALL``.
+        objective is the variance, and ``residual`` its residual vector; any
+        other scores ``_WALL``.
         """
-        self.residual = None
         w = None if table is None else integrals.induced_weights(self.w_nodes, self._sin, table)
         if w is None or not all(
             np.isfinite(a).all() for a in (table["detA"], w, table["gap_low"])
@@ -174,12 +169,13 @@ class VarianceObjective:
         keta = table["K_eta"]
         area = float(w.sum())
         mean = float((w * keta).sum()) / area
-        self.residual = np.sqrt(w / area) * (keta - mean)
-        var = float(self.residual @ self.residual)
+        residual = np.sqrt(w / area) * (keta - mean)
+        var = float(residual @ residual)
         return {
             "ok": True,
             "objective": var,
             "variance": var,
+            "residual": residual,
             "mean_keta": mean,
             "sup_dev": float(np.abs(keta - mean).max()),
             "sup_gap_low": float(table["gap_low"].max()),
@@ -289,7 +285,7 @@ def _minimize_one(obj, x0, config):
             (len(trace), d["objective"], d["variance"], d.get("mean_keta", np.nan),
              d.get("min_detA", np.nan))
         )
-        return obj.residual
+        return d.get("residual")
 
     # The round sphere, x = 0, is admissible, and so is a neighbourhood of it.
     x, halvings = np.asarray(x0, dtype=float), 0
@@ -341,7 +337,7 @@ def search(config):
                 classification = "umbilical"
             elif d["sup_gap_low"] >= _CANDIDATE_GAP:
                 fine = VarianceObjective(
-                    config, n_theta=2 * config.n_theta, n_phi=2 * config.n_phi
+                    replace(config, n_theta=2 * config.n_theta, n_phi=2 * config.n_phi)
                 )
                 fd = fine.frame_diagnostics(x)
                 if (

@@ -19,7 +19,9 @@ import numpy as np
 
 from . import curvature
 from .curvature import _det2, _inv2, _mat2, _stack2
-from .errors import DegenerateNormalFrame, GaussMapUndefined, NotOnLightcone, NotSpacelike
+from .errors import (
+    DegenerateNormalFrame, GaussMapUndefined, LightconeError, NotOnLightcone, NotSpacelike,
+)
 from .jets import Jet2, JetVec4
 from .minkowski import inner
 
@@ -34,9 +36,9 @@ class Geometry(NamedTuple):
     """A surface's geometry at some points, the base of ``transforms.expansion_law``.
 
     ``g``, ``gi``, ``II`` and ``A`` are nested 2x2 tuples, ``gamma[c][a][b]``
-    the Christoffel symbols and ``K`` the curvature.  On a ``jets`` base, g,
-    g^-1, II and gamma are jets, or floats; otherwise every entry is a value
-    array.  ``JetFrame.geometry`` gives the values of a frame.
+    the Christoffel symbols and ``K`` the curvature.  An entry is a jet, a
+    value array or a float; ``JetFrame.geometry`` gives the values of a
+    frame, ``catalog.round_geometry`` jets and floats.
     """
 
     g: tuple
@@ -45,7 +47,6 @@ class Geometry(NamedTuple):
     A: tuple
     K: object
     gamma: tuple
-    jets: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +405,8 @@ def closed_extremum(patch, field, grid):
     ``field(frame)`` returns the field as a jet of valid order 2 or more and
     the scale of its rounding noise per point.  The chart and its
     pole-rotated twin are both searched, since a point at a coordinate pole
-    is invisible to the chart.  On each, one JetFrame over the ``grid``
+    is invisible to the chart; a patch without a twin raises
+    LightconeError.  On each, one JetFrame over the ``grid``
     nodes gives the field's value, gradient and Hessian, and Newton starts
     from the ``_extreme_nodes`` with those.  A step goes only along the
     Hessian eigendirections whose eigenvalue exceeds 1e-8 of the scale (on
@@ -417,8 +419,10 @@ def closed_extremum(patch, field, grid):
     least find wins, in the coordinates of its chart with phi wrapped to
     [0, 2 pi).
     """
+    if patch.rotated is None:
+        raise LightconeError(f"{patch.name}: no pole-rotated twin to search near the poles")
     best = None
-    for chart in filter(None, (patch, patch.rotated)):
+    for chart in (patch, patch.rotated):
         u, v = chart.grid_points(grid)
         first, last = u[0], u[-1]  # theta of the first and last scanned row
         k, (found, grad, hess, scale) = _scan_starts(field, chart, u, v)

@@ -140,10 +140,10 @@ def expand(patch, sigma):
 
 
 #: What ``expansion_law`` predicts for e^s psi: nested 2x2 lists ``g``, ``II``
-#: (jets valid through order two on a jet base) and ``A``; ``K``, ``detII``,
-#: ``detA`` = det II' / det g', and the gradient of s, ``grad``, with squared
-#: norm ``grad2``.  All but II are values, or floats where the base makes
-#: them constant.  ``A`` is None when the base carries no shape operator.
+#: (jets valid through order two) and ``A``; ``K``, ``detII``, ``detA`` =
+#: det II' / det g', and the gradient of s, ``grad``, with squared norm
+#: ``grad2``.  All but II are values, or floats where the base makes them
+#: constant.
 Expanded = namedtuple("Expanded", "g II A K detII detA grad grad2")
 
 
@@ -155,19 +155,13 @@ def expansion_law(base, s):
       * A' = e^{-2s} (A + Hess-op + |grad s|^2/2 I - ds (.) grad s)
       * K' = (K - Lap s) e^{-2s}, Lap s the trace of Hess-op.
 
-    A base whose ``A`` is None yields no A'.
-
     II' and its terms are formed entry by entry (a symmetric one indexed by
-    a + b), as jets on a jet base truncated at order two, all that Brioschi's
-    formula reads; a float 0.0 entry of the base drops the terms it enters.
+    a + b), as jets truncated at order two, all that Brioschi's formula
+    reads; a float 0.0 entry of the base drops the terms it enters.
     """
-    if base.jets:
-        su, sv = s.d("u"), s.d("v")
-        ds = (su.truncated(2), sv.truncated(2))
-        dd = (su.d("u"), su.d("v"), sv.d("v"))
-    else:
-        ds = (s.partial(1, 0), s.partial(0, 1))
-        dd = (s.partial(2, 0), s.partial(1, 1), s.partial(0, 2))
+    su, sv = s.d("u"), s.d("v")
+    ds = (su.truncated(2), sv.truncated(2))
+    dd = (su.d("u"), su.d("v"), sv.d("v"))
     gam, g = base.gamma, base.g
     hess = [_sub(_sub(dd[a + b], _mul(gam[0][a][b], ds[0])), _mul(gam[1][a][b], ds[1]))
             for a, b in ((0, 0), (0, 1), (1, 1))]
@@ -179,16 +173,15 @@ def expansion_law(base, s):
            for b in (0, 1)] for a in (0, 1)]
 
     e2, conformal = np.exp(-2.0 * s.value), np.exp(2.0 * s.value)
-    gi, h, ds, grad, half, grad2 = map(_values, (base.gi, hess, ds, grad, half, grad2))
+    gi, A, K, h, ds, grad, half, grad2 = map(
+        _values, (base.gi, base.A, base.K, hess, ds, grad, half, grad2))
     hop = [[gi[c][0] * h[a] + gi[c][1] * h[1 + a] for a in (0, 1)] for c in (0, 1)]
-    A = None if base.A is None else [
-        [e2 * (base.A[c][a] + hop[c][a] + half * float(c == a) - ds[a] * grad[c]) for a in (0, 1)]
-        for c in (0, 1)
-    ]
+    A = [[e2 * (A[c][a] + hop[c][a] + half * float(c == a) - ds[a] * grad[c]) for a in (0, 1)]
+         for c in (0, 1)]
     g = [[conformal * x for x in row] for row in _values(g)]
     (i00, i01), (i10, i11) = _values(II)
     det_ii = i00 * i11 - i01 * i10
-    return Expanded(g, II, A, (base.K - (hop[0][0] + hop[1][1])) * e2, det_ii,
+    return Expanded(g, II, A, (K - (hop[0][0] + hop[1][1])) * e2, det_ii,
                     det_ii / (g[0][0] * g[1][1] - g[0][1] * g[1][0]), grad, grad2)
 
 

@@ -295,6 +295,7 @@ def test_global_round_sphere(tmp_path):
     rc = main(["global", "round-sphere", "--r", "2", "--grid", "32x64", "--out", str(out)])
     assert rc == EXIT_OK
     data = _load_manifest(out)
+    assert data["seed"] is None  # global draws no random number
     rep = data["report"]
     assert abs(rep["ii_eta_area"] - 2 * np.pi) < 1e-6
     assert abs(rep["lambda1"] - 0.5) < 0.5 * 2e-2
@@ -839,11 +840,11 @@ def test_export_header_contract_for_plane_charts(tmp_path):
 
 
 @pytest.mark.parametrize("grid", ["64by128", "0x0", "0x5", "-1x8"])
-def test_grid_parser_rejects_garbage(grid):
+def test_grid_parser_rejects_garbage(capsys, grid):
     with pytest.raises(SystemExit) as exc:
-        # "--grid=" keeps argparse from reading "-1x8" as an option
-        main(["verify", "round-sphere", f"--grid={grid}"])
+        main(["verify", "round-sphere", "--grid", grid])
     assert exc.value.code == EXIT_DEGENERATE
+    assert "grid must look like 64x128" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -858,6 +859,11 @@ def test_grid_parser_rejects_garbage(grid):
         (["search", "--config", "c.json", "--bogus"], EXIT_BAD_CONFIG),
         (["search", "--config", "c.json", "--seed", "abc"], EXIT_BAD_CONFIG),
         (["verify", "round-sphere", "--grid", "4x8", "--seed", "-1"], EXIT_DEGENERATE),
+        (["verify", "round-sphere", "--grid", "-1x4"], EXIT_DEGENERATE),
+        # global and export draw no random number
+        (["global", "round-sphere", "--grid", "8x16", "--seed", "5"], EXIT_DEGENERATE),
+        (["export", "round-sphere", "--grid", "8x16", "--seed", "5", "--out", "t.csv"],
+         EXIT_DEGENERATE),
         # tolerances are pinned: there is no option to loosen one
         (["verify", "round-sphere", "--grid", "4x8", "--tol", "codazzi=1e-30"], EXIT_DEGENERATE),
     ],

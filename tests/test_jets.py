@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -306,6 +307,19 @@ def test_scalar_times_batched_jet(cs, width, seed):
         assert np.array_equal(left.c[k], (s * one).c)
         assert np.array_equal(right.c[k], (one * s).c)
     assert np.array_equal((batch + s).c, batch.c + cs)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=["+", "-", "*", "/"])
+@pytest.mark.parametrize("lhs", [np.array([3.0, -0.5]), np.float64(-1.75)],
+                         ids=["ndarray", "float64"])
+def test_numpy_operand_on_the_left_defers_to_the_jet(op, lhs):
+    # numpy would otherwise map the operator over the jet as an object array.
+    jet = Jet2(np.random.default_rng(5).uniform(0.5, 2.0, size=(2, N_COEFF)))
+    out = op(lhs, jet)
+    ref = op(Jet2.constant(np.broadcast_to(lhs, (2,))), jet)
+    assert type(out) is Jet2 and out.valid == ref.valid
+    assert out.c.tobytes() == ref.c.tobytes()
 
 
 # -- the two product kernels -----------------------------------------------------

@@ -191,7 +191,7 @@ def test_expansion_law_round_base_matches_the_frame_base():
     ref = expansion_law(JetFrame(patch, u, v).geometry, s)
     for a in range(2):
         for b in range(2):
-            assert np.allclose(fast.II[a][b].value, ref.II[a][b], rtol=0, atol=1e-13)
+            assert np.allclose(fast.II[a][b].value, ref.II[a][b].value, rtol=0, atol=1e-13)
             assert np.allclose(fast.A[a][b], ref.A[a][b], rtol=0, atol=1e-13)
             assert np.allclose(fast.g[a][b], ref.g[a][b], rtol=0, atol=1e-13)
     assert np.allclose(fast.K, ref.K, rtol=0, atol=1e-13)
