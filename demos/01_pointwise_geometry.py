@@ -10,7 +10,7 @@ import numpy as np
 
 from lightcone import catalog
 from lightcone.curvature import second_form_curvature
-from lightcone.errors import NotRiemannianII
+from lightcone.errors import LightconeError
 from lightcone.surfaces import JetFrame, gauss_maps
 
 np.set_printoptions(precision=6, suppress=True)
@@ -29,7 +29,7 @@ print(f"  shape operator:\n{f.A_val}")
 print(f"  K = {f.K_val:.2e}, det A = {f.detA_val:.6f}, quartic = {2 * f.detA_val:.6f}")
 try:
     second_form_curvature(f)
-except NotRiemannianII:
+except LightconeError:
     print("  second form is indefinite, so no curvature of II here\n")
 
 f = JetFrame(catalog.paraboloid_graph(), 0.7, -0.3)

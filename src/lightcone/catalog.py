@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
-from .errors import CoordinateOverflow, NonpositiveRadialFunction, NonpositiveRadius
+from . import harmonics, jets
+from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .jets import JetVec4
 from .minkowski import boost_to, vec
@@ -33,16 +33,6 @@ _PARABOLOID_EXTENT = 2.0
 _POLE_SWAP = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
 
 
-def _direction_jets(tj, pj, rotation=None):
-    st, ct = jets.sin(tj), jets.cos(tj)
-    cp, sp = jets.cos(pj), jets.sin(pj)
-    w = [st * cp, st * sp, ct]
-    if rotation is not None:
-        R = np.asarray(rotation, dtype=float)
-        w = [w[0] * R[k, 0] + w[1] * R[k, 1] + w[2] * R[k, 2] for k in range(3)]
-    return w
-
-
 def _sphere_patch(name, embed, expansion=None):
     """A closed (theta, phi) chart psi = embed(w) over the sphere of directions w.
 
@@ -52,7 +42,7 @@ def _sphere_patch(name, embed, expansion=None):
     """
 
     def make_chart(rotation):
-        return lambda tj, pj: embed(*_direction_jets(tj, pj, rotation))
+        return lambda tj, pj: embed(*harmonics.directions(tj, pj, rotation))
 
     rotated = SurfacePatch(
         name=name + "/rotated", chart=make_chart(_POLE_SWAP), domain=_SPHERE_DOMAIN, closed=True
@@ -67,7 +57,7 @@ def _round_embedding(r, u=None):
     """w -> B (r, r w), B the boost taking (-1, 0, 0, 0) to u; 0 < r * r < inf must hold."""
     r = float(r)
     if not (r > 0.0 and 0.0 < r * r < np.inf):
-        raise NonpositiveRadius(
+        raise LightconeError(
             f"radius must be positive and finite, with a finite square above 0; got {r}"
         )
     B = boost_to(vec(-1.0, 0.0, 0.0, 0.0) if u is None else np.asarray(u, dtype=float))
@@ -172,15 +162,15 @@ class HarmonicSpec:
 
     def cartesian(self, x, y, z):
         """Evaluate the expansion at direction cosines (numbers or jets)."""
-        harmonics = real_harmonic([(l, m) for l, m, _ in self.terms], x, y, z)
+        values = real_harmonic([(l, m) for l, m, _ in self.terms], x, y, z)
         total = 0.0
-        for (_, _, a), Y in zip(self.terms, harmonics):
+        for (_, _, a), Y in zip(self.terms, values):
             total = Y * a + total
         return total
 
     def chart_field(self):
         """The expansion as a ScalarField on the (theta, phi) sphere chart."""
-        return ScalarField(lambda tj, pj: self.cartesian(*_direction_jets(tj, pj)))
+        return ScalarField(lambda tj, pj: self.cartesian(*harmonics.directions(tj, pj)))
 
     def pack(self, pairs):
         """Coefficient vector in the order of ``pairs`` (absent terms are 0)."""
@@ -207,9 +197,7 @@ def graph_over_sphere(f_cart):
     u, v = patch.grid_points(_GRAPH_CHECK_GRID)
     vals = patch.position(u, v)[..., 0]
     if np.any(vals <= 0.0):
-        raise NonpositiveRadialFunction(
-            f"radial function reaches {np.min(vals):.3e} on the check grid"
-        )
+        raise LightconeError(f"radial function reaches {np.min(vals):.3e} on the check grid")
     return patch
 
 
@@ -227,7 +215,7 @@ def perturbed_sphere(spec, r=1.0):
     except OverflowError:
         scale = math.inf
     if not math.isfinite(scale):
-        raise CoordinateOverflow(
+        raise LightconeError(
             f"spec amplitudes allow sigma up to {sigma:g}; (r e^sigma)^2 must be finite"
         )
 

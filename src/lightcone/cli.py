@@ -261,10 +261,15 @@ def _finish(manifest, heading, path):
 def _build_surface(args):
     """The catalog surface that the arguments select.
 
-    Every input problem, including an unreadable or malformed spec file,
-    raises LightconeError.
+    Every input problem, including an unreadable or malformed spec file or
+    an option that the surface would ignore, raises LightconeError.  ``--r``
+    counts as given when it differs from 1.0, the default every manifest echoes.
     """
     sel = args.surface
+    reads = {"round-sphere": ("--r", "--u"), "perturbed": ("--r", "--spec")}.get(sel, ())
+    given = {"--r": args.r != 1.0, "--u": args.u is not None, "--spec": args.spec is not None}
+    if ignored := [name for name, is_given in given.items() if is_given and name not in reads]:
+        raise LightconeError(f"{sel} takes no {' or '.join(ignored)}")
     if sel == "round-sphere":
         u = None if args.u is None else np.asarray(args.u, dtype=float)
         return catalog.round_sphere(u=u, r=args.r)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMetric, DegeneracyViolation, NotRiemannianII
+from .errors import LightconeError
 from .jets import Jet2
 
 #: The paper's standing hypothesis fails where |det A| <= DEGENERACY_FLOOR:
@@ -59,7 +59,7 @@ def brioschi_curvature(E, F, G):
     e, f, g = E.value, F.value, G.value
     det = e * g - f * f
     if np.any(det == 0.0):
-        raise DegenerateMetric("metric determinant vanishes at the base point")
+        raise LightconeError("metric determinant vanishes at the base point")
     Eu, Ev = E.partial(1, 0), E.partial(0, 1)
     Gu, Gv = G.partial(1, 0), G.partial(0, 1)
     Fu, Fv = F.partial(1, 0), F.partial(0, 1)
@@ -116,7 +116,7 @@ def _inv2(m, det=None):
 def second_form_curvature(frame):
     """Gauss curvature of the eta-second fundamental form, once II is definite."""
     if not np.all(frame.ii_positive):
-        raise NotRiemannianII(
+        raise LightconeError(
             f"{frame.patch.name}: second fundamental form is not positive definite"
         )
     return frame.K_eta
@@ -144,7 +144,7 @@ def difference_tensor(frame):
     """
     detA = frame.detA_val
     if np.any(degenerate(detA)):
-        raise DegeneracyViolation(
+        raise LightconeError(
             f"{frame.patch.name}: |det A| <= {DEGENERACY_FLOOR:.1e} "
             f"(min {np.min(np.abs(detA)):.3e})"
         )

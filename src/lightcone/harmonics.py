@@ -1,7 +1,8 @@
 """Real orthonormal spherical harmonics from one recurrence in the direction cosines.
 
-``real_harmonic`` evaluates Y_{l,m} at direction cosines (x, y, z) given
-as plain numbers, numpy arrays or jets, at any degree.  With q_l^m the
+``directions`` maps the chart point (theta, phi) to the direction cosines
+(x, y, z), and ``real_harmonic`` evaluates Y_{l,m} at them, at any degree;
+both take plain numbers, numpy arrays or jets.  With q_l^m the
 fully normalized associated Legendre function divided by sin^m theta, a
 polynomial in z,
 
@@ -19,8 +20,25 @@ import math
 
 import numpy as np
 
+from . import jets
+
 #: Highest degree a harmonic spec or search config may name.
 L_MAX = 4
+
+
+def directions(theta, phi, rotation=None):
+    """Direction cosines (sin theta cos phi, sin theta sin phi, cos theta), as a list.
+
+    A 3x3 ``rotation`` is applied to the direction: the pole-swapped chart
+    of a closed surface passes its quarter turn.
+    """
+    st, ct = jets.sin(theta), jets.cos(theta)
+    cp, sp = jets.cos(phi), jets.sin(phi)
+    w = [st * cp, st * sp, ct]
+    if rotation is not None:
+        R = np.asarray(rotation, dtype=float)
+        w = [w[0] * R[k, 0] + w[1] * R[k, 1] + w[2] * R[k, 2] for k in range(3)]
+    return w
 
 
 def real_harmonic(pairs, x, y, z):
@@ -75,6 +93,5 @@ def harmonic_basis(l_max, theta, phi):
     """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
-    s = np.sin(theta)
     pairs = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
-    return np.stack(real_harmonic(pairs, s * np.cos(phi), s * np.sin(phi), np.cos(theta))).T
+    return np.stack(real_harmonic(pairs, *directions(theta, phi))).T

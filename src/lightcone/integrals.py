@@ -15,7 +15,7 @@ import numpy as np
 from . import transforms
 from .catalog import round_geometry
 from .curvature import _det2, brioschi_curvature
-from .errors import DegeneracyViolation
+from .errors import LightconeError
 from .jets import Jet2
 from .surfaces import JetFrame, closed_extremum
 
@@ -182,9 +182,7 @@ class SphereGrid:
 
     def __init__(self, patch, n_theta=64, n_phi=128):
         if not patch.closed:
-            raise DegeneracyViolation(
-                f"{patch.name}: quadrature grids need a closed spherical chart"
-            )
+            raise LightconeError(f"{patch.name}: quadrature grids need a closed spherical chart")
         self.patch = patch
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
@@ -211,7 +209,7 @@ class SphereGrid:
         """
         t = self.table
         if not (np.all((t["detA"] > 0.0) & (t["detA"] < np.inf)) and np.all(t["ii_positive"])):
-            raise DegeneracyViolation(
+            raise LightconeError(
                 f"{self.patch.name}: II area element needs finite det A > 0 and definite II "
                 f"at every grid node (min det A {np.min(t['detA']):.3e})"
             )

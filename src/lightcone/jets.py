@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .errors import DivisionByZeroJet, OrderExceeded
+from .errors import LightconeError
 
 ORDER = 4
 
@@ -293,13 +293,13 @@ class Jet2:
     def partial(self, i, j):
         """Mixed partial derivative value d^{i+j}/du^i dv^j."""
         if i < 0 or j < 0 or i + j > self.valid:
-            raise OrderExceeded(f"partial ({i},{j}) exceeds valid order {self.valid}")
+            raise ValueError(f"partial ({i},{j}) exceeds valid order {self.valid}")
         return _FACT[i] * _FACT[j] * self._c[_INDEX[(i, j)]]
 
     def d(self, axis):
         """Partial-derivative jet; one order of validity is consumed."""
         if self.valid <= 0:
-            raise OrderExceeded("jet has no derivative information left")
+            raise ValueError("jet has no derivative information left")
         try:
             src, fac = _DERIVATIVE_PLANS[axis][self.valid - 1]
         except KeyError:
@@ -401,7 +401,7 @@ def weighted_sum(terms, weights):
 def _divide(num, den):
     b00 = den._c[0]
     if not np.all(np.isfinite(b00)) or np.any(b00 == 0.0):
-        raise DivisionByZeroJet("denominator jet has a vanishing constant term")
+        raise LightconeError("denominator jet has a vanishing constant term")
     valid = min(num.valid, den.valid)
     shape = np.broadcast_shapes(num.batch_shape, den.batch_shape)
     a, b = _lift(num._c, len(shape)), _lift(den._c, len(shape))

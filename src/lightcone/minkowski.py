@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotUnitTimelike
+from .errors import LightconeError
 
 #: Diagonal of the metric tensor in canonical coordinates.
 SIGNATURE = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -51,16 +51,16 @@ def boost_to(u):
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (4,):
-        raise NotUnitTimelike(f"expected a 4-vector, got shape {u.shape}")
+        raise LightconeError(f"expected a 4-vector, got shape {u.shape}")
     # Rejected before <u, u> is formed, which would overflow; NaN passes
     # here and fails the test below.
     if np.any(np.abs(u) > _COMPONENT_MAX):
-        raise NotUnitTimelike(
+        raise LightconeError(
             f"u must satisfy <u,u> = -1 with u0 < 0, "
             f"got a component beyond {_COMPONENT_MAX:g} in {u.tolist()}"
         )
     if not (abs(float(inner(u, u)) + 1.0) <= _BOOST_TOL and u[0] < 0.0):
-        raise NotUnitTimelike(
+        raise LightconeError(
             f"u must satisfy <u,u> = -1 with u0 < 0, "
             f"got <u,u> = {float(inner(u, u)):g}, u0 = {float(u[0]):g}"
         )
@@ -77,7 +77,7 @@ def boost_to(u):
         norms = [float(inner(r, r)) for r in residuals]
         k = int(np.argmax(norms))
         if norms[k] <= _BOOST_TOL:
-            raise NotUnitTimelike("could not complete an orthonormal frame")
+            raise LightconeError("could not complete an orthonormal frame")
         basis.append(residuals[k] / np.sqrt(norms[k]))
         seeds.pop(k)
 

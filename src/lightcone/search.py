@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import integrals, jets
-from .catalog import HarmonicSpec, _direction_jets, perturbed_sphere, round_geometry
+from . import harmonics, integrals, jets
+from .catalog import HarmonicSpec, perturbed_sphere, round_geometry
 from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .jets import Jet2
@@ -128,7 +128,7 @@ class VarianceObjective:
         self.TH, self.PH, self.w_nodes = integrals.sphere_quadrature(config.n_theta, config.n_phi)
         self._sin = np.sin(self.TH)
         tj = Jet2.variable("u", self.TH)
-        w = _direction_jets(tj, Jet2.variable("v", self.PH))
+        w = harmonics.directions(tj, Jet2.variable("v", self.PH))
         self._harmonics = real_harmonic(self.pairs, *w)
         self._round = round_geometry(tj, _RADIUS)
 
@@ -152,20 +152,23 @@ class VarianceObjective:
         return self._reduce(table)
 
     def _reduce(self, table):
-        """Report fields of a table; a missing, non-finite or gated one is not ``ok``.
+        """The eight report fields of a table; a missing, non-finite or gated one is not ``ok``.
 
-        An ``ok`` table passes the det A > 1e-6 / definite-II gate and its
-        objective is the variance, and ``residual`` its residual vector; any
-        other scores ``_WALL``.
+        An ``ok`` table passes the det A > 1e-6 / definite-II gate; its
+        objective is the variance and ``residual`` its residual vector.  Any
+        other scores ``_WALL`` with an infinite variance, no residual and NaN
+        in each field it leaves undefined.
         """
+        wall = {"ok": False, "objective": _WALL, "variance": np.inf, "residual": None,
+                "mean_keta": np.nan, "sup_dev": np.nan, "sup_gap_low": np.nan, "min_detA": np.nan}
         w = None if table is None else integrals.induced_weights(self.w_nodes, self._sin, table)
         if w is None or not all(
             np.isfinite(a).all() for a in (table["detA"], w, table["gap_low"])
         ):
-            return {"ok": False, "objective": _WALL, "variance": np.inf}
+            return wall
         min_d = float(table["detA"].min())
         if min_d <= 1e-6 or not table["ii_positive"].all():
-            return {"ok": False, "objective": _WALL, "variance": np.inf, "min_detA": min_d}
+            return {**wall, "min_detA": min_d}
         keta = table["K_eta"]
         area = float(w.sum())
         mean = float((w * keta).sum()) / area
@@ -281,11 +284,8 @@ def _minimize_one(obj, x0, config):
 
     def residual(x):
         d = obj.diagnostics(x)
-        trace.append(
-            (len(trace), d["objective"], d["variance"], d.get("mean_keta", np.nan),
-             d.get("min_detA", np.nan))
-        )
-        return d.get("residual")
+        trace.append((len(trace), d["objective"], d["variance"], d["mean_keta"], d["min_detA"]))
+        return d["residual"]
 
     # The round sphere, x = 0, is admissible, and so is a neighbourhood of it.
     x, halvings = np.asarray(x0, dtype=float), 0
@@ -323,38 +323,12 @@ def search(config):
 
     results = []
     trace_rows = []
-    candidates = []
     for s in range(config.n_starts):
         x, trace, iters, halvings = _minimize_one(obj, starts[s], config)
         for row in trace:
             trace_rows.append((s,) + row)
         d = obj.frame_diagnostics(x)
-        converged = d["ok"] and d["variance"] < config.var_tol
-        classification = "unconverged"
-        reason = ""
-        if converged:
-            if d["sup_gap_low"] < _UMBILIC_TOL:
-                classification = "umbilical"
-            elif d["sup_gap_low"] >= _CANDIDATE_GAP:
-                fine = VarianceObjective(
-                    replace(config, n_theta=2 * config.n_theta, n_phi=2 * config.n_phi)
-                )
-                fd = fine.frame_diagnostics(x)
-                if (
-                    fd["ok"]
-                    and fd["variance"] < config.var_tol
-                    and fd["sup_gap_low"] >= _CANDIDATE_GAP
-                ):
-                    classification = "candidate"
-                    candidates.append(s)
-                else:
-                    classification = "demoted"
-                    reason = (
-                        f"doubled grid: variance {fd.get('variance', np.inf):.3e}, "
-                        f"sup gap {fd.get('sup_gap_low', np.nan):.3e}"
-                    )
-            else:
-                classification = "inconclusive"
+        classification, reason = _classify(config, x, d)
         results.append(
             StartResult(
                 start_index=s,
@@ -362,14 +336,14 @@ def search(config):
                 coefficients=[float(t) for t in x],
                 objective=float(d["objective"]),
                 variance=float(d["variance"]),
-                mean_keta=float(d.get("mean_keta", np.nan)),
-                sup_dev=float(d.get("sup_dev", np.nan)),
-                sup_gap_low=float(d.get("sup_gap_low", np.nan)),
-                min_detA=float(d.get("min_detA", np.nan)),
+                mean_keta=float(d["mean_keta"]),
+                sup_dev=float(d["sup_dev"]),
+                sup_gap_low=float(d["sup_gap_low"]),
+                min_detA=float(d["min_detA"]),
                 iterations=iters,
                 evaluations=len(trace),
                 start_halvings=halvings,
-                converged_variance=bool(converged),
+                converged_variance=classification != "unconverged",
                 classification=classification,
                 oracle_diff=_oracle_difference(obj.diagnostics(x), d),
                 demotion_reason=reason,
@@ -385,21 +359,42 @@ def search(config):
         results=results,
         best_index=best,
         all_umbilical=all_umb,
-        candidates=candidates,
+        candidates=[r.start_index for r in results if r.classification == "candidate"],
         trace_rows=trace_rows,
+    )
+
+
+def _classify(config, x, d):
+    """Classification and demotion reason of a start that ends at x with oracle fields d.
+
+    A start whose variance is not below ``var_tol`` is unconverged; a
+    converged one is umbilical, inconclusive, or re-checked on the doubled
+    grid, where it stays a candidate or is demoted with the reason.
+    """
+    if not (d["ok"] and d["variance"] < config.var_tol):
+        return "unconverged", ""
+    if d["sup_gap_low"] < _UMBILIC_TOL:
+        return "umbilical", ""
+    if d["sup_gap_low"] < _CANDIDATE_GAP:
+        return "inconclusive", ""
+    fine = VarianceObjective(replace(config, n_theta=2 * config.n_theta, n_phi=2 * config.n_phi))
+    fd = fine.frame_diagnostics(x)
+    if fd["ok"] and fd["variance"] < config.var_tol and fd["sup_gap_low"] >= _CANDIDATE_GAP:
+        return "candidate", ""
+    return "demoted", (
+        f"doubled grid: variance {fd['variance']:.3e}, sup gap {fd['sup_gap_low']:.3e}"
     )
 
 
 def _oracle_difference(fast, oracle):
     """``integrals.worst_relative_gap`` of the compared fields; inf when ``ok`` differs.
 
-    A field that both routes leave out, or hold at the same value (an
-    infinite variance on the wall), agrees; one left out by a single route
-    gives NaN.
+    A field that both routes leave undefined (NaN), or hold at the same
+    value (an infinite variance on the wall), agrees; one left undefined by
+    a single route gives NaN.
     """
     return integrals.worst_relative_gap(
-        ((fast.get(k, np.nan), oracle.get(k, np.nan)) for k in _ORACLE_FIELDS),
-        fast["ok"] == oracle["ok"],
+        ((fast[k], oracle[k]) for k in _ORACLE_FIELDS), fast["ok"] == oracle["ok"]
     )
 
 

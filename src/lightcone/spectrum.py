@@ -29,7 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EigenSolverFailure
+from .errors import LightconeError
 from .harmonics import harmonic_basis
 from .integrals import sphere_quadrature
 from .minkowski import inner
@@ -83,12 +83,12 @@ def _cotangent_system(verts, tris):
         axis=1,
     )
     if np.any(l2 <= 0.0):
-        raise EigenSolverFailure("mesh edge is not spacelike-separated")
+        raise LightconeError("mesh edge is not spacelike-separated")
     # 16 area^2 via Heron in squared-length form.
     a2, b2, c2 = l2[:, 0], l2[:, 1], l2[:, 2]
     area2_16 = 2.0 * (a2 * b2 + b2 * c2 + c2 * a2) - (a2**2 + b2**2 + c2**2)
     if np.any(area2_16 <= 0.0):
-        raise EigenSolverFailure("degenerate mesh triangle")
+        raise LightconeError("degenerate mesh triangle")
     area = 0.25 * np.sqrt(area2_16)
     # cot of the angle opposite each edge: cos/sin = (b2+c2-a2) / (4 area).
     cots = np.stack(
@@ -131,7 +131,7 @@ def _lambda1_raw(patch, n_theta, n_phi):
     """First nonzero eigenvalue of the cotangent Laplacian on the n_theta x n_phi mesh."""
     n_verts = n_theta * n_phi + 2
     if n_verts <= _ORACLE_K:
-        raise EigenSolverFailure(
+        raise LightconeError(
             f"{n_theta}x{n_phi} grid is too small for the spectrum: "
             f"{n_verts} mesh vertices, more than {_ORACLE_K} needed"
         )
@@ -146,13 +146,11 @@ def _lambda1_raw(patch, n_theta, n_phi):
         vals = spla.eigsh(
             W, k=_ORACLE_K, M=M, sigma=-0.01 * scale, which="LM", v0=v0, return_eigenvectors=False
         )
-    except Exception as exc:  # arpack failures become our error type
-        raise EigenSolverFailure(str(exc)) from exc
+    except RuntimeError as exc:  # ARPACK non-convergence, or a singular shift-invert factor
+        raise LightconeError(str(exc)) from exc
     vals = np.sort(vals)
     if abs(vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
-        raise EigenSolverFailure(
-            f"constant mode not resolved (lambda0 = {vals[0]:.3e})"
-        )
+        raise LightconeError(f"constant mode not resolved (lambda0 = {vals[0]:.3e})")
     return float(vals[1])
 
 
@@ -192,7 +190,7 @@ def _second_eigenvalue(stiffness, mass):
             np.diag(stiffness), mass, eigvals_only=True, subset_by_index=[0, 1]
         )
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise EigenSolverFailure(f"Galerkin eigenproblem failed: {exc}") from exc
+        raise LightconeError(f"Galerkin eigenproblem failed: {exc}") from exc
     return float(vals[1])
 
 
@@ -207,13 +205,13 @@ def lambda1_estimate(grid):
     """
     l_max = min(16, grid.n_theta // 4, grid.n_phi // 8)
     if l_max < 2:
-        raise EigenSolverFailure(
+        raise LightconeError(
             f"{grid.n_theta}x{grid.n_phi} grid is too small for the spectrum: "
             "the harmonic basis needs n_theta >= 8 and n_phi >= 16"
         )
     defect = _conformal_defect(grid)
     if not defect <= CONFORMAL_TOL:
-        raise EigenSolverFailure(
+        raise LightconeError(
             f"{grid.patch.name}: metric is not conformal to the round sphere in "
             f"(theta, phi): defect {defect:.3e} above {CONFORMAL_TOL:g}"
         )

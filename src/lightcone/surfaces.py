@@ -19,9 +19,7 @@ import numpy as np
 
 from . import curvature
 from .curvature import _det2, _inv2, _mat2, _stack2
-from .errors import (
-    DegenerateNormalFrame, GaussMapUndefined, LightconeError, NotOnLightcone, NotSpacelike,
-)
+from .errors import LightconeError
 from .jets import Jet2, JetVec4
 from .minkowski import inner
 
@@ -124,7 +122,7 @@ class JetFrame:
 
         cone = inner(self.psi_val, self.psi_val)
         if not (np.all(np.abs(cone) <= _ON_CONE_TOL) and np.all(self.psi0_val > 0.0)):
-            raise NotOnLightcone(
+            raise LightconeError(
                 f"{patch.name}: max |<psi,psi>| = {np.max(np.abs(cone)):.3e}, "
                 f"min psi0 = {np.min(psi[0].value):.3e}"
             )
@@ -134,7 +132,7 @@ class JetFrame:
         G = self.psi_v.dot(self.psi_v)
         detg = E * G - F * F
         if not (np.all(E.value > 0.0) and np.all(detg.value > 0.0)):
-            raise NotSpacelike(
+            raise LightconeError(
                 f"{patch.name}: induced metric not positive definite "
                 f"(min E = {np.min(E.value):.3e}, min det g = {np.min(detg.value):.3e})"
             )
@@ -159,7 +157,7 @@ class JetFrame:
         n = e0 - self.psi_u.scale(t_u) - self.psi_v.scale(t_v)
         pn = psi.dot(n)
         if np.any(np.abs(pn.value) < 1e-13):
-            raise DegenerateNormalFrame(f"{patch.name}: normal-plane solve degenerated")
+            raise LightconeError(f"{patch.name}: normal-plane solve degenerated")
         nn = n.dot(n)
         self.eta = psi.scale(-nn / (pn * pn * 2.0)) + n.scale(1.0 / pn)
         self.eta_u = self.eta.d("u")
@@ -388,7 +386,7 @@ def gauss_maps(frame):
     eta = frame.eta_val
     gf = psi / psi[..., 0:1]
     if np.any(np.abs(eta[..., 0]) < _GAUSS_MAP_TOL):
-        raise GaussMapUndefined("normal has zero time component")
+        raise LightconeError("normal has zero time component")
     gp = eta / eta[..., 0:1]
     return gf, gp
 

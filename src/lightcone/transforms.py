@@ -15,7 +15,7 @@ import numpy as np
 
 from . import jets
 from .curvature import DEGENERACY_FLOOR, _mat2, degenerate
-from .errors import DegeneracyViolation
+from .errors import LightconeError
 from .jets import Jet2
 from .minkowski import inner as mink_inner
 from .surfaces import JetFrame, SurfacePatch
@@ -45,7 +45,7 @@ def conjugate(patch):
     """The surface traced by minus the lightlike normal of ``patch``.
 
     Inherits the parametrization of the original chart.  Raises
-    DegeneracyViolation (with the offending point) when the shape operator
+    LightconeError (with the offending point) when the shape operator
     degenerates anywhere on a 24x48 check grid, since the map then fails to
     be an immersion.
     """
@@ -54,12 +54,12 @@ def conjugate(patch):
 
 
 def _require_immersion(frame):
-    """Raise DegeneracyViolation where |det A| on the frame is at the floor."""
+    """Raise LightconeError where |det A| on the frame is at the floor."""
     bad = degenerate(frame.detA_val)
     if np.any(bad):
         k = int(np.argmax(bad))
         u, v = np.broadcast_arrays(frame.u, frame.v)
-        raise DegeneracyViolation(
+        raise LightconeError(
             f"{frame.patch.name}: conjugate undefined, |det A| <= {DEGENERACY_FLOOR:.1e} "
             f"at (u, v) = ({u.flat[k]:.6g}, {v.flat[k]:.6g})"
         )
@@ -94,7 +94,7 @@ def third_fundamental_form(frame):
 def verify_conjugate_duality(frame):
     """Residuals of the conjugate-duality identities, one per point of the frame.
 
-    Raises DegeneracyViolation where the frame's shape operator degenerates.
+    Raises LightconeError where the frame's shape operator degenerates.
     Returns a dict keyed by the ``verify`` check names of per-point largest entries:
       * ``conjugate_weingarten``:  | A~ . A - I |
       * ``conjugate_second_form``: | II~ - II |

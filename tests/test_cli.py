@@ -24,7 +24,7 @@ from lightcone.cli import (
     EXIT_OK,
     main,
 )
-from lightcone.errors import GaussMapUndefined
+from lightcone.errors import LightconeError
 from lightcone.integrals import SphereGrid
 from lightcone.search import VarianceObjective
 from lightcone.surfaces import JetFrame
@@ -336,6 +336,25 @@ def test_global_nonfinite_residuals_fail(tmp_path, monkeypatch):
     assert names["eigenvalue_bound"]["status"] == "FAIL"
     assert names["lambda1_oracle"]["status"] == "FAIL"
     assert names["second_form_area_bound"]["status"] == "FAIL"
+
+
+def test_eigensolver_bug_is_not_a_rejection(monkeypatch):
+    # Only ARPACK's and splu's RuntimeError is bad input; a bug ends in a traceback.
+    def broken(*args, **kwargs):
+        raise TypeError("eigsh() got an unexpected keyword argument")
+
+    monkeypatch.setattr(spectrum.spla, "eigsh", broken)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        main(["global", "round-sphere", "--grid", "8x16"])
+
+
+def test_eigensolver_nonconvergence_is_rejected(capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise spectrum.spla.ArpackNoConvergence("No convergence", [], [])
+
+    monkeypatch.setattr(spectrum.spla, "eigsh", stalled)
+    assert main(["global", "round-sphere", "--grid", "8x16"]) == EXIT_DEGENERATE
+    assert capsys.readouterr().err.splitlines() == ["rejected: ARPACK error -1: No convergence"]
 
 
 @pytest.mark.parametrize("grid", ["1x1", "2x2", "1x4", "4x8", "7x16", "8x15"])
@@ -657,7 +676,7 @@ def test_failed_write_exits_3(tmp_path, capsys, monkeypatch, argv):
 
 def test_undefined_gauss_map_exits_3(capsys, monkeypatch):
     def undefined(frame):
-        raise GaussMapUndefined("normal has zero time component")
+        raise LightconeError("normal has zero time component")
 
     monkeypatch.setattr(cli, "gauss_maps", undefined)
     assert main(["verify", "round-sphere", "--grid", "4x8"]) == EXIT_DEGENERATE
@@ -875,6 +894,30 @@ def test_usage_errors_exit_apart_from_failed_checks(capsys, argv, code):
     assert exc.value.code == code
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "global", "export"])
+@pytest.mark.parametrize(
+    "options, reason",
+    [
+        (["perturbed", "--spec", "{spec}", "--u", "-1.25", "0.75", "0", "0"],
+         "perturbed takes no --u"),
+        (["round-sphere", "--spec", "/nonexistent.json"], "round-sphere takes no --spec"),
+        (["paraboloid", "--r", "5"], "paraboloid takes no --r"),
+        (["cylinder", "--r", "2", "--u", "-1", "0", "0", "0"], "cylinder takes no --r or --u"),
+        (["perturbed", "--u", "-1", "0", "0", "0"], "perturbed takes no --u"),
+    ],
+)
+def test_options_the_surface_ignores_are_rejected(tmp_path, capsys, command, options, reason):
+    # Beside the usage errors: a surface option that the selected surface
+    # would ignore is bad input, or the manifest would echo a setting never applied.
+    spec = tmp_path / "spec.json"
+    spec.write_text("[[2, 0, 0.02]]")
+    out = tmp_path / "out"
+    argv = [command, *(a.format(spec=spec) for a in options), "--grid", "8x16", "--out", str(out)]
+    assert main(argv) == EXIT_DEGENERATE
+    assert capsys.readouterr().err.splitlines() == [f"rejected: {reason}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import fd_weights, mixed_partial_fd
 from lightcone import jets
-from lightcone.errors import DivisionByZeroJet, OrderExceeded
+from lightcone.errors import LightconeError
 from lightcone.jets import ANALYTIC, MONOMIALS, N_COEFF, ORDER, Jet2, JetVec4
 from lightcone.surfaces import JetFrame
 
@@ -59,7 +59,7 @@ def test_self_division_is_one():
 def test_division_by_zero_constant_term():
     a = Jet2.variable("u", 1.0)
     b = Jet2.variable("u", 0.0)  # constant term zero
-    with pytest.raises(DivisionByZeroJet):
+    with pytest.raises(LightconeError, match="vanishing constant term"):
         a / b
 
 
@@ -193,11 +193,11 @@ def test_order_tracking_and_exceeded():
     u = Jet2.variable("u", 1.0)
     d1 = u.d("u")
     assert d1.valid == 3
-    with pytest.raises(OrderExceeded):
+    with pytest.raises(ValueError, match="exceeds valid order"):
         d1.partial(2, 2)
     d4 = u.d("u").d("u").d("u").d("u")
     assert d4.valid == 0
-    with pytest.raises(OrderExceeded):
+    with pytest.raises(ValueError, match="no derivative information"):
         d4.d("u")
 
 

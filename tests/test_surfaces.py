@@ -6,7 +6,7 @@ import pytest
 from conftest import random_perturbed_sphere
 from lightcone import catalog, jets, transforms
 from lightcone.curvature import second_form_curvature
-from lightcone.errors import LightconeError, NotOnLightcone, NotRiemannianII, NotSpacelike
+from lightcone.errors import LightconeError
 from lightcone.jets import Jet2, JetVec4
 from lightcone.minkowski import inner
 from lightcone.integrals import FLOOR_GRID, SphereGrid
@@ -159,7 +159,7 @@ def test_point_geometry_cylinder(cylinder):
     assert f.detA_val == pytest.approx(-0.25, abs=1e-13)
     A = f.A_val
     assert 2.0 * np.trace(A @ A) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(NotRiemannianII):  # second form indefinite
+    with pytest.raises(LightconeError, match="not positive definite"):  # second form indefinite
         second_form_curvature(f)
 
 
@@ -397,7 +397,7 @@ def test_off_cone_chart_rejected():
         return JetVec4(Jet2.constant(1.0) + uj * 0.0, uj, vj, Jet2.constant(0.0))
 
     bad = SurfacePatch("off-cone", chart, ((0.2, 0.8), (0.2, 0.8)))
-    with pytest.raises(NotOnLightcone):
+    with pytest.raises(LightconeError, match=r"max \|<psi,psi>\|"):
         JetFrame(bad, 0.5, 0.5)
 
 
@@ -407,7 +407,7 @@ def test_overflowing_chart_rejected_as_off_cone(unit_sphere):
         "huge-sphere", lambda tj, pj: unit_sphere.chart(tj, pj).scale(1e200), unit_sphere.domain
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NotOnLightcone):
+        with pytest.raises(LightconeError, match=r"max \|<psi,psi>\|"):
             JetFrame(huge, 0.5, 0.5)
 
 
@@ -418,7 +418,7 @@ def test_degenerate_chart_rejected():
         return JetVec4(f, f, Jet2.constant(0.0), Jet2.constant(0.0))
 
     ray = SurfacePatch("null-ray", chart, ((0.0, 1.0), (0.0, 1.0)))
-    with pytest.raises(NotSpacelike):
+    with pytest.raises(LightconeError, match="induced metric not positive definite"):
         JetFrame(ray, 0.5, 0.5)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_perturbed_sphere, random_spec
 from lightcone import catalog
-from lightcone.errors import DegeneracyViolation
+from lightcone.errors import LightconeError
 from lightcone.surfaces import JetFrame
 from lightcone.transforms import (
     ScalarField,
@@ -36,7 +36,7 @@ def test_conjugate_round_sphere_is_shrunk_antipodal_sphere():
 
 
 def test_conjugate_rejects_degenerate(paraboloid):
-    with pytest.raises(DegeneracyViolation):
+    with pytest.raises(LightconeError, match="conjugate undefined"):
         conjugate(paraboloid)
 
 
@@ -45,7 +45,7 @@ def _grid_frame(patch, grid):
 
 
 def test_conjugate_duality_rejects_degenerate_frame(paraboloid):
-    with pytest.raises(DegeneracyViolation, match="conjugate undefined"):
+    with pytest.raises(LightconeError, match="conjugate undefined"):
         verify_conjugate_duality(_grid_frame(paraboloid, (8, 8)))
 
 
