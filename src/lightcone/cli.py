@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import __version__, catalog, curvature, transforms
+from . import __version__, catalog, curvature, surfaces, transforms
 from .errors import BadConfig, LightconeError
 from .integrals import TABLE_ORACLE_GRID, SphereGrid, geometry_table, table_oracle
 from .minkowski import inner
@@ -42,7 +42,7 @@ EXIT_BAD_CONFIG = 4
 CHECKS = {
     # The structure equations through the lightcone: psi null, eta the parallel
     # lightlike normal with <eta, psi> = 1, Weingarten, Codazzi, K = <H, H>, K^2 >= 4 det A.
-    "on_cone": (1e-9, "frame", "abs"),
+    "on_cone": (surfaces.ON_CONE_TOL, "frame", "abs"),
     "normal_constraints": (1e-10, "frame", "abs"),
     "position_weingarten": (1e-10, "frame", "abs"),
     "weingarten_agreement": (1e-8, "frame", "abs"),
@@ -641,7 +641,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_surface_args(p):
+    def add_surface_args(p, out_help="manifest JSON path", out_required=False):
         p.add_argument(
             "surface",
             choices=["round-sphere", "cylinder", "paraboloid", "perturbed"],
@@ -656,7 +656,7 @@ def build_parser():
         p.add_argument(
             "--grid", type=_parse_grid, default=(64, 128), help="grid as NTHETAxNPHI"
         )
-        p.add_argument("--out", default=None, help="manifest JSON path")
+        p.add_argument("--out", default=None, required=out_required, help=out_help)
 
     fmt = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p_verify = sub.add_parser(
@@ -689,13 +689,9 @@ def build_parser():
     p_search.set_defaults(fn=cmd_search, parser=p_search)
 
     p_export = sub.add_parser("export", help="dump per-node curvature table as CSV", **fmt)
-    add_surface_args(p_export)
-    p_export.set_defaults(fn=cmd_export, parser=p_export)
     # export writes the table, not a manifest
-    for action in p_export._actions:
-        if action.dest == "out":
-            action.required = True
-            action.help = "output CSV path"
+    add_surface_args(p_export, out_help="output CSV path", out_required=True)
+    p_export.set_defaults(fn=cmd_export, parser=p_export)
     return parser
 
 

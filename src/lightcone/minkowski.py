@@ -16,7 +16,7 @@ SIGNATURE = np.array([-1.0, 1.0, 1.0, 1.0])
 #: Metric tensor as a matrix.
 G = np.diag(SIGNATURE)
 
-#: Tolerance of ``boost_to`` on <u, u> = -1 and on each frame vector's norm.
+#: Tolerance of ``boost_to`` on <u, u> = -1.
 _BOOST_TOL = 1e-10
 
 #: Largest observer component ``boost_to`` squares; four squares of it stay finite.
@@ -41,13 +41,14 @@ def inner(a, b):
 
 
 def boost_to(u):
-    """Lorentz transform B with B(-1,0,0,0) = u and B^T G B = G.
+    """The pure boost B with B(-1, 0, 0, 0) = u.
 
     ``u`` must be past-pointing unit timelike (inner(u,u) = -1, u0 < 0);
     these are the observer vectors whose round spheres the catalog builds.
-    Constructed by Gram-Schmidt in the Minkowski inner product: the first
-    column is -u and the spatial columns come from the canonical seeds
-    e1, e2, e3, pivoting on the largest residual norm for stability.
+    With -u = (gamma, p), B = [[gamma, p^T], [p, I + p p^T / (1 + gamma)]]:
+    the one proper, orthochronous Lorentz map taking (-1, 0, 0, 0) to u
+    that fixes every direction orthogonal to p.  It is symmetric, and the
+    rest observer u = (-1, 0, 0, 0) gives exactly the identity.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (4,):
@@ -65,20 +66,5 @@ def boost_to(u):
             f"got <u,u> = {float(inner(u, u)):g}, u0 = {float(u[0]):g}"
         )
 
-    basis = [-u]  # future-pointing unit timelike
-    seeds = [vec(0, 1, 0, 0), vec(0, 0, 1, 0), vec(0, 0, 0, 1)]
-    while len(basis) < 4:
-        residuals = []
-        for s in seeds:
-            r = s.copy()
-            for b in basis:
-                r = r - (inner(r, b) / inner(b, b)) * b
-            residuals.append(r)
-        norms = [float(inner(r, r)) for r in residuals]
-        k = int(np.argmax(norms))
-        if norms[k] <= _BOOST_TOL:
-            raise LightconeError("could not complete an orthonormal frame")
-        basis.append(residuals[k] / np.sqrt(norms[k]))
-        seeds.pop(k)
-
-    return np.stack(basis, axis=1)
+    gamma, p = 0.0 - u[0], 0.0 - u[1:]
+    return np.block([[gamma, p], [p[:, None], np.eye(3) + np.outer(p, p) / (1.0 + gamma)]])

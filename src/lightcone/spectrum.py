@@ -128,13 +128,11 @@ class Lambda1Result:
 
 
 def _lambda1_raw(patch, n_theta, n_phi):
-    """First nonzero eigenvalue of the cotangent Laplacian on the n_theta x n_phi mesh."""
-    n_verts = n_theta * n_phi + 2
-    if n_verts <= _ORACLE_K:
-        raise LightconeError(
-            f"{n_theta}x{n_phi} grid is too small for the spectrum: "
-            f"{n_verts} mesh vertices, more than {_ORACLE_K} needed"
-        )
+    """First nonzero eigenvalue of the cotangent Laplacian on the n_theta x n_phi mesh.
+
+    Called only on ``ORACLE_GRIDS``, whose meshes have far more than
+    ``_ORACLE_K`` vertices.
+    """
     verts, tris = _mesh(patch, n_theta, n_phi)
     W, mass = _cotangent_system(verts, tris)
     M = sp.diags(mass)

@@ -24,8 +24,9 @@ from .jets import Jet2, JetVec4
 from .minkowski import inner
 
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])
-#: Largest |<psi, psi>| a chart point may have and still count as on the cone.
-_ON_CONE_TOL = 1e-9
+#: Largest |<psi, psi>| a chart point may have and still count as on the cone:
+#: the JetFrame guard and the tolerance of verify's on_cone check.
+ON_CONE_TOL = 1e-9
 #: Smallest |eta_0| for which the normal's Gauss map is defined.
 _GAUSS_MAP_TOL = 1e-14
 
@@ -121,7 +122,7 @@ class JetFrame:
         self.psi_vv = self.psi_v.d("v")
 
         cone = inner(self.psi_val, self.psi_val)
-        if not (np.all(np.abs(cone) <= _ON_CONE_TOL) and np.all(self.psi0_val > 0.0)):
+        if not (np.all(np.abs(cone) <= ON_CONE_TOL) and np.all(self.psi0_val > 0.0)):
             raise LightconeError(
                 f"{patch.name}: max |<psi,psi>| = {np.max(np.abs(cone)):.3e}, "
                 f"min psi0 = {np.min(psi[0].value):.3e}"

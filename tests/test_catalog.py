@@ -7,7 +7,7 @@ from scipy.special import sph_harm_y
 from lightcone import catalog, harmonics, jets
 from lightcone.errors import LightconeError
 from lightcone.harmonics import basis_index, directions, harmonic_basis, real_harmonic
-from lightcone.integrals import sphere_quadrature
+from lightcone.integrals import geometry_table, sphere_quadrature
 from lightcone.jets import Jet2
 from lightcone.minkowski import inner, vec
 from lightcone.surfaces import JetFrame
@@ -25,23 +25,49 @@ def test_constructor_invariants_on_grid(unit_sphere, cylinder, paraboloid, bumpy
         assert np.min(f.psi0_val) > 0.0
 
 
+def _observer(rapidity, direction):
+    """Past unit timelike observer moving along ``direction`` at ``rapidity``."""
+    n = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    return vec(-np.cosh(rapidity), *(np.sinh(rapidity) * n))
+
+
+#: Observers along an axis and off every axis, up to rapidity 2.
+OBSERVERS = [_observer(0.5, (1, 0, 0)), _observer(1.2, (0.6, -0.48, 0.64)),
+             _observer(2.0, (-2, 1, 2))]
+
+
 def test_round_sphere_slices_observer_plane():
-    u_obs = vec(-np.cosh(0.8), np.sinh(0.8), 0.0, 0.0)
-    for r in (0.5, 2.0):
-        patch = catalog.round_sphere(u=u_obs, r=r)
-        rng = np.random.default_rng(0)
-        th, ph = patch.sample_points(100, rng)
-        pos = patch.position(th, ph)
-        assert np.max(np.abs(inner(pos, u_obs) - r)) < 1e-12
+    for u_obs in (_observer(0.8, (1, 0, 0)), _observer(0.8, (1, -2, 3))):
+        for r in (0.5, 2.0):
+            patch = catalog.round_sphere(u=u_obs, r=r)
+            rng = np.random.default_rng(0)
+            th, ph = patch.sample_points(100, rng)
+            pos = patch.position(th, ph)
+            assert np.max(np.abs(inner(pos, u_obs) - r)) < 1e-12
 
 
 def test_boosted_sphere_constant_shape_operator():
-    u_obs = vec(-np.cosh(1.0), np.sinh(1.0), 0.0, 0.0)
-    patch = catalog.round_sphere(u=u_obs, r=2.0)
-    rng = np.random.default_rng(1)
-    th, ph = patch.sample_points(100, rng)
-    f = JetFrame(patch, th, ph)
-    assert np.max(np.abs(f.A_val + np.eye(2) / 8.0)) < 1e-10
+    for u_obs in (_observer(1.0, (1, 0, 0)), _observer(1.0, (-1, 2, 2))):
+        patch = catalog.round_sphere(u=u_obs, r=2.0)
+        rng = np.random.default_rng(1)
+        th, ph = patch.sample_points(100, rng)
+        f = JetFrame(patch, th, ph)
+        assert np.max(np.abs(f.A_val + np.eye(2) / 8.0)) < 1e-10
+
+
+@pytest.mark.parametrize("u_obs", OBSERVERS, ids=["x_0.5", "oblique_1.2", "oblique_2"])
+def test_round_sphere_geometry_is_lorentz_invariant(u_obs):
+    # A boost is an isometry of Minkowski space that maps the cone to
+    # itself, so every table entry but the time component psi0 is the rest
+    # sphere's at the same chart point.
+    r = 1.3
+    th, ph, _ = sphere_quadrature(16, 32)
+    rest = geometry_table(catalog.round_sphere(r=r), th, ph)
+    boosted = geometry_table(catalog.round_sphere(u=u_obs, r=r), th, ph)
+    assert np.array_equal(boosted.pop("ii_positive"), rest.pop("ii_positive"))
+    del boosted["psi0"], rest["psi0"]
+    for key, value in rest.items():
+        np.testing.assert_allclose(boosted[key], value, rtol=1e-10, atol=1e-10, err_msg=key)
 
 
 def test_round_sphere_rigidity_trio(unit_sphere):

@@ -30,7 +30,20 @@ FLOAT_TEXT = st.one_of(
     st.floats().map(repr),
     st.floats(0.01, 100.0).map("{:e}".format),
 )
+
+
+@st.composite
+def unit_observer(draw):
+    """A past unit timelike observer as text: rapidity in [0, 2], any direction."""
+    rapidity = draw(st.floats(0.0, 2.0))
+    n = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    norm = np.linalg.norm(n)
+    n = n / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0])
+    return [repr(float(c)) for c in (-np.cosh(rapidity), *(np.sinh(rapidity) * n))]
+
+
 OBSERVERS = st.one_of(
+    unit_observer(),
     st.lists(FLOAT_TEXT, min_size=4, max_size=4),
     st.sampled_from([["-1", "0", "0", "0"], ["-1.25e0", "0.75", "0", "0"],
                      ["-1.25", "0", "0", "-7.5e-1"]]),
@@ -86,13 +99,18 @@ def surfaces(draw):
     surface = draw(st.sampled_from(["round-sphere", "cylinder", "paraboloid", "perturbed",
                                     "torus"]))
     argv = [surface, "--grid", draw(GRIDS)]
-    if draw(st.booleans()):
+    if surface in ("round-sphere", "perturbed") and draw(st.booleans()):
         argv += ["--r", draw(FLOAT_TEXT)]
-    if draw(st.booleans()):
+    if surface == "round-sphere" and draw(st.booleans()):
         argv += ["--u", *draw(OBSERVERS)]
-    if surface != "perturbed" or draw(st.booleans()):
-        return argv, None
-    return argv, draw(SPECS)
+    # One draw in eight adds an option that the surface ignores: a spec for
+    # the round sphere, an observer for any other surface.
+    ignored = draw(st.integers(0, 7)) == 0
+    if ignored and surface != "round-sphere":
+        argv += ["--u", *draw(OBSERVERS)]
+    if surface == "perturbed" or (surface == "round-sphere" and ignored):
+        return argv, draw(SPECS)
+    return argv, None
 
 
 def _run(argv):
@@ -124,6 +142,10 @@ def _run(argv):
 @example(surface=(["perturbed", "--grid", "4x8"], b"\xff\xfe["), config=b"\xff\xfe[")
 @example(surface=(["round-sphere", "--grid", "4x8"], None),
          config=b'{"n_starts": 1' + b"0" * 5000 + b"}")
+# A computation on a sphere boosted off every axis, for each command.
+@example(surface=(["round-sphere", "--grid", "8x16", "--u", "-1.255169005630943",
+                   "0.3457945438180774", "-0.4322431797725968", "0.5186918157271161"], None),
+         config=SMALL_SEARCH)
 def test_exit_code_contract(command, surface, config):
     argv, spec = surface
     with tempfile.TemporaryDirectory() as tmp:

@@ -22,20 +22,21 @@ def test_inner_symmetric_bilinear():
 
 def test_boost_identity():
     B = boost_to(vec(-1, 0, 0, 0))
-    assert np.allclose(B, np.eye(4), atol=1e-15)
+    # exactly, with no -0.0: an unboosted chart keeps its bits
+    assert np.array_equal(B, np.eye(4)) and not np.any(np.signbit(B))
 
 
-def test_boost_matches_standard_x_boost():
+@pytest.mark.parametrize("axis", [1, 2, 3], ids=["x", "y", "z"])
+def test_boost_matches_standard_axis_boost(axis):
+    # The pure boost along one axis: a mirror (det -1) or a permutation of
+    # the spatial axes would also take (-1, 0, 0, 0) to u.
     s = 0.7
-    B = boost_to(vec(-np.cosh(s), np.sinh(s), 0, 0))
-    expected = np.array(
-        [
-            [np.cosh(s), -np.sinh(s), 0, 0],
-            [-np.sinh(s), np.cosh(s), 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-        ]
-    )
+    u = vec(-np.cosh(s), 0, 0, 0)
+    u[axis] = np.sinh(s)
+    B = boost_to(u)
+    expected = np.eye(4)
+    expected[0, 0] = expected[axis, axis] = np.cosh(s)
+    expected[0, axis] = expected[axis, 0] = -np.sinh(s)
     assert np.allclose(B, expected, atol=1e-12)
     assert np.max(np.abs(B.T @ G @ B - G)) < 1e-12
 
@@ -56,6 +57,19 @@ def test_boost_columns_orthonormal():
         # all ten distinct inner products of the columns
         gram = B.T @ G @ B
         assert np.max(np.abs(gram - G)) < 1e-12
+        # proper and a pure boost: no mirror, no spatial rotation
+        assert abs(np.linalg.det(B) - 1.0) < 1e-12
+        assert np.max(np.abs(B - B.T)) < 1e-12
+
+
+def test_boost_is_continuous_in_the_observer():
+    # Two observers 2e-9 apart in direction: the boost moves as little.
+    s = 0.7
+    B1, B2 = (
+        boost_to(vec(-np.cosh(s), *(np.sinh(s) * np.array([np.cos(a), np.sin(a), 0.0]))))
+        for a in (np.pi / 4 - 1e-9, np.pi / 4 + 1e-9)
+    )
+    assert np.max(np.abs(B1 - B2)) < 1e-8
 
 
 def test_boost_preserves_inner_and_causal_class():
