@@ -29,9 +29,13 @@ from .jets import Jet2
 # row holds a number, and above every variance the search meets.
 _WALL = 1e6
 # Levenberg-Marquardt: forward-difference step of the Jacobian, first
-# damping, and the stop thresholds on the variance, the step and the damping.
+# damping, the band of |r|^2 cuts that marks a double root (a plain step
+# there cuts it about sixteenfold), and the stop thresholds on the
+# variance, the step and the damping.
 _FD_STEP = 1e-6
 _MU_START = 1e-3
+_QUARTIC_LOW = 1 / 32
+_QUARTIC_HIGH = 1 / 8
 _VAR_FLOOR = 1e-24
 _STEP_FLOOR = 1e-10
 _MU_MAX = 1e12
@@ -239,13 +243,24 @@ def _levenberg_marquardt(residual, x, r, max_iter, bound, var_tol):
     Marquardt's scaling D = diag(J^T J) and the forward-difference Jacobian
     J, rebuilt after every accepted step.  A step is accepted only if its
     point evaluates, stays in the box |x_k| <= bound and lowers |r|^2; then
-    mu falls tenfold, and otherwise it grows tenfold.  The descent stops
-    when |r|^2 < ``_VAR_FLOOR``, a step is below ``_STEP_FLOOR`` in every
-    coordinate, mu exceeds ``_MU_MAX``, after ``max_iter`` steps, or once
-    |r|^2 < ``var_tol`` at a step that does not halve it: converged, the
-    descent has met the rounding noise of the residual.  Returns (x, r, steps).
+    mu falls tenfold, and otherwise it grows tenfold.
+
+    At a double root, where r is quadratic and J vanishes, the Gauss-Newton
+    step only halves the distance, so |r|^2 falls about sixteenfold, while
+    x + 2d lands on the root (Griewank, *SIAM Review* 27, 1985; Decker &
+    Kelley, *SIAM J. Numer. Anal.* 17, 1980).  So after an accepted plain
+    step that cuts |r|^2 by a factor in [``_QUARTIC_LOW``, ``_QUARTIC_HIGH``]
+    the next step tries x + 2d first, and x + d, with the same d and mu,
+    when x + 2d leaves the box, does not evaluate or does not lower |r|^2.
+    A doubled step does not arm the next one.
+
+    The descent stops when |r|^2 < ``_VAR_FLOOR``, a step is below
+    ``_STEP_FLOOR`` in every coordinate, mu exceeds ``_MU_MAX``, after
+    ``max_iter`` steps, or once |r|^2 < ``var_tol`` at a step that does not
+    halve it: converged, the descent has met the rounding noise of the
+    residual.  Returns (x, r, steps).
     """
-    mu, steps, jac = _MU_START, 0, None
+    mu, steps, jac, armed = _MU_START, 0, None, False
     while steps < max_iter and r @ r >= _VAR_FLOOR and mu <= _MU_MAX:
         if jac is None:
             # A probe that cannot be evaluated leaves its column zero.
@@ -261,12 +276,16 @@ def _levenberg_marquardt(residual, x, r, max_iter, bound, var_tol):
         )[0]
         if np.max(np.abs(d)) < _STEP_FLOOR:
             break
-        trial, before = x + d, r @ r
-        rt = residual(trial) if np.max(np.abs(trial)) <= bound else None
-        if rt is not None and rt @ rt < before:
-            x, r, mu, jac = trial, rt, mu / 10.0, None
+        before = r @ r
+        for scale in (2.0, 1.0) if armed else (1.0,):
+            trial = x + scale * d
+            rt = residual(trial) if np.max(np.abs(trial)) <= bound else None
+            if rt is not None and rt @ rt < before:
+                armed = scale == 1.0 and _QUARTIC_LOW <= rt @ rt / before <= _QUARTIC_HIGH
+                x, r, mu, jac = trial, rt, mu / 10.0, None
+                break
         else:
-            mu *= 10.0
+            mu, armed = mu * 10.0, False
         if before < var_tol and r @ r > 0.5 * before:
             break
     return x, r, steps

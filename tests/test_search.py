@@ -308,6 +308,55 @@ def test_rejected_step_raises_the_damping(gate):
     assert x[0] == trials[-1] and steps == 4
 
 
+def test_double_root_takes_the_doubled_step():
+    # r = (Re z^2, Im z^2, |z|^2) for z = x0 + i x1 is quadratic, so its
+    # Jacobian vanishes at the root and a plain step only halves |z|: 20
+    # steps and 60 evaluations to |r|^2 < 1e-24.  The doubled step, armed
+    # by the sixteenfold cut of the first, takes 4 steps and 12.
+    points = []
+
+    def residual(x):
+        points.append(x.copy())
+        return np.array([x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1], x[0] ** 2 + x[1] ** 2])
+
+    x0 = np.array([0.3, 0.1])
+    x, r, steps = _levenberg_marquardt(residual, x0, residual(x0), 50, 10.0, 1e-30)
+    assert r @ r < 1e-24
+    assert steps <= 6
+    # Two probes and one trial per step: no doubled trial fell back.
+    assert len(points) == 1 + 3 * steps
+
+
+@pytest.mark.parametrize("gate", ["not_ok", "box"])
+def test_doubled_trial_falls_back_to_the_plain_step(gate):
+    # r(x) = (x - 1)^2 from 0: the first step, to about 0.5, cuts |r|^2
+    # sixteenfold, so the second tries x + 2d, about 1.0, first.  Past 0.9
+    # a point cannot be evaluated, or lies outside the box: the doubled
+    # trial costs one evaluation, or none, and x + d is taken with the
+    # same d, at mu = 1e-4 as after any accepted step.
+    points = []
+
+    def residual(x):
+        points.append(x.copy())
+        return None if gate == "not_ok" and x[0] > 0.9 else (x - 1.0) ** 2
+
+    def step(x, mu):
+        # The step of this scalar residual with its forward-difference slope.
+        r = (x - 1.0) ** 2
+        return -r / (((x + 1e-6 - 1.0) ** 2 - r) / 1e-6 * (1.0 + mu))
+
+    bound = 0.9 if gate == "box" else 10.0
+    x, r, steps = _levenberg_marquardt(residual, np.zeros(1), np.ones(1), 2, bound, 1e-30)
+    x1 = step(0.0, 1e-3)
+    d = step(x1, 1e-4)
+    assert 1 / 32 <= (x1 - 1.0) ** 4 <= 1 / 8
+    expected = [1e-6, x1, x1 + 1e-6, x1 + 2.0 * d, x1 + d]
+    if gate == "box":
+        del expected[3]
+    np.testing.assert_allclose([p[0] for p in points], expected, rtol=1e-9)
+    assert x[0] == points[-1][0] and steps == 2
+
+
 def test_inadmissible_start_is_halved():
     obj = VarianceObjective(SearchConfig(**FAST))
     x0 = HarmonicSpec(terms=((2, 0, 0.6), (2, 2, -0.4))).pack(obj.pairs)
@@ -339,6 +388,7 @@ def test_search_variance_starts_reach_the_round_sphere(seed):
         assert r.classification == "umbilical", r
         assert r.variance <= 1e-20
         assert r.iterations >= 1
+        assert r.evaluations <= 40
         assert r.oracle_diff <= ORACLE_TOL
 
 
