@@ -10,13 +10,13 @@ import numpy as np
 
 from lightcone import catalog
 from lightcone.surfaces import JetFrame
-from lightcone.transforms import ScalarField, expand, verify_expansion_laws
+from lightcone.transforms import expand, verify_expansion_laws
 
 rng = np.random.default_rng(7)
 base = catalog.round_sphere(r=1.0)
 
 print("homothety: constant sigma = log 3 turns the unit sphere into r = 3")
-big = expand(base, ScalarField.constant(np.log(3.0)))
+big = expand(base, lambda uj, vj: uj * 0.0 + np.log(3.0))
 print(f"  position at (1.0, 0.5): {big.position(1.0, 0.5)}")
 
 print("\nrandom degree-3 bump, residuals of each law at 60 random points:")
@@ -29,7 +29,7 @@ for name, val in laws.items():
 
 print("\nexpansion of the flat cylinder by a chart-level sigma works the same:")
 cyl = catalog.product_cylinder()
-sigma = ScalarField(lambda uj, vj: (uj * uj) * 0.02 + vj * 0.01)
+sigma = lambda uj, vj: (uj * uj) * 0.02 + vj * 0.01
 laws = verify_expansion_laws(JetFrame(cyl, *cyl.sample_points(60, rng)), sigma)
 for name in ("expansion_weingarten", "expansion_second_form", "expansion_curvature"):
     print(f"  {name:<22} {np.max(laws[name]):.2e}")

@@ -22,4 +22,4 @@ from .catalog import (
 from .integrals import SphereGrid, geometry_table
 from .jets import Jet2, JetVec4
 from .surfaces import JetFrame, SurfacePatch
-from .transforms import ScalarField, conjugate, expand
+from .transforms import conjugate, expand

@@ -17,10 +17,9 @@ import numpy as np
 from . import harmonics, jets
 from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
-from .jets import JetVec4
+from .jets import Jet2, JetVec4
 from .minkowski import boost_to, vec
 from .surfaces import Geometry, SurfacePatch
-from .transforms import ScalarField
 
 _SPHERE_DOMAIN = ((0.0, np.pi), (0.0, 2.0 * np.pi))
 #: Grid on which ``graph_over_sphere`` checks that the radial function is positive.
@@ -161,16 +160,16 @@ class HarmonicSpec:
         return cls(terms=tuple(terms))
 
     def cartesian(self, x, y, z):
-        """Evaluate the expansion at direction cosines (numbers or jets)."""
+        """The expansion as a jet at direction-cosine jets; the zero jet if there are no terms."""
+        if not self.terms:
+            shape = np.broadcast_shapes(x.batch_shape, y.batch_shape, z.batch_shape)
+            return Jet2.constant(np.zeros(shape))
         values = real_harmonic([(l, m) for l, m, _ in self.terms], x, y, z)
-        total = 0.0
-        for (_, _, a), Y in zip(self.terms, values):
-            total = Y * a + total
-        return total
+        return jets.weighted_sum(values, [a for _, _, a in self.terms])
 
     def chart_field(self):
-        """The expansion as a ScalarField on the (theta, phi) sphere chart."""
-        return ScalarField(lambda tj, pj: self.cartesian(*harmonics.directions(tj, pj)))
+        """The expansion on the (theta, phi) sphere chart: coordinate jets to a jet."""
+        return lambda tj, pj: self.cartesian(*harmonics.directions(tj, pj))
 
     def pack(self, pairs):
         """Coefficient vector in the order of ``pairs`` (absent terms are 0)."""

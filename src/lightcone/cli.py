@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, catalog, curvature, surfaces, transforms
 from .errors import BadConfig, LightconeError
-from .integrals import TABLE_ORACLE_GRID, SphereGrid, geometry_table, table_oracle
+from .integrals import TABLE_ORACLE_GRID, SphereGrid, geometry_table
 from .minkowski import inner
 from .surfaces import JetFrame, gauss_maps, umbilic_point_search
 
@@ -213,16 +213,25 @@ def _surface_manifest(command, args):
     return Manifest(command, config, seed=getattr(args, "seed", None))
 
 
-def _probe_outputs(paths):
-    """Raise the OSError of the first output path that cannot be opened for writing.
+def _check_files(args):
+    """Raise unless every output is a file apart and can be opened for writing.
 
-    Probing appends nothing to an existing file and removes a file it created.
+    Two outputs, or an output and the ``--config`` or ``--spec`` input, that
+    reach one file by ``os.path.realpath`` raise LightconeError; an output
+    that cannot be opened raises its OSError.  Probing appends nothing to an
+    existing file and removes a file it created.
     """
-    for path in filter(None, paths):
-        existed = os.path.lexists(path)
-        open(path, "a").close()
-        if not existed:
-            os.remove(path)
+    seen = {}
+    for name in ("config", "spec", "out", "trace", "manifest"):
+        if not (path := getattr(args, name, None)):
+            continue
+        if (other := seen.setdefault(os.path.realpath(path), name)) != name:
+            raise LightconeError(f"--{other} and --{name} are the same file {path}")
+        if name in ("out", "trace", "manifest"):
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                os.remove(path)
 
 
 def _write(path, text):
@@ -427,15 +436,14 @@ def cmd_global(args):
     manifest = _surface_manifest("global", args)
     patch = _build_surface(args)
     grid = SphereGrid(patch, *args.grid)
-    oracle_gap = table_oracle(patch) if grid.route == "sigma" else None
     gb = grid.gauss_bonnet()
     gb2 = grid.gauss_bonnet_second_form()
     ii_area = grid.second_form_area()
     floor = grid.second_curvature_floor()
     lam = spectrum.lambda1_estimate(grid)
 
-    if oracle_gap is not None:
-        manifest.add("table_oracle", oracle_gap, detail=_ORACLE_DETAIL)
+    if grid.oracle_gap is not None:
+        manifest.add("table_oracle", grid.oracle_gap, detail=_ORACLE_DETAIL)
     manifest.add("gauss_bonnet_induced", gb - 4.0 * np.pi)
     manifest.add("gauss_bonnet_second", gb2 - 4.0 * np.pi)
     manifest.add(
@@ -474,7 +482,7 @@ def cmd_global(args):
         "n_theta": grid.n_theta,
         "n_phi": grid.n_phi,
         "table_route": grid.route,
-        "table_oracle_gap": oracle_gap,
+        "table_oracle_gap": grid.oracle_gap,
         "area": grid.area(),
         "gauss_bonnet": gb,
         "gauss_bonnet_second_form": gb2,
@@ -572,12 +580,10 @@ def cmd_export(args):
     patch = _build_surface(args)
     if patch.closed:
         grid = SphereGrid(patch, *args.grid)
-        th, ph, table = grid.TH, grid.PH, grid.table
-        gap = table_oracle(patch) if grid.route == "sigma" else None
+        th, ph, table, gap = grid.TH, grid.PH, grid.table, grid.oracle_gap
     else:
         th, ph = patch.grid_points(args.grid)
-        table = geometry_table(patch, th, ph)
-        gap = None
+        table, gap = geometry_table(patch, th, ph), None
     if gap is not None and _judge("table_oracle", gap)[2] == "FAIL":
         print(
             f"table_oracle FAIL: gap {gap:.3e} above {CHECKS['table_oracle'][0]:.1e} "
@@ -705,7 +711,7 @@ def main(argv=None):
     # The one handler of errors: inputs are read inside guards that raise
     # LightconeError, so an OSError here comes from an output, named by its filename.
     try:
-        _probe_outputs(getattr(args, name, None) for name in ("out", "trace", "manifest"))
+        _check_files(args)
         return args.fn(args)
     except BadConfig as exc:
         line, code = str(exc), EXIT_BAD_CONFIG

@@ -177,7 +177,7 @@ class SphereGrid:
     ``weights`` is the induced area measure and ``ii_weights`` that of II.
     ``route`` says how the table was built: ``"sigma"`` by
     ``expansion_table`` on a patch with an ``expansion``, ``"jetframe"``
-    by ``geometry_table`` otherwise.
+    by ``geometry_table`` otherwise.  ``oracle_gap`` checks the sigma route.
     """
 
     def __init__(self, patch, n_theta=64, n_phi=128):
@@ -194,6 +194,11 @@ class SphereGrid:
             self.route = "sigma"
             self.table = expansion_table(patch, self.n_theta, self.n_phi)
         self.weights = induced_weights(w2, np.sin(self.TH), self.table)
+
+    @cached_property
+    def oracle_gap(self):
+        """``table_oracle`` of the patch on the ``"sigma"`` route, None on ``"jetframe"``."""
+        return table_oracle(self.patch) if self.route == "sigma" else None
 
     @property
     def n_nodes(self):

@@ -148,17 +148,16 @@ _DERIVATIVE_PLANS = {
     axis: tuple(_derivative_plan(axis, v) for v in range(ORDER)) for axis in ("u", "v")
 }
 
-# Graded division plan: for each output monomial, the denominator terms
-# (beyond the constant) that multiply already-computed outputs.
-_DIV_PLAN = []
-for _k, (_i, _j) in enumerate(MONOMIALS):
-    terms = []
-    for _p in range(_i + 1):
-        for _q in range(_j + 1):
-            if (_p, _q) != (0, 0):
-                terms.append((_INDEX[(_p, _q)], _INDEX[(_i - _p, _j - _q)]))
-    _DIV_PLAN.append((_k, tuple(terms)))
-_DIV_PLAN = tuple(_DIV_PLAN)
+def _division_plan():
+    """Per output monomial, the (denominator row, output row) pairs beyond the constant."""
+    return tuple(
+        (k, tuple((_INDEX[(p, q)], _INDEX[(i - p, j - q)])
+                  for p in range(i + 1) for q in range(j + 1) if p or q))
+        for k, (i, j) in enumerate(MONOMIALS)
+    )
+
+
+_DIV_PLAN = _division_plan()
 
 
 def _lift(c, ndim, lead=1):
@@ -385,15 +384,19 @@ def weighted_sum(terms, weights):
 
     Bit for bit the running sum ``total = term * weight + total`` from
     ``total = 0.0``, with one array operation per step instead of a jet
-    each.  The terms share one batch shape.
+    each.  The terms' batch shapes broadcast; a step of the running sum's
+    shape adds it in place.  There must be at least one term.
     """
     total, valid = None, ORDER
     for term, weight in zip(terms, weights):
         step = term._c * float(weight)
         if total is None:
             step[0] += 0.0
-        else:
+        elif step.shape == total.shape:
             step += total
+        else:
+            ndim = max(step.ndim, total.ndim) - 1
+            step = _lift(step, ndim) + _lift(total, ndim)
         total, valid = step, min(valid, term.valid)
     return Jet2._wrap(total, valid)
 

@@ -31,13 +31,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import LightconeError
 from .harmonics import harmonic_basis
-from .integrals import sphere_quadrature
+from .integrals import _CHUNK, sphere_quadrature
 from .minkowski import inner
 
 #: Largest max(|F|, |G - sin^2(theta) E|) / E of a chart the spectral route accepts.
 CONFORMAL_TOL = 1e-12
-#: Node block of the mass-matrix sum, the chunk of ``geometry_table``.
-_BLOCK = 2048
 #: Fine and coarse mesh of the cotangent oracle.
 ORACLE_GRIDS = ((32, 64), (16, 32))
 #: Eigenpairs the cotangent oracle asks ARPACK for.
@@ -174,9 +172,9 @@ def _mass_matrix(grid, l_max):
     n = (l_max + 1) ** 2
     mass = np.zeros((n, n))
     root_w = np.sqrt(grid.weights)
-    for s in range(0, grid.n_nodes, _BLOCK):
-        Y = harmonic_basis(l_max, grid.TH[s : s + _BLOCK], grid.PH[s : s + _BLOCK])
-        Z = Y * root_w[s : s + _BLOCK, None]
+    for s in range(0, grid.n_nodes, _CHUNK):
+        Y = harmonic_basis(l_max, grid.TH[s : s + _CHUNK], grid.PH[s : s + _CHUNK])
+        Z = Y * root_w[s : s + _CHUNK, None]
         mass += Z.T @ Z
     return mass
 

@@ -9,7 +9,6 @@ e^sigma, deforming the induced metric conformally.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable
 
 import numpy as np
 
@@ -22,23 +21,6 @@ from .surfaces import JetFrame, SurfacePatch
 
 #: Grid on which ``conjugate`` checks the degeneracy floor.
 _CONJUGATE_CHECK_GRID = (24, 48)
-
-
-class ScalarField:
-    """A smooth scalar on a chart domain, evaluable on coordinate jets."""
-
-    def __init__(self, fn: Callable[[Jet2, Jet2], Jet2]):
-        self._fn = fn
-
-    def __call__(self, uj, vj):
-        out = self._fn(uj, vj)
-        if not isinstance(out, Jet2):
-            out = Jet2.constant(np.broadcast_to(np.asarray(out, float), uj.batch_shape))
-        return out
-
-    @classmethod
-    def constant(cls, c):
-        return cls(lambda uj, vj: Jet2.constant(np.full(np.broadcast_shapes(uj.batch_shape, vj.batch_shape), float(c))))
 
 
 def conjugate(patch):
@@ -125,7 +107,7 @@ def double_conjugate_residual(frame, conj):
 
 
 def expand(patch, sigma):
-    """Conformal expansion: the chart (u, v) -> e^sigma(u, v) psi(u, v)."""
+    """Conformal expansion (u, v) -> e^sigma psi; sigma maps the coordinate jets to a Jet2."""
 
     def chart(uj, vj):
         return patch.chart(uj, vj).scale(jets.exp(sigma(uj, vj)))
@@ -209,7 +191,8 @@ def verify_expansion_laws(frame, sigma):
     """Residuals of the conformal transformation laws, one per point of the frame.
 
     Compares the directly computed geometry of the expanded surface with
-    the prediction of ``expansion_law`` from the frame's own geometry.
+    the prediction of ``expansion_law`` from the frame's own geometry;
+    ``sigma`` maps the coordinate jets to a ``Jet2``, as in ``expand``.
     Returns a dict keyed by the ``verify`` check names of per-point largest entries:
       * ``expansion_weingarten``:  | A' - predicted A' |
       * ``expansion_second_form``: | II' - predicted II' |

@@ -143,7 +143,7 @@ def _run_global(defect, monkeypatch, tmp_path):
     vars(grid).pop("ii_weights", None)  # recomputed from the table below
     grid.table = dict(base.table)
     # A round sphere's table takes the JetFrame route; claiming the sigma
-    # route puts table_oracle in the manifest, with the oracle gap below.
+    # route and its oracle gap (set below) puts table_oracle in the manifest.
     grid.route = "sigma"
     parts = SimpleNamespace(
         table=grid.table, lam=copy.copy(lam), floor=dict(floor), oracle_gap=0.0
@@ -151,8 +151,8 @@ def _run_global(defect, monkeypatch, tmp_path):
     if defect is not None:
         defect(parts)
     grid.second_curvature_floor = lambda: parts.floor
+    grid.oracle_gap = parts.oracle_gap
     monkeypatch.setattr(cli, "SphereGrid", lambda *args: grid)
-    monkeypatch.setattr(cli, "table_oracle", lambda patch: parts.oracle_gap)
     monkeypatch.setattr(spectrum, "lambda1_estimate", lambda grid: parts.lam)
     out = tmp_path / "m.json"
     cli.main(["global", "round-sphere", "--u", *map(str, ARGS.u), "--grid", "16x32",

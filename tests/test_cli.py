@@ -642,6 +642,51 @@ def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["search", "--config", "{cfg}", "--out", "{tmp}/r.json", "--trace", "{tmp}/r.json"],
+         EXIT_BAD_CONFIG),
+        (["search", "--config", "{cfg}", "--out", "{tmp}/r.json", "--manifest", "{tmp}/r.json"],
+         EXIT_BAD_CONFIG),
+        (["search", "--config", "{cfg}", "--out", "{tmp}/r.json", "--trace", "{tmp}/t.csv",
+          "--manifest", "{tmp}/sub/../t.csv"], EXIT_BAD_CONFIG),
+        (["search", "--config", "{cfg}", "--out", "{cfg}"], EXIT_BAD_CONFIG),
+        (["search", "--config", "{cfg}", "--out", "{tmp}/r.json", "--manifest", "{link}"],
+         EXIT_BAD_CONFIG),
+        (["verify", "perturbed", "--spec", "{spec}", "--grid", "4x8", "--out", "{spec}"],
+         EXIT_DEGENERATE),
+        (["global", "perturbed", "--spec", "{spec}", "--grid", "4x8", "--out", "{link}"],
+         EXIT_DEGENERATE),
+        (["export", "perturbed", "--spec", "{spec}", "--grid", "4x8", "--out", "{spec}"],
+         EXIT_DEGENERATE),
+    ],
+    ids=["search_out_trace", "search_out_manifest", "search_trace_manifest", "search_config",
+         "search_config_symlink", "verify_spec", "global_spec_symlink", "export_spec"],
+)
+def test_outputs_that_are_one_file_are_rejected(tmp_path, capsys, monkeypatch, argv, code):
+    # An output that would overwrite another output or the input is
+    # rejected before any work, and every file keeps its bytes.
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_build_surface", never)
+    monkeypatch.setattr(search, "search", never)
+    (tmp_path / "sub").mkdir()
+    cfg, spec = tmp_path / "cfg.json", tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16,
+                               "max_iter": 5}))
+    spec.write_text("[[2, 0, 0.02]]")
+    link = tmp_path / "link.json"
+    link.symlink_to(cfg if argv[0] == "search" else spec)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert main([a.format(cfg=cfg, spec=spec, link=link, tmp=tmp_path) for a in argv]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rejected: --"), lines
+    assert "same file" in lines[0]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
 class _FullDisk(io.StringIO):
     """A file on a full disk: it opens, and every write fails."""
 

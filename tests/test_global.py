@@ -256,13 +256,30 @@ def _perturbed(terms, r=1.0):
 
 
 def test_table_route_follows_the_patch(unit_sphere, bumpy_sphere):
-    from lightcone.transforms import ScalarField, expand
+    from lightcone.transforms import expand
 
     assert SphereGrid(unit_sphere, 8, 16).route == "jetframe"
     assert SphereGrid(bumpy_sphere, 8, 16).route == "sigma"
     # An expansion built by hand carries no spec, so it keeps the JetFrame table.
-    same = expand(unit_sphere, ScalarField.constant(0.1))
+    same = expand(unit_sphere, lambda uj, vj: uj * 0.0 + 0.1)
     assert SphereGrid(same, 8, 16).route == "jetframe"
+
+
+def test_oracle_gap_is_the_table_oracle_of_the_sigma_route(unit_sphere, bumpy_sphere, monkeypatch):
+    oracle, calls = integrals.table_oracle, []
+
+    def counted(patch):
+        calls.append(patch)
+        return oracle(patch)
+
+    monkeypatch.setattr(integrals, "table_oracle", counted)
+    plain, bumpy = SphereGrid(unit_sphere, 8, 16), SphereGrid(bumpy_sphere, 8, 16)
+    assert calls == []  # building a grid runs no oracle
+    assert plain.oracle_gap is None and calls == []
+    gap = bumpy.oracle_gap
+    assert calls == [bumpy_sphere]
+    assert gap == oracle(bumpy_sphere)
+    assert bumpy.oracle_gap == gap and len(calls) == 1  # cached
 
 
 @pytest.mark.parametrize("shape", [(16, 32), (64, 128)])

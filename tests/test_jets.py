@@ -415,3 +415,27 @@ def test_weighted_sum_is_the_running_sum_bit_for_bit():
     assert out.valid == ref.valid == 3
     assert np.array_equal(out.c, ref.c)
     assert np.array_equal(np.signbit(out.c), np.signbit(ref.c))
+
+    # A theta column against a phi row, as in the sigma table: the m = 0
+    # harmonics are one column wide, here first and last.
+    from lightcone.catalog import HarmonicSpec
+    from lightcone.harmonics import directions, real_harmonic
+
+    th = Jet2.variable("u", np.linspace(0.3, 2.8, 7)[:, None])
+    ph = Jet2.variable("v", np.linspace(0.0, 6.0, 11)[None, :])
+    xyz = directions(th, ph)
+    spec = HarmonicSpec(((2, 0, 0.03), (3, -2, -0.02), (1, 1, 0.05), (4, 0, 0.01)))
+    terms = real_harmonic([(l, m) for l, m, _ in spec.terms], *xyz)
+    assert terms[0].batch_shape == terms[-1].batch_shape == (7, 1)
+    ref = 0.0
+    for t, (_, _, a) in zip(terms, spec.terms):
+        ref = t * a + ref
+    for out in (jets.weighted_sum(terms, [a for _, _, a in spec.terms]), spec.cartesian(*xyz)):
+        assert out.batch_shape == (7, 11)
+        assert out.valid == ref.valid
+        assert np.array_equal(out.c, ref.c)
+        assert np.array_equal(np.signbit(out.c), np.signbit(ref.c))
+    # The empty spec is the zero jet of the broadcast shape.
+    zero = HarmonicSpec(()).cartesian(*xyz)
+    assert zero.batch_shape == (7, 11) and zero.valid == ORDER
+    assert not np.any(zero.c) and not np.any(np.signbit(zero.c))

@@ -6,7 +6,6 @@ from lightcone import catalog
 from lightcone.errors import LightconeError
 from lightcone.surfaces import JetFrame
 from lightcone.transforms import (
-    ScalarField,
     conjugate,
     double_conjugate_residual,
     expand,
@@ -111,7 +110,7 @@ def test_umbilicity_invariant_under_conjugation(unit_sphere, bumpy_sphere):
 
 def test_expand_constant_is_homothety(unit_sphere):
     c = 0.35
-    scaled = expand(unit_sphere, ScalarField.constant(np.log(c)))
+    scaled = expand(unit_sphere, lambda uj, vj: uj * 0.0 + np.log(c))
     target = catalog.round_sphere(r=c)
     rng = np.random.default_rng(2)
     th, ph = unit_sphere.sample_points(40, rng)
@@ -119,7 +118,7 @@ def test_expand_constant_is_homothety(unit_sphere):
 
 
 def test_expand_zero_is_identity(bumpy_sphere):
-    same = expand(bumpy_sphere, ScalarField.constant(0.0))
+    same = expand(bumpy_sphere, lambda uj, vj: uj * 0.0 + 0.0)
     rng = np.random.default_rng(3)
     th, ph = bumpy_sphere.sample_points(40, rng)
     assert np.max(np.abs(same.position(th, ph) - bumpy_sphere.position(th, ph))) < 1e-15
@@ -128,7 +127,7 @@ def test_expand_zero_is_identity(bumpy_sphere):
 def test_expansion_laws_constant_sigma(unit_sphere):
     rng = np.random.default_rng(4)
     pts = unit_sphere.sample_points(50, rng)
-    laws = verify_expansion_laws(JetFrame(unit_sphere, *pts), ScalarField.constant(0.3))
+    laws = verify_expansion_laws(JetFrame(unit_sphere, *pts), lambda uj, vj: uj * 0.0 + 0.3)
     # constant log-factor: second form unchanged, operator rescaled
     assert np.max(laws["expansion_second_form"]) < 1e-12
     assert np.max(laws["expansion_weingarten"]) < 1e-12
@@ -154,7 +153,7 @@ def test_expansion_laws_random_harmonic_sigma(unit_sphere, bumpy_sphere):
 def test_expansion_curvature_law_on_cylinder(cylinder):
     # the conformal laws are chart-level identities, not sphere specials
     rng = np.random.default_rng(6)
-    sigma = ScalarField(lambda uj, vj: (uj * uj) * 0.01 + vj * 0.02)
+    sigma = lambda uj, vj: (uj * uj) * 0.01 + vj * 0.02
     pts = cylinder.sample_points(50, rng)
     laws = verify_expansion_laws(JetFrame(cylinder, *pts), sigma)
     assert np.max(laws["expansion_weingarten"]) < 1e-8

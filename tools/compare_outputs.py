@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Run the byte-identity list of `lightcone` invocations on two source trees.
+
+    python tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a checkout of this repository; its `src` is the only entry of
+PYTHONPATH, and every run sets OPENBLAS_NUM_THREADS=1.  The spec and config
+files are written once, into one temporary directory, so the paths that
+manifests echo agree.  Each invocation runs in a fresh directory per root
+with relative output paths, and the two runs must agree in exit code,
+stdout, stderr and every output file: byte for byte, except a JSON
+manifest, which is compared without its `wall_time_s`.  One line is
+printed per invocation; the exit code is 1 if any of them differs.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+#: The perturbed-sphere specs: file name -> (terms, extra arguments).
+SPECS = {
+    "two_terms.json": ([[2, -2, 0.03], [3, 1, 0.02]], ["--r", "1.1"]),
+    "degree_four.json": ([[2, 0, 0.08], [4, 3, 0.03]], []),
+    "axisymmetric.json": ([[3, 0, 0.04]], []),
+    "empty.json": ([], []),
+}
+#: The search configuration of acceptance criterion 9.
+CRITERION_9 = {"degree_max": 2, "amplitude_bound": 0.1, "n_theta": 10, "n_phi": 20,
+               "max_iter": 300, "n_restarts": 0, "var_tol": 1e-8, "seed": 0, "n_starts": 20}
+ROUND = ["round-sphere", "--r", "1.3"]
+BOOSTED = ["round-sphere", "--u", "-1.25", "0.75", "0", "0"]
+FINE = ["--grid", "64x128"]
+
+
+def invocations(inputs):
+    """(label, argv, manifests, other outputs) of every run, outputs relative to its directory."""
+    perturbed = [(name, ["perturbed", "--spec", str(inputs / name)] + extra)
+                 for name, (_, extra) in SPECS.items()]
+    runs = []
+    for grid in ("16x32", "64x128"):
+        for name, surface in (("round", ROUND), ("boosted", BOOSTED),
+                              ("cylinder", ["cylinder"]), ("paraboloid", ["paraboloid"])):
+            runs.append((f"verify {name} {grid}", ["verify", *surface, "--grid", grid,
+                                                   "--out", "m.json"], ["m.json"], []))
+    for name, surface in perturbed:
+        runs.append((f"verify {name}", ["verify", *surface, *FINE, "--out", "m.json"],
+                     ["m.json"], []))
+    for name, surface in [("round", ROUND), ("boosted", BOOSTED)] + perturbed:
+        runs.append((f"global {name}", ["global", *surface, *FINE, "--out", "m.json"],
+                     ["m.json"], []))
+    for name, surface in [("round", ROUND)] + perturbed:
+        runs.append((f"export {name}", ["export", *surface, *FINE, "--out", "t.csv"],
+                     [], ["t.csv"]))
+    runs.append(("search criterion-9", ["search", "--config", str(inputs / "criterion_9.json"),
+                                        "--out", "report.json", "--trace", "trace.csv",
+                                        "--manifest", "m.json"],
+                 ["m.json"], ["report.json", "trace.csv"]))
+    return runs
+
+
+def run(root, argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    cwd.mkdir(parents=True)
+    proc = subprocess.run([sys.executable, "-m", "lightcone.cli", *argv], cwd=cwd, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _manifest_text(path):
+    data = json.loads(path.read_text())
+    data.pop("wall_time_s", None)
+    return json.dumps(data, indent=2)
+
+
+def differences(dirs, results, manifests, others):
+    """Names of what differs between the two runs of one invocation."""
+    diff = [what for what, a, b in zip(("exit code", "stdout", "stderr"), *results) if a != b]
+    for name in manifests + others:
+        paths = [d / name for d in dirs]
+        present = [p.exists() for p in paths]
+        if present[0] != present[1]:
+            diff.append(name)
+        elif present[0]:
+            read = _manifest_text if name in manifests else Path.read_bytes
+            if read(paths[0]) != read(paths[1]):
+                diff.append(name)
+    return diff
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: compare_outputs.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        inputs = Path(tmp, "inputs")
+        inputs.mkdir()
+        for name, (terms, _) in SPECS.items():
+            (inputs / name).write_text(json.dumps(terms))
+        (inputs / "criterion_9.json").write_text(json.dumps(CRITERION_9))
+        runs = invocations(inputs)
+        for k, (label, cmd, manifests, others) in enumerate(runs):
+            dirs = [Path(tmp, side, f"{k:02d}") for side in ("parent", "change")]
+            results = [run(root, cmd, d) for root, d in zip(args, dirs)]
+            diff = differences(dirs, results, manifests, others)
+            failed += bool(diff)
+            codes = "/".join(str(code) for code, _, _ in results)
+            print(f"{'DIFF' if diff else 'same'}  exit {codes}  {label}"
+                  + (f"  ({', '.join(diff)})" if diff else ""), flush=True)
+    print(f"{failed} of {len(runs)} invocations differ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
