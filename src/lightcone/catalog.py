@@ -19,7 +19,7 @@ from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .jets import Jet2, JetVec4
 from .minkowski import boost_to, vec
-from .surfaces import Geometry, SurfacePatch
+from .surfaces import POLE_SWAP, Geometry, SurfacePatch
 
 _SPHERE_DOMAIN = ((0.0, np.pi), (0.0, 2.0 * np.pi))
 #: Grid on which ``graph_over_sphere`` checks that the radial function is positive.
@@ -27,9 +27,6 @@ _GRAPH_CHECK_GRID = (24, 48)
 #: Half-widths of the chart rectangles of the two flat surfaces.
 _CYLINDER_EXTENT = 1.5
 _PARABOLOID_EXTENT = 2.0
-
-#: Quarter turn about the y axis; sends the chart poles to equatorial points.
-_POLE_SWAP = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
 
 
 def _sphere_patch(name, embed, expansion=None):
@@ -44,7 +41,7 @@ def _sphere_patch(name, embed, expansion=None):
         return lambda tj, pj: embed(*harmonics.directions(tj, pj, rotation))
 
     rotated = SurfacePatch(
-        name=name + "/rotated", chart=make_chart(_POLE_SWAP), domain=_SPHERE_DOMAIN, closed=True
+        name=name + "/rotated", chart=make_chart(POLE_SWAP), domain=_SPHERE_DOMAIN, closed=True
     )
     return SurfacePatch(
         name=name, chart=make_chart(None), domain=_SPHERE_DOMAIN, closed=True, rotated=rotated,

@@ -213,19 +213,28 @@ def _surface_manifest(command, args):
     return Manifest(command, config, seed=getattr(args, "seed", None))
 
 
+def _file_key(path):
+    """(device, inode) of an existing file, so that hard links agree; else its real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_files(args):
     """Raise unless every output is a file apart and can be opened for writing.
 
     Two outputs, or an output and the ``--config`` or ``--spec`` input, that
-    reach one file by ``os.path.realpath`` raise LightconeError; an output
-    that cannot be opened raises its OSError.  Probing appends nothing to an
-    existing file and removes a file it created.
+    are one file (``_file_key``) raise LightconeError; an output that cannot
+    be opened raises its OSError.  Probing appends nothing to an existing
+    file and removes a file it created.
     """
     seen = {}
     for name in ("config", "spec", "out", "trace", "manifest"):
         if not (path := getattr(args, name, None)):
             continue
-        if (other := seen.setdefault(os.path.realpath(path), name)) != name:
+        if (other := seen.setdefault(_file_key(path), name)) != name:
             raise LightconeError(f"--{other} and --{name} are the same file {path}")
         if name in ("out", "trace", "manifest"):
             existed = os.path.lexists(path)
@@ -420,7 +429,9 @@ def _verify_checks(manifest, args):
     manifest.add("gauss_maps", np.maximum(*unit), points=points)
 
     if patch.closed:
-        _, _, glow, ghigh = umbilic_point_search(patch)
+        # verify's own frame serves as the search's scan when it is fine enough
+        fine = all(n >= m for n, m in zip(args.grid, surfaces.UMBILIC_GRID))
+        _, _, glow, ghigh = umbilic_point_search(patch, frame if fine else None)
         manifest.add("umbilic_point", (glow, ghigh))
     else:
         manifest.skip("umbilic_point", "not a closed surface")

@@ -256,7 +256,8 @@ class SphereGrid:
         the slack of each inequality.
         """
         self.ii_weights  # the non-degeneracy gate
-        frame = closed_extremum(self.patch, lambda f: (-f.detA, np.abs(f.detA_val)), FLOOR_GRID)
+        scan = JetFrame(self.patch, *self.patch.grid_points(FLOOR_GRID))
+        frame = closed_extremum(scan, lambda f: (-f.detA, np.abs(f.detA_val)), FLOOR_GRID)
         ratio = float(frame.K_val**2 / frame.detA_val)
         return {
             "chart": frame.patch.name,

@@ -25,6 +25,11 @@ v = 0..4 multiplies only the 1, 5, 15, 35 or 70 coefficient pairs whose
 degrees add up to at most v (truncated Taylor arithmetic; Griewank &
 Walther, *Evaluating Derivatives*, ch. 13).
 
+Coordinate jets.  Every power of a jet made by ``Jet2.variable``, less its
+constant term, is one monomial u^k (or v^k), so an analytic function of it
+writes f^(k)(x0) / k! straight onto that row with no jet product.  Its bits
+are those of the general Taylor composition (``_compose_coordinate``).
+
 Fixed-order reduction.  Output monomial k of a product sums its
 coefficient pairs (a, b) in ascending (a, b) order, one elementwise add
 after another.  No BLAS call takes part, so each base point's coefficients
@@ -265,9 +270,10 @@ class Jet2:
         """
         if axis not in ("u", "v"):
             raise ValueError("axis must be 'u' or 'v'")
-        out = cls.constant(value)
-        out._c[_INDEX[(1, 0) if axis == "u" else (0, 1)]] = 1.0
-        out.valid = valid
+        c = Jet2.constant(value)._c
+        out = _Coordinate._wrap(c, valid)
+        out.powers = _POWER_ROWS[axis]
+        c[out.powers[1]] = 1.0
         return out
 
     # -- basic queries -----------------------------------------------------
@@ -379,6 +385,23 @@ class Jet2:
         return _divide(Jet2.constant(other), self)
 
 
+class _Coordinate(Jet2):
+    """A jet made by ``Jet2.variable``: x0 + u (or + v).
+
+    ``powers[k]`` is the row of u^k (or v^k), the k-th power of the jet
+    minus its constant term, which ``_compose`` writes to directly.
+    Arithmetic on the jet returns a plain ``Jet2``.
+    """
+
+    __slots__ = ("powers",)
+
+
+_POWER_ROWS = {
+    axis: tuple(_INDEX[(k, 0) if axis == "u" else (0, k)] for k in range(ORDER + 1))
+    for axis in ("u", "v")
+}
+
+
 def weighted_sum(terms, weights):
     """The jet sum of terms[k] * weights[k] over k, added in order onto 0.0.
 
@@ -425,8 +448,11 @@ def _compose(x, derivs):
     """Taylor composition f(x) from the derivatives of f at x's constant term.
 
     Powers of x minus its constant start at degree k, so those beyond
-    x.valid vanish after truncation and are skipped.
+    x.valid vanish after truncation and are skipped.  A coordinate jet
+    takes ``_compose_coordinate``, which gives the same bits.
     """
+    if isinstance(x, _Coordinate):
+        return _compose_coordinate(x, derivs)
     tilde = Jet2._wrap(x._c.copy(), x.valid)
     tilde._c[0] = 0.0
     out = np.zeros_like(x._c)
@@ -435,6 +461,30 @@ def _compose(x, derivs):
     for k in range(1, x.valid + 1):
         power = tilde if power is None else power * tilde
         out += power._c * (derivs[k] / _FACT[k])
+    return Jet2._wrap(out, x.valid)
+
+
+def _compose_coordinate(x, derivs):
+    """``_compose`` of a coordinate jet, whose k-th power is the single monomial u^k.
+
+    ``_compose`` adds power * c_k, c_k = derivs[k] / k!, onto zeros for each
+    k in turn; the row of u^k gathers 1.0 * c_k = c_k and every other row
+    0.0 * c_k (+0.0, or NaN where c_k is not finite).  Those sums are formed
+    here row by row in the same order, with no jet product.
+    """
+    c = [derivs[k] / _FACT[k] for k in range(1, x.valid + 1)]
+    zero = [0.0 * ck for ck in c]
+
+    def gathered(start, k=0):
+        for j in range(len(c)):
+            start = start + (c[j] if j + 1 == k else zero[j])
+        return start
+
+    out = np.empty_like(x._c)
+    out[...] = gathered(0.0)
+    out[0] = gathered(derivs[0])
+    for k in range(1, x.valid + 1):
+        out[x.powers[k]] = gathered(0.0, k)
     return Jet2._wrap(out, x.valid)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import curvature
+from . import curvature, harmonics
 from .curvature import _det2, _inv2, _mat2, _stack2
 from .errors import LightconeError
 from .jets import Jet2, JetVec4
@@ -394,38 +394,48 @@ def gauss_maps(frame):
 
 # -- extremal points ----------------------------------------------------------
 
-#: Scan grid of the umbilic search.
-UMBILIC_GRID = (32, 64)
+#: Quarter turn about the y axis that a closed chart's ``rotated`` twin applies
+#: to its directions; it sends the chart's poles to the twin's equator.
+POLE_SWAP = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+#: Grid of the umbilic search's own chart scan and of its twin's polar caps.
+UMBILIC_GRID = (64, 128)
 
 
-def closed_extremum(patch, field, grid):
+def closed_extremum(scan, field, grid):
     """Single-point JetFrame at the least point of a field on a closed surface.
 
-    ``field(frame)`` returns the field as a jet of valid order 2 or more and
-    the scale of its rounding noise per point.  The chart and its
-    pole-rotated twin are both searched, since a point at a coordinate pole
-    is invisible to the chart; a patch without a twin raises
-    LightconeError.  On each, one JetFrame over the ``grid``
-    nodes gives the field's value, gradient and Hessian, and Newton starts
-    from the ``_extreme_nodes`` with those.  A step goes only along the
-    Hessian eigendirections whose eigenvalue exceeds 1e-8 of the scale (on
-    round spheres both callers' fields are constant and it is noise below
-    1e-10), and is kept only if theta stays between the first and last
-    scanned row and the gradient norm shrinks.  Each chart is thus searched
-    only where it is regular; the band it drops around its poles lies on
-    its twin's equator.  A start stops when its step is not kept, when it
-    has no such direction, at a step below 1e-12 or after 8 steps.  The
-    least find wins, in the coordinates of its chart with phi wrapped to
-    [0, 2 pi).
+    ``scan`` is a JetFrame over nodes of a closed chart, and ``field(frame)``
+    returns the field as a jet of valid order 2 or more and the scale of its
+    rounding noise per point.  A point at a coordinate pole is invisible to
+    the chart, so its pole-rotated twin (``POLE_SWAP``) is scanned too, at
+    the ``grid`` nodes near the chart's poles: within max(3 theta_first, 2
+    rows of ``grid``) of them, theta_first the scan's nearest approach, and
+    never fewer than the nearest node.  A patch without a twin raises
+    LightconeError.  On each chart the scan frame gives the field's value,
+    gradient and Hessian, and Newton starts from the ``_extreme_nodes``
+    with those.  A step goes only along the Hessian eigendirections whose
+    eigenvalue exceeds 1e-8 of the scale (on round spheres both callers'
+    fields are constant and it is noise below 1e-10), and is kept only if
+    theta stays between the least and greatest theta of the chart's scan
+    nodes and the gradient norm shrinks.  Each chart is thus searched only
+    where it is regular; the caps the chart drops lie on its twin's
+    equator.  A start stops when its step is not kept, when it has no such
+    direction, at a step below 1e-12 or after 8 steps.  The least find
+    wins, in the coordinates of its chart with phi wrapped to [0, 2 pi).
     """
+    patch = scan.patch
     if patch.rotated is None:
         raise LightconeError(f"{patch.name}: no pole-rotated twin to search near the poles")
+    t, p = patch.rotated.grid_points(grid)
+    pole = np.arccos(np.abs(harmonics.directions(t, p, POLE_SWAP)[2]))  # to the nearer pole
+    reach = max(3.0 * max(np.min(scan.u), np.pi - np.max(scan.u)),
+                2.0 * (t[-1] - t[0]) / (grid[0] - 1))
+    cap = pole <= max(reach, np.min(pole))
     best = None
-    for chart in (patch, patch.rotated):
-        u, v = chart.grid_points(grid)
-        first, last = u[0], u[-1]  # theta of the first and last scanned row
-        k, (found, grad, hess, scale) = _scan_starts(field, chart, u, v)
-        u, v, live = u[k], v[k], np.arange(k.size)
+    for frame in (scan, JetFrame(patch.rotated, t[cap], p[cap])):
+        chart, first, last = frame.patch, np.min(frame.u), np.max(frame.u)
+        k, (found, grad, hess, scale) = _scan_starts(field, frame)
+        u, v, live = frame.u[k], frame.v[k], np.arange(k.size)
         for _ in range(8):
             lam, vec = np.linalg.eigh(hess)
             ok = lam > 1e-8 * scale[:, None]
@@ -457,12 +467,8 @@ def _field_derivatives(field, frame):
     return jet.value, grad, hess, scale
 
 
-def _scan_starts(field, chart, u, v):
-    """The ``_extreme_nodes`` of a scan and the field derivatives there, from one JetFrame.
-
-    The scan frame is dropped on return, so it is not held while Newton runs.
-    """
-    frame = JetFrame(chart, u, v)
+def _scan_starts(field, frame):
+    """The ``_extreme_nodes`` of a scan frame and the field derivatives there."""
     scan = _field_derivatives(field, frame)
     psi = frame.psi_val
     k = _extreme_nodes(psi[:, 1:] / psi[:, :1], scan[0])
@@ -483,15 +489,19 @@ def _extreme_nodes(directions, value):
             if len(starts) == 4:
                 break
             far &= np.linalg.norm(directions - directions[k], axis=-1) > 0.25
-    return np.array(starts)
+    return np.array(starts, dtype=int)
 
 
-def umbilic_point_search(patch):
+def umbilic_point_search(patch, scan=None):
     """Locate a point where both curvature-inequality gaps (nearly) vanish.
 
     On a closed surface an umbilic point must exist; ``closed_extremum``
-    minimizes the gap jet K^2 - 4 det A from a ``UMBILIC_GRID`` scan.
-    Returns (u, v, gap_low, gap_high) in the coordinates of the winning chart.
+    minimizes the gap jet K^2 - 4 det A from ``scan``, a JetFrame of the
+    chart at least as fine as ``UMBILIC_GRID``, or from a frame on
+    ``UMBILIC_GRID`` nodes when none is given.  Returns (u, v, gap_low,
+    gap_high) in the coordinates of the winning chart.
     """
-    f = closed_extremum(patch, lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2), UMBILIC_GRID)
+    if scan is None:
+        scan = JetFrame(patch, *patch.grid_points(UMBILIC_GRID))
+    f = closed_extremum(scan, lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2), UMBILIC_GRID)
     return float(f.u), float(f.v), float(f.gap_low), float(f.gap_high)

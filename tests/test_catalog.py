@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from lightcone import catalog, harmonics, jets
+from lightcone import catalog, harmonics, jets, surfaces
 from lightcone.errors import LightconeError
 from lightcone.harmonics import basis_index, directions, harmonic_basis, real_harmonic
 from lightcone.integrals import geometry_table, sphere_quadrature
@@ -179,7 +179,7 @@ def test_harmonics_reject_bad_orders():
     assert len(real_harmonic([(20, -20)], 0.6, 0.0, 0.8)) == 1
 
 
-@pytest.mark.parametrize("rotation", [None, catalog._POLE_SWAP], ids=["main", "rotated"])
+@pytest.mark.parametrize("rotation", [None, surfaces.POLE_SWAP], ids=["main", "rotated"])
 def test_harmonic_jets_carry_the_numeric_values(rotation):
     # the value row of a jet evaluation is the numeric evaluation, bit for bit
     rng = np.random.default_rng(9)

@@ -113,7 +113,7 @@ def _frames_with(defect, monkeypatch):
     monkeypatch.setattr(cli, "JetFrame", defective)
 
 
-def _umbilic_at_a_point(patch):
+def _umbilic_at_a_point(patch, scan=None):
     """``umbilic_point_search`` on a round sphere, where every point is umbilic."""
     frame = cli.JetFrame(patch, 1.0, 0.5)
     return 1.0, 0.5, float(frame.gap_low), float(frame.gap_high)

@@ -51,6 +51,44 @@ def test_verify_round_sphere_passes(tmp_path):
     assert all(c["tolerance"] is not None for c in data["checks"] if c["residual"] is not None)
 
 
+#: A spec whose exact umbilic lies at the main chart's poles: Y_4^3 turns the
+#: surface into itself by a third of a turn about the polar axis.
+_POLAR_UMBILIC = "[[2, 0, 0.08], [4, 3, 0.03]]"
+
+
+@pytest.mark.parametrize("r", ["0.7", "1", "1.1", "1.3"])
+def test_umbilic_point_at_the_main_pole_is_reached(tmp_path, r):
+    # The pole lies in the cap the main chart drops and in the phi margin of
+    # the twin's grid (phi' < 0.126); scans of the whole twin started Newton
+    # elsewhere and read 3.7e-9, 9.0e-10, 6.1e-10 and 3.1e-10, while the
+    # twin's cap scan starts beside the pole.
+    spec, out = tmp_path / "spec.json", tmp_path / "m.json"
+    spec.write_text(_POLAR_UMBILIC)
+    argv = ["verify", "perturbed", "--spec", str(spec), "--r", r, "--grid", "16x32"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    checks = {c["name"]: c for c in _load_manifest(out)["checks"]}
+    assert checks["umbilic_point"]["residual"] < 1e-10
+
+
+def test_verify_at_64x128_builds_no_second_scan_frame(tmp_path, monkeypatch):
+    # The umbilic search takes verify's own 64x128 frame (with its 200 random
+    # points) as the chart's scan and scans only the twin's polar caps, so
+    # that frame is the only one of 2048 nodes or more.
+    sizes, build = [], JetFrame.__init__
+
+    def recording(self, patch, u, v):
+        sizes.append(np.size(u))
+        build(self, patch, u, v)
+
+    monkeypatch.setattr(JetFrame, "__init__", recording)
+    spec, out = tmp_path / "spec.json", tmp_path / "m.json"
+    spec.write_text(_POLAR_UMBILIC)
+    assert main(["verify", "perturbed", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+    assert [n for n in sizes if n >= 2048] == [64 * 128 + 200]
+    checks = {c["name"]: c for c in _load_manifest(out)["checks"]}
+    assert checks["umbilic_point"]["residual"] < 1e-10
+
+
 def test_verify_paraboloid_skips_conjugate_checks(tmp_path):
     out = tmp_path / "m.json"
     rc = main(["verify", "paraboloid", "--grid", "12x12", "--out", str(out)])
@@ -660,9 +698,13 @@ def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, argv):
          EXIT_DEGENERATE),
         (["export", "perturbed", "--spec", "{spec}", "--grid", "4x8", "--out", "{spec}"],
          EXIT_DEGENERATE),
+        (["search", "--config", "{cfg}", "--out", "{hard}"], EXIT_BAD_CONFIG),
+        (["verify", "perturbed", "--spec", "{spec}", "--grid", "4x8", "--out", "{hard}"],
+         EXIT_DEGENERATE),
     ],
     ids=["search_out_trace", "search_out_manifest", "search_trace_manifest", "search_config",
-         "search_config_symlink", "verify_spec", "global_spec_symlink", "export_spec"],
+         "search_config_symlink", "verify_spec", "global_spec_symlink", "export_spec",
+         "search_config_hard_link", "verify_spec_hard_link"],
 )
 def test_outputs_that_are_one_file_are_rejected(tmp_path, capsys, monkeypatch, argv, code):
     # An output that would overwrite another output or the input is
@@ -677,10 +719,12 @@ def test_outputs_that_are_one_file_are_rejected(tmp_path, capsys, monkeypatch, a
     cfg.write_text(json.dumps({"degree_max": 2, "n_starts": 1, "n_theta": 8, "n_phi": 16,
                                "max_iter": 5}))
     spec.write_text("[[2, 0, 0.02]]")
-    link = tmp_path / "link.json"
+    link, hard = tmp_path / "link.json", tmp_path / "hard.json"
     link.symlink_to(cfg if argv[0] == "search" else spec)
+    os.link(cfg if argv[0] == "search" else spec, hard)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
-    assert main([a.format(cfg=cfg, spec=spec, link=link, tmp=tmp_path) for a in argv]) == code
+    argv = [a.format(cfg=cfg, spec=spec, link=link, hard=hard, tmp=tmp_path) for a in argv]
+    assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("rejected: --"), lines
     assert "same file" in lines[0]

@@ -439,3 +439,19 @@ def test_weighted_sum_is_the_running_sum_bit_for_bit():
     zero = HarmonicSpec(()).cartesian(*xyz)
     assert zero.batch_shape == (7, 11) and zero.valid == ORDER
     assert not np.any(zero.c) and not np.any(np.signbit(zero.c))
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC))
+@pytest.mark.parametrize("axis", ["u", "v"])
+@pytest.mark.parametrize("valid", range(ORDER + 1))
+def test_coordinate_jets_compose_in_closed_form(name, axis, valid):
+    # a coordinate jet skips the power products of the Taylor composition,
+    # and the bits stay those of it, signed zeros and NaN included
+    base = np.array([0.0, -0.0, np.pi, -np.pi, 1e3, -1e3, 0.7, -2.5, 1e-300])
+    x = Jet2.variable(axis, base, valid=valid)
+    generic = Jet2._wrap(x._c.copy(), x.valid)  # a plain jet of the same coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed, composed = ANALYTIC[name](x), ANALYTIC[name](generic)
+    assert type(closed) is Jet2 and closed.valid == composed.valid == valid
+    assert np.array_equal(closed.c, composed.c, equal_nan=True)
+    assert np.array_equal(np.signbit(closed.c), np.signbit(composed.c))

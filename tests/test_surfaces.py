@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_perturbed_sphere
-from lightcone import catalog, jets, transforms
+from lightcone import catalog, cli, jets, transforms
 from lightcone.curvature import second_form_curvature
 from lightcone.errors import LightconeError
 from lightcone.jets import Jet2, JetVec4
@@ -14,6 +14,7 @@ from lightcone.surfaces import (
     UMBILIC_GRID,
     JetFrame,
     SurfacePatch,
+    _extreme_nodes,
     _field_derivatives,
     _scan_starts,
     gauss_maps,
@@ -271,13 +272,24 @@ def test_umbilic_point_exists_on_compact_surfaces(bumpy_sphere):
 
 def test_umbilic_point_search_keeps_round_sphere_nodes():
     # the gap vanishes identically, so its Hessian is rounding noise and no
-    # start moves off its node of the coarse grid
+    # start moves off its node: one of the chart's scan (its own
+    # UMBILIC_GRID frame, or verify's frame with random points) or of the
+    # twin's UMBILIC_GRID caps, whose nodes have the same coordinates
     u_obs = np.array([-np.cosh(0.5), np.sinh(0.5) * 0.6, 0.0, np.sinh(0.5) * 0.8])
     for patch in (catalog.round_sphere(r=0.5), catalog.round_sphere(r=2.0, u=u_obs)):
-        nodes = set(zip(*patch.grid_points(UMBILIC_GRID)))
-        u, v, glow, ghigh = umbilic_point_search(patch)
-        assert (u, v) in nodes
-        assert abs(glow) < 1e-12 and abs(ghigh) < 1e-12
+        points = cli._verify_points(patch, UMBILIC_GRID, 0)
+        nodes = set(zip(*points))
+        for scan in (None, JetFrame(patch, *points)):
+            u, v, glow, ghigh = umbilic_point_search(patch, scan)
+            assert (u, v) in nodes
+            assert abs(glow) < 1e-12 and abs(ghigh) < 1e-12
+
+
+def test_extreme_nodes_are_integer_indices():
+    directions = np.array([[1.0, 0.0, 0.0]])
+    k = _extreme_nodes(directions, np.array([0.5]))
+    assert k.dtype.kind == "i" and k.tolist() == [0]
+    assert _extreme_nodes(directions[:0], np.array([])).dtype.kind == "i"
 
 
 @pytest.mark.parametrize(
@@ -294,7 +306,7 @@ def test_scan_frame_derivatives_equal_a_start_frame(bumpy_sphere, field, grid):
     # start nodes alone
     for chart in (bumpy_sphere, bumpy_sphere.rotated):
         u, v = chart.grid_points(grid)
-        k, start = _scan_starts(field, chart, u, v)
+        k, start = _scan_starts(field, JetFrame(chart, u, v))
         assert k.size == 4
         alone = _field_derivatives(field, JetFrame(chart, u[k], v[k]))
         for a, b in zip(start, alone, strict=True):

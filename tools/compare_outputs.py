@@ -51,6 +51,11 @@ def invocations(inputs):
     for name, surface in perturbed:
         runs.append((f"verify {name}", ["verify", *surface, *FINE, "--out", "m.json"],
                      ["m.json"], []))
+    # Below UMBILIC_GRID verify's umbilic search builds its own scan frame.
+    for name, surface in perturbed:
+        if name in ("two_terms.json", "degree_four.json"):
+            runs.append((f"verify {name} 32x64", ["verify", *surface, "--grid", "32x64",
+                                                  "--out", "m.json"], ["m.json"], []))
     for name, surface in [("round", ROUND), ("boosted", BOOSTED)] + perturbed:
         runs.append((f"global {name}", ["global", *surface, *FINE, "--out", "m.json"],
                      ["m.json"], []))
