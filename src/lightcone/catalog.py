@@ -69,11 +69,15 @@ def round_sphere(u=None, r=1.0):
 
     The chart is (theta, phi) -> B (r, r w(theta, phi)) with B the boost
     taking (-1, 0, 0, 0) to u, so <u, psi> = r holds identically.  A
-    given observer is part of the name.
+    given observer is part of the name.  The sphere is the empty-spec
+    member of the expansion family, seen by the observer u.
     """
     embed = _round_embedding(r, u)
-    obs = "" if u is None else ", u=(" + ", ".join(f"{c:g}" for c in np.asarray(u, float)) + ")"
-    return _sphere_patch(f"round-sphere(r={r:g}{obs})", embed)
+    obs = None if u is None else np.asarray(u, dtype=float)
+    label = "" if u is None else ", u=(" + ", ".join(f"{c:g}" for c in obs) + ")"
+    return _sphere_patch(
+        f"round-sphere(r={r:g}{label})", embed, expansion=(HarmonicSpec(), float(r), obs)
+    )
 
 
 def round_geometry(tj, r):
@@ -219,5 +223,7 @@ def perturbed_sphere(spec, r=1.0):
         return round_embed(x, y, z).scale(jets.exp(spec.cartesian(x, y, z)))
 
     return _sphere_patch(
-        f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)", embed, expansion=(spec, float(r))
+        f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)",
+        embed,
+        expansion=(spec, float(r), None),
     )

@@ -16,7 +16,9 @@ from . import transforms
 from .catalog import round_geometry
 from .curvature import _det2, brioschi_curvature
 from .errors import LightconeError
+from .harmonics import directions
 from .jets import Jet2
+from .minkowski import boost_to
 from .surfaces import JetFrame, closed_extremum
 
 #: Nodes per ``JetFrame`` in the ``geometry_table`` sweep.
@@ -86,19 +88,26 @@ def _table_chunk(patch, u, v):
 def expansion_table(patch, n_theta, n_phi):
     """The ``geometry_table`` entries of an expanded round sphere by the expansion law.
 
-    ``patch.expansion`` is (spec, r): the surface is e^sigma times the round
-    sphere of radius r.  The law runs on a column of theta jets against a
+    ``patch.expansion`` is (spec, r, observer): the surface is e^sigma
+    times the round sphere of radius r, boosted by B = ``boost_to(observer)``
+    unless the observer is None.  A Lorentz map leaves every entry but psi0
+    as it is, and turns psi0 = r e^sigma into r e^sigma (B_00 + B_0i w_i)
+    at the direction w.  The law runs on a column of theta jets against a
     row of phi jets, and the entries are flattened theta-major, in the
     order of ``sphere_quadrature``'s nodes; jet arithmetic is pointwise, so
     they are bit for bit those at the flat nodes.
     """
-    spec, r = patch.expansion
+    spec, r, observer = patch.expansion
     TH, PH, _ = sphere_quadrature(n_theta, n_phi)
-    tj = Jet2.variable("u", TH.reshape(n_theta, n_phi)[:, :1])
-    pj = Jet2.variable("v", PH[None, :n_phi])
+    th, ph = TH.reshape(n_theta, n_phi)[:, :1], PH[None, :n_phi]
+    tj, pj = Jet2.variable("u", th), Jet2.variable("v", ph)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = spec.chart_field()(tj, pj)
         entries = expansion_entries(round_geometry(tj, r), s, r)
+        if observer is not None:
+            B = boost_to(observer)
+            x, y, z = directions(th, ph)
+            entries["psi0"] = entries["psi0"] * (B[0, 0] + B[0, 1] * x + B[0, 2] * y + B[0, 3] * z)
     return {k: np.broadcast_to(a, (n_theta, n_phi)).ravel() for k, a in entries.items()}
 
 

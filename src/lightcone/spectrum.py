@@ -7,9 +7,10 @@ invariant in two dimensions, so -Delta_g u = lambda u becomes
 -Delta_S2 u = lambda rho^2 u.  Its Galerkin projection onto the real
 harmonics of degree <= L has the stiffness matrix diag(l (l + 1)), exactly,
 and the mass matrix Y^T diag(w rho^2) Y, summed with the grid's own
-quadrature weights.  By min-max the second generalized eigenvalue bounds
-lambda_1 from above and converges spectrally in L.  A chart whose metric is
-not rho^2 g_S2 in (theta, phi) is rejected.
+quadrature weights ring by ring from FFTs of each theta ring's weights
+(Driscoll and Healy, Adv. Appl. Math. 15, 1994).  By min-max the second
+generalized eigenvalue bounds lambda_1 from above and converges spectrally
+in L.  A chart whose metric is not rho^2 g_S2 in (theta, phi) is rejected.
 
 Cotangent route, the independent oracle.  Cotangent-weight discretization
 on the triangulated quadrature grid closed by two pole fans.  The poles are
@@ -17,7 +18,9 @@ coordinate singularities only, so the pole vertices take their positions
 straight from the chart; edge lengths are Minkowski chords, which agree with
 intrinsic distances to second order on a spacelike surface.  It converges at
 O(h^2) only, so it runs on two fixed meshes and its own refinement gap
-measures how far the spectral value may sit from it.
+measures how far the spectral value may sit from it.  Shift-invert Lanczos
+aims at a fraction of the Galerkin value, which only speeds it up: the
+eigenvalue it returns is the mesh's own, whatever the shift.
 """
 
 from __future__ import annotations
@@ -30,16 +33,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import LightconeError
-from .harmonics import harmonic_basis
-from .integrals import _CHUNK, sphere_quadrature
+from .harmonics import basis_index, harmonic_basis
+from .integrals import sphere_quadrature
 from .minkowski import inner
 
 #: Largest max(|F|, |G - sin^2(theta) E|) / E of a chart the spectral route accepts.
 CONFORMAL_TOL = 1e-12
 #: Fine and coarse mesh of the cotangent oracle.
 ORACLE_GRIDS = ((32, 64), (16, 32))
-#: Eigenpairs the cotangent oracle asks ARPACK for.
-_ORACLE_K = 6
+#: Eigenvalues the cotangent oracle asks ARPACK for: the constant mode and
+#: the nearly triple lambda_1 of a near-round sphere.
+_ORACLE_K = 4
+#: Shift of the cotangent oracle, as a fraction of the Galerkin lambda_1.
+_ORACLE_SHIFT = 0.9
 
 
 def _mesh(patch, nt, np_):
@@ -125,27 +131,35 @@ class Lambda1Result:
     oracle_gap: float
 
 
-def _lambda1_raw(patch, n_theta, n_phi):
+def _lambda1_raw(patch, n_theta, n_phi, shift):
     """First nonzero eigenvalue of the cotangent Laplacian on the n_theta x n_phi mesh.
 
-    Called only on ``ORACLE_GRIDS``, whose meshes have far more than
-    ``_ORACLE_K`` vertices.
+    ARPACK in shift-invert mode returns the ``_ORACLE_K`` eigenvalues
+    nearest ``shift`` (Ericsson and Ruhe, Math. Comp. 35, 1980), and the
+    constant mode, eigenvalue 0, must be among them or the call raises.
+    That guard is also the proof that ``vals[1]`` is the least positive
+    eigenvalue: with 0 returned, every eigenvalue nearer the shift than 0
+    is returned too, so for a shift > 0 all of (0, shift] is, and above
+    the shift the nearest are the least.  ``lambda1_estimate`` passes
+    ``_ORACLE_SHIFT`` times the Galerkin value, near which the wanted
+    eigenvalue sits; the shift only speeds ARPACK up, and the value is the
+    mesh's own.  Called only on ``ORACLE_GRIDS``, whose meshes have far
+    more than ``_ORACLE_K`` vertices.
     """
     verts, tris = _mesh(patch, n_theta, n_phi)
     W, mass = _cotangent_system(verts, tris)
-    M = sp.diags(mass)
-    scale = float(W.diagonal().sum() / mass.sum())
     # A fixed start vector makes the result repeat exactly.  It must not be
     # the constant vector, which spans the null space.
     v0 = np.random.default_rng(0).standard_normal(W.shape[0])
     try:
         vals = spla.eigsh(
-            W, k=_ORACLE_K, M=M, sigma=-0.01 * scale, which="LM", v0=v0, return_eigenvectors=False
+            W, k=_ORACLE_K, M=sp.diags(mass), sigma=shift, which="LM", v0=v0,
+            return_eigenvectors=False,
         )
     except RuntimeError as exc:  # ARPACK non-convergence, or a singular shift-invert factor
         raise LightconeError(str(exc)) from exc
     vals = np.sort(vals)
-    if abs(vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
+    if not abs(vals[0]) <= 1e-6 * max(1.0, abs(vals[1])):
         raise LightconeError(f"constant mode not resolved (lambda0 = {vals[0]:.3e})")
     return float(vals[1])
 
@@ -162,21 +176,46 @@ def _conformal_defect(grid):
 
 
 def _mass_matrix(grid, l_max):
-    """Y^T diag(grid.weights) Y over the harmonics of degree <= l_max.
+    """Y^T diag(grid.weights) Y over the harmonics of degree <= l_max, ring by ring.
 
     ``grid.weights`` is the quadrature weight times sqrt(det g) / sin(theta),
-    which is w rho^2 > 0 on a conformal chart.  Summed over node blocks, so
-    no temporary grows with the grid; each block is Z^T Z with
-    Z = sqrt(w) Y, which BLAS forms as a symmetric rank-k update.
+    which is w rho^2 > 0 on a conformal chart.  Y_{l,m} is a Legendre factor
+    P_{l,|m|}(theta), the column ``basis_index(l, |m|)`` of ``harmonic_basis``
+    at phi = 0, times cos(m phi) for m >= 0 and sin(|m| phi) for m < 0.  On
+    a theta ring the phi sums of w trig(m phi) trig(m' phi) are, by the
+    product formulas, half sums and differences of C_k = sum w cos(k phi)
+    and S_k = sum w sin(k phi) at k = |m| + |m'| and ||m| - |m'||, and those
+    are the ``rfft`` coefficients of the ring's weights, C_k - i S_k.  Each
+    signed order m then takes one product of its Legendre rows with every
+    column weighted ring by ring.  The two triangles are averaged, so the
+    matrix is exactly symmetric.
     """
-    n = (l_max + 1) ** 2
-    mass = np.zeros((n, n))
-    root_w = np.sqrt(grid.weights)
-    for s in range(0, grid.n_nodes, _CHUNK):
-        Y = harmonic_basis(l_max, grid.TH[s : s + _CHUNK], grid.PH[s : s + _CHUNK])
-        Z = Y * root_w[s : s + _CHUNK, None]
-        mass += Z.T @ Z
-    return mass
+    n_theta, n_phi = grid.n_theta, grid.n_phi
+    pairs = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+    order = np.array([m for _, m in pairs])
+    rings = grid.TH[::n_phi]
+    legendre = harmonic_basis(l_max, rings, np.zeros(n_theta))
+    legendre = legendre[:, [basis_index(l, abs(m)) for l, m in pairs]]
+    coef = np.fft.rfft(grid.weights.reshape(n_theta, n_phi), axis=1)[:, : 2 * l_max + 1]
+    C, S = coef.real, -coef.imag
+
+    # ring_sums[:, i, j] is the phi sum of w trig(m phi) trig(m' phi) on each
+    # ring, for m = i - l_max and m' = j - l_max.
+    m, m2 = np.meshgrid(np.arange(-l_max, l_max + 1), np.arange(-l_max, l_max + 1), indexing="ij")
+    a, b = np.abs(m), np.abs(m2)
+    c_sum, c_diff = C[:, a + b], C[:, np.abs(a - b)]
+    s_sum, s_diff = S[:, a + b], np.sign(a - b) * S[:, np.abs(a - b)]
+    ring_sums = 0.5 * np.where(
+        m >= 0,
+        np.where(m2 >= 0, c_diff + c_sum, s_sum - s_diff),
+        np.where(m2 >= 0, s_sum + s_diff, c_diff - c_sum),
+    )
+
+    mass = np.empty((len(pairs), len(pairs)))
+    for k in range(-l_max, l_max + 1):
+        rows = order == k
+        mass[rows] = legendre[:, rows].T @ (ring_sums[:, k + l_max, order + l_max] * legendre)
+    return 0.5 * (mass + mass.T)
 
 
 def _second_eigenvalue(stiffness, mass):
@@ -216,8 +255,8 @@ def lambda1_estimate(grid):
     value = _second_eigenvalue(stiffness, mass)
     n = (l_max // 2 + 1) ** 2
     coarse = _second_eigenvalue(stiffness[:n], mass[:n, :n])
-    oracle = _lambda1_raw(grid.patch, *ORACLE_GRIDS[0])
-    oracle_coarse = _lambda1_raw(grid.patch, *ORACLE_GRIDS[1])
+    oracle = _lambda1_raw(grid.patch, *ORACLE_GRIDS[0], _ORACLE_SHIFT * value)
+    oracle_coarse = _lambda1_raw(grid.patch, *ORACLE_GRIDS[1], _ORACLE_SHIFT * value)
     return Lambda1Result(
         value=value,
         refinement_gap=abs(value - coarse),

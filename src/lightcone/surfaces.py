@@ -56,9 +56,10 @@ class SurfacePatch:
     returns a JetVec4.  ``closed`` marks spherical (theta, phi) charts whose
     domain covers a closed surface; those get quadrature grids and a
     ``rotated`` twin chart for checks near the coordinate poles.
-    ``expansion`` is (spec, r) when the chart is e^sigma times the round
-    sphere of radius r, sigma the spec's harmonic sum; ``SphereGrid`` then
-    builds its table by the expansion law.
+    ``expansion`` is (spec, r, observer) when the chart is e^sigma times
+    the round sphere of radius r, sigma the spec's harmonic sum, seen by the
+    past unit timelike ``observer`` (None for the unboosted chart);
+    ``SphereGrid`` then builds its table by the expansion law.
     """
 
     name: str

@@ -472,7 +472,28 @@ def test_global_perturbed_reports_the_sigma_route(tmp_path):
     assert check["residual"] == rep["table_oracle_gap"]
 
 
-def test_global_round_sphere_reports_the_jetframe_route(tmp_path):
+@pytest.mark.parametrize("observer", [[], ["--u", "-1.25", "0.75", "0", "0"]],
+                         ids=["rest", "boosted"])
+def test_global_round_sphere_reports_the_sigma_route(tmp_path, observer):
+    # A round sphere, boosted or not, is the empty-spec expansion: its table
+    # comes from the expansion law, and the JetFrame oracle guards it.
+    out = tmp_path / "g.json"
+    argv = ["global", "round-sphere", "--r", "1.3", *observer, "--grid", "8x16",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    data = _load_manifest(out)
+    assert data["report"]["table_route"] == "sigma"
+    check = {c["name"]: c for c in data["checks"]}["table_oracle"]
+    assert check["status"] == "PASS" and 0.0 <= check["residual"] <= 1e-12
+
+
+def test_global_round_sphere_reports_the_jetframe_route(tmp_path, monkeypatch):
+    # Charted as a radial graph of constant radius, the round sphere carries
+    # no expansion, so its table comes from JetFrames and no oracle runs.
+    graph = cli.catalog.graph_over_sphere
+    monkeypatch.setattr(
+        cli.catalog, "round_sphere", lambda u=None, r=1.0: graph(lambda x, y, z: x * 0.0 + r)
+    )
     out = tmp_path / "g.json"
     assert main(["global", "round-sphere", "--grid", "8x16", "--out", str(out)]) == EXIT_OK
     data = _load_manifest(out)
@@ -585,14 +606,14 @@ def test_global_rejects_closed_surface_with_det_a_below_zero(tmp_path, capsys):
 def test_global_ii_area_over_two_pi_fails(tmp_path, monkeypatch):
     # Quadrupling det A doubles the II area element: the area reads 4 pi,
     # finite and 2 pi beyond the bound, and the manifest check must say so.
-    table = integrals.geometry_table
+    table = integrals.expansion_table
 
-    def inflated(patch, u, v):
-        t = table(patch, u, v)
+    def inflated(patch, n_theta, n_phi):
+        t = table(patch, n_theta, n_phi)
         t["detA"] = t["detA"] * 4.0
         return t
 
-    monkeypatch.setattr(integrals, "geometry_table", inflated)
+    monkeypatch.setattr(integrals, "expansion_table", inflated)
     out = tmp_path / "g.json"
     argv = ["global", "round-sphere", "--grid", "8x16", "--out", str(out)]
     assert main(argv) == EXIT_CHECK_FAILED

@@ -5,10 +5,14 @@ import pytest
 
 from lightcone import catalog, integrals
 from lightcone.errors import LightconeError
+from lightcone.harmonics import harmonic_basis
 from lightcone.integrals import SphereGrid, geometry_table
 from lightcone.spectrum import (
+    _ORACLE_SHIFT,
     ORACLE_GRIDS,
+    _cotangent_system,
     _lambda1_raw,
+    _mass_matrix,
     _mesh,
     lambda1_estimate,
     reilly_bound_rhs,
@@ -81,6 +85,16 @@ def test_curvature_floor_round(unit_grid, unit_sphere):
     # det A is constant on a round sphere: the scan node is not moved
     chart = {c.name: c for c in (unit_sphere, unit_sphere.rotated)}[out["chart"]]
     assert out["point"] in set(zip(*chart.grid_points(integrals.FLOOR_GRID)))
+
+
+@pytest.mark.parametrize("u", [None, BOOSTED_OBSERVER], ids=["rest", "boosted"])
+@pytest.mark.parametrize("r", [0.7, 1.0, 1.3])
+def test_curvature_floor_is_an_equality_on_round_spheres(r, u):
+    # K_eta = 2 and K^2 / det A = 4 at every point of a round sphere, so both
+    # inequalities of the chain hold with equality: a slack that moves off
+    # zero, such as 2 K_eta + ratio, is a defect, not a wider margin.
+    out = SphereGrid(catalog.round_sphere(u=u, r=r), 16, 32).second_curvature_floor()
+    assert abs(out["keta_slack"]) <= 1e-12 and abs(out["floor_slack"]) <= 1e-12
 
 
 def test_curvature_floor_refines_the_maximizer():
@@ -156,14 +170,16 @@ def test_lambda1_round_sphere_all_radii():
 
 
 def test_lambda1_monotone_refinement(unit_sphere):
-    vals = [_lambda1_raw(unit_sphere, n, 2 * n) for n in (32, 48, 64)]
+    # The Galerkin lambda_1 of the unit sphere is 2.
+    vals = [_lambda1_raw(unit_sphere, n, 2 * n, _ORACLE_SHIFT * 2.0) for n in (32, 48, 64)]
     gap1 = abs(vals[1] - vals[0])
     gap2 = abs(vals[2] - vals[1])
     assert gap1 / gap2 >= 2.0
 
 
 def test_lambda1_repeats_exactly(unit_sphere, bumpy_grid):
-    assert _lambda1_raw(unit_sphere, 16, 32) == _lambda1_raw(unit_sphere, 16, 32)
+    shift = _ORACLE_SHIFT * 2.0
+    assert _lambda1_raw(unit_sphere, 16, 32, shift) == _lambda1_raw(unit_sphere, 16, 32, shift)
     assert lambda1_estimate(bumpy_grid) == lambda1_estimate(bumpy_grid)
 
 
@@ -174,10 +190,52 @@ def test_spectral_route_agrees_with_cotangent_oracle(bumpy_grid):
     spec = catalog.HarmonicSpec(terms=((2, 0, 0.02), (2, 1, -0.01), (2, -2, 0.005)))
     for grid in (bumpy_grid, SphereGrid(catalog.perturbed_sphere(spec), 48, 96)):
         res = lambda1_estimate(grid)
-        assert res.oracle == _lambda1_raw(grid.patch, *ORACLE_GRIDS[0])
-        assert res.oracle_gap == abs(res.oracle - _lambda1_raw(grid.patch, *ORACLE_GRIDS[1]))
+        shift = _ORACLE_SHIFT * res.value
+        assert res.oracle == _lambda1_raw(grid.patch, *ORACLE_GRIDS[0], shift)
+        coarse = _lambda1_raw(grid.patch, *ORACLE_GRIDS[1], shift)
+        assert res.oracle_gap == abs(res.oracle - coarse)
         assert abs(abs(res.value - res.oracle) / res.oracle_gap - 1.0 / 3.0) < 0.05
         assert res.refinement_gap < 1e-6 * res.value
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [catalog.round_sphere(r=1.3),
+     catalog.perturbed_sphere(catalog.HarmonicSpec(((2, 0, 0.08), (4, 3, 0.03))), r=1.1)],
+    ids=["round", "degree4"],
+)
+def test_cotangent_oracle_does_not_depend_on_its_shift(patch):
+    # The oracle is the mesh's own eigenvalue: the Galerkin value only aims
+    # the shift, and any shift that returns the constant mode gives the
+    # same lambda_1.  The shift -0.01 scale sits below the constant mode.
+    galerkin = lambda1_estimate(SphereGrid(patch, 32, 64)).value
+    for mesh in ORACLE_GRIDS:
+        W, mass = _cotangent_system(*_mesh(patch, *mesh))
+        below = -0.01 * float(W.diagonal().sum() / mass.sum())
+        ref = _lambda1_raw(patch, *mesh, below)
+        for fraction in (0.3, _ORACLE_SHIFT):
+            value = _lambda1_raw(patch, *mesh, fraction * galerkin)
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (mesh, fraction)
+        # Beyond twice lambda_1 the constant mode is not among the nearest.
+        with pytest.raises(LightconeError, match="constant mode"):
+            _lambda1_raw(patch, *mesh, 3.0 * galerkin)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [catalog.round_sphere(r=1.3),
+     catalog.round_sphere(u=BOOSTED_OBSERVER),
+     catalog.perturbed_sphere(catalog.HarmonicSpec(((2, -2, 0.03), (3, 1, 0.02))), r=1.1),
+     catalog.perturbed_sphere(catalog.HarmonicSpec(((2, 0, 0.08), (4, 3, 0.03))))],
+    ids=["round", "boosted", "two_terms", "degree4"],
+)
+def test_mass_matrix_is_the_weighted_gram_matrix(patch):
+    # The ring-wise FFT sums against Z^T Z, Z = sqrt(w) Y over every node.
+    grid = SphereGrid(patch, 64, 128)
+    Z = harmonic_basis(16, grid.TH, grid.PH) * np.sqrt(grid.weights)[:, None]
+    mass = _mass_matrix(grid, 16)
+    assert np.array_equal(mass, mass.T)
+    assert np.max(np.abs(mass - Z.T @ Z)) <= 1e-14
 
 
 def test_lambda1_rejects_a_chart_not_conformal_to_the_sphere():
@@ -255,17 +313,23 @@ def _perturbed(terms, r=1.0):
     return catalog.perturbed_sphere(catalog.HarmonicSpec(terms=terms), r=r)
 
 
+def _radial_round_sphere():
+    """The unit sphere charted as a radial graph, which carries no expansion."""
+    return catalog.graph_over_sphere(lambda x, y, z: x * 0.0 + 1.0)
+
+
 def test_table_route_follows_the_patch(unit_sphere, bumpy_sphere):
     from lightcone.transforms import expand
 
-    assert SphereGrid(unit_sphere, 8, 16).route == "jetframe"
+    assert SphereGrid(_radial_round_sphere(), 8, 16).route == "jetframe"
+    assert SphereGrid(unit_sphere, 8, 16).route == "sigma"
     assert SphereGrid(bumpy_sphere, 8, 16).route == "sigma"
     # An expansion built by hand carries no spec, so it keeps the JetFrame table.
     same = expand(unit_sphere, lambda uj, vj: uj * 0.0 + 0.1)
     assert SphereGrid(same, 8, 16).route == "jetframe"
 
 
-def test_oracle_gap_is_the_table_oracle_of_the_sigma_route(unit_sphere, bumpy_sphere, monkeypatch):
+def test_oracle_gap_is_the_table_oracle_of_the_sigma_route(bumpy_sphere, monkeypatch):
     oracle, calls = integrals.table_oracle, []
 
     def counted(patch):
@@ -273,7 +337,7 @@ def test_oracle_gap_is_the_table_oracle_of_the_sigma_route(unit_sphere, bumpy_sp
         return oracle(patch)
 
     monkeypatch.setattr(integrals, "table_oracle", counted)
-    plain, bumpy = SphereGrid(unit_sphere, 8, 16), SphereGrid(bumpy_sphere, 8, 16)
+    plain, bumpy = SphereGrid(_radial_round_sphere(), 8, 16), SphereGrid(bumpy_sphere, 8, 16)
     assert calls == []  # building a grid runs no oracle
     assert plain.oracle_gap is None and calls == []
     gap = bumpy.oracle_gap
@@ -288,7 +352,7 @@ def test_tensor_product_sigma_table_equals_flat_nodes(bumpy_sphere, shape):
 
     ref = integrals.expansion_table(bumpy_sphere, *shape)
     TH, PH, _ = integrals.sphere_quadrature(*shape)
-    spec, r = bumpy_sphere.expansion
+    spec, r, _ = bumpy_sphere.expansion
     tj, pj = Jet2.variable("u", TH), Jet2.variable("v", PH)
     flat = integrals.expansion_entries(
         catalog.round_geometry(tj, r), spec.chart_field()(tj, pj), r
