@@ -19,7 +19,7 @@ from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .jets import Jet2, JetVec4
 from .minkowski import boost_to, vec
-from .surfaces import POLE_SWAP, Geometry, SurfacePatch
+from .surfaces import Geometry, SurfacePatch
 
 _SPHERE_DOMAIN = ((0.0, np.pi), (0.0, 2.0 * np.pi))
 #: Grid on which ``graph_over_sphere`` checks that the radial function is positive.
@@ -32,20 +32,12 @@ _PARABOLOID_EXTENT = 2.0
 def _sphere_patch(name, embed, expansion=None):
     """A closed (theta, phi) chart psi = embed(w) over the sphere of directions w.
 
-    ``embed`` maps the three direction-cosine jets to a JetVec4.  The twin
-    for checks near the coordinate poles embeds the pole-swapped directions,
-    so it covers the same surface with its poles on the main chart's equator.
+    ``embed`` maps the three direction-cosine jets to a JetVec4; the patch
+    keeps it, so charts centred anywhere on the surface can be built.
     """
-
-    def make_chart(rotation):
-        return lambda tj, pj: embed(*harmonics.directions(tj, pj, rotation))
-
-    rotated = SurfacePatch(
-        name=name + "/rotated", chart=make_chart(POLE_SWAP), domain=_SPHERE_DOMAIN, closed=True
-    )
     return SurfacePatch(
-        name=name, chart=make_chart(None), domain=_SPHERE_DOMAIN, closed=True, rotated=rotated,
-        expansion=expansion,
+        name=name, chart=lambda tj, pj: embed(*harmonics.directions(tj, pj)),
+        domain=_SPHERE_DOMAIN, closed=True, embed=embed, expansion=expansion,
     )
 
 

@@ -467,7 +467,7 @@ def cmd_global(args):
     manifest.add(
         "curvature_floor",
         (floor["keta_slack"], floor["floor_slack"]),
-        detail=f"ratio {floor['ratio']:.6f} at theta={floor['point'][0]:.3f} on {floor['chart']}",
+        detail=f"ratio {floor['ratio']:.6f} at theta={floor['point'][0]:.3f}",
     )
     manifest.add(
         "eigenvalue_bound",

@@ -29,15 +29,16 @@ L_MAX = 4
 def directions(theta, phi, rotation=None):
     """Direction cosines (sin theta cos phi, sin theta sin phi, cos theta), as a list.
 
-    A 3x3 ``rotation`` is applied to the direction: the pole-swapped chart
-    of a closed surface passes its quarter turn.
+    A ``rotation`` of shape (..., 3, 3), one 3x3 matrix or one per point,
+    is applied to the direction: a chart centred off the poles of a closed
+    surface (``surfaces.centred``) passes its rotations.
     """
     st, ct = jets.sin(theta), jets.cos(theta)
     cp, sp = jets.cos(phi), jets.sin(phi)
     w = [st * cp, st * sp, ct]
     if rotation is not None:
         R = np.asarray(rotation, dtype=float)
-        w = [w[0] * R[k, 0] + w[1] * R[k, 1] + w[2] * R[k, 2] for k in range(3)]
+        w = [w[0] * R[..., k, 0] + w[1] * R[..., k, 1] + w[2] * R[..., k, 2] for k in range(3)]
     return w
 
 

@@ -260,17 +260,15 @@ class SphereGrid:
         drops, forcing 2 K_eta >= K^2/det A there; combined with the gap
         inequality the ratio is at least 4.  At a grid node the gradient
         term is O(h^2), not zero, so ``closed_extremum`` minimizes -det A
-        from a ``FLOOR_GRID`` scan on both charts.  Returns the
-        winning chart's name, the point in its coordinates, the ratio and
-        the slack of each inequality.
+        from a ``FLOOR_GRID`` scan.  Returns the point in the chart's
+        (theta, phi), the ratio and the slack of each inequality.
         """
         self.ii_weights  # the non-degeneracy gate
         scan = JetFrame(self.patch, *self.patch.grid_points(FLOOR_GRID))
-        frame = closed_extremum(scan, lambda f: (-f.detA, np.abs(f.detA_val)), FLOOR_GRID)
+        theta, phi, frame = closed_extremum(scan, lambda f: (-f.detA, np.abs(f.detA_val)))
         ratio = float(frame.K_val**2 / frame.detA_val)
         return {
-            "chart": frame.patch.name,
-            "point": (float(frame.u), float(frame.v)),
+            "point": (theta, phi),
             "ratio": ratio,
             "keta_slack": 2.0 * float(frame.K_eta) - ratio,
             "floor_slack": ratio - 4.0,

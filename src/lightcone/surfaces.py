@@ -54,8 +54,9 @@ class SurfacePatch:
 
     ``chart`` receives two lifted coordinate jets (possibly batched) and
     returns a JetVec4.  ``closed`` marks spherical (theta, phi) charts whose
-    domain covers a closed surface; those get quadrature grids and a
-    ``rotated`` twin chart for checks near the coordinate poles.
+    domain covers a closed surface; those get quadrature grids, and
+    ``embed``, if the chart is embed(harmonics.directions(theta, phi)), from
+    which ``centred`` charts of the same surface come.
     ``expansion`` is (spec, r, observer) when the chart is e^sigma times
     the round sphere of radius r, sigma the spec's harmonic sum, seen by the
     past unit timelike ``observer`` (None for the unboosted chart);
@@ -66,7 +67,7 @@ class SurfacePatch:
     chart: Callable[[Jet2, Jet2], JetVec4]
     domain: tuple
     closed: bool = False
-    rotated: Optional["SurfacePatch"] = None
+    embed: Optional[Callable[[Jet2, Jet2, Jet2], JetVec4]] = None
     expansion: Optional[tuple] = None
 
     def sample_points(self, n, rng, margin=0.05):
@@ -395,85 +396,93 @@ def gauss_maps(frame):
 
 # -- extremal points ----------------------------------------------------------
 
-#: Quarter turn about the y axis that a closed chart's ``rotated`` twin applies
-#: to its directions; it sends the chart's poles to the twin's equator.
-POLE_SWAP = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
-#: Grid of the umbilic search's own chart scan and of its twin's polar caps.
+#: Longest Newton step, in radians on the sphere of directions: a trial stays
+#: pi/4 or more from the poles of the chart centred on its iterate.
+_MAX_STEP = np.pi / 4
+#: Gradient norm, over the field's rounding scale, at which a start stops.
+_GRADIENT_FLOOR = 1e-13
+#: Grid of the umbilic search's own scan, for callers whose frame is coarser.
 UMBILIC_GRID = (64, 128)
 
 
-def closed_extremum(scan, field, grid):
-    """Single-point JetFrame at the least point of a field on a closed surface.
+def centring(theta, phi):
+    """Rotations (..., 3, 3) with columns w(theta, phi), e_phi and -e_theta.
 
-    ``scan`` is a JetFrame over nodes of a closed chart, and ``field(frame)``
+    Each takes the direction of the chart point (pi/2, 0) to that of
+    (theta, phi), so the chart it centres (``centred``) is regular there.
+    """
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    rows = (st * cp, -sp, -ct * cp), (st * sp, cp, -ct * sp), (ct, 0.0 * sp, st)
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=-2)
+
+
+def centred(patch, rotation):
+    """The chart embed(directions(theta, phi, rotation)) of a closed patch with an ``embed``."""
+    embed = patch.embed
+    if embed is None:
+        raise LightconeError(f"{patch.name}: no embedding to centre a chart on")
+    return SurfacePatch(patch.name, lambda tj, pj: embed(*harmonics.directions(tj, pj, rotation)),
+                        patch.domain, closed=True, embed=embed)
+
+
+def closed_extremum(scan, field):
+    """Least point of a field on a closed surface: (theta, phi, one-point JetFrame).
+
+    ``scan`` is a JetFrame of a closed chart with an ``embed``; ``field(frame)``
     returns the field as a jet of valid order 2 or more and the scale of its
-    rounding noise per point.  A point at a coordinate pole is invisible to
-    the chart, so its pole-rotated twin (``POLE_SWAP``) is scanned too, at
-    the ``grid`` nodes near the chart's poles: within max(3 theta_first, 2
-    rows of ``grid``) of them, theta_first the scan's nearest approach, and
-    never fewer than the nearest node.  A patch without a twin raises
-    LightconeError.  On each chart the scan frame gives the field's value,
-    gradient and Hessian, and Newton starts from the ``_extreme_nodes``
-    with those.  A step goes only along the Hessian eigendirections whose
-    eigenvalue exceeds 1e-8 of the scale (on round spheres both callers'
-    fields are constant and it is noise below 1e-10), and is kept only if
-    theta stays between the least and greatest theta of the chart's scan
-    nodes and the gradient norm shrinks.  Each chart is thus searched only
-    where it is regular; the caps the chart drops lie on its twin's
-    equator.  A start stops when its step is not kept, when it has no such
-    direction, at a step below 1e-12 or after 8 steps.  The least find
-    wins, in the coordinates of its chart with phi wrapped to [0, 2 pi).
+    rounding noise per point.  Newton starts from the ``_extreme_nodes`` of
+    the scan's points and the two poles, and reads each iterate at the
+    centre of a chart centred on it: Riemannian Newton on the sphere of
+    directions (Absil, Mahony and Sepulchre, 2008, ch. 6), saddle-free
+    (steps divide by |eigenvalue|, Dauphin et al. 2014) along eigendirections
+    whose |eigenvalue| exceeds 1e-8 of the scale.  README.md gives the rules.
     """
     patch = scan.patch
-    if patch.rotated is None:
-        raise LightconeError(f"{patch.name}: no pole-rotated twin to search near the poles")
-    t, p = patch.rotated.grid_points(grid)
-    pole = np.arccos(np.abs(harmonics.directions(t, p, POLE_SWAP)[2]))  # to the nearer pole
-    reach = max(3.0 * max(np.min(scan.u), np.pi - np.max(scan.u)),
-                2.0 * (t[-1] - t[0]) / (grid[0] - 1))
-    cap = pole <= max(reach, np.min(pole))
-    best = None
-    for frame in (scan, JetFrame(patch.rotated, t[cap], p[cap])):
-        chart, first, last = frame.patch, np.min(frame.u), np.max(frame.u)
-        k, (found, grad, hess, scale) = _scan_starts(field, frame)
-        u, v, live = frame.u[k], frame.v[k], np.arange(k.size)
-        for _ in range(8):
-            lam, vec = np.linalg.eigh(hess)
-            ok = lam > 1e-8 * scale[:, None]
-            lam = np.where(ok, lam, np.inf)  # no step along the other directions
-            step = np.einsum("nab,nb->na", vec, np.einsum("nab,na->nb", vec, grad) / lam)
-            tu, tv = u[live] - step[:, 0], v[live] - step[:, 1]
-            ok = np.any(ok, axis=-1) & (first <= tu) & (tu <= last)
-            if not np.any(ok):
-                break
-            live, grad, step, tu, tv = live[ok], grad[ok], step[ok], tu[ok], tv[ok]
-            trial, new_grad, hess, scale = _field_derivatives(field, JetFrame(chart, tu, tv))
-            kept = np.hypot(*new_grad.T) < np.hypot(*grad.T)
-            u[live[kept]], v[live[kept]], found[live[kept]] = tu[kept], tv[kept], trial[kept]
-            ok = kept & (np.hypot(step[:, 0], step[:, 1]) >= 1e-12)
-            live, grad, hess, scale = live[ok], new_grad[ok], hess[ok], scale[ok]
-        j = int(np.argmin(found))
-        if best is None or found[j] < best[0]:
-            best = (found[j], chart, float(u[j]), float(v[j] % (2.0 * np.pi)))
-    _, chart, u, v = best
-    return JetFrame(chart, u, v)
+    poles = JetFrame(centred(patch, centring([0.0, np.pi], 0.0)), np.pi / 2, 0.0)
+    pairs = zip(_field_derivatives(field, scan) + (scan.psi_val,),
+                _field_derivatives(field, poles) + (poles.psi_val,))
+    value, grad, hess, scale, psi = map(np.concatenate, pairs)
+    k = _extreme_nodes(psi[:, 1:] / psi[:, :1], value)
+    theta, phi = np.append(scan.u, [0.0, np.pi])[k], np.append(scan.v, [0.0, 0.0])[k]
+    # to the orthonormal frame at colatitude t of the candidate's chart (pi/2
+    # at a centre): Gamma^theta_phiphi = -sin cos, Gamma^phi_thetaphi = cot
+    t = np.where(k < scan.u.size, theta, np.pi / 2)
+    sin, cos, (g_t, g_p), h = np.sin(t), np.cos(t), grad[k].T, hess[k]
+    h_tp = (h[:, 0, 1] - cos / sin * g_p) / sin
+    hess = _stack2(h[:, 0, 0], h_tp, h_tp, (h[:, 1, 1] + sin * cos * g_t) / (sin * sin))
+    grad, found, scale = np.stack([g_t, g_p / sin], axis=-1), value[k], scale[k]
+    rotation, moved = centring(theta, phi), np.zeros(k.size, dtype=bool)
+    live = np.flatnonzero(np.hypot(*grad.T) > _GRADIENT_FLOOR * scale)
+    grad, hess, scale = grad[live], hess[live], scale[live]
+    for _ in range(8):
+        lam, vec = np.linalg.eigh(hess)
+        ok = np.abs(lam) > 1e-8 * scale[:, None]
+        lam = np.where(ok, np.abs(lam), np.inf)  # no step along the other directions
+        step = -np.einsum("nab,nb->na", vec, np.einsum("nab,na->nb", vec, grad) / lam)
+        ok = np.any(ok, axis=-1) & (np.hypot(*step.T) <= _MAX_STEP)
+        if not np.any(ok):
+            break
+        live, grad, step = live[ok], grad[ok], step[ok]
+        trial = rotation[live] @ centring(np.pi / 2 + step[:, 0], step[:, 1])
+        frame = JetFrame(centred(patch, trial), np.pi / 2, 0.0)
+        val, new_grad, hess, scale = _field_derivatives(field, frame)
+        kept = (np.hypot(*new_grad.T) < np.hypot(*grad.T)) | (val < found[live])
+        rotation[live[kept]], found[live[kept]], moved[live[kept]] = trial[kept], val[kept], True
+        ok = kept & (np.hypot(*new_grad.T) > _GRADIENT_FLOOR * scale)
+        live, grad, hess, scale = live[ok], new_grad[ok], hess[ok], scale[ok]
+    j = int(np.argmin(found))
+    if moved[j]:
+        x, y, z = rotation[j, :, 0]
+        theta[j], phi[j] = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x) % (2.0 * np.pi)
+    return float(theta[j]), float(phi[j]), JetFrame(centred(patch, rotation[j]), np.pi / 2, 0.0)
 
 
 def _field_derivatives(field, frame):
     """Value, gradient (n, 2), Hessian (n, 2, 2) and scale of a field jet."""
     jet, scale = field(frame)
-    d_uu, d_uv, d_vv = jet.partial(2, 0), jet.partial(1, 1), jet.partial(0, 2)
-    grad = np.stack([jet.partial(1, 0), jet.partial(0, 1)], axis=-1)
-    hess = np.stack([np.stack([d_uu, d_uv], axis=-1), np.stack([d_uv, d_vv], axis=-1)], axis=-2)
-    return jet.value, grad, hess, scale
-
-
-def _scan_starts(field, frame):
-    """The ``_extreme_nodes`` of a scan frame and the field derivatives there."""
-    scan = _field_derivatives(field, frame)
-    psi = frame.psi_val
-    k = _extreme_nodes(psi[:, 1:] / psi[:, :1], scan[0])
-    return k, tuple(a[k] for a in scan)
+    d_uv = jet.partial(1, 1)
+    hess = _stack2(jet.partial(2, 0), d_uv, d_uv, jet.partial(0, 2))
+    return jet.value, np.stack([jet.partial(1, 0), jet.partial(0, 1)], axis=-1), hess, scale
 
 
 def _extreme_nodes(directions, value):
@@ -494,15 +503,14 @@ def _extreme_nodes(directions, value):
 
 
 def umbilic_point_search(patch, scan=None):
-    """Locate a point where both curvature-inequality gaps (nearly) vanish.
+    """(theta, phi, gap_low, gap_high) where both curvature-inequality gaps (nearly) vanish.
 
     On a closed surface an umbilic point must exist; ``closed_extremum``
     minimizes the gap jet K^2 - 4 det A from ``scan``, a JetFrame of the
     chart at least as fine as ``UMBILIC_GRID``, or from a frame on
-    ``UMBILIC_GRID`` nodes when none is given.  Returns (u, v, gap_low,
-    gap_high) in the coordinates of the winning chart.
+    ``UMBILIC_GRID`` nodes when none is given.
     """
     if scan is None:
         scan = JetFrame(patch, *patch.grid_points(UMBILIC_GRID))
-    f = closed_extremum(scan, lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2), UMBILIC_GRID)
-    return float(f.u), float(f.v), float(f.gap_low), float(f.gap_high)
+    theta, phi, f = closed_extremum(scan, lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2))
+    return theta, phi, float(f.gap_low), float(f.gap_high)

@@ -48,10 +48,11 @@ def _require_immersion(frame):
 
 
 def _conjugate_patch(patch):
-    """The conjugate chart of ``patch`` and of its rotated twin.
+    """The conjugate chart of ``patch``.
 
     Unlike ``conjugate``, no det A floor is tested here; the chart reads the
-    normal of a ``patch`` frame, which is guarded like every frame.
+    normal of a ``patch`` frame, which is guarded like every frame.  It has
+    no ``embed``: the conjugate is not given as a map of directions.
     """
 
     def chart(uj, vj):
@@ -62,7 +63,6 @@ def _conjugate_patch(patch):
         chart=chart,
         domain=patch.domain,
         closed=patch.closed,
-        rotated=None if patch.rotated is None else _conjugate_patch(patch.rotated),
     )
 
 
@@ -117,7 +117,6 @@ def expand(patch, sigma):
         chart=chart,
         domain=patch.domain,
         closed=patch.closed,
-        rotated=None,
     )
 
 

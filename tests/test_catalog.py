@@ -179,11 +179,13 @@ def test_harmonics_reject_bad_orders():
     assert len(real_harmonic([(20, -20)], 0.6, 0.0, 0.8)) == 1
 
 
-@pytest.mark.parametrize("rotation", [None, surfaces.POLE_SWAP], ids=["main", "rotated"])
-def test_harmonic_jets_carry_the_numeric_values(rotation):
-    # the value row of a jet evaluation is the numeric evaluation, bit for bit
+@pytest.mark.parametrize("rotated", [False, True], ids=["main", "rotated"])
+def test_harmonic_jets_carry_the_numeric_values(rotated):
+    # the value row of a jet evaluation is the numeric evaluation, bit for
+    # bit, also under one rotation per point
     rng = np.random.default_rng(9)
     th, ph = rng.uniform(0.0, np.pi, size=30), rng.uniform(0.0, 2 * np.pi, size=30)
+    rotation = surfaces.centring(th[::-1], ph[::-1]) if rotated else None
     w = directions(Jet2.variable("u", th), Jet2.variable("v", ph), rotation)
     on_jets = real_harmonic(DEGREES_AND_ORDERS, *w)
     on_values = real_harmonic(DEGREES_AND_ORDERS, *(c.value for c in w))
@@ -274,24 +276,19 @@ ROTATED_CASES = {
 
 @pytest.mark.parametrize("case", ROTATED_CASES)
 def test_rotated_chart_same_surface(request, case):
-    # the rotated twin parametrizes the same point set: compare the
-    # determinant curvature at matched directions near the main chart pole
+    # a chart centred on a direction parametrizes the same point set: at its
+    # centre (pi/2, 0) it gives the main chart's psi, K and det A there, on
+    # random directions, one 1e-3 from a pole and one on the phi = 0 seam
     patch = ROTATED_CASES[case](request)
-    rot = patch.rotated
-    assert rot is not None
-    # direction w(theta', phi') in the rotated chart equals R w; pick the
-    # rotated-chart point whose image direction is near the main pole
-    thp, php = 1.55, 0.1  # rotated equator maps near the main-chart pole
-    f_rot = JetFrame(rot, thp, php)
-    pos = f_rot.psi_val
-    # matched main-chart angles from the position itself
-    r3 = np.linalg.norm(pos[1:])
-    th = float(np.arccos(pos[3] / r3))
-    ph = float(np.arctan2(pos[2], pos[1]) % (2 * np.pi))
-    f_main = JetFrame(patch, th, ph)
-    assert np.max(np.abs(f_main.psi_val - pos)) < 1e-10
-    assert abs(f_main.detA_val - f_rot.detA_val) < 1e-10
-    assert abs(f_main.K_val - f_rot.K_val) < 1e-10
+    rng = np.random.default_rng(4)
+    theta = np.concatenate([rng.uniform(0.2, np.pi - 0.2, size=6), [np.pi - 1e-3, 1.2]])
+    phi = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, size=6), [2.5, 0.0]])
+    main = JetFrame(patch, theta, phi)
+    rotation = surfaces.centring(theta, phi)
+    centred = JetFrame(surfaces.centred(patch, rotation), np.full(8, np.pi / 2), np.zeros(8))
+    assert np.max(np.abs(main.psi_val - centred.psi_val)) < 1e-14
+    assert np.max(np.abs(main.detA_val - centred.detA_val)) < 1e-10
+    assert np.max(np.abs(main.K_val - centred.K_val)) < 1e-10
 
 
 def test_closed_charts_build_directions_once(bumpy_sphere, monkeypatch):
@@ -301,7 +298,8 @@ def test_closed_charts_build_directions_once(bumpy_sphere, monkeypatch):
         return directions(*args)
 
     monkeypatch.setattr(harmonics, "directions", counted)
-    for patch in (bumpy_sphere, bumpy_sphere.rotated):
+    centred = surfaces.centred(bumpy_sphere, surfaces.centring(0.4, 1.1))
+    for patch in (bumpy_sphere, centred):
         calls.clear()
         patch.position(0.4, 1.1)
         assert len(calls) == 1, patch.name

@@ -58,10 +58,9 @@ _POLAR_UMBILIC = "[[2, 0, 0.08], [4, 3, 0.03]]"
 
 @pytest.mark.parametrize("r", ["0.7", "1", "1.1", "1.3"])
 def test_umbilic_point_at_the_main_pole_is_reached(tmp_path, r):
-    # The pole lies in the cap the main chart drops and in the phi margin of
-    # the twin's grid (phi' < 0.126); scans of the whole twin started Newton
-    # elsewhere and read 3.7e-9, 9.0e-10, 6.1e-10 and 3.1e-10, while the
-    # twin's cap scan starts beside the pole.
+    # The exact umbilic is the pole, which lies off every node of the
+    # chart's scan; the two pole candidates, each at the centre of a chart
+    # centred on it, start Newton there.
     spec, out = tmp_path / "spec.json", tmp_path / "m.json"
     spec.write_text(_POLAR_UMBILIC)
     argv = ["verify", "perturbed", "--spec", str(spec), "--r", r, "--grid", "16x32"]
@@ -72,21 +71,35 @@ def test_umbilic_point_at_the_main_pole_is_reached(tmp_path, r):
 
 def test_verify_at_64x128_builds_no_second_scan_frame(tmp_path, monkeypatch):
     # The umbilic search takes verify's own 64x128 frame (with its 200 random
-    # points) as the chart's scan and scans only the twin's polar caps, so
-    # that frame is the only one of 2048 nodes or more.
+    # points) as its scan and adds one frame at the two poles, so that frame
+    # is the only one of 2048 nodes or more.  With one frame per Newton step
+    # for all starts, starts that stop at the gradient floor, and the frame
+    # at the find, the search builds at most 10 frames.
     sizes, build = [], JetFrame.__init__
+    search, in_search = cli.umbilic_point_search, []
 
     def recording(self, patch, u, v):
         sizes.append(np.size(u))
         build(self, patch, u, v)
 
+    def counting(patch, scan=None):
+        first = len(sizes)
+        out = search(patch, scan)
+        in_search.append(len(sizes) - first)
+        return out
+
     monkeypatch.setattr(JetFrame, "__init__", recording)
-    spec, out = tmp_path / "spec.json", tmp_path / "m.json"
-    spec.write_text(_POLAR_UMBILIC)
-    assert main(["verify", "perturbed", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
-    assert [n for n in sizes if n >= 2048] == [64 * 128 + 200]
-    checks = {c["name"]: c for c in _load_manifest(out)["checks"]}
-    assert checks["umbilic_point"]["residual"] < 1e-10
+    monkeypatch.setattr(cli, "umbilic_point_search", counting)
+    for spec, r in ((_POLAR_UMBILIC, "1"), ("[[2, -2, 0.03], [3, 1, 0.02]]", "1.1")):
+        sizes.clear()
+        spec_file, out = tmp_path / "spec.json", tmp_path / "m.json"
+        spec_file.write_text(spec)
+        argv = ["verify", "perturbed", "--spec", str(spec_file), "--r", r, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert [n for n in sizes if n >= 2048] == [64 * 128 + 200]
+        checks = {c["name"]: c for c in _load_manifest(out)["checks"]}
+        assert checks["umbilic_point"]["residual"] < 1e-10
+    assert len(in_search) == 2 and max(in_search) <= 10, in_search
 
 
 def test_verify_paraboloid_skips_conjugate_checks(tmp_path):

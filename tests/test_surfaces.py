@@ -9,14 +9,16 @@ from lightcone.curvature import second_form_curvature
 from lightcone.errors import LightconeError
 from lightcone.jets import Jet2, JetVec4
 from lightcone.minkowski import inner
-from lightcone.integrals import FLOOR_GRID, SphereGrid
+from lightcone.integrals import FLOOR_GRID
 from lightcone.surfaces import (
     UMBILIC_GRID,
     JetFrame,
     SurfacePatch,
     _extreme_nodes,
     _field_derivatives,
-    _scan_starts,
+    centred,
+    centring,
+    closed_extremum,
     gauss_maps,
     umbilic_point_search,
 )
@@ -273,8 +275,8 @@ def test_umbilic_point_exists_on_compact_surfaces(bumpy_sphere):
 def test_umbilic_point_search_keeps_round_sphere_nodes():
     # the gap vanishes identically, so its Hessian is rounding noise and no
     # start moves off its node: one of the chart's scan (its own
-    # UMBILIC_GRID frame, or verify's frame with random points) or of the
-    # twin's UMBILIC_GRID caps, whose nodes have the same coordinates
+    # UMBILIC_GRID frame, or verify's frame with random points), whose
+    # coordinates are reported bit for bit
     u_obs = np.array([-np.cosh(0.5), np.sinh(0.5) * 0.6, 0.0, np.sinh(0.5) * 0.8])
     for patch in (catalog.round_sphere(r=0.5), catalog.round_sphere(r=2.0, u=u_obs)):
         points = cli._verify_points(patch, UMBILIC_GRID, 0)
@@ -302,55 +304,53 @@ def test_extreme_nodes_are_integer_indices():
 )
 def test_scan_frame_derivatives_equal_a_start_frame(bumpy_sphere, field, grid):
     # closed_extremum starts Newton from the scan frame's value, gradient,
-    # Hessian and scale; they are bit for bit those of a frame at the
-    # start nodes alone
-    for chart in (bumpy_sphere, bumpy_sphere.rotated):
-        u, v = chart.grid_points(grid)
-        k, start = _scan_starts(field, JetFrame(chart, u, v))
-        assert k.size == 4
-        alone = _field_derivatives(field, JetFrame(chart, u[k], v[k]))
-        for a, b in zip(start, alone, strict=True):
-            assert np.array_equal(a, b)
+    # Hessian and scale; they are bit for bit those of a frame at the start
+    # nodes alone
+    u, v = bumpy_sphere.grid_points(grid)
+    frame = JetFrame(bumpy_sphere, u, v)
+    scan = _field_derivatives(field, frame)
+    k = _extreme_nodes(frame.psi_val[:, 1:] / frame.psi_val[:, :1], scan[0])
+    assert k.size == 4
+    alone = _field_derivatives(field, JetFrame(bumpy_sphere, u[k], v[k]))
+    for a, b in zip(scan, alone, strict=True):
+        assert np.array_equal(a[k], b)
 
 
-def test_closed_extremum_stays_inside_the_scanned_rows(bumpy_sphere):
-    # each chart is searched only between its first and last scan row, where
-    # it is regular; the band it drops around its poles lies on its twin's
-    # equator
-    u_obs = np.array([-np.cosh(0.5), np.sinh(0.5) * 0.6, 0.0, np.sinh(0.5) * 0.8])
-    patches = [
-        bumpy_sphere,
-        catalog.round_sphere(r=0.5),
-        catalog.round_sphere(r=2.0, u=u_obs),
-        catalog.perturbed_sphere(catalog.HarmonicSpec(terms=((2, 0, 0.04),))),
-        catalog.perturbed_sphere(catalog.HarmonicSpec(terms=((2, -2, 0.03), (3, 1, 0.02)))),
-    ]
+def test_closed_extremum_reports_main_chart_coordinates():
+    # the search steps in charts centred on its iterates and reports the
+    # find in the main chart's (theta, phi): the main chart there is the
+    # returned frame's point; the polar spec's find is its pole (pi, 0)
+    polar = catalog.perturbed_sphere(catalog.HarmonicSpec(((2, 0, 0.08), (4, 3, 0.03))))
     rng = np.random.default_rng(8)
-    patches += [random_perturbed_sphere(rng, total_amplitude=0.04)[0] for _ in range(3)]
+    patches = [polar] + [random_perturbed_sphere(rng, total_amplitude=0.04)[0] for _ in range(3)]
     for patch in patches:
-        for theta, grid in (
-            (umbilic_point_search(patch)[0], UMBILIC_GRID),
-            (SphereGrid(patch, 16, 32).second_curvature_floor()["point"][0], FLOOR_GRID),
-        ):
-            rows = patch.grid_points(grid)[0]
-            assert rows[0] <= theta <= rows[-1], patch.name
+        scan = JetFrame(patch, *patch.grid_points(UMBILIC_GRID))
+        for field in (lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2),
+                      lambda f: (-f.detA, np.abs(f.detA_val))):
+            theta, phi, frame = closed_extremum(scan, field)
+            assert 0.0 <= theta <= np.pi and 0.0 <= phi < 2.0 * np.pi
+            position = patch.position(theta, phi)
+            assert np.max(np.abs(position - frame.psi_val)) < 1e-14, patch.name
+    assert umbilic_point_search(polar)[:2] == (np.pi, 0.0)
 
 
-def test_closed_extremum_needs_the_twin_chart():
-    # Without the twin the chart's poles go unsearched: on this surface the
-    # scan stops at its first row with a gap of 5e-7, against 2e-12 for
-    # the perturbed sphere of the same spec.
+def test_closed_extremum_needs_an_embedding():
+    # A hand-built closed chart has no embed, so no chart can be centred on
+    # its poles: on this surface the main chart alone stops at its first
+    # row with a gap of 5e-7, against 2e-12 for the perturbed sphere of the
+    # same spec.
     spec = catalog.HarmonicSpec(((2, 0, 0.2),))
     patch = transforms.expand(catalog.round_sphere(), spec.chart_field())
-    assert patch.closed and patch.rotated is None
+    assert patch.closed and patch.embed is None
     with pytest.raises(LightconeError, match=re.escape(patch.name)):
         umbilic_point_search(patch)
     assert max(umbilic_point_search(catalog.perturbed_sphere(spec))[2:]) < 1e-10
 
 
 def test_umbilic_starts_are_kept_apart_on_the_sphere():
-    # the umbilics form a ring 0.055 rad from the twin chart's pole; starts
-    # kept apart only in the chart domain all sat in the first scan row
+    # besides the poles, the umbilics form a ring 0.0045 rad from the
+    # equator; starts kept apart only in the chart domain all sat in the
+    # first scan row
     patch = catalog.perturbed_sphere(catalog.HarmonicSpec(terms=((3, 0, 0.04),)), r=1.1)
     _, _, glow, ghigh = umbilic_point_search(patch)
     assert max(glow, ghigh) < 1e-10
@@ -441,7 +441,7 @@ def test_position_equals_frame_positions_bit_for_bit(unit_sphere, cylinder, para
     boosted = catalog.round_sphere(u=[-np.cosh(0.8), 0.0, np.sinh(0.8), 0.0], r=1.3)
     graph = catalog.graph_over_sphere(lambda x, y, z: jets.exp(0.1 * x * z) * 0.7)
     patches = [unit_sphere, boosted, cylinder, paraboloid, bumpy_sphere, graph,
-               transforms.conjugate(bumpy_sphere), bumpy_sphere.rotated,
+               transforms.conjugate(bumpy_sphere), centred(bumpy_sphere, centring(0.3, 1.0)),
                transforms.expand(unit_sphere, catalog.HarmonicSpec(((2, 1, 0.05),)).chart_field())]
     rng = np.random.default_rng(0)
     for patch in patches:
