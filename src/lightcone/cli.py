@@ -429,9 +429,7 @@ def _verify_checks(manifest, args):
     manifest.add("gauss_maps", np.maximum(*unit), points=points)
 
     if patch.closed:
-        # verify's own frame serves as the search's scan when it is fine enough
-        fine = all(n >= m for n, m in zip(args.grid, surfaces.UMBILIC_GRID))
-        _, _, glow, ghigh = umbilic_point_search(patch, frame if fine else None)
+        _, _, glow, ghigh = umbilic_point_search(frame)
         manifest.add("umbilic_point", (glow, ghigh))
     else:
         manifest.skip("umbilic_point", "not a closed surface")
@@ -450,8 +448,8 @@ def cmd_global(args):
     gb = grid.gauss_bonnet()
     gb2 = grid.gauss_bonnet_second_form()
     ii_area = grid.second_form_area()
+    lam = spectrum.lambda1_estimate(grid)  # rejects too small a grid first
     floor = grid.second_curvature_floor()
-    lam = spectrum.lambda1_estimate(grid)
 
     if grid.oracle_gap is not None:
         manifest.add("table_oracle", grid.oracle_gap, detail=_ORACLE_DETAIL)

@@ -25,8 +25,6 @@ from .surfaces import JetFrame, closed_extremum
 _CHUNK = 2048
 #: Grid of the ``table_oracle`` check.
 TABLE_ORACLE_GRID = (16, 32)
-#: Scan grid of the search for the maximizer of det A in ``second_curvature_floor``.
-FLOOR_GRID = (16, 32)
 
 
 def sphere_quadrature(n_theta, n_phi):
@@ -260,12 +258,18 @@ class SphereGrid:
         drops, forcing 2 K_eta >= K^2/det A there; combined with the gap
         inequality the ratio is at least 4.  At a grid node the gradient
         term is O(h^2), not zero, so ``closed_extremum`` minimizes -det A
-        from a ``FLOOR_GRID`` scan.  Returns the point in the chart's
-        (theta, phi), the ratio and the slack of each inequality.
+        from the grid's own nodes and table.  Below 8x16 those nodes miss
+        the maximizer's basin, so such grids raise.  Returns the point in
+        the chart's (theta, phi), the ratio and the slack of each inequality.
         """
+        if self.n_theta < 8 or self.n_phi < 16:
+            raise LightconeError(
+                f"{self.n_theta}x{self.n_phi} grid is too small for the curvature floor: "
+                "the search needs n_theta >= 8 and n_phi >= 16"
+            )
         self.ii_weights  # the non-degeneracy gate
-        scan = JetFrame(self.patch, *self.patch.grid_points(FLOOR_GRID))
-        theta, phi, frame = closed_extremum(scan, lambda f: (-f.detA, np.abs(f.detA_val)))
+        theta, phi, frame = closed_extremum(self.patch, self.TH, self.PH, -self.table["detA"],
+                                            lambda f: (-f.detA, np.abs(f.detA_val)))
         ratio = float(frame.K_val**2 / frame.detA_val)
         return {
             "point": (theta, phi),

@@ -401,8 +401,8 @@ def gauss_maps(frame):
 _MAX_STEP = np.pi / 4
 #: Gradient norm, over the field's rounding scale, at which a start stops.
 _GRADIENT_FLOOR = 1e-13
-#: Grid of the umbilic search's own scan, for callers whose frame is coarser.
-UMBILIC_GRID = (64, 128)
+#: Newton starts besides the two poles: the least-value nodes kept apart.
+_STARTS = 16
 
 
 def centring(theta, phi):
@@ -425,33 +425,25 @@ def centred(patch, rotation):
                         patch.domain, closed=True, embed=embed)
 
 
-def closed_extremum(scan, field):
+def closed_extremum(patch, theta, phi, value, field):
     """Least point of a field on a closed surface: (theta, phi, one-point JetFrame).
 
-    ``scan`` is a JetFrame of a closed chart with an ``embed``; ``field(frame)``
-    returns the field as a jet of valid order 2 or more and the scale of its
-    rounding noise per point.  Newton starts from the ``_extreme_nodes`` of
-    the scan's points and the two poles, and reads each iterate at the
-    centre of a chart centred on it: Riemannian Newton on the sphere of
-    directions (Absil, Mahony and Sepulchre, 2008, ch. 6), saddle-free
-    (steps divide by |eigenvalue|, Dauphin et al. 2014) along eigendirections
-    whose |eigenvalue| exceeds 1e-8 of the scale.  README.md gives the rules.
+    ``patch`` is a closed chart with an ``embed``; ``value`` holds the
+    field's values at the main-chart points (``theta``, ``phi``), and
+    ``field(frame)`` returns the field as a jet of valid order 2 or more and
+    the scale of its rounding noise per point.  Newton starts from the
+    ``_extreme_nodes`` of those values and the two poles, and reads each
+    start and iterate at the centre of a chart centred on it: Riemannian
+    Newton on the sphere of directions (Absil, Mahony and Sepulchre, 2008,
+    ch. 6), saddle-free (steps divide by |eigenvalue|, Dauphin et al. 2014)
+    along eigendirections whose |eigenvalue| exceeds 1e-8 of the scale.
+    README.md gives the rules.
     """
-    patch = scan.patch
-    poles = JetFrame(centred(patch, centring([0.0, np.pi], 0.0)), np.pi / 2, 0.0)
-    pairs = zip(_field_derivatives(field, scan) + (scan.psi_val,),
-                _field_derivatives(field, poles) + (poles.psi_val,))
-    value, grad, hess, scale, psi = map(np.concatenate, pairs)
-    k = _extreme_nodes(psi[:, 1:] / psi[:, :1], value)
-    theta, phi = np.append(scan.u, [0.0, np.pi])[k], np.append(scan.v, [0.0, 0.0])[k]
-    # to the orthonormal frame at colatitude t of the candidate's chart (pi/2
-    # at a centre): Gamma^theta_phiphi = -sin cos, Gamma^phi_thetaphi = cot
-    t = np.where(k < scan.u.size, theta, np.pi / 2)
-    sin, cos, (g_t, g_p), h = np.sin(t), np.cos(t), grad[k].T, hess[k]
-    h_tp = (h[:, 0, 1] - cos / sin * g_p) / sin
-    hess = _stack2(h[:, 0, 0], h_tp, h_tp, (h[:, 1, 1] + sin * cos * g_t) / (sin * sin))
-    grad, found, scale = np.stack([g_t, g_p / sin], axis=-1), value[k], scale[k]
-    rotation, moved = centring(theta, phi), np.zeros(k.size, dtype=bool)
+    k = _extreme_nodes(harmonics.directions(theta, phi), value)
+    theta, phi = np.append(theta[k], [0.0, np.pi]), np.append(phi[k], [0.0, 0.0])
+    rotation, moved = centring(theta, phi), np.zeros(theta.size, dtype=bool)
+    found, grad, hess, scale = _field_derivatives(
+        field, JetFrame(centred(patch, rotation), np.pi / 2, 0.0))
     live = np.flatnonzero(np.hypot(*grad.T) > _GRADIENT_FLOOR * scale)
     grad, hess, scale = grad[live], hess[live], scale[live]
     for _ in range(8):
@@ -486,31 +478,31 @@ def _field_derivatives(field, frame):
 
 
 def _extreme_nodes(directions, value):
-    """Indices of up to 4 least-value nodes whose unit directions lie over 0.25 apart.
+    """Indices of up to ``_STARTS`` least-value nodes whose unit directions lie over 0.25 apart.
 
-    The directions psi[1:] / psi[0] do not depend on the chart, so the
-    starts are kept apart on the sphere, not in the chart domain.
+    ``directions`` holds the direction cosines x, y, z of the embed's
+    argument, each indexed like ``value``, so the starts are kept apart on
+    the sphere, not in the chart domain.
     """
+    x, y, z = directions
     far = np.ones(value.size, dtype=bool)  # from every start so far
     starts = []
     for k in np.argsort(value):
         if far[k]:
             starts.append(k)
-            if len(starts) == 4:
+            if len(starts) == _STARTS:
                 break
-            far &= np.linalg.norm(directions - directions[k], axis=-1) > 0.25
+            far &= (x - x[k]) ** 2 + (y - y[k]) ** 2 + (z - z[k]) ** 2 > 0.25**2
     return np.array(starts, dtype=int)
 
 
-def umbilic_point_search(patch, scan=None):
+def umbilic_point_search(frame):
     """(theta, phi, gap_low, gap_high) where both curvature-inequality gaps (nearly) vanish.
 
     On a closed surface an umbilic point must exist; ``closed_extremum``
-    minimizes the gap jet K^2 - 4 det A from ``scan``, a JetFrame of the
-    chart at least as fine as ``UMBILIC_GRID``, or from a frame on
-    ``UMBILIC_GRID`` nodes when none is given.
+    minimizes the gap jet K^2 - 4 det A, starting from the least
+    ``gap_low`` of ``frame``, a JetFrame of the closed chart, and the poles.
     """
-    if scan is None:
-        scan = JetFrame(patch, *patch.grid_points(UMBILIC_GRID))
-    theta, phi, f = closed_extremum(scan, lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2))
+    theta, phi, f = closed_extremum(frame.patch, frame.u, frame.v, frame.gap_low,
+                                    lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2))
     return theta, phi, float(f.gap_low), float(f.gap_high)

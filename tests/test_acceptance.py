@@ -252,18 +252,19 @@ def test_criterion_8_inequality_suite():
         ),
     ]
     noncompact = [catalog.product_cylinder(), catalog.paraboloid_graph()]
-    min_gap = np.inf
+    min_gap, frames = np.inf, []
     for patch in compact + noncompact:
         u, v = patch.grid_points((48, 96))
         ur, vr = patch.sample_points(200, rng, margin=0.03)
         f = JetFrame(patch, np.concatenate([u, ur]), np.concatenate([v, vr]))
         min_gap = min(min_gap, float(np.min(f.gap_low)), float(np.min(f.gap_high)))
+        frames.append(f)
     floor_ok = min_gap > -1e-9
 
     umbilic_ok = True
     ratio_ok = True
-    for patch in compact:
-        _, _, glow, ghigh = umbilic_point_search(patch)
+    for patch, frame in zip(compact, frames):
+        _, _, glow, ghigh = umbilic_point_search(frame)
         umbilic_ok = umbilic_ok and glow < 1e-6 and ghigh < 1e-6
         grid = SphereGrid(patch, 48, 96)
         floor = grid.second_curvature_floor()

@@ -113,10 +113,10 @@ def _frames_with(defect, monkeypatch):
     monkeypatch.setattr(cli, "JetFrame", defective)
 
 
-def _umbilic_at_a_point(patch, scan=None):
+def _umbilic_at_a_point(frame):
     """``umbilic_point_search`` on a round sphere, where every point is umbilic."""
-    frame = cli.JetFrame(patch, 1.0, 0.5)
-    return 1.0, 0.5, float(frame.gap_low), float(frame.gap_high)
+    point = cli.JetFrame(frame.patch, 1.0, 0.5)
+    return 1.0, 0.5, float(point.gap_low), float(point.gap_high)
 
 
 def _run_verify(group, defect, monkeypatch):

@@ -70,11 +70,12 @@ def test_umbilic_point_at_the_main_pole_is_reached(tmp_path, r):
 
 
 def test_verify_at_64x128_builds_no_second_scan_frame(tmp_path, monkeypatch):
-    # The umbilic search takes verify's own 64x128 frame (with its 200 random
-    # points) as its scan and adds one frame at the two poles, so that frame
-    # is the only one of 2048 nodes or more.  With one frame per Newton step
-    # for all starts, starts that stop at the gradient floor, and the frame
-    # at the find, the search builds at most 10 frames.
+    # The umbilic search starts from verify's own frame (the grid and its 200
+    # random points) at every grid, so no frame is larger than that one: at
+    # 64x128 it is the only one of 2048 nodes or more, and at 16x32 none
+    # exceeds 16 * 32 + 200 points.  With one frame of all starts, one per
+    # Newton step for the starts still moving and the frame at the find, the
+    # search builds at most 10 frames.
     sizes, build = [], JetFrame.__init__
     search, in_search = cli.umbilic_point_search, []
 
@@ -82,24 +83,26 @@ def test_verify_at_64x128_builds_no_second_scan_frame(tmp_path, monkeypatch):
         sizes.append(np.size(u))
         build(self, patch, u, v)
 
-    def counting(patch, scan=None):
+    def counting(frame):
         first = len(sizes)
-        out = search(patch, scan)
+        out = search(frame)
         in_search.append(len(sizes) - first)
         return out
 
     monkeypatch.setattr(JetFrame, "__init__", recording)
     monkeypatch.setattr(cli, "umbilic_point_search", counting)
     for spec, r in ((_POLAR_UMBILIC, "1"), ("[[2, -2, 0.03], [3, 1, 0.02]]", "1.1")):
-        sizes.clear()
         spec_file, out = tmp_path / "spec.json", tmp_path / "m.json"
         spec_file.write_text(spec)
         argv = ["verify", "perturbed", "--spec", str(spec_file), "--r", r, "--out", str(out)]
-        assert main(argv) == EXIT_OK
-        assert [n for n in sizes if n >= 2048] == [64 * 128 + 200]
-        checks = {c["name"]: c for c in _load_manifest(out)["checks"]}
-        assert checks["umbilic_point"]["residual"] < 1e-10
-    assert len(in_search) == 2 and max(in_search) <= 10, in_search
+        for grid, own in (("64x128", 64 * 128 + 200), ("16x32", 16 * 32 + 200)):
+            sizes.clear()
+            assert main(argv + ["--grid", grid]) == EXIT_OK
+            assert max(sizes) == own, grid
+            assert own < 2048 or [n for n in sizes if n >= 2048] == [own]
+            checks = {c["name"]: c for c in _load_manifest(out)["checks"]}
+            assert checks["umbilic_point"]["residual"] < 1e-10
+    assert len(in_search) == 4 and max(in_search) <= 10, in_search
 
 
 def test_verify_paraboloid_skips_conjugate_checks(tmp_path):

@@ -78,12 +78,12 @@ def test_second_form_measure_requires_positivity(cylinder, paraboloid):
     assert np.max(np.abs(table["detA"])) < 1e-12
 
 
-def test_curvature_floor_round(unit_grid, unit_sphere):
+def test_curvature_floor_round(unit_grid):
     out = unit_grid.second_curvature_floor()
     assert out["keta_slack"] >= -1e-6 and out["floor_slack"] >= -1e-6
     assert out["ratio"] == pytest.approx(4.0, abs=1e-9)
-    # det A is constant on a round sphere: the scan node is not moved
-    assert out["point"] in set(zip(*unit_sphere.grid_points(integrals.FLOOR_GRID)))
+    # det A is constant on a round sphere: the grid node is not moved
+    assert out["point"] in set(zip(unit_grid.TH, unit_grid.PH))
 
 
 @pytest.mark.parametrize("u", [None, BOOSTED_OBSERVER], ids=["rest", "boosted"])
@@ -156,6 +156,33 @@ def test_curvature_floor_reaches_the_gradient_floor():
     out = SphereGrid(patch, 16, 32).second_curvature_floor()
     frame = JetFrame(patch, *out["point"])
     assert np.hypot(*frame.detA_grad) < 1e-12 * abs(frame.detA_val)
+
+
+def test_curvature_floor_builds_only_centred_frames(monkeypatch):
+    # The floor starts from the grid's own nodes and det A table, so every
+    # frame it builds (all starts, each Newton step, the find) reads its
+    # points at the centre (pi/2, 0) of charts centred on them.
+    patch = catalog.perturbed_sphere(
+        catalog.HarmonicSpec(terms=((2, -2, 0.03), (3, 1, 0.02))), r=1.1
+    )
+    grid = SphereGrid(patch, 64, 128)
+    built, build = [], JetFrame.__init__
+
+    def recording(self, chart, u, v):
+        built.append((chart, u, v))
+        build(self, chart, u, v)
+
+    monkeypatch.setattr(JetFrame, "__init__", recording)
+    grid.second_curvature_floor()
+    assert 0 < len(built) <= 10
+    assert all(chart is not patch and (u, v) == (np.pi / 2, 0.0) for chart, u, v in built)
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (7, 16), (8, 15)])
+def test_curvature_floor_rejects_grids_below_8x16(shape):
+    # from fewer nodes the starts miss the maximizer's basin
+    with pytest.raises(LightconeError, match="too small for the curvature floor"):
+        SphereGrid(catalog.round_sphere(), *shape).second_curvature_floor()
 
 
 def test_lambda1_round_sphere_all_radii():

@@ -10,8 +10,9 @@ manifests echo agree.  Each invocation runs in a fresh directory per root
 with relative output paths, and the two runs must agree in exit code,
 stdout, stderr and every output file: byte for byte, except a JSON
 manifest, which is compared without its `wall_time_s`.  One line is
-printed per invocation; the exit code is 1 if any of them differs.
-Standard library only.
+printed per invocation, and under a differing manifest one line per check
+whose status, residual or detail moved, as parent -> change; the exit code
+is 1 if any invocation differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def invocations(inputs):
     for name, surface in perturbed:
         runs.append((f"verify {name}", ["verify", *surface, *FINE, "--out", "m.json"],
                      ["m.json"], []))
-    # Below UMBILIC_GRID verify's umbilic search builds its own scan frame.
+    # verify's umbilic search starts from verify's own frame at every grid.
     for name, surface in perturbed:
         if name in ("two_terms.json", "degree_four.json"):
             runs.append((f"verify {name} 32x64", ["verify", *surface, "--grid", "32x64",
@@ -99,6 +100,19 @@ def differences(dirs, results, manifests, others):
     return diff
 
 
+def moved_checks(paths):
+    """`name key: parent -> change` for each check entry that moved between two manifests."""
+    before, after = ({c["name"]: c for c in json.loads(p.read_text())["checks"]}
+                     if p.exists() else {} for p in paths)
+    lines = []
+    for name in dict.fromkeys([*before, *after]):
+        a, b = before.get(name, {}), after.get(name, {})
+        for key in ("status", "residual", "detail"):
+            if json.dumps(a.get(key)) != json.dumps(b.get(key)):
+                lines.append(f"{name} {key}: {a.get(key)!r} -> {b.get(key)!r}")
+    return lines
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -120,6 +134,9 @@ def main(argv=None):
             codes = "/".join(str(code) for code, _, _ in results)
             print(f"{'DIFF' if diff else 'same'}  exit {codes}  {label}"
                   + (f"  ({', '.join(diff)})" if diff else ""), flush=True)
+            for name in set(manifests) & set(diff):
+                for line in moved_checks([d / name for d in dirs]):
+                    print(f"      {line}", flush=True)
     print(f"{failed} of {len(runs)} invocations differ")
     return 1 if failed else 0
 
