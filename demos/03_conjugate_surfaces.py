@@ -35,6 +35,6 @@ for name, val in res.items():
 
 print("\nthe flat paraboloid graph has no conjugate (its normal is constant):")
 try:
-    conjugate(catalog.paraboloid_graph())
+    conjugate(catalog.paraboloid_graph()).position(0.0, 0.0)
 except Exception as exc:
     print(f"  {type(exc).__name__}: {exc}")

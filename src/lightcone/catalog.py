@@ -19,26 +19,13 @@ from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .jets import Jet2, JetVec4
 from .minkowski import boost_to, vec
-from .surfaces import Geometry, SurfacePatch
+from .surfaces import Geometry, SurfacePatch, direction_chart
 
-_SPHERE_DOMAIN = ((0.0, np.pi), (0.0, 2.0 * np.pi))
 #: Grid on which ``graph_over_sphere`` checks that the radial function is positive.
 _GRAPH_CHECK_GRID = (24, 48)
 #: Half-widths of the chart rectangles of the two flat surfaces.
 _CYLINDER_EXTENT = 1.5
 _PARABOLOID_EXTENT = 2.0
-
-
-def _sphere_patch(name, embed, expansion=None):
-    """A closed (theta, phi) chart psi = embed(w) over the sphere of directions w.
-
-    ``embed`` maps the three direction-cosine jets to a JetVec4; the patch
-    keeps it, so charts centred anywhere on the surface can be built.
-    """
-    return SurfacePatch(
-        name=name, chart=lambda tj, pj: embed(*harmonics.directions(tj, pj)),
-        domain=_SPHERE_DOMAIN, closed=True, embed=embed, expansion=expansion,
-    )
 
 
 def _round_embedding(r, u=None):
@@ -67,7 +54,7 @@ def round_sphere(u=None, r=1.0):
     embed = _round_embedding(r, u)
     obs = None if u is None else np.asarray(u, dtype=float)
     label = "" if u is None else ", u=(" + ", ".join(f"{c:g}" for c in obs) + ")"
-    return _sphere_patch(
+    return direction_chart(
         f"round-sphere(r={r:g}{label})", embed, expansion=(HarmonicSpec(), float(r), obs)
     )
 
@@ -185,7 +172,7 @@ def graph_over_sphere(f_cart):
         f = f_cart(x, y, z)
         return JetVec4(f, f * x, f * y, f * z)
 
-    patch = _sphere_patch("radial-graph", embed)
+    patch = direction_chart("radial-graph", embed)
     u, v = patch.grid_points(_GRAPH_CHECK_GRID)
     vals = patch.position(u, v)[..., 0]
     if np.any(vals <= 0.0):
@@ -214,7 +201,7 @@ def perturbed_sphere(spec, r=1.0):
     def embed(x, y, z):
         return round_embed(x, y, z).scale(jets.exp(spec.cartesian(x, y, z)))
 
-    return _sphere_patch(
+    return direction_chart(
         f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)",
         embed,
         expansion=(spec, float(r), None),

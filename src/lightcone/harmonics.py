@@ -79,20 +79,3 @@ def real_harmonic(pairs, x, y, z):
                     out[l, order] = part * (cur * math.sqrt(2.0))
     return [out[l, m] for l, m in pairs]
 
-
-def basis_index(l, m):
-    """Column of Y_{l,m} in ``harmonic_basis``: degree-major, m from -l to l."""
-    return l * l + l + m
-
-
-def harmonic_basis(l_max, theta, phi):
-    """Every real orthonormal harmonic of degree <= l_max at flat (theta, phi) nodes.
-
-    Returns an array (n, (l_max + 1)^2) whose column ``basis_index(l, m)``
-    holds Y_{l,m}; the leading (L + 1)^2 columns are the basis of degree
-    <= L for every L <= l_max.  Each column is contiguous.
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
-    pairs = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
-    return np.stack(real_harmonic(pairs, *directions(theta, phi))).T

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import LightconeError
-from .harmonics import basis_index, harmonic_basis
+from .harmonics import directions, real_harmonic
 from .integrals import sphere_quadrature
 from .minkowski import inner
 
@@ -180,8 +180,8 @@ def _mass_matrix(grid, l_max):
 
     ``grid.weights`` is the quadrature weight times sqrt(det g) / sin(theta),
     which is w rho^2 > 0 on a conformal chart.  Y_{l,m} is a Legendre factor
-    P_{l,|m|}(theta), the column ``basis_index(l, |m|)`` of ``harmonic_basis``
-    at phi = 0, times cos(m phi) for m >= 0 and sin(|m| phi) for m < 0.  On
+    P_{l,|m|}(theta), ``real_harmonic`` of (l, |m|) at the ring colatitudes
+    and phi = 0, times cos(m phi) for m >= 0 and sin(|m| phi) for m < 0.  On
     a theta ring the phi sums of w trig(m phi) trig(m' phi) are, by the
     product formulas, half sums and differences of C_k = sum w cos(k phi)
     and S_k = sum w sin(k phi) at k = |m| + |m'| and ||m| - |m'||, and those
@@ -194,8 +194,11 @@ def _mass_matrix(grid, l_max):
     pairs = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
     order = np.array([m for _, m in pairs])
     rings = grid.TH[::n_phi]
-    legendre = harmonic_basis(l_max, rings, np.zeros(n_theta))
-    legendre = legendre[:, [basis_index(l, abs(m)) for l, m in pairs]]
+    factors = real_harmonic([(l, abs(m)) for l, m in pairs], *directions(rings, np.zeros(n_theta)))
+    # Transposed, the stack is F-ordered, one contiguous column per factor; a
+    # C-ordered stack holds the same values but rounds the products below
+    # differently, which moves the last bit of lambda1.
+    legendre = np.stack(factors).T
     coef = np.fft.rfft(grid.weights.reshape(n_theta, n_phi), axis=1)[:, : 2 * l_max + 1]
     C, S = coef.real, -coef.imag
 

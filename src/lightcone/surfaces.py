@@ -24,6 +24,8 @@ from .jets import Jet2, JetVec4
 from .minkowski import inner
 
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])
+#: The (theta, phi) domain of a ``direction_chart``.
+_SPHERE_DOMAIN = ((0.0, np.pi), (0.0, 2.0 * np.pi))
 #: Largest |<psi, psi>| a chart point may have and still count as on the cone:
 #: the JetFrame guard and the tolerance of verify's on_cone check.
 ON_CONE_TOL = 1e-9
@@ -54,9 +56,9 @@ class SurfacePatch:
 
     ``chart`` receives two lifted coordinate jets (possibly batched) and
     returns a JetVec4.  ``closed`` marks spherical (theta, phi) charts whose
-    domain covers a closed surface; those get quadrature grids, and
-    ``embed``, if the chart is embed(harmonics.directions(theta, phi)), from
-    which ``centred`` charts of the same surface come.
+    domain covers a closed surface; those get quadrature grids, and a
+    ``direction_chart`` keeps its ``embed``, from which ``centred`` charts
+    of the same surface come.
     ``expansion`` is (spec, r, observer) when the chart is e^sigma times
     the round sphere of radius r, sigma the spec's harmonic sum, seen by the
     past unit timelike ``observer`` (None for the unboosted chart);
@@ -416,13 +418,21 @@ def centring(theta, phi):
     return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=-2)
 
 
+def direction_chart(name, embed, rotation=None, expansion=None):
+    """The closed (theta, phi) chart psi = embed(directions(theta, phi, rotation)).
+
+    ``embed`` maps the three direction-cosine jets to a JetVec4; the patch
+    keeps it, so charts centred anywhere on the surface can be built.
+    """
+    return SurfacePatch(name, lambda tj, pj: embed(*harmonics.directions(tj, pj, rotation)),
+                        _SPHERE_DOMAIN, closed=True, embed=embed, expansion=expansion)
+
+
 def centred(patch, rotation):
-    """The chart embed(directions(theta, phi, rotation)) of a closed patch with an ``embed``."""
-    embed = patch.embed
-    if embed is None:
+    """The direction chart of a closed patch with an ``embed``, rotated by ``rotation``."""
+    if patch.embed is None:
         raise LightconeError(f"{patch.name}: no embedding to centre a chart on")
-    return SurfacePatch(patch.name, lambda tj, pj: embed(*harmonics.directions(tj, pj, rotation)),
-                        patch.domain, closed=True, embed=embed)
+    return direction_chart(patch.name, patch.embed, rotation)
 
 
 def closed_extremum(patch, theta, phi, value, field):

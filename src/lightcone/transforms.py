@@ -19,20 +19,29 @@ from .jets import Jet2
 from .minkowski import inner as mink_inner
 from .surfaces import JetFrame, SurfacePatch
 
-#: Grid on which ``conjugate`` checks the degeneracy floor.
-_CONJUGATE_CHECK_GRID = (24, 48)
-
 
 def conjugate(patch):
     """The surface traced by minus the lightlike normal of ``patch``.
 
-    Inherits the parametrization of the original chart.  Raises
-    LightconeError (with the offending point) when the shape operator
-    degenerates anywhere on a 24x48 check grid, since the map then fails to
-    be an immersion.
+    Inherits the parametrization of the original chart, and has no
+    ``embed``: the conjugate is not given as a map of directions.  Each
+    evaluation builds the ``patch`` frame at the evaluated points, and
+    raises LightconeError (with the offending point) where its shape
+    operator degenerates, since the map then fails to be an immersion;
+    building the conjugate tests no point.
     """
-    _require_immersion(JetFrame(patch, *patch.grid_points(_CONJUGATE_CHECK_GRID)))
-    return _conjugate_patch(patch)
+
+    def chart(uj, vj):
+        frame = JetFrame(patch, uj.value, vj.value)
+        _require_immersion(frame)
+        return -frame.eta
+
+    return SurfacePatch(
+        name=f"conjugate({patch.name})",
+        chart=chart,
+        domain=patch.domain,
+        closed=patch.closed,
+    )
 
 
 def _require_immersion(frame):
@@ -47,25 +56,6 @@ def _require_immersion(frame):
         )
 
 
-def _conjugate_patch(patch):
-    """The conjugate chart of ``patch``.
-
-    Unlike ``conjugate``, no det A floor is tested here; the chart reads the
-    normal of a ``patch`` frame, which is guarded like every frame.  It has
-    no ``embed``: the conjugate is not given as a map of directions.
-    """
-
-    def chart(uj, vj):
-        return -JetFrame(patch, uj.value, vj.value).eta
-
-    return SurfacePatch(
-        name=f"conjugate({patch.name})",
-        chart=chart,
-        domain=patch.domain,
-        closed=patch.closed,
-    )
-
-
 def third_fundamental_form(frame):
     """<A^2 u, v> in the chart basis; the induced metric of the conjugate."""
     A = frame.A_val
@@ -76,7 +66,8 @@ def third_fundamental_form(frame):
 def verify_conjugate_duality(frame):
     """Residuals of the conjugate-duality identities, one per point of the frame.
 
-    Raises LightconeError where the frame's shape operator degenerates.
+    Raises LightconeError where the frame's shape operator degenerates,
+    from the frame nested in the conjugate chart.
     Returns a dict keyed by the ``verify`` check names of per-point largest entries:
       * ``conjugate_weingarten``:  | A~ . A - I |
       * ``conjugate_second_form``: | II~ - II |
@@ -84,8 +75,7 @@ def verify_conjugate_duality(frame):
       * ``third_form``:            | first form of conjugate - <A^2 ., .> |
       * ``double_conjugate``:      ``double_conjugate_residual`` of the two frames
     """
-    _require_immersion(frame)
-    conj = JetFrame(_conjugate_patch(frame.patch), frame.u, frame.v)
+    conj = JetFrame(conjugate(frame.patch), frame.u, frame.v)
     prod = np.einsum("...cd,...da->...ca", conj.A_val, frame.A_val)
     return {
         "conjugate_weingarten": np.max(np.abs(prod - np.eye(2)), axis=(-2, -1)),

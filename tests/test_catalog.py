@@ -6,7 +6,7 @@ from scipy.special import sph_harm_y
 
 from lightcone import catalog, harmonics, jets, surfaces
 from lightcone.errors import LightconeError
-from lightcone.harmonics import basis_index, directions, harmonic_basis, real_harmonic
+from lightcone.harmonics import directions, real_harmonic
 from lightcone.integrals import geometry_table, sphere_quadrature
 from lightcone.jets import Jet2
 from lightcone.minkowski import inner, vec
@@ -14,6 +14,8 @@ from lightcone.surfaces import JetFrame
 from lightcone.transforms import verify_expansion_laws
 
 DEGREES_AND_ORDERS = [(l, m) for l in range(5) for m in range(-l, l + 1)]
+#: Every pair through degree 16, the largest the Galerkin mass matrix takes.
+THROUGH_DEGREE_16 = [(l, m) for l in range(17) for m in range(-l, l + 1)]
 
 
 def test_constructor_invariants_on_grid(unit_sphere, cylinder, paraboloid, bumpy_sphere):
@@ -128,11 +130,9 @@ def test_harmonics_match_scipy():
     rng = np.random.default_rng(4)
     th = rng.uniform(0.2, np.pi - 0.2, size=40)
     ph = rng.uniform(0.0, 2 * np.pi, size=40)
-    x = np.sin(th) * np.cos(ph)
-    y = np.sin(th) * np.sin(ph)
-    z = np.cos(th)
-    for (l, m), ours in zip(DEGREES_AND_ORDERS, real_harmonic(DEGREES_AND_ORDERS, x, y, z)):
-        assert np.max(np.abs(ours - _scipy_real_harmonic(l, m, th, ph))) < 1e-12, (l, m)
+    ours = real_harmonic(DEGREES_AND_ORDERS, *directions(th, ph))
+    for (l, m), y in zip(DEGREES_AND_ORDERS, ours, strict=True):
+        assert np.max(np.abs(y - _scipy_real_harmonic(l, m, th, ph))) < 1e-12, (l, m)
 
 
 def test_harmonics_orthonormal_under_quadrature():
@@ -141,34 +141,29 @@ def test_harmonics_orthonormal_under_quadrature():
     ph = 2 * np.pi * np.arange(48) / 48
     TH, PH = np.meshgrid(th, ph, indexing="ij")
     w = np.repeat(wt, 48) * (2 * np.pi / 48)
-    x = (np.sin(TH) * np.cos(PH)).ravel()
-    y = (np.sin(TH) * np.sin(PH)).ravel()
-    z = np.cos(TH).ravel()
-    pairs = DEGREES_AND_ORDERS
-    vals = np.stack(real_harmonic(pairs, x, y, z))
+    vals = np.stack(real_harmonic(DEGREES_AND_ORDERS, *directions(TH.ravel(), PH.ravel())))
     gram = (vals * w) @ vals.T
-    assert np.max(np.abs(gram - np.eye(len(pairs)))) < 1e-12
+    assert np.max(np.abs(gram - np.eye(len(DEGREES_AND_ORDERS)))) < 1e-12
 
 
 def test_harmonic_basis_matches_scipy_through_degree_16():
+    # every pair the Galerkin mass matrix takes, the poles and equator included
     rng = np.random.default_rng(6)
     th = np.concatenate([[0.0, 1e-3, np.pi / 2, np.pi], rng.uniform(0.0, np.pi, size=60)])
     ph = rng.uniform(0.0, 2 * np.pi, size=th.size)
-    basis = harmonic_basis(16, th, ph)
-    assert basis.shape == (th.size, 17**2)
-    for l in range(17):
-        for m in range(-l, l + 1):
-            ref = _scipy_real_harmonic(l, m, th, ph)
-            assert np.max(np.abs(basis[:, basis_index(l, m)] - ref)) < 1e-12, (l, m)
+    ours = real_harmonic(THROUGH_DEGREE_16, *directions(th, ph))
+    for (l, m), y in zip(THROUGH_DEGREE_16, ours, strict=True):
+        assert np.max(np.abs(y - _scipy_real_harmonic(l, m, th, ph))) < 1e-12, (l, m)
 
 
 def test_harmonic_basis_orthonormal_through_degree_16():
     th, ph, w = sphere_quadrature(24, 48)
-    basis = harmonic_basis(16, th, ph)
-    gram = basis.T @ (w[:, None] * basis)
+    vals = np.stack(real_harmonic(THROUGH_DEGREE_16, *directions(th, ph)))
+    gram = (vals * w) @ vals.T
     assert np.max(np.abs(gram - np.eye(17**2))) < 1e-12
-    # a lower degree is the leading block of the same columns
-    assert np.array_equal(harmonic_basis(8, th, ph), basis[:, : 9**2])
+    # a pair's values do not depend on which other pairs are asked for
+    leading = real_harmonic(THROUGH_DEGREE_16[: 9**2], *directions(th, ph))
+    assert np.array_equal(np.stack(leading), vals[: 9**2])
 
 
 def test_harmonics_reject_bad_orders():

@@ -5,7 +5,7 @@ import pytest
 
 from lightcone import catalog, integrals
 from lightcone.errors import LightconeError
-from lightcone.harmonics import harmonic_basis
+from lightcone.harmonics import directions, real_harmonic
 from lightcone.integrals import SphereGrid, geometry_table
 from lightcone.spectrum import (
     _ORACLE_SHIFT,
@@ -257,7 +257,9 @@ def test_cotangent_oracle_does_not_depend_on_its_shift(patch):
 def test_mass_matrix_is_the_weighted_gram_matrix(patch):
     # The ring-wise FFT sums against Z^T Z, Z = sqrt(w) Y over every node.
     grid = SphereGrid(patch, 64, 128)
-    Z = harmonic_basis(16, grid.TH, grid.PH) * np.sqrt(grid.weights)[:, None]
+    pairs = [(l, m) for l in range(17) for m in range(-l, l + 1)]
+    Y = np.stack(real_harmonic(pairs, *directions(grid.TH, grid.PH)), axis=-1)
+    Z = Y * np.sqrt(grid.weights)[:, None]
     mass = _mass_matrix(grid, 16)
     assert np.array_equal(mass, mass.T)
     assert np.max(np.abs(mass - Z.T @ Z)) <= 1e-14

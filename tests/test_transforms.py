@@ -35,8 +35,25 @@ def test_conjugate_round_sphere_is_shrunk_antipodal_sphere():
 
 
 def test_conjugate_rejects_degenerate(paraboloid):
+    conj = conjugate(paraboloid)
     with pytest.raises(LightconeError, match="conjugate undefined"):
-        conjugate(paraboloid)
+        conj.position(0.0, 0.0)
+
+
+def test_conjugate_tests_the_points_it_is_evaluated_on(monkeypatch, bumpy_sphere, paraboloid):
+    # Building the conjugate builds no frame; a frame on it tests det A at
+    # its own points and names the one where the floor is met.
+    init, calls = JetFrame.__init__, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0].name)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetFrame, "__init__", counting)
+    conjugate(bumpy_sphere)
+    assert calls == []
+    with pytest.raises(LightconeError, match=r"at \(u, v\) = \(0\.123, -0\.456\)"):
+        JetFrame(conjugate(paraboloid), 0.123, -0.456)
 
 
 def _grid_frame(patch, grid):

@@ -18,14 +18,11 @@ a SphereGrid of that size.  One line per grid gives the worst
 point and the least floor slack, each with the surface that gives it.  The
 gradient is read at the centre of a chart centred on the point.  The sweep
 takes a few minutes and is not part of the test suite.  It runs on
-whichever tree's `src` is on PYTHONPATH, so that two trees can be compared;
-a search that takes (patch, scan=None) runs on its own 64x128 scan, which
-gives the values of that tree's `verify` at every grid.
+whichever tree's `src` is on PYTHONPATH, so that two trees can be compared.
 """
 
 from __future__ import annotations
 
-import inspect
 import sys
 import tempfile
 from pathlib import Path
@@ -86,11 +83,8 @@ def _perturbed(terms, r):
 
 def umbilic_residual(patch, grid):
     """The `umbilic_point` residual of `verify` at this grid and seed 0."""
-    search = surfaces.umbilic_point_search
-    if "scan" in inspect.signature(search).parameters:  # it scans the chart itself
-        _, _, glow, ghigh = search(patch)
-    else:
-        _, _, glow, ghigh = search(JetFrame(patch, *cli._verify_points(patch, grid, 0)))
+    frame = JetFrame(patch, *cli._verify_points(patch, grid, 0))
+    _, _, glow, ghigh = surfaces.umbilic_point_search(frame)
     return max(abs(glow), abs(ghigh))
 
 
