@@ -582,7 +582,7 @@ def cmd_search(args):
 # -- export ------------------------------------------------------------------
 
 
-_EXPORT_HEADER = "theta,phi,K,Keta,d,gap_low,gap_high,psi0\n"
+_EXPORT_COLUMNS = "K,Keta,d,gap_low,gap_high,psi0\n"
 
 
 def cmd_export(args):
@@ -604,7 +604,8 @@ def cmd_export(args):
     cols = np.column_stack(
         [th, ph] + [table[k] for k in ("K", "K_eta", "detA", "gap_low", "gap_high", "psi0")]
     )
-    text = _EXPORT_HEADER + "".join(",".join(map(repr, row)) + "\n" for row in cols.tolist())
+    header = ("theta,phi," if patch.closed else "u,v,") + _EXPORT_COLUMNS
+    text = header + "".join(",".join(map(repr, row)) + "\n" for row in cols.tolist())
     _write(args.out, text)
     _print(f"export: {th.size} rows -> {args.out}")
     return EXIT_OK

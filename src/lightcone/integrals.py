@@ -21,8 +21,6 @@ from .jets import Jet2
 from .minkowski import boost_to
 from .surfaces import JetFrame, closed_extremum
 
-#: Nodes per ``JetFrame`` in the ``geometry_table`` sweep.
-_CHUNK = 2048
 #: Grid of the ``table_oracle`` check.
 TABLE_ORACLE_GRID = (16, 32)
 
@@ -43,27 +41,17 @@ def sphere_quadrature(n_theta, n_phi):
 
 
 def geometry_table(patch, u, v):
-    """Value-level arrays at arbitrary chart points.
+    """Value-level arrays at arbitrary chart points, from one ``JetFrame`` of them all.
 
     Returns a dict of flat arrays: the metric values E, F, G, psi0,
-    sqrt_detg, K, detA, gap_low, gap_high, H2, ii_positive and K_eta (NaN
-    where II is singular).  Points are swept in chunks of ``_CHUNK`` that
-    bound memory and concatenated in order, so the result is the same for
-    any chunk size.
+    sqrt_detg, K, detA, gap_low, gap_high, H2, ii_positive and K_eta (all
+    NaN if II is singular at any point).  Jet arithmetic is pointwise, so
+    but for that NaN each entry is bit for bit the same whichever points
+    share the call.  The frame's guards raise if any point is off the cone, has
+    psi0 <= 0 (``min psi0``) or a metric that is not positive definite.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    parts = [
-        _table_chunk(patch, u[s : s + _CHUNK], v[s : s + _CHUNK])
-        for s in range(0, u.size, _CHUNK)
-    ]
-    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
-
-
-def _table_chunk(patch, u, v):
-    """The table entries of one chunk; its frame is freed on return."""
-    frame = JetFrame(patch, u, v)
-    out = {
+    frame = JetFrame(patch, *(np.asarray(x, dtype=float).ravel() for x in (u, v)))
+    return {
         "E": frame.E.value,
         "F": frame.F.value,
         "G": frame.G.value,
@@ -75,12 +63,10 @@ def _table_chunk(patch, u, v):
         "gap_high": frame.gap_high,
         "H2": frame.H2_val,
         "ii_positive": frame.ii_positive,
+        "K_eta": (
+            np.full(frame.u.size, np.nan) if np.any(_det2(frame.II_val) == 0.0) else frame.K_eta
+        ),
     }
-    if np.any(_det2(frame.II_val) == 0.0):
-        out["K_eta"] = np.full(u.size, np.nan)
-    else:
-        out["K_eta"] = frame.K_eta
-    return {k: np.atleast_1d(a) for k, a in out.items()}
 
 
 def expansion_table(patch, n_theta, n_phi):

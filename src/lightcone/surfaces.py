@@ -91,7 +91,7 @@ class SurfacePatch:
         return U.ravel(), V.ravel()
 
     def position(self, u, v):
-        """Chart value(s) as plain Minkowski coordinates, from order-zero jets."""
+        """Chart value(s) as plain Minkowski coordinates, from order-zero jets; no guard runs."""
         psi = self.chart(Jet2.variable("u", np.asarray(u, float), valid=0),
                          Jet2.variable("v", np.asarray(v, float), valid=0))
         return psi.values
@@ -168,23 +168,18 @@ class JetFrame:
         self.eta_u = self.eta.d("u")
         self.eta_v = self.eta.d("v")
 
-        # Shape operator of eta by tangential projection of its derivative.
+        # II(X, Y) = <d eta(X), Y>, so II_ab = <eta_a, psi_b>; the shape
+        # operator A = -g^-1 II^T is its tangential projection.
         m_uu = self.eta_u.dot(self.psi_u)
         m_vu = self.eta_u.dot(self.psi_v)
         m_uv = self.eta_v.dot(self.psi_u)
         m_vv = self.eta_v.dot(self.psi_v)
+        self.II = ((m_uu, m_vu), (m_uv, m_vv))
         A00 = -(iE * m_uu + iF * m_vu)
         A10 = -(iF * m_uu + iG * m_vu)
         A01 = -(iE * m_uv + iF * m_vv)
         A11 = -(iF * m_uv + iG * m_vv)
         self.A = ((A00, A01), (A10, A11))
-
-        # II(X, Y) = -<A X, Y>, assembled in the chart basis.
-        g = self.g
-        self.II = tuple(
-            tuple(-(self.A[0][a] * g[0][b] + self.A[1][a] * g[1][b]) for b in range(2))
-            for a in range(2)
-        )
 
         self.detA = A00 * A11 - A01 * A10
         self.trA = A00 + A11

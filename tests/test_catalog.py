@@ -256,8 +256,16 @@ def test_graph_over_sphere_matches_perturbed_sphere():
 
 
 def test_graph_over_sphere_rejects_nonpositive_radius():
-    with pytest.raises(LightconeError, match="radial function reaches"):
-        catalog.graph_over_sphere(lambda x, y, z: z * 1.0)
+    # building the patch tests nothing; the JetFrame guard tests each point it
+    # evaluates, such as one within 1e-3 of the pole where f is negative only there
+    cases = [
+        (lambda x, y, z: z * 1.0, 2.0, 0.5),
+        (lambda x, y, z: 1.0 - 2.0 * jets.exp((z - 1.0) * (z - 1.0) * -1e6), 0.001, 0.0),
+    ]
+    for f, theta, phi in cases:
+        patch = catalog.graph_over_sphere(f)
+        with pytest.raises(LightconeError, match="min psi0"):
+            JetFrame(patch, theta, phi)
 
 
 ROTATED_CASES = {

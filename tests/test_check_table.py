@@ -142,9 +142,6 @@ def _run_global(defect, monkeypatch, tmp_path):
     grid = copy.copy(base)
     vars(grid).pop("ii_weights", None)  # recomputed from the table below
     grid.table = dict(base.table)
-    # A round sphere's table takes the JetFrame route; claiming the sigma
-    # route and its oracle gap (set below) puts table_oracle in the manifest.
-    grid.route = "sigma"
     parts = SimpleNamespace(
         table=grid.table, lam=copy.copy(lam), floor=dict(floor), oracle_gap=0.0
     )
@@ -157,7 +154,9 @@ def _run_global(defect, monkeypatch, tmp_path):
     out = tmp_path / "m.json"
     cli.main(["global", "round-sphere", "--u", *map(str, ARGS.u), "--grid", "16x32",
               "--out", str(out)])
-    return json.loads(out.read_text())["checks"]
+    checks = json.loads(out.read_text())["checks"]
+    assert base.route == "sigma" and "table_oracle" in [c["name"] for c in checks]
+    return checks
 
 
 def _run(group, defect, monkeypatch, tmp_path):

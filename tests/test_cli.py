@@ -943,11 +943,11 @@ def test_export_round_sphere(tmp_path):
         assert float(row[4]) == pytest.approx(0.25, abs=1e-12)
 
 
-def _csv_writer_table(th, ph, table):
+def _csv_writer_table(th, ph, table, coordinates=("theta", "phi")):
     """The export table as the csv module writes it, row by row."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["theta", "phi", "K", "Keta", "d", "gap_low", "gap_high", "psi0"])
+    w.writerow([*coordinates, "K", "Keta", "d", "gap_low", "gap_high", "psi0"])
     for k in range(th.size):
         w.writerow([repr(float(x[k])) for x in (
             th, ph, table["K"], table["K_eta"], table["detA"], table["gap_low"],
@@ -971,17 +971,19 @@ def test_export_matches_the_csv_module_where_keta_is_nan(tmp_path):
     u, v = patch.grid_points((4, 6))
     table = integrals.geometry_table(patch, u, v)
     assert np.all(np.isnan(table["K_eta"]))
-    assert out.read_bytes() == _csv_writer_table(u, v, table).encode()
+    assert out.read_bytes() == _csv_writer_table(u, v, table, ("u", "v")).encode()
 
 
 def test_export_header_contract_for_plane_charts(tmp_path):
-    out = tmp_path / "cyl.csv"
-    rc = main(["export", "cylinder", "--grid", "6x12", "--out", str(out)])
-    assert rc == EXIT_OK
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["theta", "phi", "K", "Keta", "d", "gap_low", "gap_high", "psi0"]
-    assert len(rows) == 1 + 6 * 12
+    # The open charts' coordinates are (u, v) on a rectangle, not (theta, phi).
+    for surface in ("cylinder", "paraboloid"):
+        out = tmp_path / f"{surface}.csv"
+        rc = main(["export", surface, "--grid", "6x12", "--out", str(out)])
+        assert rc == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["u", "v", "K", "Keta", "d", "gap_low", "gap_high", "psi0"]
+        assert len(rows) == 1 + 6 * 12
 
 
 @pytest.mark.parametrize("grid", ["64by128", "0x0", "0x5", "-1x8"])

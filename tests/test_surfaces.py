@@ -235,6 +235,17 @@ def test_second_form_symmetry_and_self_adjointness(bumpy_sphere):
     assert np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])) < 1e-10
 
 
+def test_second_form_is_eta_derivative_against_psi_derivative(bumpy_sphere, cylinder, paraboloid):
+    # II(X, Y) = <d eta(X), Y>: each jet II_ab is <eta_a, psi_b> bit for bit
+    rng = np.random.default_rng(12)
+    for patch in (bumpy_sphere, cylinder, paraboloid):
+        f = JetFrame(patch, *patch.sample_points(40, rng))
+        for a, eta_a in enumerate((f.eta_u, f.eta_v)):
+            for b, psi_b in enumerate((f.psi_u, f.psi_v)):
+                assert np.array_equal(f.II[a][b].c, eta_a.dot(psi_b).c), (patch.name, a, b)
+                assert f.II[a][b].valid == eta_a.dot(psi_b).valid
+
+
 def test_normal_parallel_everywhere(bumpy_sphere, cylinder, paraboloid):
     rng = np.random.default_rng(10)
     for patch in (bumpy_sphere, cylinder, paraboloid):

@@ -10,14 +10,21 @@ manifests echo agree.  Each invocation runs in a fresh directory per root
 with relative output paths, and the two runs must agree in exit code,
 stdout, stderr and every output file: byte for byte, except a JSON
 manifest, which is compared without its `wall_time_s`.  One line is
-printed per invocation, and under a differing manifest one line per check
-whose status, residual or detail moved, as parent -> change; the exit code
-is 1 if any invocation differs.  Standard library only.
+printed per invocation, and under it, for each output that differs:
+- a manifest: one line per check whose status, residual or detail moved,
+  as parent -> change;
+- a CSV: one line per column with moved cells, how many moved and the
+  largest relative move;
+- another JSON file: one line per field with moved values, list indices
+  written [*], in the same form.
+The exit code is 1 if any invocation differs.  Standard library only.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,6 +124,71 @@ def moved_checks(paths):
     return lines
 
 
+def _relative_move(a, b):
+    """|y - x| / max(|x|, |y|) of two number texts x, y; inf if either is not finite.
+
+    None if either text is not a number; 0 if they differ only in how they
+    write the same value.
+    """
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(y - x) / max(abs(x), abs(y))
+
+
+def moved_summary(name, pairs):
+    """`name: k of n moved, ...` over (parent, change) text pairs, or None if none moved."""
+    moved = [(a, b) for a, b in pairs if a != b]
+    if not moved:
+        return None
+    line = f"{name}: {len(moved)} of {len(pairs)} moved"
+    rel = [_relative_move(a, b) for a, b in moved]
+    if None in rel:
+        a, b = moved[rel.index(None)]
+        return f"{line}, e.g. {a} -> {b}"
+    return f"{line}, largest relative move {max(rel):.3g}"
+
+
+def moved_columns(paths):
+    """One line per column with moved cells between two CSV files, after any header change."""
+    (head_a, *rows_a), (head_b, *rows_b) = (list(csv.reader(p.read_text().splitlines()))
+                                            for p in paths)
+    lines = [] if head_a == head_b else [f"header: {','.join(head_a)} -> {','.join(head_b)}"]
+    if len(rows_a) != len(rows_b) or len(head_a) != len(head_b):
+        return lines + [f"shape: {len(rows_a)}x{len(head_a)} -> {len(rows_b)}x{len(head_b)}"]
+    for k, name in enumerate(head_b):
+        lines.append(moved_summary(name, [(a[k], b[k]) for a, b in zip(rows_a, rows_b)]))
+    return [line for line in lines if line]
+
+
+def _leaves(data, path=""):
+    """(path, JSON text) of every leaf of a JSON value, list indices written [*]."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(data, list):
+        for value in data:
+            yield from _leaves(value, f"{path}[*]")
+    else:
+        yield path, json.dumps(data)
+
+
+def moved_fields(paths):
+    """One line per field with moved values between two JSON files."""
+    before, after = (list(_leaves(json.loads(p.read_text()))) for p in paths)
+    if [k for k, _ in before] != [k for k, _ in after]:
+        return [f"fields: {len(before)} leaves -> {len(after)}, not in the same layout"]
+    groups = {}
+    for (key, a), (_, b) in zip(before, after):
+        groups.setdefault(key, []).append((a, b))
+    return [line for key, pairs in groups.items() if (line := moved_summary(key, pairs))]
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -141,6 +213,12 @@ def main(argv=None):
             for name in set(manifests) & set(diff):
                 for line in moved_checks([d / name for d in dirs]):
                     print(f"      {line}", flush=True)
+            for name in (n for n in others if n in diff):
+                paths = [d / name for d in dirs]
+                if all(p.exists() for p in paths):
+                    summary = moved_columns if name.endswith(".csv") else moved_fields
+                    for line in summary(paths):
+                        print(f"      {name} {line}", flush=True)
     print(f"{failed} of {len(runs)} invocations differ")
     return 1 if failed else 0
 
