@@ -81,6 +81,50 @@ def brioschi_curvature(E, F, G):
     return (m1 - m2) / det**2
 
 
+def brioschi_gradient(E, F, G):
+    """Gradient of ``brioschi_curvature`` in the Taylor coefficients of E, F and G.
+
+    Returns one array per jet, of shape (6,) + batch: the derivative in its
+    coefficients through order two, in graded order.  The formula reads the
+    value, both first partials and one second partial of each (E_vv, F_uv,
+    G_uu), so two rows of each are zero.  With the minors expanded, the
+    curvature is N / det^2 with det = e g - f^2 and
+
+        N = a11 det - b (d g - f h) + c (d f - e h)
+            + (E_v^2 g - 2 E_v G_u f + G_u^2 e) / 4,
+
+    a11 = -E_vv / 2 + F_uv - G_uu / 2, b = E_u / 2, c = F_u - E_v / 2,
+    d = F_v - G_u / 2 and h = G_v / 2.
+    """
+    e, f, g = E.value, F.value, G.value
+    Eu, Ev, Fu, Fv, Gu, Gv = (J.partial(*p) for J in (E, F, G) for p in ((1, 0), (0, 1)))
+    det = e * g - f * f
+    inv = 1.0 / det
+    inv2 = inv * inv
+    a11 = -0.5 * E.partial(0, 2) + F.partial(1, 1) - 0.5 * G.partial(2, 0)
+    b, c, d, h = 0.5 * Eu, Fu - 0.5 * Ev, Fv - 0.5 * Gu, 0.5 * Gv
+    # The partials of N in b, c, d and h.
+    nb, nc, nd, nh = f * h - d * g, d * f - e * h, c * f - b * g, b * f - c * e
+    n = a11 * det + b * nb + c * nc + 0.25 * (Ev * Ev * g - 2.0 * Ev * Gu * f + Gu * Gu * e)
+    K = n * inv2
+    out = [np.zeros((6,) + det.shape) for _ in range(3)]
+    # Rows: the value, then the coefficients of v, u, v^2, uv and u^2; a
+    # coefficient of u^i v^j is the partial over i! j!.
+    out[0][0] = (a11 * g - c * h + 0.25 * Gu * Gu) * inv2 - 2.0 * K * g * inv
+    out[0][1] = (0.5 * (Ev * g - Gu * f) - 0.5 * nc) * inv2
+    out[0][2] = 0.5 * nb * inv2
+    out[0][3] = -inv
+    out[1][0] = (b * h + c * d - 2.0 * a11 * f - 0.5 * Ev * Gu) * inv2 + 4.0 * K * f * inv
+    out[1][1] = nd * inv2
+    out[1][2] = nc * inv2
+    out[1][4] = inv
+    out[2][0] = (a11 * e - b * d + 0.25 * Ev * Ev) * inv2 - 2.0 * K * e * inv
+    out[2][1] = 0.5 * nh * inv2
+    out[2][2] = (0.5 * (Gu * e - Ev * f) - 0.5 * nd) * inv2
+    out[2][5] = -inv
+    return tuple(out)
+
+
 def _det3(a, b, c, d, e, f, g, h, i):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 

@@ -87,7 +87,7 @@ def expansion_table(patch, n_theta, n_phi):
     tj, pj = Jet2.variable("u", th), Jet2.variable("v", ph)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = spec.chart_field()(tj, pj)
-        entries = expansion_entries(round_geometry(tj, r), s, r)
+        entries = expansion_entries(transforms.expansion_law(round_geometry(tj, r), s), s, r)
         if observer is not None:
             B = boost_to(observer)
             x, y, z = directions(th, ph)
@@ -95,18 +95,19 @@ def expansion_table(patch, n_theta, n_phi):
     return {k: np.broadcast_to(a, (n_theta, n_phi)).ravel() for k, a in entries.items()}
 
 
-def expansion_entries(base, s, r):
+def expansion_entries(law, s, r):
     """The ``geometry_table`` entries of e^s times the round sphere of radius r.
 
-    ``base`` is the round sphere's ``surfaces.Geometry`` on jets (from
-    ``catalog.round_geometry``) and ``s`` the jet of sigma at the same
-    (broadcast) points; ``transforms.expansion_law`` carries one to the
-    other.  H2 is K, the identity <H, H> = K of every surface on the cone.
-    A sigma so large that e^{4 sigma} overflows leaves inf or NaN entries,
-    without a warning; the non-degeneracy gate ``ii_weights`` rejects them.
+    ``law`` is ``transforms.expansion_law`` of the round sphere's
+    ``surfaces.Geometry`` on jets (from ``catalog.round_geometry``) and of
+    ``s``, the jet of sigma at the same (broadcast) points; the caller
+    builds it, under ``np.errstate`` that ignores overflow and invalid
+    values, and may read its jets too.  H2 is K, the identity <H, H> = K of
+    every surface on the cone.  A sigma so large that e^{4 sigma} overflows
+    leaves inf or NaN entries, without a warning; the non-degeneracy gate
+    ``ii_weights`` rejects them.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        law = transforms.expansion_law(base, s)
         (E, F), (_, G) = law.g
         (a00, a01), (a10, a11) = law.A
         II, K, detA, det_ii = law.II, law.K, law.detA, law.detII

@@ -153,6 +153,33 @@ _DERIVATIVE_PLANS = {
     axis: tuple(_derivative_plan(axis, v) for v in range(ORDER)) for axis in ("u", "v")
 }
 
+def _pullback_plan(valid):
+    """Gather indices and add layers of the pull-back of a product truncated at ``valid``.
+
+    Row a of the pull-back sums cot[a + p] * b[p] over the partners p of
+    a, those of degree at most valid - deg a, in ascending p.  Rows in
+    graded order have ever fewer partners, so, as in ``_product_plan``,
+    layer r holds the r-th pair of every row that has more than r, and adds
+    one contiguous slab of pair products onto a prefix of the accumulator
+    (the first layer).
+    """
+    pairs = [
+        [(p, _INDEX[(MONOMIALS[a][0] + MONOMIALS[p][0], MONOMIALS[a][1] + MONOMIALS[p][1])])
+         for p in range(_N_UPTO[valid - _DEGREE[a]])]
+        for a in range(_N_UPTO[valid])
+    ]
+    partners, outputs, layers = [], [], []
+    for r in range(len(pairs[0])):
+        rows = sum(len(q) > r for q in pairs)
+        layers.append((slice(0, rows), slice(len(partners), len(partners) + rows)))
+        partners += [q[r][0] for q in pairs[:rows]]
+        outputs += [q[r][1] for q in pairs[:rows]]
+    return np.array(partners), np.array(outputs), layers[0][1], tuple(layers[1:])
+
+
+_PULLBACK_PLANS = tuple(_pullback_plan(v) for v in range(ORDER + 1))
+
+
 def _division_plan():
     """Per output monomial, the (denominator row, output row) pairs beyond the constant."""
     return tuple(
@@ -314,6 +341,10 @@ class Jet2:
         out[src.size :] = 0.0
         return Jet2._wrap(out, self.valid - 1)
 
+    def rows(self, valid):
+        """The coefficients through order ``valid``, coefficient-major: a view of the store."""
+        return self._c[: _N_UPTO[valid]]
+
     def truncated(self, valid):
         """The jet valid only through order ``valid``; the higher coefficients are zeroed."""
         n = _N_UPTO[valid]
@@ -422,6 +453,27 @@ def weighted_sum(terms, weights):
             step = _lift(step, ndim) + _lift(total, ndim)
         total, valid = step, min(valid, term.valid)
     return Jet2._wrap(total, valid)
+
+
+def product_pullback(cot, b):
+    """The cotangent on the coefficients of a from one on those of a * b.
+
+    ``cot`` holds a cotangent on the first ``_N_UPTO[v]`` coefficients of a
+    product truncated at order v, rows in graded order; ``b`` is a jet or a
+    float.  The product is linear in a, and row a of the result sums
+    cot[a + p] * b[p] over the partners p of a, the adjoint of the
+    truncated product (Griewank & Walther, *Evaluating Derivatives*,
+    ch. 3).
+    """
+    if not isinstance(b, Jet2):
+        return cot * b
+    partners, outputs, first, layers = _PULLBACK_PLANS[_N_UPTO.index(cot.shape[0])]
+    prods = cot[outputs]
+    prods *= _lift(b._c, cot.ndim - 1)[partners]
+    acc = prods[first]
+    for dst, src in layers:
+        acc[dst] += prods[src]
+    return acc
 
 
 def _divide(num, den):

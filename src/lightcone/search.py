@@ -19,8 +19,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import harmonics, integrals, jets
+from . import harmonics, integrals, jets, transforms
 from .catalog import HarmonicSpec, perturbed_sphere, round_geometry
+from .curvature import brioschi_gradient
 from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .jets import Jet2
@@ -28,11 +29,9 @@ from .jets import Jet2
 # Trace objective of an evaluation that is not ``ok``: finite, so every trace
 # row holds a number, and above every variance the search meets.
 _WALL = 1e6
-# Levenberg-Marquardt: forward-difference step of the Jacobian, first
-# damping, the band of |r|^2 cuts that marks a double root (a plain step
-# there cuts it about sixteenfold), and the stop thresholds on the
-# variance, the step and the damping.
-_FD_STEP = 1e-6
+# Levenberg-Marquardt: first damping, the band of |r|^2 cuts that marks a
+# double root (a plain step there cuts it about sixteenfold), and the stop
+# thresholds on the variance, the step and the damping.
 _MU_START = 1e-3
 _QUARTIC_LOW = 1 / 32
 _QUARTIC_HIGH = 1 / 8
@@ -115,15 +114,17 @@ class VarianceObjective:
 
     Every surface of the family is ``e^sigma psi_round`` with
     ``sigma = sum_k x_k Y_k``, so its table follows from the jet of sigma by
-    ``integrals.expansion_entries``, the step ``SphereGrid`` takes for a
-    perturbed sphere.  The nodes, one jet per free harmonic and the round
-    sphere's geometry are built once; ``diagnostics`` then needs one
-    harmonic sum and that step per call.  ``frame_diagnostics`` reads the
-    same entries from a ``geometry_table`` sweep of the perturbed sphere, a
-    full ``JetFrame`` route, and is the independent oracle.  Both are pure
-    deterministic functions of the coefficients and share one reduction,
-    whose ``ok`` dict holds the residual vector sqrt(w / area) (K_eta - mean);
-    its squares sum to the variance.
+    ``transforms.expansion_law`` and ``integrals.expansion_entries``, the
+    steps ``SphereGrid`` takes for a perturbed sphere.  The nodes, one jet
+    per free harmonic, their partials and Hessians and the round sphere's
+    geometry are built once; ``diagnostics`` then needs one harmonic sum,
+    those steps and one adjoint sweep for the Jacobian per call.
+    ``frame_diagnostics`` reads the same entries from a ``geometry_table``
+    sweep of the perturbed sphere, a full ``JetFrame`` route, and is the
+    independent oracle.  Both are pure deterministic functions of the
+    coefficients and share one reduction, whose ``ok`` dict holds the
+    residual vector sqrt(w / area) (K_eta - mean); its squares sum to the
+    variance.
     """
 
     def __init__(self, config):
@@ -135,18 +136,60 @@ class VarianceObjective:
         w = harmonics.directions(tj, Jet2.variable("v", self.PH))
         self._harmonics = real_harmonic(self.pairs, *w)
         self._round = round_geometry(tj, _RADIUS)
+        # The partials and Hessian entries of each harmonic, the terms of II'
+        # that are linear in sigma, from the law of each harmonic: an array
+        # of rows (the 6 coefficients of each of the 5 jets), harmonic, node.
+        terms = []
+        for Y in self._harmonics:
+            law = transforms.expansion_law(self._round, Y)
+            terms.append(np.concatenate([t.rows(2) for t in (*law.ds, *law.hess)]))
+        self._terms = np.stack(terms, axis=1)
+        self._harmonic_values = np.stack([Y.value for Y in self._harmonics])
 
     def spec(self, x):
         return HarmonicSpec.unpack(self.pairs, x)
 
     def diagnostics(self, x):
-        """Variance, mean, sup deviation, min det A and sup gap for a vector."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        """Variance, mean, sup deviation, min det A and sup gap for a vector.
+
+        An ``ok`` evaluation also holds ``jacobian``, the exact Jacobian of
+        its residual (one row per node, one column per coefficient); any
+        other holds None there.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sigma = jets.weighted_sum(self._harmonics, x)
-        return self._reduce(integrals.expansion_entries(self._round, sigma, _RADIUS))
+            law = transforms.expansion_law(self._round, sigma)
+        table = integrals.expansion_entries(law, sigma, _RADIUS)
+        d = self._reduce(table)
+        d["jacobian"] = self._jacobian(law, table, d["residual"]) if d["ok"] else None
+        return d
+
+    def _jacobian(self, law, table, residual):
+        """The Jacobian of the residual sqrt(w / area) (K_eta - mean) of an ``ok`` table.
+
+        K_eta is Brioschi's curvature of II', so its gradient in the
+        coefficients of II' (``curvature.brioschi_gradient``), carried back
+        by ``transforms.second_form_pullback``, pairs with the stored terms
+        of each harmonic to give dK_eta / dx_k.  The weights scale as
+        e^{2 sigma}, so dw / dx_k = 2 Y_k w; with p = w / area, the mean
+        moves by dm_k = sum p (2 Y_k (K_eta - mean) + dK_eta / dx_k), and
+        the residual by
+
+            sqrt(p) ((Y_k - sum p Y_k) (K_eta - mean) + dK_eta / dx_k - dm_k).
+        """
+        II = law.II
+        c_dt, c_hess = transforms.second_form_pullback(
+            self._round, law, brioschi_gradient(II[0][0], II[0][1], II[1][1]))
+        cot = np.concatenate([*c_dt, *c_hess])
+        dk = np.einsum("qkn,qn->kn", self._terms, cot)
+        w = integrals.induced_weights(self.w_nodes, self._sin, table)
+        root = np.sqrt(w / w.sum())
+        Y, p = self._harmonic_values, root * root
+        dm = 2.0 * (Y @ (root * residual)) + dk @ p
+        return ((Y - (Y @ p)[:, None]) * residual + root * (dk - dm[:, None])).T
 
     def frame_diagnostics(self, x):
-        """The same dict as ``diagnostics``, read from a ``geometry_table`` (the oracle)."""
+        """The dict of ``diagnostics`` but ``jacobian``, from a ``geometry_table`` (the oracle)."""
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 patch = perturbed_sphere(self.spec(x), r=_RADIUS)
@@ -234,16 +277,16 @@ class SearchReport:
         return "".join(",".join(map(str, row)) + "\n" for row in rows + self.trace_rows)
 
 
-def _levenberg_marquardt(residual, x, r, max_iter, bound, var_tol):
-    """Levenberg-Marquardt descent of |residual|^2 from x, whose residual is r.
+def _levenberg_marquardt(evaluate, x, ev, max_iter, bound, var_tol):
+    """Levenberg-Marquardt descent of |r|^2 from x, whose evaluation is ev.
 
-    Nocedal & Wright, *Numerical Optimization*, ch. 10.  ``residual(x)``
-    returns a vector, or None where x cannot be evaluated.  Each step
-    solves (J^T J + mu D) d = -J^T r in the least-squares sense, with
-    Marquardt's scaling D = diag(J^T J) and the forward-difference Jacobian
-    J, rebuilt after every accepted step.  A step is accepted only if its
-    point evaluates, stays in the box |x_k| <= bound and lowers |r|^2; then
-    mu falls tenfold, and otherwise it grows tenfold.
+    Nocedal & Wright, *Numerical Optimization*, ch. 10.  ``evaluate(x)``
+    returns None where x cannot be evaluated, and otherwise a tuple that
+    starts with the residual vector r and its Jacobian J; ev is that tuple
+    at x.  Each step solves (J^T J + mu D) d = -J^T r in the least-squares
+    sense, with Marquardt's scaling D = diag(J^T J).  A step is accepted
+    only if its point evaluates, stays in the box |x_k| <= bound and lowers
+    |r|^2; then mu falls tenfold, and otherwise it grows tenfold.
 
     At a double root, where r is quadratic and J vanishes, the Gauss-Newton
     step only halves the distance, so |r|^2 falls about sixteenfold, while
@@ -258,16 +301,11 @@ def _levenberg_marquardt(residual, x, r, max_iter, bound, var_tol):
     ``_STEP_FLOOR`` in every coordinate, mu exceeds ``_MU_MAX``, after
     ``max_iter`` steps, or once |r|^2 < ``var_tol`` at a step that does not
     halve it: converged, the descent has met the rounding noise of the
-    residual.  Returns (x, r, steps).
+    residual.  Returns (x, the evaluation at x, steps).
     """
-    mu, steps, jac, armed = _MU_START, 0, None, False
+    mu, steps, armed = _MU_START, 0, False
+    r, jac = ev[:2]
     while steps < max_iter and r @ r >= _VAR_FLOOR and mu <= _MU_MAX:
-        if jac is None:
-            # A probe that cannot be evaluated leaves its column zero.
-            probes = [residual(x + e) for e in _FD_STEP * np.eye(x.size)]
-            jac = np.stack(
-                [np.zeros_like(r) if p is None else (p - r) / _FD_STEP for p in probes], axis=1
-            )
         steps += 1
         damping = np.sqrt(mu * np.sum(jac * jac, axis=0))
         d = np.linalg.lstsq(
@@ -279,43 +317,45 @@ def _levenberg_marquardt(residual, x, r, max_iter, bound, var_tol):
         before = r @ r
         for scale in (2.0, 1.0) if armed else (1.0,):
             trial = x + scale * d
-            rt = residual(trial) if np.max(np.abs(trial)) <= bound else None
-            if rt is not None and rt @ rt < before:
-                armed = scale == 1.0 and _QUARTIC_LOW <= rt @ rt / before <= _QUARTIC_HIGH
-                x, r, mu, jac = trial, rt, mu / 10.0, None
+            et = evaluate(trial) if np.max(np.abs(trial)) <= bound else None
+            if et is not None and et[0] @ et[0] < before:
+                armed = scale == 1.0 and _QUARTIC_LOW <= et[0] @ et[0] / before <= _QUARTIC_HIGH
+                x, ev, mu = trial, et, mu / 10.0
+                r, jac = ev[:2]
                 break
         else:
             mu, armed = mu * 10.0, False
         if before < var_tol and r @ r > 0.5 * before:
             break
-    return x, r, steps
+    return x, ev, steps
 
 
 def _minimize_one(obj, x0, config):
     """Levenberg-Marquardt rounds from the first admissible halving of x0.
 
-    Returns (x, per-evaluation trace, steps, halvings).  Every evaluation,
-    Jacobian probes included, goes through ``obj.diagnostics`` and leaves
-    one trace row.  Each of the ``n_restarts`` further rounds starts again
-    from the end point with a fresh Jacobian and damping.
+    Returns (x, per-evaluation trace, steps, halvings, the ``diagnostics``
+    dict at x).  Every evaluation goes through ``obj.diagnostics``, which
+    gives the residual and its Jacobian in one call, and leaves one trace
+    row.  Each of the ``n_restarts`` further rounds starts again from the
+    end point with a fresh damping.
     """
     trace = []
 
-    def residual(x):
+    def evaluate(x):
         d = obj.diagnostics(x)
         trace.append((len(trace), d["objective"], d["variance"], d["mean_keta"], d["min_detA"]))
-        return d["residual"]
+        return (d["residual"], d["jacobian"], d) if d["ok"] else None
 
     # The round sphere, x = 0, is admissible, and so is a neighbourhood of it.
     x, halvings = np.asarray(x0, dtype=float), 0
-    while (r := residual(x)) is None:
+    while (ev := evaluate(x)) is None:
         x, halvings = 0.5 * x, halvings + 1
     steps = 0
     for _ in range(config.n_restarts + 1):
-        x, r, k = _levenberg_marquardt(residual, x, r, config.max_iter,
-                                       config.amplitude_bound, config.var_tol)
+        x, ev, k = _levenberg_marquardt(evaluate, x, ev, config.max_iter,
+                                        config.amplitude_bound, config.var_tol)
         steps += k
-    return x, trace, steps, halvings
+    return x, trace, steps, halvings, ev[2]
 
 
 def search(config):
@@ -343,7 +383,7 @@ def search(config):
     results = []
     trace_rows = []
     for s in range(config.n_starts):
-        x, trace, iters, halvings = _minimize_one(obj, starts[s], config)
+        x, trace, iters, halvings, fast = _minimize_one(obj, starts[s], config)
         for row in trace:
             trace_rows.append((s,) + row)
         d = obj.frame_diagnostics(x)
@@ -364,7 +404,7 @@ def search(config):
                 start_halvings=halvings,
                 converged_variance=classification != "unconverged",
                 classification=classification,
-                oracle_diff=_oracle_difference(obj.diagnostics(x), d),
+                oracle_diff=_oracle_difference(fast, d),
                 demotion_reason=reason,
             )
         )

@@ -111,11 +111,12 @@ def expand(patch, sigma):
 
 
 #: What ``expansion_law`` predicts for e^s psi: nested 2x2 lists ``g``, ``II``
-#: (jets valid through order two) and ``A``; ``K``, ``detII``, ``detA`` =
-#: det II' / det g', and the gradient of s, ``grad``, with squared norm
-#: ``grad2``.  All but II are values, or floats where the base makes them
-#: constant.
-Expanded = namedtuple("Expanded", "g II A K detII detA grad grad2")
+#: and ``A``; ``K``, ``detII``, ``detA`` = det II' / det g', and the squared
+#: norm ``grad2`` of the gradient of s.  The terms of II' come along: the
+#: partials ``ds``, the gradient ``grad`` and the Hessian entries ``hess``
+#: (indexed a + b).  II and its terms are jets valid through order two; the
+#: rest are values, or floats where the base makes them constant.
+Expanded = namedtuple("Expanded", "g II A K detII detA grad2 ds grad hess")
 
 
 def expansion_law(base, s):
@@ -144,16 +145,42 @@ def expansion_law(base, s):
            for b in (0, 1)] for a in (0, 1)]
 
     e2, conformal = np.exp(-2.0 * s.value), np.exp(2.0 * s.value)
-    gi, A, K, h, ds, grad, half, grad2 = map(
+    gi, A, K, h, d, gr, half, grad2 = map(
         _values, (base.gi, base.A, base.K, hess, ds, grad, half, grad2))
     hop = [[gi[c][0] * h[a] + gi[c][1] * h[1 + a] for a in (0, 1)] for c in (0, 1)]
-    A = [[e2 * (A[c][a] + hop[c][a] + half * float(c == a) - ds[a] * grad[c]) for a in (0, 1)]
+    A = [[e2 * (A[c][a] + hop[c][a] + half * float(c == a) - d[a] * gr[c]) for a in (0, 1)]
          for c in (0, 1)]
     g = [[conformal * x for x in row] for row in _values(g)]
     (i00, i01), (i10, i11) = _values(II)
     det_ii = i00 * i11 - i01 * i10
     return Expanded(g, II, A, (K - (hop[0][0] + hop[1][1])) * e2, det_ii,
-                    det_ii / (g[0][0] * g[1][1] - g[0][1] * g[1][0]), grad, grad2)
+                    det_ii / (g[0][0] * g[1][1] - g[0][1] * g[1][0]), grad2, ds, grad, hess)
+
+
+def second_form_pullback(base, law, cot):
+    """A cotangent on II' carried back to the partials and the Hessian of a change of s.
+
+    ``law`` is ``expansion_law(base, s)`` and ``cot`` = (c00, c01, c11) a
+    cotangent on the Taylor coefficients through order two of II'_00,
+    II'_01 and II'_11, as ``curvature.brioschi_gradient`` gives.  A change
+    t of s changes II' by the term of ``expansion_law`` that is linear in t,
+
+        dt (x) ds + ds (x) dt - <grad s, grad t> g - Hess t,
+
+    where <grad s, grad t> = grad_c s * d_c t.  Returns the cotangents on
+    the coefficients of (d_u t, d_v t) and on those of the Hessian entries
+    of t (indexed a + b), whose pairing with them is that of ``cot`` with
+    the change of II'.  Each truncated product is pulled back by
+    ``jets.product_pullback``.
+    """
+    c00, c01, c11 = cot
+    ds, grad, g = law.ds, law.grad, base.g
+    pull = jets.product_pullback
+    # The cotangent of <grad s, grad t>, which enters each entry times -g_ab.
+    c_dot = -(pull(c00, g[0][0]) + pull(c01, g[0][1]) + pull(c11, g[1][1]))
+    c_dt = (2.0 * pull(c00, ds[0]) + pull(c01, ds[1]) + pull(c_dot, grad[0]),
+            pull(c01, ds[0]) + 2.0 * pull(c11, ds[1]) + pull(c_dot, grad[1]))
+    return c_dt, (-c00, -c01, -c11)
 
 
 def _values(m):
@@ -196,7 +223,7 @@ def verify_expansion_laws(frame, sigma):
     law = expansion_law(f.geometry, s)
     fe = JetFrame(expand(f.patch, sigma), f.u, f.v)
     pred_A = _mat2(law.A)
-    grad, e1 = law.grad, np.exp(-s.value)[..., None]
+    grad, e1 = _values(law.grad), np.exp(-s.value)[..., None]
     tang = grad[0][..., None] * f.psi_u.values + grad[1][..., None] * f.psi_v.values
     pred_eta = e1 * (f.eta_val - 0.5 * law.grad2[..., None] * f.psi_val - tang)
     return {

@@ -7,6 +7,7 @@ from lightcone.curvature import (
     _inv2,
     _stack2,
     brioschi_curvature,
+    brioschi_gradient,
     christoffels,
     codazzi_residual,
     curvature_relation,
@@ -48,6 +49,25 @@ def test_brioschi_degenerate_metric_raises():
     m = (Jet2.constant(1.0), Jet2.constant(1.0), Jet2.constant(1.0))
     with pytest.raises(LightconeError, match="metric determinant vanishes"):
         brioschi_curvature(*m)
+
+
+def test_brioschi_gradient_matches_central_differences():
+    # Each coefficient through order two of each jet, on random metrics near
+    # a definite one; the rows the formula does not read are zero on both.
+    rng = np.random.default_rng(8)
+    c = rng.normal(scale=0.3, size=(3, 16, jets.N_COEFF))
+    c[0, :, 0] += 2.0
+    c[2, :, 0] += 1.5
+    grads = brioschi_gradient(*(Jet2(x) for x in c))
+    h = 1e-5
+    for j in range(3):
+        assert grads[j].shape == (6, 16)
+        for k in range(6):
+            step = np.zeros_like(c)
+            step[j, :, k] = h
+            plus, minus = (brioschi_curvature(*(Jet2(x) for x in c + t)) for t in (step, -step))
+            cd = (plus - minus) / (2.0 * h)
+            assert np.max(np.abs(cd - grads[j][k])) < 1e-8 * max(1.0, np.max(np.abs(cd))), (j, k)
 
 
 def test_christoffels_constant_metric_zero():

@@ -376,14 +376,14 @@ def test_oracle_gap_is_the_table_oracle_of_the_sigma_route(bumpy_sphere, monkeyp
 @pytest.mark.parametrize("shape", [(16, 32), (64, 128)])
 def test_tensor_product_sigma_table_equals_flat_nodes(bumpy_sphere, shape):
     from lightcone.jets import Jet2
+    from lightcone.transforms import expansion_law
 
     ref = integrals.expansion_table(bumpy_sphere, *shape)
     TH, PH, _ = integrals.sphere_quadrature(*shape)
     spec, r, _ = bumpy_sphere.expansion
     tj, pj = Jet2.variable("u", TH), Jet2.variable("v", PH)
-    flat = integrals.expansion_entries(
-        catalog.round_geometry(tj, r), spec.chart_field()(tj, pj), r
-    )
+    s = spec.chart_field()(tj, pj)
+    flat = integrals.expansion_entries(expansion_law(catalog.round_geometry(tj, r), s), s, r)
     for key in ref:
         assert np.array_equal(ref[key], np.broadcast_to(flat[key], TH.shape)), key
 

@@ -293,6 +293,29 @@ def test_truncated_product_is_a_prefix_of_the_full_product(ca, cb, v):
     assert not np.any(low.c[n:])
 
 
+@given(_coeffs, _coeffs, _coeffs, _valid)
+def test_product_pullback_is_the_adjoint_of_the_product(ca, cb, cc, v):
+    # a * b is linear in a, so the pulled-back cotangent paired with a is
+    # the cotangent paired with a * b.
+    n = _n_upto(v)
+    cot = cc[:n]
+    pulled = jets.product_pullback(cot, Jet2(cb))
+    assert pulled.shape == (n,)
+    lhs, rhs = pulled @ ca[:n], cot @ (Jet2(ca, valid=v) * Jet2(cb)).c[:n]
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    assert np.array_equal(jets.product_pullback(cot, 2.0), 2.0 * cot)
+
+
+def test_product_pullback_is_pointwise():
+    # A batch of cotangents against a batch of jets: each column is its own pull-back.
+    rng = np.random.default_rng(9)
+    cot, b = rng.normal(size=(6, 7)), Jet2(rng.normal(size=(7, N_COEFF)))
+    pulled = jets.product_pullback(cot, b)
+    for k in range(7):
+        np.testing.assert_array_equal(
+            pulled[:, k], jets.product_pullback(cot[:, k], Jet2(b.c[k])))
+
+
 @given(_coeffs, st.integers(1, 20), st.integers(0, 2**32 - 1))
 @example(np.linspace(-1.0, 1.0, N_COEFF), N_COEFF, 0)
 def test_scalar_times_batched_jet(cs, width, seed):

@@ -151,6 +151,7 @@ def test_objective_stays_finite_along_a_ray_out_of_the_box():
                 assert not d["ok"]
                 assert d["objective"] == _WALL
                 assert d["residual"] is None
+                assert d.get("jacobian") is None
 
 
 def test_objective_table_is_the_sphere_grid_table(monkeypatch, bumpy_sphere):
@@ -271,14 +272,15 @@ def test_config_fields_are_the_nine_settable_values():
 
 
 def test_levenberg_marquardt_solves_linear_least_squares():
-    # A consistent overdetermined system: the forward-difference Jacobian
-    # of an affine residual is exact up to rounding, so the descent lands
-    # on the solution, to within the step floor 1e-10.
+    # A consistent overdetermined system: the Jacobian of an affine residual
+    # is its matrix, so the descent lands on the solution, to within the
+    # step floor 1e-10.
     rng = np.random.default_rng(4)
     A = rng.normal(size=(9, 3))
     solution = np.array([0.3, -0.7, 1.1])
     b = A @ solution
-    x, r, steps = _levenberg_marquardt(lambda x: A @ x - b, np.zeros(3), -b, 50, 10.0, 1e-30)
+    x, (r, _), steps = _levenberg_marquardt(lambda x: (A @ x - b, A), np.zeros(3), (-b, A),
+                                            50, 10.0, 1e-30)
     np.testing.assert_allclose(x, solution, rtol=0, atol=1e-10)
     assert r.tobytes() == (A @ x - b).tobytes()
     assert 1 <= steps < 10
@@ -289,18 +291,18 @@ def test_rejected_step_raises_the_damping(gate):
     # r(x) = x - 1 from 0 has J = 1, so each step is (1 - x) / (1 + mu).
     # Past 0.6 a point cannot be evaluated, or lies outside the box; the
     # first trials, to 1/1.001, 1/1.01 and 1/1.1, are rejected with mu
-    # growing tenfold, and the one at mu = 1, to 0.5, is taken.  The only
-    # other evaluation is the Jacobian probe at 1e-6, before the first step.
+    # growing tenfold, and the one at mu = 1, to 0.5, is taken.  The trials
+    # are the only evaluations.
     points = []
 
     def residual(x):
         points.append(x.copy())
-        return None if gate == "not_ok" and x[0] > 0.6 else x - 1.0
+        return None if gate == "not_ok" and x[0] > 0.6 else (x - 1.0, np.ones((1, 1)))
 
     bound = 0.6 if gate == "box" else 10.0
-    x, r, steps = _levenberg_marquardt(residual, np.zeros(1), -np.ones(1), 4, bound, 1e-30)
-    assert points[0][0] == 1e-6
-    trials = [p[0] for p in points[1:]]
+    x, _, steps = _levenberg_marquardt(residual, np.zeros(1), (-np.ones(1), np.ones((1, 1))), 4,
+                                       bound, 1e-30)
+    trials = [p[0] for p in points]
     expected = [1 / 1.001, 1 / 1.01, 1 / 1.1, 0.5]
     if gate == "box":
         expected = expected[-1:]
@@ -310,21 +312,22 @@ def test_rejected_step_raises_the_damping(gate):
 
 def test_double_root_takes_the_doubled_step():
     # r = (Re z^2, Im z^2, |z|^2) for z = x0 + i x1 is quadratic, so its
-    # Jacobian vanishes at the root and a plain step only halves |z|: 20
-    # steps and 60 evaluations to |r|^2 < 1e-24.  The doubled step, armed
-    # by the sixteenfold cut of the first, takes 4 steps and 12.
+    # Jacobian vanishes at the root and a plain step only halves |z|: 19
+    # steps and 20 evaluations to |r|^2 < 1e-24.  The doubled step, armed
+    # by the sixteenfold cut of the first, takes 4 steps and 5.
     points = []
 
     def residual(x):
         points.append(x.copy())
-        return np.array([x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1], x[0] ** 2 + x[1] ** 2])
+        r = np.array([x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1], x[0] ** 2 + x[1] ** 2])
+        return r, 2.0 * np.array([[x[0], -x[1]], [x[1], x[0]], [x[0], x[1]]])
 
     x0 = np.array([0.3, 0.1])
-    x, r, steps = _levenberg_marquardt(residual, x0, residual(x0), 50, 10.0, 1e-30)
+    x, (r, _), steps = _levenberg_marquardt(residual, x0, residual(x0), 50, 10.0, 1e-30)
     assert r @ r < 1e-24
-    assert steps <= 6
-    # Two probes and one trial per step: no doubled trial fell back.
-    assert len(points) == 1 + 3 * steps
+    assert steps <= 4
+    # One trial per step: no doubled trial fell back.
+    assert len(points) == 1 + steps
 
 
 @pytest.mark.parametrize("gate", ["not_ok", "box"])
@@ -338,21 +341,23 @@ def test_doubled_trial_falls_back_to_the_plain_step(gate):
 
     def residual(x):
         points.append(x.copy())
-        return None if gate == "not_ok" and x[0] > 0.9 else (x - 1.0) ** 2
+        if gate == "not_ok" and x[0] > 0.9:
+            return None
+        return (x - 1.0) ** 2, 2.0 * (x - 1.0)[:, None]
 
     def step(x, mu):
-        # The step of this scalar residual with its forward-difference slope.
-        r = (x - 1.0) ** 2
-        return -r / (((x + 1e-6 - 1.0) ** 2 - r) / 1e-6 * (1.0 + mu))
+        # The step of this scalar residual with its slope 2 (x - 1).
+        return -(x - 1.0) ** 2 / (2.0 * (x - 1.0) * (1.0 + mu))
 
     bound = 0.9 if gate == "box" else 10.0
-    x, r, steps = _levenberg_marquardt(residual, np.zeros(1), np.ones(1), 2, bound, 1e-30)
+    x, _, steps = _levenberg_marquardt(residual, np.zeros(1), (np.ones(1), -2.0 * np.ones((1, 1))),
+                                       2, bound, 1e-30)
     x1 = step(0.0, 1e-3)
     d = step(x1, 1e-4)
     assert 1 / 32 <= (x1 - 1.0) ** 4 <= 1 / 8
-    expected = [1e-6, x1, x1 + 1e-6, x1 + 2.0 * d, x1 + d]
+    expected = [x1, x1 + 2.0 * d, x1 + d]
     if gate == "box":
-        del expected[3]
+        del expected[1]
     np.testing.assert_allclose([p[0] for p in points], expected, rtol=1e-9)
     assert x[0] == points[-1][0] and steps == 2
 
@@ -362,7 +367,7 @@ def test_inadmissible_start_is_halved():
     x0 = HarmonicSpec(terms=((2, 0, 0.6), (2, 2, -0.4))).pack(obj.pairs)
     assert not obj.diagnostics(x0)["ok"]
     cfg = SearchConfig(**FAST, n_restarts=0)
-    x, trace, steps, halvings = _minimize_one(obj, x0, cfg)
+    x, trace, steps, halvings, _ = _minimize_one(obj, x0, cfg)
     assert halvings >= 1
     assert [row[1] for row in trace[:halvings]] == [_WALL] * halvings
     assert trace[halvings][1] < _WALL
@@ -388,8 +393,56 @@ def test_search_variance_starts_reach_the_round_sphere(seed):
         assert r.classification == "umbilical", r
         assert r.variance <= 1e-20
         assert r.iterations >= 1
-        assert r.evaluations <= 40
+        assert r.evaluations <= 8
         assert r.oracle_diff <= ORACLE_TOL
+
+
+def _central_difference_errors(obj, x):
+    """Largest |J - central difference| of the residual at x, at steps 1e-4 and 1e-5."""
+    jac = obj.diagnostics(x)["jacobian"]
+    assert jac.shape == (obj.TH.size, len(obj.pairs))
+    errors = []
+    for h in (1e-4, 1e-5):
+        cd = [obj.diagnostics(x + h * e)["residual"] - obj.diagnostics(x - h * e)["residual"]
+              for e in np.eye(x.size)]
+        errors.append(np.max(np.abs(np.stack(cd, axis=1) / (2.0 * h) - jac)))
+    return errors, np.max(np.abs(jac))
+
+
+def _assert_exact(errors, scale):
+    # A central difference errs by O(h^2), so a tenfold smaller step cuts its
+    # gap to the exact Jacobian about a hundredfold; a wrong J keeps its gap.
+    coarse, fine = errors
+    assert 50.0 < coarse / fine < 200.0, errors
+    assert fine < 1e-6 * scale, errors
+
+
+@pytest.mark.parametrize("config, amplitude", [(SEARCH_VARIANCE, 0.05), ({}, 0.02)],
+                         ids=["search-variance", "default"])
+def test_jacobian_matches_central_differences(config, amplitude):
+    obj = VarianceObjective(SearchConfig(**config))
+    x = np.random.default_rng(6).uniform(-amplitude, amplitude, len(obj.pairs))
+    _assert_exact(*_central_difference_errors(obj, x))
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.7])
+def test_jacobian_at_any_radius_with_every_degree_free(monkeypatch, radius):
+    # The base metric is r^2 times the round one, and the dilation and boost
+    # terms of degrees 0 and 1 get columns too.
+    monkeypatch.setattr("lightcone.search._RADIUS", radius)
+    monkeypatch.setattr("lightcone.search._LOWEST_FREE_DEGREE", 0)
+    obj = VarianceObjective(SearchConfig(degree_max=2, n_theta=10, n_phi=20))
+    x = np.random.default_rng(7).uniform(-0.05, 0.05, len(obj.pairs))
+    _assert_exact(*_central_difference_errors(obj, x))
+
+
+@pytest.mark.parametrize("config", [SEARCH_VARIANCE, {}], ids=["search-variance", "default"])
+def test_jacobian_vanishes_at_the_round_sphere(config):
+    # K_II - 2 is quadratic in the coefficients near the round sphere: the
+    # double root that the doubled step is for.
+    obj = VarianceObjective(SearchConfig(**config))
+    d = obj.diagnostics(np.zeros(len(obj.pairs)))
+    assert np.max(np.abs(d["jacobian"])) < 1e-12
 
 
 def test_oracle_reads_no_expansion_law(monkeypatch, bumpy_sphere):
