@@ -52,9 +52,8 @@ def round_sphere(u=None, r=1.0):
     embed = _round_embedding(r, u)
     obs = None if u is None else np.asarray(u, dtype=float)
     label = "" if u is None else ", u=(" + ", ".join(f"{c:g}" for c in obs) + ")"
-    return direction_chart(
-        f"round-sphere(r={r:g}{label})", embed, expansion=(HarmonicSpec(), float(r), obs)
-    )
+    return direction_chart(f"round-sphere(r={r:g}{label})", embed,
+                           expansion=(HarmonicSpec().cartesian, float(r), obs))
 
 
 def round_geometry(tj, r):
@@ -159,21 +158,15 @@ class HarmonicSpec:
         return cls(terms=tuple((l, m, float(a)) for (l, m), a in zip(pairs, values)))
 
 
-def graph_over_sphere(f_cart):
-    """Radial graph psi = f(w) (1, w) over the unit sphere.
+def graph_over_sphere(sigma):
+    """Radial graph psi = e^sigma(w) (1, w) over the unit sphere.
 
-    ``f_cart`` maps direction cosines (as jets) to a positive jet; any
-    smooth metric on the sphere can be realized this way.  Building the
-    patch tests nothing: positivity of f is tested where the chart is
-    evaluated, by the ``JetFrame`` guard (``min psi0``) at each of its
-    points.  ``SurfacePatch.position`` runs no guard.
+    ``sigma`` maps direction cosines (as jets) to a jet; any smooth metric
+    on the sphere is conformal to the round one, so every closed radial
+    graph f(w) (1, w) is this one with sigma = log f.  The patch carries
+    (sigma, 1, None) as its ``expansion``, as ``perturbed_sphere`` does.
     """
-
-    def embed(x, y, z):
-        f = f_cart(x, y, z)
-        return JetVec4(f, f * x, f * y, f * z)
-
-    return direction_chart("radial-graph", embed)
+    return _expanded_sphere("radial-graph", sigma, 1.0, _round_embedding(1.0))
 
 
 def perturbed_sphere(spec, r=1.0):
@@ -193,12 +186,15 @@ def perturbed_sphere(spec, r=1.0):
         raise LightconeError(
             f"spec amplitudes allow sigma up to {sigma:g}; (r e^sigma)^2 must be finite"
         )
+    return _expanded_sphere(
+        f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)", spec.cartesian, r, round_embed
+    )
+
+
+def _expanded_sphere(name, sigma, r, round_embed):
+    """The direction chart of e^sigma times ``round_embed``, the round sphere of radius r."""
 
     def embed(x, y, z):
-        return round_embed(x, y, z).scale(jets.exp(spec.cartesian(x, y, z)))
+        return round_embed(x, y, z).scale(jets.exp(sigma(x, y, z)))
 
-    return direction_chart(
-        f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)",
-        embed,
-        expansion=(spec, float(r), None),
-    )
+    return direction_chart(name, embed, expansion=(sigma, float(r), None))

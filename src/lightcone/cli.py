@@ -451,8 +451,7 @@ def cmd_global(args):
     lam = spectrum.lambda1_estimate(grid)  # rejects too small a grid first
     floor = grid.second_curvature_floor()
 
-    if grid.oracle_gap is not None:
-        manifest.add("table_oracle", grid.oracle_gap, detail=_ORACLE_DETAIL)
+    manifest.add("table_oracle", grid.oracle_gap, detail=_ORACLE_DETAIL)
     manifest.add("gauss_bonnet_induced", gb - 4.0 * np.pi)
     manifest.add("gauss_bonnet_second", gb2 - 4.0 * np.pi)
     manifest.add(
@@ -490,7 +489,6 @@ def cmd_global(args):
         "surface": patch.name,
         "n_theta": grid.n_theta,
         "n_phi": grid.n_phi,
-        "table_route": grid.route,
         "table_oracle_gap": grid.oracle_gap,
         "area": grid.area(),
         "gauss_bonnet": gb,
@@ -589,17 +587,17 @@ def cmd_export(args):
     patch = _build_surface(args)
     if patch.closed:
         grid = SphereGrid(patch, *args.grid)
-        th, ph, table, gap = grid.TH, grid.PH, grid.table, grid.oracle_gap
+        if _judge("table_oracle", grid.oracle_gap)[2] == "FAIL":
+            print(
+                f"table_oracle FAIL: gap {grid.oracle_gap:.3e} above "
+                f"{CHECKS['table_oracle'][0]:.1e} ({_ORACLE_DETAIL}); no table written",
+                file=sys.stderr,
+            )
+            return EXIT_CHECK_FAILED
+        th, ph, table = grid.TH, grid.PH, grid.table
     else:
         th, ph = patch.grid_points(args.grid)
-        table, gap = geometry_table(patch, th, ph), None
-    if gap is not None and _judge("table_oracle", gap)[2] == "FAIL":
-        print(
-            f"table_oracle FAIL: gap {gap:.3e} above {CHECKS['table_oracle'][0]:.1e} "
-            f"({_ORACLE_DETAIL}); no table written",
-            file=sys.stderr,
-        )
-        return EXIT_CHECK_FAILED
+        table = geometry_table(patch, th, ph)
 
     cols = np.column_stack(
         [th, ph] + [table[k] for k in ("K", "K_eta", "detA", "gap_low", "gap_high", "psi0")]

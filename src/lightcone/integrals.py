@@ -72,21 +72,22 @@ def geometry_table(patch, u, v):
 def expansion_table(patch, n_theta, n_phi):
     """The ``geometry_table`` entries of an expanded round sphere by the expansion law.
 
-    ``patch.expansion`` is (spec, r, observer): the surface is e^sigma
+    ``patch.expansion`` is (sigma, r, observer): the surface is e^sigma
     times the round sphere of radius r, boosted by B = ``boost_to(observer)``
-    unless the observer is None.  A Lorentz map leaves every entry but psi0
-    as it is, and turns psi0 = r e^sigma into r e^sigma (B_00 + B_0i w_i)
-    at the direction w.  The law runs on a column of theta jets against a
+    unless the observer is None, and ``sigma`` maps direction-cosine jets
+    to a jet.  A Lorentz map leaves every entry but psi0 as it is, and
+    turns psi0 = r e^sigma into r e^sigma (B_00 + B_0i w_i) at the
+    direction w.  The law runs on a column of theta jets against a
     row of phi jets, and the entries are flattened theta-major, in the
     order of ``sphere_quadrature``'s nodes; jet arithmetic is pointwise, so
     they are bit for bit those at the flat nodes.
     """
-    spec, r, observer = patch.expansion
+    sigma, r, observer = patch.expansion
     TH, PH, _ = sphere_quadrature(n_theta, n_phi)
     th, ph = TH.reshape(n_theta, n_phi)[:, :1], PH[None, :n_phi]
     tj, pj = Jet2.variable("u", th), Jet2.variable("v", ph)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = spec.chart_field()(tj, pj)
+        s = sigma(*directions(tj, pj))
         entries = expansion_entries(transforms.expansion_law(round_geometry(tj, r), s), s, r)
         if observer is not None:
             B = boost_to(observer)
@@ -168,31 +169,27 @@ def table_oracle(patch):
 class SphereGrid:
     """Quadrature grid with cached pointwise geometry over a closed chart.
 
+    The patch must carry an ``expansion``, (sigma, r, observer), as every
+    closed chart of ``catalog`` does, and the table comes from
+    ``expansion_table``; ``oracle_gap`` checks it against ``geometry_table``.
     ``weights`` is the induced area measure and ``ii_weights`` that of II.
-    ``route`` says how the table was built: ``"sigma"`` by
-    ``expansion_table`` on a patch with an ``expansion``, ``"jetframe"``
-    by ``geometry_table`` otherwise.  ``oracle_gap`` checks the sigma route.
     """
 
     def __init__(self, patch, n_theta=64, n_phi=128):
-        if not patch.closed:
-            raise LightconeError(f"{patch.name}: quadrature grids need a closed spherical chart")
+        if patch.expansion is None:
+            raise LightconeError(f"{patch.name}: quadrature grids need a closed spherical chart "
+                                 "of e^sigma times a round sphere, with its expansion")
         self.patch = patch
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         self.TH, self.PH, w2 = sphere_quadrature(self.n_theta, self.n_phi)
-        if patch.expansion is None:
-            self.route = "jetframe"
-            self.table = geometry_table(patch, self.TH, self.PH)
-        else:
-            self.route = "sigma"
-            self.table = expansion_table(patch, self.n_theta, self.n_phi)
+        self.table = expansion_table(patch, self.n_theta, self.n_phi)
         self.weights = induced_weights(w2, np.sin(self.TH), self.table)
 
     @cached_property
     def oracle_gap(self):
-        """``table_oracle`` of the patch on the ``"sigma"`` route, None on ``"jetframe"``."""
-        return table_oracle(self.patch) if self.route == "sigma" else None
+        """``table_oracle`` of the patch, computed on first read."""
+        return table_oracle(self.patch)
 
     @property
     def n_nodes(self):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -115,16 +116,16 @@ class VarianceObjective:
     Every surface of the family is ``e^sigma psi_round`` with
     ``sigma = sum_k x_k Y_k``, so its table follows from the jet of sigma by
     ``transforms.expansion_law`` and ``integrals.expansion_entries``, the
-    steps ``SphereGrid`` takes for a perturbed sphere.  The nodes, one jet
-    per free harmonic, their partials and Hessians and the round sphere's
-    geometry are built once; ``diagnostics`` then needs one harmonic sum,
-    those steps and one adjoint sweep for the Jacobian per call.
+    steps ``SphereGrid`` takes for a perturbed sphere.  The nodes are built
+    with the objective, and the rest of what ``diagnostics`` reads
+    (``_basis``) on its first call, which then needs one harmonic sum, those
+    steps and one adjoint sweep for the Jacobian per call.
     ``frame_diagnostics`` reads the same entries from a ``geometry_table``
     sweep of the perturbed sphere, a full ``JetFrame`` route, and is the
-    independent oracle.  Both are pure deterministic functions of the
-    coefficients and share one reduction, whose ``ok`` dict holds the
-    residual vector sqrt(w / area) (K_eta - mean); its squares sum to the
-    variance.
+    independent oracle; it reads the nodes alone.  Both are pure
+    deterministic functions of the coefficients and share one reduction,
+    whose ``ok`` dict holds the residual vector sqrt(w / area)
+    (K_eta - mean); its squares sum to the variance.
     """
 
     def __init__(self, config):
@@ -132,19 +133,21 @@ class VarianceObjective:
         self.pairs = config.free_pairs()
         self.TH, self.PH, self.w_nodes = integrals.sphere_quadrature(config.n_theta, config.n_phi)
         self._sin = np.sin(self.TH)
+
+    @cached_property
+    def _basis(self):
+        """One jet per free harmonic, the round geometry, the harmonics' terms and values."""
         tj = Jet2.variable("u", self.TH)
-        w = harmonics.directions(tj, Jet2.variable("v", self.PH))
-        self._harmonics = real_harmonic(self.pairs, *w)
-        self._round = round_geometry(tj, _RADIUS)
+        Ys = real_harmonic(self.pairs, *harmonics.directions(tj, Jet2.variable("v", self.PH)))
+        base = round_geometry(tj, _RADIUS)
         # The partials and Hessian entries of each harmonic, the terms of II'
         # that are linear in sigma, from the law of each harmonic: an array
         # of rows (the 6 coefficients of each of the 5 jets), harmonic, node.
         terms = []
-        for Y in self._harmonics:
-            law = transforms.expansion_law(self._round, Y)
+        for Y in Ys:
+            law = transforms.expansion_law(base, Y)
             terms.append(np.concatenate([t.rows(2) for t in (*law.ds, *law.hess)]))
-        self._terms = np.stack(terms, axis=1)
-        self._harmonic_values = np.stack([Y.value for Y in self._harmonics])
+        return Ys, base, np.stack(terms, axis=1), np.stack([Y.value for Y in Ys])
 
     def spec(self, x):
         return HarmonicSpec.unpack(self.pairs, x)
@@ -156,9 +159,10 @@ class VarianceObjective:
         its residual (one row per node, one column per coefficient); any
         other holds None there.
         """
+        Ys, base, _, _ = self._basis
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sigma = jets.weighted_sum(self._harmonics, x)
-            law = transforms.expansion_law(self._round, sigma)
+            sigma = jets.weighted_sum(Ys, x)
+            law = transforms.expansion_law(base, sigma)
         table = integrals.expansion_entries(law, sigma, _RADIUS)
         d = self._reduce(table)
         d["jacobian"] = self._jacobian(law, table, d["residual"]) if d["ok"] else None
@@ -177,14 +181,15 @@ class VarianceObjective:
 
             sqrt(p) ((Y_k - sum p Y_k) (K_eta - mean) + dK_eta / dx_k - dm_k).
         """
+        _, base, terms, Y = self._basis
         II = law.II
         c_dt, c_hess = transforms.second_form_pullback(
-            self._round, law, brioschi_gradient(II[0][0], II[0][1], II[1][1]))
+            base, law, brioschi_gradient(II[0][0], II[0][1], II[1][1]))
         cot = np.concatenate([*c_dt, *c_hess])
-        dk = np.einsum("qkn,qn->kn", self._terms, cot)
+        dk = np.einsum("qkn,qn->kn", terms, cot)
         w = integrals.induced_weights(self.w_nodes, self._sin, table)
         root = np.sqrt(w / w.sum())
-        Y, p = self._harmonic_values, root * root
+        p = root * root
         dm = 2.0 * (Y @ (root * residual)) + dk @ p
         return ((Y - (Y @ p)[:, None]) * residual + root * (dk - dm[:, None])).T
 

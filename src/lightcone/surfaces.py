@@ -56,13 +56,13 @@ class SurfacePatch:
 
     ``chart`` receives two lifted coordinate jets (possibly batched) and
     returns a JetVec4.  ``closed`` marks spherical (theta, phi) charts whose
-    domain covers a closed surface; those get quadrature grids, and a
-    ``direction_chart`` keeps its ``embed``, from which ``centred`` charts
-    of the same surface come.
-    ``expansion`` is (spec, r, observer) when the chart is e^sigma times
-    the round sphere of radius r, sigma the spec's harmonic sum, seen by the
-    past unit timelike ``observer`` (None for the unboosted chart);
-    ``SphereGrid`` then builds its table by the expansion law.
+    domain covers a closed surface, and a ``direction_chart`` keeps its
+    ``embed``, from which ``centred`` charts of the same surface come.
+    ``expansion`` is (sigma, r, observer) when the chart is e^sigma times
+    the round sphere of radius r, seen by the past unit timelike
+    ``observer`` (None for the unboosted chart); ``sigma`` maps
+    direction-cosine jets to a jet.  ``SphereGrid`` builds its table from
+    it by the expansion law, and takes no closed chart without it.
     """
 
     name: str

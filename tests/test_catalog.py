@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from lightcone import catalog, harmonics, jets, surfaces
+from lightcone import catalog, harmonics, surfaces
 from lightcone.errors import LightconeError
 from lightcone.harmonics import directions, real_harmonic
 from lightcone.integrals import geometry_table, sphere_quadrature
@@ -240,7 +240,7 @@ def test_perturbed_sphere_stays_nondegenerate():
 
 
 def test_graph_over_sphere_constant_radius_is_round(unit_sphere):
-    patch = catalog.graph_over_sphere(lambda x, y, z: Jet2.constant(1.0) + x * 0.0)
+    patch = catalog.graph_over_sphere(lambda x, y, z: x * 0.0)
     rng = np.random.default_rng(8)
     th, ph = unit_sphere.sample_points(40, rng)
     assert np.max(np.abs(patch.position(th, ph) - unit_sphere.position(th, ph))) < 1e-14
@@ -248,30 +248,17 @@ def test_graph_over_sphere_constant_radius_is_round(unit_sphere):
 
 def test_graph_over_sphere_matches_perturbed_sphere():
     spec = catalog.HarmonicSpec(terms=((2, 1, 0.04), (1, -1, 0.02)))
-    graph = catalog.graph_over_sphere(lambda x, y, z: jets.exp(spec.cartesian(x, y, z)))
+    graph = catalog.graph_over_sphere(spec.cartesian)
     patch = catalog.perturbed_sphere(spec, r=1.0)
     rng = np.random.default_rng(9)
     th, ph = graph.sample_points(60, rng)
     assert np.max(np.abs(graph.position(th, ph) - patch.position(th, ph))) < 1e-12
 
 
-def test_graph_over_sphere_rejects_nonpositive_radius():
-    # building the patch tests nothing; the JetFrame guard tests each point it
-    # evaluates, such as one within 1e-3 of the pole where f is negative only there
-    cases = [
-        (lambda x, y, z: z * 1.0, 2.0, 0.5),
-        (lambda x, y, z: 1.0 - 2.0 * jets.exp((z - 1.0) * (z - 1.0) * -1e6), 0.001, 0.0),
-    ]
-    for f, theta, phi in cases:
-        patch = catalog.graph_over_sphere(f)
-        with pytest.raises(LightconeError, match="min psi0"):
-            JetFrame(patch, theta, phi)
-
-
 ROTATED_CASES = {
     "bumpy-sphere": lambda request: request.getfixturevalue("bumpy_sphere"),
     "radial-graph": lambda request: catalog.graph_over_sphere(
-        lambda x, y, z: jets.exp(x * z * 0.3 + y * 0.2)
+        lambda x, y, z: x * z * 0.3 + y * 0.2
     ),
     "round-sphere-r1.7": lambda request: catalog.round_sphere(r=1.7),
 }

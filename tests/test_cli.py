@@ -481,7 +481,6 @@ def test_global_perturbed_reports_the_sigma_route(tmp_path):
     assert main(argv) == EXIT_OK
     data = _load_manifest(out)
     rep = data["report"]
-    assert rep["table_route"] == "sigma"
     assert 0.0 <= rep["table_oracle_gap"] <= 1e-9
     check = {c["name"]: c for c in data["checks"]}["table_oracle"]
     assert check["status"] == "PASS" and check["tolerance"] == 1e-9
@@ -498,31 +497,37 @@ def test_global_round_sphere_reports_the_sigma_route(tmp_path, observer):
             "--out", str(out)]
     assert main(argv) == EXIT_OK
     data = _load_manifest(out)
-    assert data["report"]["table_route"] == "sigma"
     check = {c["name"]: c for c in data["checks"]}["table_oracle"]
     assert check["status"] == "PASS" and 0.0 <= check["residual"] <= 1e-12
 
 
-def test_global_round_sphere_reports_the_jetframe_route(tmp_path, monkeypatch):
-    # Charted as a radial graph of constant radius, the round sphere carries
-    # no expansion, so its table comes from JetFrames and no oracle runs.
+def test_global_radial_graph_reports_the_table_oracle(tmp_path, monkeypatch):
+    # Charted as a radial graph e^sigma (1, w) of constant sigma = log r, the
+    # round sphere is a member of the one family: its table comes from
+    # sigma, and the JetFrame oracle guards it.
     graph = cli.catalog.graph_over_sphere
-    monkeypatch.setattr(
-        cli.catalog, "round_sphere", lambda u=None, r=1.0: graph(lambda x, y, z: x * 0.0 + r)
-    )
+    monkeypatch.setattr(cli.catalog, "round_sphere",
+                        lambda u=None, r=1.0: graph(lambda x, y, z: x * 0.0 + np.log(r)))
     out = tmp_path / "g.json"
-    assert main(["global", "round-sphere", "--grid", "8x16", "--out", str(out)]) == EXIT_OK
+    argv = ["global", "round-sphere", "--r", "1.3", "--grid", "8x16", "--out", str(out)]
+    assert main(argv) == EXIT_OK
     data = _load_manifest(out)
-    assert data["report"]["table_route"] == "jetframe"
-    assert data["report"]["table_oracle_gap"] is None
-    assert "table_oracle" not in {c["name"] for c in data["checks"]}
+    assert data["report"]["surface"] == "radial-graph"
+    check = {c["name"]: c for c in data["checks"]}["table_oracle"]
+    assert check["status"] == "PASS" and 0.0 <= check["residual"] <= 1e-9
+    assert data["report"]["table_oracle_gap"] == check["residual"]
 
 
 def test_global_manifest_without_the_route_fields_is_invalid(tmp_path):
+    # A global report requires table_oracle_gap, a number and never null.
     out = tmp_path / "g.json"
     assert main(["global", "round-sphere", "--grid", "8x16", "--out", str(out)]) == EXIT_OK
     data = json.loads(out.read_text())
-    del data["report"]["table_route"]
+    jsonschema.validate(data, SCHEMA)
+    data["report"]["table_oracle_gap"] = None
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, SCHEMA)
+    del data["report"]["table_oracle_gap"]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(data, SCHEMA)
 

@@ -340,20 +340,21 @@ def _perturbed(terms, r=1.0):
     return catalog.perturbed_sphere(catalog.HarmonicSpec(terms=terms), r=r)
 
 
-def _radial_round_sphere():
-    """The unit sphere charted as a radial graph, which carries no expansion."""
-    return catalog.graph_over_sphere(lambda x, y, z: x * 0.0 + 1.0)
+def test_sphere_grid_takes_the_expansion_family_only(unit_sphere, bumpy_sphere):
+    from lightcone.surfaces import centred, centring
+    from lightcone.transforms import conjugate, expand
 
-
-def test_table_route_follows_the_patch(unit_sphere, bumpy_sphere):
-    from lightcone.transforms import expand
-
-    assert SphereGrid(_radial_round_sphere(), 8, 16).route == "jetframe"
-    assert SphereGrid(unit_sphere, 8, 16).route == "sigma"
-    assert SphereGrid(bumpy_sphere, 8, 16).route == "sigma"
-    # An expansion built by hand carries no spec, so it keeps the JetFrame table.
-    same = expand(unit_sphere, lambda uj, vj: uj * 0.0 + 0.1)
-    assert SphereGrid(same, 8, 16).route == "jetframe"
+    # A radial graph of a sigma that is no harmonic spec is a family member:
+    # its sigma table passes the JetFrame oracle.
+    graph = catalog.graph_over_sphere(lambda x, y, z: x * z * 0.3 + y * 0.2)
+    assert 0.0 <= SphereGrid(graph, 8, 16).oracle_gap <= 1e-9
+    # A closed chart that carries no sigma has no table.
+    outside = [expand(unit_sphere, lambda uj, vj: uj * 0.0 + 0.1), conjugate(bumpy_sphere),
+               centred(bumpy_sphere, centring(0.3, 1.0))]
+    for patch in outside:
+        assert patch.closed
+        with pytest.raises(LightconeError, match="closed spherical chart"):
+            SphereGrid(patch, 8, 16)
 
 
 def test_oracle_gap_is_the_table_oracle_of_the_sigma_route(bumpy_sphere, monkeypatch):
@@ -364,9 +365,8 @@ def test_oracle_gap_is_the_table_oracle_of_the_sigma_route(bumpy_sphere, monkeyp
         return oracle(patch)
 
     monkeypatch.setattr(integrals, "table_oracle", counted)
-    plain, bumpy = SphereGrid(_radial_round_sphere(), 8, 16), SphereGrid(bumpy_sphere, 8, 16)
+    bumpy = SphereGrid(bumpy_sphere, 8, 16)
     assert calls == []  # building a grid runs no oracle
-    assert plain.oracle_gap is None and calls == []
     gap = bumpy.oracle_gap
     assert calls == [bumpy_sphere]
     assert gap == oracle(bumpy_sphere)
@@ -380,9 +380,9 @@ def test_tensor_product_sigma_table_equals_flat_nodes(bumpy_sphere, shape):
 
     ref = integrals.expansion_table(bumpy_sphere, *shape)
     TH, PH, _ = integrals.sphere_quadrature(*shape)
-    spec, r, _ = bumpy_sphere.expansion
+    sigma, r, _ = bumpy_sphere.expansion
     tj, pj = Jet2.variable("u", TH), Jet2.variable("v", PH)
-    s = spec.chart_field()(tj, pj)
+    s = sigma(*directions(tj, pj))
     flat = integrals.expansion_entries(expansion_law(catalog.round_geometry(tj, r), s), s, r)
     for key in ref:
         assert np.array_equal(ref[key], np.broadcast_to(flat[key], TH.shape)), key
@@ -432,7 +432,6 @@ def test_sigma_table_of_an_overflowing_spec_fails_the_gate():
     # NaN without a warning, and the non-degeneracy gate rejects them.
     for a in (300.0, -500.0):
         grid = SphereGrid(_perturbed(((2, 0, a),)), 8, 16)
-        assert grid.route == "sigma"
         with pytest.raises(LightconeError, match="II area element"):
             grid.ii_weights
 

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -164,7 +164,6 @@ def test_objective_table_is_the_sphere_grid_table(monkeypatch, bumpy_sphere):
     obj.diagnostics(x)
     table = tables["expansion_entries"]
     grid = SphereGrid(perturbed_sphere(obj.spec(x), r=1.0), config.n_theta, config.n_phi)
-    assert grid.route == "sigma"
     assert list(table) == list(grid.table) and len(table) == 12
     for key, entry in grid.table.items():
         np.testing.assert_array_equal(np.broadcast_to(table[key], obj.TH.shape), entry, key)
@@ -448,7 +447,7 @@ def test_jacobian_vanishes_at_the_round_sphere(config):
 def test_oracle_reads_no_expansion_law(monkeypatch, bumpy_sphere):
     # frame_diagnostics, and with it the doubled-grid re-check, must build
     # its table by JetFrame, or closed_form_oracle would compare the
-    # expansion law with itself.
+    # expansion law with itself; the re-check's objective builds no law.
     from lightcone import transforms
 
     obj = VarianceObjective(SearchConfig(**FAST))
@@ -464,6 +463,9 @@ def test_oracle_reads_no_expansion_law(monkeypatch, bumpy_sphere):
 
     monkeypatch.setattr(transforms, "expansion_law", forbidden)
     assert same(obj.frame_diagnostics(x))
+    config = obj.config
+    fine = VarianceObjective(replace(config, n_theta=2 * config.n_theta, n_phi=2 * config.n_phi))
+    assert fine.frame_diagnostics(x)["ok"]
     with pytest.raises(AssertionError):
         obj.diagnostics(x)
     monkeypatch.undo()

@@ -16,6 +16,7 @@ from lightcone.surfaces import (
     centred,
     centring,
     closed_extremum,
+    direction_chart,
     gauss_maps,
     umbilic_point_search,
 )
@@ -419,6 +420,23 @@ def test_overflowing_chart_rejected_as_off_cone(unit_sphere):
             JetFrame(huge, 0.5, 0.5)
 
 
+def test_nonpositive_psi0_rejected():
+    # A radial graph f(w) (1, w) with f <= 0 somewhere: building the chart
+    # tests nothing, and the JetFrame guard tests each point it evaluates,
+    # such as one within 1e-3 of the pole where f is negative only there.
+    cases = [
+        (lambda x, y, z: z * 1.0, 2.0, 0.5),
+        (lambda x, y, z: 1.0 - 2.0 * jets.exp((z - 1.0) * (z - 1.0) * -1e6), 0.001, 0.0),
+    ]
+    for f, theta, phi in cases:
+        def embed(x, y, z, f=f):
+            r = f(x, y, z)
+            return JetVec4(r, r * x, r * y, r * z)
+
+        with pytest.raises(LightconeError, match="min psi0"):
+            JetFrame(direction_chart("radial-graph", embed), theta, phi)
+
+
 def test_degenerate_chart_rejected():
     def chart(uj, vj):
         # on the cone, but u runs along a null ray: the induced metric dies
@@ -435,7 +453,7 @@ def test_position_equals_frame_positions_bit_for_bit(unit_sphere, cylinder, para
     # position evaluates the chart on order-zero jets; the value rows must
     # be the full-order frame's, bit for bit
     boosted = catalog.round_sphere(u=[-np.cosh(0.8), 0.0, np.sinh(0.8), 0.0], r=1.3)
-    graph = catalog.graph_over_sphere(lambda x, y, z: jets.exp(0.1 * x * z) * 0.7)
+    graph = catalog.graph_over_sphere(lambda x, y, z: x * z * 0.1 + np.log(0.7))
     patches = [unit_sphere, boosted, cylinder, paraboloid, bumpy_sphere, graph,
                transforms.conjugate(bumpy_sphere), centred(bumpy_sphere, centring(0.3, 1.0)),
                transforms.expand(unit_sphere, catalog.HarmonicSpec(((2, 1, 0.05),)).chart_field())]

@@ -12,11 +12,14 @@ stdout, stderr and every output file: byte for byte, except a JSON
 manifest, which is compared without its `wall_time_s`.  One line is
 printed per invocation, and under it, for each output that differs:
 - a manifest: one line per check whose status, residual or detail moved,
-  as parent -> change;
+  as parent -> change, then one line per other field that moved, was added
+  or was dropped, in the form of another JSON file;
 - a CSV: one line per column with moved cells, how many moved and the
   largest relative move;
 - another JSON file: one line per field with moved values, list indices
-  written [*], in the same form.
+  written [*], in the same form, and one per field that one side lacks or
+  holds a different number of times, as `path: parent -> change` with
+  `(absent)` for the missing side.
 The exit code is 1 if any invocation differs.  Standard library only.
 """
 
@@ -178,15 +181,34 @@ def _leaves(data, path=""):
         yield path, json.dumps(data)
 
 
-def moved_fields(paths):
-    """One line per field with moved values between two JSON files."""
-    before, after = (list(_leaves(json.loads(p.read_text()))) for p in paths)
-    if [k for k, _ in before] != [k for k, _ in after]:
-        return [f"fields: {len(before)} leaves -> {len(after)}, not in the same layout"]
-    groups = {}
-    for (key, a), (_, b) in zip(before, after):
-        groups.setdefault(key, []).append((a, b))
-    return [line for key, pairs in groups.items() if (line := moved_summary(key, pairs))]
+def _shown(values):
+    """A field's values on one side: the value if one, their count if more, `(absent)` if none."""
+    if not values:
+        return "(absent)"
+    return values[0] if len(values) == 1 else f"{len(values)} values"
+
+
+def moved_fields(paths, drop=()):
+    """One line per field that moved, was added or was dropped between two JSON files.
+
+    The top-level keys in ``drop`` are left out on both sides.
+    """
+    groups = []
+    for p in paths:
+        data = json.loads(p.read_text())
+        fields = {}
+        for key, text in _leaves({k: v for k, v in data.items() if k not in drop}):
+            fields.setdefault(key, []).append(text)
+        groups.append(fields)
+    before, after = groups
+    lines = []
+    for key in dict.fromkeys([*before, *after]):
+        a, b = before.get(key, []), after.get(key, [])
+        if len(a) != len(b):
+            lines.append(f"{key}: {_shown(a)} -> {_shown(b)}")
+        elif line := moved_summary(key, list(zip(a, b))):
+            lines.append(line)
+    return lines
 
 
 def main(argv=None):
@@ -211,7 +233,11 @@ def main(argv=None):
             print(f"{'DIFF' if diff else 'same'}  exit {codes}  {label}"
                   + (f"  ({', '.join(diff)})" if diff else ""), flush=True)
             for name in set(manifests) & set(diff):
-                for line in moved_checks([d / name for d in dirs]):
+                paths = [d / name for d in dirs]
+                lines = moved_checks(paths)
+                if all(p.exists() for p in paths):
+                    lines += moved_fields(paths, drop=("checks", "wall_time_s"))
+                for line in lines:
                     print(f"      {line}", flush=True)
             for name in (n for n in others if n in diff):
                 paths = [d / name for d in dirs]
