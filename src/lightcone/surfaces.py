@@ -501,13 +501,14 @@ def _extreme_nodes(directions, value):
     return np.array(starts, dtype=int)
 
 
-def umbilic_point_search(frame):
+def umbilic_point_search(patch, theta, phi, gap_low):
     """(theta, phi, gap_low, gap_high) where both curvature-inequality gaps (nearly) vanish.
 
     On a closed surface an umbilic point must exist; ``closed_extremum``
-    minimizes the gap jet K^2 - 4 det A, starting from the least
-    ``gap_low`` of ``frame``, a JetFrame of the closed chart, and the poles.
+    minimizes the gap jet K^2 - 4 det A on the closed chart ``patch``,
+    starting from the least of the values ``gap_low`` at the chart points
+    (``theta``, ``phi``), such as those of ``verify``'s sweep, and the poles.
     """
-    theta, phi, f = closed_extremum(frame.patch, frame.u, frame.v, frame.gap_low,
+    theta, phi, f = closed_extremum(patch, theta, phi, gap_low,
                                     lambda f: (f.K * f.K - 4.0 * f.detA, f.K_val**2))
     return theta, phi, float(f.gap_low), float(f.gap_high)

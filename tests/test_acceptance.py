@@ -264,7 +264,7 @@ def test_criterion_8_inequality_suite():
     umbilic_ok = True
     ratio_ok = True
     for patch, frame in zip(compact, frames):
-        _, _, glow, ghigh = umbilic_point_search(frame)
+        _, _, glow, ghigh = umbilic_point_search(patch, frame.u, frame.v, frame.gap_low)
         umbilic_ok = umbilic_ok and glow < 1e-6 and ghigh < 1e-6
         grid = SphereGrid(patch, 48, 96)
         floor = grid.second_curvature_floor()

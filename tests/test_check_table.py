@@ -113,9 +113,9 @@ def _frames_with(defect, monkeypatch):
     monkeypatch.setattr(cli, "JetFrame", defective)
 
 
-def _umbilic_at_a_point(frame):
+def _umbilic_at_a_point(patch, theta, phi, gap_low):
     """``umbilic_point_search`` on a round sphere, where every point is umbilic."""
-    point = cli.JetFrame(frame.patch, 1.0, 0.5)
+    point = cli.JetFrame(patch, 1.0, 0.5)
     return 1.0, 0.5, float(point.gap_low), float(point.gap_high)
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from importlib.resources import files
 from pathlib import Path
 from types import SimpleNamespace
@@ -70,39 +71,101 @@ def test_umbilic_point_at_the_main_pole_is_reached(tmp_path, r):
 
 
 def test_verify_at_64x128_builds_no_second_scan_frame(tmp_path, monkeypatch):
-    # The umbilic search starts from verify's own frame (the grid and its 200
-    # random points) at every grid, so no frame is larger than that one: at
-    # 64x128 it is the only one of 2048 nodes or more, and at 16x32 none
-    # exceeds 16 * 32 + 200 points.  With one frame of all starts, one per
-    # Newton step for the starts still moving and the frame at the find, the
-    # search builds at most 10 frames.
+    # verify reads its points in frames of at most cli._BLOCK points, one
+    # alive at a time, at every grid: at 64x128 five frames over its 8392
+    # points, and at 16x32 one.  The umbilic search starts from the sweep's
+    # gap values, so it builds one frame of all starts, one per Newton step
+    # for the starts still moving and the frame at the find: at most 10.
     sizes, build = [], JetFrame.__init__
+    read, swept, alive = cli._verify_read, [], []
     search, in_search = cli.umbilic_point_search, []
 
     def recording(self, patch, u, v):
+        # each block's frame is gone before any other frame is built
+        assert [ref for ref in alive if ref() is not None] == []
         sizes.append(np.size(u))
         build(self, patch, u, v)
 
-    def counting(frame):
+    def reading(frame):
+        alive.append(weakref.ref(frame))
+        swept.append(frame.u.size)
+        return read(frame)
+
+    def counting(patch, theta, phi, gap_low):
         first = len(sizes)
-        out = search(frame)
+        out = search(patch, theta, phi, gap_low)
         in_search.append(len(sizes) - first)
         return out
 
     monkeypatch.setattr(JetFrame, "__init__", recording)
+    monkeypatch.setattr(cli, "_verify_read", reading)
     monkeypatch.setattr(cli, "umbilic_point_search", counting)
     for spec, r in ((_POLAR_UMBILIC, "1"), ("[[2, -2, 0.03], [3, 1, 0.02]]", "1.1")):
         spec_file, out = tmp_path / "spec.json", tmp_path / "m.json"
         spec_file.write_text(spec)
         argv = ["verify", "perturbed", "--spec", str(spec_file), "--r", r, "--out", str(out)]
-        for grid, own in (("64x128", 64 * 128 + 200), ("16x32", 16 * 32 + 200)):
+        for grid, own, blocks in (("64x128", 64 * 128 + 200, 5), ("16x32", 16 * 32 + 200, 1)):
             sizes.clear()
+            swept.clear()
             assert main(argv + ["--grid", grid]) == EXIT_OK
-            assert max(sizes) == own, grid
-            assert own < 2048 or [n for n in sizes if n >= 2048] == [own]
+            assert max(sizes) <= cli._BLOCK, grid
+            assert sum(swept) == own and len(swept) == blocks, (grid, swept)
             checks = {c["name"]: c for c in _load_manifest(out)["checks"]}
             assert checks["umbilic_point"]["residual"] < 1e-10
     assert len(in_search) == 4 and max(in_search) <= 10, in_search
+
+
+def test_verify_manifest_is_independent_of_the_block(tmp_path, monkeypatch):
+    # Jet arithmetic is pointwise, so every residual, where, status and
+    # detail keeps its bits in blocks of any size, down to a last block
+    # shorter than the others, and in the one frame of all points.
+    # The definite group passes on the first surface; [[4, 0, 0.0676]]
+    # leaves II indefinite somewhere, so that group is skipped; the
+    # paraboloid's nondegeneracy is a SKIP.
+    spec_files = {}
+    for name, terms in (("bumpy", [[2, 0, 0.04], [3, 1, 0.02]]), ("indefinite", [[4, 0, 0.0676]])):
+        spec_files[name] = tmp_path / f"{name}.json"
+        spec_files[name].write_text(json.dumps(terms))
+    inputs = [("perturbed", spec_files["bumpy"], (16, 32)), ("paraboloid", None, (16, 32)),
+              ("perturbed", spec_files["indefinite"], (32, 64))]
+
+    def manifest(surface, spec, grid):
+        args = SimpleNamespace(surface=surface, r=1.0, u=None, spec=spec and str(spec),
+                               grid=grid, seed=0)
+        m = cli.Manifest("verify", {})
+        cli._verify_checks(m, args)
+        out = m.to_dict()
+        out.pop("wall_time_s")
+        return json.dumps(out)
+
+    by_block = []
+    for block in (37, 2048, 10**6):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        by_block.append([manifest(*inp) for inp in inputs])
+    assert by_block[0] == by_block[1] == by_block[2]
+    checks = [{c["name"]: c for c in json.loads(text)["checks"]} for text in by_block[0]]
+    assert checks[0]["curvature_relation"]["status"] == "PASS"
+    assert checks[1]["nondegeneracy"]["status"] == "SKIP"
+    assert checks[2]["curvature_relation"]["detail"] == "second form not definite"
+
+
+def test_verify_rejection_reports_the_frame_of_all_points(capsys):
+    # The guard's figures are over the frame that raises; a block of 2048
+    # points would print 2.980e-08.
+    argv = ["verify", "round-sphere", "--r", "1e4", "--grid", "64x128"]
+    assert main(argv) == EXIT_DEGENERATE
+    assert capsys.readouterr().err == (
+        "rejected: round-sphere(r=10000): max |<psi,psi>| = 5.099e-08, min psi0 = 1.000e+04\n"
+    )
+
+
+def test_export_text_formats_each_bit_pattern_by_repr():
+    # One repr per distinct bit pattern of a column: -0.0 and 0.0 keep
+    # their own text, and so does NaN.
+    cols = [np.array([0.0, -0.0, np.nan, 0.1 + 0.2, 0.0]),
+            np.array([1e-300, 2.0, 2.0, -np.inf, 5.0])]
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in np.column_stack(cols).tolist())
+    assert cli._csv_rows(cols) == expected
 
 
 def test_verify_paraboloid_skips_conjugate_checks(tmp_path):

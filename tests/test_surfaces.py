@@ -286,7 +286,7 @@ def test_umbilic_point_exists_on_compact_surfaces(bumpy_sphere):
     for patch in patches:
         for grid in ((16, 32), (32, 64)):
             frame = JetFrame(patch, *cli._verify_points(patch, grid, 0))
-            _, _, glow, ghigh = umbilic_point_search(frame)
+            _, _, glow, ghigh = umbilic_point_search(patch, frame.u, frame.v, frame.gap_low)
             assert abs(glow) < 1e-10 and abs(ghigh) < 1e-10, (patch.name, grid)
 
 
@@ -297,7 +297,8 @@ def test_umbilic_point_search_keeps_round_sphere_nodes():
     u_obs = np.array([-np.cosh(0.5), np.sinh(0.5) * 0.6, 0.0, np.sinh(0.5) * 0.8])
     for patch in (catalog.round_sphere(r=0.5), catalog.round_sphere(r=2.0, u=u_obs)):
         points = cli._verify_points(patch, (64, 128), 0)
-        u, v, glow, ghigh = umbilic_point_search(JetFrame(patch, *points))
+        frame = JetFrame(patch, *points)
+        u, v, glow, ghigh = umbilic_point_search(patch, *points, frame.gap_low)
         assert (u, v) in set(zip(*points))
         assert abs(glow) < 1e-12 and abs(ghigh) < 1e-12
 
@@ -327,7 +328,7 @@ def test_closed_extremum_reports_main_chart_coordinates():
             position = patch.position(theta, phi)
             assert np.max(np.abs(position - frame.psi_val)) < 1e-14, patch.name
         if patch is polar:
-            assert umbilic_point_search(nodes)[0] == np.pi
+            assert umbilic_point_search(patch, nodes.u, nodes.v, nodes.gap_low)[0] == np.pi
 
 
 def test_closed_extremum_needs_an_embedding():
@@ -338,10 +339,12 @@ def test_closed_extremum_needs_an_embedding():
     spec = catalog.HarmonicSpec(((2, 0, 0.2),))
     patch = transforms.expand(catalog.round_sphere(), spec.chart_field())
     assert patch.closed and patch.embed is None
+    nodes = JetFrame(patch, *patch.grid_points((16, 32)))
     with pytest.raises(LightconeError, match=re.escape(patch.name)):
-        umbilic_point_search(JetFrame(patch, *patch.grid_points((16, 32))))
+        umbilic_point_search(patch, nodes.u, nodes.v, nodes.gap_low)
     sphere = catalog.perturbed_sphere(spec)
-    assert max(umbilic_point_search(JetFrame(sphere, *sphere.grid_points((16, 32))))[2:]) < 1e-10
+    nodes = JetFrame(sphere, *sphere.grid_points((16, 32)))
+    assert max(umbilic_point_search(sphere, nodes.u, nodes.v, nodes.gap_low)[2:]) < 1e-10
 
 
 def test_umbilic_starts_are_kept_apart_on_the_sphere():
@@ -349,7 +352,8 @@ def test_umbilic_starts_are_kept_apart_on_the_sphere():
     # equator; starts kept apart only in the chart domain all sat in the
     # first scan row
     patch = catalog.perturbed_sphere(catalog.HarmonicSpec(terms=((3, 0, 0.04),)), r=1.1)
-    _, _, glow, ghigh = umbilic_point_search(JetFrame(patch, *patch.grid_points((64, 128))))
+    nodes = JetFrame(patch, *patch.grid_points((64, 128)))
+    _, _, glow, ghigh = umbilic_point_search(patch, nodes.u, nodes.v, nodes.gap_low)
     assert max(glow, ghigh) < 1e-10
 
 

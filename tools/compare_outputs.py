@@ -44,6 +44,8 @@ SPECS = {
 #: The search configuration of acceptance criterion 9.
 CRITERION_9 = {"degree_max": 2, "amplitude_bound": 0.1, "n_theta": 10, "n_phi": 20,
                "max_iter": 300, "n_restarts": 0, "var_tol": 1e-8, "seed": 0, "n_starts": 20}
+#: A spec whose II is indefinite somewhere, so verify skips its definite group.
+INDEFINITE = [[4, 0, 0.0676]]
 ROUND = ["round-sphere", "--r", "1.3"]
 BOOSTED = ["round-sphere", "--u", "-1.25", "0.75", "0", "0"]
 FINE = ["--grid", "64x128"]
@@ -62,11 +64,19 @@ def invocations(inputs):
     for name, surface in perturbed:
         runs.append((f"verify {name}", ["verify", *surface, *FINE, "--out", "m.json"],
                      ["m.json"], []))
-    # verify's umbilic search starts from verify's own frame at every grid.
+    # verify's umbilic search starts from the gap values of verify's sweep at every grid.
     for name, surface in perturbed:
         if name in ("two_terms.json", "degree_four.json"):
             runs.append((f"verify {name} 32x64", ["verify", *surface, "--grid", "32x64",
                                                   "--out", "m.json"], ["m.json"], []))
+    # The sweep's edge paths: a guard that rejects, whose stderr line gives
+    # figures over all points, and blocks whose II is definite in some only.
+    runs.append(("verify round r=1e4 (rejected)",
+                 ["verify", "round-sphere", "--r", "1e4", *FINE, "--out", "m.json"],
+                 ["m.json"], []))
+    runs.append(("verify indefinite.json", ["verify", "perturbed", "--spec",
+                                            str(inputs / "indefinite.json"), *FINE,
+                                            "--out", "m.json"], ["m.json"], []))
     for name, surface in [("round", ROUND), ("boosted", BOOSTED)] + perturbed:
         runs.append((f"global {name}", ["global", *surface, *FINE, "--out", "m.json"],
                      ["m.json"], []))
@@ -222,6 +232,7 @@ def main(argv=None):
         inputs.mkdir()
         for name, (terms, _) in SPECS.items():
             (inputs / name).write_text(json.dumps(terms))
+        (inputs / "indefinite.json").write_text(json.dumps(INDEFINITE))
         (inputs / "criterion_9.json").write_text(json.dumps(CRITERION_9))
         runs = invocations(inputs)
         for k, (label, cmd, manifests, others) in enumerate(runs):
