@@ -22,7 +22,7 @@ from . import __version__, catalog, curvature, surfaces, transforms
 from .errors import BadConfig, LightconeError
 from .integrals import TABLE_ORACLE_GRID, SphereGrid, geometry_table
 from .minkowski import inner
-from .surfaces import JetFrame, gauss_maps, umbilic_point_search
+from .surfaces import _sweep, gauss_maps, umbilic_point_search
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -309,39 +309,11 @@ def _build_surface(args):
 
 # -- verify ------------------------------------------------------------------
 #
-# Checks that share a gate form a group: the rows of CHECKS that name it,
-# and one function returning their residuals, one per node of its frame and
-# keyed by check name, with the nodes' chart points (u, v).
-
-#: Most points in one frame of ``_sweep``.  At 64x128 one frame of verify's
-#: 8392 points holds about 70 MB of order-4 jets; with blocks of 2048 the
-#: ``verify-pointwise`` benchmark peaks at 77 MB against 126 MB (68 MB with
-#: blocks of 1024, 94 MB with 4096), and 2048 ran no slower than either.
-_BLOCK = 2048
-
-
-def _sweep(patch, points, read):
-    """``read(frame)`` over frames of consecutive blocks of ``_BLOCK`` points, concatenated.
-
-    ``read`` returns a dict of arrays, one entry per point of its frame; the
-    result holds each key that every block returned, in the order of the
-    first block.  Jet arithmetic is pointwise, so each entry has the bits of
-    one frame of all points, and each block's frame is dropped before the
-    next is built.  A frame guard reports figures over its own points, so
-    on a LightconeError the frame of all points is read once and raises what
-    it raises; the block's error is raised if it raises nothing.
-    """
-    u, v = points
-    parts = []
-    try:
-        for start in range(0, u.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            parts.append(read(JetFrame(patch, u[block], v[block])))
-    except LightconeError:
-        read(JetFrame(patch, u, v))
-        raise
-    return {key: np.concatenate([part[key] for part in parts])
-            for key in parts[0] if all(key in part for part in parts)}
+# Checks that share a gate form a group: the rows of CHECKS that name it.
+# ``_frame_residuals`` and ``_definite_residuals`` return the residuals of
+# their group at the points of one frame, keyed by check name;
+# ``_check_group`` takes a function that returns a group's residuals with
+# their chart points (u, v).
 
 
 def _verify_points(patch, grid, seed):
@@ -390,7 +362,7 @@ def _frame_residuals(frame):
         "gap_floor": np.maximum(-frame.gap_low, -frame.gap_high),
         "gap_match": np.abs(frame.gap_low - frame.gap_high),
         "codazzi": curvature.codazzi_residual(frame),
-    }, (frame.u, frame.v)
+    }
 
 
 def _definite_residuals(frame):
@@ -403,7 +375,7 @@ def _definite_residuals(frame):
             np.max(np.abs(low - np.swapaxes(low, -3, -2)), axis=(-3, -2, -1)),
             np.max(np.abs(low - np.swapaxes(low, -2, -1)), axis=(-3, -2, -1)),
         ),
-    }, (frame.u, frame.v)
+    }
 
 
 def _verify_read(frame):
@@ -414,11 +386,11 @@ def _verify_read(frame):
     gate of that group.
     """
     unit = [np.abs(np.linalg.norm(m[..., 1:], axis=-1) - 1.0) for m in gauss_maps(frame)]
-    out, _ = _frame_residuals(frame)
+    out = _frame_residuals(frame)
     out.update(detA=frame.detA_val, ii_positive=frame.ii_positive, gap_low=frame.gap_low,
                gauss_maps=np.maximum(*unit))
     if np.all(frame.ii_positive) and not np.any(curvature.degenerate(frame.detA_val)):
-        out.update(_definite_residuals(frame)[0], K_eta=frame.K_eta)
+        out.update(_definite_residuals(frame), K_eta=frame.K_eta)
     return out
 
 

@@ -19,7 +19,7 @@ from .errors import LightconeError
 from .harmonics import directions
 from .jets import Jet2
 from .minkowski import boost_to
-from .surfaces import JetFrame, closed_extremum
+from .surfaces import _blocks, _sweep, closed_extremum
 
 #: Grid of the ``table_oracle`` check.
 TABLE_ORACLE_GRID = (16, 32)
@@ -41,32 +41,37 @@ def sphere_quadrature(n_theta, n_phi):
 
 
 def geometry_table(patch, u, v):
-    """Value-level arrays at arbitrary chart points, from one ``JetFrame`` of them all.
+    """Value-level arrays at arbitrary chart points, read through ``surfaces._sweep``.
 
     Returns a dict of flat arrays: the metric values E, F, G, psi0,
     sqrt_detg, K, detA, gap_low, gap_high, H2, ii_positive and K_eta (all
-    NaN if II is singular at any point).  Jet arithmetic is pointwise, so
-    but for that NaN each entry is bit for bit the same whichever points
-    share the call.  The frame's guards raise if any point is off the cone, has
-    psi0 <= 0 (``min psi0``) or a metric that is not positive definite.
+    NaN if II is singular at any point, by ``_keta_unless_singular`` over
+    all points).  The sweep builds one ``JetFrame`` per block of points, and
+    jet arithmetic is pointwise, so but for that NaN each entry is bit for
+    bit the same whichever points share the call.  The frame's guards raise
+    if any point is off the cone, has psi0 <= 0 (``min psi0``) or a metric
+    that is not positive definite.
     """
-    frame = JetFrame(patch, *(np.asarray(x, dtype=float).ravel() for x in (u, v)))
-    return {
-        "E": frame.E.value,
-        "F": frame.F.value,
-        "G": frame.G.value,
-        "psi0": frame.psi0_val,
-        "sqrt_detg": frame.sqrt_detg_val,
-        "K": frame.K_val,
-        "detA": frame.detA_val,
-        "gap_low": frame.gap_low,
-        "gap_high": frame.gap_high,
-        "H2": frame.H2_val,
-        "ii_positive": frame.ii_positive,
-        "K_eta": (
-            np.full(frame.u.size, np.nan) if np.any(_det2(frame.II_val) == 0.0) else frame.K_eta
-        ),
-    }
+    def read(frame):
+        det_ii = _det2(frame.II_val)
+        return {
+            "E": frame.E.value,
+            "F": frame.F.value,
+            "G": frame.G.value,
+            "psi0": frame.psi0_val,
+            "sqrt_detg": frame.sqrt_detg_val,
+            "K": frame.K_val,
+            "detA": frame.detA_val,
+            "gap_low": frame.gap_low,
+            "gap_high": frame.gap_high,
+            "H2": frame.H2_val,
+            "ii_positive": frame.ii_positive,
+            "K_eta": _keta_unless_singular(det_ii, lambda: frame.K_eta),
+            "det_ii": det_ii,
+        }
+
+    points = tuple(np.asarray(x, dtype=float).ravel() for x in (u, v))
+    return _keta_over_all_nodes(_sweep(patch, points, read))
 
 
 def expansion_table(patch, n_theta, n_phi):
@@ -77,23 +82,51 @@ def expansion_table(patch, n_theta, n_phi):
     unless the observer is None, and ``sigma`` maps direction-cosine jets
     to a jet.  A Lorentz map leaves every entry but psi0 as it is, and
     turns psi0 = r e^sigma into r e^sigma (B_00 + B_0i w_i) at the
-    direction w.  The law runs on a column of theta jets against a
-    row of phi jets, and the entries are flattened theta-major, in the
-    order of ``sphere_quadrature``'s nodes; jet arithmetic is pointwise, so
-    they are bit for bit those at the flat nodes.
+    direction w.  The law runs on blocks of consecutive theta rings, as
+    many as fit in ``surfaces._BLOCK`` nodes (at least one), each a column
+    of theta jets against the row of phi jets.  The blocks' entries are
+    flattened theta-major and concatenated, in the order of
+    ``sphere_quadrature``'s nodes; jet arithmetic is pointwise, so they are
+    bit for bit those at the flat nodes.  K_eta is all NaN if II is
+    singular at any node, by ``_keta_unless_singular`` over all nodes.
     """
     sigma, r, observer = patch.expansion
     TH, PH, _ = sphere_quadrature(n_theta, n_phi)
     th, ph = TH.reshape(n_theta, n_phi)[:, :1], PH[None, :n_phi]
+    B = None if observer is None else boost_to(observer)
+    parts = [_ring_entries(sigma, r, B, th[rings], ph) for rings in _blocks(n_theta, n_phi)]
+    return _keta_over_all_nodes({k: np.concatenate([p[k] for p in parts]) for k in parts[0]})
+
+
+def _ring_entries(sigma, r, B, th, ph):
+    """``expansion_table``'s flat entries on a column of theta rings, and det II."""
     tj, pj = Jet2.variable("u", th), Jet2.variable("v", ph)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = sigma(*directions(tj, pj))
-        entries = expansion_entries(transforms.expansion_law(round_geometry(tj, r), s), s, r)
-        if observer is not None:
-            B = boost_to(observer)
+        law = transforms.expansion_law(round_geometry(tj, r), s)
+        entries = expansion_entries(law, s, r)
+        entries["det_ii"] = law.detII
+        if B is not None:
             x, y, z = directions(th, ph)
             entries["psi0"] = entries["psi0"] * (B[0, 0] + B[0, 1] * x + B[0, 2] * y + B[0, 3] * z)
-    return {k: np.broadcast_to(a, (n_theta, n_phi)).ravel() for k, a in entries.items()}
+    return {k: np.broadcast_to(a, (th.shape[0], ph.shape[1])).ravel() for k, a in entries.items()}
+
+
+def _keta_unless_singular(det_ii, keta):
+    """``keta()``, or all NaN if II is singular at any of the nodes of ``det_ii``.
+
+    Brioschi's formula for K_eta divides by det II, so ``keta`` is called
+    only where no det II is zero.  A table built in blocks applies the rule
+    to each block and again over all its nodes (``_keta_over_all_nodes``).
+    """
+    return np.full(np.shape(det_ii), np.nan) if np.any(det_ii == 0.0) else keta()
+
+
+def _keta_over_all_nodes(table):
+    """The table without its ``det_ii`` entry, K_eta all NaN if any det II is zero."""
+    det_ii = table.pop("det_ii")
+    table["K_eta"] = _keta_unless_singular(det_ii, lambda: table["K_eta"])
+    return table
 
 
 def expansion_entries(law, s, r):
@@ -122,9 +155,8 @@ def expansion_entries(law, s, r):
             "detA": detA,
             "gap_low": K**2 - 4.0 * detA,
             "ii_positive": (II[0][0].value > 0.0) & (det_ii > 0.0),
-            "K_eta": (
-                np.nan if np.any(det_ii == 0.0)
-                else brioschi_curvature(II[0][0], II[0][1], II[1][1])
+            "K_eta": _keta_unless_singular(
+                det_ii, lambda: brioschi_curvature(II[0][0], II[0][1], II[1][1])
             ),
             "gap_high": 2.0 * (a00 * a00 + a01 * a10 + a10 * a01 + a11 * a11) - K**2,
             "H2": K,

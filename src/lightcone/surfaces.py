@@ -391,6 +391,49 @@ def gauss_maps(frame):
     return gf, gp
 
 
+# -- blocked sweeps -----------------------------------------------------------
+
+#: Most points in one block of a pointwise table: one frame of ``_sweep``, or
+#: the theta rings of one block of ``integrals.expansion_table``.  At 64x128
+#: one frame of verify's 8392 points holds about 70 MB of order-4 jets; with
+#: blocks of 2048 the ``verify-pointwise`` benchmark peaks at 77 MB against
+#: 126 MB (68 MB with blocks of 1024, 94 MB with 4096), and 2048 ran no
+#: slower than either.  The sigma table at 64x128 holds at most 6 MB of jets
+#: in blocks against 22 MB in one pass, so the ``global-grid`` benchmark peaks
+#: at about 90 MB against 100 MB; ``export cylinder --grid 128x256``, whose
+#: ``geometry_table`` was one frame, peaks at 85 MB against 280 MB.
+_BLOCK = 2048
+
+
+def _blocks(n_rows, row_size=1):
+    """Slices of consecutive rows, as many per block as fit in ``_BLOCK`` points, at least one."""
+    step = max(1, _BLOCK // row_size)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _sweep(patch, points, read):
+    """``read(frame)`` over frames of consecutive blocks of ``_BLOCK`` points, concatenated.
+
+    ``read`` returns a dict of arrays, one entry per point of its frame; the
+    result holds each key that every block returned, in the order of the
+    first block.  Jet arithmetic is pointwise, so each entry has the bits of
+    one frame of all points, and each block's frame is dropped before the
+    next is built.  A frame guard reports figures over its own points, so
+    on a LightconeError the frame of all points is read once and raises what
+    it raises; the block's error is raised if it raises nothing.
+    """
+    u, v = points
+    parts = []
+    try:
+        for block in _blocks(u.size):
+            parts.append(read(JetFrame(patch, u[block], v[block])))
+    except LightconeError:
+        read(JetFrame(patch, u, v))
+        raise
+    return {key: np.concatenate([part[key] for part in parts])
+            for key in parts[0] if all(key in part for part in parts)}
+
+
 # -- extremal points ----------------------------------------------------------
 
 #: Longest Newton step, in radians on the sphere of directions: a trial stays

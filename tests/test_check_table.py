@@ -2,8 +2,9 @@
 
 Every defect drives its check past its tolerance on a boosted round sphere
 where the check passes without it.  A ``verify`` defect edits the cached
-fields of every frame that ``cli`` builds; a node defect edits one node of
-each, and its check must name that node as ``where``.  Group rows run their group
+fields of every frame built as ``surfaces.JetFrame``, as ``surfaces._sweep``
+builds them; a node defect edits one node of each, and its check must name
+that node as ``where``.  Group rows run their group
 function on 4x8 grid points; the other ``verify`` rows run
 ``_verify_checks`` on a 4x8 grid.  A ``global`` defect edits the parts that
 ``cmd_global`` reads from a 16x32 grid and the spectrum, computed once.
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lightcone import cli, spectrum
+from lightcone import cli, spectrum, surfaces
 from lightcone.integrals import SphereGrid
 
 GRID = (4, 8)
@@ -25,11 +26,19 @@ ARGS = SimpleNamespace(
     surface="round-sphere", r=1.0, u=[-1.25, 0.75, 0.0, 0.0], spec=None, grid=GRID, seed=0
 )
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _one_frame(residuals):
+    """The group function of one frame's residuals at the patch's GRID points."""
+    def group(patch):
+        points = patch.grid_points(GRID)
+        return residuals(surfaces.JetFrame(patch, *points)), points
+    return group
+
+
 VERIFY_GROUPS = {
-    "frame": lambda patch: cli._frame_residuals(cli.JetFrame(patch, *patch.grid_points(GRID))),
-    "definite": lambda patch: cli._definite_residuals(
-        cli.JetFrame(patch, *patch.grid_points(GRID))
-    ),
+    "frame": _one_frame(cli._frame_residuals),
+    "definite": _one_frame(cli._definite_residuals),
     "conjugate": lambda patch: cli._conjugate_residuals(patch, GRID),
     "expansion": lambda patch: cli._expansion_residuals(patch, 0),
 }
@@ -101,8 +110,8 @@ DEFECTS = {
 
 
 def _frames_with(defect, monkeypatch):
-    """Make every JetFrame that ``cli`` builds carry the defect."""
-    build = cli.JetFrame
+    """Make every ``surfaces.JetFrame`` that the sweep or a group builds carry the defect."""
+    build = surfaces.JetFrame
 
     def defective(*args):
         frame = build(*args)
@@ -110,12 +119,12 @@ def _frames_with(defect, monkeypatch):
             defect(frame)
         return frame
 
-    monkeypatch.setattr(cli, "JetFrame", defective)
+    monkeypatch.setattr(surfaces, "JetFrame", defective)
 
 
 def _umbilic_at_a_point(patch, theta, phi, gap_low):
     """``umbilic_point_search`` on a round sphere, where every point is umbilic."""
-    point = cli.JetFrame(patch, 1.0, 0.5)
+    point = surfaces.JetFrame(patch, 1.0, 0.5)
     return 1.0, 0.5, float(point.gap_low), float(point.gap_high)
 
 
@@ -221,7 +230,7 @@ def test_node_defect_names_its_node(name, nan, monkeypatch):
     defect = _node_defect(field, (lambda x: np.nan) if nan else change, nodes)
     (check,) = (c for c in _run_verify(group, defect, monkeypatch) if c["name"] == name)
     assert check["status"] == ("SKIP" if name == "nondegeneracy" else "FAIL"), check
-    assert check["where"] == nodes[0]  # the first frame that cli builds
+    assert check["where"] == nodes[0]  # the first frame built
 
 
 @pytest.mark.parametrize("group", list(VERIFY_GROUPS))

@@ -17,7 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lightcone import cli, curvature, integrals, search, spectrum, transforms
+from lightcone import cli, curvature, integrals, search, spectrum, surfaces, transforms
 from lightcone.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -71,7 +71,7 @@ def test_umbilic_point_at_the_main_pole_is_reached(tmp_path, r):
 
 
 def test_verify_at_64x128_builds_no_second_scan_frame(tmp_path, monkeypatch):
-    # verify reads its points in frames of at most cli._BLOCK points, one
+    # verify reads its points in frames of at most surfaces._BLOCK points, one
     # alive at a time, at every grid: at 64x128 five frames over its 8392
     # points, and at 16x32 one.  The umbilic search starts from the sweep's
     # gap values, so it builds one frame of all starts, one per Newton step
@@ -108,7 +108,7 @@ def test_verify_at_64x128_builds_no_second_scan_frame(tmp_path, monkeypatch):
             sizes.clear()
             swept.clear()
             assert main(argv + ["--grid", grid]) == EXIT_OK
-            assert max(sizes) <= cli._BLOCK, grid
+            assert max(sizes) <= surfaces._BLOCK == 2048, grid
             assert sum(swept) == own and len(swept) == blocks, (grid, swept)
             checks = {c["name"]: c for c in _load_manifest(out)["checks"]}
             assert checks["umbilic_point"]["residual"] < 1e-10
@@ -138,15 +138,112 @@ def test_verify_manifest_is_independent_of_the_block(tmp_path, monkeypatch):
         out.pop("wall_time_s")
         return json.dumps(out)
 
-    by_block = []
+    read, frames = cli._verify_read, []
+
+    def counting(frame):
+        frames.append(frame.u.size)
+        return read(frame)
+
+    monkeypatch.setattr(cli, "_verify_read", counting)
+    by_block, n_frames = [], []
     for block in (37, 2048, 10**6):
-        monkeypatch.setattr(cli, "_BLOCK", block)
+        monkeypatch.setattr(surfaces, "_BLOCK", block)
+        frames.clear()
         by_block.append([manifest(*inp) for inp in inputs])
+        n_frames.append(len(frames))
     assert by_block[0] == by_block[1] == by_block[2]
+    # The patch reaches the sweep: the 2248 points of the 32x64 run take two
+    # frames of 2048, and 37 points a frame gives more frames still.
+    assert n_frames == [101, 4, 3], n_frames
     checks = [{c["name"]: c for c in json.loads(text)["checks"]} for text in by_block[0]]
     assert checks[0]["curvature_relation"]["status"] == "PASS"
     assert checks[1]["nondegeneracy"]["status"] == "SKIP"
     assert checks[2]["curvature_relation"]["detail"] == "second form not definite"
+
+
+def _bits(table):
+    return [(key, a.dtype.str, a.shape, a.tobytes()) for key, a in table.items()]
+
+
+def _law_widths(monkeypatch):
+    """Record the node count of every ``transforms.expansion_law`` batch."""
+    law, widths = transforms.expansion_law, []
+
+    def recording(base, s):
+        out = law(base, s)
+        widths.append(np.size(out.detII))
+        return out
+
+    monkeypatch.setattr(transforms, "expansion_law", recording)
+    return widths
+
+
+def _frame_sizes(monkeypatch):
+    """Record the point count of every ``JetFrame`` built."""
+    build, sizes = JetFrame.__init__, []
+
+    def recording(self, patch, u, v):
+        sizes.append(np.size(u))
+        build(self, patch, u, v)
+
+    monkeypatch.setattr(JetFrame, "__init__", recording)
+    return sizes
+
+
+def test_tables_global_and_export_are_independent_of_the_block(tmp_path, monkeypatch,
+                                                               bumpy_sphere):
+    # geometry_table reads frames of _BLOCK points, and expansion_table
+    # blocks of _BLOCK // n_phi theta rings, at least one; every table
+    # entry, manifest field and CSV cell keeps its bits.  At 2048 the 48
+    # rings of 48x96 end in a short block of 6 (21 a block) and the 3200
+    # points of 40x80 in one of 1152; at 37, 9x16 takes two rings a block
+    # and ends in one, and a row of 64 or 96 exceeds the block, so each
+    # block is one ring; at 10**6 every table is one block.
+    spec, m_out, csv_out = tmp_path / "spec.json", tmp_path / "m.json", tmp_path / "t.csv"
+    spec.write_text("[[2, -2, 0.03], [3, 1, 0.02]]")
+    widths, sizes = _law_widths(monkeypatch), _frame_sizes(monkeypatch)
+    points = bumpy_sphere.grid_points((40, 80))
+
+    def outputs():
+        out, law_calls = [], []
+        for shape in ((9, 16), (6, 64), (48, 96)):
+            widths.clear()
+            out.append(_bits(integrals.expansion_table(bumpy_sphere, *shape)))
+            law_calls.append(list(widths))
+        sizes.clear()
+        out.append(_bits(integrals.geometry_table(bumpy_sphere, *points)))
+        frames = list(sizes)
+        argv = ["perturbed", "--spec", str(spec), "--r", "1.1", "--grid", "48x96"]
+        assert main(["global", *argv, "--out", str(m_out)]) == EXIT_OK
+        manifest = _load_manifest(m_out)
+        manifest.pop("wall_time_s")
+        assert main(["export", "cylinder", "--grid", "40x80", "--out", str(csv_out)]) == EXIT_OK
+        return out + [json.dumps(manifest), csv_out.read_bytes()], law_calls, frames
+
+    by_block = {}
+    for block in (37, 2048, 10**6):
+        monkeypatch.setattr(surfaces, "_BLOCK", block)
+        by_block[block] = outputs()
+    assert by_block[37][0] == by_block[2048][0] == by_block[10**6][0]
+    assert by_block[37][1] == [[32] * 4 + [16], [64] * 6, [96] * 48]
+    assert by_block[2048][1] == [[144], [384], [2016, 2016, 576]]
+    assert by_block[10**6][1] == [[144], [384], [4608]]
+    assert by_block[37][2] == [37] * 86 + [18]
+    assert by_block[2048][2] == [2048, 1152]
+    assert by_block[10**6][2] == [3200]
+
+
+def test_tables_at_64x128_build_no_batch_wider_than_the_block(tmp_path, monkeypatch,
+                                                              bumpy_sphere):
+    # The analogue of verify's frame count: the sigma table of global and
+    # export runs the law on four blocks of 16 rings, and export of an open
+    # chart reads geometry_table in four frames.
+    widths, sizes = _law_widths(monkeypatch), _frame_sizes(monkeypatch)
+    integrals.expansion_table(bumpy_sphere, 64, 128)
+    assert widths == [surfaces._BLOCK] * 4
+    out = tmp_path / "t.csv"
+    assert main(["export", "cylinder", "--grid", "64x128", "--out", str(out)]) == EXIT_OK
+    assert sizes == [surfaces._BLOCK] * 4
 
 
 def test_verify_rejection_reports_the_frame_of_all_points(capsys):

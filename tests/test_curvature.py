@@ -315,5 +315,5 @@ def test_curvature_relation_repeats_einsum(contraction_frame):
 def test_shape_self_adjoint_residual_repeats_einsum(contraction_frame):
     f = contraction_frame
     gA = np.einsum("...ac,...cb->...ab", f.g_val, f.A_val)
-    residual = np.max(cli._frame_residuals(f)[0]["shape_self_adjoint"])
+    residual = np.max(cli._frame_residuals(f)["shape_self_adjoint"])
     assert _same_bits(residual, np.max(np.abs(gA[..., 0, 1] - gA[..., 1, 0])))

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from lightcone import catalog, integrals
+from lightcone import catalog, integrals, surfaces, transforms
 from lightcone.errors import LightconeError
 from lightcone.harmonics import directions, real_harmonic
 from lightcone.integrals import SphereGrid, geometry_table
@@ -307,6 +307,57 @@ def test_geometry_table_is_bitwise_in_batches(bumpy_sphere):
              for s in (slice(0, 64), slice(64, 576), slice(576, None))]
     for key in ref:
         assert np.array_equal(np.concatenate([p[key] for p in parts]), ref[key]), key
+
+
+def _planted_law(monkeypatch, node):
+    """``transforms.expansion_law`` with det II = 0 at one flat node of the table."""
+    law, offset = transforms.expansion_law, [0]
+
+    def planted(base, s):
+        out = law(base, s)
+        det = np.array(out.detII)
+        if 0 <= node - offset[0] < det.size:
+            det.reshape(-1)[node - offset[0]] = 0.0
+        offset[0] += det.size
+        return out._replace(detII=det)
+
+    monkeypatch.setattr(transforms, "expansion_law", planted)
+
+
+def _planted_frame(monkeypatch, u0, v0):
+    """``surfaces.JetFrame`` with II = 0 at the chart point (u0, v0)."""
+    class Planted(JetFrame):
+        @functools.cached_property
+        def II_val(self):
+            II = JetFrame.II_val.func(self).copy()
+            II[(self.u == u0) & (self.v == v0)] = 0.0
+            return II
+
+    monkeypatch.setattr(surfaces, "JetFrame", Planted)
+
+
+@pytest.mark.parametrize("block", [2048, 10**6])
+def test_singular_second_form_at_one_node_blanks_k_eta_in_every_block(
+        bumpy_sphere, monkeypatch, block):
+    # K_eta is all NaN if II is singular at any node.  The rule holds over
+    # all nodes of a table built in blocks, as over the one block of 10**6:
+    # det II = 0 at one node of the last block of three (48x96 sigma table)
+    # or of two (geometry_table at 3200 points) blanks the other blocks too.
+    monkeypatch.setattr(surfaces, "_BLOCK", block)
+    clean = integrals.expansion_table(bumpy_sphere, 48, 96)
+    with monkeypatch.context() as m:
+        _planted_law(m, 4500)
+        table = integrals.expansion_table(bumpy_sphere, 48, 96)
+    assert np.all(np.isfinite(clean["K_eta"])) and np.all(np.isnan(table["K_eta"]))
+    assert np.flatnonzero(~table["ii_positive"]).tolist() == [4500]
+
+    u, v = bumpy_sphere.grid_points((40, 80))
+    clean = geometry_table(bumpy_sphere, u, v)
+    with monkeypatch.context() as m:
+        _planted_frame(m, u[3000], v[3000])
+        table = geometry_table(bumpy_sphere, u, v)
+    assert np.all(np.isfinite(clean["K_eta"])) and np.all(np.isnan(table["K_eta"]))
+    assert np.flatnonzero(~table["ii_positive"]).tolist() == [3000]
 
 
 def _loop_triangles(nt, np_):

@@ -83,10 +83,12 @@ def invocations(inputs):
     for name, surface in [("round", ROUND)] + perturbed:
         runs.append((f"export {name}", ["export", *surface, *FINE, "--out", "t.csv"],
                      [], ["t.csv"]))
-    # The open surfaces take the geometry_table path of export.
+    # The open surfaces take the geometry_table path of export: one frame
+    # at 16x32, four of 2048 points at 64x128.
     for name in ("cylinder", "paraboloid"):
-        runs.append((f"export {name} 16x32", ["export", name, "--grid", "16x32",
-                                              "--out", "t.csv"], [], ["t.csv"]))
+        for grid in ("16x32", "64x128"):
+            runs.append((f"export {name} {grid}", ["export", name, "--grid", grid,
+                                                   "--out", "t.csv"], [], ["t.csv"]))
     runs.append(("search criterion-9", ["search", "--config", str(inputs / "criterion_9.json"),
                                         "--out", "report.json", "--trace", "trace.csv",
                                         "--manifest", "m.json"],

@@ -84,7 +84,7 @@ def _perturbed(terms, r):
 def umbilic_residual(patch, grid):
     """The `umbilic_point` residual of `verify` at this grid and seed 0."""
     points = cli._verify_points(patch, grid, 0)
-    gap_low = cli._sweep(patch, points, lambda frame: {"gap_low": frame.gap_low})["gap_low"]
+    gap_low = surfaces._sweep(patch, points, lambda frame: {"gap_low": frame.gap_low})["gap_low"]
     _, _, glow, ghigh = surfaces.umbilic_point_search(patch, *points, gap_low)
     return max(abs(glow), abs(ghigh))
 
