@@ -8,21 +8,22 @@ curvature of the second fundamental form needs second derivatives of
 quantities that are themselves second order in the chart, and anything
 higher is wasted work.
 
-Storage is coefficient-major.  A jet holds one array of shape
-``(N_COEFF,) + batch_shape``: row ``k`` is the Taylor coefficient
-(d^{i+j} f / du^i dv^j) / (i! j!) of the k-th of the 15 monomials u^i v^j,
-i + j <= 4, in graded order, across a whole batch of base points, so a
-quadrature grid flows through one call and every coefficient is one
-contiguous row.  ``Jet2.c`` shows the same numbers as a view of shape
-``batch_shape + (N_COEFF,)``.
+Storage is coefficient-major and holds only the valid rows.  A jet valid
+through order v holds one array of shape ``(_N_UPTO[v],) + batch_shape``,
+1, 3, 6, 10 or 15 rows: row ``k`` is the Taylor coefficient
+(d^{i+j} f / du^i dv^j) / (i! j!) of the k-th monomial u^i v^j, i + j <= v,
+in graded order, across a whole batch of base points, so a quadrature grid
+flows through one call and every coefficient is one contiguous row.
+``Jet2.c`` shows the same numbers as a view of shape
+``batch_shape + (_N_UPTO[v],)``.
 
 Truncation.  Arithmetic is graded, so coefficients above a jet's ``valid``
 order never contaminate those below it; ``valid`` drops by one per
-derivative and binary operations take the minimum.  Products, quotients,
-compositions and derivatives compute only the coefficients within the
-result's ``valid`` order and leave the higher ones zero: a product of order
-v = 0..4 multiplies only the 1, 5, 15, 35 or 70 coefficient pairs whose
-degrees add up to at most v (truncated Taylor arithmetic; Griewank &
+derivative and binary operations take the minimum.  Every operation reads
+its operands through the result's ``valid`` order and allocates exactly the
+result's rows; ``truncated`` is a view of the leading rows.  A product of
+order v = 0..4 multiplies only the 1, 5, 15, 35 or 70 coefficient pairs
+whose degrees add up to at most v (truncated Taylor arithmetic; Griewank &
 Walther, *Evaluating Derivatives*, ch. 13).
 
 Coordinate jets.  Every power of a jet made by ``Jet2.variable``, less its
@@ -204,19 +205,26 @@ def _lift(c, ndim, lead=1):
 
 
 def _columns(c, shape):
-    """The coefficients as (N_COEFF, size) columns, or one column if unbatched."""
+    """The coefficients as (rows, size) columns, or one column if unbatched."""
     if c[0].size == 1:
-        return c.reshape(N_COEFF, 1)
-    return np.broadcast_to(_lift(c, len(shape)), (N_COEFF,) + shape).reshape(N_COEFF, -1)
+        return c.reshape(len(c), 1)
+    return np.broadcast_to(_lift(c, len(shape)), c.shape[:1] + shape).reshape(len(c), -1)
+
+
+def _common(*jets):
+    """The jets' coefficients through their common ``valid``, batch axes padded alike, and it."""
+    valid = min(jet.valid for jet in jets)
+    ndim = max(jet._c.ndim for jet in jets) - 1
+    return [_lift(jet._c[: _N_UPTO[valid]], ndim) for jet in jets], valid
 
 
 def _product(a, b, valid):
     """Coefficient-major product of two coefficient arrays, truncated at ``valid``."""
     shape = a.shape[1:]
     if b.shape[1:] == shape:
-        if a.size > N_COEFF * _WIDE:
+        if a[0].size > _WIDE:
             return _row_product(a, b, valid, shape)
-        return _gather_product(a.reshape(N_COEFF, -1), b.reshape(N_COEFF, -1), valid, shape)
+        return _gather_product(a.reshape(len(a), -1), b.reshape(len(b), -1), valid, shape)
     shape = np.broadcast_shapes(shape, b.shape[1:])
     if math.prod(shape) > _WIDE:
         return _row_product(a, b, valid, shape)
@@ -224,31 +232,23 @@ def _product(a, b, valid):
 
 
 def _gather_product(a, b, valid, shape):
-    """The product of (N_COEFF, columns) operands by one gather of all pairs."""
+    """The product of (rows, columns) operands by one gather of all pairs."""
     gather_a, gather_b, first, layers, unsort = _PRODUCT_PLANS[valid]
     if a.shape[1] < b.shape[1]:
         # Gather the full-width operand first, so the product can go in place.
         a, b, gather_a, gather_b = b, a, gather_b, gather_a
-    n = unsort.size
-    out = np.empty((N_COEFF, a.shape[1]))
-    if n < N_COEFF:
-        out[n:] = 0.0
     prods = a[gather_a]
     prods *= b[gather_b]
     acc = prods[first]
     for dst, src in layers:
         acc[dst] += prods[src]
-    acc.take(unsort, axis=0, out=out[:n], mode="clip")
-    return out.reshape((N_COEFF,) + shape)
+    return acc.take(unsort, axis=0).reshape(unsort.shape + shape)
 
 
 def _row_product(a, b, valid, shape):
     """The product by rows of ``a``: one broadcast multiply per row, one slice add per degree."""
     a, b = _lift(a, len(shape)), _lift(b, len(shape))
-    n = _N_UPTO[valid]
-    out = np.empty((N_COEFF,) + shape)
-    out[n:] = 0.0
-    np.multiply(a[0], b[:n], out=out[:n])
+    out = a[0] * b[: _N_UPTO[valid]]
     for row, partners, adds in _ROW_PLANS[valid]:
         prods = a[row] * b[:partners]
         for dst, src in adds:
@@ -265,11 +265,12 @@ class Jet2:
     __array_ufunc__ = None
 
     def __init__(self, coeff, valid=ORDER):
+        """Jet of the ``N_COEFF`` coefficients on the last axis of ``coeff``, through ``valid``."""
         coeff = np.asarray(coeff, dtype=float)
         if coeff.ndim == 0 or coeff.shape[-1] != N_COEFF:
             raise ValueError(f"coefficient array must end in ({N_COEFF},)")
-        self._c = np.ascontiguousarray(np.moveaxis(coeff, -1, 0))
         self.valid = int(valid)
+        self._c = np.ascontiguousarray(np.moveaxis(coeff, -1, 0)[: _N_UPTO[self.valid]])
 
     @classmethod
     def _wrap(cls, c, valid):
@@ -297,17 +298,20 @@ class Jet2:
         """
         if axis not in ("u", "v"):
             raise ValueError("axis must be 'u' or 'v'")
-        c = Jet2.constant(value)._c
+        value = np.asarray(value, dtype=float)
+        c = np.zeros((_N_UPTO[valid],) + value.shape)
+        c[0] = value
         out = _Coordinate._wrap(c, valid)
         out.powers = _POWER_ROWS[axis]
-        c[out.powers[1]] = 1.0
+        if valid:
+            c[out.powers[1]] = 1.0
         return out
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def c(self):
-        """Coefficients as ``batch_shape + (N_COEFF,)``, a view of the store."""
+        """Coefficients as ``batch_shape + (_N_UPTO[valid],)``, a view of the store."""
         return self._c.transpose(tuple(range(1, self._c.ndim)) + (0,))
 
     @property
@@ -319,14 +323,14 @@ class Jet2:
         return self._c.shape[1:]
 
     def coeff(self, i, j):
-        """Raw Taylor coefficient of u^i v^j."""
+        """Raw Taylor coefficient of u^i v^j, i + j at most ``valid``."""
+        if i < 0 or j < 0 or i + j > self.valid:
+            raise ValueError(f"monomial ({i},{j}) exceeds valid order {self.valid}")
         return self._c[_INDEX[(i, j)]]
 
     def partial(self, i, j):
         """Mixed partial derivative value d^{i+j}/du^i dv^j."""
-        if i < 0 or j < 0 or i + j > self.valid:
-            raise ValueError(f"partial ({i},{j}) exceeds valid order {self.valid}")
-        return _FACT[i] * _FACT[j] * self._c[_INDEX[(i, j)]]
+        return _FACT[i] * _FACT[j] * self.coeff(i, j)
 
     def d(self, axis):
         """Partial-derivative jet; one order of validity is consumed."""
@@ -336,31 +340,25 @@ class Jet2:
             src, fac = _DERIVATIVE_PLANS[axis][self.valid - 1]
         except KeyError:
             raise ValueError("axis must be 'u' or 'v'") from None
-        out = np.empty_like(self._c)
-        np.multiply(self._c.take(src, axis=0), _lift(fac, self._c.ndim - 1), out=out[: src.size])
-        out[src.size :] = 0.0
+        out = self._c.take(src, axis=0)
+        out *= _lift(fac, out.ndim - 1)
         return Jet2._wrap(out, self.valid - 1)
 
     def rows(self, valid):
-        """The coefficients through order ``valid``, coefficient-major: a view of the store."""
+        """The coefficients through order ``valid`` <= the jet's, coefficient-major: a view."""
         return self._c[: _N_UPTO[valid]]
 
     def truncated(self, valid):
-        """The jet valid only through order ``valid``; the higher coefficients are zeroed."""
-        n = _N_UPTO[valid]
-        c = np.empty_like(self._c)
-        c[:n] = self._c[:n]
-        c[n:] = 0.0
-        return Jet2._wrap(c, min(self.valid, valid))
+        """The jet valid only through order ``valid``: a view of the leading rows."""
+        valid = min(self.valid, valid)
+        return Jet2._wrap(self.rows(valid), valid)
 
     def evaluate(self, du, dv):
         """Evaluate the truncated polynomial at an offset from the base point."""
         du = np.asarray(du, dtype=float)
         dv = np.asarray(dv, dtype=float)
         total = 0.0
-        for k, (i, j) in enumerate(MONOMIALS):
-            if i + j > self.valid:
-                continue
+        for k, (i, j) in enumerate(MONOMIALS[: len(self._c)]):
             total = total + self._c[k] * du**i * dv**j
         return total
 
@@ -372,13 +370,11 @@ class Jet2:
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            ndim = max(self._c.ndim, other._c.ndim) - 1
-            return Jet2._wrap(
-                _lift(self._c, ndim) + _lift(other._c, ndim), min(self.valid, other.valid)
-            )
+            (a, b), valid = _common(self, other)
+            return Jet2._wrap(a + b, valid)
         other = np.asarray(other, dtype=float)
         shape = np.broadcast_shapes(self.batch_shape, other.shape)
-        out = np.empty((N_COEFF,) + shape)
+        out = np.empty(self._c.shape[:1] + shape)
         out[...] = _lift(self._c, len(shape))
         out[0] += other
         return Jet2._wrap(out, self.valid)
@@ -390,10 +386,8 @@ class Jet2:
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
-            ndim = max(self._c.ndim, other._c.ndim) - 1
-            return Jet2._wrap(
-                _lift(self._c, ndim) - _lift(other._c, ndim), min(self.valid, other.valid)
-            )
+            (a, b), valid = _common(self, other)
+            return Jet2._wrap(a - b, valid)
         return self + -np.asarray(other, dtype=float)
 
     def __rsub__(self, other):
@@ -402,8 +396,8 @@ class Jet2:
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             return self._scale(other)
-        valid = min(self.valid, other.valid)
-        return Jet2._wrap(_product(self._c, other._c, valid), valid)
+        (a, b), valid = _common(self, other)
+        return Jet2._wrap(_product(a, b, valid), valid)
 
     __rmul__ = __mul__
 
@@ -441,18 +435,20 @@ def weighted_sum(terms, weights):
     each.  The terms' batch shapes broadcast; a step of the running sum's
     shape adds it in place.  There must be at least one term.
     """
-    total, valid = None, ORDER
+    total = None
     for term, weight in zip(terms, weights):
-        step = term._c * float(weight)
         if total is None:
-            step[0] += 0.0
-        elif step.shape == total.shape:
-            step += total
+            total = term * float(weight)
+            total._c[0] += 0.0
+            continue
+        (step, acc), valid = _common(term, total)
+        step = step * float(weight)
+        if step.shape == acc.shape:
+            step += acc
         else:
-            ndim = max(step.ndim, total.ndim) - 1
-            step = _lift(step, ndim) + _lift(total, ndim)
-        total, valid = step, min(valid, term.valid)
-    return Jet2._wrap(total, valid)
+            step = step + acc
+        total = Jet2._wrap(step, valid)
+    return total
 
 
 def product_pullback(cot, b):
@@ -480,12 +476,11 @@ def _divide(num, den):
     b00 = den._c[0]
     if not np.all(np.isfinite(b00)) or np.any(b00 == 0.0):
         raise LightconeError("denominator jet has a vanishing constant term")
-    valid = min(num.valid, den.valid)
-    shape = np.broadcast_shapes(num.batch_shape, den.batch_shape)
-    a, b = _lift(num._c, len(shape)), _lift(den._c, len(shape))
+    (a, b), valid = _common(num, den)
     b00 = b[0]
-    out = np.zeros((N_COEFF,) + shape)
-    for k, terms in _DIV_PLAN[: _N_UPTO[valid]]:
+    # Each row reads only rows of lower degree, all written before it.
+    out = np.empty(a.shape[:1] + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for k, terms in _DIV_PLAN[: len(out)]:
         acc = a[k]
         for bi, oi in terms:
             acc = acc - b[bi] * out[oi]
@@ -600,13 +595,9 @@ class JetVec4:
 
     def __init__(self, x0, x1, x2, x3):
         comps = [p if isinstance(p, Jet2) else Jet2.constant(p) for p in (x0, x1, x2, x3)]
-        valid = min(p.valid for p in comps)
-        shape = np.broadcast_shapes(*(p.batch_shape for p in comps))
-        stacked = np.stack(
-            [np.broadcast_to(_lift(p._c, len(shape)), (N_COEFF,) + shape) for p in comps],
-            axis=1,
-        )
-        self.j = Jet2._wrap(stacked, valid)
+        cs, valid = _common(*comps)
+        shape = np.broadcast_shapes(*(c.shape for c in cs))
+        self.j = Jet2._wrap(np.stack([np.broadcast_to(c, shape) for c in cs], axis=1), valid)
 
     @classmethod
     def _wrap(cls, jet):

@@ -394,14 +394,15 @@ def gauss_maps(frame):
 # -- blocked sweeps -----------------------------------------------------------
 
 #: Most points in one block of a pointwise table: one frame of ``_sweep``, or
-#: the theta rings of one block of ``integrals.expansion_table``.  At 64x128
-#: one frame of verify's 8392 points holds about 70 MB of order-4 jets; with
-#: blocks of 2048 the ``verify-pointwise`` benchmark peaks at 77 MB against
-#: 126 MB (68 MB with blocks of 1024, 94 MB with 4096), and 2048 ran no
-#: slower than either.  The sigma table at 64x128 holds at most 6 MB of jets
-#: in blocks against 22 MB in one pass, so the ``global-grid`` benchmark peaks
-#: at about 90 MB against 100 MB; ``export cylinder --grid 128x256``, whose
-#: ``geometry_table`` was one frame, peaks at 85 MB against 280 MB.
+#: the theta rings of one block of ``integrals.expansion_table``.  At 64x128,
+#: with jets that hold only their valid rows, the ``verify-pointwise``
+#: benchmark peaks at 70 MB with blocks of 2048 against 98 MB in one frame of
+#: verify's 8392 points (65 MB with blocks of 1024, 79 MB with 4096), and 2048
+#: ran no slower than either.  The sigma table at 64x128 held at most 6 MB of
+#: 15-row jets in blocks against 22 MB in one pass, so the ``global-grid``
+#: benchmark peaks at about 90 MB against 100 MB; ``export cylinder --grid
+#: 128x256``, whose ``geometry_table`` was one frame, peaks at 67 MB against
+#: 280 MB.
 _BLOCK = 2048
 
 
@@ -418,18 +419,11 @@ def _sweep(patch, points, read):
     result holds each key that every block returned, in the order of the
     first block.  Jet arithmetic is pointwise, so each entry has the bits of
     one frame of all points, and each block's frame is dropped before the
-    next is built.  A frame guard reports figures over its own points, so
-    on a LightconeError the frame of all points is read once and raises what
-    it raises; the block's error is raised if it raises nothing.
+    next is built.  A frame guard that rejects a block raises its own error,
+    with figures over that block's points.
     """
     u, v = points
-    parts = []
-    try:
-        for block in _blocks(u.size):
-            parts.append(read(JetFrame(patch, u[block], v[block])))
-    except LightconeError:
-        read(JetFrame(patch, u, v))
-        raise
+    parts = [read(JetFrame(patch, u[block], v[block])) for block in _blocks(u.size)]
     return {key: np.concatenate([part[key] for part in parts])
             for key in parts[0] if all(key in part for part in parts)}
 

@@ -246,14 +246,23 @@ def test_tables_at_64x128_build_no_batch_wider_than_the_block(tmp_path, monkeypa
     assert sizes == [surfaces._BLOCK] * 4
 
 
-def test_verify_rejection_reports_the_frame_of_all_points(capsys):
-    # The guard's figures are over the frame that raises; a block of 2048
-    # points would print 2.980e-08.
+def test_verify_rejection_reports_the_block_that_raises(capsys, monkeypatch):
+    # The guard's figures are over the frame that raises, the first block of
+    # verify's sweep; the frame of all 8392 points would print 5.099e-08, and
+    # none is built.
+    sizes, build = [], JetFrame.__init__
+
+    def recording(self, patch, u, v):
+        sizes.append(np.size(u))
+        build(self, patch, u, v)
+
+    monkeypatch.setattr(JetFrame, "__init__", recording)
     argv = ["verify", "round-sphere", "--r", "1e4", "--grid", "64x128"]
     assert main(argv) == EXIT_DEGENERATE
     assert capsys.readouterr().err == (
-        "rejected: round-sphere(r=10000): max |<psi,psi>| = 5.099e-08, min psi0 = 1.000e+04\n"
+        "rejected: round-sphere(r=10000): max |<psi,psi>| = 2.980e-08, min psi0 = 1.000e+04\n"
     )
+    assert sizes == [surfaces._BLOCK], sizes
 
 
 def test_export_text_formats_each_bit_pattern_by_repr():

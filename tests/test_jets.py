@@ -289,8 +289,8 @@ def test_truncated_product_is_a_prefix_of_the_full_product(ca, cb, v):
     low = Jet2(ca, valid=v) * Jet2(cb)
     n = _n_upto(v)
     assert low.valid == v
-    assert np.array_equal(low.c[:n], full.c[:n])
-    assert not np.any(low.c[n:])
+    assert np.array_equal(low.c, full.c[:n])
+    assert low.c.shape == (n,)
 
 
 @given(_coeffs, _coeffs, _coeffs, _valid)
@@ -367,9 +367,93 @@ def test_row_and_gather_kernels_agree_bit_for_bit(sa, sb, valid):
     shape = np.broadcast_shapes(sa, sb)
     row = jets._row_product(a, b, valid, shape)
     gather = jets._gather_product(jets._columns(a, shape), jets._columns(b, shape), valid, shape)
-    assert row.shape == gather.shape == (N_COEFF,) + shape
+    assert row.shape == gather.shape == (jets._N_UPTO[valid],) + shape
     assert row.tobytes() == gather.tobytes()
     assert jets._product(a, b, valid).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("valid", range(ORDER + 1))
+@pytest.mark.parametrize("width", [jets._WIDE, jets._WIDE + 1])
+def test_row_kernel_runs_exactly_above_wide_result_columns(monkeypatch, width, valid):
+    ran = []
+
+    def recording(name):
+        kernel = getattr(jets, name)
+
+        def run(*args):
+            ran.append(name)
+            return kernel(*args)
+        return run
+
+    for name in ("_row_product", "_gather_product"):
+        monkeypatch.setattr(jets, name, recording(name))
+    rng = np.random.default_rng(width)
+    a = Jet2(rng.normal(size=(width, N_COEFF)), valid=valid)
+    for b in (Jet2(rng.normal(size=(width, N_COEFF))), Jet2(rng.normal(size=N_COEFF))):
+        ran.clear()
+        assert (a * b).valid == valid and (b * a).valid == valid
+        assert ran == ["_row_product" if width > jets._WIDE else "_gather_product"] * 2
+
+
+# -- the store holds the valid rows only ---------------------------------------
+
+def test_coeff_above_valid_raises():
+    u, v = Jet2.variable("u", 0.3), Jet2.variable("v", 0.7)
+    s = (u * u - v).truncated(3) + jets.sin(u * v)
+    assert s.valid == 3
+    with pytest.raises(ValueError, match="exceeds valid order 3"):
+        s.coeff(2, 2)
+    assert s.coeff(1, 2) == (u * u - v + jets.sin(u * v)).coeff(1, 2)
+
+
+_M = np.arange(16.0).reshape(4, 4) / 8.0 - 1.0
+
+# Each operation of two jets, with the orders of validity its result loses.
+_OPERATIONS = {
+    "+": (lambda a, b: a + b, 0),
+    "-": (lambda a, b: a - b, 0),
+    "neg": (lambda a, b: -a, 0),
+    "scalar +": (lambda a, b: 1.5 + a, 0),
+    "scalar *": (lambda a, b: a * -0.75, 0),
+    "*": (lambda a, b: a * b, 0),
+    "/": (lambda a, b: a / b, 0),
+    "d": (lambda a, b: a.d("v"), 1),
+    "truncated": (lambda a, b: a.truncated(2), 0),
+    "exp": (lambda a, b: jets.exp(a), 0),
+    "sin": (lambda a, b: jets.sin(a), 0),
+    "weighted_sum": (lambda a, b: jets.weighted_sum([a, b, a], [0.5, -1.25, 2.0]), 0),
+    "JetVec4": (lambda a, b: JetVec4(a, b, 1.0, a).j, 0),
+    "dot": (lambda a, b: JetVec4(a, b, a, 2.0).dot(JetVec4(b, a, -1.0, b)), 0),
+    "scale": (lambda a, b: JetVec4(a, 1.0, b, a).scale(b).j, 0),
+    "linear_map": (lambda a, b: JetVec4(a, b, b, 1.0).linear_map(_M).j, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_OPERATIONS))
+@given(
+    arrays(np.float64, (2, N_COEFF), elements=st.floats(-2.0, 2.0)),
+    arrays(np.float64, N_COEFF, elements=st.floats(-2.0, 2.0)),
+    _valid, _valid, _valid, st.booleans(),
+)
+def test_every_operation_stores_its_valid_rows_and_truncates_its_operands(
+        name, ca, cb, va, vb, w, coordinate):
+    # a is a batch of two, b one point with a constant term away from zero;
+    # a coordinate a takes the closed-form analytic functions.
+    op, lost = _OPERATIONS[name]
+    if coordinate:
+        a = Jet2.variable("u", ca[:, 0], valid=va)
+    else:
+        a = Jet2(ca, valid=va)
+    b = Jet2(np.concatenate([[1.0 + abs(cb[0])], cb[1:]]), valid=vb)
+    if lost > a.valid:
+        return
+    out = op(a, b)
+    assert out._c.shape[0] == jets._N_UPTO[out.valid]
+    low = op(a.truncated(w + lost), b.truncated(w + lost))
+    assert low._c.shape[0] == jets._N_UPTO[low.valid]
+    cut = out.truncated(w)
+    assert cut.valid == low.valid
+    assert cut._c.shape == low._c.shape and cut._c.tobytes() == low._c.tobytes()
 
 
 # -- bitwise batch invariance ------------------------------------------------
@@ -419,8 +503,9 @@ def test_truncated_keeps_the_low_coefficients():
         n = sum(1 for i, j in MONOMIALS if i + j <= valid)
         t = f.truncated(valid)
         assert t.valid == valid
-        assert np.array_equal(t.c[..., :n], f.c[..., :n])
-        assert not np.any(t.c[..., n:])
+        assert np.array_equal(t.c, f.c[..., :n])
+        assert t.c.shape == f.batch_shape + (n,)
+        assert np.shares_memory(t._c, f._c)
         # A product of truncated jets has the bits of the full product below the cut.
         assert np.array_equal((t * g.truncated(valid)).c[..., :n], (f * g).c[..., :n])
 

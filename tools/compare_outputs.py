@@ -44,6 +44,9 @@ SPECS = {
 #: The search configuration of acceptance criterion 9.
 CRITERION_9 = {"degree_max": 2, "amplitude_bound": 0.1, "n_theta": 10, "n_phi": 20,
                "max_iter": 300, "n_restarts": 0, "var_tol": 1e-8, "seed": 0, "n_starts": 20}
+#: A search whose objective runs on 1152 nodes, more than ``jets._WIDE``, so
+#: its products take the row kernel.
+WIDE_SEARCH = dict(CRITERION_9, n_theta=24, n_phi=48, n_starts=2)
 #: A spec whose II is indefinite somewhere, so verify skips its definite group.
 INDEFINITE = [[4, 0, 0.0676]]
 ROUND = ["round-sphere", "--r", "1.3"]
@@ -70,7 +73,8 @@ def invocations(inputs):
             runs.append((f"verify {name} 32x64", ["verify", *surface, "--grid", "32x64",
                                                   "--out", "m.json"], ["m.json"], []))
     # The sweep's edge paths: a guard that rejects, whose stderr line gives
-    # figures over all points, and blocks whose II is definite in some only.
+    # figures over the block that raises, and blocks whose II is definite in
+    # some only.
     runs.append(("verify round r=1e4 (rejected)",
                  ["verify", "round-sphere", "--r", "1e4", *FINE, "--out", "m.json"],
                  ["m.json"], []))
@@ -89,10 +93,11 @@ def invocations(inputs):
         for grid in ("16x32", "64x128"):
             runs.append((f"export {name} {grid}", ["export", name, "--grid", grid,
                                                    "--out", "t.csv"], [], ["t.csv"]))
-    runs.append(("search criterion-9", ["search", "--config", str(inputs / "criterion_9.json"),
-                                        "--out", "report.json", "--trace", "trace.csv",
-                                        "--manifest", "m.json"],
-                 ["m.json"], ["report.json", "trace.csv"]))
+    for label, name in (("criterion-9", "criterion_9.json"), ("wide 24x48", "wide.json")):
+        runs.append((f"search {label}",
+                     ["search", "--config", str(inputs / name), "--out", "report.json",
+                      "--trace", "trace.csv", "--manifest", "m.json"],
+                     ["m.json"], ["report.json", "trace.csv"]))
     return runs
 
 
@@ -236,6 +241,7 @@ def main(argv=None):
             (inputs / name).write_text(json.dumps(terms))
         (inputs / "indefinite.json").write_text(json.dumps(INDEFINITE))
         (inputs / "criterion_9.json").write_text(json.dumps(CRITERION_9))
+        (inputs / "wide.json").write_text(json.dumps(WIDE_SEARCH))
         runs = invocations(inputs)
         for k, (label, cmd, manifests, others) in enumerate(runs):
             dirs = [Path(tmp, side, f"{k:02d}") for side in ("parent", "change")]
