@@ -5,7 +5,8 @@ global integrals and spectra, and a numerical search for non-round surfaces
 with constant second-form curvature.
 
 ``search`` and ``spectrum`` are imported by name (``from lightcone.search
-import SearchConfig``); the package itself loads numpy and no scipy.
+import SearchConfig``).  The package needs numpy alone: no module of it,
+eigensolvers included, loads scipy.
 """
 
 __version__ = "0.1.0"

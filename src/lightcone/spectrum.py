@@ -10,7 +10,9 @@ and the mass matrix Y^T diag(w rho^2) Y, summed with the grid's own
 quadrature weights ring by ring from FFTs of each theta ring's weights
 (Driscoll and Healy, Adv. Appl. Math. 15, 1994).  By min-max the second
 generalized eigenvalue bounds lambda_1 from above and converges spectrally
-in L.  A chart whose metric is not rho^2 g_S2 in (theta, phi) is rejected.
+in L; with the constant harmonic eliminated it is the reciprocal of the
+largest eigenvalue of one symmetric matrix, from ``np.linalg.eigvalsh``.  A
+chart whose metric is not rho^2 g_S2 in (theta, phi) is rejected.
 
 Cotangent route, the independent oracle.  Cotangent-weight discretization
 on the triangulated quadrature grid closed by two pole fans.  The poles are
@@ -18,9 +20,12 @@ coordinate singularities only, so the pole vertices take their positions
 straight from the chart; edge lengths are Minkowski chords, which agree with
 intrinsic distances to second order on a spacelike surface.  It converges at
 O(h^2) only, so it runs on two fixed meshes and its own refinement gap
-measures how far the spectral value may sit from it.  Shift-invert Lanczos
-aims at a fraction of the Galerkin value, which only speeds it up: the
-eigenvalue it returns is the mesh's own, whatever the shift.
+measures how far the spectral value may sit from it.  The mesh's stiffness
+is block tridiagonal over its theta rings and two poles, and ``spla.eigsh``
+finds its least eigenvalues by block subspace iteration on that structure;
+the shift of the factored matrix, a fraction of the Galerkin value, only
+speeds it up: the eigenvalue it returns is the mesh's own, whatever the
+shift.  Both routes run in numpy alone.
 """
 
 from __future__ import annotations
@@ -28,10 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from . import spla
 from .errors import LightconeError
 from .harmonics import directions, real_harmonic
 from .integrals import sphere_quadrature
@@ -41,11 +44,9 @@ from .minkowski import inner
 CONFORMAL_TOL = 1e-12
 #: Fine and coarse mesh of the cotangent oracle.
 ORACLE_GRIDS = ((32, 64), (16, 32))
-#: Eigenvalues the cotangent oracle asks ARPACK for: the constant mode and
-#: the nearly triple lambda_1 of a near-round sphere.
-_ORACLE_K = 4
-#: Shift of the cotangent oracle, as a fraction of the Galerkin lambda_1.
-_ORACLE_SHIFT = 0.9
+#: Shift of the cotangent oracle, as a fraction of the Galerkin lambda_1.  It
+#: sets only the rate, (lambda_1 + shift) / (lambda_10 + shift) per step.
+_ORACLE_SHIFT = 0.1
 
 
 def _mesh(patch, nt, np_):
@@ -75,8 +76,17 @@ def _mesh(patch, nt, np_):
     return verts, np.concatenate([quads, fans])
 
 
-def _cotangent_system(verts, tris):
-    """Stiffness and lumped-mass matrices from squared Minkowski edge lengths."""
+def _cotangent_system(verts, tris, n_phi):
+    """Stiffness blocks and lumped mass from squared Minkowski edge lengths.
+
+    Edges join only nodes of one ring, of neighbouring rings, or a pole and
+    its ring, so the stiffness is block tridiagonal over the north pole,
+    the n_theta rings and the south pole, each in a block of n_phi rows:
+    ``diag`` stacks the diagonal blocks, ``lower`` the block below each,
+    and ``mass`` is the lumped mass in the same rows, as ``spla.eigsh``
+    takes them.  A pole fills the first row of its block; the others are
+    decoupled rows of unit stiffness and no mass.
+    """
     p = verts[tris]
     l2 = np.stack(
         [
@@ -104,22 +114,32 @@ def _cotangent_system(verts, tris):
         axis=1,
     )
 
+    # Rows of the blocks: a slot of n_phi for the north pole, one per ring,
+    # then one for the south pole; a pole takes the first row of its slot.
     n = verts.shape[0]
-    ii, jj, vv = [], [], []
-    pairs = ((1, 2, 0), (2, 0, 1), (0, 1, 2))
-    for e0, e1, opp in pairs:
-        w = 0.5 * cots[:, opp]
-        a_idx, b_idx = tris[:, e0], tris[:, e1]
-        ii += [a_idx, b_idx, a_idx, b_idx]
-        jj += [b_idx, a_idx, a_idx, b_idx]
-        vv += [-w, -w, w, w]
-    W = sp.csr_matrix(
-        (np.concatenate(vv), (np.concatenate(ii), np.concatenate(jj))), shape=(n, n)
+    n_theta = (n - 2) // n_phi
+    row = np.concatenate([n_phi + np.arange(n - 2), [0, (n_theta + 1) * n_phi]])
+    size = (n_theta + 2) * n_phi
+    # Edge k of a triangle is the one opposite its vertex k, of weight cot / 2;
+    # each edge is entered both ways, and a triangle shares it with another.
+    a, b = row[tris[:, [1, 2, 0]]].ravel(), row[tris[:, [2, 0, 1]]].ravel()
+    i, j = np.concatenate([a, b]), np.concatenate([b, a])
+    w = np.tile(0.5 * cots.ravel(), 2)
+    degree = np.bincount(i, w, size)
+    on = i // n_phi == j // n_phi
+    below = i // n_phi == j // n_phi + 1
+    diag = np.bincount(i[on] * n_phi + j[on] % n_phi, -w[on], size * n_phi)
+    lower = np.bincount(
+        (i[below] - n_phi) * n_phi + j[below] % n_phi, -w[below], (size - n_phi) * n_phi
     )
-    mass = np.zeros(n)
+    diag = diag.reshape(-1, n_phi, n_phi)
+    # The other rows of a pole slot: decoupled, unit stiffness, no mass.
+    degree[1:n_phi] = degree[-n_phi + 1:] = 1.0
+    diag[:, np.arange(n_phi), np.arange(n_phi)] = degree.reshape(-1, n_phi)
+    mass = np.zeros(size)
     for k in range(3):
-        np.add.at(mass, tris[:, k], area / 3.0)
-    return W, mass
+        np.add.at(mass, row[tris[:, k]], area / 3.0)
+    return diag, lower.reshape(-1, n_phi, n_phi), mass
 
 
 @dataclass
@@ -134,31 +154,15 @@ class Lambda1Result:
 def _lambda1_raw(patch, n_theta, n_phi, shift):
     """First nonzero eigenvalue of the cotangent Laplacian on the n_theta x n_phi mesh.
 
-    ARPACK in shift-invert mode returns the ``_ORACLE_K`` eigenvalues
-    nearest ``shift`` (Ericsson and Ruhe, Math. Comp. 35, 1980), and the
-    constant mode, eigenvalue 0, must be among them or the call raises.
-    That guard is also the proof that ``vals[1]`` is the least positive
-    eigenvalue: with 0 returned, every eigenvalue nearer the shift than 0
-    is returned too, so for a shift > 0 all of (0, shift] is, and above
-    the shift the nearest are the least.  ``lambda1_estimate`` passes
-    ``_ORACLE_SHIFT`` times the Galerkin value, near which the wanted
-    eigenvalue sits; the shift only speeds ARPACK up, and the value is the
-    mesh's own.  Called only on ``ORACLE_GRIDS``, whose meshes have far
-    more than ``_ORACLE_K`` vertices.
+    ``spla.eigsh`` returns the two least eigenvalues of W x = lambda M x
+    with W + shift M factored, so any ``shift`` > 0 gives the mesh's own
+    values and only sets the rate.  The first must be the constant mode,
+    eigenvalue 0, or the call raises; then the second is the least
+    positive eigenvalue.  ``lambda1_estimate`` passes ``_ORACLE_SHIFT``
+    times the Galerkin value.
     """
     verts, tris = _mesh(patch, n_theta, n_phi)
-    W, mass = _cotangent_system(verts, tris)
-    # A fixed start vector makes the result repeat exactly.  It must not be
-    # the constant vector, which spans the null space.
-    v0 = np.random.default_rng(0).standard_normal(W.shape[0])
-    try:
-        vals = spla.eigsh(
-            W, k=_ORACLE_K, M=sp.diags(mass), sigma=shift, which="LM", v0=v0,
-            return_eigenvectors=False,
-        )
-    except RuntimeError as exc:  # ARPACK non-convergence, or a singular shift-invert factor
-        raise LightconeError(str(exc)) from exc
-    vals = np.sort(vals)
+    vals = spla.eigsh(*_cotangent_system(verts, tris, n_phi), 2, shift)
     if not abs(vals[0]) <= 1e-6 * max(1.0, abs(vals[1])):
         raise LightconeError(f"constant mode not resolved (lambda0 = {vals[0]:.3e})")
     return float(vals[1])
@@ -222,14 +226,29 @@ def _mass_matrix(grid, l_max):
 
 
 def _second_eigenvalue(stiffness, mass):
-    """Second eigenvalue of diag(stiffness) c = lambda mass c."""
+    """Second eigenvalue of diag(stiffness) c = lambda mass c, stiffness[0] = 0 < the rest.
+
+    The first eigenvalue is 0, with the constant harmonic.  On the other
+    coefficients c' the problem is S' c' = lambda M~ c', where M~ = M'' -
+    m0 m0^T / M00 is the Schur complement of the constant's row and column
+    of the mass matrix, so lambda_1 = 1 / mu_max for the largest
+    eigenvalue mu_max of the symmetric S'^-1/2 M~ S'^-1/2.
+    """
+    if not np.all(np.isfinite(mass)):
+        raise LightconeError("Galerkin mass matrix is not finite")
+    if not mass[0, 0] > 0.0:
+        raise LightconeError("Galerkin mass matrix is not positive definite")
+    m0 = mass[1:, 0] / np.sqrt(mass[0, 0])
+    scale = 1.0 / np.sqrt(stiffness[1:])
+    # Both outer products are symmetric bit for bit, and so is the matrix.
+    reduced = (mass[1:, 1:] - np.outer(m0, m0)) * np.outer(scale, scale)
     try:
-        vals = scipy.linalg.eigh(
-            np.diag(stiffness), mass, eigvals_only=True, subset_by_index=[0, 1]
-        )
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        mu = np.linalg.eigvalsh(reduced)[-1]
+    except np.linalg.LinAlgError as exc:
         raise LightconeError(f"Galerkin eigenproblem failed: {exc}") from exc
-    return float(vals[1])
+    if not mu > 0.0:
+        raise LightconeError("Galerkin mass matrix is not positive definite")
+    return float(1.0 / mu)
 
 
 def lambda1_estimate(grid):
@@ -237,9 +256,12 @@ def lambda1_estimate(grid):
 
     The Galerkin degree L = min(16, n_theta // 4, n_phi // 8) is 16 on a
     64x128 grid; the refinement gap is the change against degree L // 2,
-    whose problem is the leading block of the same two matrices.
-    ``oracle`` is the cotangent value on the finer of ``ORACLE_GRIDS`` and
-    ``oracle_gap`` its change against the coarser one.
+    whose problem is the leading block of the same two matrices.  Both
+    values come from ``_second_eigenvalue``, a dense symmetric eigenvalue
+    problem of size (L + 1)^2 - 1.  ``oracle`` is the cotangent value on the
+    finer of ``ORACLE_GRIDS`` and ``oracle_gap`` its change against the
+    coarser one, both solved by ``spla.eigsh`` at the shift
+    ``_ORACLE_SHIFT`` times the Galerkin value.
     """
     l_max = min(16, grid.n_theta // 4, grid.n_phi // 8)
     if l_max < 2:

@@ -2,8 +2,11 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
-from lightcone import catalog, integrals, surfaces, transforms
+from lightcone import catalog, integrals, spla, surfaces, transforms
 from lightcone.errors import LightconeError
 from lightcone.harmonics import directions, real_harmonic
 from lightcone.integrals import SphereGrid, geometry_table
@@ -14,6 +17,7 @@ from lightcone.spectrum import (
     _lambda1_raw,
     _mass_matrix,
     _mesh,
+    _second_eigenvalue,
     lambda1_estimate,
     reilly_bound_rhs,
 )
@@ -230,23 +234,20 @@ def test_spectral_route_agrees_with_cotangent_oracle(bumpy_grid):
     ids=["round", "degree4"],
 )
 def test_cotangent_oracle_does_not_depend_on_its_shift(patch):
-    # The oracle is the mesh's own eigenvalue: the Galerkin value only aims
-    # the shift, and any shift that returns the constant mode gives the
-    # same lambda_1.  The shift -0.01 scale sits below the constant mode.
+    # The oracle is the mesh's own eigenvalue: the Galerkin value only sets
+    # the shift of the factored W + shift M, which is definite for every
+    # shift > 0, and the iteration finds the least eigenvalues at any of
+    # them, far below lambda_1 or far above it.
     galerkin = lambda1_estimate(SphereGrid(patch, 32, 64)).value
     for mesh in ORACLE_GRIDS:
-        W, mass = _cotangent_system(*_mesh(patch, *mesh))
-        below = -0.01 * float(W.diagonal().sum() / mass.sum())
-        ref = _lambda1_raw(patch, *mesh, below)
-        for fraction in (0.3, _ORACLE_SHIFT):
+        ref = _lambda1_raw(patch, *mesh, _ORACLE_SHIFT * galerkin)
+        for fraction in (0.01, 0.9, 3.0):
             value = _lambda1_raw(patch, *mesh, fraction * galerkin)
             assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (mesh, fraction)
-        # Beyond twice lambda_1 the constant mode is not among the nearest.
-        with pytest.raises(LightconeError, match="constant mode"):
-            _lambda1_raw(patch, *mesh, 3.0 * galerkin)
 
 
-@pytest.mark.parametrize(
+#: Round, boosted and two perturbed spheres: the spectrum's reference cases.
+SPECTRUM_PATCHES = pytest.mark.parametrize(
     "patch",
     [catalog.round_sphere(r=1.3),
      catalog.round_sphere(u=BOOSTED_OBSERVER),
@@ -254,6 +255,67 @@ def test_cotangent_oracle_does_not_depend_on_its_shift(patch):
      catalog.perturbed_sphere(catalog.HarmonicSpec(((2, 0, 0.08), (4, 3, 0.03))))],
     ids=["round", "boosted", "two_terms", "degree4"],
 )
+
+
+def _scipy_pencil(diag, lower, mass):
+    """The cotangent system as scipy sparse matrices, over the mesh's own rows."""
+    nb = len(diag)
+    blocks = [[None] * nb for _ in range(nb)]
+    for i in range(nb):
+        blocks[i][i] = diag[i]
+        if i + 1 < nb:
+            blocks[i + 1][i], blocks[i][i + 1] = lower[i], lower[i].T
+    rows = mass > 0.0
+    W = scipy.sparse.bmat(blocks, format="csr")
+    return W[rows][:, rows], scipy.sparse.diags(mass[rows])
+
+
+@pytest.mark.parametrize("mesh", ORACLE_GRIDS, ids=lambda m: "{}x{}".format(*m))
+@SPECTRUM_PATCHES
+def test_block_eigensolver_matches_scipy_shift_invert(patch, mesh):
+    # scipy's ARPACK in shift-invert mode below the constant mode returns the
+    # same least eigenvalues; the block solver's do not move with its shift.
+    system = _cotangent_system(*_mesh(patch, *mesh), mesh[1])
+    W, M = _scipy_pencil(*system)
+    assert W.shape == (mesh[0] * mesh[1] + 2,) * 2 and (W != W.T).nnz == 0
+    ref = np.sort(scipy.sparse.linalg.eigsh(
+        W, k=4, M=M, sigma=-0.1, which="LM", tol=0.0, return_eigenvectors=False
+    ))
+    scale = ref[1]
+    low, high = (spla.eigsh(*system, 4, f * scale) for f in (_ORACLE_SHIFT, 2.0))
+    assert np.max(np.abs(low - ref)) <= 1e-12 * scale, (low, ref)
+    assert np.max(np.abs(high - low)) <= 1e-12 * scale, (high, low)
+
+
+def _path_pencil(n_blocks, width):
+    """A definite block-tridiagonal pencil: a path-graph Laplacian and unit mass."""
+    n = n_blocks * width
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    lap[0, 0] = lap[-1, -1] = 1.0
+    diag = np.stack([lap[i:i + width, i:i + width] for i in range(0, n, width)])
+    lower = np.stack([lap[i + width:i + 2 * width, i:i + width] for i in range(0, n - width, width)])
+    return diag, lower, np.ones(n), np.linalg.eigvalsh(lap)
+
+
+def test_block_eigensolver_contract():
+    diag, lower, mass, exact = _path_pencil(6, 4)
+    assert np.allclose(spla.eigsh(diag, lower, mass, 3, 0.1), exact[:3], rtol=0, atol=1e-13)
+    bad = mass.copy()
+    bad[5] = np.nan
+    with pytest.raises(LightconeError, match="not finite"):
+        spla.eigsh(diag, lower, bad, 2, 0.1)
+    with pytest.raises(LightconeError, match="block 2 has no Cholesky factor"):
+        spla.eigsh(np.where(np.arange(6)[:, None, None] == 2, -diag, diag), lower, mass, 2, 0.1)
+
+
+def test_block_eigensolver_stops_at_its_iteration_cap(monkeypatch):
+    diag, lower, mass, _ = _path_pencil(6, 4)
+    monkeypatch.setattr(spla, "_MAX_ITER", 2)
+    with pytest.raises(LightconeError, match=r"did not converge: .* after 2 steps"):
+        spla.eigsh(diag, lower, mass, 2, 0.1)
+
+
+@SPECTRUM_PATCHES
 def test_mass_matrix_is_the_weighted_gram_matrix(patch):
     # The ring-wise FFT sums against Z^T Z, Z = sqrt(w) Y over every node.
     grid = SphereGrid(patch, 64, 128)
@@ -263,6 +325,39 @@ def test_mass_matrix_is_the_weighted_gram_matrix(patch):
     mass = _mass_matrix(grid, 16)
     assert np.array_equal(mass, mass.T)
     assert np.max(np.abs(mass - Z.T @ Z)) <= 1e-14
+
+
+def _stiffness(l_max):
+    return np.concatenate([np.full(2 * l + 1, l * (l + 1.0)) for l in range(l_max + 1)])
+
+
+@SPECTRUM_PATCHES
+def test_galerkin_eigenvalue_matches_scipy_generalized_eigh(patch):
+    mass = _mass_matrix(SphereGrid(patch, 64, 128), 16)
+    for n in (mass.shape[0], 81):  # the fine problem and its leading block
+        stiffness = _stiffness(16)[:n]
+        ref = scipy.linalg.eigh(
+            np.diag(stiffness), mass[:n, :n], eigvals_only=True, subset_by_index=[0, 1]
+        )[1]
+        assert _second_eigenvalue(stiffness, mass[:n, :n]) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "r, u", [(1.1, None), (1.3, None), (1.0, BOOSTED_OBSERVER)], ids=["r1.1", "r1.3", "boosted"]
+)
+def test_galerkin_lambda1_of_round_spheres_is_2_over_r2_to_rounding(r, u):
+    # A symmetric eigensolve keeps lambda_1 within a few ulps of 2 / r^2 on
+    # the 64x128 grid, boosted or not.
+    mass = _mass_matrix(SphereGrid(catalog.round_sphere(r=r, u=u), 64, 128), 16)
+    value = _second_eigenvalue(_stiffness(16), mass)
+    assert abs(value - 2.0 / r**2) <= 1e-14 * (2.0 / r**2)
+
+
+def test_galerkin_eigenvalue_rejects_a_non_finite_mass():
+    mass = np.eye(9)
+    mass[3, 4] = mass[4, 3] = np.inf
+    with pytest.raises(LightconeError, match="not finite"):
+        _second_eigenvalue(_stiffness(2), mass)
 
 
 def test_lambda1_rejects_a_chart_not_conformal_to_the_sphere():
