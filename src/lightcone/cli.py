@@ -345,8 +345,8 @@ def _frame_residuals(frame):
         "normal_constraints": np.max(np.abs([
             inner(eta, eta),
             inner(eta, psi) - 1.0,
-            inner(eta, frame.psi_u.values),
-            inner(eta, frame.psi_v.values),
+            inner(eta, frame.psi_u_val),
+            inner(eta, frame.psi_v_val),
         ]), axis=0),
         "position_weingarten": frame.position_weingarten_residual(),
         "weingarten_agreement": np.max(

@@ -131,8 +131,11 @@ def _det3(a, b, c, d, e, f, g, h, i):
 
 def _stack2(m00, m01, m10, m11):
     """A stack of 2x2 matrices from its four (broadcast) entries."""
-    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
-    return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
+    entries = (m00, m01, m10, m11)
+    out = np.empty(np.broadcast_shapes(*map(np.shape, entries)) + (2, 2),
+                   dtype=np.result_type(*entries))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
+    return out
 
 
 def _mat2(m):

@@ -75,6 +75,8 @@ MONOMIALS = tuple(_graded_monomials())
 N_COEFF = len(MONOMIALS)
 _INDEX = {mono: k for k, mono in enumerate(MONOMIALS)}
 _FACT = tuple(math.factorial(k) for k in range(ORDER + 1))
+# d^{i+j}/du^i dv^j over the Taylor coefficient of u^i v^j, by row.
+_PARTIAL_FACTORS = np.array([float(_FACT[i] * _FACT[j]) for i, j in MONOMIALS])
 _DEGREE = tuple(i + j for i, j in MONOMIALS)
 # Monomials of total degree <= v are the first _N_UPTO[v] rows.
 _N_UPTO = tuple(sum(d <= v for d in _DEGREE) for v in range(ORDER + 1))
@@ -352,6 +354,10 @@ class Jet2:
         """The jet valid only through order ``valid``: a view of the leading rows."""
         valid = min(self.valid, valid)
         return Jet2._wrap(self.rows(valid), valid)
+
+    def copy(self):
+        """The jet on a copy of its coefficients, so that it keeps no larger store alive."""
+        return Jet2._wrap(self._c.copy(), self.valid)
 
     def evaluate(self, du, dv):
         """Evaluate the truncated polynomial at an offset from the base point."""
@@ -632,6 +638,30 @@ class JetVec4:
     def __neg__(self):
         return JetVec4._wrap(-self.j)
 
+    def _add_into(self, other):
+        """Add ``other`` into this vector's own store, which it overwrites.
+
+        Only for a vector that owns its store: a view (``truncated``,
+        ``__getitem__``) would change the jet it was taken from.
+        """
+        self.j._c += self._into_operand(other)
+        return self
+
+    def _sub_into(self, other):
+        """Subtract ``other`` from this vector's own store, as ``_add_into``."""
+        self.j._c -= self._into_operand(other)
+        return self
+
+    def _into_operand(self, other):
+        """The rows of ``other`` that an in-place sum reads; the sum keeps this vector's shape.
+
+        ``other`` must be valid through this vector's order, and its batch
+        must broadcast to this one's, or the sum would need a new store.
+        """
+        if other.valid < self.valid:
+            raise ValueError("an in-place operand must be valid through this vector's order")
+        return other._padded(self.j._c.ndim - 2).rows(self.valid)
+
     def scale(self, s):
         """Multiply every component by a jet or scalar."""
         ndim = len(s.batch_shape) if isinstance(s, Jet2) else np.ndim(s)
@@ -649,6 +679,27 @@ class JetVec4:
 
     def d(self, axis):
         return JetVec4._wrap(self.j.d(axis))
+
+    def truncated(self, valid):
+        """The vector valid only through order ``valid``: a view of the leading rows."""
+        return JetVec4._wrap(self.j.truncated(valid))
+
+    def copy(self):
+        """The vector on a copy of its coefficients, so that it keeps no larger store alive."""
+        return JetVec4._wrap(self.j.copy())
+
+    def partials(self, valid):
+        """The partials through order ``valid`` as a new value array.
+
+        Indexed ``[k, ..., :]`` in graded order of the monomials, so its
+        rows are the values of the vector, d/dv, d/du, d2/dv2, d2/dudv,
+        d2/du2 and so on, each ``batch_shape + (4,)``.  Unlike ``values``,
+        it is no view of the jet's store.  Each row has the bits of the
+        value of the jet that the ``d`` calls of its partial give.
+        """
+        rows = self.j.rows(valid)
+        out = rows * _lift(_PARTIAL_FACTORS[: len(rows)], rows.ndim - 1)
+        return out.transpose((0,) + tuple(range(2, out.ndim)) + (1,))
 
     def linear_map(self, M):
         """Apply a constant 4x4 matrix componentwise, summed in component order."""

@@ -115,65 +115,75 @@ class JetFrame:
         self.u = np.asarray(u, dtype=float)
         self.v = np.asarray(v, dtype=float)
 
-        uj = Jet2.variable("u", self.u)
-        vj = Jet2.variable("v", self.v)
-        psi = patch.chart(uj, vj)
-        self.psi = psi
-        self.psi_u = psi.d("u")
-        self.psi_v = psi.d("v")
-        self.psi_uu = self.psi_u.d("u")
-        self.psi_uv = self.psi_u.d("v")
-        self.psi_vv = self.psi_v.d("v")
-
+        # Value arrays are new arrays, since a view keeps its whole jet alive;
+        # each intermediate jet is dropped once the next step has read it.
+        psi = patch.chart(Jet2.variable("u", self.u), Jet2.variable("v", self.v))
+        (self.psi_val, self.psi_v_val, self.psi_u_val,
+         self.psi_vv_val, self.psi_uv_val, self.psi_uu_val) = psi.partials(2)
+        self.psi0 = psi[0].truncated(2).copy()
         cone = inner(self.psi_val, self.psi_val)
         if not (np.all(np.abs(cone) <= ON_CONE_TOL) and np.all(self.psi0_val > 0.0)):
             raise LightconeError(
                 f"{patch.name}: max |<psi,psi>| = {np.max(np.abs(cone)):.3e}, "
-                f"min psi0 = {np.min(psi[0].value):.3e}"
+                f"min psi0 = {np.min(self.psi0_val):.3e}"
             )
+        psi_u, psi_v = psi.d("u"), psi.d("v")
+        psi = psi.truncated(3).copy()  # the normal reads it through order three
 
-        E = self.psi_u.dot(self.psi_u)
-        F = self.psi_u.dot(self.psi_v)
-        G = self.psi_v.dot(self.psi_v)
+        E = psi_u.dot(psi_u)
+        F = psi_u.dot(psi_v)
+        G = psi_v.dot(psi_v)
         detg = E * G - F * F
         if not (np.all(E.value > 0.0) and np.all(detg.value > 0.0)):
             raise LightconeError(
                 f"{patch.name}: induced metric not positive definite "
                 f"(min E = {np.min(E.value):.3e}, min det g = {np.min(detg.value):.3e})"
             )
-        self.E, self.F, self.G, self.detg = E, F, G, detg
+        self.E, self.F, self.G = E, F, G
+        self.g = ((E, F), (F, G))
+        self.sqrt_detg_val = np.sqrt(detg.value)
         iE = G / detg
         iG = E / detg
         iF = -F / detg
-        self.g = ((E, F), (F, G))
-        self.gi = ((iE, iF), (iF, iG))
+        del detg
+        self.gi_val = _mat2(((iE, iF), (iF, iG)))
 
         # Normal-plane basis {psi, n}: project the time axis off the tangent
         # plane.  On the cone <e0, psi> = -psi0 < 0, so this seed never
         # degenerates and the combination below is the unique normal with
         # <eta,eta> = 0 and <psi,eta> = 1.  <e0, X> = -X0 is read off the time
         # component as 0 - X0, so that zero coefficients are +0.0.
-        e0 = JetVec4.constant(_E0)
         zero = Jet2.constant(0.0)
-        s_u = zero - self.psi_u[0]
-        s_v = zero - self.psi_v[0]
+        s_u = zero - psi_u[0]
+        s_v = zero - psi_v[0]
         t_u = iE * s_u + iF * s_v
         t_v = iF * s_u + iG * s_v
-        n = e0 - self.psi_u.scale(t_u) - self.psi_v.scale(t_v)
+        del s_u, s_v
+        n = JetVec4.constant(_E0) - psi_u.scale(t_u)
+        n._sub_into(psi_v.scale(t_v))
+        del t_u, t_v
+        psi_u, psi_v = psi_u.truncated(2).copy(), psi_v.truncated(2).copy()  # II reads order two
         pn = psi.dot(n)
         if np.any(np.abs(pn.value) < 1e-13):
             raise LightconeError(f"{patch.name}: normal-plane solve degenerated")
         nn = n.dot(n)
-        self.eta = psi.scale(-nn / (pn * pn * 2.0)) + n.scale(1.0 / pn)
-        self.eta_u = self.eta.d("u")
-        self.eta_v = self.eta.d("v")
+        # eta = psi (-nn / 2 pn^2) + n / pn, summed in place onto the second
+        # term: addition commutes, so the bits are those of the sum as written.
+        eta = n.scale(1.0 / pn)
+        del n
+        eta._add_into(psi.scale(-nn / (pn * pn * 2.0)))
+        del psi, nn, pn
+        self.eta = eta
+        self.eta_val, self.eta_v_val, self.eta_u_val = eta.partials(1)
 
         # II(X, Y) = <d eta(X), Y>, so II_ab = <eta_a, psi_b>; the shape
         # operator A = -g^-1 II^T is its tangential projection.
-        m_uu = self.eta_u.dot(self.psi_u)
-        m_vu = self.eta_u.dot(self.psi_v)
-        m_uv = self.eta_v.dot(self.psi_u)
-        m_vv = self.eta_v.dot(self.psi_v)
+        eta_u, eta_v = eta.d("u"), eta.d("v")
+        m_uu = eta_u.dot(psi_u)
+        m_vu = eta_u.dot(psi_v)
+        m_uv = eta_v.dot(psi_u)
+        m_vv = eta_v.dot(psi_v)
+        del eta_u, eta_v, psi_u, psi_v
         self.II = ((m_uu, m_vu), (m_uv, m_vv))
         A00 = -(iE * m_uu + iF * m_vu)
         A10 = -(iF * m_uu + iG * m_vu)
@@ -182,8 +192,7 @@ class JetFrame:
         self.A = ((A00, A01), (A10, A11))
 
         self.detA = A00 * A11 - A01 * A10
-        self.trA = A00 + A11
-        self.K = -self.trA
+        self.K = -(A00 + A11)
 
     @cached_property
     def gamma(self):
@@ -193,11 +202,11 @@ class JetFrame:
     @cached_property
     def iivec(self):
         """Vector-valued second fundamental form, indexed [..., a, b, 4]."""
-        uu, uv, vv = self.psi_uu.values, self.psi_uv.values, self.psi_vv.values
+        uu, uv, vv = self.psi_uu_val, self.psi_uv_val, self.psi_vv_val
         dd = np.stack([np.stack([uu, uv], axis=-2), np.stack([uv, vv], axis=-2)], axis=-3)
         gam = self.gamma[..., None]
-        return (dd - self.psi_u.values[..., None, None, :] * gam[..., 0, :, :, :]
-                - self.psi_v.values[..., None, None, :] * gam[..., 1, :, :, :])
+        return (dd - self.psi_u_val[..., None, None, :] * gam[..., 0, :, :, :]
+                - self.psi_v_val[..., None, None, :] * gam[..., 1, :, :, :])
 
     @cached_property
     def K_eta(self):
@@ -246,10 +255,6 @@ class JetFrame:
         return _mat2(self.g)
 
     @cached_property
-    def gi_val(self):
-        return _mat2(self.gi)
-
-    @cached_property
     def A_val(self):
         return _mat2(self.A)
 
@@ -284,17 +289,9 @@ class JetFrame:
         tr_sq = np.einsum("...ab,...ba->...", A, A)
         return 2.0 * tr_sq - self.K_val**2
 
-    @cached_property
+    @property
     def psi0_val(self):
-        return self.psi[0].value
-
-    @cached_property
-    def psi_val(self):
-        return self.psi.values
-
-    @cached_property
-    def eta_val(self):
-        return self.eta.values
+        return self.psi0.value
 
     @cached_property
     def H_val(self):
@@ -306,10 +303,6 @@ class JetFrame:
     @cached_property
     def H2_val(self):
         return inner(self.H_val, self.H_val)
-
-    @cached_property
-    def sqrt_detg_val(self):
-        return np.sqrt(self.detg.value)
 
     @cached_property
     def ii_positive(self):
@@ -334,7 +327,7 @@ class JetFrame:
         """
         p0 = self.psi0_val
         gi = self.gi_val
-        dp, hess = self.covariant_hessian(self.psi[0])
+        dp, hess = self.covariant_hessian(self.psi0)
         up = gi[..., 0] * dp[..., 0, None] + gi[..., 1] * dp[..., 1, None]
         grad2 = dp[..., 0] * up[..., 0] + dp[..., 1] * up[..., 1]
         lam = (grad2 + 1.0) / (p0 * p0 * 2.0)
@@ -344,7 +337,7 @@ class JetFrame:
 
     def position_weingarten_residual(self):
         """Largest |<psi_a, psi>|, |<psi_a, eta>| per point: d psi has no normal part."""
-        t = np.stack([self.psi_u.values, self.psi_v.values], axis=-2)
+        t = np.stack([self.psi_u_val, self.psi_v_val], axis=-2)
         n = np.stack([self.psi_val, self.eta_val], axis=-2)
         return np.max(np.abs(inner(t[..., :, None, :], n[..., None, :, :])), axis=(-2, -1))
 
@@ -355,9 +348,9 @@ class JetFrame:
         must be purely tangential.
         """
         gi = self.gi_val
-        pu, pv = self.psi_u.values, self.psi_v.values
+        pu, pv = self.psi_u_val, self.psi_v_val
         out = []
-        for deta in (self.eta_u.values, self.eta_v.values):
+        for deta in (self.eta_u_val, self.eta_v_val):
             su = inner(deta, pu)[..., None]
             sv = inner(deta, pv)[..., None]
             tu = gi[..., 0, 0, None] * su + gi[..., 0, 1, None] * sv
@@ -395,14 +388,16 @@ def gauss_maps(frame):
 
 #: Most points in one block of a pointwise table: one frame of ``_sweep``, or
 #: the theta rings of one block of ``integrals.expansion_table``.  At 64x128,
-#: with jets that hold only their valid rows, the ``verify-pointwise``
-#: benchmark peaks at 70 MB with blocks of 2048 against 98 MB in one frame of
-#: verify's 8392 points (65 MB with blocks of 1024, 79 MB with 4096), and 2048
-#: ran no slower than either.  The sigma table at 64x128 held at most 6 MB of
-#: 15-row jets in blocks against 22 MB in one pass, so the ``global-grid``
-#: benchmark peaks at about 90 MB against 100 MB; ``export cylinder --grid
-#: 128x256``, whose ``geometry_table`` was one frame, peaks at 67 MB against
-#: 280 MB.
+#: with frames that keep a jet only while something differentiates it, the
+#: ``verify-pointwise`` benchmark peaks at 67.6 MB with blocks of 2048 against
+#: 86.2 MB in one frame of verify's 8392 points (63.5 MB with blocks of 1024,
+#: 74.1 MB with 4096; medians of 6 seeds on 2 cores), and 2048 ran no slower
+#: than either (run_s 0.35 s, against 0.385 s with 1024 and 0.36 s with 4096).
+#: The sigma table at 64x128 held at most 6 MB of 15-row jets in blocks
+#: against 22 MB in one pass; the ``global-grid`` benchmark now peaks at
+#: 75.2 MB with blocks of 2048 and 76.3 MB in one pass (medians of 3 seeds),
+#: so no block sets it.  ``export cylinder --grid 128x256``, whose
+#: ``geometry_table`` was one frame, peaks at 67 MB against 280 MB.
 _BLOCK = 2048
 
 

@@ -32,16 +32,25 @@ def conjugate(patch):
     """
 
     def chart(uj, vj):
-        frame = JetFrame(patch, uj.value, vj.value)
-        _require_immersion(frame)
-        return -frame.eta
+        return _conjugate_position(JetFrame(patch, uj.value, vj.value))
 
+    return _conjugate_patch(patch, chart)
+
+
+def _conjugate_patch(patch, chart):
+    """The conjugate of ``patch`` as a ``SurfacePatch`` with the given chart."""
     return SurfacePatch(
         name=f"conjugate({patch.name})",
         chart=chart,
         domain=patch.domain,
         closed=patch.closed,
     )
+
+
+def _conjugate_position(frame):
+    """The conjugate's position jet, -eta, at the points of ``frame``."""
+    _require_immersion(frame)
+    return -frame.eta
 
 
 def _require_immersion(frame):
@@ -66,8 +75,10 @@ def third_fundamental_form(frame):
 def verify_conjugate_duality(frame):
     """Residuals of the conjugate-duality identities, one per point of the frame.
 
-    Raises LightconeError where the frame's shape operator degenerates,
-    from the frame nested in the conjugate chart.
+    The conjugate frame is built on the position -eta of ``frame``, bit for
+    bit what the chart of ``conjugate(frame.patch)`` gives at its points.
+    Raises LightconeError, as that chart does, where the frame's shape
+    operator degenerates.
     Returns a dict keyed by the ``verify`` check names of per-point largest entries:
       * ``conjugate_weingarten``:  | A~ . A - I |
       * ``conjugate_second_form``: | II~ - II |
@@ -75,7 +86,23 @@ def verify_conjugate_duality(frame):
       * ``third_form``:            | first form of conjugate - <A^2 ., .> |
       * ``double_conjugate``:      ``double_conjugate_residual`` of the two frames
     """
-    conj = JetFrame(conjugate(frame.patch), frame.u, frame.v)
+    position = _conjugate_position(frame)
+
+    def chart(uj, vj):
+        # -eta is known only at the frame's points; anywhere else it would be wrong.
+        if not (np.array_equal(uj.value, frame.u) and np.array_equal(vj.value, frame.v)):
+            raise ValueError("this conjugate chart is evaluable only at the points of its frame")
+        return position
+
+    conj = JetFrame(_conjugate_patch(frame.patch, chart), frame.u, frame.v)
+    return conjugate_duality_residuals(frame, conj)
+
+
+def conjugate_duality_residuals(frame, conj):
+    """The residuals of ``verify_conjugate_duality``.
+
+    ``conj`` is the conjugate's frame at the points of ``frame``.
+    """
     prod = np.einsum("...cd,...da->...ca", conj.A_val, frame.A_val)
     return {
         "conjugate_weingarten": np.max(np.abs(prod - np.eye(2)), axis=(-2, -1)),
@@ -224,7 +251,7 @@ def verify_expansion_laws(frame, sigma):
     fe = JetFrame(expand(f.patch, sigma), f.u, f.v)
     pred_A = _mat2(law.A)
     grad, e1 = _values(law.grad), np.exp(-s.value)[..., None]
-    tang = grad[0][..., None] * f.psi_u.values + grad[1][..., None] * f.psi_v.values
+    tang = grad[0][..., None] * f.psi_u_val + grad[1][..., None] * f.psi_v_val
     pred_eta = e1 * (f.eta_val - 0.5 * law.grad2[..., None] * f.psi_val - tang)
     return {
         "expansion_weingarten": np.max(np.abs(fe.A_val - pred_A), axis=(-2, -1)),

@@ -60,7 +60,7 @@ def _entry(shape, index, size):
 DEFECTS = {
     "on_cone": lambda f: vars(f).update(psi_val=f.psi_val + 1e-6 * E0),
     "normal_constraints": lambda f: vars(f).update(eta_val=f.eta_val * (1.0 + 1e-8)),
-    "position_weingarten": lambda f: vars(f).update(psi_val=f.psi_val + 1e-8 * f.psi_u.values),
+    "position_weingarten": lambda f: vars(f).update(psi_val=f.psi_val + 1e-8 * f.psi_u_val),
     "weingarten_agreement": lambda f: vars(f).update(A_val=f.A_val + 1e-7),
     "normal_parallel": lambda f: vars(f).update(gi_val=f.gi_val + 1e-7 * np.eye(2)),
     "second_form_symmetry": lambda f: vars(f).update(

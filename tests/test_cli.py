@@ -286,9 +286,9 @@ def test_verify_paraboloid_skips_conjugate_checks(tmp_path):
         assert names[check]["status"] == "SKIP"
 
 
-def test_conjugate_group_builds_three_frames(monkeypatch, bumpy_sphere):
-    # The surface on the subgrid, its conjugate, and the surface frame nested
-    # in the conjugate chart: the identities read these and build no more.
+def test_conjugate_group_builds_two_frames(monkeypatch, bumpy_sphere):
+    # The surface on the subgrid and its conjugate, built on -eta of that
+    # frame: the identities read these and build no more.
     init, calls = JetFrame.__init__, []
 
     def counting(self, *args, **kwargs):
@@ -297,7 +297,7 @@ def test_conjugate_group_builds_three_frames(monkeypatch, bumpy_sphere):
 
     monkeypatch.setattr(JetFrame, "__init__", counting)
     residuals, _ = cli._conjugate_residuals(bumpy_sphere, (16, 32))
-    assert len(calls) == 3, calls
+    assert len(calls) == 2, calls
     assert list(residuals) == [n for n, (_, g, _) in cli.CHECKS.items() if g == "conjugate"]
 
 

@@ -234,6 +234,47 @@ def test_jetvec_derivative_components():
     assert d.valid == 3
 
 
+def _random_vec(rng, shape):
+    return JetVec4(*(random_jet(rng, shape=shape) for _ in range(4)))
+
+
+def test_jetvec_partials_are_new_arrays_of_the_derivative_values():
+    vec = _random_vec(np.random.default_rng(4), (5,))
+    parts = vec.partials(2)
+    assert parts.shape == (6, 5, 4) and not np.shares_memory(parts, vec.j._c)
+    for k, (i, j) in enumerate(MONOMIALS[:6]):
+        for axes in ("u" * i + "v" * j, "v" * j + "u" * i):
+            jet = vec
+            for axis in axes:
+                jet = jet.d(axis)
+            assert parts[k].tobytes() == jet.values.tobytes(), (i, j, axes)
+
+
+def test_jetvec_sum_and_difference_into_own_store():
+    rng = np.random.default_rng(6)
+    a, b = _random_vec(rng, (3,)), _random_vec(rng, ())
+    for op, into in ((operator.add, JetVec4._add_into), (operator.sub, JetVec4._sub_into)):
+        low = a.truncated(2).copy()
+        assert not np.shares_memory(low.j._c, a.j._c)
+        store, expected = low.j._c, op(low, b)
+        out = into(low, b)
+        assert out is low and low.j._c is store
+        assert low.valid == expected.valid and low.j._c.tobytes() == expected.j._c.tobytes()
+    # A sum valid through fewer orders, or of a wider batch, would need a new store.
+    for other in (a.truncated(1), _random_vec(rng, (2, 3))):
+        with pytest.raises(ValueError):
+            a.truncated(2).copy()._add_into(other)
+
+
+def test_jetvec_augmented_sum_leaves_a_viewed_jet_alone():
+    a, b = _random_vec(np.random.default_rng(7), (3,)), _random_vec(np.random.default_rng(8), (3,))
+    before = a.j._c.copy()
+    low = a.truncated(2)
+    low += b
+    low -= b
+    assert a.j._c.tobytes() == before.tobytes()
+
+
 # -- properties of the jet algebra -------------------------------------------
 
 _coeffs = arrays(np.float64, N_COEFF, elements=st.floats(-2.0, 2.0))

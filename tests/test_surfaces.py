@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,11 @@ from lightcone.surfaces import (
     gauss_maps,
     umbilic_point_search,
 )
+
+
+def _chart_jet(patch, u, v):
+    """The chart's position jet at the points, as a frame reads it."""
+    return patch.chart(Jet2.variable("u", u), Jet2.variable("v", v))
 
 
 def test_round_sphere_metric_at_equator(unit_sphere):
@@ -68,10 +75,11 @@ def test_normal_defining_constraints_random_surface(bumpy_sphere):
     rng = np.random.default_rng(3)
     u, v = bumpy_sphere.sample_points(100, rng, margin=0.05)
     f = JetFrame(bumpy_sphere, u, v)
+    psi = _chart_jet(bumpy_sphere, u, v)
     assert np.max(np.abs(f.eta.dot(f.eta).value)) < 1e-12
-    assert np.max(np.abs(f.eta.dot(f.psi).value - 1.0)) < 1e-12
-    assert np.max(np.abs(f.eta.dot(f.psi_u).value)) < 1e-12
-    assert np.max(np.abs(f.eta.dot(f.psi_v).value)) < 1e-12
+    assert np.max(np.abs(f.eta.dot(psi).value - 1.0)) < 1e-12
+    assert np.max(np.abs(f.eta.dot(psi.d("u")).value)) < 1e-12
+    assert np.max(np.abs(f.eta.dot(psi.d("v")).value)) < 1e-12
 
 
 def test_weingarten_round_sphere_both_methods():
@@ -188,7 +196,8 @@ def test_value_arrays_equal_the_jet_route(bumpy_sphere):
     # are value arrays; the same arithmetic on jets has the same constant terms.
     u, v = bumpy_sphere.sample_points(40, np.random.default_rng(13), margin=0.05)
     f = JetFrame(bumpy_sphere, u, v)
-    g, gi = ((f.E, f.F), (f.F, f.G)), f.gi
+    detg = f.E * f.G - f.F * f.F
+    g, gi = ((f.E, f.F), (f.F, f.G)), ((f.G / detg, -f.F / detg), (-f.F / detg, f.E / detg))
     dg = [[[g[a][b].d(ax) for b in range(2)] for a in range(2)] for ax in ("u", "v")]
     gam = [
         [
@@ -201,9 +210,11 @@ def test_value_arrays_equal_the_jet_route(bumpy_sphere):
         ]
         for c in range(2)
     ]
-    dd = ((f.psi_uu, f.psi_uv), (f.psi_uv, f.psi_vv))
+    psi = _chart_jet(bumpy_sphere, u, v)
+    psi_u, psi_v = psi.d("u"), psi.d("v")
+    dd = ((psi_u.d("u"), psi_u.d("v")), (psi_u.d("v"), psi_v.d("v")))
     ii = [
-        [dd[a][b] - f.psi_u.scale(gam[0][a][b]) - f.psi_v.scale(gam[1][a][b]) for b in range(2)]
+        [dd[a][b] - psi_u.scale(gam[0][a][b]) - psi_v.scale(gam[1][a][b]) for b in range(2)]
         for a in range(2)
     ]
     h = (
@@ -216,6 +227,50 @@ def test_value_arrays_equal_the_jet_route(bumpy_sphere):
         assert np.array_equal(f.iivec[..., a, b, :], ii[a][b].values)
     assert np.array_equal(f.H_val, h.values)
     assert np.array_equal(f.H2_val, h.dot(h).value)
+
+
+def test_value_attributes_equal_the_jets_they_replace(bumpy_sphere, cylinder, paraboloid):
+    # The frame keeps these quantities as values only; each has the bits of
+    # the value of its jet, rebuilt from the chart and the kept jets.
+    boosted = catalog.round_sphere(u=np.array([-1.25, 0.75, 0.0, 0.0]))
+    for patch in (bumpy_sphere, boosted, cylinder, paraboloid):
+        u, v = patch.sample_points(30, np.random.default_rng(14), margin=0.05)
+        f, psi = JetFrame(patch, u, v), _chart_jet(patch, u, v)
+        psi_u, psi_v = psi.d("u"), psi.d("v")
+        vectors = {
+            "psi_val": psi, "psi_u_val": psi_u, "psi_v_val": psi_v, "psi_uu_val": psi_u.d("u"),
+            "psi_uv_val": psi_u.d("v"), "psi_vv_val": psi_v.d("v"), "eta_val": f.eta,
+            "eta_u_val": f.eta.d("u"), "eta_v_val": f.eta.d("v"),
+        }
+        for name, jet in vectors.items():
+            assert getattr(f, name).tobytes() == jet.values.tobytes(), (patch.name, name)
+        assert f.psi0.valid == 2 and f.psi0.c.tobytes() == psi[0].truncated(2).c.tobytes()
+        detg = f.E * f.G - f.F * f.F
+        gi = np.stack([(f.G / detg).value, (-f.F / detg).value,
+                       (-f.F / detg).value, (f.E / detg).value], axis=-1)
+        assert f.gi_val.tobytes() == gi.tobytes(), patch.name
+        assert f.sqrt_detg_val.tobytes() == np.sqrt(detg.value).tobytes(), patch.name
+
+
+def test_frame_keeps_only_the_jets_its_readers_differentiate():
+    # One frame of a block of verify's sweep (surfaces._BLOCK points), which
+    # sets the peak memory of verify.  Its jets and values once built, and
+    # the most it holds while it is built, measured by tracemalloc.
+    spec = catalog.HarmonicSpec(terms=((2, -2, 0.01), (3, 1, 0.01), (1, 1, 0.01), (2, 0, 0.01)))
+    patch = catalog.perturbed_sphere(spec, r=1.1)
+    u, v = (x[:2048] for x in patch.grid_points((64, 128)))
+    JetFrame(patch, u, v)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frame = JetFrame(patch, u, v)
+        gc.collect()
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert kept <= 4e6 and peak <= 7e6, (kept, peak)
+    assert [name for name, x in vars(frame).items() if isinstance(x, JetVec4)] == ["eta"]
 
 
 def test_second_form_inner_product_identity(bumpy_sphere, cylinder):
@@ -240,9 +295,10 @@ def test_second_form_is_eta_derivative_against_psi_derivative(bumpy_sphere, cyli
     # II(X, Y) = <d eta(X), Y>: each jet II_ab is <eta_a, psi_b> bit for bit
     rng = np.random.default_rng(12)
     for patch in (bumpy_sphere, cylinder, paraboloid):
-        f = JetFrame(patch, *patch.sample_points(40, rng))
-        for a, eta_a in enumerate((f.eta_u, f.eta_v)):
-            for b, psi_b in enumerate((f.psi_u, f.psi_v)):
+        u, v = patch.sample_points(40, rng)
+        f, psi = JetFrame(patch, u, v), _chart_jet(patch, u, v)
+        for a, eta_a in enumerate((f.eta.d("u"), f.eta.d("v"))):
+            for b, psi_b in enumerate((psi.d("u"), psi.d("v"))):
                 assert np.array_equal(f.II[a][b].c, eta_a.dot(psi_b).c), (patch.name, a, b)
                 assert f.II[a][b].valid == eta_a.dot(psi_b).valid
 

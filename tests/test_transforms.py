@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_perturbed_sphere, random_spec
-from lightcone import catalog
+from lightcone import catalog, transforms
 from lightcone.errors import LightconeError
 from lightcone.surfaces import JetFrame
 from lightcone.transforms import (
     conjugate,
+    conjugate_duality_residuals,
     double_conjugate_residual,
     expand,
     third_fundamental_form,
@@ -63,6 +64,37 @@ def _grid_frame(patch, grid):
 def test_conjugate_duality_rejects_degenerate_frame(paraboloid):
     with pytest.raises(LightconeError, match="conjugate undefined"):
         verify_conjugate_duality(_grid_frame(paraboloid, (8, 8)))
+
+
+def test_conjugate_frame_from_the_frame_in_hand(bumpy_sphere, cylinder, paraboloid):
+    # verify builds the conjugate frame on -eta of the frame it holds; the
+    # chart of ``conjugate`` rebuilds that frame, with the same bits.
+    boosted = catalog.round_sphere(u=np.array([-1.25, 0.75, 0.0, 0.0]))
+    for patch in (bumpy_sphere, boosted, cylinder):
+        frame = _grid_frame(patch, (8, 16))
+        got = verify_conjugate_duality(frame)
+        ref = conjugate_duality_residuals(frame, JetFrame(conjugate(patch), frame.u, frame.v))
+        assert len(ref) == 5 and got.keys() == ref.keys()
+        for name in ref:
+            assert got[name].tobytes() == ref[name].tobytes(), (patch.name, name)
+    frame = _grid_frame(paraboloid, (8, 8))
+    with pytest.raises(LightconeError) as by_chart:
+        JetFrame(conjugate(paraboloid), frame.u, frame.v)
+    with pytest.raises(LightconeError) as in_hand:
+        verify_conjugate_duality(frame)
+    assert str(in_hand.value) == str(by_chart.value)
+
+
+def test_conjugate_frame_chart_answers_only_at_its_points(monkeypatch, bumpy_sphere):
+    seen = []
+    monkeypatch.setattr(transforms, "conjugate_duality_residuals",
+                        lambda frame, conj: seen.append(conj) or {})
+    frame = _grid_frame(bumpy_sphere, (4, 8))
+    verify_conjugate_duality(frame)
+    (conj,) = seen
+    assert conj.patch.position(frame.u, frame.v).tobytes() == (-frame.eta_val).tobytes()
+    with pytest.raises(ValueError, match="points of its frame"):
+        conj.patch.position(frame.u[:1], frame.v[:1])
 
 
 def test_double_conjugation_recovers_surface(unit_sphere, bumpy_sphere, cylinder):
