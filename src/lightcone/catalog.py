@@ -18,7 +18,6 @@ from . import harmonics, jets
 from .errors import LightconeError
 from .harmonics import L_MAX, real_harmonic
 from .jets import Jet2, JetVec4
-from .minkowski import boost_to, vec
 from .surfaces import Geometry, SurfacePatch, direction_chart
 
 #: Half-widths of the chart rectangles of the two flat surfaces.
@@ -26,19 +25,14 @@ _CYLINDER_EXTENT = 1.5
 _PARABOLOID_EXTENT = 2.0
 
 
-def _round_embedding(r, u=None):
-    """w -> B (r, r w), B the boost taking (-1, 0, 0, 0) to u; 0 < r * r < inf must hold."""
+def _radius(r):
+    """r as a float; 0 < r * r < inf must hold."""
     r = float(r)
     if not (r > 0.0 and 0.0 < r * r < np.inf):
         raise LightconeError(
             f"radius must be positive and finite, with a finite square above 0; got {r}"
         )
-    B = boost_to(vec(-1.0, 0.0, 0.0, 0.0) if u is None else np.asarray(u, dtype=float))
-
-    def embed(x, y, z):
-        return JetVec4(r, x * r, y * r, z * r).linear_map(B)
-
-    return embed
+    return r
 
 
 def round_sphere(u=None, r=1.0):
@@ -49,11 +43,11 @@ def round_sphere(u=None, r=1.0):
     given observer is part of the name.  The sphere is the empty-spec
     member of the expansion family, seen by the observer u.
     """
-    embed = _round_embedding(r, u)
+    r = _radius(r)
     obs = None if u is None else np.asarray(u, dtype=float)
-    label = "" if u is None else ", u=(" + ", ".join(f"{c:g}" for c in obs) + ")"
-    return direction_chart(f"round-sphere(r={r:g}{label})", embed,
-                           expansion=(HarmonicSpec().cartesian, float(r), obs))
+    # Flat, so that an observer of any shape reaches boost_to's check.
+    label = "" if u is None else ", u=(" + ", ".join(f"{c:g}" for c in obs.flat) + ")"
+    return direction_chart(f"round-sphere(r={r:g}{label})", (HarmonicSpec().cartesian, r, obs))
 
 
 def round_geometry(tj, r):
@@ -166,7 +160,7 @@ def graph_over_sphere(sigma):
     graph f(w) (1, w) is this one with sigma = log f.  The patch carries
     (sigma, 1, None) as its ``expansion``, as ``perturbed_sphere`` does.
     """
-    return _expanded_sphere("radial-graph", sigma, 1.0, _round_embedding(1.0))
+    return direction_chart("radial-graph", (sigma, 1.0, None))
 
 
 def perturbed_sphere(spec, r=1.0):
@@ -176,25 +170,15 @@ def perturbed_sphere(spec, r=1.0):
     at most sum |a| sqrt((2l + 1) / (4 pi)).  As for the radius, the spec is
     rejected unless (r e^sigma)^2 is finite at that bound.
     """
-    round_embed = _round_embedding(r)
+    r = _radius(r)
     sigma = sum(abs(a) * math.sqrt((2 * l + 1) / (4 * math.pi)) for l, _, a in spec.terms)
     try:
-        scale = (float(r) * math.exp(sigma)) ** 2
+        scale = (r * math.exp(sigma)) ** 2
     except OverflowError:
         scale = math.inf
     if not math.isfinite(scale):
         raise LightconeError(
             f"spec amplitudes allow sigma up to {sigma:g}; (r e^sigma)^2 must be finite"
         )
-    return _expanded_sphere(
-        f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)", spec.cartesian, r, round_embed
-    )
-
-
-def _expanded_sphere(name, sigma, r, round_embed):
-    """The direction chart of e^sigma times ``round_embed``, the round sphere of radius r."""
-
-    def embed(x, y, z):
-        return round_embed(x, y, z).scale(jets.exp(sigma(x, y, z)))
-
-    return direction_chart(name, embed, expansion=(sigma, float(r), None))
+    return direction_chart(f"perturbed-sphere(r={r:g}, {len(spec.terms)} terms)",
+                           (spec.cartesian, r, None))

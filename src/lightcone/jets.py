@@ -41,7 +41,8 @@ keep that order, and the size of the result picks one:
 - Up to ``_WIDE`` result columns, the gather kernel gathers all pairs,
   multiplies them in one call and adds them layer by layer.  It makes few
   numpy calls, which small batches need, and its pair products (at most
-  70 x 512 doubles) stay in cache.
+  70 x 512 doubles) stay in cache.  ``product_pullback`` runs the same
+  kernel on the pairs of the adjoint.
 - Above ``_WIDE``, the row kernel takes the rows a of the left operand in
   ascending order.  Row a of degree d meets the prefix of the right operand
   up to degree valid - d in one broadcast multiply; its pairs with the
@@ -88,35 +89,41 @@ _START = (0,) + _N_UPTO[:-1]
 _WIDE = 512
 
 
-def _product_plan(valid):
-    """Gather indices and add layers of a product truncated at ``valid``.
+def _times(a, b):
+    """The row of the product of the monomials of rows a and b."""
+    (ia, ja), (ib, jb) = MONOMIALS[a], MONOMIALS[b]
+    return _INDEX[(ia + ib, ja + jb)]
 
-    Output monomial k sums its pairs (a, b) in ascending (a, b) order.  The
-    pairs are laid out layer by layer: layer r holds the r-th pair of every
-    output that has more than r pairs, with the outputs sorted by pair
-    count, most first, so each layer adds one contiguous slab of pair
-    products onto a prefix of the accumulator (the first layer).  ``unsort``
-    puts the accumulator rows back in graded order.
+
+def _layered_plan(pairs):
+    """Gather indices and add layers that sum each output's pairs in their listed order.
+
+    ``pairs[k]`` lists the (i, j) operand rows of output k.  Layer r holds
+    the r-th pair of every output that has more than r pairs, with the
+    outputs stably sorted by pair count, most first, so each layer adds one
+    contiguous slab of pair products onto a prefix of the accumulator (the
+    first layer).  ``unsort`` puts the accumulator rows back in the order of
+    ``pairs``.
     """
-    n = _N_UPTO[valid]
-    pairs = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if _DEGREE[a] + _DEGREE[b] <= valid:
-                (ia, ja), (ib, jb) = MONOMIALS[a], MONOMIALS[b]
-                pairs[_INDEX[(ia + ib, ja + jb)]].append((a, b))
-    order = sorted(range(n), key=lambda k: -len(pairs[k]))
-    gather_a, gather_b, layers = [], [], []
+    order = sorted(range(len(pairs)), key=lambda k: -len(pairs[k]))
+    gather_i, gather_j, layers = [], [], []
     for r in range(len(pairs[order[0]])):
         rows = [k for k in order if len(pairs[k]) > r]
-        start = len(gather_a)
+        start = len(gather_i)
         layers.append((slice(0, len(rows)), slice(start, start + len(rows))))
-        gather_a += [pairs[k][r][0] for k in rows]
-        gather_b += [pairs[k][r][1] for k in rows]
-    return np.array(gather_a), np.array(gather_b), layers[0][1], tuple(layers[1:]), np.argsort(order)
+        gather_i += [pairs[k][r][0] for k in rows]
+        gather_j += [pairs[k][r][1] for k in rows]
+    return np.array(gather_i), np.array(gather_j), layers[0][1], tuple(layers[1:]), np.argsort(order)
 
 
-_PRODUCT_PLANS = tuple(_product_plan(v) for v in range(ORDER + 1))
+# Output monomial k of a product truncated at v sums its pairs (a, b) in
+# ascending (a, b) order.
+_PRODUCT_PLANS = tuple(
+    _layered_plan([[(a, b) for a in range(_N_UPTO[v]) for b in range(_N_UPTO[v])
+                    if _DEGREE[a] + _DEGREE[b] <= v and _times(a, b) == k]
+                   for k in range(_N_UPTO[v])])
+    for v in range(ORDER + 1)
+)
 
 
 def _row_plan(valid):
@@ -156,31 +163,13 @@ _DERIVATIVE_PLANS = {
     axis: tuple(_derivative_plan(axis, v) for v in range(ORDER)) for axis in ("u", "v")
 }
 
-def _pullback_plan(valid):
-    """Gather indices and add layers of the pull-back of a product truncated at ``valid``.
-
-    Row a of the pull-back sums cot[a + p] * b[p] over the partners p of
-    a, those of degree at most valid - deg a, in ascending p.  Rows in
-    graded order have ever fewer partners, so, as in ``_product_plan``,
-    layer r holds the r-th pair of every row that has more than r, and adds
-    one contiguous slab of pair products onto a prefix of the accumulator
-    (the first layer).
-    """
-    pairs = [
-        [(p, _INDEX[(MONOMIALS[a][0] + MONOMIALS[p][0], MONOMIALS[a][1] + MONOMIALS[p][1])])
-         for p in range(_N_UPTO[valid - _DEGREE[a]])]
-        for a in range(_N_UPTO[valid])
-    ]
-    partners, outputs, layers = [], [], []
-    for r in range(len(pairs[0])):
-        rows = sum(len(q) > r for q in pairs)
-        layers.append((slice(0, rows), slice(len(partners), len(partners) + rows)))
-        partners += [q[r][0] for q in pairs[:rows]]
-        outputs += [q[r][1] for q in pairs[:rows]]
-    return np.array(partners), np.array(outputs), layers[0][1], tuple(layers[1:])
-
-
-_PULLBACK_PLANS = tuple(_pullback_plan(v) for v in range(ORDER + 1))
+# Row a of the pull-back of a product truncated at v sums cot[a + p] * b[p]
+# over the partners p of a, those of degree at most v - deg a, in ascending p.
+_PULLBACK_PLANS = tuple(
+    _layered_plan([[(_times(a, p), p) for p in range(_N_UPTO[v - _DEGREE[a]])]
+                   for a in range(_N_UPTO[v])])
+    for v in range(ORDER + 1)
+)
 
 
 def _division_plan():
@@ -235,16 +224,22 @@ def _product(a, b, valid):
 
 def _gather_product(a, b, valid, shape):
     """The product of (rows, columns) operands by one gather of all pairs."""
-    gather_a, gather_b, first, layers, unsort = _PRODUCT_PLANS[valid]
-    if a.shape[1] < b.shape[1]:
+    out = _layered_sum(a, b, _PRODUCT_PLANS[valid])
+    return out.reshape(out.shape[:1] + shape)
+
+
+def _layered_sum(x, y, plan):
+    """Each output's sum of x[i] * y[j] over its pairs (i, j), by a ``_layered_plan``."""
+    gather_x, gather_y, first, layers, unsort = plan
+    if x[0].size < y[0].size:
         # Gather the full-width operand first, so the product can go in place.
-        a, b, gather_a, gather_b = b, a, gather_b, gather_a
-    prods = a[gather_a]
-    prods *= b[gather_b]
+        x, y, gather_x, gather_y = y, x, gather_y, gather_x
+    prods = x[gather_x]
+    prods *= y[gather_y]
     acc = prods[first]
     for dst, src in layers:
         acc[dst] += prods[src]
-    return acc.take(unsort, axis=0).reshape(unsort.shape + shape)
+    return acc.take(unsort, axis=0)
 
 
 def _row_product(a, b, valid, shape):
@@ -469,13 +464,8 @@ def product_pullback(cot, b):
     """
     if not isinstance(b, Jet2):
         return cot * b
-    partners, outputs, first, layers = _PULLBACK_PLANS[_N_UPTO.index(cot.shape[0])]
-    prods = cot[outputs]
-    prods *= _lift(b._c, cot.ndim - 1)[partners]
-    acc = prods[first]
-    for dst, src in layers:
-        acc[dst] += prods[src]
-    return acc
+    plan = _PULLBACK_PLANS[_N_UPTO.index(cot.shape[0])]
+    return _layered_sum(cot, _lift(b._c, cot.ndim - 1), plan)
 
 
 def _divide(num, den):

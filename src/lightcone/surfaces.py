@@ -17,11 +17,11 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import curvature, harmonics
+from . import curvature, harmonics, jets
 from .curvature import _det2, _inv2, _mat2, _stack2
 from .errors import LightconeError
 from .jets import Jet2, JetVec4
-from .minkowski import inner
+from .minkowski import boost_to, inner
 
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])
 #: The (theta, phi) domain of a ``direction_chart``.
@@ -56,20 +56,19 @@ class SurfacePatch:
 
     ``chart`` receives two lifted coordinate jets (possibly batched) and
     returns a JetVec4.  ``closed`` marks spherical (theta, phi) charts whose
-    domain covers a closed surface, and a ``direction_chart`` keeps its
-    ``embed``, from which ``centred`` charts of the same surface come.
-    ``expansion`` is (sigma, r, observer) when the chart is e^sigma times
-    the round sphere of radius r, seen by the past unit timelike
-    ``observer`` (None for the unboosted chart); ``sigma`` maps
-    direction-cosine jets to a jet.  ``SphereGrid`` builds its table from
-    it by the expansion law, and takes no closed chart without it.
+    domain covers a closed surface.  ``expansion`` is (sigma, r, observer)
+    when the chart is the ``direction_chart`` of e^sigma times the round
+    sphere of radius r, seen by the past unit timelike ``observer`` (None
+    for the unboosted chart); ``sigma`` maps direction-cosine jets to a
+    jet.  The triple describes the surface completely: ``centred`` charts
+    of it come from the triple, and ``SphereGrid`` builds its table from it
+    by the expansion law and takes no closed chart without it.
     """
 
     name: str
     chart: Callable[[Jet2, Jet2], JetVec4]
     domain: tuple
     closed: bool = False
-    embed: Optional[Callable[[Jet2, Jet2, Jet2], JetVec4]] = None
     expansion: Optional[tuple] = None
 
     def sample_points(self, n, rng, margin=0.05):
@@ -445,27 +444,36 @@ def centring(theta, phi):
     return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=-2)
 
 
-def direction_chart(name, embed, rotation=None, expansion=None):
-    """The closed (theta, phi) chart psi = embed(directions(theta, phi, rotation)).
+def direction_chart(name, expansion, rotation=None):
+    """The closed (theta, phi) chart of the expansion (sigma, r, observer).
 
-    ``embed`` maps the three direction-cosine jets to a JetVec4; the patch
-    keeps it, so charts centred anywhere on the surface can be built.
+    psi = B (r, r w) e^sigma(w) at the directions w = directions(theta, phi,
+    rotation), B the boost taking (-1, 0, 0, 0) to the observer, or the
+    identity if it is None.  The patch carries the expansion unless it is
+    rotated: its nodes are then not those of the main chart.
     """
-    return SurfacePatch(name, lambda tj, pj: embed(*harmonics.directions(tj, pj, rotation)),
-                        _SPHERE_DOMAIN, closed=True, embed=embed, expansion=expansion)
+    sigma, r, observer = expansion
+    B = np.eye(4) if observer is None else boost_to(observer)
+
+    def chart(tj, pj):
+        x, y, z = harmonics.directions(tj, pj, rotation)
+        return JetVec4(r, x * r, y * r, z * r).linear_map(B).scale(jets.exp(sigma(x, y, z)))
+
+    return SurfacePatch(name, chart, _SPHERE_DOMAIN, closed=True,
+                        expansion=expansion if rotation is None else None)
 
 
 def centred(patch, rotation):
-    """The direction chart of a closed patch with an ``embed``, rotated by ``rotation``."""
-    if patch.embed is None:
-        raise LightconeError(f"{patch.name}: no embedding to centre a chart on")
-    return direction_chart(patch.name, patch.embed, rotation)
+    """The ``direction_chart`` of a closed patch's ``expansion``, rotated by ``rotation``."""
+    if patch.expansion is None:
+        raise LightconeError(f"{patch.name}: no expansion to centre a chart on")
+    return direction_chart(patch.name, patch.expansion, rotation)
 
 
 def closed_extremum(patch, theta, phi, value, field):
     """Least point of a field on a closed surface: (theta, phi, one-point JetFrame).
 
-    ``patch`` is a closed chart with an ``embed``; ``value`` holds the
+    ``patch`` is a closed chart with an ``expansion``; ``value`` holds the
     field's values at the main-chart points (``theta``, ``phi``), and
     ``field(frame)`` returns the field as a jet of valid order 2 or more and
     the scale of its rounding noise per point.  Newton starts from the
@@ -517,9 +525,9 @@ def _field_derivatives(field, frame):
 def _extreme_nodes(directions, value):
     """Indices of up to ``_STARTS`` least-value nodes whose unit directions lie over 0.25 apart.
 
-    ``directions`` holds the direction cosines x, y, z of the embed's
-    argument, each indexed like ``value``, so the starts are kept apart on
-    the sphere, not in the chart domain.
+    ``directions`` holds the direction cosines x, y, z of the nodes, each
+    indexed like ``value``, so the starts are kept apart on the sphere of
+    directions, not in the chart domain.
     """
     x, y, z = directions
     far = np.ones(value.size, dtype=bool)  # from every start so far

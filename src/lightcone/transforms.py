@@ -24,11 +24,12 @@ def conjugate(patch):
     """The surface traced by minus the lightlike normal of ``patch``.
 
     Inherits the parametrization of the original chart, and has no
-    ``embed``: the conjugate is not given as a map of directions.  Each
-    evaluation builds the ``patch`` frame at the evaluated points, and
-    raises LightconeError (with the offending point) where its shape
-    operator degenerates, since the map then fails to be an immersion;
-    building the conjugate tests no point.
+    ``expansion``: the conjugate is not given as e^sigma times a round
+    sphere, so no chart can be centred on it.  Each evaluation builds the
+    ``patch`` frame at the evaluated points, and raises LightconeError
+    (with the offending point) where its shape operator degenerates, since
+    the map then fails to be an immersion; building the conjugate tests no
+    point.
     """
 
     def chart(uj, vj):

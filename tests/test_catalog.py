@@ -95,6 +95,10 @@ def test_round_sphere_bad_arguments():
         catalog.perturbed_sphere(catalog.HarmonicSpec(), r=1e200)
     with pytest.raises(LightconeError, match="u0 < 0"):
         catalog.round_sphere(u=vec(1, 0, 0, 0))
+    # an observer that is not a 4-vector, whatever its shape
+    for u in (-1.0, [-1.0, 0.0, 0.0], [[-1.0, 0.0, 0.0, 0.0]]):
+        with pytest.raises(LightconeError, match="4-vector"):
+            catalog.round_sphere(u=u)
 
 
 def test_cylinder_reference_values(cylinder):
@@ -263,6 +267,9 @@ ROTATED_CASES = {
         lambda x, y, z: x * z * 0.3 + y * 0.2
     ),
     "round-sphere-r1.7": lambda request: catalog.round_sphere(r=1.7),
+    "boosted-sphere-r1.3": lambda request: catalog.round_sphere(
+        u=[-np.cosh(0.8), 0.0, np.sinh(0.8), 0.0], r=1.3
+    ),
 }
 
 

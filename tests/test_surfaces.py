@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_perturbed_sphere
-from lightcone import catalog, cli, jets, transforms
+from lightcone import catalog, cli, harmonics, jets, transforms
 from lightcone.curvature import second_form_curvature
 from lightcone.errors import LightconeError
 from lightcone.jets import Jet2, JetVec4
@@ -18,7 +18,6 @@ from lightcone.surfaces import (
     centred,
     centring,
     closed_extremum,
-    direction_chart,
     gauss_maps,
     umbilic_point_search,
 )
@@ -387,14 +386,14 @@ def test_closed_extremum_reports_main_chart_coordinates():
             assert umbilic_point_search(patch, nodes.u, nodes.v, nodes.gap_low)[0] == np.pi
 
 
-def test_closed_extremum_needs_an_embedding():
-    # A hand-built closed chart has no embed, so no chart can be centred on
-    # its poles: on this surface the main chart alone stops at its first
+def test_closed_extremum_needs_an_expansion():
+    # A hand-built closed chart has no expansion, so no chart can be centred
+    # on its poles: on this surface the main chart alone stops at its first
     # row with a gap of 5e-7, against 2e-12 for the perturbed sphere of the
     # same spec.
     spec = catalog.HarmonicSpec(((2, 0, 0.2),))
     patch = transforms.expand(catalog.round_sphere(), spec.chart_field())
-    assert patch.closed and patch.embed is None
+    assert patch.closed and patch.expansion is None
     nodes = JetFrame(patch, *patch.grid_points((16, 32)))
     with pytest.raises(LightconeError, match=re.escape(patch.name)):
         umbilic_point_search(patch, nodes.u, nodes.v, nodes.gap_low)
@@ -489,12 +488,14 @@ def test_nonpositive_psi0_rejected():
         (lambda x, y, z: 1.0 - 2.0 * jets.exp((z - 1.0) * (z - 1.0) * -1e6), 0.001, 0.0),
     ]
     for f, theta, phi in cases:
-        def embed(x, y, z, f=f):
+        def chart(tj, pj, f=f):
+            x, y, z = harmonics.directions(tj, pj)
             r = f(x, y, z)
             return JetVec4(r, r * x, r * y, r * z)
 
+        patch = SurfacePatch("radial-graph", chart, catalog.round_sphere().domain, closed=True)
         with pytest.raises(LightconeError, match="min psi0"):
-            JetFrame(direction_chart("radial-graph", embed), theta, phi)
+            JetFrame(patch, theta, phi)
 
 
 def test_degenerate_chart_rejected():
