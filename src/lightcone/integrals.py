@@ -82,9 +82,9 @@ def expansion_table(patch, n_theta, n_phi):
     unless the observer is None, and ``sigma`` maps direction-cosine jets
     to a jet.  A Lorentz map leaves every entry but psi0 as it is, and
     turns psi0 = r e^sigma into r e^sigma (B_00 + B_0i w_i) at the
-    direction w.  The law runs on blocks of consecutive theta rings, as
-    many as fit in ``surfaces._BLOCK`` nodes (at least one), each a column
-    of theta jets against the row of phi jets.  The blocks' entries are
+    direction w.  The law runs on ``surfaces._blocks`` of consecutive theta
+    rings, at most as many as fit in ``surfaces._BLOCK`` nodes (at least
+    one), each a column of theta jets against the row of phi jets.  The blocks' entries are
     flattened theta-major and concatenated, in the order of
     ``sphere_quadrature``'s nodes; jet arithmetic is pointwise, so they are
     bit for bit those at the flat nodes.  K_eta is all NaN if II is

@@ -44,10 +44,11 @@ keep that order, and the size of the result picks one:
   70 x 512 doubles) stay in cache.  ``product_pullback`` runs the same
   kernel on the pairs of the adjoint.
 - Above ``_WIDE``, the row kernel takes the rows a of the left operand in
-  ascending order.  Row a of degree d meets the prefix of the right operand
-  up to degree valid - d in one broadcast multiply; its pairs with the
-  partners of degree e land on contiguous output rows, one slice add each.
-  It makes no gather and no broadcast copy of an operand.
+  ascending order.  Row a of degree d meets the partners of each degree
+  e <= valid - d, at most ``ORDER`` contiguous rows of the right
+  operand, in one multiply-add onto the contiguous output rows of degree
+  d + e.  Its temporaries are one such slab of products, and it makes no
+  gather and no broadcast copy of an operand.
 
 Both kernels start each output from its pair with the constant row a = 0
 and add the others in ascending a, so their bits agree.
@@ -127,12 +128,12 @@ _PRODUCT_PLANS = tuple(
 
 
 def _row_plan(valid):
-    """Rows a >= 1 of a product truncated at ``valid``, with their partners and landing rows.
+    """Rows a >= 1 of a product truncated at ``valid``, with their landing rows.
 
-    Row a = (p, q) of degree d meets the first ``partners`` rows of the
-    right operand, those of degree at most valid - d.  Its pairs with the
-    partners of degree e, rows ``src``, land on the output rows ``dst`` of
-    degree d + e, from position p on.
+    Row a = (p, q) of degree d meets the rows of the right operand of
+    degree at most valid - d.  Its pairs with the partners of degree e,
+    rows ``src``, land on the output rows ``dst`` of degree d + e, from
+    position p on.
     """
     plan = []
     for a in range(1, _N_UPTO[valid]):
@@ -142,7 +143,7 @@ def _row_plan(valid):
             (slice(_START[d + e] + p, _START[d + e] + p + e + 1), slice(_START[e], _START[e] + e + 1))
             for e in range(valid - d + 1)
         )
-        plan.append((a, _N_UPTO[valid - d], adds))
+        plan.append((a, adds))
     return tuple(plan)
 
 
@@ -243,13 +244,12 @@ def _layered_sum(x, y, plan):
 
 
 def _row_product(a, b, valid, shape):
-    """The product by rows of ``a``: one broadcast multiply per row, one slice add per degree."""
+    """The product by rows of ``a``: one multiply-add of a slab of rows per partner degree."""
     a, b = _lift(a, len(shape)), _lift(b, len(shape))
     out = a[0] * b[: _N_UPTO[valid]]
-    for row, partners, adds in _ROW_PLANS[valid]:
-        prods = a[row] * b[:partners]
+    for row, adds in _ROW_PLANS[valid]:
         for dst, src in adds:
-            out[dst] += prods[src]
+            out[dst] += a[row] * b[src]
     return out
 
 

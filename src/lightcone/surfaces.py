@@ -158,10 +158,15 @@ class JetFrame:
         t_u = iE * s_u + iF * s_v
         t_v = iF * s_u + iG * s_v
         del s_u, s_v
+        # A reads the inverse metric, and II reads psi_u and psi_v, through
+        # order two; a product reads its operands only through its result's
+        # order, so each is cut as soon as its last order-three product is made.
+        iE, iF, iG = (x.truncated(2).copy() for x in (iE, iF, iG))
         n = JetVec4.constant(_E0) - psi_u.scale(t_u)
+        psi_u = psi_u.truncated(2).copy()
         n._sub_into(psi_v.scale(t_v))
         del t_u, t_v
-        psi_u, psi_v = psi_u.truncated(2).copy(), psi_v.truncated(2).copy()  # II reads order two
+        psi_v = psi_v.truncated(2).copy()
         pn = psi.dot(n)
         if np.any(np.abs(pn.value) < 1e-13):
             raise LightconeError(f"{patch.name}: normal-plane solve degenerated")
@@ -386,40 +391,57 @@ def gauss_maps(frame):
 # -- blocked sweeps -----------------------------------------------------------
 
 #: Most points in one block of a pointwise table: one frame of ``_sweep``, or
-#: the theta rings of one block of ``integrals.expansion_table``.  At 64x128,
-#: with frames that keep a jet only while something differentiates it, the
-#: ``verify-pointwise`` benchmark peaks at 67.6 MB with blocks of 2048 against
-#: 86.2 MB in one frame of verify's 8392 points (63.5 MB with blocks of 1024,
-#: 74.1 MB with 4096; medians of 6 seeds on 2 cores), and 2048 ran no slower
-#: than either (run_s 0.35 s, against 0.385 s with 1024 and 0.36 s with 4096).
-#: The sigma table at 64x128 held at most 6 MB of 15-row jets in blocks
-#: against 22 MB in one pass; the ``global-grid`` benchmark now peaks at
-#: 75.2 MB with blocks of 2048 and 76.3 MB in one pass (medians of 3 seeds),
-#: so no block sets it.  ``export cylinder --grid 128x256``, whose
-#: ``geometry_table`` was one frame, peaks at 67 MB against 280 MB.
+#: the theta rings of one block of ``integrals.expansion_table``.  ``_blocks``
+#: splits a table into the fewest blocks that fit, of sizes within one row,
+#: so verify's 8392 points at 64x128 take five frames of 1678 or 1679 points.
+#: There the ``verify-pointwise`` benchmark peaks at 64.6 MB, against 62.1 MB
+#: with a ``_BLOCK`` of 1024, 68.3 MB with 4096 and 83.0 MB in one frame of
+#: all points (medians of 5 seeds on 2 cores).  One frame ran fastest (run_s
+#: 0.29 s, against 0.34 s with 2048 and 0.36 s with 4096, medians of 10
+#: interleaved seeds), so the block trades about 0.05 s for 18 MB.  The
+#: ``global-grid`` benchmark peaks at 75.0 MB with 2048, 74.7 MB with 4096
+#: and 76.5 MB in one pass, so no block sets it.  ``export cylinder --grid
+#: 128x256`` peaks at 49.5 MB, against 122 MB with its ``geometry_table`` in
+#: one frame.
 _BLOCK = 2048
 
 
 def _blocks(n_rows, row_size=1):
-    """Slices of consecutive rows, as many per block as fit in ``_BLOCK`` points, at least one."""
-    step = max(1, _BLOCK // row_size)
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
+    """The fewest slices of consecutive rows that fit in ``_BLOCK`` points, of equal sizes.
+
+    A block holds at most ``_BLOCK // row_size`` rows, at least one; the
+    sizes of any two blocks differ by at most one row.
+    """
+    count = -(-n_rows // max(1, _BLOCK // row_size))
+    return [slice(n_rows * k // count, n_rows * (k + 1) // count) for k in range(count)]
 
 
 def _sweep(patch, points, read):
-    """``read(frame)`` over frames of consecutive blocks of ``_BLOCK`` points, concatenated.
+    """``read(frame)`` over frames of the ``_blocks`` of the points, in one store.
 
-    ``read`` returns a dict of arrays, one entry per point of its frame; the
-    result holds each key that every block returned, in the order of the
-    first block.  Jet arithmetic is pointwise, so each entry has the bits of
-    one frame of all points, and each block's frame is dropped before the
-    next is built.  A frame guard that rejects a block raises its own error,
-    with figures over that block's points.
+    ``read`` returns a dict of arrays, one entry per point of its frame.
+    After the first block's read, the store holds one array per key, over
+    all points, with that entry's trailing shape and dtype; each block
+    writes its entries into its own slice, and a key that a block lacks is
+    dropped.  The result holds each key that every block returned, in the
+    order of the first block.  Jet arithmetic is pointwise, so each entry
+    has the bits of one frame of all points, and each block's frame is
+    dropped before the next is built.  A frame guard that rejects a block
+    raises its own error, with figures over that block's points.
     """
     u, v = points
-    parts = [read(JetFrame(patch, u[block], v[block])) for block in _blocks(u.size)]
-    return {key: np.concatenate([part[key] for part in parts])
-            for key in parts[0] if all(key in part for part in parts)}
+    store = None
+    for block in _blocks(u.size):
+        part = read(JetFrame(patch, u[block], v[block]))
+        if store is None:
+            store = {key: np.empty((u.size,) + x.shape[1:], x.dtype) for key, x in part.items()}
+        for key in list(store):
+            if key in part:
+                store[key][block] = part[key]
+            else:
+                del store[key]
+        del part  # so that no block's read outlives it while the next frame is built
+    return store
 
 
 # -- extremal points ----------------------------------------------------------

@@ -193,13 +193,15 @@ def _frame_sizes(monkeypatch):
 
 def test_tables_global_and_export_are_independent_of_the_block(tmp_path, monkeypatch,
                                                                bumpy_sphere):
-    # geometry_table reads frames of _BLOCK points, and expansion_table
-    # blocks of _BLOCK // n_phi theta rings, at least one; every table
+    # geometry_table reads frames of at most _BLOCK points, and
+    # expansion_table blocks of at most _BLOCK // n_phi theta rings, at
+    # least one, in the fewest blocks of sizes within one row; every table
     # entry, manifest field and CSV cell keeps its bits.  At 2048 the 48
-    # rings of 48x96 end in a short block of 6 (21 a block) and the 3200
-    # points of 40x80 in one of 1152; at 37, 9x16 takes two rings a block
-    # and ends in one, and a row of 64 or 96 exceeds the block, so each
-    # block is one ring; at 10**6 every table is one block.
+    # rings of 48x96 (at most 21 a block) take three blocks of 16 and the
+    # 3200 points of 40x80 two of 1600; at 37, the 9 rings of 9x16 (at most
+    # two a block) take five blocks, the first of one ring, a row of 64 or
+    # 96 exceeds the block, so each block is one ring, and the 3200 points
+    # take 87 frames of 36 or 37; at 10**6 every table is one block.
     spec, m_out, csv_out = tmp_path / "spec.json", tmp_path / "m.json", tmp_path / "t.csv"
     spec.write_text("[[2, -2, 0.03], [3, 1, 0.02]]")
     widths, sizes = _law_widths(monkeypatch), _frame_sizes(monkeypatch)
@@ -226,11 +228,11 @@ def test_tables_global_and_export_are_independent_of_the_block(tmp_path, monkeyp
         monkeypatch.setattr(surfaces, "_BLOCK", block)
         by_block[block] = outputs()
     assert by_block[37][0] == by_block[2048][0] == by_block[10**6][0]
-    assert by_block[37][1] == [[32] * 4 + [16], [64] * 6, [96] * 48]
-    assert by_block[2048][1] == [[144], [384], [2016, 2016, 576]]
+    assert by_block[37][1] == [[16] + [32] * 4, [64] * 6, [96] * 48]
+    assert by_block[2048][1] == [[144], [384], [1536] * 3]
     assert by_block[10**6][1] == [[144], [384], [4608]]
-    assert by_block[37][2] == [37] * 86 + [18]
-    assert by_block[2048][2] == [2048, 1152]
+    assert sorted(by_block[37][2]) == [36] * 19 + [37] * 68
+    assert by_block[2048][2] == [1600, 1600]
     assert by_block[10**6][2] == [3200]
 
 
@@ -248,9 +250,9 @@ def test_tables_at_64x128_build_no_batch_wider_than_the_block(tmp_path, monkeypa
 
 
 def test_verify_rejection_reports_the_block_that_raises(capsys, monkeypatch):
-    # The guard's figures are over the frame that raises, the first block of
-    # verify's sweep; the frame of all 8392 points would print 5.099e-08, and
-    # none is built.
+    # The guard's figures are over the frame that raises, the first of the
+    # five blocks of 1678 or 1679 points of verify's sweep; the frame of all
+    # 8392 points would print 5.099e-08, and none is built.
     sizes, build = [], JetFrame.__init__
 
     def recording(self, patch, u, v):
@@ -263,7 +265,7 @@ def test_verify_rejection_reports_the_block_that_raises(capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "rejected: round-sphere(r=10000): max |<psi,psi>| = 2.980e-08, min psi0 = 1.000e+04\n"
     )
-    assert sizes == [surfaces._BLOCK], sizes
+    assert sizes == [1678], sizes
 
 
 def test_export_text_formats_each_bit_pattern_by_repr():

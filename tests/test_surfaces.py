@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_perturbed_sphere
-from lightcone import catalog, cli, harmonics, jets, transforms
+from lightcone import catalog, cli, harmonics, jets, surfaces, transforms
 from lightcone.curvature import second_form_curvature
 from lightcone.errors import LightconeError
 from lightcone.jets import Jet2, JetVec4
@@ -251,12 +253,17 @@ def test_value_attributes_equal_the_jets_they_replace(bumpy_sphere, cylinder, pa
         assert f.sqrt_detg_val.tobytes() == np.sqrt(detg.value).tobytes(), patch.name
 
 
-def test_frame_keeps_only_the_jets_its_readers_differentiate():
-    # One frame of a block of verify's sweep (surfaces._BLOCK points), which
-    # sets the peak memory of verify.  Its jets and values once built, and
-    # the most it holds while it is built, measured by tracemalloc.
+def _verify_spec_patch():
     spec = catalog.HarmonicSpec(terms=((2, -2, 0.01), (3, 1, 0.01), (1, 1, 0.01), (2, 0, 0.01)))
-    patch = catalog.perturbed_sphere(spec, r=1.1)
+    return catalog.perturbed_sphere(spec, r=1.1)
+
+
+def test_frame_keeps_only_the_jets_its_readers_differentiate():
+    # One frame of the largest block of a sweep (surfaces._BLOCK points);
+    # the frames of verify's sweep set its peak memory.  Its jets and values
+    # once built, and the most it holds while it is built, measured by
+    # tracemalloc.
+    patch = _verify_spec_patch()
     u, v = (x[:2048] for x in patch.grid_points((64, 128)))
     JetFrame(patch, u, v)
     gc.collect()
@@ -268,8 +275,41 @@ def test_frame_keeps_only_the_jets_its_readers_differentiate():
         kept, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert kept <= 4e6 and peak <= 7e6, (kept, peak)
+    assert kept <= 3.2e6 and peak <= 5.5e6, (kept, peak)
     assert [name for name, x in vars(frame).items() if isinstance(x, JetVec4)] == ["eta"]
+
+
+def test_verify_sweep_peak_memory():
+    # verify's sweep at 64x128: five frames of 1678 or 1679 points, one
+    # alive at a time, each read into one store over all 8392 points.  The
+    # most it holds at once, measured by tracemalloc.
+    patch = _verify_spec_patch()
+    points = cli._verify_points(patch, (64, 128), 0)
+    surfaces._sweep(patch, points, cli._verify_read)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        surfaces._sweep(patch, points, cli._verify_read)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0e6, peak
+
+
+@given(st.integers(0, 5000), st.integers(1, 300), st.integers(1, 4096))
+def test_blocks_are_the_fewest_of_equal_sizes(n_rows, row_size, block):
+    # The slices cover the rows in order, in ceil(n_rows / step) blocks of
+    # at most step = max(1, block // row_size) rows, sizes within one row.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(surfaces, "_BLOCK", block)
+        blocks = surfaces._blocks(n_rows, row_size)
+    step = max(1, block // row_size)
+    rows = [range(n_rows)[b] for b in blocks]
+    sizes = [len(r) for r in rows]
+    assert [i for r in rows for i in r] == list(range(n_rows))
+    assert len(blocks) == -(-n_rows // step)
+    assert max(sizes, default=0) <= step and max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
 def test_second_form_inner_product_identity(bumpy_sphere, cylinder):
